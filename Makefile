@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check figures bench fuzz resume-smoke serve-smoke chaos-smoke cluster-smoke techsweep-smoke xtopo-smoke clean
+.PHONY: build test check figures bench bench-trace fuzz resume-smoke serve-smoke chaos-smoke cluster-smoke techsweep-smoke xtopo-smoke clean
 
 # Per-target budget for `make fuzz` (go test -fuzztime syntax).
 FUZZTIME ?= 10s
@@ -12,8 +12,8 @@ test:
 	$(GO) test ./...
 
 # check is the full pre-merge gate: compile, vet, and the test suite under
-# the race detector (the cpu package drives program goroutines through a
-# kernel handshake — races there would silently break determinism).
+# the race detector (the sharded engine resumes program coroutines from its
+# shard workers — a race there would silently break determinism).
 check:
 	$(GO) build ./...
 	$(GO) vet ./...
@@ -22,8 +22,14 @@ check:
 figures:
 	$(GO) run ./cmd/figures -cores 64
 
+# The repo's benchmark (BENCHMARK.json, bench/README.md): six workloads,
+# end-to-end metrics. bench-trace is the traced set: per-layer metrics and
+# the layer-cost table.
 bench:
-	$(GO) test -bench=. -benchmem -run '^$$' .
+	bash bench/run.sh
+
+bench-trace:
+	bash bench/run.sh -trace
 
 # Fuzz the flit-conservation property (exactly-once delivery under
 # randomized traffic and fault seeds) for FUZZTIME per target. Go allows

@@ -1,15 +1,20 @@
+//go:build go1.23
+
 // Package cpu models the paper's in-order, single-issue, 1 GHz core
 // (Table I): one cycle per ALU instruction, blocking on memory accesses
 // through the coherence hierarchy. Each core executes a workload program
-// that runs on its own goroutine and synchronizes with the simulation
-// kernel through a strict two-channel handshake, so execution is fully
-// deterministic: exactly one program runs at a time, and only while the
-// kernel waits for its next operation.
+// as a coroutine of the simulation kernel (iter.Pull, hence the go1.23
+// constraint; see DESIGN.md): the kernel event that completes an operation
+// resumes the program, which runs to its next operation and yields back,
+// with no scheduler in between. Execution is fully deterministic: exactly
+// one program runs at a time, and only while the kernel waits for its next
+// operation.
 package cpu
 
 import (
 	"fmt"
-	"runtime"
+	"iter"
+	"runtime/debug"
 
 	"repro/internal/coherence"
 	"repro/internal/sim"
@@ -24,7 +29,6 @@ const (
 	opRMW
 	opCompute
 	opWaitUntil
-	opFinish
 )
 
 type opReq struct {
@@ -36,9 +40,12 @@ type opReq struct {
 	pred func(uint64) bool
 }
 
-// Program is the code a core executes. It runs on a dedicated goroutine
-// and may only interact with the simulation through the Proc.
+// Program is the code a core executes. It runs as a coroutine of the
+// kernel and may only interact with the simulation through the Proc. A
+// panic in a Program surfaces from the kernel event that resumed it.
 type Program func(p *Proc)
+
+type abandoned struct{} // the panic value that unwinds a killed program
 
 // Core is one simulated core.
 type Core struct {
@@ -46,9 +53,13 @@ type Core struct {
 	K   *sim.Kernel
 	Coh *coherence.System
 
-	ops    chan opReq
-	resume chan uint64
-	kill   chan struct{}
+	pull   func() (opReq, bool) // runs the program up to its next op
+	stop   func()
+	ret    uint64 // completion value of the op the program is suspended in
+	killed bool
+	// Completion callbacks, bound once so issuing an op allocates nothing.
+	computeDone func()
+	accessDone  func(uint64)
 
 	// Instructions counts retired instructions (ALU + memory); each is
 	// also an L1-I access for the energy model.
@@ -62,12 +73,9 @@ type Core struct {
 
 // NewCore builds a core attached to the coherence system.
 func NewCore(id int, k *sim.Kernel, coh *coherence.System) *Core {
-	return &Core{
-		ID: id, K: k, Coh: coh,
-		ops:    make(chan opReq),
-		resume: make(chan uint64),
-		kill:   make(chan struct{}),
-	}
+	c := &Core{ID: id, K: k, Coh: coh}
+	c.computeDone, c.accessDone = func() { c.next(0) }, c.next
+	return c
 }
 
 // Start launches the program. onFinish (optional) is invoked in a kernel
@@ -75,62 +83,63 @@ func NewCore(id int, k *sim.Kernel, coh *coherence.System) *Core {
 // runs past time zero.
 func (c *Core) Start(prog Program, onFinish func(*Core)) {
 	c.onFinish = onFinish
-	go func() {
-		defer func() {
-			// Deliver the finish op unless we were killed.
-			select {
-			case c.ops <- opReq{kind: opFinish}:
-			case <-c.kill:
+	c.pull, c.stop = iter.Pull(func(yield func(opReq) bool) {
+		defer func() { // iter.Pull would re-raise a panic without its stack
+			if r := recover(); r != nil && r != (abandoned{}) {
+				panic(fmt.Sprintf("cpu: core %d: program panicked: %v\n%s", c.ID, r, debug.Stack()))
 			}
 		}()
-		p := &Proc{core: c}
-		<-c.resume // initial kick from the kernel
-		prog(p)
-	}()
-	c.K.Schedule(0, func() {
-		c.resume <- 0
-		c.step(<-c.ops)
+		prog(&Proc{core: c, yield: yield})
 	})
+	c.K.Schedule(0, c.computeDone)
 }
 
-// Kill tears down the program goroutine (used when a run is abandoned).
+// Kill unwinds the program's coroutine (used when a run is abandoned) and
+// drops its completions still in flight. Idempotent; safe on any core.
 func (c *Core) Kill() {
-	if !c.Finished {
-		close(c.kill)
+	c.killed = true
+	if c.stop != nil {
+		c.stop()
 	}
 }
 
 // next hands the completed value back to the program and executes its next
 // operation. Runs inside a kernel event.
 func (c *Core) next(v uint64) {
-	c.resume <- v
-	c.step(<-c.ops)
-}
-
-// step dispatches one program operation.
-func (c *Core) step(op opReq) {
-	switch op.kind {
-	case opFinish:
+	if c.killed {
+		return
+	}
+	c.ret = v
+	op, ok := c.pull()
+	if !ok { // the program returned
 		c.Finished = true
 		c.FinishTime = c.K.Now()
 		if c.onFinish != nil {
 			c.onFinish(c)
 		}
+		return
+	}
+	c.step(op)
+}
+
+// step dispatches one program operation.
+func (c *Core) step(op opReq) {
+	switch op.kind {
 	case opCompute:
 		if op.n < 1 {
 			op.n = 1
 		}
 		c.Instructions += uint64(op.n)
-		c.K.Schedule(sim.Time(op.n), func() { c.next(0) })
+		c.K.Schedule(sim.Time(op.n), c.computeDone)
 	case opLoad:
 		c.Instructions++
-		c.Coh.Access(c.ID, coherence.OpLoad, op.addr, 0, nil, c.next)
+		c.Coh.Access(c.ID, coherence.OpLoad, op.addr, 0, nil, c.accessDone)
 	case opStore:
 		c.Instructions++
-		c.Coh.Access(c.ID, coherence.OpStore, op.addr, op.val, nil, c.next)
+		c.Coh.Access(c.ID, coherence.OpStore, op.addr, op.val, nil, c.accessDone)
 	case opRMW:
 		c.Instructions++
-		c.Coh.Access(c.ID, coherence.OpRMW, op.addr, 0, op.f, c.next)
+		c.Coh.Access(c.ID, coherence.OpRMW, op.addr, 0, op.f, c.accessDone)
 	case opWaitUntil:
 		c.waitUntil(op.addr, op.pred)
 	default:
@@ -153,10 +162,11 @@ func (c *Core) waitUntil(addr uint64, pred func(uint64) bool) {
 	})
 }
 
-// Proc is the program-facing handle. All methods block the program
-// goroutine until the simulated operation completes.
+// Proc is the program-facing handle. Every method that issues an
+// operation suspends the program until the simulated operation completes.
 type Proc struct {
-	core *Core
+	core  *Core
+	yield func(opReq) bool
 }
 
 // ID returns this core's index.
@@ -167,18 +177,10 @@ func (p *Proc) NCores() int { return p.core.Coh.Cfg.Cores }
 
 // send issues one operation and waits for its completion value.
 func (p *Proc) send(op opReq) uint64 {
-	select {
-	case p.core.ops <- op:
-	case <-p.core.kill:
-		runtime.Goexit()
+	if !p.yield(op) {
+		panic(abandoned{})
 	}
-	select {
-	case v := <-p.core.resume:
-		return v
-	case <-p.core.kill:
-		runtime.Goexit()
-	}
-	return 0
+	return p.core.ret
 }
 
 // Load reads the 8-byte word at addr through the cache hierarchy.

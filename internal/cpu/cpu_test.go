@@ -1,6 +1,8 @@
 package cpu
 
 import (
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/coherence"
@@ -9,7 +11,7 @@ import (
 	"repro/internal/sim"
 )
 
-func fixture(t *testing.T) (*sim.Kernel, *coherence.System, []*Core) {
+func fixture(t testing.TB) (*sim.Kernel, *coherence.System, []*Core) {
 	t.Helper()
 	cfg := config.Tiny()
 	cfg.Network.Kind = config.EMeshBCast
@@ -121,23 +123,104 @@ func TestRMWReturnsOld(t *testing.T) {
 
 func TestKillAbandonedProgram(t *testing.T) {
 	k, _, cores := fixture(t)
+	before := runtime.NumGoroutine()
+	spinnerFinished := false
 	cores[0].Start(func(p *Proc) {
-		// Spin forever on a flag nobody sets.
+		// Spin on a flag that is set only after the core was killed.
 		p.WaitUntil(0x500, func(v uint64) bool { return v == 1 })
+	}, func(*Core) { spinnerFinished = true })
+	cores[1].Start(func(p *Proc) {
+		p.Compute(20000)
+		p.Store(0x500, 1)
 	}, nil)
-	cores[1].Start(func(p *Proc) { p.Compute(10) }, nil)
-	// Load the flag first so core 0 has something to hold.
+	// Let the spinner load the flag and park on its Shared copy.
 	k.Run(10000)
 	if cores[0].Finished {
 		t.Fatal("spinner should not finish")
 	}
 	cores[0].Kill()
-	// The kernel must drain without the spinner.
+	cores[0].Kill() // idempotent
+	cores[2].Kill() // never started
+	// The kernel must drain without the spinner, dropping the wake-up the
+	// store delivers to its parked WaitChange.
 	k.RunAll()
 	if !cores[1].Finished {
 		t.Fatal("other core blocked by spinner")
 	}
+	if cores[0].Finished || spinnerFinished {
+		t.Error("a completion after Kill was taken for the program finishing")
+	}
+	if got := runtime.NumGoroutine(); got != before {
+		t.Errorf("%d goroutines after the run, %d before Start", got, before)
+	}
 }
+
+func TestProgramPanicSurfacesInKernelEvent(t *testing.T) {
+	k, _, cores := fixture(t)
+	cores[0].Start(func(p *Proc) {
+		p.Compute(5)
+		panic("boom")
+	}, nil)
+	defer func() {
+		r := recover()
+		if s, _ := r.(string); !strings.Contains(s, "boom") || !strings.Contains(s, "core 0") {
+			t.Errorf("kernel saw panic %v, want the program's", r)
+		}
+		if cores[0].Finished {
+			t.Error("a panicked program counts as finished")
+		}
+	}()
+	k.RunAll()
+}
+
+// steadyState runs one program that issues op forever and returns the
+// kernel, stepped past the cold start, so that every further k.Step() is
+// one completed op.
+func steadyState(tb testing.TB, op func(p *Proc)) *sim.Kernel {
+	k, _, cores := fixture(tb)
+	cores[0].Start(func(p *Proc) {
+		for {
+			op(p)
+		}
+	}, nil)
+	tb.Cleanup(cores[0].Kill)
+	k.Run(10000)
+	return k
+}
+
+func computeOp(p *Proc) { p.Compute(1) }
+func l1HitLoad(p *Proc) { p.Load(0x100) }
+
+// The core's own per-op cost is zero objects: a Compute op allocates
+// nothing, and an L1-hit Load only the one completion closure that
+// coherence schedules.
+func TestOpAllocBudget(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		op     func(*Proc)
+		budget float64
+	}{
+		{"Compute", computeOp, 0},
+		{"L1HitLoad", l1HitLoad, 1},
+	} {
+		k := steadyState(t, tc.op)
+		if got := testing.AllocsPerRun(1000, func() { k.Step() }); got != tc.budget {
+			t.Errorf("%s: %v allocs/op, want %v", tc.name, got, tc.budget)
+		}
+	}
+}
+
+func benchmarkOp(b *testing.B, op func(*Proc)) {
+	k := steadyState(b, op)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k.Step()
+	}
+}
+
+func BenchmarkComputeOp(b *testing.B) { benchmarkOp(b, computeOp) }
+func BenchmarkL1HitLoad(b *testing.B) { benchmarkOp(b, l1HitLoad) }
 
 func TestDeterministicExecution(t *testing.T) {
 	run := func() (sim.Time, uint64) {

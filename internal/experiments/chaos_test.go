@@ -9,11 +9,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/config"
+	"repro/internal/cpu"
+	"repro/internal/system"
+	"repro/internal/workload"
 )
 
 // chaosRunner builds a small two-benchmark campaign runner wired to a
@@ -244,5 +248,58 @@ func TestChaosRunDeadlineIsTransientAndRetried(t *testing.T) {
 	}
 	if len(r.FailedRuns()) != 1 {
 		t.Fatalf("ledger = %+v, want one failure", r.Ledger())
+	}
+}
+
+// A panic inside a workload Program surfaces from the kernel event that
+// resumed it — on the serial engine directly, on the sharded engine
+// re-raised from the shard worker — so the Runner's panic isolation turns
+// it into a failed run carrying the panic value instead of losing the
+// process, and the machine's other program coroutines do not outlive the
+// run. The hook stands in for a catalog workload with a bug.
+func TestChaosWorkloadPanicIsFailedRun(t *testing.T) {
+	spec := workload.Spec{Name: "buggy", Program: func(p *cpu.Proc) {
+		p.Compute(10)
+		if p.ID() == 3 {
+			panic("chaos: workload bug")
+		}
+		p.Store(uint64(0x1000+64*p.ID()), 1)
+	}}
+	for _, shards := range []int{1, 2} {
+		before := runtime.NumGoroutine()
+		r := NewRunner(Options{Cores: 16, Scale: 1, Seed: 42})
+		r.Cache = nil
+		r.testHook = func(cfg config.Config, _ string, _ int) {
+			sys, err := system.NewSharded(cfg, shards)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if sys.Shards != shards {
+				t.Errorf("NewSharded(cfg, %d) built %d shards", shards, sys.Shards)
+			}
+			sys.Run(spec, 0)
+			t.Errorf("shards=%d: run with a panicking program returned", shards)
+		}
+		_, err := r.Run(r.Opt.Config(config.ATACPlus), "radix")
+		var pe *PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("shards=%d: error %v is not a PanicError", shards, err)
+		}
+		for _, want := range []string{"chaos: workload bug", "core 3"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("shards=%d: error lacks %q: %v", shards, want, err)
+			}
+		}
+		if fr := r.FailedRuns(); len(fr) != 1 || fr[0].Status != StatusFailed {
+			t.Errorf("shards=%d: ledger = %+v, want one failed run", shards, r.Ledger())
+		}
+		// Shard workers exit just after Close returns; wait for them.
+		for end := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(end); {
+			runtime.Gosched()
+		}
+		if got := runtime.NumGoroutine(); got > before {
+			t.Errorf("shards=%d: %d goroutines after the failed run, %d before", shards, got, before)
+		}
 	}
 }

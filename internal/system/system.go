@@ -201,6 +201,7 @@ func (s *System) RunContext(ctx context.Context, spec workload.Spec, horizon sim
 	lastSh := make([]sim.Time, nsh)
 	for _, c := range s.Core {
 		sh := s.shardOf(c.ID)
+		defer c.Kill() // no coroutine outlives the run, however it ends (even a panic)
 		c.Start(spec.Program, func(c *cpu.Core) {
 			finishedSh[sh]++
 			if c.FinishTime > lastSh[sh] {
@@ -251,9 +252,6 @@ func (s *System) RunContext(ctx context.Context, spec workload.Spec, horizon sim
 		// simulated, not the zero value of "last finish".
 		if last == 0 {
 			res.Cycles = s.eng.Now()
-		}
-		for _, c := range s.Core {
-			c.Kill()
 		}
 		if wd.Tripped() {
 			return res, fmt.Errorf("system: %s: %w: %s", spec.Name, ErrStalled, wd.Report())
