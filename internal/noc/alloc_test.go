@@ -17,6 +17,7 @@ package noc
 import (
 	"testing"
 
+	"repro/internal/config"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 )
@@ -73,5 +74,66 @@ func TestFlitPathAllocBudget(t *testing.T) {
 	}
 	if got := flitPathAllocs(nil, true); got > 16 {
 		t.Errorf("broadcast flit path: %.2f allocs/msg, budget 16", got)
+	}
+}
+
+// opticalPathAllocs measures steady-state heap allocations per drained
+// message on a warmed 64-core optical fabric: a corner-to-corner unicast
+// (core->hub ENet leg, one optical transfer, receive network) or a
+// broadcast from core 0.
+func opticalPathAllocs(t *testing.T, kind config.NetworkKind, bcast bool) float64 {
+	cfg := config.Small().WithNetwork(kind)
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	var k sim.Kernel
+	var net Network
+	switch kind {
+	case config.Corona:
+		net = NewCrossbar(&k, &cfg)
+	case config.HybridMesh:
+		net = NewHybrid(&k, &cfg)
+	default:
+		net = NewAtac(&k, &cfg)
+	}
+	net.SetDeliver(func(int, *Message) {})
+	dst := 63
+	if bcast {
+		dst = BroadcastDst
+	}
+	send := func() {
+		net.Send(&Message{Src: 0, Dst: dst, Bits: 512})
+		k.RunAll()
+	}
+	for i := 0; i < 2000; i++ {
+		send() // grow the worm/queue/event pools to steady state
+	}
+	return testing.AllocsPerRun(500, send)
+}
+
+// TestOpticalAllocBudget pins the optical fabrics' allocations per drained
+// message at the values measured when the shared optical skeleton was
+// extracted (fabric.go): closures and wrapper messages are the fabrics' own
+// per-message cost on top of the mesh's, and nothing else gates them —
+// BenchmarkAtacUniformTraffic once slid 4 -> 6 allocs/op unnoticed.
+func TestOpticalAllocBudget(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		kind   config.NetworkKind
+		bcast  bool
+		budget float64
+	}{
+		{"ATACPlus/unicast", config.ATACPlus, false, 8},
+		{"ATACPlus/broadcast", config.ATACPlus, true, 84},
+		{"Corona/unicast", config.Corona, false, 8},
+		{"Corona/broadcast", config.Corona, true, 111},
+		{"Hybrid/unicast", config.HybridMesh, false, 9},
+		{"Hybrid/broadcast", config.HybridMesh, true, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := opticalPathAllocs(t, tc.kind, tc.bcast); got > tc.budget {
+				t.Errorf("%.0f allocs/msg, budget %.0f", got, tc.budget)
+			}
+		})
 	}
 }
