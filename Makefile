@@ -33,7 +33,9 @@ bench-trace:
 
 # Fuzz the flit-conservation property (exactly-once delivery under
 # randomized traffic and fault seeds) for FUZZTIME per target. Go allows
-# one -fuzz target per invocation, so the targets run back to back.
+# one -fuzz target per invocation, so the targets run back to back. The
+# three optical targets are one body (fuzzOpticalConservation) entered per
+# fabric kind, so each optical fabric still gets a full FUZZTIME.
 fuzz:
 	$(GO) test ./internal/noc -run '^$$' -fuzz '^FuzzMeshConservation$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/noc -run '^$$' -fuzz '^FuzzAtacConservation$$' -fuzztime $(FUZZTIME)

@@ -23,6 +23,7 @@ import (
 	"repro/internal/energy"
 	"repro/internal/experiments"
 	"repro/internal/metrics"
+	"repro/internal/noc"
 	"repro/internal/photonics"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -232,34 +233,53 @@ func main() {
 			n.OpticalFlitErrors, n.OpticalRetxPkts, n.OpticalRetxFlits, n.OpticalRetriesExhausted)
 		fmt.Printf("                 degraded channels %d; rerouted %d msgs (%d flits)\n",
 			n.DegradedChannels, n.ReroutedMsgs, n.ReroutedFlits)
-		if sys.Atac != nil {
-			if cl := sys.Atac.DegradedClusters(); len(cl) > 0 {
-				fmt.Printf("                 degraded clusters %v\n", cl)
-			}
-		}
+		fmt.Print(degradedLine(sys.Net, cfg.Network.Kind))
 		fmt.Printf("                 resilience overhead %.3g J\n", energy.ResilienceOverheadJ(m, res))
 	}
 
 	if *heat {
-		var mesh interface{ RouterFlits() []uint64 }
-		if sys.Atac != nil {
-			mesh = sys.Atac.ENet()
-		} else if mm, ok := sys.Net.(interface{ RouterFlits() []uint64 }); ok {
-			mesh = mm
-		}
-		if mesh != nil {
-			dim := cfg.MeshDim()
-			hm := stats.NewHeatmap(dim)
-			for i, v := range mesh.RouterFlits() {
-				hm.Add(i%dim, i/dim, v)
-			}
-			x, y, v := hm.Hottest()
-			fmt.Printf("\nmesh congestion heatmap (hottest router (%d,%d): %d flits):\n%s", x, y, v, hm.Render())
-		}
+		fmt.Print(meshHeatmap(sys.Net, cfg.MeshDim()))
 	}
 	if ring != nil && *traceN > 0 {
 		fmt.Printf("\nlast %d of %d protocol events:\n%s", len(ring.Entries()), ring.Total(), ring.Dump())
 	}
+}
+
+// degradedLine names the optical channels the fabric has declared degraded
+// — clusters on ATAC, gateways on the hybrid — as one report line; empty
+// when there are none or the fabric has no degradable channel.
+func degradedLine(net noc.Network, kind config.NetworkKind) string {
+	var ch []int
+	if d, ok := net.(interface{ DegradedChannels() []int }); ok {
+		ch = d.DegradedChannels()
+	}
+	if len(ch) == 0 {
+		return ""
+	}
+	what := "clusters"
+	if kind == config.HybridMesh {
+		what = "gateways"
+	}
+	return fmt.Sprintf("                 degraded %s %v\n", what, ch)
+}
+
+// meshHeatmap renders the congestion heatmap of the fabric's electrical
+// mesh: the fabric itself on the EMesh kinds, the embedded ENet on every
+// optical one.
+func meshHeatmap(net noc.Network, dim int) string {
+	mesh, _ := net.(*noc.Mesh)
+	if e, ok := net.(interface{ ENet() *noc.Mesh }); ok {
+		mesh = e.ENet()
+	}
+	if mesh == nil {
+		return ""
+	}
+	hm := stats.NewHeatmap(dim)
+	for i, v := range mesh.RouterFlits() {
+		hm.Add(i%dim, i/dim, v)
+	}
+	x, y, v := hm.Hottest()
+	return fmt.Sprintf("\nmesh congestion heatmap (hottest router (%d,%d): %d flits):\n%s", x, y, v, hm.Render())
 }
 
 // writeMetrics flushes the metrics and timeline sinks: per-epoch CSV and

@@ -87,15 +87,7 @@ func opticalPathAllocs(t *testing.T, kind config.NetworkKind, bcast bool) float6
 		t.Fatal(err)
 	}
 	var k sim.Kernel
-	var net Network
-	switch kind {
-	case config.Corona:
-		net = NewCrossbar(&k, &cfg)
-	case config.HybridMesh:
-		net = NewHybrid(&k, &cfg)
-	default:
-		net = NewAtac(&k, &cfg)
-	}
+	net := newOpticalFabric(&k, &cfg)
 	net.SetDeliver(func(int, *Message) {})
 	dst := 63
 	if bcast {

@@ -2,11 +2,8 @@ package noc
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/config"
-	"repro/internal/fault"
-	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -25,15 +22,9 @@ import (
 // ENet-only) decides which unicasts ride the ONet. Broadcasts always ride
 // the ONet.
 type Atac struct {
-	K   *sim.Kernel
-	Cfg *config.Config
+	fabric // ENet, shard domain, statistics, reorder CAM, delivery
 
-	enet    *Mesh
-	hubs    []*hub
-	deliver DeliverFunc
-	d       *sim.Domain
-	stats   []Stats // one block per shard; Stats() merges
-	snap    Stats
+	hubs []*hub
 	// pendingTX[cluster] counts messages committed to that cluster's
 	// optical channel but not yet transmitted (the token counter the
 	// adaptive routing policy consults). Sharding keeps this unsynchro-
@@ -41,26 +32,6 @@ type Atac struct {
 	// its hub, and therefore every reader and writer of its counter live
 	// on one shard.
 	pendingTX []int
-
-	// Per-pair FIFO restoration for adaptive routing: once the path of a
-	// (src,dst) pair can vary per message, the coherence protocol's
-	// same-pair ordering assumption must be enforced at the receiving
-	// NIC (a small reorder CAM in hardware). Unused (nil) for the
-	// oblivious policies, whose fixed paths are FIFO by construction.
-	// pairNext is consulted at the sender (indexed by the source's
-	// shard); pairWant/pairHeld at the receiving NIC (indexed by the
-	// destination's shard) — each map is touched by exactly one shard.
-	pairFIFO bool
-	pairNext []map[pairKey]uint64
-	pairWant []map[pairKey]uint64
-	pairHeld []map[pairKey]map[uint64]*Message
-
-	// outstanding counts in-flight optical/receive-net jobs per shard
-	// (test hook; Drained sums).
-	outstanding []int
-
-	inj *fault.Injector    // nil = perfect interconnect
-	lat *metrics.Histogram // nil = latency histogram disabled
 }
 
 // NewAtac builds the fabric from a validated config with an optical
@@ -69,127 +40,42 @@ func NewAtac(k *sim.Kernel, cfg *config.Config) *Atac {
 	if !cfg.Network.Kind.IsOptical() {
 		panic(fmt.Sprintf("noc: NewAtac called for %v", cfg.Network.Kind))
 	}
-	a := &Atac{K: k, Cfg: cfg}
-	n := &cfg.Network
-	a.enet = NewMesh(k, cfg.MeshDim(), n.FlitBits, n.BufFlits, n.RouterDelay, n.LinkDelay, false)
-	a.enet.Transport = true
-	a.enet.SetDeliver(a.enetDeliver)
-	a.pendingTX = make([]int, cfg.Clusters())
 	// Per-pair FIFO restoration is needed whenever a pair's path can vary
 	// per message: under adaptive routing, and under fault injection,
 	// where channel degradation reroutes optical unicasts onto the ENet
 	// mid-run (optical retransmission itself is stop-and-wait and cannot
 	// reorder, but the optical->electrical switch can).
-	a.pairFIFO = cfg.Network.Routing == config.AdaptiveRouting || cfg.Fault.Enabled
+	pairFIFO := cfg.Network.Routing == config.AdaptiveRouting || cfg.Fault.Enabled
+	a := &Atac{}
+	a.setup(k, cfg, false, pairFIFO)
+	a.atHub = func(core int, m *Message) { a.hubs[cfg.ClusterOf(core)].enqueueTX(m) }
+	a.pendingTX = make([]int, cfg.Clusters())
+	a.health = make([]channelHealth, cfg.Clusters())
 	a.hubs = make([]*hub, cfg.Clusters())
 	for i := range a.hubs {
-		h := &hub{a: a, cluster: i}
-		h.rxFree = make([]sim.Time, n.StarNetsPerCl)
-		a.hubs[i] = h
+		a.hubs[i] = newHub(a, i)
 	}
 	a.Partition(sim.SerialDomain(k, cfg.MeshDim()*cfg.MeshDim()))
 	return a
 }
 
-// Partition (re)binds the fabric onto a shard domain: the ENet mesh is
-// partitioned tile by tile, each hub joins the shard owning its cluster's
-// cores, and the statistics / FIFO-restoration / outstanding state is
-// split per shard. The domain must keep every cluster within one shard
-// (the system layer's cluster-row slabs do); hub->hub optical deliveries
-// are the only cross-shard edges and must be no faster than the
-// engine's lookahead, which Partition validates.
+// Partition (re)binds the fabric onto a shard domain: the base and its
+// ENet, then each hub joins the shard owning its cluster's cores. The
+// domain must keep every cluster within one shard (the system layer's
+// cluster-row slabs do); hub->hub optical deliveries are the only
+// cross-shard edges.
 func (a *Atac) Partition(d *sim.Domain) {
-	a.d = d
-	a.K = d.ShardK(0)
-	a.enet.Partition(d)
-	a.stats = make([]Stats, d.NumShards())
-	a.outstanding = make([]int, d.NumShards())
-	if a.pairFIFO {
-		a.pairNext = make([]map[pairKey]uint64, d.NumShards())
-		a.pairWant = make([]map[pairKey]uint64, d.NumShards())
-		a.pairHeld = make([]map[pairKey]map[uint64]*Message, d.NumShards())
-		for i := 0; i < d.NumShards(); i++ {
-			a.pairNext[i] = make(map[pairKey]uint64)
-			a.pairWant[i] = make(map[pairKey]uint64)
-			a.pairHeld[i] = make(map[pairKey]map[uint64]*Message)
-		}
-	}
+	a.bind(d)
 	for _, h := range a.hubs {
-		hubCore := a.Cfg.HubCore(h.cluster)
-		h.k = d.K(hubCore)
-		h.sh = d.Shard(hubCore)
-		h.st = &a.stats[h.sh]
-		for _, c := range h.clusterBaseCores() {
+		h.bind()
+		for _, c := range clusterBaseCores(a.Cfg, h.id) {
 			if d.Shard(c) != h.sh {
 				panic(fmt.Sprintf("noc: cluster %d split across shards (core %d on %d, hub on %d)",
-					h.cluster, c, d.Shard(c), h.sh))
+					h.id, c, d.Shard(c), h.sh))
 			}
 		}
 	}
-	if sh := d.Sharded(); sh != nil && d.NumShards() > 1 {
-		minHop := sim.Time(a.Cfg.Network.SelectDataLag + 1 + a.Cfg.Network.ONetLinkDelay)
-		if minHop < sh.Lookahead() {
-			panic(fmt.Sprintf("noc: ONet hub-to-hub latency %d below engine lookahead %d", minHop, sh.Lookahead()))
-		}
-	}
 }
-
-// SetDeliver implements Network.
-func (a *Atac) SetDeliver(fn DeliverFunc) { a.deliver = fn }
-
-// SetFaults arms fault injection on the whole fabric: link-level retry on
-// the ENet, per-reception corruption with stop-and-wait retransmission on
-// the optical channels, and degradation-based rerouting. Must be set
-// before the first Send; nil leaves the fabric perfect.
-func (a *Atac) SetFaults(inj *fault.Injector) {
-	a.inj = inj
-	a.enet.SetFaults(inj)
-}
-
-// Stats implements Network; ENet flit counters are folded in on read.
-// With one shard the live block is returned (counters keep moving through
-// the pointer); with several, a merged snapshot — valid at window barriers
-// and after the run, where the engine orders all shard writes before us.
-func (a *Atac) Stats() *Stats {
-	ms := a.enet.Stats()
-	s := &a.stats[0]
-	if len(a.stats) > 1 {
-		a.snap = Stats{}
-		for i := range a.stats {
-			a.snap.MergeFrom(&a.stats[i])
-		}
-		s = &a.snap
-	}
-	s.MeshLinkFlits = ms.MeshLinkFlits
-	s.MeshRouterFlits = ms.MeshRouterFlits
-	s.MeshFlitErrors = ms.MeshFlitErrors
-	s.MeshNacks = ms.MeshNacks
-	s.MeshRetxFlits = ms.MeshRetxFlits
-	s.MeshRetriesExhausted = ms.MeshRetriesExhausted
-	return s
-}
-
-// statsAt returns the statistics block of the shard owning core c.
-func (a *Atac) statsAt(c int) *Stats { return &a.stats[a.d.Shard(c)] }
-
-// DegradedClusters lists the clusters whose optical channel has been
-// declared degraded (observability hook).
-func (a *Atac) DegradedClusters() []int {
-	var out []int
-	for i, h := range a.hubs {
-		if h.degraded {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// ENet exposes the underlying electrical mesh (for area/static accounting).
-func (a *Atac) ENet() *Mesh { return a.enet }
-
-// SetLatencyHist attaches a per-delivery latency histogram (nil disables
-// it again). The delivery path pays one nil check when unobserved.
-func (a *Atac) SetLatencyHist(h *metrics.Histogram) { a.lat = h }
 
 // BusyCycles returns the summed optical-transmitter busy cycles across
 // every cluster hub — the cumulative counter behind Table V's link
@@ -204,45 +90,25 @@ func (a *Atac) BusyCycles() uint64 {
 
 // Drained reports whether no traffic remains anywhere in the fabric.
 func (a *Atac) Drained() bool {
-	if !a.enet.Drained() {
-		return false
-	}
-	for _, o := range a.outstanding {
-		if o != 0 {
-			return false
-		}
-	}
 	for _, h := range a.hubs {
 		if h.txBusy || len(h.txq) > 0 {
 			return false
 		}
 	}
-	return true
+	return a.idle()
 }
 
-// Send implements Network. It runs on the shard owning m.Src (senders
-// inject from their own tile's events), so the source-side bookkeeping —
-// statistics, pair sequencing, the pendingTX token — is shard-local.
+// Send implements Network. It runs on the shard owning m.Src, so the
+// source-side bookkeeping — admit's, and the pendingTX token — is
+// shard-local.
 func (a *Atac) Send(m *Message) {
-	sk := a.d.K(m.Src)
-	st := a.statsAt(m.Src)
-	m.Inject = sk.Now()
-	n := FlitsFor(m.Bits, a.Cfg.Network.FlitBits)
-	st.InjectedFlits += uint64(n)
+	st, n := a.admit(m)
 	if m.Dst == BroadcastDst {
-		st.BroadcastSent++
 		a.sendViaHub(m)
 		return
 	}
-	st.UnicastSent++
-	if a.pairFIFO {
-		next := a.pairNext[a.d.Shard(m.Src)]
-		k := pairKey{m.Src, m.Dst}
-		m.pairSeq = next[k] + 1 // 1-based; 0 means unsequenced
-		next[k] = m.pairSeq
-	}
 	if m.Dst == m.Src {
-		sk.Schedule(1, func() { a.deliverCore(m.Dst, m) })
+		a.sendSelf(m)
 		return
 	}
 	srcCl, dstCl := a.Cfg.ClusterOf(m.Src), a.Cfg.ClusterOf(m.Dst)
@@ -268,7 +134,7 @@ func (a *Atac) Send(m *Message) {
 	// mesh fallback. Broadcasts stay on the ONet (protected by
 	// retransmission): diverting them would break the per-slice broadcast
 	// FIFO the coherence protocol's sequence numbers assume.
-	if useONet && a.hubs[srcCl].degraded {
+	if useONet && a.health[srcCl].degraded {
 		useONet = false
 		st.ReroutedMsgs++
 		st.ReroutedFlits += uint64(n)
@@ -280,122 +146,35 @@ func (a *Atac) Send(m *Message) {
 	}
 }
 
-// sendViaHub routes m over the ENet to its cluster hub (unless the source
-// core hosts the hub) and enqueues it for optical transmission. The hub
-// shares the source core's shard (clusters are never split), so the direct
-// enqueue and the pendingTX increment stay shard-local.
+// sendViaHub commits m to its cluster's optical channel and starts its leg
+// to the hub. The hub shares the source core's shard (clusters are never
+// split), so the pendingTX increment stays shard-local.
 func (a *Atac) sendViaHub(m *Message) {
 	cl := a.Cfg.ClusterOf(m.Src)
 	a.pendingTX[cl]++
-	hubCore := a.Cfg.HubCore(cl)
-	if m.Src == hubCore {
-		a.d.K(m.Src).Schedule(1, func() { a.hubs[cl].enqueueTX(m) })
-		return
-	}
-	wrap := &Message{Src: m.Src, Dst: hubCore, Bits: m.Bits, Payload: m, viaHub: true, Inject: m.Inject}
-	a.enet.Send(wrap)
-}
-
-// enetDeliver handles ENet ejections: hub-bound wrappers enter the hub TX
-// queue; everything else is a final core delivery.
-func (a *Atac) enetDeliver(dst int, m *Message) {
-	if m.viaHub {
-		orig := m.Payload.(*Message)
-		a.hubs[a.Cfg.ClusterOf(dst)].enqueueTX(orig)
-		return
-	}
-	a.deliverCore(dst, m)
-}
-
-// deliverCore runs on the shard owning dst (every path that reaches it —
-// self-delivery, ENet ejection, hub receive fan-out — executes there), so
-// the reorder CAM state is indexed by dst's shard without synchronization.
-func (a *Atac) deliverCore(dst int, m *Message) {
-	// Restore per-pair FIFO order under adaptive routing.
-	if a.pairFIFO && m.pairSeq != 0 {
-		sh := a.d.Shard(dst)
-		pairWant, pairHeld := a.pairWant[sh], a.pairHeld[sh]
-		k := pairKey{m.Src, m.Dst}
-		want := pairWant[k] + 1
-		if m.pairSeq != want {
-			held := pairHeld[k]
-			if held == nil {
-				held = make(map[uint64]*Message)
-				pairHeld[k] = held
-			}
-			held[m.pairSeq] = m
-			return
-		}
-		pairWant[k] = want
-		a.deliverNow(dst, m)
-		// Drain any consecutively held successors.
-		for {
-			held := pairHeld[k]
-			next, ok := held[pairWant[k]+1]
-			if !ok {
-				return
-			}
-			delete(held, pairWant[k]+1)
-			pairWant[k]++
-			a.deliverNow(dst, next)
-		}
-	}
-	a.deliverNow(dst, m)
-}
-
-type pairKey struct{ src, dst int }
-
-func (a *Atac) deliverNow(dst int, m *Message) {
-	st := a.statsAt(dst)
-	now := a.d.K(dst).Now()
-	st.Delivered++
-	if m.IsBroadcast() {
-		st.BroadcastRecv++
-	} else {
-		st.UnicastRecv++
-	}
-	st.RecordLatency(now - m.Inject)
-	st.RecordClassLatency(m.Class, now-m.Inject)
-	a.lat.Observe(uint64(now - m.Inject))
-	if a.deliver != nil {
-		a.deliver(dst, m)
-	}
+	a.fabric.sendViaHub(m, a.Cfg.HubCore(cl))
 }
 
 // hub is one cluster's ONet endpoint: a serializing optical transmitter
 // (the cluster's dedicated SWMR channel) plus the receive-network servers
 // distributing arrivals to the cluster's cores.
 type hub struct {
-	a       *Atac
-	cluster int
-	k       *sim.Kernel // kernel of the shard owning this cluster
-	sh      int
-	st      *Stats // that shard's statistics block
+	clusterPort
+	a *Atac
 
 	txq    []*Message
 	txBusy bool
 
-	// rxFree[i] is the time receive network i is next available.
-	rxFree []sim.Time
-	// rxStage collects optical arrivals per arrival cycle; drainRX books
-	// them in canonical (sender-cluster) order — see scheduleRX.
-	rxStage map[sim.Time][]rxJob
-	// rxLastDone enforces in-order delivery completion across the
-	// parallel receive networks: the coherence protocol's sequence-number
-	// scheme assumes broadcasts and unicasts each stay FIFO among
-	// themselves (Section IV-C1), so two receive networks must not
-	// reorder messages arriving at the same cluster.
-	rxLastDone sim.Time
+	// in stages optical arrivals for receive-network booking.
+	in inbox
 
-	// Adaptive SWMR bookkeeping (Table V).
-	busyCycles   uint64
-	uniSinceLast uint64
+	busyCycles uint64 // Table V link utilization
+}
 
-	// Optical channel health (fault injection): observed flits and
-	// errors in the current degradation window, and the sticky degraded
-	// flag that reroutes this cluster's unicasts onto the ENet.
-	winFlits, winErrs uint64
-	degraded          bool
+func newHub(a *Atac, cluster int) *hub {
+	h := &hub{clusterPort: newClusterPort(&a.fabric, cluster), a: a}
+	h.in = inbox{p: &h.port, staged: make(map[sim.Time][]rxJob), arrive: h.receive}
+	return h
 }
 
 func (h *hub) enqueueTX(m *Message) {
@@ -433,9 +212,6 @@ func (h *hub) transmit(m *Message, retxTo []int) {
 	n := FlitsFor(m.Bits, cfg.Network.FlitBits)
 	lag := cfg.Network.SelectDataLag
 	oDelay := cfg.Network.ONetLinkDelay
-	// forced: the retry budget is spent, so residual errors are modelled
-	// as recovered by end-to-end FEC and every receiver is delivered.
-	forced := h.a.inj != nil && int(m.retx) >= h.a.inj.MaxRetries()
 	var failed []int
 
 	var busy sim.Time
@@ -455,11 +231,11 @@ func (h *hub) transmit(m *Message, retxTo []int) {
 		for i, cl := range retxTo {
 			rx := h.a.hubs[cl]
 			arrive := sim.Time(i)*per + sim.Time(lag+1+oDelay)
-			if h.corrupted(rx, n, forced) {
+			if h.corrupted(rx, n, m.retx) {
 				failed = append(failed, cl)
 				continue
 			}
-			h.sendRX(rx, h.k.Now()+arrive, m, n)
+			rx.in.book(&h.port, h.k.Now()+arrive, m, n)
 		}
 	case m.Dst == BroadcastDst && cfg.Network.BcastAsUnicast:
 		// Section V-D ablation: no native broadcast support on the
@@ -471,7 +247,6 @@ func (h *hub) transmit(m *Message, retxTo []int) {
 		h.st.ONetUniPkts += uint64(hubs)
 		h.st.ONetUniFlits += uint64(hubs * n)
 		h.st.LaserUniCycles += uint64(hubs * n)
-		h.uniSinceLast = 0
 		per := sim.Time(lag + n)
 		busy = per * sim.Time(hubs)
 		h.busyCycles += uint64(busy)
@@ -480,18 +255,17 @@ func (h *hub) transmit(m *Message, retxTo []int) {
 			if rx == h {
 				arrive = sim.Time(i)*per + sim.Time(lag+1)
 			}
-			if h.corrupted(rx, n, forced) {
-				failed = append(failed, rx.cluster)
+			if h.corrupted(rx, n, m.retx) {
+				failed = append(failed, rx.id)
 				continue
 			}
-			h.sendRX(rx, h.k.Now()+arrive, m, n)
+			rx.in.book(&h.port, h.k.Now()+arrive, m, n)
 		}
 	case m.Dst == BroadcastDst:
 		h.st.SelectEvents++
 		h.st.ONetBcastPkts++
 		h.st.ONetBcastFlits += uint64(n)
 		h.st.LaserBcastCycles += uint64(n)
-		h.uniSinceLast = 0
 		busy = sim.Time(lag + n)
 		h.busyCycles += uint64(busy)
 		// Every other hub receives via the ONet loop; the sending
@@ -501,39 +275,34 @@ func (h *hub) transmit(m *Message, retxTo []int) {
 			if rx == h {
 				arrive = sim.Time(lag + 1)
 			}
-			if h.corrupted(rx, n, forced) {
-				failed = append(failed, rx.cluster)
+			if h.corrupted(rx, n, m.retx) {
+				failed = append(failed, rx.id)
 				continue
 			}
-			h.sendRX(rx, h.k.Now()+arrive, m, n)
+			rx.in.book(&h.port, h.k.Now()+arrive, m, n)
 		}
 	default:
 		h.st.SelectEvents++
 		h.st.ONetUniPkts++
 		h.st.ONetUniFlits += uint64(n)
 		h.st.LaserUniCycles += uint64(n)
-		h.uniSinceLast++
 		busy = sim.Time(lag + n)
 		h.busyCycles += uint64(busy)
 		rx := h.a.hubs[cfg.ClusterOf(m.Dst)]
-		if h.corrupted(rx, n, forced) {
-			failed = append(failed, rx.cluster)
+		if h.corrupted(rx, n, m.retx) {
+			failed = append(failed, rx.id)
 		} else {
-			h.sendRX(rx, h.k.Now()+sim.Time(lag+1+oDelay), m, n)
+			rx.in.book(&h.port, h.k.Now()+sim.Time(lag+1+oDelay), m, n)
 		}
 	}
 
 	h.k.Schedule(busy, func() {
 		if len(failed) > 0 {
-			// NACKed receivers remain: hold the channel through the
-			// backoff and retransmit to the failed subset only.
-			m.retx++
-			h.k.Schedule(h.a.inj.Backoff(int(m.retx)), func() {
-				h.transmit(m, failed)
-			})
+			// NACKed receivers remain: retransmit to the failed subset only.
+			h.retry(&m.retx, func() { h.transmit(m, failed) })
 			return
 		}
-		h.a.pendingTX[h.cluster]--
+		h.a.pendingTX[h.id]--
 		h.txBusy = false
 		if len(h.txq) > 0 {
 			h.startTX()
@@ -541,173 +310,17 @@ func (h *hub) transmit(m *Message, retxTo []int) {
 	})
 }
 
-// sendRX books an optical arrival on the receiving hub at absolute time
-// 'at'. A same-shard receiver is booked directly; a remote one through a
-// cross-shard post, which is safe because 'at' (≥ SelectDataLag + 1 +
-// ONetLinkDelay ahead, validated at Partition time) lands beyond the
-// engine's current synchronization window.
-func (h *hub) sendRX(rx *hub, at sim.Time, m *Message, n int) {
-	if rx.sh == h.sh {
-		rx.scheduleRX(at, m, n, h.cluster)
-		return
-	}
-	cl := h.cluster
-	h.a.d.Post(h.sh, rx.sh, func() { rx.scheduleRX(at, m, n, cl) })
-}
-
-// corrupted draws the per-flit optical errors one receiving hub would see
-// (evaluated sender-side at transmit time, modelling the receiver's CRC
-// check and select-link NACK) and feeds the channel-health window. The
-// sending hub's own copy bypasses the optical loop and cannot be
-// corrupted; forced deliveries record errors but never fail.
-func (h *hub) corrupted(rx *hub, n int, forced bool) bool {
-	if h.a.inj == nil || rx == h {
+// corrupted reports whether receiving hub rx NACKs this n-flit transfer,
+// and feeds what it saw into the cluster's channel-health window. The
+// sending hub's own copy bypasses the optical loop: it cannot be corrupted
+// and draws nothing.
+func (h *hub) corrupted(rx *hub, n int, retx uint8) bool {
+	if h.f.inj == nil || rx == h {
 		return false
 	}
-	errs := 0
-	for i := 0; i < n; i++ {
-		if h.a.inj.OpticalFlitError() {
-			errs++
-		}
-	}
-	h.st.OpticalFlitErrors += uint64(errs)
-	h.observe(n, errs)
-	if errs == 0 {
-		return false
-	}
-	if forced {
-		h.st.OpticalRetriesExhausted++
-		return false
-	}
-	h.st.OpticalNacks++
-	return true
-}
-
-// observe feeds one reception's flit/error counts into the degradation
-// window; when the window fills with an observed error rate above the
-// threshold, the channel is declared degraded (sticky) and the cluster's
-// future optical unicasts divert to the ENet.
-func (h *hub) observe(flits, errs int) {
-	inj := h.a.inj
-	if h.degraded || inj.DegradeThreshold() <= 0 {
-		return
-	}
-	h.winFlits += uint64(flits)
-	h.winErrs += uint64(errs)
-	if h.winFlits < uint64(inj.DegradeWindow()) {
-		return
-	}
-	if float64(h.winErrs)/float64(h.winFlits) > inj.DegradeThreshold() {
-		h.degraded = true
-		h.st.DegradedChannels++
-	}
-	h.winFlits, h.winErrs = 0, 0
-}
-
-// scheduleRX stages the message for receive-network booking once its head
-// flit arrives at 'arrive'. Runs (and schedules) on the receiving hub's
-// shard. Same-cycle arrivals from several sender hubs are collected and
-// drained in one event in sender-cluster order: the greedy earliest-free
-// receive-network assignment depends on processing order, and the order
-// same-cycle events execute in is the one schedule-order artifact a
-// partitioned engine cannot reproduce — a canonical drain makes it
-// irrelevant on both engines. Every booking strictly precedes its arrival
-// cycle (arrive ≥ now+2 locally, and cross-shard posts apply at the
-// barrier before the window containing 'arrive'), so the stage is always
-// complete when the drain runs.
-func (h *hub) scheduleRX(arrive sim.Time, m *Message, n int, from int) {
-	h.a.outstanding[h.sh]++
-	if h.rxStage == nil {
-		h.rxStage = make(map[sim.Time][]rxJob)
-	}
-	jobs := h.rxStage[arrive]
-	h.rxStage[arrive] = append(jobs, rxJob{from, m, n})
-	if len(jobs) == 0 {
-		h.k.At(arrive, func() { h.drainRX(arrive) })
-	}
-}
-
-// rxJob is one staged optical arrival: the sender hub's cluster (the
-// canonical drain key — a serializing sender lands at most one arrival per
-// receiving hub per cycle) and the message it carries.
-type rxJob struct {
-	srcCl int
-	m     *Message
-	n     int
-}
-
-// drainRX books every arrival staged for cycle 'at' in sender-cluster
-// order.
-func (h *hub) drainRX(at sim.Time) {
-	jobs := h.rxStage[at]
-	delete(h.rxStage, at)
-	sort.SliceStable(jobs, func(i, j int) bool { return jobs[i].srcCl < jobs[j].srcCl })
-	for _, j := range jobs {
-		h.a.outstanding[h.sh]--
-		h.receive(j.m, j.n)
-	}
-}
-
-// receive distributes an optical arrival over the receive network.
-func (h *hub) receive(m *Message, n int) {
-	cfg := h.a.Cfg
-	h.st.HubFlits += uint64(n)
-
-	// Pick the earliest-free receive network (FIFO service).
-	best := 0
-	for i, f := range h.rxFree {
-		if f < h.rxFree[best] {
-			best = i
-		}
-	}
-	start := h.rxFree[best]
-	if now := h.k.Now(); start < now {
-		start = now
-	}
-	h.rxFree[best] = start + sim.Time(n)
-	done := start + sim.Time(n) + sim.Time(cfg.Network.LinkDelay)
-	if done < h.rxLastDone {
-		done = h.rxLastDone
-	}
-	h.rxLastDone = done
-
-	bcast := m.Dst == BroadcastDst
-	if cfg.Network.ReceiveNet == config.BNet {
-		// The fan-out tree always drives every core.
-		h.st.BNetFlits += uint64(n)
-	} else if bcast {
-		h.st.StarBcastFlits += uint64(n)
-	} else {
-		h.st.StarUniFlits += uint64(n)
-	}
-
-	h.a.outstanding[h.sh]++
-	h.k.At(done, func() {
-		h.a.outstanding[h.sh]--
-		if bcast {
-			base := h.clusterBaseCores()
-			for _, c := range base {
-				h.a.deliverCore(c, m)
-			}
-		} else {
-			h.a.deliverCore(m.Dst, m)
-		}
-	})
-}
-
-// clusterBaseCores lists the core IDs in this hub's cluster.
-func (h *hub) clusterBaseCores() []int {
-	cfg := h.a.Cfg
-	dim := cfg.MeshDim()
-	cw := dim / cfg.ClusterDim
-	cx, cy := h.cluster%cw, h.cluster/cw
-	cores := make([]int, 0, cfg.ClusterCores())
-	for y := 0; y < cfg.ClusterDim; y++ {
-		for x := 0; x < cfg.ClusterDim; x++ {
-			cores = append(cores, (cy*cfg.ClusterDim+y)*dim+cx*cfg.ClusterDim+x)
-		}
-	}
-	return cores
+	errs, nack := h.reception(n, retx)
+	h.f.health[h.id].observe(&h.port, n, errs)
+	return nack
 }
 
 // LinkUtilization returns the fraction of cycles the average hub's

@@ -121,19 +121,22 @@ func opticalFixture(t testing.TB, kind config.NetworkKind, fc config.Fault) (*si
 		t.Fatal(err)
 	}
 	var k sim.Kernel
-	var net Network
-	switch kind {
-	case config.Corona:
-		net = NewCrossbar(&k, &cfg)
-	case config.HybridMesh:
-		net = NewHybrid(&k, &cfg)
-	default:
-		net = NewAtac(&k, &cfg)
-	}
+	net := newOpticalFabric(&k, &cfg)
 	if inj := fault.NewInjector(cfg.Fault, cfg.Network.FlitBits, cfg.Seed, &k); inj != nil {
 		net.(interface{ SetFaults(*fault.Injector) }).SetFaults(inj)
 	}
 	return &k, net
+}
+
+// newOpticalFabric builds the optical fabric cfg.Network.Kind names.
+func newOpticalFabric(k *sim.Kernel, cfg *config.Config) Network {
+	switch cfg.Network.Kind {
+	case config.Corona:
+		return NewCrossbar(k, cfg)
+	case config.HybridMesh:
+		return NewHybrid(k, cfg)
+	}
+	return NewAtac(k, cfg)
 }
 
 // opticalFaultProfile is the shared faulty-fixture profile: optical and

@@ -193,7 +193,7 @@ func TestOpticalDegradation(t *testing.T) {
 			if st.ReroutedMsgs == 0 {
 				t.Fatalf("no unicasts rerouted after degradation: %+v", st)
 			}
-			if got := degradedChannels(net); len(got) == 0 || got[0] != 0 {
+			if got := net.(interface{ DegradedChannels() []int }).DegradedChannels(); len(got) == 0 || got[0] != 0 {
 				t.Errorf("degraded channels = %v, want [0 ...]", got)
 			}
 		})
@@ -227,17 +227,6 @@ func TestAtacFaultStatsDeterministic(t *testing.T) {
 	if !s1.FaultEvents() {
 		t.Fatal("expected fault events at these rates")
 	}
-}
-
-// degradedChannels lists the fabric's degraded optical channels.
-func degradedChannels(net Network) []int {
-	switch n := net.(type) {
-	case *Atac:
-		return n.DegradedClusters()
-	case *Hybrid:
-		return n.DegradedGateways()
-	}
-	return nil
 }
 
 // -update rewrites testdata/fault_stats_golden.json from the current code:

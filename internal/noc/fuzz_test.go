@@ -42,9 +42,9 @@ func FuzzMeshConservation(f *testing.F) {
 // conservation on a clean hybrid). Corona ignores degrade — it never
 // degrades — but takes the mesh error rate on its ENet like the others.
 //
-// The three targets below keep their names: Go runs one -fuzz target per
-// invocation either way, and the names are what the recorded test floor
-// and `make fuzz` select.
+// The three targets below keep their names — `make fuzz`, CI and recorded
+// test lists select by them — and Go runs one -fuzz target per invocation
+// either way.
 func fuzzOpticalConservation(f *testing.F, kind config.NetworkKind) {
 	f.Add(int64(1), uint8(50), uint8(25), uint8(0), uint8(0), false)
 	f.Add(int64(2), uint8(150), uint8(10), uint8(2), uint8(1), false)

@@ -2,11 +2,8 @@ package noc
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/config"
-	"repro/internal/fault"
-	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -31,29 +28,9 @@ import (
 // at least two, so the electrical end of the spectrum is the EMeshBCast
 // kind itself).
 type Hybrid struct {
-	K   *sim.Kernel
-	Cfg *config.Config
+	fabric // multicast mesh, shard domain, statistics, reorder CAM, delivery
 
-	enet    *Mesh
-	gws     []*gateway
-	deliver DeliverFunc
-	d       *sim.Domain
-	stats   []Stats // one block per shard; Stats() merges
-	snap    Stats
-
-	// Per-pair FIFO restoration (reorder CAM), needed only under fault
-	// injection: gateway degradation can flip a pair's path from express
-	// to mesh mid-run. Fault-free hybrid paths are fixed per pair.
-	pairFIFO bool
-	pairNext []map[pairKey]uint64
-	pairWant []map[pairKey]uint64
-	pairHeld []map[pairKey]map[uint64]*Message
-
-	// outstanding counts in-flight express/delivery jobs per shard.
-	outstanding []int
-
-	inj *fault.Injector
-	lat *metrics.Histogram
+	gws []*gateway
 }
 
 // NewHybrid builds the fabric from a validated HybridMesh config on a
@@ -62,274 +39,95 @@ func NewHybrid(k *sim.Kernel, cfg *config.Config) *Hybrid {
 	if cfg.Network.Kind != config.HybridMesh {
 		panic(fmt.Sprintf("noc: NewHybrid called for %v", cfg.Network.Kind))
 	}
-	h := &Hybrid{K: k, Cfg: cfg}
-	n := &cfg.Network
-	h.enet = NewMesh(k, cfg.MeshDim(), n.FlitBits, n.BufFlits, n.RouterDelay, n.LinkDelay, true)
-	h.enet.Transport = true
-	h.enet.SetDeliver(h.enetDeliver)
-	h.pairFIFO = cfg.Fault.Enabled
+	// The reorder CAM is needed only under fault injection: gateway
+	// degradation can flip a pair's path from express to mesh mid-run.
+	// Fault-free hybrid paths are fixed per pair.
+	h := &Hybrid{}
+	h.setup(k, cfg, true, cfg.Fault.Enabled)
+	h.atHub = h.atGateway
+	h.health = make([]channelHealth, cfg.HybridGateways())
 	h.gws = make([]*gateway, cfg.HybridGateways())
 	for i := range h.gws {
-		h.gws[i] = &gateway{h: h, idx: i, core: cfg.GatewayCore(i)}
+		g := &gateway{port: port{f: &h.fabric, id: i, core: cfg.GatewayCore(i)}, h: h}
+		g.in = inbox{p: &g.port, staged: make(map[sim.Time][]rxJob), arrive: g.arrive}
+		h.gws[i] = g
 	}
 	h.Partition(sim.SerialDomain(k, cfg.MeshDim()*cfg.MeshDim()))
 	return h
 }
 
-// Partition (re)binds the fabric onto a shard domain: the mesh is
-// partitioned tile by tile and each gateway joins the shard owning its
-// core. Gateway-to-gateway express deliveries are the only cross-shard
-// edges; their latency floor must cover the engine's lookahead, which
-// Partition validates.
+// Partition (re)binds the fabric onto a shard domain: the base and its
+// mesh, then each gateway joins the shard owning its core.
+// Gateway-to-gateway express deliveries are the only cross-shard edges.
 func (h *Hybrid) Partition(d *sim.Domain) {
-	h.d = d
-	h.K = d.ShardK(0)
-	h.enet.Partition(d)
-	h.stats = make([]Stats, d.NumShards())
-	h.outstanding = make([]int, d.NumShards())
-	if h.pairFIFO {
-		h.pairNext = make([]map[pairKey]uint64, d.NumShards())
-		h.pairWant = make([]map[pairKey]uint64, d.NumShards())
-		h.pairHeld = make([]map[pairKey]map[uint64]*Message, d.NumShards())
-		for i := 0; i < d.NumShards(); i++ {
-			h.pairNext[i] = make(map[pairKey]uint64)
-			h.pairWant[i] = make(map[pairKey]uint64)
-			h.pairHeld[i] = make(map[pairKey]map[uint64]*Message)
-		}
-	}
+	h.bind(d)
 	for _, g := range h.gws {
-		g.k = d.K(g.core)
-		g.sh = d.Shard(g.core)
-		g.st = &h.stats[g.sh]
+		g.bind()
 	}
-	if sh := d.Sharded(); sh != nil && d.NumShards() > 1 {
-		minHop := sim.Time(h.Cfg.Network.SelectDataLag + 1 + h.Cfg.Network.ONetLinkDelay)
-		if minHop < sh.Lookahead() {
-			panic(fmt.Sprintf("noc: express gateway latency %d below engine lookahead %d", minHop, sh.Lookahead()))
-		}
-	}
-}
-
-// SetDeliver implements Network.
-func (h *Hybrid) SetDeliver(fn DeliverFunc) { h.deliver = fn }
-
-// SetFaults arms fault injection: link-level retry on the mesh, and
-// per-reception corruption with stop-and-wait retransmission plus
-// degradation-based mesh fallback on the express channels.
-func (h *Hybrid) SetFaults(inj *fault.Injector) {
-	h.inj = inj
-	h.enet.SetFaults(inj)
-}
-
-// SetLatencyHist attaches a per-delivery latency histogram.
-func (h *Hybrid) SetLatencyHist(hist *metrics.Histogram) { h.lat = hist }
-
-// Stats implements Network; mesh flit counters are folded in on read.
-func (h *Hybrid) Stats() *Stats {
-	ms := h.enet.Stats()
-	s := &h.stats[0]
-	if len(h.stats) > 1 {
-		h.snap = Stats{}
-		for i := range h.stats {
-			h.snap.MergeFrom(&h.stats[i])
-		}
-		s = &h.snap
-	}
-	s.MeshLinkFlits = ms.MeshLinkFlits
-	s.MeshRouterFlits = ms.MeshRouterFlits
-	s.MeshFlitErrors = ms.MeshFlitErrors
-	s.MeshNacks = ms.MeshNacks
-	s.MeshRetxFlits = ms.MeshRetxFlits
-	s.MeshRetriesExhausted = ms.MeshRetriesExhausted
-	return s
-}
-
-// statsAt returns the statistics block of the shard owning core c.
-func (h *Hybrid) statsAt(c int) *Stats { return &h.stats[h.d.Shard(c)] }
-
-// ENet exposes the underlying electrical mesh.
-func (h *Hybrid) ENet() *Mesh { return h.enet }
-
-// DegradedGateways lists the gateways whose express channel has been
-// declared degraded (observability hook).
-func (h *Hybrid) DegradedGateways() []int {
-	var out []int
-	for i, g := range h.gws {
-		if g.degraded {
-			out = append(out, i)
-		}
-	}
-	return out
 }
 
 // Drained reports whether no traffic remains anywhere in the fabric.
 func (h *Hybrid) Drained() bool {
-	if !h.enet.Drained() {
-		return false
-	}
-	for _, o := range h.outstanding {
-		if o != 0 {
-			return false
-		}
-	}
 	for _, g := range h.gws {
 		if g.txBusy || len(g.txq) > 0 {
 			return false
 		}
 	}
-	return true
+	return h.idle()
 }
 
 // Send implements Network. Runs on the shard owning m.Src.
 func (h *Hybrid) Send(m *Message) {
-	sk := h.d.K(m.Src)
-	st := h.statsAt(m.Src)
-	m.Inject = sk.Now()
-	n := FlitsFor(m.Bits, h.Cfg.Network.FlitBits)
-	st.InjectedFlits += uint64(n)
+	st, n := h.admit(m)
 	if m.Dst == BroadcastDst {
-		st.BroadcastSent++
 		h.enet.Send(m)
 		return
 	}
-	st.UnicastSent++
-	if h.pairFIFO {
-		next := h.pairNext[h.d.Shard(m.Src)]
-		k := pairKey{m.Src, m.Dst}
-		m.pairSeq = next[k] + 1
-		next[k] = m.pairSeq
-	}
 	if m.Dst == m.Src {
-		sk.Schedule(1, func() { h.deliverCore(m.Dst, m) })
+		h.sendSelf(m)
 		return
 	}
 	srcGW, dstGW := h.Cfg.GatewayOf(m.Src), h.Cfg.GatewayOf(m.Dst)
 	express := srcGW != dstGW && h.Cfg.Distance(m.Src, m.Dst) >= h.Cfg.Network.RThres
 	// Graceful degradation: a gateway whose express channel crossed the
 	// observed-error threshold routes its unicasts over the mesh fallback.
-	if express && h.gws[srcGW].degraded {
+	if express && h.health[srcGW].degraded {
 		express = false
 		st.ReroutedMsgs++
 		st.ReroutedFlits += uint64(n)
 	}
 	if express {
-		h.sendViaGateway(m)
+		h.sendViaHub(m, h.Cfg.GatewayCore(srcGW))
 	} else {
 		h.enet.Send(m)
 	}
 }
 
-// sendViaGateway routes m over the mesh to its source gateway (unless the
-// source core hosts it) and enqueues it for express transmission. The
-// wrapper trick mirrors the ATAC hub leg; ejection disambiguates by
-// destination (see enetDeliver).
-func (h *Hybrid) sendViaGateway(m *Message) {
-	g := h.gws[h.Cfg.GatewayOf(m.Src)]
-	if m.Src == g.core {
-		h.d.K(m.Src).Schedule(1, func() { g.enqueueTX(m) })
+// atGateway ends a wrapper's mesh leg at core. A wrapper ejecting at the
+// wrapped message's own destination is the final electrical leg completing;
+// anywhere else it is the source-gateway leg (express packets only cross
+// gateway groups, so the source gateway's core is never the final
+// destination of a wrapped message), which enqueues for express
+// transmission.
+func (h *Hybrid) atGateway(core int, m *Message) {
+	if core == m.Dst {
+		h.deliverCore(core, m)
 		return
 	}
-	wrap := &Message{Src: m.Src, Dst: g.core, Bits: m.Bits, Payload: m, viaHub: true, Inject: m.Inject}
-	h.enet.Send(wrap)
-}
-
-// enetDeliver handles mesh ejections. A wrapper ejecting at the wrapped
-// message's own destination is the final electrical leg completing; any
-// other wrapper ejection is the source-gateway leg (express packets only
-// cross gateway groups, so the source gateway's core is never the final
-// destination of a wrapped message).
-func (h *Hybrid) enetDeliver(dst int, m *Message) {
-	if m.viaHub {
-		orig := m.Payload.(*Message)
-		if dst == orig.Dst {
-			h.deliverCore(dst, orig)
-			return
-		}
-		h.gws[h.Cfg.GatewayOf(dst)].enqueueTX(orig)
-		return
-	}
-	h.deliverCore(dst, m)
-}
-
-// deliverCore runs on the shard owning dst; the reorder CAM state is
-// indexed by dst's shard without synchronization.
-func (h *Hybrid) deliverCore(dst int, m *Message) {
-	if h.pairFIFO && m.pairSeq != 0 {
-		sh := h.d.Shard(dst)
-		pairWant, pairHeld := h.pairWant[sh], h.pairHeld[sh]
-		k := pairKey{m.Src, m.Dst}
-		want := pairWant[k] + 1
-		if m.pairSeq != want {
-			held := pairHeld[k]
-			if held == nil {
-				held = make(map[uint64]*Message)
-				pairHeld[k] = held
-			}
-			held[m.pairSeq] = m
-			return
-		}
-		pairWant[k] = want
-		h.deliverNow(dst, m)
-		for {
-			held := pairHeld[k]
-			next, ok := held[pairWant[k]+1]
-			if !ok {
-				return
-			}
-			delete(held, pairWant[k]+1)
-			pairWant[k]++
-			h.deliverNow(dst, next)
-		}
-	}
-	h.deliverNow(dst, m)
-}
-
-func (h *Hybrid) deliverNow(dst int, m *Message) {
-	st := h.statsAt(dst)
-	now := h.d.K(dst).Now()
-	st.Delivered++
-	if m.IsBroadcast() {
-		st.BroadcastRecv++
-	} else {
-		st.UnicastRecv++
-	}
-	st.RecordLatency(now - m.Inject)
-	st.RecordClassLatency(m.Class, now-m.Inject)
-	h.lat.Observe(uint64(now - m.Inject))
-	if h.deliver != nil {
-		h.deliver(dst, m)
-	}
+	h.gws[h.Cfg.GatewayOf(core)].enqueueTX(m)
 }
 
 // gateway is one photonic express endpoint: a serializing SWMR optical
 // transmitter plus the staging that hands arrivals back to the mesh.
 type gateway struct {
-	h    *Hybrid
-	idx  int
-	core int
-	k    *sim.Kernel
-	sh   int
-	st   *Stats
+	port
+	h *Hybrid
 
 	txq    []*Message
 	txBusy bool
 
-	// rxStage collects express arrivals per arrival cycle; drainRX books
-	// them in canonical (sender-gateway) order, making same-cycle event
-	// order irrelevant under partitioning (same rationale as the ATAC
-	// hub's staged receive).
-	rxStage map[sim.Time][]gwJob
-
-	// Express channel health (fault injection).
-	winFlits, winErrs uint64
-	degraded          bool
-}
-
-// gwJob is one staged express arrival.
-type gwJob struct {
-	srcGW int
-	m     *Message
-	n     int
+	// in stages express arrivals for the final mesh leg.
+	in inbox
 }
 
 func (g *gateway) enqueueTX(m *Message) {
@@ -367,40 +165,14 @@ func (g *gateway) transmit(m *Message) {
 		g.st.OpticalRetxPkts++
 		g.st.OpticalRetxFlits += uint64(n)
 	}
-	forced := g.h.inj != nil && int(m.retx) >= g.h.inj.MaxRetries()
-	failed := false
-	if g.h.inj != nil {
-		errs := 0
-		for i := 0; i < n; i++ {
-			if g.h.inj.OpticalFlitError() {
-				errs++
-			}
-		}
-		g.st.OpticalFlitErrors += uint64(errs)
-		g.observe(n, errs)
-		if errs > 0 {
-			if forced {
-				g.st.OpticalRetriesExhausted++
-			} else {
-				g.st.OpticalNacks++
-				failed = true
-			}
-		}
-	}
+	errs, failed := g.reception(n, m.retx)
+	g.f.health[g.id].observe(&g.port, n, errs)
 	if !failed {
-		rx := g.h.gws[cfg.GatewayOf(m.Dst)]
-		at := g.k.Now() + sim.Time(lag+1+oDelay)
-		if rx.sh == g.sh {
-			rx.scheduleRX(at, m, n, g.idx)
-		} else {
-			srcGW := g.idx
-			g.h.d.Post(g.sh, rx.sh, func() { rx.scheduleRX(at, m, n, srcGW) })
-		}
+		g.h.gws[cfg.GatewayOf(m.Dst)].in.book(&g.port, g.k.Now()+sim.Time(lag+1+oDelay), m, n)
 	}
 	g.k.Schedule(busy, func() {
 		if failed {
-			m.retx++
-			g.k.Schedule(g.h.inj.Backoff(int(m.retx)), func() { g.transmit(m) })
+			g.retry(&m.retx, func() { g.transmit(m) })
 			return
 		}
 		g.txBusy = false
@@ -410,55 +182,14 @@ func (g *gateway) transmit(m *Message) {
 	})
 }
 
-// observe feeds one transmission's flit/error counts into the degradation
-// window; above the threshold the gateway goes sticky-degraded and its
-// future unicasts take the mesh fallback.
-func (g *gateway) observe(flits, errs int) {
-	inj := g.h.inj
-	if g.degraded || inj.DegradeThreshold() <= 0 {
+// arrive hands a landed express arrival back to the mesh: the final
+// electrical leg to the destination core, or a direct delivery when the
+// destination is the gateway core itself.
+func (g *gateway) arrive(m *Message, n int) {
+	g.st.HubFlits += uint64(n)
+	if m.Dst == g.core {
+		g.f.deliverCore(g.core, m)
 		return
 	}
-	g.winFlits += uint64(flits)
-	g.winErrs += uint64(errs)
-	if g.winFlits < uint64(inj.DegradeWindow()) {
-		return
-	}
-	if float64(g.winErrs)/float64(g.winFlits) > inj.DegradeThreshold() {
-		g.degraded = true
-		g.st.DegradedChannels++
-	}
-	g.winFlits, g.winErrs = 0, 0
-}
-
-// scheduleRX stages an express arrival for cycle 'arrive' on the receiving
-// gateway's shard.
-func (g *gateway) scheduleRX(arrive sim.Time, m *Message, n int, from int) {
-	g.h.outstanding[g.sh]++
-	if g.rxStage == nil {
-		g.rxStage = make(map[sim.Time][]gwJob)
-	}
-	jobs := g.rxStage[arrive]
-	g.rxStage[arrive] = append(jobs, gwJob{from, m, n})
-	if len(jobs) == 0 {
-		g.k.At(arrive, func() { g.drainRX(arrive) })
-	}
-}
-
-// drainRX hands every arrival staged for cycle 'at' back to the mesh in
-// sender-gateway order: the final electrical leg to the destination core,
-// or a direct delivery when the destination is the gateway core itself.
-func (g *gateway) drainRX(at sim.Time) {
-	jobs := g.rxStage[at]
-	delete(g.rxStage, at)
-	sort.SliceStable(jobs, func(i, j int) bool { return jobs[i].srcGW < jobs[j].srcGW })
-	for _, j := range jobs {
-		g.h.outstanding[g.sh]--
-		g.st.HubFlits += uint64(j.n)
-		if j.m.Dst == g.core {
-			g.h.deliverCore(g.core, j.m)
-			continue
-		}
-		wrap := &Message{Src: g.core, Dst: j.m.Dst, Bits: j.m.Bits, Payload: j.m, viaHub: true, Inject: j.m.Inject}
-		g.h.enet.Send(wrap)
-	}
+	g.f.sendVia(m, g.core, m.Dst)
 }

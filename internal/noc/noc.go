@@ -41,14 +41,14 @@ type Message struct {
 	Payload  any
 	Inject   sim.Time // set by the network at Send time
 
-	// ViaHub is used internally by the ATAC fabric: the message is
-	// ENet-routed to the cluster hub rather than to a core.
+	// viaHub marks an optical fabric's internal ENet wrapper: Payload is
+	// the message, bound for the endpoint at core Dst (fabric.sendVia).
 	viaHub bool
 	// origBcast marks per-destination clones of a serialized broadcast
 	// (EMesh-Pure) so receiver-side traffic statistics stay correct.
 	origBcast bool
-	// pairSeq is the per-(src,dst) sequence number the ATAC fabric uses
-	// to restore FIFO delivery under adaptive routing (0 = unsequenced).
+	// pairSeq is the per-(src,dst) sequence number an optical fabric's
+	// reorder CAM restores FIFO delivery from (0 = unsequenced).
 	pairSeq uint64
 	// retx counts optical retransmission attempts already spent on this
 	// message (fault injection; bounded by the injector's MaxRetries).
@@ -76,8 +76,8 @@ type Network interface {
 
 // Drainer is implemented by fabrics that can report quiescence: no flit
 // buffered, no transmission in flight, no delivery pending. The
-// conservation tests and the system layer assert it after the kernel
-// runs dry — a fabric that is not drained then has lost traffic.
+// conservation tests and fuzz targets — its only callers — assert it after
+// the kernel runs dry: a fabric that is not drained then has lost traffic.
 type Drainer interface {
 	Drained() bool
 }
@@ -117,7 +117,7 @@ type Stats struct {
 	MeshRouterFlits uint64 // flit-router traversals (buffer wr+rd+xbar)
 
 	// ATAC hub / optical events.
-	HubFlits         uint64 // flits buffered through a hub (either direction)
+	HubFlits         uint64 // flits buffered through a hub or gateway (either direction)
 	ONetUniFlits     uint64 // data-link flits sent in unicast mode
 	ONetBcastFlits   uint64 // data-link flits sent in broadcast mode
 	ONetUniPkts      uint64
@@ -148,18 +148,18 @@ type Stats struct {
 
 	// Fault-injection / resilience events (internal/fault). All zero
 	// when the fault layer is disabled.
-	MeshFlitErrors       uint64 // electrical link crossings NACKed by the receiver
-	MeshNacks            uint64 // link-level NACK wire traversals (== errors)
-	MeshRetxFlits        uint64 // link-level retransmission crossings
-	MeshRetriesExhausted uint64 // flits forced through after the retry budget
-	OpticalFlitErrors    uint64 // ONet data-link flits corrupted at a receiving hub
-	OpticalNacks         uint64 // corrupted optical receptions (per hub, per attempt)
-	OpticalRetxPkts      uint64 // optical retransmission attempts (channel slots)
-	OpticalRetxFlits     uint64 // flits re-sent over the ONet
+	MeshFlitErrors          uint64 // electrical link crossings NACKed by the receiver
+	MeshNacks               uint64 // link-level NACK wire traversals (== errors)
+	MeshRetxFlits           uint64 // link-level retransmission crossings
+	MeshRetriesExhausted    uint64 // flits forced through after the retry budget
+	OpticalFlitErrors       uint64 // ONet data-link flits corrupted at a receiving hub
+	OpticalNacks            uint64 // corrupted optical receptions (per hub, per attempt)
+	OpticalRetxPkts         uint64 // optical retransmission attempts (channel slots)
+	OpticalRetxFlits        uint64 // flits re-sent over the ONet
 	OpticalRetriesExhausted uint64 // packets forced through after the retry budget
-	ReroutedMsgs         uint64 // unicasts diverted to the ENet by degraded channels
-	ReroutedFlits        uint64
-	DegradedChannels     uint64 // optical channels currently degraded (gauge)
+	ReroutedMsgs            uint64 // unicasts diverted to the ENet by degraded channels
+	ReroutedFlits           uint64
+	DegradedChannels        uint64 // optical channels currently degraded (gauge)
 }
 
 // MergeFrom folds o's counters into s — the per-shard statistics blocks

@@ -7,7 +7,6 @@ package system
 
 import (
 	"repro/internal/metrics"
-	"repro/internal/noc"
 )
 
 // AttachMetrics registers per-epoch samplers for every layer of this
@@ -130,16 +129,7 @@ func (s *System) AttachMetrics(c *metrics.Collector) {
 	// Delivery-latency histogram, hooked into the network ejection path
 	// (one nil check per delivery when unobserved).
 	s.LatHist = &metrics.Histogram{}
-	switch n := s.Net.(type) {
-	case *noc.Mesh:
-		n.SetLatencyHist(s.LatHist)
-	case *noc.Atac:
-		n.SetLatencyHist(s.LatHist)
-	case *noc.Crossbar:
-		n.SetLatencyHist(s.LatHist)
-	case *noc.Hybrid:
-		n.SetLatencyHist(s.LatHist)
-	}
+	s.Net.(interface{ SetLatencyHist(*metrics.Histogram) }).SetLatencyHist(s.LatHist)
 	c.AddHistogram("lat", s.LatHist)
 
 	// Derived per-epoch rates and ratios. Indices are bound once here;

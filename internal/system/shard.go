@@ -12,7 +12,6 @@ package system
 
 import (
 	"repro/internal/config"
-	"repro/internal/noc"
 	"repro/internal/sim"
 )
 
@@ -67,20 +66,18 @@ func shardMap(cfg *config.Config, eff int) []int {
 //
 // Fault-injected configurations always run serially: the injector draws
 // from one global RNG stream, whose draw order is a cross-shard total
-// order no conservative window schedule can reproduce. The Corona
-// crossbar runs serially too: its home channels are token-ordered
-// resources written by every cluster, shared state no spatial partition
-// can cut.
+// order no conservative window schedule can reproduce. So does a fabric
+// that does not implement Partition — the Corona crossbar: its home
+// channels are token-ordered resources written by every cluster, shared
+// state no spatial partition can cut.
 func NewSharded(cfg config.Config, shards int) (*System, error) {
 	s, err := New(cfg)
 	if err != nil || shards <= 1 || cfg.Fault.Enabled {
 		return s, err
 	}
-	if _, ok := s.Net.(*noc.Crossbar); ok {
-		return s, nil
-	}
+	net, ok := s.Net.(interface{ Partition(*sim.Domain) })
 	eff := EffectiveShards(&s.Cfg, shards)
-	if eff <= 1 {
+	if !ok || eff <= 1 {
 		return s, nil
 	}
 	look := sim.Time(s.Cfg.Network.LinkDelay)
@@ -89,14 +86,7 @@ func NewSharded(cfg config.Config, shards int) (*System, error) {
 	}
 	sh := sim.NewSharded(eff, look)
 	dom := sim.NewDomain(sh, shardMap(&s.Cfg, eff))
-	switch n := s.Net.(type) {
-	case *noc.Mesh:
-		n.Partition(dom)
-	case *noc.Atac:
-		n.Partition(dom) // partitions the embedded ENet too
-	case *noc.Hybrid:
-		n.Partition(dom) // partitions the embedded mesh too
-	}
+	net.Partition(dom) // an optical fabric partitions its embedded mesh too
 	s.Coh.Partition(dom)
 	for i, c := range s.Core {
 		c.K = dom.K(i)
