@@ -236,7 +236,31 @@ func TestAtacFaultStatsDeterministic(t *testing.T) {
 // Only do that for an intended behaviour change: the file pins the order
 // and count of fault-RNG draws and of kernel schedule calls on the optical
 // fault path, which run-to-run determinism tests cannot see.
-var update = flag.Bool("update", false, "rewrite the fault-stats golden file")
+var update = flag.Bool("update", false, "rewrite the golden files under testdata/")
+
+// goldenFile loads the JSON golden at path into want and reports true; under
+// -update it rewrites the file from got instead and reports false.
+func goldenFile(t *testing.T, path string, got, want any) bool {
+	t.Helper()
+	if *update {
+		b, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(b, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return false
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if err := json.Unmarshal(b, want); err != nil {
+		t.Fatal(err)
+	}
+	return true
+}
 
 const faultStatsGolden = "testdata/fault_stats_golden.json"
 
@@ -271,23 +295,9 @@ func TestOpticalFaultStatsGolden(t *testing.T) {
 		}
 		got[tc.name] = st
 	}
-	if *update {
-		b, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(faultStatsGolden, append(b, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	b, err := os.ReadFile(faultStatsGolden)
-	if err != nil {
-		t.Fatalf("%v (run with -update to create it)", err)
-	}
 	want := map[string]Stats{}
-	if err := json.Unmarshal(b, &want); err != nil {
-		t.Fatal(err)
+	if !goldenFile(t, faultStatsGolden, got, &want) {
+		return
 	}
 	for _, tc := range opticalKinds {
 		g, w := reflect.ValueOf(got[tc.name]), reflect.ValueOf(want[tc.name])
