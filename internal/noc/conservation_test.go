@@ -192,6 +192,12 @@ func TestFlitConservation(t *testing.T) {
 					h := newConservationHarness(k, net, 16)
 					h.inject(rand.New(rand.NewSource(seed)), 200, 0.25)
 					h.check(t)
+					switch n := net.(type) {
+					case *Mesh:
+						checkMeshInvariants(t, n)
+					case interface{ ENet() *Mesh }:
+						checkMeshInvariants(t, n.ENet())
+					}
 				})
 			}
 		})
@@ -210,6 +216,30 @@ func TestConservationUnderLoadBursts(t *testing.T) {
 		k.Run(k.Now() + 20) // partial drain: next burst collides mid-flight
 	}
 	h.check(t)
+}
+
+// checkMeshInvariants asserts the router bookkeeping a mesh must return to
+// once the kernel has run dry: no flit queued or counted as landed, no
+// output still held by a worm, and on every link all BufFlits credits back
+// at the sender — spendable or staged on the reverse wire (credits are
+// folded only by the output that spends them, so some stay staged).
+func checkMeshInvariants(t testing.TB, m *Mesh) {
+	t.Helper()
+	for _, r := range m.routers {
+		if r.occ != 0 || r.landed != 0 {
+			t.Fatalf("router %d: occ=%05b landed=%d after drain", r.id, r.occ, r.landed)
+		}
+		for out, w := range r.outLock {
+			if w != 0 {
+				t.Fatalf("router %d: output %d still locked by worm %d", r.id, out, w)
+			}
+		}
+		for out, c := range r.outCredit {
+			if staged := len(r.credQ[out]) - r.credHead[out]; c+staged != m.BufFlits {
+				t.Fatalf("router %d output %d: %d credits + %d staged, want %d", r.id, out, c, staged, m.BufFlits)
+			}
+		}
+	}
 }
 
 // checkFabricInvariants asserts, after a drain, the counters-only

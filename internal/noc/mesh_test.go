@@ -277,3 +277,44 @@ func TestMeshSaturation(t *testing.T) {
 		t.Errorf("no congestion signal: latency %v at low load vs %v at high", low, high)
 	}
 }
+
+// TestRouterInputFeedsTwoOutputsPerCycle names the allocator behaviour the
+// goldens rest on: outputs are served in ascending order within a tick, and
+// the flit behind one just forwarded is considered for the outputs not yet
+// visited. So one input holding worms for N (output 0) then E (output 2)
+// forwards both in one cycle, N first; holding them in the other order it
+// forwards E, and N a cycle later — never two flits backwards.
+func TestRouterInputFeedsTwoOutputsPerCycle(t *testing.T) {
+	type ejection struct {
+		dst int
+		at  sim.Time
+	}
+	for _, tc := range []struct {
+		name      string
+		dsts      [2]int // sent in this order from the centre of a 3x3 mesh
+		firstTick uint64 // flits the centre router moves in its first tick
+		gap       sim.Time
+	}{
+		{"ascending", [2]int{1, 5}, 2, 0},
+		{"descending", [2]int{5, 1}, 1, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var k sim.Kernel
+			m := newTestMesh(&k, 3, false)
+			var got []ejection
+			m.SetDeliver(func(dst int, _ *Message) { got = append(got, ejection{dst, k.Now()}) })
+			for _, d := range tc.dsts {
+				m.Send(&Message{Src: 4, Dst: d, Bits: 64})
+			}
+			k.Run(1) // injected at 0, arbitrable from 1: the first tick
+			if moved := m.routers[4].fwdFlits; moved != tc.firstTick {
+				t.Fatalf("first tick moved %d flits, want %d", moved, tc.firstTick)
+			}
+			k.RunAll()
+			if len(got) != 2 || got[0].dst != tc.dsts[0] || got[1].dst != tc.dsts[1] || got[1].at-got[0].at != tc.gap {
+				t.Fatalf("ejections %v, want dsts %v in that order, %d cycle(s) apart", got, tc.dsts, tc.gap)
+			}
+			checkMeshInvariants(t, m)
+		})
+	}
+}

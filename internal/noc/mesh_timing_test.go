@@ -108,6 +108,7 @@ func runMeshTiming(t *testing.T, ci, shards int) meshTiming {
 	if !m.Drained() {
 		t.Fatalf("%s: mesh not drained", tc.name)
 	}
+	checkMeshInvariants(t, m)
 	st := m.Stats()
 	got := meshTiming{
 		MeshLinkFlits: st.MeshLinkFlits, MeshRouterFlits: st.MeshRouterFlits,
