@@ -284,7 +284,9 @@ func (s *System) trace(kind, format string, args ...any) {
 
 // send wraps a protocol message and injects it into the network.
 func (s *System) send(src, dst int, m *Msg) {
-	s.trace("msg", "%d->%d %v", src, dst, m)
+	if s.Tracer != nil { // unguarded, the variadic call boxes src and dst per message
+		s.trace("msg", "%d->%d %v", src, dst, m)
+	}
 	s.Net.Send(&noc.Message{
 		Src: src, Dst: dst,
 		Class:   classOf(m.Type),

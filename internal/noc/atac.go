@@ -68,7 +68,7 @@ func (a *Atac) Partition(d *sim.Domain) {
 	a.bind(d)
 	for _, h := range a.hubs {
 		h.bind()
-		for _, c := range clusterBaseCores(a.Cfg, h.id) {
+		for _, c := range h.cores {
 			if d.Shard(c) != h.sh {
 				panic(fmt.Sprintf("noc: cluster %d split across shards (core %d on %d, hub on %d)",
 					h.id, c, d.Shard(c), h.sh))
@@ -164,6 +164,12 @@ type hub struct {
 
 	txq    []*Message
 	txBusy bool
+	// The channel is stop-and-wait, so one transfer's completion state —
+	// the message and the receivers that NACKed it — lives here and
+	// txDoneFn is bound once: no closure per transmission.
+	txMsg    *Message
+	txFailed []int
+	txDoneFn func()
 
 	// in stages optical arrivals for receive-network booking.
 	in inbox
@@ -173,7 +179,8 @@ type hub struct {
 
 func newHub(a *Atac, cluster int) *hub {
 	h := &hub{clusterPort: newClusterPort(&a.fabric, cluster), a: a}
-	h.in = inbox{p: &h.port, staged: make(map[sim.Time][]rxJob), arrive: h.receive}
+	h.in.init(&h.port, h.receive)
+	h.txDoneFn = h.txDone
 	return h
 }
 
@@ -296,18 +303,23 @@ func (h *hub) transmit(m *Message, retxTo []int) {
 		}
 	}
 
-	h.k.Schedule(busy, func() {
-		if len(failed) > 0 {
-			// NACKed receivers remain: retransmit to the failed subset only.
-			h.retry(&m.retx, func() { h.transmit(m, failed) })
-			return
-		}
-		h.a.pendingTX[h.id]--
-		h.txBusy = false
-		if len(h.txq) > 0 {
-			h.startTX()
-		}
-	})
+	h.txMsg, h.txFailed = m, failed
+	h.k.Schedule(busy, h.txDoneFn)
+}
+
+// txDone ends a transmission attempt's busy period.
+func (h *hub) txDone() {
+	if m, failed := h.txMsg, h.txFailed; len(failed) > 0 {
+		// NACKed receivers remain: retransmit to the failed subset only.
+		h.retry(&m.retx, func() { h.transmit(m, failed) })
+		return
+	}
+	h.txMsg = nil
+	h.a.pendingTX[h.id]--
+	h.txBusy = false
+	if len(h.txq) > 0 {
+		h.startTX()
+	}
 }
 
 // corrupted reports whether receiving hub rx NACKs this n-flit transfer,

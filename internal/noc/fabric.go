@@ -2,7 +2,6 @@ package noc
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/config"
 	"repro/internal/fault"
@@ -211,7 +210,7 @@ func (f *fabric) sendSelf(m *Message) {
 }
 
 // sendViaHub starts m's hub leg to the optical endpoint hosted at core hub:
-// over the ENet inside a wrapper, or — when the source core hosts the
+// over the ENet (sendVia), or — when the source core hosts the
 // endpoint itself — by handing it over next cycle. Either way the leg ends
 // in atHub, on the shard owning hub.
 func (f *fabric) sendViaHub(m *Message, hub int) {
@@ -222,17 +221,20 @@ func (f *fabric) sendViaHub(m *Message, hub int) {
 	f.sendVia(m, m.Src, hub)
 }
 
-// sendVia ENet-routes m from core 'from' to core 'via' inside a wrapper,
-// which enetDeliver recognises by viaHub.
+// sendVia ENet-routes m itself from core 'from' to core 'via', marked
+// viaHub for the duration of the leg so that enetDeliver ends it in atHub.
+// A message is on one leg at a time, so the mark needs no wrapper.
 func (f *fabric) sendVia(m *Message, from, via int) {
-	f.enet.Send(&Message{Src: from, Dst: via, Bits: m.Bits, Payload: m, viaHub: true, Inject: m.Inject})
+	m.viaHub = true
+	f.enet.sendVia(m, from, via)
 }
 
-// enetDeliver handles ENet ejections: wrappers end their leg in atHub;
-// everything else is a final core delivery.
+// enetDeliver handles ENet ejections: a hub leg ends in atHub; everything
+// else is a final core delivery.
 func (f *fabric) enetDeliver(dst int, m *Message) {
 	if m.viaHub {
-		f.atHub(dst, m.Payload.(*Message))
+		m.viaHub = false
+		f.atHub(dst, m)
 		return
 	}
 	f.deliverCore(dst, m)
@@ -378,10 +380,11 @@ func (c *channelHealth) observe(p *port, flits, errs int) {
 	c.winFlits, c.winErrs = 0, 0
 }
 
-// rxJob is one staged optical arrival: the sending endpoint's index (the
-// canonical drain key — a serializing sender lands at most one arrival per
-// receiver per cycle) and the message it carries.
+// rxJob is one staged optical arrival: its landing cycle, the sending
+// endpoint's index (the canonical drain key — a serializing sender lands at
+// most one arrival per receiver per cycle) and the message it carries.
 type rxJob struct {
+	at   sim.Time
 	from int
 	m    *Message
 	n    int
@@ -399,12 +402,20 @@ type rxJob struct {
 // before the window containing the arrival), so the stage is always
 // complete when the drain runs.
 type inbox struct {
-	p      *port // the receiving endpoint
-	staged map[sim.Time][]rxJob
+	p *port // the receiving endpoint
+	// staged is kept ordered by (landing cycle, sender, booking order): a
+	// handful of entries, so insertion is a short shift and the drain pops
+	// a prefix — no map, sort or closure per arrival.
+	staged []rxJob
 	// arrive is what the endpoint does with one landed arrival (a hub
-	// books its receive networks, a gateway starts the final mesh leg);
-	// bound once by the endpoint's constructor.
-	arrive func(m *Message, n int)
+	// books its receive networks, a gateway starts the final mesh leg).
+	arrive  func(m *Message, n int)
+	drainFn func() // in.drain, bound once like arrive
+}
+
+// init binds the inbox to its endpoint (in place: drainFn refers to in).
+func (in *inbox) init(p *port, arrive func(m *Message, n int)) {
+	in.p, in.arrive, in.drainFn = p, arrive, in.drain
 }
 
 // book books an arrival from endpoint 'from' at absolute time 'at'. A
@@ -421,24 +432,33 @@ func (in *inbox) book(from *port, at sim.Time, m *Message, n int) {
 	from.f.d.Post(from.sh, in.p.sh, func() { in.stage(at, m, n, id) })
 }
 
-// stage runs (and schedules the drain) on the receiving endpoint's shard.
+// stage runs on the receiving endpoint's shard; the first booking for a
+// landing cycle schedules that cycle's drain.
 func (in *inbox) stage(at sim.Time, m *Message, n int, from int) {
 	p := in.p
 	p.f.outstanding[p.sh]++
-	jobs := in.staged[at]
-	in.staged[at] = append(jobs, rxJob{from, m, n})
-	if len(jobs) > 0 {
-		return
+	q := append(in.staged, rxJob{})
+	i := len(q) - 1
+	for ; i > 0 && (q[i-1].at > at || q[i-1].at == at && q[i-1].from > from); i-- {
+		q[i] = q[i-1]
 	}
-	p.k.At(at, func() {
-		jobs := in.staged[at]
-		delete(in.staged, at)
-		sort.SliceStable(jobs, func(i, j int) bool { return jobs[i].from < jobs[j].from })
-		for _, j := range jobs {
-			in.p.f.outstanding[in.p.sh]--
-			in.arrive(j.m, j.n)
-		}
-	})
+	q[i] = rxJob{at, from, m, n}
+	in.staged = q
+	if (i == 0 || q[i-1].at != at) && (i == len(q)-1 || q[i+1].at != at) {
+		p.k.At(at, in.drainFn)
+	}
+}
+
+// drain lands the current cycle's arrivals in sender order. Earlier
+// cycles' drains have already run, so they are a prefix of staged.
+func (in *inbox) drain() {
+	now := in.p.k.Now()
+	for len(in.staged) > 0 && in.staged[0].at == now {
+		j := in.staged[0]
+		in.staged = in.staged[:copy(in.staged, in.staged[1:])]
+		in.p.f.outstanding[in.p.sh]--
+		in.arrive(j.m, j.n)
+	}
 }
 
 // clusterPort is a cluster hub's ejection side: the port plus the
@@ -446,6 +466,7 @@ func (in *inbox) stage(at sim.Time, m *Message, n int, from int) {
 // distributing optical arrivals to the cluster's cores.
 type clusterPort struct {
 	port
+	cores []int // the cluster's core IDs, the fan-out of a broadcast arrival
 	// rxFree[i] is the time receive network i is next available.
 	rxFree []sim.Time
 	// rxLastDone enforces in-order delivery completion across the parallel
@@ -459,6 +480,7 @@ type clusterPort struct {
 func newClusterPort(f *fabric, cluster int) clusterPort {
 	return clusterPort{
 		port:   port{f: f, id: cluster, core: f.Cfg.HubCore(cluster)},
+		cores:  clusterBaseCores(f.Cfg, cluster),
 		rxFree: make([]sim.Time, f.Cfg.Network.StarNetsPerCl),
 	}
 }
@@ -502,7 +524,7 @@ func (p *clusterPort) receive(m *Message, n int) {
 		f := p.f
 		f.outstanding[p.sh]--
 		if bcast {
-			for _, c := range clusterBaseCores(f.Cfg, p.id) {
+			for _, c := range p.cores {
 				f.deliverCore(c, m)
 			}
 		} else {

@@ -49,7 +49,8 @@ func NewHybrid(k *sim.Kernel, cfg *config.Config) *Hybrid {
 	h.gws = make([]*gateway, cfg.HybridGateways())
 	for i := range h.gws {
 		g := &gateway{port: port{f: &h.fabric, id: i, core: cfg.GatewayCore(i)}, h: h}
-		g.in = inbox{p: &g.port, staged: make(map[sim.Time][]rxJob), arrive: g.arrive}
+		g.in.init(&g.port, g.arrive)
+		g.txDoneFn = g.txDone
 		h.gws[i] = g
 	}
 	h.Partition(sim.SerialDomain(k, cfg.MeshDim()*cfg.MeshDim()))
@@ -103,12 +104,11 @@ func (h *Hybrid) Send(m *Message) {
 	}
 }
 
-// atGateway ends a wrapper's mesh leg at core. A wrapper ejecting at the
-// wrapped message's own destination is the final electrical leg completing;
-// anywhere else it is the source-gateway leg (express packets only cross
-// gateway groups, so the source gateway's core is never the final
-// destination of a wrapped message), which enqueues for express
-// transmission.
+// atGateway ends a sendVia mesh leg at core. A leg ending at the message's
+// own destination is the final electrical leg completing; anywhere else it
+// is the source-gateway leg (express packets only cross gateway groups, so
+// the source gateway's core is never the final destination of an express
+// message), which enqueues for express transmission.
 func (h *Hybrid) atGateway(core int, m *Message) {
 	if core == m.Dst {
 		h.deliverCore(core, m)
@@ -125,6 +125,11 @@ type gateway struct {
 
 	txq    []*Message
 	txBusy bool
+	// Stop-and-wait: the transfer in flight and whether it was NACKed live
+	// here, and txDoneFn is bound once — no closure per transmission.
+	txMsg    *Message
+	txFailed bool
+	txDoneFn func()
 
 	// in stages express arrivals for the final mesh leg.
 	in inbox
@@ -170,16 +175,21 @@ func (g *gateway) transmit(m *Message) {
 	if !failed {
 		g.h.gws[cfg.GatewayOf(m.Dst)].in.book(&g.port, g.k.Now()+sim.Time(lag+1+oDelay), m, n)
 	}
-	g.k.Schedule(busy, func() {
-		if failed {
-			g.retry(&m.retx, func() { g.transmit(m) })
-			return
-		}
-		g.txBusy = false
-		if len(g.txq) > 0 {
-			g.startTX()
-		}
-	})
+	g.txMsg, g.txFailed = m, failed
+	g.k.Schedule(busy, g.txDoneFn)
+}
+
+// txDone ends a transmission attempt's busy period.
+func (g *gateway) txDone() {
+	if m := g.txMsg; g.txFailed {
+		g.retry(&m.retx, func() { g.transmit(m) })
+		return
+	}
+	g.txMsg = nil
+	g.txBusy = false
+	if len(g.txq) > 0 {
+		g.startTX()
+	}
 }
 
 // arrive hands a landed express arrival back to the mesh: the final

@@ -65,6 +65,7 @@ type flit struct {
 	out   uint8 // output port at the router whose input holds the flit (route, once per hop)
 	idx   int32 // flit index within the worm
 	n     int32 // total flits in the worm
+	dst   int32 // core a unicast worm is routed to (msg.Dst, or the hub of a sendVia leg)
 }
 
 func (f *flit) head() bool { return f.idx == 0 }
@@ -218,7 +219,7 @@ func (m *Mesh) Send(msg *Message) {
 					c := *msg
 					c.Dst = d
 					c.origBcast = true
-					src.enqueueWorm(&c, phaseNone, n)
+					src.enqueueWorm(&c, phaseNone, d, n)
 				}
 			}
 		}
@@ -232,7 +233,15 @@ func (m *Mesh) Send(msg *Message) {
 		src.k.Schedule(1, func() { m.eject(msg.Dst, msg) })
 		return
 	}
-	src.enqueueWorm(msg, phaseNone, n)
+	src.enqueueWorm(msg, phaseNone, msg.Dst, n)
+}
+
+// sendVia carries msg from core 'from' to core 'via' as a unicast worm,
+// whatever msg's own endpoints are, and ejects it there: the electrical leg
+// of a composed fabric's route, taken without a wrapper message. Transport
+// meshes only (no message-level statistics are kept for the leg).
+func (m *Mesh) sendVia(msg *Message, from, via int) {
+	m.routers[from].enqueueWorm(msg, phaseNone, via, FlitsFor(msg.Bits, m.FlitBits))
 }
 
 // RouterFlits returns the per-router forwarded-flit counts (row-major),
@@ -352,20 +361,20 @@ func (r *router) qpop(p int) flit {
 // spawnRowAndCols seeds the multicast tree at the source router.
 func (r *router) spawnRowAndCols(msg *Message, n int) {
 	if r.x < r.m.Dim-1 {
-		r.enqueueWorm(msg, phaseRowE, n)
+		r.enqueueWorm(msg, phaseRowE, msg.Dst, n)
 	}
 	if r.x > 0 {
-		r.enqueueWorm(msg, phaseRowW, n)
+		r.enqueueWorm(msg, phaseRowW, msg.Dst, n)
 	}
 	r.spawnCols(msg, n)
 }
 
 func (r *router) spawnCols(msg *Message, n int) {
 	if r.y > 0 {
-		r.enqueueWorm(msg, phaseColN, n)
+		r.enqueueWorm(msg, phaseColN, msg.Dst, n)
 	}
 	if r.y < r.m.Dim-1 {
-		r.enqueueWorm(msg, phaseColS, n)
+		r.enqueueWorm(msg, phaseColS, msg.Dst, n)
 	}
 }
 
@@ -375,11 +384,11 @@ func (r *router) spawnCols(msg *Message, n int) {
 // (shard s issues s+1, n+s+1, 2n+s+1, ...; the one-shard sequence is
 // exactly the old serial 1, 2, 3, ...). Ids are only compared for
 // equality, so the numbering scheme is unobservable.
-func (r *router) enqueueWorm(msg *Message, ph mcPhase, n int) {
+func (r *router) enqueueWorm(msg *Message, ph mcPhase, dst, n int) {
 	nsh := uint64(len(r.m.wormSeq))
 	id := r.m.wormSeq[r.sh]*nsh + uint64(r.sh) + 1
 	r.m.wormSeq[r.sh]++
-	f := flit{msg: msg, worm: id, phase: ph, n: int32(n), out: r.route(ph, msg.Dst)}
+	f := flit{msg: msg, worm: id, phase: ph, n: int32(n), dst: int32(dst), out: r.route(ph, dst)}
 	f.vis = r.k.Now() + 1 // input-register staging, same as link arrival
 	for ; f.idx < f.n; f.idx++ {
 		r.qpush(portLocal, f)
@@ -586,7 +595,7 @@ func (r *router) tick() {
 		// there and invisible to its allocator until the cycle after the
 		// link crossing completes; landFn at the crossing's end counts it.
 		nbr, inPort := r.nbr[out], opposite(out)
-		f.out = nbr.route(f.phase, f.msg.Dst)
+		f.out = nbr.route(f.phase, int(f.dst))
 		f.vis = now + sim.Time(r.m.LinkDelay) + 1
 		if nbr.sh == r.sh {
 			nbr.qpush(inPort, f)

@@ -36,20 +36,20 @@ const (
 // delivered once to every core, including the sender's.
 type Message struct {
 	Src, Dst int
-	Class    Class
 	Bits     int // total size incl. header; flit count derives from this
 	Payload  any
 	Inject   sim.Time // set by the network at Send time
 
-	// viaHub marks an optical fabric's internal ENet wrapper: Payload is
-	// the message, bound for the endpoint at core Dst (fabric.sendVia).
+	// pairSeq is the per-(src,dst) sequence number an optical fabric's
+	// reorder CAM restores FIFO delivery from (0 = unsequenced).
+	pairSeq uint64
+	Class   Class // kept with the other one-byte fields: 64 bytes, not 80
+	// viaHub marks a message on an optical fabric's internal ENet leg to
+	// an endpoint's core (fabric.sendVia); cleared when the leg ends.
 	viaHub bool
 	// origBcast marks per-destination clones of a serialized broadcast
 	// (EMesh-Pure) so receiver-side traffic statistics stay correct.
 	origBcast bool
-	// pairSeq is the per-(src,dst) sequence number an optical fabric's
-	// reorder CAM restores FIFO delivery from (0 = unsequenced).
-	pairSeq uint64
 	// retx counts optical retransmission attempts already spent on this
 	// message (fault injection; bounded by the injector's MaxRetries).
 	retx uint8
