@@ -3,10 +3,12 @@ package experiments
 import (
 	"encoding/json"
 	"flag"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -141,4 +143,75 @@ func TestGoldenXtopo16Core(t *testing.T) {
 	if !reflect.DeepEqual(tbl, &want) {
 		t.Errorf("xtopo diverged from golden:\ngot:\n%v\nwant:\n%v", tbl, &want)
 	}
+}
+
+// TestGoldenCampaign16Core pins every figure at once. The golden is the
+// stdout of the binary, recorded with
+//
+//	go run ./cmd/figures -cores 16 -no-cache -q > internal/experiments/testdata/campaign_16core.txt
+//
+// (all 20 ids, 8 apps, 256 runs), so it is regenerated with that command,
+// not with -update. Its first paragraph is cmd/figures' banner; everything
+// after it is the tables in campaign order, which this test renders and
+// compares byte for byte. The run-set behind them is pinned alongside:
+// same run keys, same RunSetHash.
+func TestGoldenCampaign16Core(t *testing.T) {
+	r := NewRunner(Options{Cores: 16, Scale: 1, Seed: 42})
+	r.Cache = nil // hermetic: never recall results from a REPRO_CACHE dir
+	r.Partial = true
+
+	figs := []struct {
+		id  string
+		run func() (*Table, error)
+	}{
+		{"3", func() (*Table, error) { return Fig3(r.Opt, nil), nil }},
+		{"4", r.Fig4}, {"5", r.Fig5}, {"6", r.Fig6}, {"7", r.Fig7},
+		{"8", func() (*Table, error) { t, _, _, err := r.Fig8(); return t, err }},
+		{"9", r.Fig9},
+		{"10", func() (*Table, error) { return Fig10(r.Opt) }},
+		{"11", r.Fig11}, {"12", r.Fig12}, {"13", r.Fig13}, {"14", r.Fig14},
+		{"15", r.Fig15}, {"16", r.Fig16}, {"17", r.Fig17},
+		{"tablev", r.TableV}, {"techsweep", r.TechSweep}, {"xtopo", r.Xtopo},
+		{"ablations", r.Ablations},
+		{"faults", func() (*Table, error) { return r.FaultSweep("radix") }},
+	}
+	var ids []string
+	var got strings.Builder
+	for _, f := range figs {
+		ids = append(ids, f.id)
+		tbl, err := f.run()
+		if err != nil {
+			t.Fatalf("figure %s: %v", f.id, err)
+		}
+		fmt.Fprintln(&got, tbl)
+	}
+
+	data, err := os.ReadFile(filepath.Join("testdata", "campaign_16core.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, want, _ := strings.Cut(string(data), "\n\n")
+	if got.String() != want {
+		t.Errorf("campaign diverged from testdata/campaign_16core.txt:\n%s", firstDiff(got.String(), want))
+	}
+
+	p := r.Provenance(ids, 0)
+	const wantHash = "e1acd487cc40e4e0a8fa29362a343133cea2d08ed4201ec645624b645ae01d5f"
+	if p.Runs != 256 || p.RunSetHash != wantHash {
+		t.Errorf("run-set: %d runs, hash %s; want 256, %s", p.Runs, p.RunSetHash, wantHash)
+	}
+	if r.FreshRuns() != 256 {
+		t.Errorf("%d fresh simulations, want the 256 declared", r.FreshRuns())
+	}
+}
+
+// firstDiff reports the first line where got and want part ways.
+func firstDiff(got, want string) string {
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := 0; i < len(g) && i < len(w); i++ {
+		if g[i] != w[i] {
+			return fmt.Sprintf("line %d:\n got: %s\nwant: %s", i+1, g[i], w[i])
+		}
+	}
+	return fmt.Sprintf("got %d lines, want %d", len(g), len(w))
 }
