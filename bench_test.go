@@ -1,14 +1,16 @@
 package repro
 
 // The benchmark harness regenerates every table and figure of the paper's
-// evaluation (Section V). Each BenchmarkFigN runs the corresponding
+// evaluation (Section V). BenchmarkFigures has one sub-benchmark per entry
+// of the figure table (experiments.FigureIDs), each of which runs that
 // experiment and prints the same rows/series the paper reports; run with
 //
-//	go test -bench=. -benchmem
+//	go test -bench=. -benchmem            # the whole campaign
+//	go test -bench 'Figures/8$'           # one figure
 //
 // The campaign scale defaults to 64 cores so a full pass stays tractable;
 // set REPRO_FULL=1 (or REPRO_CORES=n) for the paper's 1024-core geometry.
-// All benchmarks share one memoized campaign, mirroring how the paper's
+// All sub-benchmarks share one memoized campaign, mirroring how the paper's
 // figures share the same underlying simulations. The campaign engine's
 // environment knobs apply here too: REPRO_JOBS caps concurrent simulations
 // (each figure prefetches its run-set through the shared worker pool) and
@@ -17,122 +19,48 @@ package repro
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 
 	"repro/internal/experiments"
 )
 
-var (
-	campaignOnce sync.Once
-	campaign     *experiments.Runner
-)
-
-func sharedCampaign() *experiments.Runner {
-	campaignOnce.Do(func() {
-		campaign = experiments.NewRunner(experiments.DefaultOptions())
-	})
-	return campaign
-}
-
-// runFigure executes the experiment once per benchmark invocation and
-// prints its table on the first iteration. Memoization makes repeated
-// iterations (b.N > 1) nearly free.
-func runFigure(b *testing.B, name string, f func() (*experiments.Table, error)) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		t, err := f()
-		if err != nil {
-			b.Fatalf("%s: %v", name, err)
-		}
-		if i == 0 {
-			fmt.Println(t)
-		}
+func BenchmarkFigures(b *testing.B) {
+	campaign := experiments.NewRunner(experiments.DefaultOptions())
+	for _, id := range experiments.FigureIDs() {
+		b.Run(id, func(b *testing.B) {
+			// Memoization makes repeated iterations (b.N > 1) nearly free;
+			// the table is printed on the first.
+			for i := 0; i < b.N; i++ {
+				t, err := benchFigure(b, campaign, id)
+				if err != nil {
+					b.Fatalf("figure %s: %v", id, err)
+				}
+				if i == 0 {
+					fmt.Println(t)
+				}
+			}
+		})
 	}
 }
 
-func BenchmarkFig3_LatencyVsLoad(b *testing.B) {
-	o := sharedCampaign().Opt
-	runFigure(b, "Fig3", func() (*experiments.Table, error) {
-		return experiments.Fig3(o, nil), nil
-	})
-}
-
-func BenchmarkFig4_Runtime(b *testing.B) {
-	runFigure(b, "Fig4", sharedCampaign().Fig4)
-}
-
-func BenchmarkFig5_TrafficMix(b *testing.B) {
-	runFigure(b, "Fig5", sharedCampaign().Fig5)
-}
-
-func BenchmarkFig6_OfferedLoad(b *testing.B) {
-	runFigure(b, "Fig6", sharedCampaign().Fig6)
-}
-
-func BenchmarkFig7_EnergyBreakdown(b *testing.B) {
-	runFigure(b, "Fig7", sharedCampaign().Fig7)
-}
-
-func BenchmarkFig8_EnergyDelay(b *testing.B) {
-	runFigure(b, "Fig8", func() (*experiments.Table, error) {
-		t, avgB, avgP, err := sharedCampaign().Fig8()
+// benchFigure renders one table entry. Two entries differ from the plain
+// campaign.Figure(id) cmd/figures runs: Fig 8 also reports its headline
+// ratios as benchmark metrics, and Fig 10 ignores the campaign scale.
+func benchFigure(b *testing.B, campaign *experiments.Runner, id string) (*experiments.Table, error) {
+	switch id {
+	case "8":
+		t, avgB, avgP, err := campaign.Fig8()
 		if err == nil {
 			b.ReportMetric(avgB, "EDBCast/ATAC+")
 			b.ReportMetric(avgP, "EDPure/ATAC+")
 		}
 		return t, err
-	})
-}
-
-func BenchmarkFig9_WaveguideLoss(b *testing.B) {
-	runFigure(b, "Fig9", sharedCampaign().Fig9)
-}
-
-func BenchmarkFig10_Area(b *testing.B) {
-	runFigure(b, "Fig10", func() (*experiments.Table, error) {
+	case "10":
 		// Area is a model-only figure: always evaluated at the paper's
 		// 1024-core geometry.
-		o := sharedCampaign().Opt
+		o := campaign.Opt
 		o.Cores = 1024
 		return experiments.Fig10(o)
-	})
-}
-
-func BenchmarkFig11_FlitWidth(b *testing.B) {
-	runFigure(b, "Fig11", sharedCampaign().Fig11)
-}
-
-func BenchmarkFig12_BNetVsStarNet(b *testing.B) {
-	runFigure(b, "Fig12", sharedCampaign().Fig12)
-}
-
-func BenchmarkFig13_RoutingED(b *testing.B) {
-	runFigure(b, "Fig13", sharedCampaign().Fig13)
-}
-
-func BenchmarkFig14_CoherenceED(b *testing.B) {
-	runFigure(b, "Fig14", sharedCampaign().Fig14)
-}
-
-func BenchmarkFig15_SharerDelay(b *testing.B) {
-	runFigure(b, "Fig15", sharedCampaign().Fig15)
-}
-
-func BenchmarkFig16_SharerEnergy(b *testing.B) {
-	runFigure(b, "Fig16", sharedCampaign().Fig16)
-}
-
-func BenchmarkFig17_CoreEnergy(b *testing.B) {
-	runFigure(b, "Fig17", sharedCampaign().Fig17)
-}
-
-func BenchmarkTableV_LinkUtilization(b *testing.B) {
-	runFigure(b, "TableV", sharedCampaign().TableV)
-}
-
-// BenchmarkAblations evaluates the design choices DESIGN.md calls out:
-// SWMR broadcast support, receive-network count, and select-link lag.
-func BenchmarkAblations(b *testing.B) {
-	runFigure(b, "Ablations", sharedCampaign().Ablations)
+	}
+	return campaign.Figure(id)
 }

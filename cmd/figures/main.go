@@ -23,11 +23,11 @@ import (
 	"net/http"
 	_ "net/http/pprof"
 	"os"
+	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"time"
-
-	"path/filepath"
-	"strconv"
 
 	"repro/internal/config"
 	"repro/internal/experiments"
@@ -53,7 +53,7 @@ func run() int {
 		opticsN  = flag.String("optics", "", "optical technology scenario for every figure: "+strings.Join(photonics.Variants(), ", ")+" (default baseline)")
 		scenList = flag.String("scenarios", "", `techsweep scenario list, comma-separated "tech[/optics]" pairs (default: the built-in six-point sweep)`)
 		topoList = flag.String("topos", "", `xtopo topology list, comma-separated network names, e.g. "bcast,corona,hybrid" (default: bcast,atac+,corona,hybrid; first entry is the normalization reference)`)
-		only     = flag.String("only", "", "comma-separated subset, e.g. 3,8,tablev,techsweep,xtopo")
+		only     = flag.String("only", "", "comma-separated subset of "+strings.Join(experiments.FigureIDs(), ","))
 		out      = flag.String("o", "", "also write results to this file")
 		svgDir   = flag.String("svg", "", "also render each figure as an SVG into this directory")
 		format   = flag.String("format", "text", "output format: text, csv, json")
@@ -109,6 +109,11 @@ func run() int {
 		log.Print(err)
 		return experiments.ExitFatal
 	}
+	selected, err := selectFigures(*only)
+	if err != nil {
+		log.Print(err)
+		return experiments.ExitFatal
+	}
 	o := experiments.Options{Cores: *cores, Scale: *scale, Seed: *seed,
 		Tech: *techN, Optics: *opticsN, Scenarios: scens, Topologies: topos}
 	r := experiments.NewRunner(o)
@@ -155,65 +160,22 @@ func run() int {
 		w = io.MultiWriter(os.Stdout, f)
 	}
 
-	want := map[string]bool{}
-	for _, s := range strings.Split(strings.ToLower(*only), ",") {
-		if s = strings.TrimSpace(s); s != "" {
-			want[s] = true
-		}
-	}
-	sel := func(id string) bool { return len(want) == 0 || want[id] }
-
 	fmt.Fprintf(w, "ATAC+ evaluation campaign: %d cores, scale %d, seed %d, %s electronics, %s optics\n\n",
 		o.Cores, o.Scale, o.Seed, tech.Canonical(o.Tech), photonics.Canonical(o.Optics))
 
-	type job struct {
-		id  string
-		run func() (*experiments.Table, error)
-	}
-	jobs := []job{
-		{"3", func() (*experiments.Table, error) { return experiments.Fig3(o, nil), nil }},
-		{"4", r.Fig4},
-		{"5", r.Fig5},
-		{"6", r.Fig6},
-		{"7", r.Fig7},
-		{"8", func() (*experiments.Table, error) { t, _, _, err := r.Fig8(); return t, err }},
-		{"9", r.Fig9},
-		{"10", func() (*experiments.Table, error) { return experiments.Fig10(o) }},
-		{"11", r.Fig11},
-		{"12", r.Fig12},
-		{"13", r.Fig13},
-		{"14", r.Fig14},
-		{"15", r.Fig15},
-		{"16", r.Fig16},
-		{"17", r.Fig17},
-		{"tablev", r.TableV},
-		{"techsweep", r.TechSweep},
-		{"xtopo", r.Xtopo},
-		{"ablations", r.Ablations},
-		{"faults", func() (*experiments.Table, error) { return r.FaultSweep("radix") }},
-	}
 	// Declare the whole campaign's run-set up front so the worker pool is
 	// saturated from the start, instead of discovering runs one figure at
 	// a time. The serial loop below then renders from warm memo entries.
-	var selected []string
-	for _, j := range jobs {
-		if sel(j.id) {
-			selected = append(selected, j.id)
-		}
-	}
 	r.Prefetch(r.CampaignRuns(selected))
 
 	figureFailed := false
-	for _, j := range jobs {
-		if !sel(j.id) {
-			continue
-		}
-		t, err := j.run()
+	for _, id := range selected {
+		t, err := r.Figure(id)
 		if err != nil {
 			// Partial mode absorbs per-run failures into annotated cells;
 			// an error here means the whole figure is unrenderable. Skip it
 			// and keep going — the other figures are still worth emitting.
-			log.Printf("figure %s: %v", j.id, err)
+			log.Printf("figure %s: %v", id, err)
 			figureFailed = true
 			continue
 		}
@@ -222,7 +184,7 @@ func run() int {
 			return experiments.ExitFatal
 		}
 		if *svgDir != "" {
-			if err := writeSVG(*svgDir, j.id, t); err != nil {
+			if err := writeSVG(*svgDir, id, t); err != nil {
 				log.Print(err)
 				return experiments.ExitFatal
 			}
@@ -257,6 +219,24 @@ func run() int {
 			len(r.FailedRuns()))
 	}
 	return code
+}
+
+// selectFigures resolves the -only list against the figure table: the
+// named ids in campaign order, or the whole table for an empty list. An id
+// the table does not have is an error, so a typo cannot pass for a
+// campaign that selected nothing.
+func selectFigures(only string) ([]string, error) {
+	ids := experiments.FigureIDs()
+	want := strings.FieldsFunc(strings.ToLower(only), func(c rune) bool { return c == ',' || c == ' ' })
+	if len(want) == 0 {
+		return ids, nil
+	}
+	for _, s := range want {
+		if !slices.Contains(ids, s) {
+			return nil, fmt.Errorf("-only: unknown figure %q (valid: %s)", s, strings.Join(ids, ", "))
+		}
+	}
+	return slices.DeleteFunc(ids, func(id string) bool { return !slices.Contains(want, id) }), nil
 }
 
 // parseTopologies parses the -topos list through the shared network-name

@@ -20,7 +20,7 @@ func main() {
 	// Fig 14: ACKwise acknowledges only actual sharers of a broadcast
 	// invalidation; Dir_kB collects an ack from every core, which floods
 	// the network around the directory on broadcast-heavy applications.
-	tab, err := campaign.Fig14()
+	tab, err := campaign.Figure("14")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -29,12 +29,12 @@ func main() {
 	// Figs 15/16: runtime barely moves with the hardware sharer count,
 	// but directory area and energy grow with it — ACKwise4 delivers
 	// full-map performance at a fraction of the cost.
-	t15, err := campaign.Fig15()
+	t15, err := campaign.Figure("15")
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println(t15)
-	t16, err := campaign.Fig16()
+	t16, err := campaign.Figure("16")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func main() {
 	// Part 2 (Fig 13): the same routing choice evaluated end-to-end on
 	// two applications, in energy-delay product.
 	campaign := repro.NewCampaign(o)
-	tab, err := campaign.Fig13()
+	tab, err := campaign.Figure("13")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -22,7 +22,7 @@ func main() {
 	// baselines. Without gating (Cons), the laser burns worst-case
 	// broadcast power even when idle; without athermal rings
 	// (RingTuned/Cons), ~260K ring heaters burn continuously.
-	t7, err := campaign.Fig7()
+	t7, err := campaign.Figure("7")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func main() {
 	// Fig 9: with gating + athermal rings in place, moderate waveguide
 	// loss is tolerable — ATAC+ stays below EMesh-BCast energy up to
 	// ~2 dB of loss.
-	t9, err := campaign.Fig9()
+	t9, err := campaign.Figure("9")
 	if err != nil {
 		log.Fatal(err)
 	}

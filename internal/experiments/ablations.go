@@ -8,8 +8,7 @@ import (
 )
 
 // ablationVariant is one row of the study: a named mutation of the default
-// ATAC+ configuration. The list is shared with the campaign run-set
-// registry (FigureRuns) so prefetching covers exactly these runs.
+// ATAC+ configuration.
 type ablationVariant struct {
 	name string
 	mut  func(*config.Config)
@@ -27,7 +26,14 @@ func ablationVariants() []ablationVariant {
 	}
 }
 
-// Ablations evaluates the design choices DESIGN.md calls out, beyond the
+// ablationConfigs is the default ATAC+ (the normalization base), then one
+// mutated ATAC+ per variant.
+func ablationConfigs(r *Runner) []config.Config {
+	return append(onKinds(config.ATACPlus)(r),
+		atacSweep(r, ablationVariants(), func(c *config.Config, v ablationVariant) { v.mut(c) })...)
+}
+
+// ablations evaluates the design choices DESIGN.md calls out, beyond the
 // paper's own figures:
 //
 //   - native SWMR broadcast vs serializing broadcasts as per-hub unicasts
@@ -40,9 +46,7 @@ func ablationVariants() []ablationVariant {
 //
 // Results are E-D products normalized to the default ATAC+ configuration,
 // averaged over the campaign's benchmark set.
-func (r *Runner) Ablations() (*Table, error) {
-	r.Prefetch(r.FigureRuns("ablations"))
-	variants := ablationVariants()
+func ablations(r *Runner, cfgs []config.Config) (*Table, error) {
 	t := &Table{
 		Title:   "Ablations: E-D product vs default ATAC+ (benchmark average)",
 		Columns: []string{"variant", "runtime", "E-D product"},
@@ -50,12 +54,13 @@ func (r *Runner) Ablations() (*Table, error) {
 			"broadcast-as-unicasts hurts broadcast-heavy apps most (Section V-D)",
 		},
 	}
-	for _, v := range variants {
+	base := cfgs[0]
+	for i, v := range ablationVariants() {
+		cfg := cfgs[1+i]
 		err := r.row(t, v.name, func() ([]string, error) {
 			var sumRT, sumED float64
 			n := 0
 			for _, b := range r.apps() {
-				base := r.Opt.Config(config.ATACPlus)
 				res0, err := r.Run(base, b)
 				if err != nil {
 					return nil, err
@@ -64,8 +69,6 @@ func (r *Runner) Ablations() (*Table, error) {
 				if err != nil {
 					return nil, err
 				}
-				cfg := r.Opt.Config(config.ATACPlus)
-				v.mut(&cfg)
 				if err := cfg.Validate(); err != nil {
 					return nil, fmt.Errorf("ablation %s: %w", v.name, err)
 				}

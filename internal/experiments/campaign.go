@@ -670,126 +670,3 @@ func dedupSpecs(specs []RunSpec) []RunSpec {
 	}
 	return out
 }
-
-// FigureRuns returns the run-set figure id draws on, in the figure's own
-// serial execution order. IDs follow cmd/figures: "4".."17", "tablev",
-// "ablations", "faults" (the faults sweep's default benchmark),
-// "techsweep" (one ATAC+ run per technology scenario per benchmark), and
-// "xtopo" (one run per topology per benchmark). Figures without
-// Runner-backed runs ("3", "10") return nil.
-func (r *Runner) FigureRuns(id string) []RunSpec {
-	var specs []RunSpec
-	add := func(cfg config.Config, bench string) {
-		specs = append(specs, RunSpec{Cfg: cfg, Bench: bench})
-	}
-	switch id {
-	case "4":
-		for _, b := range r.apps() {
-			add(r.Opt.Config(config.ATACPlus), b)
-			add(r.Opt.Config(config.EMeshBCast), b)
-			add(r.Opt.Config(config.EMeshPure), b)
-		}
-	case "5", "6", "tablev":
-		for _, b := range r.apps() {
-			add(r.Opt.Config(config.ATACPlus), b)
-		}
-	case "7", "8":
-		for _, b := range r.apps() {
-			add(r.Opt.Config(config.ATACPlus), b)
-			add(r.Opt.Config(config.EMeshBCast), b)
-			add(r.Opt.Config(config.EMeshPure), b)
-		}
-	case "9":
-		for _, b := range r.apps() {
-			add(r.Opt.Config(config.ATACPlus), b)
-			add(r.Opt.Config(config.EMeshBCast), b)
-		}
-	case "11":
-		for _, b := range r.apps() {
-			add(r.Opt.Config(config.ATACPlus), b)
-			for _, w := range []int{16, 32, 64, 128, 256} {
-				cfg := r.Opt.Config(config.ATACPlus)
-				cfg.Network.FlitBits = w
-				add(cfg, b)
-			}
-		}
-	case "12":
-		for _, b := range r.apps() {
-			add(r.Opt.Config(config.ATAC), b)
-			cfgS := r.Opt.Config(config.ATACPlus)
-			cfgS.Network.Routing = config.ClusterRouting
-			add(cfgS, b)
-		}
-	case "13":
-		cfg0 := r.Opt.Config(config.ATACPlus)
-		schemes := Fig3Schemes(cfg0.MeshDim())[:5]
-		for _, b := range r.apps() {
-			for _, sch := range schemes {
-				cfg := r.Opt.Config(config.ATACPlus)
-				cfg.Network.Routing = sch.Routing
-				if sch.RThres > 0 {
-					cfg.Network.RThres = sch.RThres
-				}
-				add(cfg, b)
-			}
-		}
-	case "14":
-		for _, b := range r.apps() {
-			for _, kind := range []config.NetworkKind{config.ATACPlus, config.EMeshBCast} {
-				for _, ck := range []config.CoherenceKind{config.ACKwise, config.DirKB} {
-					cfg := r.Opt.Config(kind)
-					cfg.Coherence.Kind = ck
-					add(cfg, b)
-				}
-			}
-		}
-	case "15", "16":
-		for _, b := range r.apps() {
-			for _, k := range SharerCounts {
-				cfg := r.Opt.Config(config.ATACPlus)
-				cfg.Coherence.Sharers = k
-				add(cfg, b)
-			}
-		}
-	case "17":
-		for _, b := range r.apps() {
-			add(r.Opt.Config(config.ATACPlus), b)
-			add(r.Opt.Config(config.EMeshBCast), b)
-		}
-	case "ablations":
-		for _, v := range ablationVariants() {
-			for _, b := range r.apps() {
-				add(r.Opt.Config(config.ATACPlus), b)
-				cfg := r.Opt.Config(config.ATACPlus)
-				v.mut(&cfg)
-				add(cfg, b)
-			}
-		}
-	case "faults":
-		specs = r.FaultRuns("radix")
-	case "techsweep":
-		for _, s := range r.techScenarios() {
-			for _, b := range r.apps() {
-				add(r.scenarioConfig(s), b)
-			}
-		}
-	case "xtopo":
-		for _, b := range r.apps() {
-			for _, k := range r.xtopoKinds() {
-				add(r.xtopoConfig(k), b)
-			}
-		}
-	}
-	return dedupSpecs(specs)
-}
-
-// CampaignRuns returns the deduplicated union of the run-sets of the given
-// figure ids — the full work-list a campaign hands to Prefetch so the
-// worker pool is saturated from the start.
-func (r *Runner) CampaignRuns(ids []string) []RunSpec {
-	var all []RunSpec
-	for _, id := range ids {
-		all = append(all, r.FigureRuns(id)...)
-	}
-	return dedupSpecs(all)
-}

@@ -39,7 +39,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 		avgB, avgP float64
 	}
 	render := func(r *Runner) figs {
-		t4, err := r.Fig4()
+		t4, err := r.Figure("4")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,38 +142,50 @@ func TestSingleflight(t *testing.T) {
 	}
 }
 
-// TestFigureRunsCoverFigures checks the run-set declarations: after a
-// figure's declared runs are executed, rendering the figure must not need
-// any further simulation, and the declaration must not include runs the
-// figure never uses.
+// TestFigureRunsCoverFigures checks every entry of the figure table: it
+// renders, and its run-set declaration is exact — after the declared runs
+// are executed, rendering must not need any further simulation, and the
+// declaration must not include runs the figure never uses. Only the
+// model-only entries (Figs 3 and 10) may declare none.
 func TestFigureRunsCoverFigures(t *testing.T) {
-	cases := []struct {
-		id     string
-		render func(r *Runner) error
-	}{
-		{"4", func(r *Runner) error { _, err := r.Fig4(); return err }},
-		{"8", func(r *Runner) error { _, _, _, err := r.Fig8(); return err }},
-		{"11", func(r *Runner) error { _, err := r.Fig11(); return err }},
-		{"13", func(r *Runner) error { _, err := r.Fig13(); return err }},
-		{"14", func(r *Runner) error { _, err := r.Fig14(); return err }},
-		{"ablations", func(r *Runner) error { _, err := r.Ablations(); return err }},
-		{"faults", func(r *Runner) error { _, err := r.FaultSweep("radix"); return err }},
-	}
-	for _, tc := range cases {
-		t.Run(tc.id, func(t *testing.T) {
+	for _, id := range FigureIDs() {
+		t.Run(id, func(t *testing.T) {
 			r := testCampaignRunner()
 			r.Apps = []string{"radix"}
-			declared := uint64(len(r.FigureRuns(tc.id)))
-			if declared == 0 {
-				t.Fatalf("FigureRuns(%q) is empty", tc.id)
+			declared := uint64(len(r.FigureRuns(id)))
+			if modelOnly := id == "3" || id == "10"; modelOnly != (declared == 0) {
+				t.Fatalf("FigureRuns(%q) declares %d runs, model-only %v", id, declared, modelOnly)
 			}
-			if err := tc.render(r); err != nil {
+			tbl, err := r.Figure(id)
+			if err != nil {
 				t.Fatal(err)
 			}
+			if tbl.Title == "" || len(tbl.Rows) == 0 || tbl.Degraded {
+				t.Errorf("figure %s rendered %+v", id, tbl)
+			}
 			if got := r.FreshRuns(); got != declared {
-				t.Errorf("figure %s executed %d simulations, declared %d", tc.id, got, declared)
+				t.Errorf("figure %s executed %d simulations, declared %d", id, got, declared)
 			}
 		})
+	}
+}
+
+// TestFigureTable lints the table's ids: unique, and an id outside the
+// table is an error naming the valid ones, with no runs behind it.
+func TestFigureTable(t *testing.T) {
+	seen := map[string]bool{}
+	for _, id := range FigureIDs() {
+		if seen[id] {
+			t.Errorf("id %q appears twice", id)
+		}
+		seen[id] = true
+	}
+	r := testCampaignRunner()
+	if _, err := r.Figure("18"); err == nil || !strings.Contains(err.Error(), "tablev") {
+		t.Errorf("Figure(\"18\") = %v, want an error listing the valid ids", err)
+	}
+	if runs := r.FigureRuns("18"); runs != nil {
+		t.Errorf("FigureRuns(\"18\") = %d runs, want none", len(runs))
 	}
 }
 
@@ -188,7 +200,7 @@ func TestPersistentCacheRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	cold.Cache = c
-	t4cold, err := cold.Fig4()
+	t4cold, err := cold.Figure("4")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +213,7 @@ func TestPersistentCacheRoundTrip(t *testing.T) {
 
 	warm := testCampaignRunner()
 	warm.Cache = c
-	t4warm, err := warm.Fig4()
+	t4warm, err := warm.Figure("4")
 	if err != nil {
 		t.Fatal(err)
 	}

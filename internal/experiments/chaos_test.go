@@ -54,7 +54,7 @@ func TestChaosPanicIsolationAndJournalResume(t *testing.T) {
 			panic(fmt.Sprintf("chaos: injected panic (attempt %d)", attempt))
 		}
 	}
-	t1, err := r1.Fig4()
+	t1, err := r1.Figure("4")
 	if err != nil {
 		t.Fatalf("partial-mode figure aborted: %v", err)
 	}
@@ -118,7 +118,7 @@ func TestChaosPanicIsolationAndJournalResume(t *testing.T) {
 	r2.testHook = func(config.Config, string, int) {
 		t.Error("resume ran a simulation; want zero")
 	}
-	t2, err := r2.Fig4()
+	t2, err := r2.Figure("4")
 	if err != nil {
 		t.Fatalf("resumed figure aborted: %v", err)
 	}
@@ -201,7 +201,7 @@ func TestChaosInterruptResume(t *testing.T) {
 	if r2.ExitCode() != ExitOK {
 		t.Fatalf("resumed exit code = %d, want 0", r2.ExitCode())
 	}
-	t2, err := r2.Fig4()
+	t2, err := r2.Figure("4")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestChaosInterruptResume(t *testing.T) {
 	ref.Cache = nil
 	ref.Apps = []string{"radix", "fmm"}
 	ref.Jobs = 2
-	tRef, err := ref.Fig4()
+	tRef, err := ref.Figure("4")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,8 @@
 // Package experiments reproduces every table and figure of the paper's
-// evaluation (Section V). Each FigN function regenerates the corresponding
-// result as a printable table; cmd/figures, the examples, and the root
-// bench harness all call into here.
+// evaluation (Section V). Each is one entry of the figure table
+// (figures.go) — a declared run-set plus a render function — and
+// Runner.Figure(id) regenerates it as a printable table; cmd/figures, the
+// examples, and the root bench harness all call into here.
 //
 // Simulation runs are memoized per Runner, because many figures share the
 // same underlying runs (e.g. Figs 4, 5, 6, 8 and 17 all use the ATAC+
@@ -19,12 +20,10 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/energy"
-	"repro/internal/noc"
 	"repro/internal/photonics"
 	"repro/internal/sim"
 	"repro/internal/system"
 	"repro/internal/tech"
-	"repro/internal/traffic"
 )
 
 // Benchmarks lists the evaluation applications in the paper's Fig 4 order.
@@ -129,360 +128,165 @@ func f3(v float64) string { return strconv.FormatFloat(v, 'f', 3, 64) }
 func f2(v float64) string { return strconv.FormatFloat(v, 'f', 2, 64) }
 
 // ---------------------------------------------------------------------
-// Fig 3: latency vs offered load for the unicast routing schemes,
-// uniform-random traffic with 0.1% broadcasts (network-only experiment).
-// ---------------------------------------------------------------------
-
-// RoutingScheme is one Fig 3 series.
-type RoutingScheme struct {
-	Name    string
-	Routing config.RoutingPolicy
-	RThres  int
-}
-
-// Fig3Schemes returns the paper's series: Cluster, Distance-{5,15,25,35},
-// Distance-All. Thresholds are scaled to the configured mesh span.
-func Fig3Schemes(meshDim int) []RoutingScheme {
-	scaled := func(h int) int {
-		t := h * meshDim / 32 // the paper's thresholds assume a 32x32 mesh
-		if t < 1 {
-			t = 1
-		}
-		return t
-	}
-	return []RoutingScheme{
-		{"Cluster", config.ClusterRouting, 0},
-		{fmt.Sprintf("Distance-%d", scaled(5)), config.DistanceRouting, scaled(5)},
-		{fmt.Sprintf("Distance-%d", scaled(15)), config.DistanceRouting, scaled(15)},
-		{fmt.Sprintf("Distance-%d", scaled(25)), config.DistanceRouting, scaled(25)},
-		{fmt.Sprintf("Distance-%d", scaled(35)), config.DistanceRouting, scaled(35)},
-		{"Distance-All", config.ENetOnlyRouting, 0},
-	}
-}
-
-// SyntheticLatency drives uniform-random unicast traffic (plus bcastFrac
-// broadcasts) at `load` flits/cycle/core through an ATAC fabric with the
-// given routing scheme and returns the average delivery latency in cycles
-// for messages injected after warmup. Saturated networks report the
-// (large) latency accumulated before the drain horizon.
-func SyntheticLatency(o Options, sch RoutingScheme, load, bcastFrac float64, warmup, measure sim.Time) float64 {
-	cfg := o.Config(config.ATACPlus)
-	cfg.Network.Routing = sch.Routing
-	if sch.RThres > 0 {
-		cfg.Network.RThres = sch.RThres
-	}
-	var k sim.Kernel
-	a := noc.NewAtac(&k, &cfg)
-	p := traffic.Uniform{Cores: cfg.Cores, BcastFrac: bcastFrac}
-	res := traffic.Drive(&k, a, cfg.Cores, p, load, cfg.Network.FlitBits,
-		warmup, measure, 20000, o.Seed)
-	return res.Latency.Mean()
-}
-
-// Fig3 regenerates the latency-vs-load curves.
-func Fig3(o Options, loads []float64) *Table {
-	if len(loads) == 0 {
-		loads = []float64{0.01, 0.02, 0.04, 0.08, 0.12, 0.16}
-	}
-	cfg := o.Config(config.ATACPlus)
-	schemes := Fig3Schemes(cfg.MeshDim())
-	t := &Table{
-		Title:   "Fig 3: Latency vs Offered Load (uniform random, 0.1% broadcasts)",
-		Columns: append([]string{"load (flits/cyc/core)"}, schemeNames(schemes)...),
-		Notes: []string{
-			"Cluster wins at low load (ONet zero-load latency); larger rthres wins as load rises",
-		},
-	}
-	for _, load := range loads {
-		row := []string{f3(load)}
-		for _, sch := range schemes {
-			lat := SyntheticLatency(o, sch, load, 0.001, 3000, 6000)
-			row = append(row, f2(lat))
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t
-}
-
-func schemeNames(s []RoutingScheme) []string {
-	out := make([]string, len(s))
-	for i := range s {
-		out[i] = s[i].Name
-	}
-	return out
-}
-
-// ---------------------------------------------------------------------
 // Figs 4, 5, 6 + Table V: application runs on the three architectures.
 // ---------------------------------------------------------------------
 
-// Fig4 regenerates the application runtime comparison.
-func (r *Runner) Fig4() (*Table, error) {
-	r.Prefetch(r.FigureRuns("4"))
+// fig4 regenerates the application runtime comparison.
+func fig4(r *Runner, cfgs []config.Config) (*Table, error) {
 	t := &Table{
 		Title:   "Fig 4: Application runtime (cycles)",
 		Columns: []string{"benchmark", "ATAC+", "EMesh-BCast", "EMesh-Pure", "BCast/ATAC+", "Pure/ATAC+"},
 	}
-	for _, b := range r.apps() {
-		err := r.row(t, b, func() ([]string, error) {
-			ra, err := r.Run(r.Opt.Config(config.ATACPlus), b)
-			if err != nil {
-				return nil, err
-			}
-			rb, err := r.Run(r.Opt.Config(config.EMeshBCast), b)
-			if err != nil {
-				return nil, err
-			}
-			rp, err := r.Run(r.Opt.Config(config.EMeshPure), b)
-			if err != nil {
-				return nil, err
-			}
-			return []string{
-				fmt.Sprint(ra.Cycles), fmt.Sprint(rb.Cycles), fmt.Sprint(rp.Cycles),
-				f2(float64(rb.Cycles) / float64(ra.Cycles)),
-				f2(float64(rp.Cycles) / float64(ra.Cycles)),
-			}, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	return t, nil
+	return r.benchRows(t, cfgs, func(res []system.Result) ([]string, error) {
+		ra, rb, rp := res[0], res[1], res[2]
+		return []string{
+			fmt.Sprint(ra.Cycles), fmt.Sprint(rb.Cycles), fmt.Sprint(rp.Cycles),
+			f2(float64(rb.Cycles) / float64(ra.Cycles)),
+			f2(float64(rp.Cycles) / float64(ra.Cycles)),
+		}, nil
+	})
 }
 
-// Fig5 regenerates the unicast/broadcast traffic mix (receiver-measured).
-func (r *Runner) Fig5() (*Table, error) {
-	r.Prefetch(r.FigureRuns("5"))
+// fig5 regenerates the unicast/broadcast traffic mix (receiver-measured).
+func fig5(r *Runner, cfgs []config.Config) (*Table, error) {
 	t := &Table{
 		Title:   "Fig 5: Traffic mix at the receiver (%)",
 		Columns: []string{"benchmark", "unicast %", "broadcast %"},
 	}
-	for _, b := range r.apps() {
-		err := r.row(t, b, func() ([]string, error) {
-			res, err := r.Run(r.Opt.Config(config.ATACPlus), b)
-			if err != nil {
-				return nil, err
-			}
-			bf := res.BroadcastRecvFraction()
-			return []string{f2((1 - bf) * 100), f2(bf * 100)}, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	return t, nil
+	return r.benchRows(t, cfgs, func(res []system.Result) ([]string, error) {
+		bf := res[0].BroadcastRecvFraction()
+		return []string{f2((1 - bf) * 100), f2(bf * 100)}, nil
+	})
 }
 
-// Fig6 regenerates the offered network load per application.
-func (r *Runner) Fig6() (*Table, error) {
-	r.Prefetch(r.FigureRuns("6"))
+// fig6 regenerates the offered network load per application.
+func fig6(r *Runner, cfgs []config.Config) (*Table, error) {
 	t := &Table{
 		Title:   "Fig 6: Offered network load (flits/cycle/core)",
 		Columns: []string{"benchmark", "load"},
 	}
-	for _, b := range r.apps() {
-		err := r.row(t, b, func() ([]string, error) {
-			res, err := r.Run(r.Opt.Config(config.ATACPlus), b)
-			if err != nil {
-				return nil, err
-			}
-			return []string{fmt.Sprintf("%.4f", res.OfferedLoad())}, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	return t, nil
+	return r.benchRows(t, cfgs, func(res []system.Result) ([]string, error) {
+		return []string{fmt.Sprintf("%.4f", res[0].OfferedLoad())}, nil
+	})
 }
 
-// TableV regenerates the adaptive SWMR link utilization statistics.
-func (r *Runner) TableV() (*Table, error) {
-	r.Prefetch(r.FigureRuns("tablev"))
+// tableV regenerates the adaptive SWMR link utilization statistics.
+func tableV(r *Runner, cfgs []config.Config) (*Table, error) {
 	t := &Table{
 		Title:   "Table V: Adaptive SWMR link utilization; unicasts between broadcasts",
 		Columns: []string{"benchmark", "link utilization %", "unicasts/broadcast"},
 	}
-	for _, b := range r.apps() {
-		err := r.row(t, b, func() ([]string, error) {
-			res, err := r.Run(r.Opt.Config(config.ATACPlus), b)
-			if err != nil {
-				return nil, err
-			}
-			return []string{f2(res.LinkUtilization * 100), f2(res.UnicastsPerBcast)}, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	return t, nil
+	return r.benchRows(t, cfgs, func(res []system.Result) ([]string, error) {
+		return []string{f2(res[0].LinkUtilization * 100), f2(res[0].UnicastsPerBcast)}, nil
+	})
 }
 
 // ---------------------------------------------------------------------
-// Fig 7: uncore energy breakdown of the ATAC+ flavors and mesh baselines,
-// averaged across all benchmarks, normalized to ATAC+(Ideal).
+// Figs 7 and 8: the ATAC+ flavors against the mesh baselines. Both draw
+// on one ATAC+ run and one run per mesh, and both show six columns: the
+// ATAC+ run re-costed under each flavor, then the two meshes.
 // ---------------------------------------------------------------------
 
-// Fig7 regenerates the energy breakdown comparison.
-func (r *Runner) Fig7() (*Table, error) {
-	r.Prefetch(r.FigureRuns("7"))
-	flavors := []config.Flavor{config.FlavorIdeal, config.FlavorDefault, config.FlavorRingTuned, config.FlavorCons}
-	type agg struct{ laser, tuning, other, elec, caches, total float64 }
-	sums := make([]agg, len(flavors)+2)
+var atacFlavors = []config.Flavor{config.FlavorIdeal, config.FlavorDefault, config.FlavorRingTuned, config.FlavorCons}
+
+// withFlavor returns cfg re-costed under flavor fl (an energy-model axis:
+// the run is the same).
+func withFlavor(cfg config.Config, fl config.Flavor) config.Config {
+	cfg.Network.Flavor = fl
+	return cfg
+}
+
+// flavorColumns expands one benchmark's runs (ATAC+ first, then the
+// meshes) into the six columns: per column, the config to cost under and
+// the run it costs.
+func flavorColumns(cfgs []config.Config, res []system.Result) ([]config.Config, []system.Result) {
+	var cols []config.Config
+	var runs []system.Result
+	for _, fl := range atacFlavors {
+		cols, runs = append(cols, withFlavor(cfgs[0], fl)), append(runs, res[0])
+	}
+	return append(cols, cfgs[1:]...), append(runs, res[1:]...)
+}
+
+// uncoreSums accumulates the uncore energy breakdown the benchmark-average
+// figures (Fig 7, techsweep) tabulate.
+type uncoreSums struct{ laser, tuning, other, elec, caches, total float64 }
+
+func (s *uncoreSums) add(bd energy.Breakdown) {
+	s.laser += bd.Laser
+	s.tuning += bd.RingTuning
+	s.other += bd.ONetOther
+	s.elec += bd.NetElecDyn + bd.NetElecStatic
+	s.caches += bd.Caches()
+	s.total += bd.UncoreTotal()
+}
+
+// cells renders the sums normalized to norm, in field order.
+func (s uncoreSums) cells(norm float64) []string {
+	return ratios([]float64{s.laser, s.tuning, s.other, s.elec, s.caches, s.total}, norm)
+}
+
+// fig7 regenerates the uncore energy breakdown of the ATAC+ flavors and
+// mesh baselines, averaged across all benchmarks, normalized to
+// ATAC+(Ideal).
+func fig7(r *Runner, cfgs []config.Config) (*Table, error) {
 	names := []string{"ATAC+(Ideal)", "ATAC+", "ATAC+(RingTuned)", "ATAC+(Cons)", "EMesh-BCast", "EMesh-Pure"}
 	t := &Table{
 		Title:   "Fig 7: Uncore energy breakdown, benchmark average [normalized to ATAC+(Ideal)]",
 		Columns: []string{"config", "laser", "ring tuning", "mod/rx/select", "electrical", "caches", "total"},
 		Notes:   []string{"laser dominates ATAC+(Cons); ring tuning dominates RingTuned; ATAC+ ~= Ideal"},
 	}
-
-	contributed := 0
-	for _, b := range r.apps() {
-		// Gather every run this benchmark contributes before touching the
-		// sums, so a failed run excludes the whole benchmark cleanly
-		// instead of leaving it half-accumulated.
-		resA, err := r.Run(r.Opt.Config(config.ATACPlus), b)
-		if err != nil {
-			if r.skip(t, "benchmark "+b, err) {
-				continue
-			}
-			return nil, err
-		}
-		resMesh := make([]system.Result, 2)
-		meshOK := true
-		for j, kind := range []config.NetworkKind{config.EMeshBCast, config.EMeshPure} {
-			res, err := r.Run(r.Opt.Config(kind), b)
-			if err != nil {
-				if r.skip(t, "benchmark "+b, err) {
-					meshOK = false
-					break
-				}
-				return nil, err
-			}
-			resMesh[j] = res
-		}
-		if !meshOK {
-			continue
-		}
-		contributed++
-		for i, fl := range flavors {
-			cfg := r.Opt.Config(config.ATACPlus)
-			cfg.Network.Flavor = fl
+	sums := make([]uncoreSums, len(names))
+	contributed, err := r.eachBench(t, cfgs, func(_ string, res []system.Result) error {
+		cols, runs := flavorColumns(cfgs, res)
+		for i, cfg := range cols {
 			m, err := models(cfg)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			bd := energy.Combine(m, resA)
-			sums[i].laser += bd.Laser
-			sums[i].tuning += bd.RingTuning
-			sums[i].other += bd.ONetOther
-			sums[i].elec += bd.NetElecDyn + bd.NetElecStatic
-			sums[i].caches += bd.Caches()
-			sums[i].total += bd.UncoreTotal()
+			sums[i].add(energy.Combine(m, runs[i]))
 		}
-		for j, kind := range []config.NetworkKind{config.EMeshBCast, config.EMeshPure} {
-			m, err := models(r.Opt.Config(kind))
-			if err != nil {
-				return nil, err
-			}
-			bd := energy.Combine(m, resMesh[j])
-			i := len(flavors) + j
-			sums[i].elec += bd.NetElecDyn + bd.NetElecStatic
-			sums[i].caches += bd.Caches()
-			sums[i].total += bd.UncoreTotal()
-		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	if contributed == 0 {
 		return nil, fmt.Errorf("fig 7: every benchmark failed")
 	}
-
-	norm := sums[0].total
 	for i, n := range names {
-		s := sums[i]
-		t.Rows = append(t.Rows, []string{
-			n, f3(s.laser / norm), f3(s.tuning / norm), f3(s.other / norm),
-			f3(s.elec / norm), f3(s.caches / norm), f3(s.total / norm),
-		})
+		t.Rows = append(t.Rows, append([]string{n}, sums[i].cells(sums[0].total)...))
 	}
 	return t, nil
 }
 
-// ---------------------------------------------------------------------
-// Fig 8: normalized energy-delay product per benchmark (headline result).
-// ---------------------------------------------------------------------
-
-// Fig8 regenerates the per-benchmark E-D product table and returns the
-// average EMesh-BCast/ATAC+ and EMesh-Pure/ATAC+ ratios (the paper reports
-// 1.8x and 4.8x).
-func (r *Runner) Fig8() (*Table, float64, float64, error) {
-	r.Prefetch(r.FigureRuns("8"))
+// fig8 regenerates the per-benchmark energy-delay product table (the
+// headline result) and returns the average EMesh-BCast/ATAC+ and
+// EMesh-Pure/ATAC+ ratios.
+func fig8(r *Runner, cfgs []config.Config) (*Table, float64, float64, error) {
 	t := &Table{
 		Title:   "Fig 8: Energy-delay product normalized to ATAC+(Ideal), ACKwise4",
 		Columns: []string{"benchmark", "ATAC+(Ideal)", "ATAC+", "ATAC+(RingTuned)", "ATAC+(Cons)", "EMesh-BCast", "EMesh-Pure"},
 	}
 	var sumB, sumP float64
 	completed := 0
-	for _, b := range r.apps() {
-		err := r.row(t, b, func() ([]string, error) {
-			resA, err := r.Run(r.Opt.Config(config.ATACPlus), b)
-			if err != nil {
-				return nil, err
-			}
-			edp := func(fl config.Flavor) (float64, error) {
-				cfg := r.Opt.Config(config.ATACPlus)
-				cfg.Network.Flavor = fl
-				m, err := models(cfg)
-				if err != nil {
-					return 0, err
-				}
-				return energy.EDP(m, resA), nil
-			}
-			ideal, err := edp(config.FlavorIdeal)
-			if err != nil {
-				return nil, err
-			}
-			def, err := edp(config.FlavorDefault)
-			if err != nil {
-				return nil, err
-			}
-			tuned, err := edp(config.FlavorRingTuned)
-			if err != nil {
-				return nil, err
-			}
-			cons, err := edp(config.FlavorCons)
-			if err != nil {
-				return nil, err
-			}
-
-			meshEDP := func(kind config.NetworkKind) (float64, error) {
-				res, err := r.Run(r.Opt.Config(kind), b)
-				if err != nil {
-					return 0, err
-				}
-				m, err := models(r.Opt.Config(kind))
-				if err != nil {
-					return 0, err
-				}
-				return energy.EDP(m, res), nil
-			}
-			bc, err := meshEDP(config.EMeshBCast)
-			if err != nil {
-				return nil, err
-			}
-			pu, err := meshEDP(config.EMeshPure)
-			if err != nil {
-				return nil, err
-			}
-			sumB += bc / def
-			sumP += pu / def
-			completed++
-			return []string{
-				f2(ideal / ideal), f2(def / ideal), f2(tuned / ideal),
-				f2(cons / ideal), f2(bc / ideal), f2(pu / ideal),
-			}, nil
-		})
+	_, err := r.benchRows(t, cfgs, func(res []system.Result) ([]string, error) {
+		edp, err := edps(flavorColumns(cfgs, res))
 		if err != nil {
-			return nil, 0, 0, err
+			return nil, err
 		}
+		ideal, def, bc, pu := edp[0], edp[1], edp[4], edp[5]
+		sumB += bc / def
+		sumP += pu / def
+		completed++
+		cells := make([]string, len(edp))
+		for i, e := range edp {
+			cells[i] = f2(e / ideal)
+		}
+		return cells, nil
+	})
+	if err != nil {
+		return nil, 0, 0, err
 	}
 	if completed == 0 {
 		t.Notes = append(t.Notes, "averages unavailable: every benchmark failed")
@@ -500,59 +304,36 @@ func (r *Runner) Fig8() (*Table, float64, float64, error) {
 // the EMesh-BCast energy.
 // ---------------------------------------------------------------------
 
-// Fig9 regenerates the waveguide loss sweep.
-func (r *Runner) Fig9() (*Table, error) {
-	r.Prefetch(r.FigureRuns("9"))
+// fig9 regenerates the waveguide loss sweep.
+func fig9(r *Runner, cfgs []config.Config) (*Table, error) {
 	losses := []float64{0.2, 0.5, 1, 2, 3, 4}
 	t := &Table{
 		Title:   "Fig 9: Uncore energy vs waveguide loss [normalized to EMesh-BCast]",
-		Columns: append([]string{"benchmark"}, lossNames(losses)...),
+		Columns: append([]string{"benchmark"}, labels("%.1f dB", losses)...),
 		Notes:   []string{"ATAC+ tolerates ~2 dB before losing to EMesh-BCast (paper)"},
 	}
-	for _, b := range r.apps() {
-		err := r.row(t, b, func() ([]string, error) {
-			resA, err := r.Run(r.Opt.Config(config.ATACPlus), b)
-			if err != nil {
-				return nil, err
-			}
-			resM, err := r.Run(r.Opt.Config(config.EMeshBCast), b)
-			if err != nil {
-				return nil, err
-			}
-			mm, err := models(r.Opt.Config(config.EMeshBCast))
-			if err != nil {
-				return nil, err
-			}
-			base := energy.Combine(mm, resM).UncoreTotal()
-			var cells []string
-			for _, loss := range losses {
-				cfg := r.Opt.Config(config.ATACPlus)
-				tp, pp, err := energy.Scenario(cfg)
-				if err != nil {
-					return nil, err
-				}
-				pp.TotalWaveguideLossDB = loss
-				m, err := energy.BuildWith(cfg, tp, pp)
-				if err != nil {
-					return nil, err
-				}
-				cells = append(cells, f3(energy.Combine(m, resA).UncoreTotal()/base))
-			}
-			return cells, nil
-		})
+	atac, mesh := cfgs[0], cfgs[1]
+	return r.benchRows(t, cfgs, func(res []system.Result) ([]string, error) {
+		mm, err := models(mesh)
 		if err != nil {
 			return nil, err
 		}
-	}
-	return t, nil
-}
-
-func lossNames(losses []float64) []string {
-	out := make([]string, len(losses))
-	for i, l := range losses {
-		out[i] = fmt.Sprintf("%.1f dB", l)
-	}
-	return out
+		base := energy.Combine(mm, res[1]).UncoreTotal()
+		var cells []string
+		for _, loss := range losses {
+			tp, pp, err := energy.Scenario(atac)
+			if err != nil {
+				return nil, err
+			}
+			pp.TotalWaveguideLossDB = loss
+			m, err := energy.BuildWith(atac, tp, pp)
+			if err != nil {
+				return nil, err
+			}
+			cells = append(cells, f3(energy.Combine(m, res[0]).UncoreTotal()/base))
+		}
+		return cells, nil
+	})
 }
 
 // ---------------------------------------------------------------------
@@ -600,91 +381,68 @@ func Fig10(o Options) (*Table, error) {
 // Fig 11: runtime vs flit width.
 // ---------------------------------------------------------------------
 
-// Fig11 regenerates the flit-width sensitivity study.
-func (r *Runner) Fig11() (*Table, error) {
-	r.Prefetch(r.FigureRuns("11"))
-	widths := []int{16, 32, 64, 128, 256}
-	t := &Table{
-		Title:   "Fig 11: ATAC+ runtime vs flit width [normalized to 64-bit]",
-		Columns: append([]string{"benchmark"}, widthNames(widths)...),
-		Notes:   []string{"runtime improves steeply to 64 bits, then flattens (paper: 50% from 16->64, 10% from 64->256)"},
-	}
-	for _, b := range r.apps() {
-		err := r.row(t, b, func() ([]string, error) {
-			base, err := r.Run(r.Opt.Config(config.ATACPlus), b)
-			if err != nil {
-				return nil, err
-			}
-			var cells []string
-			for _, w := range widths {
-				cfg := r.Opt.Config(config.ATACPlus)
-				cfg.Network.FlitBits = w
-				res, err := r.Run(cfg, b)
-				if err != nil {
-					return nil, err
-				}
-				cells = append(cells, f3(float64(res.Cycles)/float64(base.Cycles)))
-			}
-			return cells, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	return t, nil
+var flitWidths = []int{16, 32, 64, 128, 256}
+
+// flitWidthConfigs is the default ATAC+ (the normalization base), then
+// one ATAC+ per swept flit width.
+func flitWidthConfigs(r *Runner) []config.Config {
+	return append(onKinds(config.ATACPlus)(r),
+		atacSweep(r, flitWidths, func(c *config.Config, w int) { c.Network.FlitBits = w })...)
 }
 
-func widthNames(ws []int) []string {
-	out := make([]string, len(ws))
-	for i, w := range ws {
-		out[i] = fmt.Sprintf("%d-bit", w)
+// fig11 regenerates the flit-width sensitivity study.
+func fig11(r *Runner, cfgs []config.Config) (*Table, error) {
+	t := &Table{
+		Title:   "Fig 11: ATAC+ runtime vs flit width [normalized to 64-bit]",
+		Columns: append([]string{"benchmark"}, labels("%d-bit", flitWidths)...),
+		Notes:   []string{"runtime improves steeply to 64 bits, then flattens (paper: 50% from 16->64, 10% from 64->256)"},
 	}
-	return out
+	return r.benchRows(t, cfgs, func(res []system.Result) ([]string, error) {
+		var cells []string
+		for _, w := range res[1:] {
+			cells = append(cells, f3(float64(w.Cycles)/float64(res[0].Cycles)))
+		}
+		return cells, nil
+	})
 }
 
 // ---------------------------------------------------------------------
 // Fig 12: BNet vs StarNet receive networks (cluster routing).
 // ---------------------------------------------------------------------
 
-// Fig12 regenerates the receive-network energy comparison.
-func (r *Runner) Fig12() (*Table, error) {
-	r.Prefetch(r.FigureRuns("12"))
+// receiveNetConfigs is ATAC (BNet, cluster routing), then ATAC+ held to
+// cluster routing so only the receive network differs.
+func receiveNetConfigs(r *Runner) []config.Config {
+	star := r.Opt.Config(config.ATACPlus)
+	star.Network.Routing = config.ClusterRouting
+	return []config.Config{r.Opt.Config(config.ATAC), star}
+}
+
+// fig12 regenerates the receive-network energy comparison.
+func fig12(r *Runner, cfgs []config.Config) (*Table, error) {
 	t := &Table{
 		Title:   "Fig 12: Uncore energy, BNet vs StarNet (cluster routing) [normalized to BNet]",
 		Columns: []string{"benchmark", "BNet", "StarNet", "savings %"},
 		Notes:   []string{"paper: StarNet saves ~8% on average, more for unicast-heavy apps"},
 	}
 	var totB, totS float64
-	for _, b := range r.apps() {
-		err := r.row(t, b, func() ([]string, error) {
-			cfgB := r.Opt.Config(config.ATAC) // BNet + cluster routing
-			cfgS := r.Opt.Config(config.ATACPlus)
-			cfgS.Network.Routing = config.ClusterRouting
-			resB, err := r.Run(cfgB, b)
-			if err != nil {
-				return nil, err
-			}
-			resS, err := r.Run(cfgS, b)
-			if err != nil {
-				return nil, err
-			}
-			mB, err := models(cfgB)
-			if err != nil {
-				return nil, err
-			}
-			mS, err := models(cfgS)
-			if err != nil {
-				return nil, err
-			}
-			eB := energy.Combine(mB, resB).UncoreTotal()
-			eS := energy.Combine(mS, resS).UncoreTotal()
-			totB += eB
-			totS += eS
-			return []string{"1.000", f3(eS / eB), f2((1 - eS/eB) * 100)}, nil
-		})
+	_, err := r.benchRows(t, cfgs, func(res []system.Result) ([]string, error) {
+		mB, err := models(cfgs[0])
 		if err != nil {
 			return nil, err
 		}
+		mS, err := models(cfgs[1])
+		if err != nil {
+			return nil, err
+		}
+		eB := energy.Combine(mB, res[0]).UncoreTotal()
+		eS := energy.Combine(mS, res[1]).UncoreTotal()
+		totB += eB
+		totS += eS
+		return []string{"1.000", f3(eS / eB), f2((1 - eS/eB) * 100)}, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	if totB > 0 {
 		t.Notes = append(t.Notes, fmt.Sprintf("average savings: %.1f%%", (1-totS/totB)*100))
@@ -698,11 +456,20 @@ func (r *Runner) Fig12() (*Table, error) {
 // Fig 13: E-D product of the routing protocols.
 // ---------------------------------------------------------------------
 
-// Fig13 regenerates the routing-protocol energy-delay comparison.
-func (r *Runner) Fig13() (*Table, error) {
-	r.Prefetch(r.FigureRuns("13"))
-	cfg0 := r.Opt.Config(config.ATACPlus)
-	schemes := Fig3Schemes(cfg0.MeshDim())[:5] // Cluster + Distance-{5,15,25,35}
+// fig13Schemes are Fig 3's series without Distance-All: Cluster and
+// Distance-{5,15,25,35}.
+func fig13Schemes(o Options) []RoutingScheme {
+	cfg := o.Config(config.ATACPlus)
+	return Fig3Schemes(cfg.MeshDim())[:5]
+}
+
+func routingConfigs(r *Runner) []config.Config {
+	return atacSweep(r, fig13Schemes(r.Opt), applyScheme)
+}
+
+// fig13 regenerates the routing-protocol energy-delay comparison.
+func fig13(r *Runner, cfgs []config.Config) (*Table, error) {
+	schemes := fig13Schemes(r.Opt)
 	t := &Table{
 		Title:   "Fig 13: E-D product of routing protocols [normalized to Cluster]",
 		Columns: append([]string{"benchmark"}, schemeNames(schemes)...),
@@ -710,43 +477,21 @@ func (r *Runner) Fig13() (*Table, error) {
 	}
 	sums := make([]float64, len(schemes))
 	completed := 0
-	for _, b := range r.apps() {
-		err := r.row(t, b, func() ([]string, error) {
-			var clusterEDP float64
-			var cells []string
-			rowSums := make([]float64, len(schemes))
-			for i, sch := range schemes {
-				cfg := r.Opt.Config(config.ATACPlus)
-				cfg.Network.Routing = sch.Routing
-				if sch.RThres > 0 {
-					cfg.Network.RThres = sch.RThres
-				}
-				res, err := r.Run(cfg, b)
-				if err != nil {
-					return nil, err
-				}
-				m, err := models(cfg)
-				if err != nil {
-					return nil, err
-				}
-				e := energy.EDP(m, res)
-				if i == 0 {
-					clusterEDP = e
-				}
-				rowSums[i] = e / clusterEDP
-				cells = append(cells, f3(e/clusterEDP))
-			}
-			// Commit to the cross-benchmark sums only once the whole row
-			// succeeded, so a degraded row cannot skew the averages.
-			for i, s := range rowSums {
-				sums[i] += s
-			}
-			completed++
-			return cells, nil
-		})
+	_, err := r.benchRows(t, cfgs, func(res []system.Result) ([]string, error) {
+		es, err := edps(cfgs, res)
 		if err != nil {
 			return nil, err
 		}
+		// The whole row succeeded, so it may enter the cross-benchmark
+		// sums: a degraded row must not skew the averages.
+		for i, e := range es {
+			sums[i] += e / es[0]
+		}
+		completed++
+		return ratios(es, es[0]), nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	if completed > 0 {
 		best, bestI := sums[0], 0
@@ -767,45 +512,35 @@ func (r *Runner) Fig13() (*Table, error) {
 // Fig 14: coherence protocols x networks.
 // ---------------------------------------------------------------------
 
-// Fig14 regenerates the ACKwise4 vs Dir4B comparison on ATAC+ and
+// coherenceConfigs is {ATAC+, EMesh-BCast} x {ACKwise, DirkB}, network-
+// major: the column order, with ATAC+/ACKwise (the base) first.
+func coherenceConfigs(r *Runner) []config.Config {
+	var cfgs []config.Config
+	for _, kind := range []config.NetworkKind{config.ATACPlus, config.EMeshBCast} {
+		for _, ck := range []config.CoherenceKind{config.ACKwise, config.DirKB} {
+			cfg := r.Opt.Config(kind)
+			cfg.Coherence.Kind = ck
+			cfgs = append(cfgs, cfg)
+		}
+	}
+	return cfgs
+}
+
+// fig14 regenerates the ACKwise4 vs Dir4B comparison on ATAC+ and
 // EMesh-BCast.
-func (r *Runner) Fig14() (*Table, error) {
-	r.Prefetch(r.FigureRuns("14"))
+func fig14(r *Runner, cfgs []config.Config) (*Table, error) {
 	t := &Table{
 		Title:   "Fig 14: E-D product, ACKwise4 vs Dir4B [normalized to ATAC+/ACKwise4]",
 		Columns: []string{"benchmark", "ATAC+ ACKwise4", "ATAC+ Dir4B", "EMesh-BCast ACKwise4", "EMesh-BCast Dir4B"},
 		Notes:   []string{"Dir4B suffers on broadcast-heavy apps (1024 acks per invalidation), worse on the mesh"},
 	}
-	for _, b := range r.apps() {
-		err := r.row(t, b, func() ([]string, error) {
-			var cells []string
-			var base float64
-			for _, kind := range []config.NetworkKind{config.ATACPlus, config.EMeshBCast} {
-				for _, ck := range []config.CoherenceKind{config.ACKwise, config.DirKB} {
-					cfg := r.Opt.Config(kind)
-					cfg.Coherence.Kind = ck
-					res, err := r.Run(cfg, b)
-					if err != nil {
-						return nil, err
-					}
-					m, err := models(cfg)
-					if err != nil {
-						return nil, err
-					}
-					e := energy.EDP(m, res)
-					if base == 0 {
-						base = e
-					}
-					cells = append(cells, f3(e/base))
-				}
-			}
-			return cells, nil
-		})
+	return r.benchRows(t, cfgs, func(res []system.Result) ([]string, error) {
+		es, err := edps(cfgs, res)
 		if err != nil {
 			return nil, err
 		}
-	}
-	return t, nil
+		return ratios(es, es[0]), nil
+	})
 }
 
 // ---------------------------------------------------------------------
@@ -815,43 +550,31 @@ func (r *Runner) Fig14() (*Table, error) {
 // SharerCounts are the paper's swept hardware sharer counts.
 var SharerCounts = []int{4, 8, 16, 32, 1024}
 
-// Fig15 regenerates completion time vs ACKwise sharer count.
-func (r *Runner) Fig15() (*Table, error) {
-	r.Prefetch(r.FigureRuns("15"))
-	t := &Table{
-		Title:   "Fig 15: ATAC+ completion time vs ACKwise sharers [normalized to 4]",
-		Columns: append([]string{"benchmark"}, sharerNames()...),
-		Notes:   []string{"paper: little runtime variation, non-monotonic"},
-	}
-	for _, b := range r.apps() {
-		err := r.row(t, b, func() ([]string, error) {
-			var base float64
-			var cells []string
-			for _, k := range SharerCounts {
-				cfg := r.Opt.Config(config.ATACPlus)
-				cfg.Coherence.Sharers = k
-				res, err := r.Run(cfg, b)
-				if err != nil {
-					return nil, err
-				}
-				if base == 0 {
-					base = float64(res.Cycles)
-				}
-				cells = append(cells, f3(float64(res.Cycles)/base))
-			}
-			return cells, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	return t, nil
+// sharerConfigs is one ATAC+ per swept sharer count.
+func sharerConfigs(r *Runner) []config.Config {
+	return atacSweep(r, SharerCounts, func(c *config.Config, k int) { c.Coherence.Sharers = k })
 }
 
-// Fig16 regenerates the energy breakdown vs ACKwise sharer count
-// (benchmark average, normalized to 4 sharers).
-func (r *Runner) Fig16() (*Table, error) {
-	r.Prefetch(r.FigureRuns("16"))
+// fig15 regenerates completion time vs ACKwise sharer count.
+func fig15(r *Runner, cfgs []config.Config) (*Table, error) {
+	t := &Table{
+		Title:   "Fig 15: ATAC+ completion time vs ACKwise sharers [normalized to 4]",
+		Columns: append([]string{"benchmark"}, labels("%d", SharerCounts)...),
+		Notes:   []string{"paper: little runtime variation, non-monotonic"},
+	}
+	return r.benchRows(t, cfgs, func(res []system.Result) ([]string, error) {
+		var cells []string
+		for _, k := range res {
+			cells = append(cells, f3(float64(k.Cycles)/float64(res[0].Cycles)))
+		}
+		return cells, nil
+	})
+}
+
+// fig16 regenerates the energy breakdown vs ACKwise sharer count
+// (benchmark average, normalized to 4 sharers): one row per sharer count,
+// each summed over every benchmark.
+func fig16(r *Runner, cfgs []config.Config) (*Table, error) {
 	t := &Table{
 		Title:   "Fig 16: ATAC+ energy vs ACKwise sharers, benchmark average [normalized to 4]",
 		Columns: []string{"sharers", "directory", "other caches", "network", "total"},
@@ -859,11 +582,10 @@ func (r *Runner) Fig16() (*Table, error) {
 	}
 	var base float64
 	for ki, k := range SharerCounts {
+		cfg := cfgs[ki]
 		err := r.row(t, fmt.Sprint(k), func() ([]string, error) {
 			var dir, caches, net, tot float64
 			for _, b := range r.apps() {
-				cfg := r.Opt.Config(config.ATACPlus)
-				cfg.Coherence.Sharers = k
 				res, err := r.Run(cfg, b)
 				if err != nil {
 					return nil, err
@@ -899,10 +621,9 @@ func (r *Runner) Fig16() (*Table, error) {
 // Fig 17: whole-chip energy with the first-order core model.
 // ---------------------------------------------------------------------
 
-// Fig17 regenerates the chip energy breakdown for core NDD fractions of
-// 10% and 40%.
-func (r *Runner) Fig17() (*Table, error) {
-	r.Prefetch(r.FigureRuns("17"))
+// fig17 regenerates the chip energy breakdown for core NDD fractions of
+// 10% and 40%: per fraction, one row per benchmark per network.
+func fig17(r *Runner, cfgs []config.Config) (*Table, error) {
 	t := &Table{
 		Title:   "Fig 17: Chip energy breakdown (core/cache/network), per core-NDD fraction",
 		Columns: []string{"benchmark", "NDD", "net", "ATAC+ coreNDD", "coreDD", "caches", "network", "total(mJ)"},
@@ -910,9 +631,8 @@ func (r *Runner) Fig17() (*Table, error) {
 	}
 	for _, ndd := range []float64{0.10, 0.40} {
 		for _, b := range r.apps() {
-			for _, kind := range []config.NetworkKind{config.ATACPlus, config.EMeshBCast} {
+			for _, cfg := range cfgs {
 				err := r.row(t, b, func() ([]string, error) {
-					cfg := r.Opt.Config(kind)
 					res, err := r.Run(cfg, b)
 					if err != nil {
 						return nil, err
@@ -924,7 +644,7 @@ func (r *Runner) Fig17() (*Table, error) {
 					}
 					bd := energy.Combine(m, res)
 					return []string{
-						fmt.Sprintf("%.0f%%", ndd*100), kind.String(),
+						fmt.Sprintf("%.0f%%", ndd*100), cfg.Network.Kind.String(),
 						f3(bd.CoreNDD * 1e3), f3(bd.CoreDD * 1e3),
 						f3(bd.Caches() * 1e3), f3(bd.Network() * 1e3), f3(bd.Total() * 1e3),
 					}, nil
@@ -936,12 +656,4 @@ func (r *Runner) Fig17() (*Table, error) {
 		}
 	}
 	return t, nil
-}
-
-func sharerNames() []string {
-	out := make([]string, len(SharerCounts))
-	for i, k := range SharerCounts {
-		out[i] = fmt.Sprint(k)
-	}
-	return out
 }

@@ -58,7 +58,7 @@ func TestDefaultOptions(t *testing.T) {
 }
 
 func TestFig4RuntimeOrdering(t *testing.T) {
-	tab, err := runner().Fig4()
+	tab, err := runner().Figure("4")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestFig4RuntimeOrdering(t *testing.T) {
 }
 
 func TestFig5And6Shapes(t *testing.T) {
-	t5, err := runner().Fig5()
+	t5, err := runner().Figure("5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestFig5And6Shapes(t *testing.T) {
 			t.Errorf("%s: traffic mix %v+%v != 100%%", row[0], u, b)
 		}
 	}
-	t6, err := runner().Fig6()
+	t6, err := runner().Figure("6")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestFig5And6Shapes(t *testing.T) {
 }
 
 func TestFig7Shape(t *testing.T) {
-	tab, err := runner().Fig7()
+	tab, err := runner().Figure("7")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestFig8Headline(t *testing.T) {
 }
 
 func TestFig9Shape(t *testing.T) {
-	tab, err := runner().Fig9()
+	tab, err := runner().Figure("9")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestFig10Area(t *testing.T) {
 }
 
 func TestFig11FlitWidth(t *testing.T) {
-	tab, err := runner().Fig11()
+	tab, err := runner().Figure("11")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestFig11FlitWidth(t *testing.T) {
 }
 
 func TestFig12StarNetSaves(t *testing.T) {
-	tab, err := runner().Fig12()
+	tab, err := runner().Figure("12")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestFig12StarNetSaves(t *testing.T) {
 }
 
 func TestFig13Routing(t *testing.T) {
-	tab, err := runner().Fig13()
+	tab, err := runner().Figure("13")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestFig13Routing(t *testing.T) {
 }
 
 func TestFig14Coherence(t *testing.T) {
-	tab, err := runner().Fig14()
+	tab, err := runner().Figure("14")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestFig14Coherence(t *testing.T) {
 }
 
 func TestFig15And16Sharers(t *testing.T) {
-	t15, err := runner().Fig15()
+	t15, err := runner().Figure("15")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestFig15And16Sharers(t *testing.T) {
 			}
 		}
 	}
-	t16, err := runner().Fig16()
+	t16, err := runner().Figure("16")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestFig15And16Sharers(t *testing.T) {
 }
 
 func TestFig17CoreDominates(t *testing.T) {
-	tab, err := runner().Fig17()
+	tab, err := runner().Figure("17")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +329,7 @@ func TestFig17CoreDominates(t *testing.T) {
 }
 
 func TestTableV(t *testing.T) {
-	tab, err := runner().TableV()
+	tab, err := runner().Figure("tablev")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +376,7 @@ func TestTableString(t *testing.T) {
 }
 
 func TestAblations(t *testing.T) {
-	tab, err := runner().Ablations()
+	tab, err := runner().Figure("ablations")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,25 +44,20 @@ func FaultScenarios() []FaultScenario {
 	}
 }
 
-// FaultRuns returns the sweep's run-set for one benchmark, in scenario
-// order (the campaign engine's prefetch work-list).
-func (r *Runner) FaultRuns(bench string) []RunSpec {
-	var specs []RunSpec
-	for _, sc := range FaultScenarios() {
-		cfg := r.Opt.Config(config.ATACPlus)
-		cfg.Fault = sc.Fault
-		specs = append(specs, RunSpec{Cfg: cfg, Bench: bench})
-	}
-	return specs
+// faultBench is the benchmark the resilience figure sweeps.
+const faultBench = "radix"
+
+// faultConfigs is one ATAC+ per fault scenario, in scenario order.
+func faultConfigs(r *Runner) []config.Config {
+	return atacSweep(r, FaultScenarios(), func(c *config.Config, sc FaultScenario) { c.Fault = sc.Fault })
 }
 
-// FaultSweep runs one benchmark across the fault scenarios on ATAC+ and
+// faultSweep runs faultBench across the fault scenarios on ATAC+ and
 // tabulates the performance and energy cost of resilience: runtime and EDP
 // inflation, retransmitted/rerouted traffic, and degraded channels.
-func (r *Runner) FaultSweep(bench string) (*Table, error) {
-	r.Prefetch(r.FaultRuns(bench))
+func faultSweep(r *Runner, cfgs []config.Config) (*Table, error) {
 	t := &Table{
-		Title:   fmt.Sprintf("Resilience sweep: %s on ATAC+ under injected faults", bench),
+		Title:   fmt.Sprintf("Resilience sweep: %s on ATAC+ under injected faults", faultBench),
 		Columns: []string{"scenario", "cycles", "Δcyc%", "retx flits", "rerouted", "degraded", "EDP (J·s)", "ΔEDP%", "overhead (µJ)"},
 		Notes: []string{
 			"optical retx is stop-and-wait at the hub; unicasts of degraded channels fall back to the ENet",
@@ -70,11 +65,10 @@ func (r *Runner) FaultSweep(bench string) (*Table, error) {
 		},
 	}
 	var baseCycles, baseEDP float64
-	for _, sc := range FaultScenarios() {
+	for i, sc := range FaultScenarios() {
+		cfg := cfgs[i]
 		err := r.row(t, sc.Name, func() ([]string, error) {
-			cfg := r.Opt.Config(config.ATACPlus)
-			cfg.Fault = sc.Fault
-			res, err := r.Run(cfg, bench)
+			res, err := r.Run(cfg, faultBench)
 			if err != nil {
 				return nil, fmt.Errorf("scenario %q: %w", sc.Name, err)
 			}

@@ -8,7 +8,7 @@ import (
 
 func TestFaultSweepShape(t *testing.T) {
 	r := NewRunner(Options{Cores: 16, Scale: 1, Seed: 42})
-	tab, err := r.FaultSweep("radix")
+	tab, err := r.Figure("faults")
 	if err != nil {
 		t.Fatal(err)
 	}

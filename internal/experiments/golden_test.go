@@ -41,7 +41,7 @@ func TestGoldenFigures16Core(t *testing.T) {
 	r.Cache = nil // hermetic: never recall results from a REPRO_CACHE dir
 	r.Apps = []string{"radix", "fmm", "lu_contig"}
 
-	fig4, err := r.Fig4()
+	fig4, err := r.Figure("4")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,28 +160,11 @@ func TestGoldenCampaign16Core(t *testing.T) {
 	r.Cache = nil // hermetic: never recall results from a REPRO_CACHE dir
 	r.Partial = true
 
-	figs := []struct {
-		id  string
-		run func() (*Table, error)
-	}{
-		{"3", func() (*Table, error) { return Fig3(r.Opt, nil), nil }},
-		{"4", r.Fig4}, {"5", r.Fig5}, {"6", r.Fig6}, {"7", r.Fig7},
-		{"8", func() (*Table, error) { t, _, _, err := r.Fig8(); return t, err }},
-		{"9", r.Fig9},
-		{"10", func() (*Table, error) { return Fig10(r.Opt) }},
-		{"11", r.Fig11}, {"12", r.Fig12}, {"13", r.Fig13}, {"14", r.Fig14},
-		{"15", r.Fig15}, {"16", r.Fig16}, {"17", r.Fig17},
-		{"tablev", r.TableV}, {"techsweep", r.TechSweep}, {"xtopo", r.Xtopo},
-		{"ablations", r.Ablations},
-		{"faults", func() (*Table, error) { return r.FaultSweep("radix") }},
-	}
-	var ids []string
 	var got strings.Builder
-	for _, f := range figs {
-		ids = append(ids, f.id)
-		tbl, err := f.run()
+	for _, id := range FigureIDs() {
+		tbl, err := r.Figure(id)
 		if err != nil {
-			t.Fatalf("figure %s: %v", f.id, err)
+			t.Fatalf("figure %s: %v", id, err)
 		}
 		fmt.Fprintln(&got, tbl)
 	}
@@ -195,7 +178,7 @@ func TestGoldenCampaign16Core(t *testing.T) {
 		t.Errorf("campaign diverged from testdata/campaign_16core.txt:\n%s", firstDiff(got.String(), want))
 	}
 
-	p := r.Provenance(ids, 0)
+	p := r.Provenance(FigureIDs(), 0)
 	const wantHash = "e1acd487cc40e4e0a8fa29362a343133cea2d08ed4201ec645624b645ae01d5f"
 	if p.Runs != 256 || p.RunSetHash != wantHash {
 		t.Errorf("run-set: %d runs, hash %s; want 256, %s", p.Runs, p.RunSetHash, wantHash)

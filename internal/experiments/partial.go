@@ -48,15 +48,3 @@ func (r *Runner) row(t *Table, label string, build func() ([]string, error)) err
 	t.noteMissing(label, err)
 	return nil
 }
-
-// skip reports whether err should degrade (annotate and move on) rather
-// than abort. Aggregate figures use it to exclude a failed benchmark from
-// their sums: true means "noted, carry on without it", false means the
-// caller must return the error.
-func (r *Runner) skip(t *Table, label string, err error) bool {
-	if !r.Partial {
-		return false
-	}
-	t.noteMissing(label, err)
-	return true
-}

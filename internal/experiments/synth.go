@@ -115,10 +115,7 @@ func (r *Runner) SynthSpecs(schemes []RoutingScheme, loads []float64, sp SynthSp
 // scheme under this Runner's campaign options.
 func (r *Runner) SchemeConfig(sch RoutingScheme) config.Config {
 	cfg := r.Opt.Config(config.ATACPlus)
-	cfg.Network.Routing = sch.Routing
-	if sch.RThres > 0 {
-		cfg.Network.RThres = sch.RThres
-	}
+	applyScheme(&cfg, sch)
 	return cfg
 }
 
@@ -172,4 +169,93 @@ func (r *Runner) runSynthetic(cfg config.Config, bench string, sp SynthSpec) (sy
 			MaxLat:    res.Latency.Max(),
 		},
 	}, nil
+}
+
+// ---------------------------------------------------------------------
+// Fig 3: latency vs offered load for the unicast routing schemes,
+// uniform-random traffic with 0.1% broadcasts (network-only experiment).
+// ---------------------------------------------------------------------
+
+// RoutingScheme is one Fig 3 series.
+type RoutingScheme struct {
+	Name    string
+	Routing config.RoutingPolicy
+	RThres  int
+}
+
+// Fig3Schemes returns the paper's series: Cluster, Distance-{5,15,25,35},
+// Distance-All. Thresholds are scaled to the configured mesh span.
+func Fig3Schemes(meshDim int) []RoutingScheme {
+	scaled := func(h int) int {
+		t := h * meshDim / 32 // the paper's thresholds assume a 32x32 mesh
+		if t < 1 {
+			t = 1
+		}
+		return t
+	}
+	return []RoutingScheme{
+		{"Cluster", config.ClusterRouting, 0},
+		{fmt.Sprintf("Distance-%d", scaled(5)), config.DistanceRouting, scaled(5)},
+		{fmt.Sprintf("Distance-%d", scaled(15)), config.DistanceRouting, scaled(15)},
+		{fmt.Sprintf("Distance-%d", scaled(25)), config.DistanceRouting, scaled(25)},
+		{fmt.Sprintf("Distance-%d", scaled(35)), config.DistanceRouting, scaled(35)},
+		{"Distance-All", config.ENetOnlyRouting, 0},
+	}
+}
+
+// applyScheme routes cfg by sch (Figs 3 and 13).
+func applyScheme(cfg *config.Config, sch RoutingScheme) {
+	cfg.Network.Routing = sch.Routing
+	if sch.RThres > 0 {
+		cfg.Network.RThres = sch.RThres
+	}
+}
+
+// SyntheticLatency drives uniform-random unicast traffic (plus bcastFrac
+// broadcasts) at `load` flits/cycle/core through an ATAC fabric with the
+// given routing scheme and returns the average delivery latency in cycles
+// for messages injected after warmup. Saturated networks report the
+// (large) latency accumulated before the drain horizon.
+func SyntheticLatency(o Options, sch RoutingScheme, load, bcastFrac float64, warmup, measure sim.Time) float64 {
+	cfg := o.Config(config.ATACPlus)
+	applyScheme(&cfg, sch)
+	var k sim.Kernel
+	a := noc.NewAtac(&k, &cfg)
+	p := traffic.Uniform{Cores: cfg.Cores, BcastFrac: bcastFrac}
+	res := traffic.Drive(&k, a, cfg.Cores, p, load, cfg.Network.FlitBits,
+		warmup, measure, synthDrainLimit, o.Seed)
+	return res.Latency.Mean()
+}
+
+// Fig3 regenerates the latency-vs-load curves.
+func Fig3(o Options, loads []float64) *Table {
+	if len(loads) == 0 {
+		loads = []float64{0.01, 0.02, 0.04, 0.08, 0.12, 0.16}
+	}
+	cfg := o.Config(config.ATACPlus)
+	schemes := Fig3Schemes(cfg.MeshDim())
+	t := &Table{
+		Title:   "Fig 3: Latency vs Offered Load (uniform random, 0.1% broadcasts)",
+		Columns: append([]string{"load (flits/cyc/core)"}, schemeNames(schemes)...),
+		Notes: []string{
+			"Cluster wins at low load (ONet zero-load latency); larger rthres wins as load rises",
+		},
+	}
+	for _, load := range loads {
+		row := []string{f3(load)}
+		for _, sch := range schemes {
+			lat := SyntheticLatency(o, sch, load, 0.001, 3000, 6000)
+			row = append(row, f2(lat))
+		}
+		t.Rows = append(t.Rows, row)
+	}
+	return t
+}
+
+func schemeNames(s []RoutingScheme) []string {
+	out := make([]string, len(s))
+	for i := range s {
+		out[i] = s[i].Name
+	}
+	return out
 }

@@ -94,23 +94,20 @@ func (r *Runner) techScenarios() []TechScenario {
 	return DefaultTechScenarios()
 }
 
-// scenarioConfig derives the ATAC+ campaign config pinned to scenario s.
-func (r *Runner) scenarioConfig(s TechScenario) config.Config {
-	cfg := r.Opt.Config(config.ATACPlus)
-	cfg.Tech = s.Tech
-	cfg.Optics = s.Optics
-	return cfg
+// techsweepConfigs is one ATAC+ per scenario of the sweep, each pinned to
+// its scenario's technology names.
+func techsweepConfigs(r *Runner) []config.Config {
+	return atacSweep(r, r.techScenarios(), func(c *config.Config, s TechScenario) { c.Tech, c.Optics = s.Tech, s.Optics })
 }
 
-// TechSweep renders the per-scenario EDP and uncore energy-breakdown
+// techSweep renders the per-scenario EDP and uncore energy-breakdown
 // comparison, benchmark-averaged and normalized to the first scenario
 // (the paper's baseline in the default set). The breakdown columns use
 // the campaign's configured flavor (athermal ATAC+ by default); the
 // "ring tuning" and "EDP tuned" columns re-evaluate the same runs under
 // ATAC+(RingTuned) so the thermal-tuning cost of each optical variant is
 // visible even when the primary flavor is athermal.
-func (r *Runner) TechSweep() (*Table, error) {
-	r.Prefetch(r.FigureRuns("techsweep"))
+func techSweep(r *Runner, cfgs []config.Config) (*Table, error) {
 	scens := r.techScenarios()
 	ref := scens[0].Name()
 	t := &Table{
@@ -123,69 +120,45 @@ func (r *Runner) TechSweep() (*Table, error) {
 		},
 	}
 
-	type agg struct{ laser, tuning, other, elec, caches, uncore, edp, edpTuned float64 }
+	type agg struct {
+		uncoreSums
+		edp, edpTuned float64
+	}
 	sums := make([]agg, len(scens))
-	contributed := 0
-	for _, b := range r.apps() {
-		// Gather every scenario's run for this benchmark before touching
-		// the sums, so a failure excludes the benchmark cleanly.
-		results := make([]system.Result, len(scens))
-		ok := true
-		for i, s := range scens {
-			res, err := r.Run(r.scenarioConfig(s), b)
-			if err != nil {
-				if r.skip(t, "benchmark "+b, err) {
-					ok = false
-					break
-				}
-				return nil, err
-			}
-			results[i] = res
-		}
-		if !ok {
-			continue
-		}
-		contributed++
-		for i, s := range scens {
-			cfg := r.scenarioConfig(s)
+	contributed, err := r.eachBench(t, cfgs, func(_ string, res []system.Result) error {
+		for i, cfg := range cfgs {
 			m, err := models(cfg)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			bd := energy.Combine(m, results[i])
-			sums[i].laser += bd.Laser
-			sums[i].tuning += bd.RingTuning
-			sums[i].other += bd.ONetOther
-			sums[i].elec += bd.NetElecDyn + bd.NetElecStatic
-			sums[i].caches += bd.Caches()
-			sums[i].uncore += bd.UncoreTotal()
-			sums[i].edp += energy.EDP(m, results[i])
+			bd := energy.Combine(m, res[i])
+			sums[i].add(bd)
+			sums[i].edp += energy.EDP(m, res[i])
 
-			tuned := cfg
-			tuned.Network.Flavor = config.FlavorRingTuned
-			mt, err := models(tuned)
+			mt, err := models(withFlavor(cfg, config.FlavorRingTuned))
 			if err != nil {
-				return nil, err
+				return err
 			}
-			sums[i].tuning += energy.Combine(mt, results[i]).RingTuning - bd.RingTuning
-			sums[i].edpTuned += energy.EDP(mt, results[i])
+			sums[i].tuning += energy.Combine(mt, res[i]).RingTuning - bd.RingTuning
+			sums[i].edpTuned += energy.EDP(mt, res[i])
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	if contributed == 0 {
 		return nil, fmt.Errorf("techsweep: every benchmark failed")
 	}
 
-	normE, normEDP := sums[0].uncore, sums[0].edp
+	normE, normEDP := sums[0].total, sums[0].edp
 	if normE <= 0 || normEDP <= 0 {
 		return nil, fmt.Errorf("techsweep: reference scenario %s has no energy", ref)
 	}
 	for i, s := range scens {
 		a := sums[i]
-		t.Rows = append(t.Rows, []string{
-			s.Name(), f3(a.laser / normE), f3(a.tuning / normE), f3(a.other / normE),
-			f3(a.elec / normE), f3(a.caches / normE), f3(a.uncore / normE),
-			f3(a.edp / normEDP), f3(a.edpTuned / normEDP),
-		})
+		row := append([]string{s.Name()}, a.cells(normE)...)
+		t.Rows = append(t.Rows, append(row, f3(a.edp/normEDP), f3(a.edpTuned/normEDP)))
 	}
 	return t, nil
 }

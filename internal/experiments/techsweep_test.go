@@ -125,7 +125,7 @@ func TestFigureRunsTechsweep(t *testing.T) {
 func TestTechSweepTable(t *testing.T) {
 	r := testCampaignRunner()
 	r.Apps = []string{"radix"}
-	tbl, err := r.TechSweep()
+	tbl, err := r.Figure("techsweep")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestTechSweepCustomScenarios(t *testing.T) {
 	if got := len(r.FigureRuns("techsweep")); got != 2 {
 		t.Fatalf("restricted techsweep declares %d runs, want 2", got)
 	}
-	tbl, err := r.TechSweep()
+	tbl, err := r.Figure("techsweep")
 	if err != nil {
 		t.Fatal(err)
 	}

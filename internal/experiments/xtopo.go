@@ -50,13 +50,18 @@ func xtopoHybridRadius(cfg config.Config) int {
 	return 1
 }
 
-// xtopoConfig derives the campaign config for one topology of the sweep.
-func (r *Runner) xtopoConfig(k config.NetworkKind) config.Config {
-	cfg := r.Opt.Config(k)
-	if k == config.HybridMesh {
-		cfg.Hybrid.Radius = xtopoHybridRadius(cfg)
+// xtopoConfigs is the campaign's default config of each topology of the
+// sweep; the hybrid gets the geometry's gateway radius.
+func xtopoConfigs(r *Runner) []config.Config {
+	var cfgs []config.Config
+	for _, k := range r.xtopoKinds() {
+		cfg := r.Opt.Config(k)
+		if k == config.HybridMesh {
+			cfg.Hybrid.Radius = xtopoHybridRadius(cfg)
+		}
+		cfgs = append(cfgs, cfg)
 	}
-	return cfg
+	return cfgs
 }
 
 // xtopoLabel names one topology column; the hybrid carries its gateway
@@ -68,17 +73,13 @@ func (r *Runner) xtopoLabel(k config.NetworkKind) string {
 	return k.String()
 }
 
-// Xtopo renders the cross-topology comparison: per-workload EDP and mean
+// xtopo renders the cross-topology comparison: per-workload EDP and mean
 // delivery latency normalized to the first topology, plus the absolute
 // optical wall power (laser + ring tuning) each fabric pays for that
 // performance. Purely electrical topologies show 0 optical power — that
 // column is the price axis of the EDP/latency comparison, not a ratio.
-func (r *Runner) Xtopo() (*Table, error) {
-	r.Prefetch(r.FigureRuns("xtopo"))
+func xtopo(r *Runner, cfgs []config.Config) (*Table, error) {
 	kinds := r.xtopoKinds()
-	if len(kinds) == 0 {
-		return nil, fmt.Errorf("xtopo: no topologies")
-	}
 	ref := r.xtopoLabel(kinds[0])
 	t := &Table{
 		Title:   fmt.Sprintf("Xtopo: EDP, latency and optical power by NoC backend [EDP and latency normalized to %s]", ref),
@@ -95,32 +96,12 @@ func (r *Runner) Xtopo() (*Table, error) {
 
 	type cell struct{ edp, lat, optW float64 }
 	sums := make([]cell, len(kinds))
-	contributed := 0
-	for _, b := range r.apps() {
-		// Gather every topology's run for this benchmark before touching
-		// the sums, so a failure excludes the benchmark cleanly.
-		results := make([]system.Result, len(kinds))
-		ok := true
-		for i, k := range kinds {
-			res, err := r.Run(r.xtopoConfig(k), b)
-			if err != nil {
-				if r.skip(t, "benchmark "+b, err) {
-					ok = false
-					break
-				}
-				return nil, err
-			}
-			results[i] = res
-		}
-		if !ok {
-			continue
-		}
-		contributed++
+	contributed, err := r.eachBench(t, cfgs, func(b string, results []system.Result) error {
 		cells := make([]cell, len(kinds))
-		for i, k := range kinds {
-			m, err := models(r.xtopoConfig(k))
+		for i, cfg := range cfgs {
+			m, err := models(cfg)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			bd := energy.Combine(m, results[i])
 			cells[i].edp = energy.EDP(m, results[i])
@@ -135,7 +116,7 @@ func (r *Runner) Xtopo() (*Table, error) {
 			sums[i].optW += cells[i].optW
 		}
 		if cells[0].edp <= 0 || cells[0].lat <= 0 {
-			return nil, fmt.Errorf("xtopo: reference %s has no signal for %s", ref, b)
+			return fmt.Errorf("xtopo: reference %s has no signal for %s", ref, b)
 		}
 		row := []string{b}
 		for i := range kinds {
@@ -143,6 +124,10 @@ func (r *Runner) Xtopo() (*Table, error) {
 				f3(cells[i].lat/cells[0].lat), f3(cells[i].optW))
 		}
 		t.Rows = append(t.Rows, row)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	if contributed == 0 {
 		return nil, fmt.Errorf("xtopo: every benchmark failed")
