@@ -29,7 +29,7 @@ func ablationVariants() []ablationVariant {
 // ablationConfigs is the default ATAC+ (the normalization base), then one
 // mutated ATAC+ per variant.
 func ablationConfigs(r *Runner) []config.Config {
-	return append(onKinds(config.ATACPlus)(r),
+	return append([]config.Config{r.Opt.Config(config.ATACPlus)},
 		atacSweep(r, ablationVariants(), func(c *config.Config, v ablationVariant) { v.mut(c) })...)
 }
 

@@ -386,7 +386,7 @@ var flitWidths = []int{16, 32, 64, 128, 256}
 // flitWidthConfigs is the default ATAC+ (the normalization base), then
 // one ATAC+ per swept flit width.
 func flitWidthConfigs(r *Runner) []config.Config {
-	return append(onKinds(config.ATACPlus)(r),
+	return append([]config.Config{r.Opt.Config(config.ATACPlus)},
 		atacSweep(r, flitWidths, func(c *config.Config, w int) { c.Network.FlitBits = w })...)
 }
 
