@@ -183,6 +183,18 @@ func TestGoldenCampaign16Core(t *testing.T) {
 	if p.Runs != 256 || p.RunSetHash != wantHash {
 		t.Errorf("run-set: %d runs, hash %s; want 256, %s", p.Runs, p.RunSetHash, wantHash)
 	}
+	// The two averages of Fig 8's closing note, as numbers: the rendered
+	// table rounds them to two decimals. Recalled from the warm runner, so
+	// this simulates nothing.
+	_, avgB, avgP, err := r.Fig8()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const wantB, wantP, tol = 0.784380535709, 0.801311808791, 1e-9
+	if math.Abs(avgB-wantB) > tol || math.Abs(avgP-wantP) > tol {
+		t.Errorf("avg EDP vs ATAC+: EMesh-BCast %.12f, EMesh-Pure %.12f; want %.12f, %.12f",
+			avgB, avgP, wantB, wantP)
+	}
 	if r.FreshRuns() != 256 {
 		t.Errorf("%d fresh simulations, want the 256 declared", r.FreshRuns())
 	}

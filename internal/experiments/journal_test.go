@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -150,4 +151,97 @@ func TestAtomicWriteFile(t *testing.T) {
 	if len(entries) != 1 {
 		t.Fatalf("directory holds %d entries, want 1", len(entries))
 	}
+}
+
+// normAt replaces every record's wall-clock stamp, the only bytes of a
+// journal that differ between two runs of the same script.
+func normAt(data []byte) string { return atStamp.ReplaceAllString(string(data), `"at":"T"`) }
+
+var atStamp = regexp.MustCompile(`"at":"[^"]*"`)
+
+// TestJournalFormat pins journal.jsonl byte for byte: old cache
+// directories, the smokes' greps and the bench probes read this format.
+// One scripted transition sequence is compared raw and after Compact, and
+// a hand-written file holding every kind of line replay must survive — a
+// foreign line, a keyless record, superseded records, a blank line and a
+// torn tail — is replayed.
+func TestJournalFormat(t *testing.T) {
+	path := filepath.Join(t.TempDir(), JournalFileName)
+	j, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Begin("h1", "k1", 1)
+	j.Done("h1", "k1", 1, 1500*time.Millisecond)
+	j.Begin("h2", "k2", 1)
+	j.Fail("h2", "k2", 2, time.Second, errors.New("watchdog stall"))
+	j.Begin("h0", "k3", 1)
+	const raw = `{"hash":"h1","key":"k1","status":"running","attempt":1,"at":"T"}
+{"hash":"h1","key":"k1","status":"done","attempt":1,"wall_ms":1500,"at":"T"}
+{"hash":"h2","key":"k2","status":"running","attempt":1,"at":"T"}
+{"hash":"h2","key":"k2","status":"failed","attempt":2,"wall_ms":1000,"error":"watchdog stall","at":"T"}
+{"hash":"h0","key":"k3","status":"running","attempt":1,"at":"T"}
+`
+	const compacted = `{"hash":"h1","key":"k1","status":"done","attempt":1,"wall_ms":1500,"at":"T"}
+{"hash":"h2","key":"k2","status":"failed","attempt":2,"wall_ms":1000,"error":"watchdog stall","at":"T"}
+{"hash":"h0","key":"k3","status":"running","attempt":1,"at":"T"}
+`
+	check := func(when, want string) {
+		t.Helper()
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := normAt(data); got != want {
+			t.Errorf("%s:\n got:\n%swant:\n%s", when, got, want)
+		}
+	}
+	check("appended", raw)
+	if err := j.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	check("compacted", compacted)
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	check("closed", compacted)
+
+	const fixture = `{"hash":"h1","key":"k1","status":"running","attempt":1,"at":"2024-05-01T10:00:00Z"}
+not a journal line
+
+{"key":"nohash","status":"done","attempt":1,"at":"2024-05-01T10:00:01Z"}
+{"hash":"h2","key":"k2","status":"running","attempt":1,"at":"2024-05-01T10:00:02Z"}
+{"hash":"h1","key":"k1","status":"done","attempt":1,"wall_ms":12.5,"at":"2024-05-01T10:00:03Z"}
+{"hash":"h2","key":"k2","status":"running","attempt":2,"at":"2024-05-01T10:00:04Z"}
+{"hash":"h2","key":"k2","status":"failed","attempt":2,"wall_ms":3,"error":"boom","at":"2024-05-01T10:00:05Z"}
+{"hash":"h3","key":"k3","sta`
+	if err := os.WriteFile(path, []byte(fixture), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j2, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j2.Len() != 2 {
+		t.Errorf("replayed %d runs, want 2", j2.Len())
+	}
+	want1 := JournalEntry{Hash: "h1", Key: "k1", Status: StatusDone, Attempt: 1, WallMS: 12.5, At: "2024-05-01T10:00:03Z"}
+	want2 := JournalEntry{Hash: "h2", Key: "k2", Status: StatusFailed, Attempt: 2, WallMS: 3, Error: "boom", At: "2024-05-01T10:00:05Z"}
+	if e, ok := j2.Lookup("h1"); !ok || e != want1 {
+		t.Errorf("h1 = %+v, %v; want %+v", e, ok, want1)
+	}
+	if e, ok := j2.Lookup("h2"); !ok || e != want2 {
+		t.Errorf("h2 = %+v, %v; want %+v", e, ok, want2)
+	}
+	if _, ok := j2.Lookup(""); ok {
+		t.Error("the keyless record replayed")
+	}
+	// Opening does not rewrite the journal; closing compacts it.
+	check("reopened", normAt([]byte(fixture)))
+	if err := j2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	check("fixture compacted", `{"hash":"h1","key":"k1","status":"done","attempt":1,"wall_ms":12.5,"at":"T"}
+{"hash":"h2","key":"k2","status":"failed","attempt":2,"wall_ms":3,"error":"boom","at":"T"}
+`)
 }

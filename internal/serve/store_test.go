@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -176,5 +177,110 @@ func TestStoreNil(t *testing.T) {
 	}
 	if err := st.Close(); err != nil {
 		t.Errorf("nil Close: %v", err)
+	}
+}
+
+var atStamp = regexp.MustCompile(`"at":"[^"]*"`)
+
+// TestStoreFormat pins jobs.jsonl byte for byte, the way TestJournalFormat
+// pins the journal: one scripted Accept/Settle sequence compared raw, after
+// Compact and after a reopen (which compacts), with the wall-clock stamp
+// normalised; then a hand-written ledger holding a foreign line, a keyless
+// record, superseded records, a blank line and a torn tail is opened.
+func TestStoreFormat(t *testing.T) {
+	path := filepath.Join(t.TempDir(), StoreFileName)
+	check := func(when, want string) {
+		t.Helper()
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := atStamp.ReplaceAllString(string(data), `"at":"T"`); got != want {
+			t.Errorf("%s:\n got:\n%swant:\n%s", when, got, want)
+		}
+	}
+	st, err := OpenJobStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("opened", "")
+	// Hashes ascend in acceptance order, so compaction's (at, hash) order
+	// is the script's order even when the clock ticks mid-test.
+	for _, a := range []struct{ id, hash, bench string }{{"id-a", "hash-a", "radix"}, {"id-b", "hash-b", "fft"}} {
+		if err := st.Accept(a.id, a.hash, storeSpec(a.bench)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st.Settle("id-a", "hash-a", StoreDone, "")
+	if err := st.Accept("id-c", "hash-c", storeSpec("water")); err != nil {
+		t.Fatal(err)
+	}
+	st.Settle("id-c", "hash-c", StoreFailed, "boom")
+	check("appended", `{"id":"id-a","hash":"hash-a","status":"accepted","spec":{"bench":"radix","cores":16,"seed":1},"at":"T"}
+{"id":"id-b","hash":"hash-b","status":"accepted","spec":{"bench":"fft","cores":16,"seed":1},"at":"T"}
+{"id":"id-a","hash":"hash-a","status":"done","spec":{"bench":"radix","cores":16,"seed":1},"at":"T"}
+{"id":"id-c","hash":"hash-c","status":"accepted","spec":{"bench":"water","cores":16,"seed":1},"at":"T"}
+{"id":"id-c","hash":"hash-c","status":"failed","spec":{"bench":"water","cores":16,"seed":1},"error":"boom","at":"T"}
+`)
+	const compacted = `{"id":"id-a","hash":"hash-a","status":"done","spec":{"bench":"radix","cores":16,"seed":1},"at":"T"}
+{"id":"id-b","hash":"hash-b","status":"accepted","spec":{"bench":"fft","cores":16,"seed":1},"at":"T"}
+{"id":"id-c","hash":"hash-c","status":"failed","spec":{"bench":"water","cores":16,"seed":1},"error":"boom","at":"T"}
+`
+	if err := st.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	check("compacted", compacted)
+	// SIGKILL: no Close. The next open replays and compacts.
+	st2, err := OpenJobStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("reopened", compacted)
+	if got := st2.Pending(); got != 1 {
+		t.Errorf("Pending = %d, want 1", got)
+	}
+	if err := st2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	check("closed", compacted)
+
+	// A settle keeps the acceptance stamp, so ledger order stays
+	// submission order: hash-z was accepted first and sorts first.
+	const fixture = `{"id":"z","hash":"hash-z","status":"accepted","spec":{"bench":"radix","cores":16},"at":"2024-05-01T10:00:00Z"}
+not a ledger line
+
+{"id":"k","status":"accepted","spec":{"bench":"fft"},"at":"2024-05-01T10:00:01Z"}
+{"id":"y","hash":"hash-y","status":"accepted","spec":{"bench":"fft","cores":16},"at":"2024-05-01T10:00:02Z"}
+{"id":"z","hash":"hash-z","status":"done","spec":{"bench":"radix","cores":16},"at":"2024-05-01T10:00:00Z"}
+{"id":"x","hash":"hash-x","status":"accepted","spec":{"bench":"water","cores":16},"at":"2024-05-01T10:00:02Z"}
+{"id":"w","hash":"hash-w","sta`
+	if err := os.WriteFile(path, []byte(fixture), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st3, err := OpenJobStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st3.Close()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"id":"z","hash":"hash-z","status":"done","spec":{"bench":"radix","cores":16},"at":"2024-05-01T10:00:00Z"}
+{"id":"x","hash":"hash-x","status":"accepted","spec":{"bench":"water","cores":16},"at":"2024-05-01T10:00:02Z"}
+{"id":"y","hash":"hash-y","status":"accepted","spec":{"bench":"fft","cores":16},"at":"2024-05-01T10:00:02Z"}
+`
+	if string(data) != want {
+		t.Errorf("fixture after open:\n got:\n%swant:\n%s", data, want)
+	}
+	var order []string
+	for _, e := range st3.Entries() {
+		order = append(order, e.ID+"="+e.Status)
+	}
+	if got := strings.Join(order, " "); got != "z=done x=accepted y=accepted" {
+		t.Errorf("Entries = %s", got)
+	}
+	if got := st3.Pending(); got != 2 {
+		t.Errorf("Pending = %d, want 2", got)
 	}
 }
