@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/config"
+	"repro/internal/recordlog"
 	"repro/internal/resultstore"
 	"repro/internal/system"
 	"repro/internal/version"
@@ -131,7 +132,7 @@ func (c *Cache) PutEntry(hash string, data []byte) error {
 	if resultstore.Hash(e.Key) != hash {
 		return fmt.Errorf("cache: entry key does not hash to %s", hash[:12])
 	}
-	if err := AtomicWriteFile(filepath.Join(c.dir, hash+".json"), data, 0o644); err != nil {
+	if err := recordlog.AtomicWriteFile(filepath.Join(c.dir, hash+".json"), data, 0o644); err != nil {
 		return fmt.Errorf("cache: %w", err)
 	}
 	if c.MaxBytes > 0 {
@@ -195,7 +196,7 @@ func (c *Cache) quarantine(path, reason string) {
 // Quarantined reports how many entries this Cache has quarantined.
 func (c *Cache) Quarantined() uint64 { return c.quarantined.Load() }
 
-// Put stores res under key via fsync-and-rename (AtomicWriteFile, shared
+// Put stores res under key via fsync-and-rename (recordlog.AtomicWriteFile, shared
 // with the journal and the manifest writer). Errors are returned so
 // callers can warn, but a failed Put only costs a future re-simulation —
 // it is never fatal.
@@ -204,7 +205,7 @@ func (c *Cache) Put(key string, res system.Result) error {
 	if err != nil {
 		return fmt.Errorf("cache: %w", err)
 	}
-	if err := AtomicWriteFile(c.path(key), data, 0o644); err != nil {
+	if err := recordlog.AtomicWriteFile(c.path(key), data, 0o644); err != nil {
 		return fmt.Errorf("cache: %w", err)
 	}
 	if c.MaxBytes > 0 {

@@ -1,33 +1,17 @@
-// Write-ahead run journal: the crash-safe ledger that makes a campaign
-// resumable. One JSONL record is appended (and flushed) per run-state
-// transition, so at any instant the file on disk names every run that is
-// in flight, done, or terminally failed. A later invocation replays the
-// journal before simulating:
-//
-//   - "done" runs are expected in the persistent cache (the journal holds
-//     status, the cache holds results);
-//   - terminal "failed" runs can be recalled as failures without
-//     re-simulating them — simulations are deterministic, so a watchdog
-//     trip or event-budget exhaustion reproduces exactly;
-//   - "running" records with no terminal successor are the runs a crash or
-//     interrupt cut down mid-flight; they simply run again.
-//
-// Appends are single short writes on an O_APPEND handle; a crash can tear
-// at most the final line, and replay skips an unparsable tail instead of
-// failing. Compact rewrites the journal to one terminal record per run via
-// the same fsync-and-rename discipline the result cache uses.
+// Write-ahead run journal: what makes a campaign resumable. One record is
+// appended per run-state transition, and a later invocation replays them
+// before simulating: "done" runs are expected in the persistent cache,
+// terminal "failed" runs are recalled without re-simulating (simulations
+// are deterministic), "running" records with no successor were cut down by
+// a crash and run again. The file mechanics are internal/recordlog's.
 package experiments
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
+	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
-	"sync"
 	"time"
+
+	"repro/internal/recordlog"
 )
 
 // Run states recorded in the journal.
@@ -38,8 +22,7 @@ const (
 )
 
 // JournalEntry is one run-state transition. Hash is the run's persistent
-// identity (the sha256 hex the cache also files the result under); Key is
-// the human-readable in-campaign run key kept for forensics.
+// identity (the cache's file name); Key is the human-readable run key.
 type JournalEntry struct {
 	Hash    string  `json:"hash"`
 	Key     string  `json:"key"`
@@ -50,85 +33,28 @@ type JournalEntry struct {
 	At      string  `json:"at"` // RFC 3339, wall clock
 }
 
-// Journal is the append-only run ledger. Methods are safe for concurrent
-// use; appends from concurrent workers serialize behind one mutex so lines
-// never interleave.
-type Journal struct {
-	mu    sync.Mutex
-	f     *os.File
-	path  string
-	state map[string]JournalEntry // last record per hash, replay + live
-}
+// Journal is the append-only run ledger, keyed by run hash. Methods are
+// safe for concurrent use; a nil *Journal records nothing.
+type Journal struct{ log *recordlog.Log[JournalEntry] }
 
 // JournalFileName is the journal's file name inside a cache directory.
 const JournalFileName = "journal.jsonl"
 
-// OpenJournal opens (creating if needed) the journal at path, replaying
-// any existing records. A torn trailing line — the signature of a crash
-// mid-append — is skipped, not an error.
+// OpenJournal opens (creating if needed) and replays the journal at path.
 func OpenJournal(path string) (*Journal, error) {
-	if path == "" {
-		return nil, fmt.Errorf("journal: empty path")
-	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return nil, fmt.Errorf("journal: %w", err)
-	}
-	state, err := replayJournal(path)
-	if err != nil {
-		return nil, err
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	l, err := recordlog.Open(path, func(e JournalEntry) string { return e.Hash })
 	if err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
-	return &Journal{f: f, path: path, state: state}, nil
+	return &Journal{l}, nil
 }
 
-// replayJournal reads the journal into a last-record-per-hash map.
-func replayJournal(path string) (map[string]JournalEntry, error) {
-	state := make(map[string]JournalEntry)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return state, nil
-		}
-		return nil, fmt.Errorf("journal: %w", err)
-	}
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var e JournalEntry
-		if err := json.Unmarshal(line, &e); err != nil || e.Hash == "" {
-			// A torn or foreign line: tolerate it. Every intact record is
-			// self-contained, so skipping loses at most one transition.
-			continue
-		}
-		state[e.Hash] = e
-	}
-	return state, sc.Err()
-}
+func (j *Journal) Path() string { return j.log.Path() }
 
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
-
-// Lookup returns the last recorded state of the run with the given hash.
-func (j *Journal) Lookup(hash string) (JournalEntry, bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	e, ok := j.state[hash]
-	return e, ok
-}
-
+// Lookup returns the last recorded state of the run with the given hash;
 // Len reports how many distinct runs the journal knows about.
-func (j *Journal) Len() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return len(j.state)
-}
+func (j *Journal) Lookup(hash string) (JournalEntry, bool) { return j.log.Get(hash) }
+func (j *Journal) Len() int                                { return j.log.Len() }
 
 // Begin records that an attempt at the run is starting (write-ahead: the
 // record hits disk before the simulation does any work).
@@ -142,8 +68,8 @@ func (j *Journal) Done(hash, key string, attempt int, wall time.Duration) {
 		WallMS: float64(wall.Microseconds()) / 1e3})
 }
 
-// Fail records a terminal failure: every allowed attempt has been spent
-// (or the error class is deterministic, so retrying is pointless).
+// Fail records a terminal failure: no attempt is left, or retrying is
+// pointless because the error class is deterministic.
 func (j *Journal) Fail(hash, key string, attempt int, wall time.Duration, runErr error) {
 	msg := ""
 	if runErr != nil {
@@ -153,68 +79,29 @@ func (j *Journal) Fail(hash, key string, attempt int, wall time.Duration, runErr
 		WallMS: float64(wall.Microseconds()) / 1e3, Error: msg})
 }
 
-// append serializes one record and flushes it to the journal file. Journal
-// trouble is never allowed to take a campaign down: a failed append only
-// costs resumability for that record.
+// append stamps and records one transition. Journal trouble never takes a
+// campaign down: a failed append only costs that record's resumability.
 func (j *Journal) append(e JournalEntry) {
 	if j == nil {
 		return
 	}
 	e.At = time.Now().UTC().Format(time.RFC3339)
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.state[e.Hash] = e
-	if j.f == nil {
-		return
-	}
-	data, err := json.Marshal(e)
-	if err != nil {
-		return
-	}
-	// One Write call per record: an O_APPEND write of a short line is as
-	// close to atomic as POSIX offers, and replay tolerates a torn tail.
-	_, _ = j.f.Write(append(data, '\n'))
+	_ = j.log.Append(e)
 }
 
-// Compact rewrites the journal to exactly one record per run — the latest
-// state, sorted by key for reproducible output — using the cache's
-// fsync-and-rename discipline so an interrupt during compaction leaves
-// either the old journal or the new one, never a hybrid.
+// Compact rewrites the journal to one record per run in (key, hash) order.
+// Key alone is not unique: a cache directory that sees two -scale or
+// horizon values holds runs that share a key and differ in hash.
 func (j *Journal) Compact() error {
 	if j == nil {
 		return nil
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	entries := make([]JournalEntry, 0, len(j.state))
-	for _, e := range j.state {
-		entries = append(entries, e)
-	}
-	sort.Slice(entries, func(a, b int) bool { return entries[a].Key < entries[b].Key })
-	var buf bytes.Buffer
-	for _, e := range entries {
-		data, err := json.Marshal(e)
-		if err != nil {
-			return fmt.Errorf("journal: %w", err)
+	return j.log.Compact(func(a, b JournalEntry) bool {
+		if a.Key != b.Key {
+			return a.Key < b.Key
 		}
-		buf.Write(data)
-		buf.WriteByte('\n')
-	}
-	if err := AtomicWriteFile(j.path, buf.Bytes(), 0o644); err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	// Reopen the append handle on the new file (the rename orphaned the
-	// old inode).
-	if j.f != nil {
-		j.f.Close()
-	}
-	f, err := os.OpenFile(j.path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		j.f = nil
-		return fmt.Errorf("journal: %w", err)
-	}
-	j.f = f
-	return nil
+		return a.Hash < b.Hash
+	})
 }
 
 // Close compacts and closes the journal.
@@ -222,48 +109,5 @@ func (j *Journal) Close() error {
 	if j == nil {
 		return nil
 	}
-	err := j.Compact()
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f != nil {
-		if cerr := j.f.Close(); err == nil {
-			err = cerr
-		}
-		j.f = nil
-	}
-	return err
-}
-
-// AtomicWriteFile writes data at path via a sibling temp file, fsync, and
-// rename, so a reader (or a crash) can never observe a torn file. It is
-// the one write discipline every durable artifact in the repository uses:
-// the result cache, the journal and job-store compactions, and the
-// provenance manifest.
-func AtomicWriteFile(path string, data []byte, perm os.FileMode) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	// Widen from CreateTemp's 0600 before publishing (best effort).
-	_ = tmp.Chmod(perm)
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return nil
+	return errors.Join(j.Compact(), j.log.Close())
 }

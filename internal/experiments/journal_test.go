@@ -131,28 +131,6 @@ func TestJournalCompact(t *testing.T) {
 	}
 }
 
-func TestAtomicWriteFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "out.json")
-	if err := AtomicWriteFile(path, []byte("v1"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := AtomicWriteFile(path, []byte("v2"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil || string(data) != "v2" {
-		t.Fatalf("data=%q err=%v", data, err)
-	}
-	// No temp litter left behind.
-	entries, err := os.ReadDir(filepath.Dir(path))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 {
-		t.Fatalf("directory holds %d entries, want 1", len(entries))
-	}
-}
-
 // normAt replaces every record's wall-clock stamp, the only bytes of a
 // journal that differ between two runs of the same script.
 func normAt(data []byte) string { return atStamp.ReplaceAllString(string(data), `"at":"T"`) }
@@ -244,4 +222,43 @@ not a journal line
 	check("fixture compacted", `{"hash":"h1","key":"k1","status":"done","attempt":1,"wall_ms":12.5,"at":"T"}
 {"hash":"h2","key":"k2","status":"failed","attempt":2,"wall_ms":3,"error":"boom","at":"T"}
 `)
+}
+
+// TestJournalCompactTotalOrder: runs that share a key and differ in hash —
+// one cache directory, several -scale or horizon values — compact in hash
+// order, so the same state always compacts to the same bytes. (Compact
+// used to sort on the key alone, leaving ties in map-iteration order.)
+func TestJournalCompactTotalOrder(t *testing.T) {
+	path := filepath.Join(t.TempDir(), JournalFileName)
+	j, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	for _, h := range []string{"h7", "h2", "h5", "h0", "h6", "h1", "h4", "h3"} {
+		j.Done(h, "radix/ATAC+", 1, 0)
+	}
+	j.Done("hz", "fft/ATAC+", 1, 0)
+	var first string
+	for i := 0; i < 4; i++ {
+		if err := j.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = string(data)
+		} else if string(data) != first {
+			t.Fatalf("compaction %d differs from the first:\n%s\nvs\n%s", i, data, first)
+		}
+	}
+	var got []string
+	for _, line := range strings.Split(strings.TrimSpace(first), "\n") {
+		got = append(got, line[len(`{"hash":"`):len(`{"hash":"h0`)])
+	}
+	if want := "hz h0 h1 h2 h3 h4 h5 h6 h7"; strings.Join(got, " ") != want {
+		t.Errorf("compacted order %v, want %s", got, want)
+	}
 }

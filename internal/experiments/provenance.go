@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/photonics"
+	"repro/internal/recordlog"
 	"repro/internal/tech"
 	"repro/internal/version"
 )
@@ -132,5 +133,5 @@ func WriteManifest(path string, p Provenance) error {
 	if err != nil {
 		return err
 	}
-	return AtomicWriteFile(path, append(data, '\n'), 0o644)
+	return recordlog.AtomicWriteFile(path, append(data, '\n'), 0o644)
 }

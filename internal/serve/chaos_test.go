@@ -363,12 +363,7 @@ func TestHealthzStoreUnwritable(t *testing.T) {
 
 func breakStore(t *testing.T, store *JobStore) {
 	t.Helper()
-	store.mu.Lock()
-	if store.f != nil {
-		store.f.Close()
-		store.f = nil
-	}
-	store.mu.Unlock()
+	store.log.Close() // drops the handle; the next append reopens the path
 	if err := os.Remove(store.Path()); err != nil {
 		t.Fatal(err)
 	}

@@ -1,35 +1,19 @@
-// Durable job store: the crash-only half of the serving daemon.
-//
-// Every accepted job is appended to a JSONL ledger (jobs.jsonl, next to
-// the campaign journal in the cache directory) *before* the 202 response
-// leaves the process, so the set of jobs the daemon owes answers for is
-// always recoverable from disk. The format mirrors the run journal:
-// appends are single short writes on an O_APPEND handle, a crash tears at
-// most the final line, and replay skips an unparsable tail instead of
-// failing. Opening the store compacts it — recovery IS the normal startup
-// path, which is the crash-only discipline: there is no separate "clean"
-// shutdown state to maintain.
-//
-// On startup the daemon replays the ledger and re-enqueues every job that
-// is not terminally settled. Re-enqueueing a job that had already
-// finished is free and byte-stable: the campaign's persistent cache
-// answers done runs without simulating, and the run journal recalls
-// terminal failures verbatim — so SIGKILL at any instant converges to the
-// same bytes.
+// Durable job store: the crash-only half of the serving daemon. Every
+// accepted job is appended to a ledger (jobs.jsonl, next to the journal in
+// the cache directory) *before* the 202 leaves the process; startup replays
+// it and re-enqueues every job not terminally settled. Re-enqueueing a
+// finished one is free and byte-stable (the cache answers done runs, the
+// journal recalls terminal failures), so SIGKILL at any instant converges
+// to the same bytes. The file mechanics are internal/recordlog's.
 package serve
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
+	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
 	"sync"
 	"time"
 
-	"repro/internal/experiments"
+	"repro/internal/recordlog"
 )
 
 // Job-store record states. Accepted is the only live state; everything
@@ -46,11 +30,9 @@ const (
 const StoreFileName = "jobs.jsonl"
 
 // StoreEntry is one job-state transition. Hash is the job's persistent
-// identity (the same sha256 hex the cache, journal, and API use); Spec is
-// the *resolved* job spec — daemon defaults already folded in — so a
-// restarted daemon with different flag defaults re-derives the same
-// identity or detects the mismatch as an orphan rather than silently
-// running a different simulation under the old ID.
+// identity (the cache's, journal's and API's); Spec is the *resolved* spec,
+// so a daemon restarted with other defaults re-derives the same identity
+// or detects an orphan, never runs another simulation under the old ID.
 type StoreEntry struct {
 	ID     string  `json:"id"`
 	Hash   string  `json:"hash"`
@@ -60,111 +42,69 @@ type StoreEntry struct {
 	At     string  `json:"at"` // RFC 3339, wall clock
 }
 
-// JobStore is the append-only ledger of accepted jobs. Methods are safe
-// for concurrent use; a nil *JobStore is a valid no-op store, so the
-// daemon runs (non-durably) without one.
+// JobStore is the ledger of accepted jobs, keyed by run hash. Safe for
+// concurrent use; a nil *JobStore is a valid no-op store, so the daemon
+// runs (non-durably) without one.
 type JobStore struct {
-	mu      sync.Mutex
-	f       *os.File
-	path    string
-	state   map[string]StoreEntry // last record per hash
-	lastErr error                 // last append/open failure, for /healthz
+	log     *recordlog.Log[StoreEntry]
+	mu      sync.Mutex // makes append's read-fold-write one step; guards lastErr
+	lastErr error      // outcome of the last append, probe or compaction
 }
 
-// OpenJobStore opens (creating if needed) the ledger at path, replays any
-// existing records, and compacts the file to one record per job. A torn
-// trailing line — the signature of a SIGKILL mid-append — is skipped, not
-// an error.
+// OpenJobStore opens (creating if needed), replays and compacts the ledger
+// at path. Recovery IS the normal startup path: a crashed daemon's ledger,
+// torn or long, is one clean record per job before any new append lands.
 func OpenJobStore(path string) (*JobStore, error) {
-	if path == "" {
-		return nil, fmt.Errorf("job store: empty path")
-	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+	l, err := recordlog.Open(path, func(e StoreEntry) string { return e.Hash })
+	if err != nil {
 		return nil, fmt.Errorf("job store: %w", err)
 	}
-	state, err := replayStore(path)
-	if err != nil {
-		return nil, err
-	}
-	s := &JobStore{path: path, state: state}
-	// Compaction doubles as recovery: a crashed daemon's ledger (possibly
-	// torn, possibly thousands of superseded lines) is rewritten to one
-	// clean record per job before any new appends land.
-	if err := s.compactLocked(); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// replayStore reads the ledger into a last-record-per-hash map.
-func replayStore(path string) (map[string]StoreEntry, error) {
-	state := make(map[string]StoreEntry)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return state, nil
-		}
+	if err := l.Compact(acceptOrder); err != nil {
+		l.Close()
 		return nil, fmt.Errorf("job store: %w", err)
 	}
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var e StoreEntry
-		if err := json.Unmarshal(line, &e); err != nil || e.Hash == "" {
-			// Torn or foreign line: every intact record is self-contained,
-			// so skipping loses at most one transition.
-			continue
-		}
-		state[e.Hash] = e
-	}
-	return state, sc.Err()
+	return &JobStore{log: l}, nil
 }
 
-// Path returns the ledger's file path.
+// acceptOrder is submission order: At, then hash for ties.
+func acceptOrder(a, b StoreEntry) bool {
+	if a.At != b.At {
+		return a.At < b.At
+	}
+	return a.Hash < b.Hash
+}
+
 func (s *JobStore) Path() string {
 	if s == nil {
 		return ""
 	}
-	return s.path
+	return s.log.Path()
 }
 
-// Accept persists a job before the daemon admits it. Unlike journal
-// appends, acceptance MUST reach disk — it is the durability guarantee
-// behind the 202 — so the error is returned and the caller refuses the
-// job (503) when the store cannot be written.
+// Accept persists a job before the daemon admits it. It MUST reach disk —
+// it is the durability behind the 202 — so the caller refuses the job (503)
+// on an error.
 func (s *JobStore) Accept(id, hash string, spec JobSpec) error {
+	return s.append(StoreEntry{ID: id, Hash: hash, Status: StoreAccepted, Spec: spec})
+}
+
+// Settle records a job's terminal disposition, best effort: after a failed
+// settle the next startup re-enqueues a job the cache answers for free.
+func (s *JobStore) Settle(id, hash, status, errText string) {
+	_ = s.append(StoreEntry{ID: id, Hash: hash, Status: status, Error: errText})
+}
+
+func (s *JobStore) append(e StoreEntry) error {
 	if s == nil {
 		return nil
 	}
-	return s.append(StoreEntry{ID: id, Hash: hash, Status: StoreAccepted, Spec: spec}, true)
-}
-
-// Settle records a job's terminal disposition. Best effort: a failed
-// settle only means the next startup re-enqueues a finished job, which the
-// cache answers for free.
-func (s *JobStore) Settle(id, hash, status, errText string) {
-	if s == nil {
-		return
-	}
-	_ = s.append(StoreEntry{ID: id, Hash: hash, Status: status, Error: errText}, false)
-}
-
-// append serializes one record to the ledger. When must is set the write
-// error is surfaced (acceptance); otherwise trouble is remembered for
-// /healthz but never takes the daemon down.
-func (s *JobStore) append(e StoreEntry, must bool) error {
 	e.At = time.Now().UTC().Format(time.RFC3339)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// A settle record carries only the transition; fold in the accepted
-	// record's spec (replay keeps the last record per hash, and resume
-	// must still be able to resolve a settled job) and keep the
-	// acceptance timestamp so resume order stays submission order.
-	if prev, ok := s.state[e.Hash]; ok {
+	// A settle carries only the transition: fold in the accepted record's
+	// spec (resume must still resolve a settled job) and keep its
+	// timestamp, so resume order stays submission order.
+	if prev, ok := s.log.Get(e.Hash); ok {
 		if e.Spec.Bench == "" {
 			e.Spec = prev.Spec
 		}
@@ -172,71 +112,21 @@ func (s *JobStore) append(e StoreEntry, must bool) error {
 			e.At = prev.At
 		}
 	}
-	data, err := json.Marshal(e)
-	if err != nil {
-		s.lastErr = err
-		return fmt.Errorf("job store: %w", err)
-	}
-	if s.f == nil {
-		f, err := os.OpenFile(s.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			s.lastErr = err
-			if must {
-				return fmt.Errorf("job store: %w", err)
-			}
-			return nil
-		}
-		s.f = f
-	}
-	// One Write call per record: an O_APPEND write of a short line is as
-	// close to atomic as POSIX offers, and replay tolerates a torn tail.
-	if _, err := s.f.Write(append(data, '\n')); err != nil {
-		s.lastErr = err
-		// Drop the handle so the next append (and Writable) re-probes.
-		s.f.Close()
-		s.f = nil
-		if must {
-			return fmt.Errorf("job store: %w", err)
-		}
-		return nil
-	}
-	s.lastErr = nil
-	s.state[e.Hash] = e
-	return nil
+	s.lastErr = s.log.Append(e)
+	return s.lastErr
 }
 
-// Entries returns the last record of every job in the ledger, sorted by
-// acceptance order (At, then hash for ties) so resume re-enqueues jobs in
-// roughly the order clients submitted them.
+// Entries returns the last record of every job in acceptance order.
 func (s *JobStore) Entries() []StoreEntry {
 	if s == nil {
 		return nil
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]StoreEntry, 0, len(s.state))
-	for _, e := range s.state {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].At != out[j].At {
-			return out[i].At < out[j].At
-		}
-		return out[i].Hash < out[j].Hash
-	})
-	return out
+	return s.log.Snapshot(acceptOrder)
 }
 
-// Pending reports how many jobs are accepted but not terminally settled —
-// the work a crash right now would owe the next startup.
-func (s *JobStore) Pending() int {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for _, e := range s.state {
+// Pending counts the jobs accepted but not terminally settled.
+func (s *JobStore) Pending() (n int) {
+	for _, e := range s.Entries() {
 		if e.Status == StoreAccepted {
 			n++
 		}
@@ -244,29 +134,20 @@ func (s *JobStore) Pending() int {
 	return n
 }
 
-// Writable reports whether the ledger can currently take an append — the
-// /healthz signal load balancers use to stop routing submissions to a
-// daemon that cannot persist work. It re-probes the file rather than
-// trusting a cached handle, so an operator fixing permissions (or a disk
-// coming back) flips health without a restart.
+// Writable reports whether the ledger can take an append right now, the
+// /healthz signal that stops load balancers routing submissions to a daemon
+// that cannot persist them. It re-probes the file on every call.
 func (s *JobStore) Writable() bool {
 	if s == nil {
 		return false
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	f, err := os.OpenFile(s.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		s.lastErr = err
-		return false
-	}
-	f.Close()
-	s.lastErr = nil
-	return true
+	s.lastErr = s.log.Writable()
+	return s.lastErr == nil
 }
 
-// LastErr returns the most recent append/open failure, if the ledger is
-// currently unhealthy.
+// LastErr returns why the ledger is unhealthy, if it is.
 func (s *JobStore) LastErr() error {
 	if s == nil {
 		return nil
@@ -276,72 +157,21 @@ func (s *JobStore) LastErr() error {
 	return s.lastErr
 }
 
-// Compact rewrites the ledger to one record per job via fsync-and-rename,
-// so an interrupt during compaction leaves either the old ledger or the
-// new one, never a hybrid.
+// Compact rewrites the ledger to one record per job, in acceptance order.
 func (s *JobStore) Compact() error {
 	if s == nil {
 		return nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.compactLocked()
+	s.lastErr = s.log.Compact(acceptOrder)
+	return s.lastErr
 }
 
-func (s *JobStore) compactLocked() error {
-	entries := make([]StoreEntry, 0, len(s.state))
-	for _, e := range s.state {
-		entries = append(entries, e)
-	}
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].At != entries[j].At {
-			return entries[i].At < entries[j].At
-		}
-		return entries[i].Hash < entries[j].Hash
-	})
-	var buf bytes.Buffer
-	for _, e := range entries {
-		data, err := json.Marshal(e)
-		if err != nil {
-			return fmt.Errorf("job store: %w", err)
-		}
-		buf.Write(data)
-		buf.WriteByte('\n')
-	}
-	if err := experiments.AtomicWriteFile(s.path, buf.Bytes(), 0o644); err != nil {
-		s.lastErr = err
-		return fmt.Errorf("job store: %w", err)
-	}
-	// Reopen the append handle on the new inode.
-	if s.f != nil {
-		s.f.Close()
-	}
-	f, err := os.OpenFile(s.path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		s.f = nil
-		s.lastErr = err
-		return fmt.Errorf("job store: %w", err)
-	}
-	s.f = f
-	s.lastErr = nil
-	return nil
-}
-
-// Close compacts and closes the ledger. Crash-only: closing is an
-// optimization (a smaller file for the next startup), never a correctness
-// requirement.
+// Close compacts and closes the ledger; correctness never depends on it.
 func (s *JobStore) Close() error {
 	if s == nil {
 		return nil
 	}
-	err := s.Compact()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.f != nil {
-		if cerr := s.f.Close(); err == nil {
-			err = cerr
-		}
-		s.f = nil
-	}
-	return err
+	return errors.Join(s.Compact(), s.log.Close())
 }
