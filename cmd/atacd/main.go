@@ -123,38 +123,25 @@ func run() int {
 	r.RunTimeout = *runTimeout
 	r.RecallFailures = true
 	r.EpochCycles = sim.Time(*epoch)
+	// An explicit -cache-dir that cannot be opened is fatal; the default
+	// directory (used when REPRO_CACHE attached nothing) is only a warning.
+	dir := *cacheDir
 	if *noCache {
-		r.Cache = nil
-	} else if *cacheDir != "" {
-		c, err := experiments.OpenCache(*cacheDir)
-		if err != nil {
+		r.Cache, dir = nil, ""
+	} else if dir == "" && r.Cache == nil {
+		dir = experiments.DefaultCacheDir()
+	}
+	closeCache, err := r.AttachCache(dir, true, log.Printf)
+	if err != nil {
+		if *cacheDir != "" {
 			log.Print(err)
 			return experiments.ExitFatal
 		}
-		r.Cache = c
-	} else if r.Cache == nil {
-		if dir := experiments.DefaultCacheDir(); dir != "" {
-			if c, err := experiments.OpenCache(dir); err == nil {
-				r.Cache = c
-			} else {
-				log.Printf("warning: %v (continuing without cache)", err)
-			}
-		}
+		log.Printf("warning: %v (continuing without cache)", err)
 	}
+	defer closeCache()
 	if r.Cache != nil {
 		r.Cache.MaxBytes = *cacheMax
-		r.Cache.Log = func(s string) { log.Print(s) }
-		j, err := experiments.OpenJournal(r.Cache.JournalPath())
-		if err != nil {
-			log.Printf("warning: %v (continuing without journal)", err)
-		} else {
-			r.Journal = j
-			defer func() {
-				if err := j.Close(); err != nil {
-					log.Printf("warning: journal close: %v", err)
-				}
-			}()
-		}
 		log.Printf("cache: %s", r.Cache.Dir())
 	}
 

@@ -119,10 +119,6 @@ func run() int {
 	r := experiments.NewRunner(o)
 	r.Jobs = *jobsN
 	r.Shards = *shards
-	r.Cache = openCache(*cacheDir, *noCache, *clear)
-	if r.Cache != nil {
-		r.Cache.MaxBytes = *cacheMax
-	}
 	r.Retries = *retries
 	r.RunTimeout = *runTimeout
 	r.Partial = true
@@ -130,19 +126,26 @@ func run() int {
 	if !*quiet {
 		r.Progress = func(s string) { fmt.Fprintln(os.Stderr, "  ...", s) }
 	}
+	// This binary resolves the cache directory itself (flag, then REPRO_CACHE,
+	// then the user cache dir), and a cache it cannot open is only a warning.
+	r.Cache = nil
+	dir := *cacheDir
+	if dir == "" {
+		dir = experiments.DefaultCacheDir()
+	}
+	if *noCache {
+		dir = ""
+	}
+	closeCache, err := r.AttachCache(dir, !*noJournal, log.Printf)
+	if err != nil {
+		log.Printf("warning: %v (continuing without cache)", err)
+	}
+	defer closeCache()
 	if r.Cache != nil {
-		r.Cache.Log = func(s string) { log.Print(s) }
-		if !*noJournal {
-			j, err := experiments.OpenJournal(r.Cache.JournalPath())
-			if err != nil {
-				log.Printf("warning: %v (continuing without journal)", err)
-			} else {
-				r.Journal = j
-				defer func() {
-					if err := j.Close(); err != nil {
-						log.Printf("warning: journal close: %v", err)
-					}
-				}()
+		r.Cache.MaxBytes = *cacheMax
+		if *clear {
+			if err := r.Cache.Invalidate(); err != nil {
+				log.Printf("warning: %v", err)
 			}
 		}
 	}
@@ -275,33 +278,6 @@ func manifestDir(svgDir, out string) string {
 		return filepath.Dir(out)
 	}
 	return ""
-}
-
-// openCache resolves the persistent result cache from the command line:
-// -no-cache disables it, -cache-dir (else REPRO_CACHE, else the user cache
-// dir) locates it, -clear-cache empties it first. Cache trouble is reported
-// and degrades to uncached operation rather than aborting the campaign.
-func openCache(dir string, disabled, clear bool) *experiments.Cache {
-	if disabled {
-		return nil
-	}
-	if dir == "" {
-		dir = experiments.DefaultCacheDir()
-	}
-	if dir == "" {
-		return nil
-	}
-	c, err := experiments.OpenCache(dir)
-	if err != nil {
-		log.Printf("warning: %v (continuing without cache)", err)
-		return nil
-	}
-	if clear {
-		if err := c.Invalidate(); err != nil {
-			log.Printf("warning: %v", err)
-		}
-	}
-	return c
 }
 
 // writeSVG renders a figure table as an SVG and writes fig<id>.svg:

@@ -71,30 +71,16 @@ func run() int {
 	r := experiments.NewRunner(o)
 	r.Jobs = *jobsN
 	r.RecallFailures = true
+	dir := *cacheDir
 	if *noCache {
-		r.Cache = nil
-	} else if *cacheDir != "" {
-		c, err := experiments.OpenCache(*cacheDir)
-		if err != nil {
-			log.Print(err)
-			return experiments.ExitFatal
-		}
-		r.Cache = c
+		r.Cache, dir = nil, ""
 	}
-	if r.Cache != nil {
-		r.Cache.Log = func(s string) { log.Print(s) }
-		j, err := experiments.OpenJournal(r.Cache.JournalPath())
-		if err != nil {
-			log.Printf("warning: %v (continuing without journal)", err)
-		} else {
-			r.Journal = j
-			defer func() {
-				if err := j.Close(); err != nil {
-					log.Printf("warning: journal close: %v", err)
-				}
-			}()
-		}
+	closeCache, err := r.AttachCache(dir, true, log.Printf)
+	if err != nil {
+		log.Print(err)
+		return experiments.ExitFatal
 	}
+	defer closeCache()
 	if !*quiet {
 		r.Progress = func(s string) { fmt.Fprintln(os.Stderr, "  ...", s) }
 	}

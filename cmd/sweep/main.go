@@ -160,30 +160,16 @@ func sweepSystem(param, bench string, g experiments.Geometry, vals []int, o swee
 	r.Retries = o.retries
 	r.RunTimeout = o.runTimeout
 	r.RecallFailures = true
+	dir := o.cacheDir
 	if o.noCache {
-		r.Cache = nil
-	} else if o.cacheDir != "" {
-		c, err := experiments.OpenCache(o.cacheDir)
-		if err != nil {
-			log.Print(err)
-			return experiments.ExitFatal
-		}
-		r.Cache = c
+		r.Cache, dir = nil, ""
 	}
-	if r.Cache != nil {
-		r.Cache.Log = func(s string) { log.Print(s) }
-		j, err := experiments.OpenJournal(r.Cache.JournalPath())
-		if err != nil {
-			log.Printf("warning: %v (continuing without journal)", err)
-		} else {
-			r.Journal = j
-			defer func() {
-				if err := j.Close(); err != nil {
-					log.Printf("warning: journal close: %v", err)
-				}
-			}()
-		}
+	closeCache, err := r.AttachCache(dir, true, log.Printf)
+	if err != nil {
+		log.Print(err)
+		return experiments.ExitFatal
 	}
+	defer closeCache()
 	ctx, stopSignals := r.InstallSignalHandler(o.grace, log.Printf)
 	defer stopSignals()
 

@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -169,5 +171,65 @@ func TestCacheUnboundedIsUntouched(t *testing.T) {
 	}
 	if c.Len() != 3 {
 		t.Errorf("Len = %d, want 3", c.Len())
+	}
+}
+
+// TestAttachCache: the one wiring call of the campaign front ends. An
+// unopenable directory is the returned error and leaves the runner alone;
+// "" keeps the cache the runner already has; a journal that cannot be
+// opened is a logged warning, not an error; the close func compacts.
+func TestAttachCache(t *testing.T) {
+	var logged []string
+	logf := func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) }
+	dir := t.TempDir()
+	file := filepath.Join(dir, "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	r := NewRunner(testCampaignOpts())
+	r.Cache = nil
+	closeCache, err := r.AttachCache(filepath.Join(file, "sub"), true, logf)
+	if err == nil || r.Cache != nil || r.Journal != nil {
+		t.Fatalf("unopenable dir: err=%v cache=%v journal=%v", err, r.Cache, r.Journal)
+	}
+	closeCache()
+	if closeCache, err = r.AttachCache("", true, logf); err != nil || r.Cache != nil || r.Journal != nil {
+		t.Fatalf("no dir, no cache: err=%v cache=%v journal=%v", err, r.Cache, r.Journal)
+	}
+	closeCache()
+
+	cdir := filepath.Join(dir, "cache")
+	if closeCache, err = r.AttachCache(cdir, false, logf); err != nil || r.Cache == nil || r.Journal != nil {
+		t.Fatalf("journal off: err=%v cache=%v journal=%v", err, r.Cache, r.Journal)
+	}
+	closeCache()
+	had := r.Cache
+	if closeCache, err = r.AttachCache("", true, logf); err != nil || r.Cache != had || r.Journal == nil {
+		t.Fatalf("keep cache: err=%v cache=%v journal=%v", err, r.Cache, r.Journal)
+	}
+	r.Cache.Log("from the cache")
+	r.Journal.Begin("h", "k", 1)
+	r.Journal.Done("h", "k", 1, 0)
+	closeCache()
+	if data, _ := os.ReadFile(r.Cache.JournalPath()); strings.Count(string(data), "\n") != 1 {
+		t.Errorf("journal not compacted on close:\n%s", data)
+	}
+	if len(logged) != 1 || logged[0] != "from the cache" {
+		t.Errorf("logged %q, want only the cache's line", logged)
+	}
+
+	// journal.jsonl is a directory: warn and run without a journal.
+	jdir := filepath.Join(dir, "nojournal")
+	if err := os.MkdirAll(filepath.Join(jdir, JournalFileName), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	r.Journal, logged = nil, nil
+	if closeCache, err = r.AttachCache(jdir, true, logf); err != nil || r.Cache.Dir() != jdir || r.Journal != nil {
+		t.Fatalf("broken journal: err=%v cache=%v journal=%v", err, r.Cache.Dir(), r.Journal)
+	}
+	closeCache()
+	if len(logged) != 1 || !strings.Contains(logged[0], "continuing without journal") {
+		t.Errorf("logged %q, want one journal warning", logged)
 	}
 }
