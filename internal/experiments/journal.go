@@ -1,9 +1,9 @@
 // Write-ahead run journal: what makes a campaign resumable. One record is
-// appended per run-state transition, and a later invocation replays them
-// before simulating: "done" runs are expected in the persistent cache,
-// terminal "failed" runs are recalled without re-simulating (simulations
-// are deterministic), "running" records with no successor were cut down by
-// a crash and run again. The file mechanics are internal/recordlog's.
+// appended per run-state transition and replayed by the next invocation:
+// "done" runs are expected in the persistent cache, terminal "failed" runs
+// are recalled without re-simulating (simulations are deterministic), a
+// "running" record with no successor was cut down by a crash and runs
+// again. The file mechanics are internal/recordlog's.
 package experiments
 
 import (
@@ -59,33 +59,31 @@ func (j *Journal) Len() int                                { return j.log.Len() 
 // Begin records that an attempt at the run is starting (write-ahead: the
 // record hits disk before the simulation does any work).
 func (j *Journal) Begin(hash, key string, attempt int) {
-	j.append(JournalEntry{Hash: hash, Key: key, Status: StatusRunning, Attempt: attempt})
+	j.append(hash, key, StatusRunning, attempt, 0, nil)
 }
 
 // Done records a successful run.
 func (j *Journal) Done(hash, key string, attempt int, wall time.Duration) {
-	j.append(JournalEntry{Hash: hash, Key: key, Status: StatusDone, Attempt: attempt,
-		WallMS: float64(wall.Microseconds()) / 1e3})
+	j.append(hash, key, StatusDone, attempt, wall, nil)
 }
 
-// Fail records a terminal failure: no attempt is left, or retrying is
-// pointless because the error class is deterministic.
+// Fail records a terminal failure: no attempt is left, or the error class
+// is deterministic and retrying is pointless.
 func (j *Journal) Fail(hash, key string, attempt int, wall time.Duration, runErr error) {
-	msg := ""
-	if runErr != nil {
-		msg = runErr.Error()
-	}
-	j.append(JournalEntry{Hash: hash, Key: key, Status: StatusFailed, Attempt: attempt,
-		WallMS: float64(wall.Microseconds()) / 1e3, Error: msg})
+	j.append(hash, key, StatusFailed, attempt, wall, runErr)
 }
 
 // append stamps and records one transition. Journal trouble never takes a
 // campaign down: a failed append only costs that record's resumability.
-func (j *Journal) append(e JournalEntry) {
+func (j *Journal) append(hash, key, status string, attempt int, wall time.Duration, runErr error) {
 	if j == nil {
 		return
 	}
-	e.At = time.Now().UTC().Format(time.RFC3339)
+	e := JournalEntry{Hash: hash, Key: key, Status: status, Attempt: attempt,
+		WallMS: float64(wall.Microseconds()) / 1e3, At: time.Now().UTC().Format(time.RFC3339)}
+	if runErr != nil {
+		e.Error = runErr.Error()
+	}
 	_ = j.log.Append(e)
 }
 
@@ -97,10 +95,7 @@ func (j *Journal) Compact() error {
 		return nil
 	}
 	return j.log.Compact(func(a, b JournalEntry) bool {
-		if a.Key != b.Key {
-			return a.Key < b.Key
-		}
-		return a.Hash < b.Hash
+		return a.Key < b.Key || a.Key == b.Key && a.Hash < b.Hash
 	})
 }
 

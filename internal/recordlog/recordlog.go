@@ -1,14 +1,14 @@
-// Package recordlog is the one crash-safe record log in the repository:
-// the run journal (experiments.Journal) and the job ledger (serve.JobStore)
-// are typed wrappers that hold policy only. A Log is a JSONL file of
+// Package recordlog is the repository's one crash-safe record log; the run
+// journal (experiments.Journal) and the job ledger (serve.JobStore) are
+// typed wrappers holding policy only. A Log is a JSONL file of
 // self-contained records plus, in memory, the last record of every key.
-// Replay skips any line that does not parse or has no key — a tail torn by
-// a crash mid-append, a foreign line, however long — instead of failing.
-// An append is one Write of one short line on an O_APPEND handle, so a
-// crash tears at most the final line; a failed write drops the handle, the
-// next append reopens it, and the in-memory state advances only when the
-// write succeeded. (Before the two logs were merged the journal did
-// neither; both now behave as the ledger always did.) See DESIGN.md.
+// Replay skips a line that does not parse or has no key (a tail torn by a
+// crash mid-append, a foreign line, however long) instead of failing. An
+// append is one Write of one line on an O_APPEND handle, so a crash tears
+// at most the final line; a failed write drops the handle, the next append
+// reopens it, and the in-memory state advances only when the write
+// succeeded. (Before the merge the journal did neither; both logs now
+// behave as the ledger always did.) See DESIGN.md.
 package recordlog
 
 import (
@@ -42,15 +42,10 @@ func Open[E any](path string, key func(E) string) (*Log[E], error) {
 		return nil, err
 	}
 	l := &Log[E]{path: path, key: key, state: make(map[string]E)}
-	for len(data) > 0 {
-		var line []byte
-		line, data, _ = bytes.Cut(data, []byte{'\n'})
-		var e E
-		if json.Unmarshal(line, &e) != nil {
-			continue // blank, torn or foreign: every intact record is self-contained
-		}
-		if k := key(e); k != "" {
-			l.state[k] = e
+	for _, line := range bytes.Split(data, []byte{'\n'}) {
+		var e E // blank, torn, foreign or keyless lines are skipped: every intact record is self-contained
+		if json.Unmarshal(line, &e) == nil && key(e) != "" {
+			l.state[key(e)] = e
 		}
 	}
 	if err := l.reopen(); err != nil {
@@ -134,13 +129,11 @@ func (l *Log[E]) Compact(less func(a, b E) bool) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf) // Encode is Marshal plus the newline
 	for _, e := range l.snapshot(less) {
-		data, err := json.Marshal(e)
-		if err != nil {
+		if err := enc.Encode(e); err != nil {
 			return err
 		}
-		buf.Write(data)
-		buf.WriteByte('\n')
 	}
 	if err := AtomicWriteFile(l.path, buf.Bytes(), 0o644); err != nil {
 		return err
@@ -172,15 +165,8 @@ func AtomicWriteFile(path string, data []byte, perm os.FileMode) error {
 		return err
 	}
 	_, err = tmp.Write(data)
-	if err == nil {
-		// Widen from CreateTemp's 0600 before publishing (best effort).
-		_ = tmp.Chmod(perm)
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
+	_ = tmp.Chmod(perm) // widen from CreateTemp's 0600 before publishing (best effort)
+	if err = errors.Join(err, tmp.Sync(), tmp.Close()); err == nil {
 		err = os.Rename(tmp.Name(), path)
 	}
 	if err != nil {

@@ -1,10 +1,10 @@
 // Durable job store: the crash-only half of the serving daemon. Every
 // accepted job is appended to a ledger (jobs.jsonl, next to the journal in
 // the cache directory) *before* the 202 leaves the process; startup replays
-// it and re-enqueues every job not terminally settled. Re-enqueueing a
-// finished one is free and byte-stable (the cache answers done runs, the
-// journal recalls terminal failures), so SIGKILL at any instant converges
-// to the same bytes. The file mechanics are internal/recordlog's.
+// it and re-enqueues every job not terminally settled. That is free and
+// byte-stable for a finished one (the cache answers done runs, the journal
+// recalls terminal failures), so SIGKILL at any instant converges to the
+// same bytes. The file mechanics are internal/recordlog's.
 package serve
 
 import (
@@ -51,9 +51,9 @@ type JobStore struct {
 	lastErr error      // outcome of the last append, probe or compaction
 }
 
-// OpenJobStore opens (creating if needed), replays and compacts the ledger
-// at path. Recovery IS the normal startup path: a crashed daemon's ledger,
-// torn or long, is one clean record per job before any new append lands.
+// OpenJobStore opens (creating if needed), replays and compacts the ledger:
+// recovery IS the normal startup path, and a crashed daemon's file, torn or
+// long, is one clean record per job before any new append lands.
 func OpenJobStore(path string) (*JobStore, error) {
 	l, err := recordlog.Open(path, func(e StoreEntry) string { return e.Hash })
 	if err != nil {
@@ -68,10 +68,7 @@ func OpenJobStore(path string) (*JobStore, error) {
 
 // acceptOrder is submission order: At, then hash for ties.
 func acceptOrder(a, b StoreEntry) bool {
-	if a.At != b.At {
-		return a.At < b.At
-	}
-	return a.Hash < b.Hash
+	return a.At < b.At || a.At == b.At && a.Hash < b.Hash
 }
 
 func (s *JobStore) Path() string {
@@ -81,9 +78,8 @@ func (s *JobStore) Path() string {
 	return s.log.Path()
 }
 
-// Accept persists a job before the daemon admits it. It MUST reach disk —
-// it is the durability behind the 202 — so the caller refuses the job (503)
-// on an error.
+// Accept persists a job before the daemon admits it. It MUST reach disk (it
+// is the durability behind the 202): on an error the caller refuses the job.
 func (s *JobStore) Accept(id, hash string, spec JobSpec) error {
 	return s.append(StoreEntry{ID: id, Hash: hash, Status: StoreAccepted, Spec: spec})
 }
@@ -94,26 +90,33 @@ func (s *JobStore) Settle(id, hash, status, errText string) {
 	_ = s.append(StoreEntry{ID: id, Hash: hash, Status: status, Error: errText})
 }
 
-func (s *JobStore) append(e StoreEntry) error {
+// do runs one file operation under mu and keeps its outcome for LastErr.
+func (s *JobStore) do(op func() error) error {
 	if s == nil {
 		return nil
 	}
-	e.At = time.Now().UTC().Format(time.RFC3339)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// A settle carries only the transition: fold in the accepted record's
-	// spec (resume must still resolve a settled job) and keep its
-	// timestamp, so resume order stays submission order.
-	if prev, ok := s.log.Get(e.Hash); ok {
-		if e.Spec.Bench == "" {
-			e.Spec = prev.Spec
-		}
-		if prev.At != "" {
-			e.At = prev.At
-		}
-	}
-	s.lastErr = s.log.Append(e)
+	s.lastErr = op()
 	return s.lastErr
+}
+
+// append stamps and writes one transition. A settle carries only the
+// transition: it takes the accepted record's spec (resume must still
+// resolve a settled job) and timestamp (resume order stays submission order).
+func (s *JobStore) append(e StoreEntry) error {
+	return s.do(func() error {
+		e.At = time.Now().UTC().Format(time.RFC3339)
+		if prev, ok := s.log.Get(e.Hash); ok {
+			if e.Spec.Bench == "" {
+				e.Spec = prev.Spec
+			}
+			if prev.At != "" {
+				e.At = prev.At
+			}
+		}
+		return s.log.Append(e)
+	})
 }
 
 // Entries returns the last record of every job in acceptance order.
@@ -134,38 +137,20 @@ func (s *JobStore) Pending() (n int) {
 	return n
 }
 
-// Writable reports whether the ledger can take an append right now, the
-// /healthz signal that stops load balancers routing submissions to a daemon
-// that cannot persist them. It re-probes the file on every call.
+// Writable re-probes whether the ledger can take an append right now: the
+// /healthz signal that keeps submissions away from a daemon that cannot persist.
 func (s *JobStore) Writable() bool {
-	if s == nil {
-		return false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.lastErr = s.log.Writable()
-	return s.lastErr == nil
+	return s != nil && s.do(s.log.Writable) == nil
 }
 
 // LastErr returns why the ledger is unhealthy, if it is.
 func (s *JobStore) LastErr() error {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lastErr
+	return s.do(func() error { return s.lastErr })
 }
 
 // Compact rewrites the ledger to one record per job, in acceptance order.
 func (s *JobStore) Compact() error {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.lastErr = s.log.Compact(acceptOrder)
-	return s.lastErr
+	return s.do(func() error { return s.log.Compact(acceptOrder) })
 }
 
 // Close compacts and closes the ledger; correctness never depends on it.
