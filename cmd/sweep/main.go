@@ -197,8 +197,9 @@ func sweepSystem(param, bench string, g experiments.Geometry, vals []int, o swee
 	return r.ExitCode()
 }
 
+// sweepLoad drives the bare -net fabric (it used to build ATAC+ whatever
+// -net said) with synthetic traffic at each offered load.
 func sweepLoad(pattern string, g experiments.Geometry, percents []int) int {
-	g.Net = "atac+"
 	cfg, err := experiments.BuildConfig(g)
 	if err != nil {
 		log.Print(err)
@@ -213,8 +214,12 @@ func sweepLoad(pattern string, g experiments.Geometry, percents []int) int {
 	fmt.Println("load_pct,injected,delivered,mean_lat,p50,p95,p99,max")
 	for _, pc := range percents {
 		var k sim.Kernel
-		a := noc.NewAtac(&k, &cfg)
-		res := traffic.Drive(&k, a, cfg.Cores, p, float64(pc)/100, cfg.Network.FlitBits,
+		net, err := noc.New(&k, &cfg)
+		if err != nil {
+			log.Print(err)
+			return experiments.ExitFatal
+		}
+		res := traffic.Drive(&k, net, cfg.Cores, p, float64(pc)/100, cfg.Network.FlitBits,
 			2000, 6000, 20000, seed)
 		fmt.Printf("%d,%d,%d,%.2f,%d,%d,%d,%d\n", pc, res.Injected, res.Delivered,
 			res.Latency.Mean(), res.Latency.Percentile(50), res.Latency.Percentile(95),

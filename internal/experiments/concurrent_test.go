@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/config"
 	"repro/internal/system"
 )
 
@@ -99,5 +100,22 @@ func TestConcurrentDistinctRuns(t *testing.T) {
 		if n != 1 {
 			t.Errorf("hash %s: %d done events, want 1", h[:12], n)
 		}
+	}
+
+	// Every network kind takes a synthetic run. (corona and hybrid used to
+	// be accepted, journaled and then failed terminally with "unknown
+	// network kind": the synthetic path had its own, shorter switch.)
+	sp := SynthSpec{Pattern: "uniform", Load: 0.02, BcastFrac: 0.001, Warmup: 200, Measure: 400}
+	for _, kind := range []config.NetworkKind{config.EMeshPure, config.EMeshBCast,
+		config.ATAC, config.ATACPlus, config.Corona, config.HybridMesh} {
+		res, err := r.RunSynthetic(r.Opt.Config(kind), sp)
+		if err != nil {
+			t.Errorf("%v: %v", kind, err)
+		} else if res.Synth == nil || res.Synth.Delivered == 0 || res.Net.InjectedFlits == 0 {
+			t.Errorf("%v: nothing delivered: %+v", kind, res.Synth)
+		}
+	}
+	if got, want := r.FreshRuns(), uint64(len(loads)+6); got != want {
+		t.Errorf("FreshRuns = %d, want %d", got, want)
 	}
 }

@@ -136,19 +136,11 @@ func (r *Runner) runSynthetic(cfg config.Config, bench string, sp SynthSpec) (sy
 		return system.Result{}, err
 	}
 	var k sim.Kernel
-	var net noc.Network
-	n := &cfg.Network
-	switch n.Kind {
-	case config.EMeshPure:
-		net = noc.NewMesh(&k, cfg.MeshDim(), n.FlitBits, n.BufFlits, n.RouterDelay, n.LinkDelay, false)
-	case config.EMeshBCast:
-		net = noc.NewMesh(&k, cfg.MeshDim(), n.FlitBits, n.BufFlits, n.RouterDelay, n.LinkDelay, true)
-	case config.ATAC, config.ATACPlus:
-		net = noc.NewAtac(&k, &cfg)
-	default:
-		return system.Result{}, fmt.Errorf("synthetic run: unknown network kind %v", n.Kind)
+	net, err := noc.New(&k, &cfg)
+	if err != nil {
+		return system.Result{}, fmt.Errorf("synthetic run: %w", err)
 	}
-	res := traffic.Drive(&k, net, cfg.Cores, p, sp.Load, n.FlitBits,
+	res := traffic.Drive(&k, net, cfg.Cores, p, sp.Load, cfg.Network.FlitBits,
 		sp.Warmup, sp.Measure, synthDrainLimit, cfg.Seed)
 	return system.Result{
 		Benchmark: bench,

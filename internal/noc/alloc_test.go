@@ -86,7 +86,10 @@ func opticalPathAllocs(t *testing.T, kind config.NetworkKind, bcast bool) float6
 		t.Fatal(err)
 	}
 	var k sim.Kernel
-	net := newOpticalFabric(&k, &cfg)
+	net, err := New(&k, &cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	net.SetDeliver(func(int, *Message) {})
 	dst := 63
 	if bcast {

@@ -121,22 +121,35 @@ func opticalFixture(t testing.TB, kind config.NetworkKind, fc config.Fault) (*si
 		t.Fatal(err)
 	}
 	var k sim.Kernel
-	net := newOpticalFabric(&k, &cfg)
+	net, err := New(&k, &cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if inj := fault.NewInjector(cfg.Fault, cfg.Network.FlitBits, cfg.Seed, &k); inj != nil {
 		net.(interface{ SetFaults(*fault.Injector) }).SetFaults(inj)
 	}
 	return &k, net
 }
 
-// newOpticalFabric builds the optical fabric cfg.Network.Kind names.
-func newOpticalFabric(k *sim.Kernel, cfg *config.Config) Network {
-	switch cfg.Network.Kind {
-	case config.Corona:
-		return NewCrossbar(k, cfg)
-	case config.HybridMesh:
-		return NewHybrid(k, cfg)
+// TestNew: the factory maps every kind to its fabric and refuses the rest.
+func TestNew(t *testing.T) {
+	for kind, want := range map[config.NetworkKind]string{
+		config.EMeshPure: "*noc.Mesh", config.EMeshBCast: "*noc.Mesh",
+		config.ATAC: "*noc.Atac", config.ATACPlus: "*noc.Atac",
+		config.Corona: "*noc.Crossbar", config.HybridMesh: "*noc.Hybrid",
+	} {
+		cfg := config.Tiny().WithNetwork(kind)
+		var k sim.Kernel
+		net, err := New(&k, &cfg)
+		if got := fmt.Sprintf("%T", net); err != nil || got != want {
+			t.Errorf("%v: %s, %v; want %s", kind, got, err, want)
+		}
 	}
-	return NewAtac(k, cfg)
+	cfg := config.Tiny()
+	cfg.Network.Kind = 99
+	if net, err := New(&sim.Kernel{}, &cfg); err == nil || net != nil {
+		t.Errorf("kind 99: %T, %v; want an error", net, err)
+	}
 }
 
 // opticalFaultProfile is the shared faulty-fixture profile: optical and

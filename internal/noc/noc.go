@@ -15,8 +15,10 @@
 package noc
 
 import (
+	"fmt"
 	"reflect"
 
+	"repro/internal/config"
 	"repro/internal/sim"
 )
 
@@ -72,6 +74,24 @@ type Network interface {
 	SetDeliver(fn DeliverFunc)
 	// Stats returns the live counter block.
 	Stats() *Stats
+}
+
+// New builds the fabric cfg.Network.Kind names on kernel k: the one place a
+// NetworkKind becomes a Network. The fabric keeps cfg.
+func New(k *sim.Kernel, cfg *config.Config) (Network, error) {
+	n := &cfg.Network
+	switch n.Kind {
+	case config.EMeshPure, config.EMeshBCast:
+		return NewMesh(k, cfg.MeshDim(), n.FlitBits, n.BufFlits, n.RouterDelay, n.LinkDelay,
+			n.Kind == config.EMeshBCast), nil
+	case config.ATAC, config.ATACPlus:
+		return NewAtac(k, cfg), nil
+	case config.Corona:
+		return NewCrossbar(k, cfg), nil
+	case config.HybridMesh:
+		return NewHybrid(k, cfg), nil
+	}
+	return nil, fmt.Errorf("noc: unknown network kind %v", n.Kind)
 }
 
 // Drainer is implemented by fabrics that can report quiescence: no flit

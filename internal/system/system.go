@@ -50,27 +50,15 @@ func New(cfg config.Config) (*System, error) {
 	}
 	s := &System{Cfg: cfg, K: &sim.Kernel{}, Shards: 1}
 	s.eng = s.K
-	n := &s.Cfg.Network
-	switch n.Kind {
-	case config.EMeshPure:
-		s.Net = noc.NewMesh(s.K, cfg.MeshDim(), n.FlitBits, n.BufFlits, n.RouterDelay, n.LinkDelay, false)
-	case config.EMeshBCast:
-		s.Net = noc.NewMesh(s.K, cfg.MeshDim(), n.FlitBits, n.BufFlits, n.RouterDelay, n.LinkDelay, true)
-	case config.ATAC, config.ATACPlus:
-		a := noc.NewAtac(s.K, &s.Cfg)
-		s.Atac = a
-		s.Net = a
-	case config.Corona:
-		s.Net = noc.NewCrossbar(s.K, &s.Cfg)
-	case config.HybridMesh:
-		s.Net = noc.NewHybrid(s.K, &s.Cfg)
-	default:
-		return nil, fmt.Errorf("system: unknown network kind %v", n.Kind)
+	var err error
+	if s.Net, err = noc.New(s.K, &s.Cfg); err != nil {
+		return nil, fmt.Errorf("system: %w", err)
 	}
+	s.Atac, _ = s.Net.(*noc.Atac)
 	// Arm fault injection when configured. NewInjector returns nil for the
 	// disabled (zero) Fault section, and the networks never consult a nil
 	// injector, so fault-free runs are bit-identical to pre-fault builds.
-	if inj := fault.NewInjector(cfg.Fault, n.FlitBits, cfg.Seed, s.K); inj != nil {
+	if inj := fault.NewInjector(cfg.Fault, cfg.Network.FlitBits, cfg.Seed, s.K); inj != nil {
 		s.Net.(interface{ SetFaults(*fault.Injector) }).SetFaults(inj)
 	}
 	s.Coh = coherence.NewSystem(s.K, &s.Cfg, s.Net)
