@@ -90,14 +90,14 @@ cluster-smoke:
 # and manifest provenance, a fully-cached second pass with byte-identical
 # output, and quarantine of stale pre-current-schema cache entries.
 techsweep-smoke:
-	bash scripts/techsweep_smoke.sh
+	bash scripts/figure_smoke.sh techsweep
 
 # End-to-end smoke of the crossbar backends: the xtopo figure (EMesh-BCast
 # vs Corona, 16 cores) through the cached Runner — per-topology column
 # groups, a fully-cached second pass with byte-identical output, and
 # quarantine of pre-crossbar cache entries.
 xtopo-smoke:
-	bash scripts/xtopo_smoke.sh
+	bash scripts/figure_smoke.sh xtopo
 
 clean:
 	$(GO) clean ./...

@@ -17,8 +17,7 @@
 #
 # Seeded: CHAOS_SEED (default 42) fixes the kill schedule; CHAOS_KILLS
 # (default 2) is how many times the daemon dies.
-set -euo pipefail
-cd "$(dirname "$0")/.."
+. "$(dirname "$0")/lib.sh"
 
 cores=16
 seed=42
@@ -27,54 +26,15 @@ base=http://$addr
 chaos_seed=${CHAOS_SEED:-42}
 kills=${CHAOS_KILLS:-2}
 
-workdir=$(mktemp -d)
-daemon_pid=""
-cleanup() {
-    [ -n "$daemon_pid" ] && kill "$daemon_pid" 2>/dev/null
-    wait 2>/dev/null
-    rm -rf "$workdir"
-}
-trap cleanup EXIT
-
-echo "== build"
-go build -o "$workdir/atacd" ./cmd/atacd
-go build -o "$workdir/atacctl" ./cmd/atacctl
-go build -o "$workdir/atacsim" ./cmd/atacsim
-
-start_daemon() {
-    "$workdir/atacd" -addr "$addr" -cores "$cores" -seed "$seed" \
-        -cache-dir "$workdir/cache" -jobs 2 -grace 30s \
-        >>"$workdir/atacd.log" 2>&1 &
-    daemon_pid=$!
-    for _ in $(seq 1 50); do
-        curl -fsS "$base/healthz" >/dev/null 2>&1 && return 0
-        kill -0 "$daemon_pid" 2>/dev/null || { cat "$workdir/atacd.log"; echo "FAIL: daemon died on startup"; exit 1; }
-        sleep 0.2
-    done
-    cat "$workdir/atacd.log"
-    echo "FAIL: daemon did not come up on $addr"
-    exit 1
-}
-
-echo "== reference run (direct atacsim)"
-"$workdir/atacsim" -bench radix -cores "$cores" -seed "$seed" > "$workdir/ref.txt"
-ref_cycles=$(awk '/^completion time/ { print $3 }' "$workdir/ref.txt")
-ref_instr=$(awk '/^instructions/ { print $2 }' "$workdir/ref.txt")
-echo "   reference: $ref_cycles cycles, $ref_instr instructions"
+smoke_setup atacd atacctl atacsim
+start_daemon() { start_atacd "$addr" "$workdir/cache" "$workdir/atacd.log"; }
+reference_run
 
 echo "== start daemon (seed=$chaos_seed kills=$kills)"
 start_daemon
 
 echo "== submit campaign (3 clients, -wait, riding restarts on retries)"
-client_pids=()
-i=0
-for bench in radix fft water; do
-    i=$((i+1))
-    "$workdir/atacctl" -addr "$base" -retries 12 \
-        submit -bench "$bench" -cores "$cores" -seed "$seed" -wait \
-        > "$workdir/result$i.json" 2> "$workdir/client$i.log" &
-    client_pids+=($!)
-done
+submit_campaign -addr "$base" -retries 12
 
 for k in $(seq 1 "$kills"); do
     # Seeded random kill point: somewhere inside the campaign's runtime.
@@ -83,60 +43,23 @@ for k in $(seq 1 "$kills"); do
     echo "== SIGKILL $k/$kills after ${delay}s"
     kill -9 "$daemon_pid" 2>/dev/null || true
     wait "$daemon_pid" 2>/dev/null || true
-    daemon_pid=""
     start_daemon
 done
 
-echo "== wait for clients"
-fail=0
-for i in 1 2 3; do
-    if ! wait "${client_pids[$((i-1))]}"; then
-        echo "FAIL: client $i exited non-zero"
-        sed 's/^/   client'"$i"': /' "$workdir/client$i.log"
-        fail=1
-    fi
-done
-[ "$fail" = 0 ] || { echo "-- daemon log:"; cat "$workdir/atacd.log"; exit 1; }
-
-echo "== served results are complete and radix matches atacsim"
-for i in 1 2 3; do
-    grep -q '"Finished": *true' "$workdir/result$i.json" \
-        || { echo "FAIL: result $i incomplete"; cat "$workdir/result$i.json"; exit 1; }
-done
-job_cycles=$(grep -o '"Cycles": *[0-9]*' "$workdir/result1.json" | head -1 | grep -o '[0-9]*')
-job_instr=$(grep -o '"Instructions": *[0-9]*' "$workdir/result1.json" | head -1 | grep -o '[0-9]*')
-echo "   served:    $job_cycles cycles, $job_instr instructions"
-[ "$job_cycles" = "$ref_cycles" ] || { echo "FAIL: served cycles $job_cycles != atacsim $ref_cycles"; exit 1; }
-[ "$job_instr" = "$ref_instr" ] || { echo "FAIL: served instructions $job_instr != atacsim $ref_instr"; exit 1; }
+wait_clients "$workdir/atacd.log"
 
 echo "== journal-verified zero duplicate simulations"
-# Raw line count, BEFORE the final daemon shutdown: a clean Close compacts
-# the journal to one line per run and would hide duplicates. Every fresh
-# simulation appends exactly one "done" record; cache recalls append none.
+# The raw file, BEFORE the final daemon shutdown, across all daemon lives.
 journal="$workdir/cache/journal.jsonl"
-[ -f "$journal" ] || { echo "FAIL: no journal at $journal"; exit 1; }
-dups=$(grep '"status":"done"' "$journal" | grep -o '"hash":"[0-9a-f]*"' \
-    | sort | uniq -c | awk '$1 > 1' || true)
-if [ -n "$dups" ]; then
-    echo "FAIL: duplicate simulations in the journal:"
-    echo "$dups"
-    exit 1
-fi
-done_lines=$(grep -c '"status":"done"' "$journal")
-echo "   $done_lines simulations journaled across all daemon lives, no hash twice"
+[ -f "$journal" ] || fail "no journal at $journal"
+check_no_duplicate_sims "$journal"
 
 echo "== daemon settled: nothing pending in the job store"
 # Clients exit the moment their job reports done; the worker's ledger
 # settle (and the resumed jobs' cache recalls) may land moments later.
-settled=0
-for _ in $(seq 1 25); do
-    health=$(curl -fsS "$base/healthz")
-    if echo "$health" | grep -q '"pending": *0'; then settled=1; break; fi
-    sleep 0.2
-done
-[ "$settled" = 1 ] || { echo "FAIL: store still pending: $health"; exit 1; }
-echo "$health" | grep -q '"writable": *true' || { echo "FAIL: store not writable: $health"; exit 1; }
-grep -q 'resume: re-enqueueing' "$workdir/atacd.log" \
-    || { echo "FAIL: no resume in the daemon log (kill landed outside the campaign?)"; cat "$workdir/atacd.log"; exit 1; }
+wait_settled "$base" 25
+echo "$health" | grep -q '"writable": *true' || fail "store not writable: $health"
+grep -q 'resume: re-enqueueing' "$workdir/atacd.log" ||
+    fail "no resume in the daemon log (kill landed outside the campaign?)" "$workdir/atacd.log"
 
 echo "PASS: chaos smoke ($kills SIGKILLs, clients survived, zero duplicate sims, result parity)"

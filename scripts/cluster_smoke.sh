@@ -21,64 +21,22 @@
 #      pending without re-simulating.
 #
 # Seeded: CHAOS_SEED (default 42) fixes the kill point.
-set -euo pipefail
-cd "$(dirname "$0")/.."
+. "$(dirname "$0")/lib.sh"
 
 cores=16
 seed=42
 chaos_seed=${CHAOS_SEED:-42}
 ports=(18481 18482 18483)
 peers="http://127.0.0.1:${ports[0]},http://127.0.0.1:${ports[1]},http://127.0.0.1:${ports[2]}"
+node_pids=("" "" "")
 
-workdir=$(mktemp -d)
-declare -a node_pids=("" "" "")
-cleanup() {
-    for pid in "${node_pids[@]}"; do
-        [ -n "$pid" ] && kill "$pid" 2>/dev/null
-    done
-    wait 2>/dev/null
-    rm -rf "$workdir"
+smoke_setup atacd atacctl atacsim
+start_node() { # start_node <n>: boot node n (1-based) on its port with its own state dir
+    start_atacd "127.0.0.1:${ports[$(($1 - 1))]}" "$workdir/node$1/cache" "$workdir/node$1.log" \
+        -peers "$peers" -replicas 2 -probe-interval 500ms
+    node_pids[$(($1 - 1))]=$daemon_pid
 }
-trap cleanup EXIT
-
-echo "== build"
-go build -o "$workdir/atacd" ./cmd/atacd
-go build -o "$workdir/atacctl" ./cmd/atacctl
-go build -o "$workdir/atacsim" ./cmd/atacsim
-
-# start_node N: boot node N (1-based) on its port with its own state dir.
-start_node() {
-    local n=$1 port=${ports[$(($1 - 1))]}
-    "$workdir/atacd" -addr "127.0.0.1:$port" -cores "$cores" -seed "$seed" \
-        -cache-dir "$workdir/node$n/cache" -jobs 2 -grace 30s \
-        -peers "$peers" -replicas 2 -probe-interval 500ms \
-        >>"$workdir/node$n.log" 2>&1 &
-    node_pids[$((n - 1))]=$!
-    for _ in $(seq 1 50); do
-        curl -fsS "http://127.0.0.1:$port/healthz" >/dev/null 2>&1 && return 0
-        kill -0 "${node_pids[$((n - 1))]}" 2>/dev/null \
-            || { cat "$workdir/node$n.log"; echo "FAIL: node $n died on startup"; exit 1; }
-        sleep 0.2
-    done
-    cat "$workdir/node$n.log"
-    echo "FAIL: node $n did not come up on port $port"
-    exit 1
-}
-
-node_of_url() {
-    case "$1" in
-    *"${ports[0]}") echo 1 ;;
-    *"${ports[1]}") echo 2 ;;
-    *"${ports[2]}") echo 3 ;;
-    *) echo "FAIL: unknown peer URL $1" >&2; exit 1 ;;
-    esac
-}
-
-echo "== reference run (direct atacsim)"
-"$workdir/atacsim" -bench radix -cores "$cores" -seed "$seed" > "$workdir/ref.txt"
-ref_cycles=$(awk '/^completion time/ { print $3 }' "$workdir/ref.txt")
-ref_instr=$(awk '/^instructions/ { print $2 }' "$workdir/ref.txt")
-echo "   reference: $ref_cycles cycles, $ref_instr instructions"
+reference_run
 
 echo "== start 3-node cluster"
 start_node 1
@@ -90,22 +48,18 @@ echo "== discover the radix run's owner (consistent-hash placement)"
 # A plain submit through node 1: the ring forwards it to the run hash's
 # owner, whose URL comes back in the job's "peer" field.
 "$workdir/atacctl" -addr "$base1" -q submit -bench radix -cores "$cores" -seed "$seed" \
-    > "$workdir/placed.json"
+    >"$workdir/placed.json"
 owner_url=$(grep -o '"peer": *"[^"]*"' "$workdir/placed.json" | head -1 | sed 's/.*"\(http[^"]*\)"/\1/')
-[ -n "$owner_url" ] || { echo "FAIL: no peer field in placement response"; cat "$workdir/placed.json"; exit 1; }
-victim=$(node_of_url "$owner_url")
+[ -n "$owner_url" ] || fail "no peer field in placement response" "$workdir/placed.json"
+victim=0
+for n in 1 2 3; do
+    [ "${owner_url##*:}" = "${ports[$((n - 1))]}" ] && victim=$n
+done
+[ "$victim" != 0 ] || fail "unknown peer URL $owner_url"
 echo "   radix owner: node $victim ($owner_url)"
 
 echo "== submit campaign (3 clients, -wait, hedging across all endpoints)"
-client_pids=()
-i=0
-for bench in radix fft water; do
-    i=$((i+1))
-    "$workdir/atacctl" -addr "$base1" -endpoints "$peers" -retries 5 \
-        submit -bench "$bench" -cores "$cores" -seed "$seed" -wait \
-        > "$workdir/result$i.json" 2> "$workdir/client$i.log" &
-    client_pids+=($!)
-done
+submit_campaign -addr "$base1" -endpoints "$peers" -retries 5
 
 # Seeded kill point inside the campaign's runtime, then SIGKILL the
 # owner — no drain, no cleanup. Its in-flight work is simply gone; the
@@ -115,66 +69,23 @@ sleep "$delay"
 echo "== SIGKILL node $victim (the radix owner) after ${delay}s"
 kill -9 "${node_pids[$((victim - 1))]}" 2>/dev/null || true
 wait "${node_pids[$((victim - 1))]}" 2>/dev/null || true
-node_pids[$((victim - 1))]=""
 
-echo "== wait for clients"
-fail=0
-for i in 1 2 3; do
-    if ! wait "${client_pids[$((i-1))]}"; then
-        echo "FAIL: client $i exited non-zero"
-        sed 's/^/   client'"$i"': /' "$workdir/client$i.log"
-        fail=1
-    fi
-done
-if [ "$fail" != 0 ]; then
-    for n in 1 2 3; do echo "-- node $n log:"; cat "$workdir/node$n.log"; done
-    exit 1
-fi
-
-echo "== served results are complete and radix matches atacsim"
-for i in 1 2 3; do
-    grep -q '"Finished": *true' "$workdir/result$i.json" \
-        || { echo "FAIL: result $i incomplete"; cat "$workdir/result$i.json"; exit 1; }
-done
-job_cycles=$(grep -o '"Cycles": *[0-9]*' "$workdir/result1.json" | head -1 | grep -o '[0-9]*')
-job_instr=$(grep -o '"Instructions": *[0-9]*' "$workdir/result1.json" | head -1 | grep -o '[0-9]*')
-echo "   served:    $job_cycles cycles, $job_instr instructions"
-[ "$job_cycles" = "$ref_cycles" ] || { echo "FAIL: served cycles $job_cycles != atacsim $ref_cycles"; exit 1; }
-[ "$job_instr" = "$ref_instr" ] || { echo "FAIL: served instructions $job_instr != atacsim $ref_instr"; exit 1; }
+wait_clients "$workdir"/node?.log
 
 echo "== restart node $victim: it rejoins and drains its ledger from peer caches"
 start_node "$victim"
 for n in 1 2 3; do
-    settled=0
-    for _ in $(seq 1 50); do
-        health=$(curl -fsS "http://127.0.0.1:${ports[$((n - 1))]}/healthz" 2>/dev/null) || health=""
-        if echo "$health" | grep -q '"pending": *0'; then settled=1; break; fi
-        sleep 0.2
-    done
-    [ "$settled" = 1 ] || { echo "FAIL: node $n still pending: $health"; cat "$workdir/node$n.log"; exit 1; }
-    echo "$health" | grep -q '"size": *3' || { echo "FAIL: node $n healthz has no 3-node cluster block: $health"; exit 1; }
+    wait_settled "http://127.0.0.1:${ports[$((n - 1))]}" 50 "$workdir/node$n.log"
+    echo "$health" | grep -q '"size": *3' || fail "node $n healthz has no 3-node cluster block: $health"
 done
 
 echo "== journal-verified zero duplicate simulations cluster-wide"
-# Concatenate every node's journal (the restarted victim's lives
-# included): each run hash may carry at most one "done" record across
-# the whole cluster — peer recalls and replication write none.
-dups=$(cat "$workdir"/node*/cache/journal.jsonl 2>/dev/null \
-    | grep '"status":"done"' | grep -o '"hash":"[0-9a-f]*"' \
-    | sort | uniq -c | awk '$1 > 1' || true)
-if [ -n "$dups" ]; then
-    echo "FAIL: duplicate simulations across node journals:"
-    echo "$dups"
-    exit 1
-fi
-done_lines=$(cat "$workdir"/node*/cache/journal.jsonl 2>/dev/null | grep -c '"status":"done"' || true)
-echo "   $done_lines simulations journaled cluster-wide, no hash twice"
+# Every node's journal, the restarted victim's lives included.
+check_no_duplicate_sims "$workdir"/node*/cache/journal.jsonl
 
 echo "== cluster metrics exposed"
 metrics=$(curl -fsS "$base1/metrics")
-echo "$metrics" | grep -q '^atacd_build_info{' \
-    || { echo "FAIL: no build-info gauge on /metrics"; exit 1; }
-echo "$metrics" | grep -q '^atacd_peer_healthy{' \
-    || { echo "FAIL: no per-peer health gauge on /metrics"; exit 1; }
+echo "$metrics" | grep -q '^atacd_build_info{' || fail "no build-info gauge on /metrics"
+echo "$metrics" | grep -q '^atacd_peer_healthy{' || fail "no per-peer health gauge on /metrics"
 
 echo "PASS: cluster smoke (owner SIGKILLed mid-flight, clients survived, zero duplicate sims cluster-wide, result parity)"

@@ -14,8 +14,7 @@
 #
 # On a fast machine the campaign can finish before the signal lands; the
 # test then degrades to checking that a no-op resume still holds (2) and (3).
-set -euo pipefail
-cd "$(dirname "$0")/.."
+. "$(dirname "$0")/lib.sh"
 
 # ~8s of campaign at this size: long enough that the 1s-in SIGINT lands
 # mid-flight, short enough for CI. (Cores must be a perfect square.)
@@ -23,11 +22,7 @@ cores=36
 figs=4,8,13,14
 jobs=2
 
-workdir=$(mktemp -d)
-trap 'rm -rf "$workdir"' EXIT
-
-echo "== build"
-go build -o "$workdir/figures" ./cmd/figures
+smoke_setup figures
 
 echo "== reference campaign (uninterrupted)"
 REPRO_CACHE="$workdir/refcache" "$workdir/figures" \
@@ -49,19 +44,14 @@ interrupted=1
 case "$code" in
 4)
     echo "   exit 4 (interrupted), as expected"
-    if [ ! -f "$REPRO_CACHE/journal.jsonl" ]; then
-        echo "FAIL: interrupted campaign left no journal" >&2
-        exit 1
-    fi
+    [ -f "$REPRO_CACHE/journal.jsonl" ] || fail "interrupted campaign left no journal"
     ;;
 0)
     echo "   campaign outran the signal (exit 0); checking the no-op resume instead"
     interrupted=0
     ;;
 *)
-    echo "FAIL: interrupted campaign exited $code, want 4" >&2
-    cat "$workdir/interrupted.log" >&2
-    exit 1
+    fail "interrupted campaign exited $code, want 4" "$workdir/interrupted.log"
     ;;
 esac
 
@@ -74,30 +64,19 @@ echo "== resumed campaign"
 # with no simulations at all.
 summary=$(grep -o '[0-9]* simulations run, [0-9]* recalled from cache' "$workdir/resumed.log" || true)
 fresh=${summary%% *}
-if [ -z "$summary" ]; then
-    echo "FAIL: no campaign summary in resume log" >&2
-    cat "$workdir/resumed.log" >&2
-    exit 1
-fi
+[ -n "$summary" ] || fail "no campaign summary in resume log" "$workdir/resumed.log"
 if [ "$interrupted" = 1 ]; then
     recalled=$(echo "$summary" | sed 's/.*run, \([0-9]*\) recalled.*/\1/')
-    if [ "$recalled" -eq 0 ] && [ "$fresh" -eq 0 ]; then
-        echo "FAIL: resume neither simulated nor recalled anything: $summary" >&2
-        exit 1
-    fi
+    [ "$recalled" -ne 0 ] || [ "$fresh" -ne 0 ] || fail "resume neither simulated nor recalled anything: $summary"
     echo "   resume: $summary"
 else
-    if [ "$fresh" -ne 0 ]; then
-        echo "FAIL: no-op resume re-simulated $fresh runs: $summary" >&2
-        exit 1
-    fi
+    [ "$fresh" -eq 0 ] || fail "no-op resume re-simulated $fresh runs: $summary"
 fi
 
 echo "== compare against reference"
 if ! cmp -s "$workdir/ref.txt" "$workdir/resumed.txt"; then
-    echo "FAIL: resumed output differs from the uninterrupted reference" >&2
     diff "$workdir/ref.txt" "$workdir/resumed.txt" >&2 || true
-    exit 1
+    fail "resumed output differs from the uninterrupted reference"
 fi
 
 echo "PASS: interrupt/resume contract holds (interrupted=$interrupted)"

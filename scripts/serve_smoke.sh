@@ -14,89 +14,51 @@
 #   4. after a SIGTERM drain, a restarted daemon pointed at the same
 #      cache serves the run from the persistent cache (fresh runs 0,
 #      cache hits >= 1).
-set -euo pipefail
-cd "$(dirname "$0")/.."
+. "$(dirname "$0")/lib.sh"
 
 cores=16
-bench=radix
 seed=42
 addr=127.0.0.1:18473
 base=http://$addr
 
-workdir=$(mktemp -d)
-daemon_pid=""
-cleanup() {
-    [ -n "$daemon_pid" ] && kill "$daemon_pid" 2>/dev/null
-    wait 2>/dev/null
-    rm -rf "$workdir"
+smoke_setup atacd atacctl atacsim
+start_daemon() { start_atacd "$addr" "$workdir/cache" "$workdir/atacd.log"; }
+submit() { # submit <n> <stderr-file>: the radix job, waited for, into result<n>.json
+    "$workdir/atacctl" -addr "$base" submit -bench radix -cores "$cores" -seed "$seed" -wait \
+        >"$workdir/result$1.json" 2>"$2"
 }
-trap cleanup EXIT
-
-echo "== build"
-go build -o "$workdir/atacd" ./cmd/atacd
-go build -o "$workdir/atacctl" ./cmd/atacctl
-go build -o "$workdir/atacsim" ./cmd/atacsim
-
-start_daemon() {
-    "$workdir/atacd" -addr "$addr" -cores "$cores" -seed "$seed" \
-        -cache-dir "$workdir/cache" -jobs 2 -grace 30s \
-        >>"$workdir/atacd.log" 2>&1 &
-    daemon_pid=$!
-    for _ in $(seq 1 50); do
-        curl -fsS "$base/healthz" >/dev/null 2>&1 && return 0
-        kill -0 "$daemon_pid" 2>/dev/null || { cat "$workdir/atacd.log"; echo "FAIL: daemon died"; exit 1; }
-        sleep 0.2
-    done
-    cat "$workdir/atacd.log"
-    echo "FAIL: daemon did not come up on $addr"
-    exit 1
-}
-
-metric() { # metric <name> -- prints the value from /metrics
+metric() { # metric <name>: its value on /metrics
     curl -fsS "$base/metrics" | awk -v m="$1" '$1 == m { print $2 }'
 }
 
 echo "== start daemon"
 start_daemon
 "$workdir/atacctl" -addr "$base" health
-
-echo "== reference run (direct atacsim)"
-"$workdir/atacsim" -bench "$bench" -cores "$cores" -seed "$seed" > "$workdir/ref.txt"
-ref_cycles=$(awk '/^completion time/ { print $3 }' "$workdir/ref.txt")
-ref_instr=$(awk '/^instructions/ { print $2 }' "$workdir/ref.txt")
-echo "   reference: $ref_cycles cycles, $ref_instr instructions"
+reference_run
 
 echo "== submit via API, streaming progress"
-"$workdir/atacctl" -addr "$base" submit -bench "$bench" -cores "$cores" -seed "$seed" -wait \
-    > "$workdir/result1.json" 2> "$workdir/stream.log"
-grep -q '^done' "$workdir/stream.log" || { cat "$workdir/stream.log"; echo "FAIL: no done event in SSE stream"; exit 1; }
-grep -q '^epoch' "$workdir/stream.log" || { cat "$workdir/stream.log"; echo "FAIL: no live epoch progress in SSE stream"; exit 1; }
-job_cycles=$(grep -o '"Cycles": *[0-9]*' "$workdir/result1.json" | head -1 | grep -o '[0-9]*')
-job_instr=$(grep -o '"Instructions": *[0-9]*' "$workdir/result1.json" | head -1 | grep -o '[0-9]*')
-echo "   served:    $job_cycles cycles, $job_instr instructions"
-[ "$job_cycles" = "$ref_cycles" ] || { echo "FAIL: served cycles $job_cycles != atacsim $ref_cycles"; exit 1; }
-[ "$job_instr" = "$ref_instr" ] || { echo "FAIL: served instructions $job_instr != atacsim $ref_instr"; exit 1; }
+submit 1 "$workdir/stream.log"
+grep -q '^done' "$workdir/stream.log" || fail "no done event in SSE stream" "$workdir/stream.log"
+grep -q '^epoch' "$workdir/stream.log" || fail "no live epoch progress in SSE stream" "$workdir/stream.log"
+check_parity "$workdir/result1.json"
 
 echo "== resubmit: must coalesce onto the cached run"
-"$workdir/atacctl" -addr "$base" submit -bench "$bench" -cores "$cores" -seed "$seed" -wait \
-    > "$workdir/result2.json" 2>/dev/null
-cmp -s "$workdir/result1.json" "$workdir/result2.json" || { echo "FAIL: result bodies differ across submissions"; exit 1; }
+submit 2 /dev/null
+cmp -s "$workdir/result1.json" "$workdir/result2.json" || fail "result bodies differ across submissions"
 fresh=$(metric atacd_runner_fresh_runs_total)
-[ "$fresh" = "1" ] || { echo "FAIL: fresh runs = $fresh after resubmit, want 1"; exit 1; }
+[ "$fresh" = "1" ] || fail "fresh runs = $fresh after resubmit, want 1"
 
 echo "== drain (SIGTERM) and restart against the same cache"
 kill -TERM "$daemon_pid"
-wait "$daemon_pid" || { echo "FAIL: daemon exited non-zero on drain"; exit 1; }
-daemon_pid=""
-grep -q "drained" "$workdir/atacd.log" || { cat "$workdir/atacd.log"; echo "FAIL: no drain in daemon log"; exit 1; }
+wait "$daemon_pid" || fail "daemon exited non-zero on drain"
+grep -q "drained" "$workdir/atacd.log" || fail "no drain in daemon log" "$workdir/atacd.log"
 
 start_daemon
-"$workdir/atacctl" -addr "$base" submit -bench "$bench" -cores "$cores" -seed "$seed" -wait \
-    > "$workdir/result3.json" 2>/dev/null
+submit 3 /dev/null
 fresh=$(metric atacd_runner_fresh_runs_total)
 hits=$(metric atacd_runner_cache_hits_total)
-[ "$fresh" = "0" ] || { echo "FAIL: restarted daemon re-simulated (fresh=$fresh)"; exit 1; }
-[ "${hits:-0}" -ge 1 ] || { echo "FAIL: restarted daemon took no cache hit"; exit 1; }
-cmp -s "$workdir/result1.json" "$workdir/result3.json" || { echo "FAIL: cached result differs from original"; exit 1; }
+[ "$fresh" = "0" ] || fail "restarted daemon re-simulated (fresh=$fresh)"
+[ "${hits:-0}" -ge 1 ] || fail "restarted daemon took no cache hit"
+cmp -s "$workdir/result1.json" "$workdir/result3.json" || fail "cached result differs from original"
 
 echo "PASS: serve smoke (result parity, SSE, coalescing, drain+restart cache recall)"
