@@ -16,6 +16,7 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"io"
@@ -126,15 +127,11 @@ func run() int {
 	if !*quiet {
 		r.Progress = func(s string) { fmt.Fprintln(os.Stderr, "  ...", s) }
 	}
-	// This binary resolves the cache directory itself (flag, then REPRO_CACHE,
-	// then the user cache dir), and a cache it cannot open is only a warning.
+	// The cache directory is resolved here (flag, REPRO_CACHE, user cache dir); unopenable is a warning.
 	r.Cache = nil
-	dir := *cacheDir
-	if dir == "" {
-		dir = experiments.DefaultCacheDir()
-	}
-	if *noCache {
-		dir = ""
+	dir := ""
+	if !*noCache {
+		dir = cmp.Or(*cacheDir, experiments.DefaultCacheDir())
 	}
 	closeCache, err := r.AttachCache(dir, !*noJournal, log.Printf)
 	if err != nil {

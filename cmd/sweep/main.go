@@ -197,8 +197,7 @@ func sweepSystem(param, bench string, g experiments.Geometry, vals []int, o swee
 	return r.ExitCode()
 }
 
-// sweepLoad drives the bare -net fabric (it used to build ATAC+ whatever
-// -net said) with synthetic traffic at each offered load.
+// sweepLoad drives the bare -net fabric with synthetic traffic at each load.
 func sweepLoad(pattern string, g experiments.Geometry, percents []int) int {
 	cfg, err := experiments.BuildConfig(g)
 	if err != nil {

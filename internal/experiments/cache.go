@@ -332,41 +332,37 @@ func DefaultCacheDir() string {
 	return filepath.Join(base, "repro-campaign")
 }
 
-// AttachCache wires the runner's durable state the way every campaign front
-// end does: the persistent cache at dir ("" keeps the one NewRunner took
-// from REPRO_CACHE, if any) with its warnings routed to logf, and, when
-// journal is set, the write-ahead journal next to it. A cache that cannot
-// be opened is the returned error and leaves the runner as it was; whether
-// that is fatal is the caller's call. A journal that cannot be opened is
-// only a logged warning: the campaign runs without one. The returned func,
-// never nil, closes the journal.
+// AttachCache wires the runner's durable state for every campaign front
+// end: the persistent cache at dir ("" keeps the one NewRunner took from
+// REPRO_CACHE, if any) with its warnings routed to logf, and, when journal
+// is set, the write-ahead journal next to it. A cache that cannot be opened
+// is the returned error (fatal or not is the caller's call) and leaves the
+// runner as it was; a journal that cannot be opened is only a logged
+// warning. The returned func, never nil, closes the runner's journal.
 func (r *Runner) AttachCache(dir string, journal bool, logf func(format string, args ...any)) (func(), error) {
-	nothing := func() {}
+	closeJournal := func() {
+		if err := r.Journal.Close(); err != nil {
+			logf("warning: journal close: %v", err)
+		}
+	}
 	if dir != "" {
 		c, err := OpenCache(dir)
 		if err != nil {
-			return nothing, err
+			return closeJournal, err
 		}
 		r.Cache = c
 	}
 	if r.Cache == nil {
-		return nothing, nil
+		return closeJournal, nil
 	}
 	r.Cache.Log = func(s string) { logf("%s", s) }
-	if !journal {
-		return nothing, nil
-	}
-	j, err := OpenJournal(r.Cache.JournalPath())
-	if err != nil {
-		logf("warning: %v (continuing without journal)", err)
-		return nothing, nil
-	}
-	r.Journal = j
-	return func() {
-		if err := j.Close(); err != nil {
-			logf("warning: journal close: %v", err)
+	if journal {
+		var err error
+		if r.Journal, err = OpenJournal(r.Cache.JournalPath()); err != nil {
+			logf("warning: %v (continuing without journal)", err)
 		}
-	}, nil
+	}
+	return closeJournal, nil
 }
 
 // cacheKey derives the persistent cache key for a run. The in-memory memo

@@ -82,8 +82,7 @@ func New(k *sim.Kernel, cfg *config.Config) (Network, error) {
 	n := &cfg.Network
 	switch n.Kind {
 	case config.EMeshPure, config.EMeshBCast:
-		return NewMesh(k, cfg.MeshDim(), n.FlitBits, n.BufFlits, n.RouterDelay, n.LinkDelay,
-			n.Kind == config.EMeshBCast), nil
+		return NewMesh(k, cfg.MeshDim(), n.FlitBits, n.BufFlits, n.RouterDelay, n.LinkDelay, n.Kind == config.EMeshBCast), nil
 	case config.ATAC, config.ATACPlus:
 		return NewAtac(k, cfg), nil
 	case config.Corona:

@@ -141,8 +141,7 @@ func (l *Log[E]) Compact(less func(a, b E) bool) error {
 	return l.reopen()
 }
 
-// Writable reports why the log cannot take an append right now, if it
-// cannot. It reopens the path rather than trusting the held handle.
+// Writable reopens the path, not trusting the held handle: why an append would fail, if it would.
 func (l *Log[E]) Writable() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
