@@ -9,8 +9,9 @@ import (
 	"repro/internal/config"
 )
 
-// TestHeadlineAt1024 reproduces the paper-scale runtime comparison. It
-// takes tens of minutes, so it only runs when REPRO_FULL=1 is set.
+// TestHeadlineAt1024 reproduces the paper-scale runtime comparison: twelve
+// 1024-core runs, one after the other, about seven minutes in all, so it
+// only runs when REPRO_FULL=1 is set.
 func TestHeadlineAt1024(t *testing.T) {
 	if os.Getenv("REPRO_FULL") != "1" {
 		t.Skip("set REPRO_FULL=1 to run the 1024-core headline comparison")
