@@ -102,9 +102,8 @@ func TestConcurrentDistinctRuns(t *testing.T) {
 		}
 	}
 
-	// Every network kind takes a synthetic run. (corona and hybrid used to
-	// be accepted, journaled and then failed terminally with "unknown
-	// network kind": the synthetic path had its own, shorter switch.)
+	// Every network kind takes a synthetic run: the synthetic path builds
+	// its fabric through the same noc.New as the full system.
 	sp := SynthSpec{Pattern: "uniform", Load: 0.02, BcastFrac: 0.001, Warmup: 200, Measure: 400}
 	for _, kind := range []config.NetworkKind{config.EMeshPure, config.EMeshBCast,
 		config.ATAC, config.ATACPlus, config.Corona, config.HybridMesh} {

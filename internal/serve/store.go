@@ -145,7 +145,7 @@ func (s *JobStore) Writable() bool {
 
 // LastErr returns why the ledger is unhealthy, if it is.
 func (s *JobStore) LastErr() error {
-	return s.do(func() error { return s.lastErr })
+	return s.do(func() error { return s.lastErr }) // do stores back what it read: a locked read
 }
 
 // Compact rewrites the ledger to one record per job, in acceptance order.
