@@ -31,7 +31,7 @@ type Models struct {
 	Router            dsent.Router
 	Link              dsent.Link
 	Cluster           dsent.ClusterNets
-	Opt               photonics.Link // valid only when Cfg's network is optical
+	Opt               photonics.Link // zero when Cfg's network has no photonics
 
 	// Solved geometry.
 	HopMM     float64 // electrical mesh hop length
@@ -128,20 +128,16 @@ func BuildWith(cfg config.Config, tp tech.Params, pp photonics.Params) (Models, 
 		// The optical waveguide loop serpentines through every endpoint:
 		// ~2.5x the die edge.
 		pp.WaveguideLoopCM = 2.5 * m.DieEdgeMM / 10
+		geo, solve := photonics.NewGeometry(cfg.Clusters(), cfg.Network.FlitBits), photonics.Solve
 		switch cfg.Network.Kind {
 		case config.Corona:
 			// MWSR home channels with radix-scaled worst-case loss.
-			geo := photonics.CrossbarGeometry(cfg.Clusters(), cfg.Network.FlitBits)
-			m.Opt, err = photonics.SolveCrossbar(pp, geo)
+			geo, solve = photonics.CrossbarGeometry(cfg.Clusters(), cfg.Network.FlitBits), photonics.SolveCrossbar
 		case config.HybridMesh:
 			// Express overlay: one SWMR channel per gateway.
-			geo := photonics.NewGeometry(cfg.HybridGateways(), cfg.Network.FlitBits)
-			m.Opt, err = photonics.Solve(pp, geo)
-		default:
-			geo := photonics.NewGeometry(cfg.Clusters(), cfg.Network.FlitBits)
-			m.Opt, err = photonics.Solve(pp, geo)
+			geo = photonics.NewGeometry(cfg.HybridGateways(), cfg.Network.FlitBits)
 		}
-		if err != nil {
+		if m.Opt, err = solve(pp, geo); err != nil {
 			return m, err
 		}
 	}
@@ -186,11 +182,19 @@ func (b Breakdown) Total() float64 { return b.Core() + b.Caches() + b.Network() 
 // UncoreTotal returns cache + network energy (Fig 7's scope).
 func (b Breakdown) UncoreTotal() float64 { return b.Caches() + b.Network() }
 
-// Combine folds a run's counters into the energy breakdown.
+// Combine folds a run's counters into the energy breakdown. Each category
+// is one expression over every fabric's counters; there is no per-fabric
+// case, because a fabric increments only its own counters and an
+// electrical config's zero m.Opt prices every optical term at +0. Adding
+// +0 leaves a float sum's bits unchanged, so a term may join a category
+// freely, but the order of the terms within a category is part of every
+// golden: reordering them changes the low bits of the result.
 func Combine(m Models, r system.Result) Breakdown {
 	cfg := m.Cfg
 	T := float64(r.Cycles) * 1e-9 // seconds at 1 GHz
 	n := float64(cfg.Cores)
+	o := m.Opt
+	hubs := float64(o.Geometry.Hubs) // ONet hubs, crossbar home channels or hybrid gateways
 	var b Breakdown
 
 	// Cores (Section V-G): NDD burns always; DD scales with IPC, i.e.
@@ -223,72 +227,35 @@ func Combine(m Models, r system.Result) Breakdown {
 		float64(r.Net.StarBcastFlits)*m.Cluster.StarBroadcastFlitJ
 
 	// Electrical network static: every core has a router; links between
-	// adjacent routers (4*dim*(dim-1) directed); hubs per cluster.
+	// adjacent routers (4*dim*(dim-1) directed); one hub per optical
+	// endpoint.
 	dim := float64(cfg.MeshDim())
 	nLinks := 4 * dim * (dim - 1)
-	b.NetElecStatic = n*(m.Router.LeakageW+m.Router.ClockW)*T + nLinks*m.Link.LeakageW*T
-	switch {
-	case cfg.Network.Kind.IsOptical() || cfg.Network.Kind == config.Corona:
-		b.NetElecStatic += float64(cfg.Clusters()) * (m.Cluster.HubLeakageW + m.Cluster.HubClockW) * T
-	case cfg.Network.Kind == config.HybridMesh:
-		b.NetElecStatic += float64(cfg.HybridGateways()) * (m.Cluster.HubLeakageW + m.Cluster.HubClockW) * T
-	}
+	b.NetElecStatic = n*(m.Router.LeakageW+m.Router.ClockW)*T + nLinks*m.Link.LeakageW*T +
+		hubs*(m.Cluster.HubLeakageW+m.Cluster.HubClockW)*T
 
-	// Optical network, by fabric shape.
-	switch {
-	case cfg.Network.Kind == config.Corona:
-		// Home-channel transfers have exactly one reader; token grants and
-		// NACKs are one-bit select-class events on the token wavelength.
-		xbF := float64(r.Net.XbarFlits)
-		b.ONetOther = xbF*m.Opt.ModulatorEnergyJPerFlit() +
-			xbF*m.Opt.ReceiverEnergyJPerFlit(1) +
-			float64(r.Net.TokensGranted)*m.Opt.SelectEventEnergyJ(1e-9) +
-			float64(r.Net.OpticalNacks)*m.Opt.SelectEventEnergyJ(1e-9)
-		if cfg.Network.Flavor.LaserGated() {
-			b.Laser = float64(r.Net.XbarLaserCycles) * m.Opt.DataLinkWallPowerW(false) * 1e-9
-		} else {
-			// No power gating: every home channel's data and token lasers
-			// burn full power for the whole run.
-			b.Laser = float64(cfg.Clusters()) * (m.Opt.DataLinkWallPowerW(false) + m.Opt.SelectLinkWallPowerW()) * T
-		}
-		b.RingTuning = m.Opt.TuningPowerW(cfg.Network.Flavor.Athermal()) * T
-	case cfg.Network.Kind == config.HybridMesh:
-		// Express transfers are SWMR unicasts between gateways, each led
-		// by a select notification.
-		exF := float64(r.Net.ExpressFlits)
-		b.ONetOther = exF*m.Opt.ModulatorEnergyJPerFlit() +
-			exF*m.Opt.ReceiverEnergyJPerFlit(1) +
-			float64(r.Net.SelectEvents)*m.Opt.SelectEventEnergyJ(1e-9) +
-			float64(r.Net.OpticalNacks)*m.Opt.SelectEventEnergyJ(1e-9)
-		if cfg.Network.Flavor.LaserGated() {
-			b.Laser = float64(r.Net.ExpressLaserCycles) * m.Opt.DataLinkWallPowerW(false) * 1e-9
-		} else {
-			b.Laser = float64(cfg.HybridGateways()) * (m.Opt.DataLinkWallPowerW(true) + m.Opt.SelectLinkWallPowerW()) * T
-		}
-		b.RingTuning = m.Opt.TuningPowerW(cfg.Network.Flavor.Athermal()) * T
-	case cfg.Network.Kind.IsOptical():
-		hubs := float64(cfg.Clusters())
-		uniF := float64(r.Net.ONetUniFlits)
-		bcF := float64(r.Net.ONetBcastFlits)
-		b.ONetOther = (uniF+bcF)*m.Opt.ModulatorEnergyJPerFlit() +
-			uniF*m.Opt.ReceiverEnergyJPerFlit(1) +
-			bcF*m.Opt.ReceiverEnergyJPerFlit(cfg.Clusters()-1) +
-			float64(r.Net.SelectEvents)*m.Opt.SelectEventEnergyJ(1e-9) +
-			// An optical NACK rides the select network back to the
-			// sending hub (one select-class event per corrupted
-			// reception); retransmitted data flits are already in the
-			// ONet flit counters above.
-			float64(r.Net.OpticalNacks)*m.Opt.SelectEventEnergyJ(1e-9)
-		if cfg.Network.Flavor.LaserGated() {
-			b.Laser = float64(r.Net.LaserUniCycles)*m.Opt.DataLinkWallPowerW(false)*1e-9 +
-				float64(r.Net.LaserBcastCycles)*m.Opt.DataLinkWallPowerW(true)*1e-9
-		} else {
-			// No power gating: every hub's data and select lasers burn
-			// worst-case (broadcast) power for the whole run.
-			b.Laser = hubs * (m.Opt.DataLinkWallPowerW(true) + m.Opt.SelectLinkWallPowerW()) * T
-		}
-		b.RingTuning = m.Opt.TuningPowerW(cfg.Network.Flavor.Athermal()) * T
+	// Optical network. Data flits go to one reader (ONet unicasts, crossbar
+	// home channels, hybrid express links) or, as ONet broadcasts, to the
+	// H-1 others. Select notifications, token grants and NACKs (each
+	// corrupted reception rides the select network back to the sender) are
+	// select-class events; retransmitted flits are already in the flit
+	// counters. A crossbar's broadcast power equals its unicast power.
+	uniF := float64(r.Net.ONetUniFlits + r.Net.XbarFlits + r.Net.ExpressFlits)
+	bcF := float64(r.Net.ONetBcastFlits)
+	b.ONetOther = (uniF+bcF)*o.ModulatorEnergyJPerFlit() +
+		uniF*o.ReceiverEnergyJPerFlit(1) +
+		bcF*o.ReceiverEnergyJPerFlit(o.Geometry.Hubs-1) +
+		float64(r.Net.SelectEvents+r.Net.TokensGranted)*o.SelectEventEnergyJ(1e-9) +
+		float64(r.Net.OpticalNacks)*o.SelectEventEnergyJ(1e-9)
+	if cfg.Network.Flavor.LaserGated() {
+		b.Laser = float64(r.Net.LaserUniCycles+r.Net.XbarLaserCycles+r.Net.ExpressLaserCycles)*o.DataLinkWallPowerW(false)*1e-9 +
+			float64(r.Net.LaserBcastCycles)*o.DataLinkWallPowerW(true)*1e-9
+	} else {
+		// No power gating: every hub's data and select lasers burn
+		// worst-case (broadcast) power for the whole run.
+		b.Laser = hubs * (o.DataLinkWallPowerW(true) + o.SelectLinkWallPowerW()) * T
 	}
+	b.RingTuning = o.TuningPowerW(cfg.Network.Flavor.Athermal()) * T
 	return b
 }
 
@@ -297,19 +264,18 @@ func Combine(m Models, r system.Result) Breakdown {
 // flit crossings, and unicasts diverted from a degraded optical channel
 // onto the electrical mesh (charged at the mesh's mean-distance per-flit
 // cost, since the clean-path counters cannot be separated per message
-// after the fact). Zero for a fault-free run.
+// after the fact). Zero for a fault-free run; the optical terms are zero
+// on an electrical fabric, as in Combine.
 func ResilienceOverheadJ(m Models, r system.Result) float64 {
-	v := float64(r.Net.MeshNacks)*m.Link.PerFlitJ +
-		float64(r.Net.MeshRetxFlits)*(m.Link.PerFlitJ+m.Router.PerFlitJ())
-	if m.Cfg.Network.Kind.HasPhotonics() {
-		v += float64(r.Net.OpticalNacks) * m.Opt.SelectEventEnergyJ(1e-9)
-		v += float64(r.Net.OpticalRetxFlits) * (m.Opt.ModulatorEnergyJPerFlit() +
-			m.Opt.ReceiverEnergyJPerFlit(1) + m.Opt.DataLinkWallPowerW(false)*1e-9)
-		// Mean Manhattan distance on a dim x dim mesh is ~2/3 dim per axis.
-		meanHops := 2.0 * 2.0 / 3.0 * float64(m.Cfg.MeshDim())
-		v += float64(r.Net.ReroutedFlits) * meanHops * (m.Link.PerFlitJ + m.Router.PerFlitJ())
-	}
-	return v
+	o := m.Opt
+	// Mean Manhattan distance on a dim x dim mesh is ~2/3 dim per axis.
+	meanHops := 2.0 * 2.0 / 3.0 * float64(m.Cfg.MeshDim())
+	return float64(r.Net.MeshNacks)*m.Link.PerFlitJ +
+		float64(r.Net.MeshRetxFlits)*(m.Link.PerFlitJ+m.Router.PerFlitJ()) +
+		float64(r.Net.OpticalNacks)*o.SelectEventEnergyJ(1e-9) +
+		float64(r.Net.OpticalRetxFlits)*(o.ModulatorEnergyJPerFlit()+
+			o.ReceiverEnergyJPerFlit(1)+o.DataLinkWallPowerW(false)*1e-9) +
+		float64(r.Net.ReroutedFlits)*meanHops*(m.Link.PerFlitJ+m.Router.PerFlitJ())
 }
 
 // EDP returns the energy-delay product (J·s) for a run under its models.
@@ -345,22 +311,16 @@ func ComputeArea(m Models) Area {
 	n := float64(cfg.Cores)
 	dim := float64(cfg.MeshDim())
 	a := Area{
-		L1I:     n * m.L1I.AreaMM2,
-		L1D:     n * m.L1D.AreaMM2,
-		L2:      n * m.L2.AreaMM2,
-		Dir:     float64(cfg.Caches.DirSlices) * m.Dir.AreaMM2,
-		Routers: n * m.Router.AreaMM2,
-		Links:   4 * dim * (dim - 1) * m.Link.AreaMM2,
+		L1I:       n * m.L1I.AreaMM2,
+		L1D:       n * m.L1D.AreaMM2,
+		L2:        n * m.L2.AreaMM2,
+		Dir:       float64(cfg.Caches.DirSlices) * m.Dir.AreaMM2,
+		Routers:   n * m.Router.AreaMM2,
+		Links:     4 * dim * (dim - 1) * m.Link.AreaMM2,
+		Hubs:      float64(m.Opt.Geometry.Hubs) * m.Cluster.AreaMM2,
+		Photonics: m.Opt.AreaMM2(),
 	}
 	a.CoreLogic = 0.10 * (a.L1I + a.L1D + a.L2)
-	switch {
-	case cfg.Network.Kind.IsOptical() || cfg.Network.Kind == config.Corona:
-		a.Hubs = float64(cfg.Clusters()) * m.Cluster.AreaMM2
-		a.Photonics = m.Opt.AreaMM2()
-	case cfg.Network.Kind == config.HybridMesh:
-		a.Hubs = float64(cfg.HybridGateways()) * m.Cluster.AreaMM2
-		a.Photonics = m.Opt.AreaMM2()
-	}
 	return a
 }
 

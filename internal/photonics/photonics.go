@@ -146,55 +146,12 @@ type Link struct {
 	LaserWallBroadcastW float64
 }
 
-// Solve computes the link budget for the given technology and geometry.
-// It returns an error if the required optical power exceeds the waveguide
-// nonlinearity limit — the same feasibility constraint DSENT enforces.
-func Solve(p Params, g Geometry) (Link, error) {
-	if g.Hubs < 2 {
-		return Link{}, fmt.Errorf("photonics: need at least 2 hubs, got %d", g.Hubs)
-	}
-	if err := p.Validate(); err != nil {
-		return Link{}, err
-	}
-	// Worst-case path: modulator insertion, full loop propagation, the
-	// through loss of every other ring sharing the waveguide, the drop
-	// loss into the receiver, and the photodetector loss.
-	// Rings passed on one waveguide: each of the H hubs contributes one
-	// modulator ring and (H-1) filter rings per waveguide... but along a
-	// single wavelength's path, the signal passes H-1 modulator rings of
-	// other hubs (detuned to other wavelengths) and up to (H-1) of its
-	// own filter rings at intermediate hubs (tuned-out in unicast mode).
-	ringsPassed := float64((g.Hubs - 1) * 2)
-	wgLoss := p.WaveguideLossDBCM * p.WaveguideLoopCM
-	if p.TotalWaveguideLossDB > 0 {
-		wgLoss = p.TotalWaveguideLossDB
-	}
-	lossDB := p.ModulatorInsDB +
-		wgLoss +
-		p.RingThroughDB*ringsPassed +
-		p.RingDropDB +
-		p.PhotodetectorDB
-	loss := dbToLinear(lossDB)
-
-	sensW := p.ReceiverSensUW * 1e-6
-	uni := sensW * loss
-	bcast := uni * float64(g.Hubs-1)
-
-	if bcast > p.NonlinearityMW*1e-3 {
-		return Link{}, fmt.Errorf("photonics: broadcast power %.2f mW exceeds %v mW nonlinearity limit",
-			bcast*1e3, p.NonlinearityMW)
-	}
-	eff := p.LaserEfficiency
-	return Link{
-		Params:                 p,
-		Geometry:               g,
-		WorstCaseLossDB:        lossDB,
-		LaserOpticalUnicastW:   uni,
-		LaserOpticalBroadcastW: bcast,
-		LaserWallUnicastW:      uni / eff,
-		LaserWallBroadcastW:    bcast / eff,
-	}, nil
-}
+// Solve computes the link budget of one SWMR bit-channel. Along a single
+// wavelength's path the signal passes the H-1 modulator rings of the other
+// hubs (detuned to other wavelengths) and up to H-1 of its own filter rings
+// at intermediate hubs (tuned out in unicast mode): 2·(H-1) ring passes.
+// A broadcast splits the light among all H-1 readers.
+func Solve(p Params, g Geometry) (Link, error) { return solve(p, g, 2, g.Hubs-1) }
 
 // CrossbarGeometry derives the geometry of a Corona-style MWSR crossbar:
 // H home channels of W data wavelengths each, plus one token wavelength
@@ -205,45 +162,44 @@ func CrossbarGeometry(hubs, flitBits int) Geometry {
 }
 
 // SolveCrossbar computes the link budget of one MWSR home-channel
-// wavelength in a Corona-style crossbar. The structure follows Solve, with
-// two differences rooted in the MWSR topology:
-//
-//   - worst-case through loss scales with radix at 3·(H-1) ring passes
-//     (Li et al.-style accounting): a wavelength launched by the farthest
-//     writer passes the detuned modulator banks of the H-1 other writers
-//     sharing the channel — each contributing modulator-ring and
-//     neighboring-filter passes — before the home hub's drop ring, three
-//     detuned ring crossings per intermediate hub against the SWMR
-//     fabric's two;
-//   - a home channel has exactly one reader (the home hub's fixed-tuned
-//     drop filters), so there is no broadcast split: broadcast power
-//     equals unicast power, and the nonlinearity feasibility check applies
-//     to that single-receiver budget.
-func SolveCrossbar(p Params, g Geometry) (Link, error) {
+// wavelength in a Corona-style crossbar. Worst-case through loss scales
+// with radix at 3·(H-1) ring passes (Li et al.-style accounting): a
+// wavelength launched by the farthest writer passes the detuned modulator
+// banks of the H-1 other writers sharing the channel — modulator-ring and
+// neighboring-filter passes — before the home hub's drop ring. A home
+// channel has exactly one reader (the home hub's fixed-tuned drop
+// filters), so broadcast power equals unicast power and the nonlinearity
+// check binds on that single-receiver budget.
+func SolveCrossbar(p Params, g Geometry) (Link, error) { return solve(p, g, 3, 1) }
+
+// solve is the one link budget: modulator insertion, full loop
+// propagation, ringsPerHub·(H-1) detuned ring passes, the drop into the
+// receiver and the photodetector loss on the worst-case path, with the
+// light split among readers at broadcast. It returns an error if the
+// broadcast power exceeds the waveguide nonlinearity limit — the same
+// feasibility constraint DSENT enforces.
+func solve(p Params, g Geometry, ringsPerHub, readers int) (Link, error) {
 	if g.Hubs < 2 {
 		return Link{}, fmt.Errorf("photonics: need at least 2 hubs, got %d", g.Hubs)
 	}
 	if err := p.Validate(); err != nil {
 		return Link{}, err
 	}
-	ringsPassed := float64(3 * (g.Hubs - 1))
 	wgLoss := p.WaveguideLossDBCM * p.WaveguideLoopCM
 	if p.TotalWaveguideLossDB > 0 {
 		wgLoss = p.TotalWaveguideLossDB
 	}
 	lossDB := p.ModulatorInsDB +
 		wgLoss +
-		p.RingThroughDB*ringsPassed +
+		p.RingThroughDB*float64(ringsPerHub*(g.Hubs-1)) +
 		p.RingDropDB +
 		p.PhotodetectorDB
-	loss := dbToLinear(lossDB)
+	uni := p.ReceiverSensUW * 1e-6 * dbToLinear(lossDB)
+	bcast := uni * float64(readers)
 
-	sensW := p.ReceiverSensUW * 1e-6
-	uni := sensW * loss
-
-	if uni > p.NonlinearityMW*1e-3 {
-		return Link{}, fmt.Errorf("photonics: channel power %.2f mW exceeds %v mW nonlinearity limit",
-			uni*1e3, p.NonlinearityMW)
+	if bcast > p.NonlinearityMW*1e-3 {
+		return Link{}, fmt.Errorf("photonics: %d-reader broadcast power %.2f mW exceeds %v mW nonlinearity limit",
+			readers, bcast*1e3, p.NonlinearityMW)
 	}
 	eff := p.LaserEfficiency
 	return Link{
@@ -251,9 +207,9 @@ func SolveCrossbar(p Params, g Geometry) (Link, error) {
 		Geometry:               g,
 		WorstCaseLossDB:        lossDB,
 		LaserOpticalUnicastW:   uni,
-		LaserOpticalBroadcastW: uni, // single reader: no broadcast split
+		LaserOpticalBroadcastW: bcast,
 		LaserWallUnicastW:      uni / eff,
-		LaserWallBroadcastW:    uni / eff,
+		LaserWallBroadcastW:    bcast / eff,
 	}, nil
 }
 
