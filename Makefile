@@ -44,15 +44,18 @@ bench-pair:
 	bash scripts/bench_pair.sh $(REF) $(W) $(N) $(SEED)
 
 # Fuzz the flit-conservation property (exactly-once delivery under
-# randomized traffic and fault seeds) for FUZZTIME per target. Go allows
-# one -fuzz target per invocation, so the targets run back to back. The
-# three optical targets are one body (fuzzOpticalConservation) entered per
-# fabric kind, so each optical fabric still gets a full FUZZTIME.
+# randomized traffic and fault seeds) and the optical link budget (both
+# solvers: finite powers, broadcast = readers x unicast, monotone in loss)
+# for FUZZTIME per target. Go allows one -fuzz target per invocation, so
+# the targets run back to back. The three optical conservation targets
+# are one body (fuzzOpticalConservation) entered per fabric kind, so each
+# optical fabric still gets a full FUZZTIME.
 fuzz:
 	$(GO) test ./internal/noc -run '^$$' -fuzz '^FuzzMeshConservation$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/noc -run '^$$' -fuzz '^FuzzAtacConservation$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/noc -run '^$$' -fuzz '^FuzzCrossbarConservation$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/noc -run '^$$' -fuzz '^FuzzHybridConservation$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/photonics -run '^$$' -fuzz '^FuzzLinkBudget$$' -fuzztime $(FUZZTIME)
 
 # End-to-end crash-safety smoke: SIGINT a figure campaign mid-flight,
 # resume it from the journal+cache, and require byte-identical output with

@@ -492,16 +492,14 @@ func (c *Config) Validate() error {
 	if c.Memory.Controllers <= 0 {
 		return fmt.Errorf("config: Memory.Controllers must be positive, got %d", c.Memory.Controllers)
 	}
-	if c.Network.Kind.IsOptical() {
-		if c.Clusters() < 2 {
-			return fmt.Errorf("config: optical network needs >= 2 clusters, got %d", c.Clusters())
-		}
-		if (c.Network.Routing == DistanceRouting || c.Network.Routing == AdaptiveRouting) && c.Network.RThres < 1 {
-			return fmt.Errorf("config: %v routing needs RThres >= 1, got %d", c.Network.Routing, c.Network.RThres)
-		}
+	// Every cluster is an optical endpoint except in the hybrid, whose
+	// gateway count is checked below.
+	if c.Network.Kind.HasPhotonics() && c.Network.Kind != HybridMesh && c.Clusters() < 2 {
+		return fmt.Errorf("config: %v network needs >= 2 clusters, got %d", c.Network.Kind, c.Clusters())
 	}
-	if c.Network.Kind == Corona && c.Clusters() < 2 {
-		return fmt.Errorf("config: crossbar network needs >= 2 clusters, got %d", c.Clusters())
+	if c.Network.Kind.IsOptical() &&
+		(c.Network.Routing == DistanceRouting || c.Network.Routing == AdaptiveRouting) && c.Network.RThres < 1 {
+		return fmt.Errorf("config: %v routing needs RThres >= 1, got %d", c.Network.Routing, c.Network.RThres)
 	}
 	if c.Network.Kind == HybridMesh {
 		r := c.Hybrid.Radius

@@ -105,6 +105,13 @@ func TestValidateRejects(t *testing.T) {
 		{"too many dir slices", func(c *Config) { c.Caches.DirSlices = 2048 }},
 		{"no mem controllers", func(c *Config) { c.Memory.Controllers = 0 }},
 		{"distance routing without rthres", func(c *Config) { c.Network.RThres = 0 }},
+		{"atac+ with one cluster", func(c *Config) {
+			*c = Default().WithNetwork(ATACPlus)
+			c.Cores = 16
+			c.ClusterDim = 4
+			c.Caches.DirSlices = 1
+			c.Memory.Controllers = 1
+		}},
 		{"corona with one cluster", func(c *Config) {
 			*c = Config{}
 			*c = Default().WithNetwork(Corona)

@@ -19,8 +19,7 @@ func run(t *testing.T, cfg config.Config, name string) system.Result {
 }
 
 func TestBuildAllNetworks(t *testing.T) {
-	for _, k := range []config.NetworkKind{config.EMeshPure, config.EMeshBCast,
-		config.ATAC, config.ATACPlus, config.Corona, config.HybridMesh} {
+	for _, k := range allKinds {
 		cfg := config.Default().WithNetwork(k)
 		m, err := Build(cfg)
 		if err != nil {

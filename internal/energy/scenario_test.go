@@ -6,7 +6,11 @@ import (
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/dsent"
+	"repro/internal/mcpat"
+	"repro/internal/noc"
 	"repro/internal/photonics"
+	"repro/internal/system"
 	"repro/internal/tech"
 )
 
@@ -146,29 +150,54 @@ func breakdownFieldSum(t *testing.T, b Breakdown) float64 {
 	return sum
 }
 
+// electricalPricing is everything that prices the electrical mesh: cache,
+// router, link and hub models, the hop length, and what Combine charges
+// for one mesh link and one mesh router crossing.
+type electricalPricing struct {
+	L1I, L1D, L2, Dir      mcpat.Model
+	Router                 dsent.Router
+	Link                   dsent.Link
+	Cluster                dsent.ClusterNets
+	HopMM                  float64
+	LinkFlitJ, RouterFlitJ float64
+}
+
 // TestBreakdownReconciliation: for every fabric × flavor × tech × optics
 // scenario, the sum of all per-component Breakdown fields equals Core()
 // + Caches() + Network() equals Total(), and UncoreTotal() is Total()
 // minus Core(). One real Tiny run per fabric provides the counters; the
 // model grid reuses it (scenarios change models, never simulation
 // results). Covering every NetworkKind here keeps each fabric's uncore
-// charging path — including the crossbar and hybrid backends — inside
-// the reflection-checked reconciliation.
+// charging path inside the reflection-checked reconciliation.
+//
+// The same grid is the cross-architecture oracle (SNIPPETS.md 3): the
+// electrical models and the price of one mesh flit depend on the tech
+// node only, so within one tech × optics scenario they must be identical
+// on every fabric.
 func TestBreakdownReconciliation(t *testing.T) {
-	kinds := []config.NetworkKind{config.ATACPlus, config.Corona, config.HybridMesh}
-	flavors := []config.Flavor{config.FlavorDefault, config.FlavorIdeal, config.FlavorRingTuned, config.FlavorCons}
-	for _, kind := range kinds {
+	elec := map[string]electricalPricing{} // by tech/optics, from allKinds[0]
+	for _, kind := range allKinds {
 		cfg := config.Tiny().WithNetwork(kind)
 		res := run(t, cfg, "radix")
 		for _, node := range tech.Scenarios() {
 			for _, optics := range photonics.Variants() {
-				for _, fl := range flavors {
+				for _, fl := range allFlavors {
 					c := cfg
 					c.Tech, c.Optics = node, optics
 					c.Network.Flavor = fl
 					m, err := Build(c)
 					if err != nil {
 						t.Fatalf("%v/%s/%s/%v: %v", kind, node, optics, fl, err)
+					}
+					e := electricalPricing{m.L1I, m.L1D, m.L2, m.Dir, m.Router, m.Link, m.Cluster, m.HopMM,
+						Combine(m, system.Result{Net: noc.Stats{MeshLinkFlits: 1}}).NetElecDyn,
+						Combine(m, system.Result{Net: noc.Stats{MeshRouterFlits: 1}}).NetElecDyn}
+					scenario := node + "/" + optics
+					if first, ok := elec[scenario]; !ok {
+						elec[scenario] = e
+					} else if !reflect.DeepEqual(e, first) {
+						t.Errorf("%v/%s/%v: electrical models or mesh flit price differ from %v's",
+							kind, scenario, fl, allKinds[0])
 					}
 					b := Combine(m, res)
 					total := b.Total()
