@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/config"
@@ -68,6 +69,27 @@ func TestBuildConfigZeroGeometry(t *testing.T) {
 	}
 	if cfg.Network.RThres != 4 {
 		t.Errorf("RThres = %d, want MeshDim/2 = 4 at 64 cores", cfg.Network.RThres)
+	}
+}
+
+// TestOptionsConfigMatchesBuildConfig: a campaign's configs and a front
+// end's Geometry resolve to the same machine, so a figure cell and an
+// atacsim/atacd run of the same description share one run key.
+func TestOptionsConfigMatchesBuildConfig(t *testing.T) {
+	kinds := []config.NetworkKind{config.EMeshPure, config.EMeshBCast, config.ATAC,
+		config.ATACPlus, config.Corona, config.HybridMesh}
+	for _, kind := range kinds {
+		for _, cores := range []int{16, 64, 256, 1024} {
+			o := Options{Cores: cores, Scale: 1, Seed: 7, Tech: "7NM", Optics: "pessimistic"}
+			want, err := BuildConfig(Geometry{Net: kind.String(), Cores: cores, Seed: 7,
+				Tech: "7NM", Optics: "pessimistic"})
+			if err != nil {
+				t.Fatalf("%v/%d: %v", kind, cores, err)
+			}
+			if got := o.Config(kind); !reflect.DeepEqual(got, want) {
+				t.Errorf("%v/%d: Options.Config\n%+v\nBuildConfig\n%+v", kind, cores, got, want)
+			}
+		}
 	}
 }
 
