@@ -75,11 +75,11 @@ func run() int {
 	addr := flag.String("addr", "http://localhost:8347", "atacd base URL")
 	endpoints := flag.String("endpoints", "", "comma-separated additional atacd base URLs (cluster peers); reads hedge across them")
 	retries := flag.Int("retries", 8, "transient-failure retries per request (-1 disables)")
-	quiet := flag.Bool("q", false, "suppress retry/reconnect narration")
-	showVer := flag.Bool("version", false, "print the build version and exit")
+	var f experiments.Flags
+	f.Bind(flag.CommandLine, "q", "version")
 	flag.Usage = usage
 	flag.Parse()
-	if *showVer {
+	if f.Version {
 		fmt.Println(version.String())
 		return exitOK
 	}
@@ -97,7 +97,7 @@ func run() int {
 			c.Endpoints = append(c.Endpoints, e)
 		}
 	}
-	if *quiet {
+	if f.Quiet {
 		c.Logf = nil
 	}
 	var err error
@@ -137,35 +137,29 @@ func printJSON(v any) {
 	fmt.Println(string(out))
 }
 
-func submit(c *serve.Client, args []string) error {
+// parseSubmit reads submit's flags into the job spec and the -wait switch.
+func parseSubmit(args []string) (serve.JobSpec, bool) {
 	fs := flag.NewFlagSet("submit", flag.ExitOnError)
-	var (
-		bench   = fs.String("bench", "radix", "benchmark name, or a synth:... pseudo-benchmark")
-		net     = fs.String("net", "", "network: pure, bcast, atac, atac+ (default atac+)")
-		cores   = fs.Int("cores", 0, "total cores (default: daemon default)")
-		sharers = fs.Int("sharers", 0, "hardware sharer pointers (0 = default)")
-		proto   = fs.String("coherence", "", "coherence protocol: ackwise, dirkb")
-		flit    = fs.Int("flit", 0, "flit width in bits (0 = default)")
-		rthres  = fs.Int("rthres", 0, "distance routing threshold (0 = auto)")
-		techN   = fs.String("tech", "", "electrical technology scenario (empty = daemon default)")
-		opticsN = fs.String("optics", "", "optical technology scenario (empty = daemon default)")
-		seed    = fs.Int64("seed", 0, "simulation seed (0 = daemon default)")
-		wait    = fs.Bool("wait", false, "stream progress to stderr and print the result JSON")
-	)
-	fs.Parse(args)
-	spec := serve.JobSpec{
-		Bench: *bench,
-		Geometry: experiments.Geometry{
-			Net: *net, Cores: *cores, Sharers: *sharers, Coherence: *proto,
-			FlitBits: *flit, RThres: *rthres, Seed: *seed,
-			Tech: *techN, Optics: *opticsN,
-		},
+	fs.Usage = func() {
+		fmt.Fprintln(fs.Output(), "usage: atacctl submit [flags]; zero and empty machine flags take the daemon's -cores/-seed/-tech/-optics, else atacsim's defaults")
+		fs.PrintDefaults()
 	}
+	var f experiments.Flags
+	f.Bind(fs, "net", "cores", "sharers", "coherence", "flit", "rthres", "hybrid-radius",
+		"tech", "optics", "seed")
+	bench := fs.String("bench", "radix", "benchmark name, or a synth:... pseudo-benchmark")
+	wait := fs.Bool("wait", false, "stream progress to stderr and print the result JSON")
+	fs.Parse(args)
+	return serve.JobSpec{Bench: *bench, Geometry: f.Geometry}, *wait
+}
+
+func submit(c *serve.Client, args []string) error {
+	spec, wait := parseSubmit(args)
 	st, err := c.Submit(spec)
 	if err != nil {
 		return err
 	}
-	if !*wait {
+	if !wait {
 		printJSON(st)
 		return nil
 	}

@@ -41,11 +41,9 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/experiments"
-	"repro/internal/photonics"
 	"repro/internal/resultstore"
 	"repro/internal/serve"
 	"repro/internal/sim"
-	"repro/internal/tech"
 	"repro/internal/version"
 )
 
@@ -71,28 +69,25 @@ func selfFromAddr(addr string) string {
 }
 
 func run() int {
+	flag.Usage = func() {
+		fmt.Fprintln(flag.CommandLine.Output(), "usage: atacd [flags]; -cores, -seed, -tech and -optics are the defaults for jobs that name none")
+		flag.PrintDefaults()
+	}
+	r := experiments.NewRunner(experiments.Options{})
+	r.Retries = 2
+	f := experiments.Flags{Geometry: experiments.Geometry{Cores: 64, Seed: 42}, Runner: r,
+		Grace: 30 * time.Second}
+	f.Bind(flag.CommandLine, "cores", "seed", "tech", "optics", "jobs", "shards", "retries",
+		"run-timeout", "cache-dir", "no-cache", "cache-max-bytes", "grace", "version")
 	var (
-		addr     = flag.String("addr", ":8347", "HTTP listen address")
-		cores    = flag.Int("cores", 64, "default total cores for jobs that do not specify one")
-		scale    = flag.Int("scale", 1, "workload scale factor (part of every run's identity)")
-		seed     = flag.Int64("seed", 42, "default simulation seed")
-		techN    = flag.String("tech", "", "default electrical technology scenario for jobs that do not specify one: "+strings.Join(tech.Scenarios(), ", "))
-		opticsN  = flag.String("optics", "", "default optical technology scenario for jobs that do not specify one: "+strings.Join(photonics.Variants(), ", "))
-		jobsN    = flag.Int("jobs", 0, "max concurrent simulations (0: REPRO_JOBS env, else GOMAXPROCS)")
-		shards   = flag.Int("shards", 0, "parallel PDES shards per simulation (0: REPRO_SHARDS env, else 1 = serial; results and cache entries are identical either way)")
-		depth    = flag.Int("queue-depth", 64, "bounded job queue length; beyond it submits get 429")
-		cacheDir = flag.String("cache-dir", "", "persistent result cache directory (default: REPRO_CACHE env, else the user cache dir)")
-		noCache  = flag.Bool("no-cache", false, "disable the persistent result cache")
-		cacheMax = flag.Int64("cache-max-bytes", 0, "bound the on-disk cache, evicting least-recently-used entries (0 = unbounded)")
-		epoch    = flag.Int("epoch", 10000, "progress-stream epoch length in cycles (0 disables live epoch events)")
+		addr  = flag.String("addr", ":8347", "HTTP listen address")
+		scale = flag.Int("scale", 1, "workload scale factor (part of every run's identity)")
+		depth = flag.Int("queue-depth", 64, "bounded job queue length; beyond it submits get 429")
+		epoch = flag.Int("epoch", 10000, "progress-stream epoch length in cycles (0 disables live epoch events)")
 
-		runTimeout = flag.Duration("run-timeout", 0, "per-run wall-clock deadline (0 = none)")
-		retries    = flag.Int("retries", 2, "extra attempts for transiently failed runs (panics, deadlines)")
-		grace      = flag.Duration("grace", 30*time.Second, "drain window after SIGINT/SIGTERM before in-flight runs are cancelled")
 		storePath  = flag.String("store", "", "durable job ledger path (default: jobs.jsonl next to the cache; requires a cache unless set)")
 		noStore    = flag.Bool("no-store", false, "disable the durable job store (jobs do not survive a crash)")
 		reqTimeout = flag.Duration("request-timeout", 15*time.Second, "per-request deadline for non-streaming HTTP endpoints")
-		showVer    = flag.Bool("version", false, "print the build version and exit")
 
 		peersFlag = flag.String("peers", "", "comma-separated cluster peer base URLs, including this node (empty = single-node)")
 		selfFlag  = flag.String("self", "", "this node's base URL as it appears in -peers (default: derived from -addr)")
@@ -101,39 +96,31 @@ func run() int {
 	)
 	flag.Parse()
 
-	if *showVer {
+	if f.Version {
 		fmt.Println(version.String())
 		return 0
 	}
-	// Fail on a scenario typo before binding the listen address.
-	if _, err := tech.ByName(*techN); err != nil {
-		log.Print(err)
-		return experiments.ExitFatal
-	}
-	if _, err := photonics.ByName(*opticsN); err != nil {
+	// Fail on an impossible default machine or a scenario typo before
+	// binding the listen address.
+	if _, err := experiments.BuildConfig(f.Geometry); err != nil {
 		log.Print(err)
 		return experiments.ExitFatal
 	}
 
-	r := experiments.NewRunner(experiments.Options{Cores: *cores, Scale: *scale, Seed: *seed,
-		Tech: *techN, Optics: *opticsN})
-	r.Jobs = *jobsN
-	r.Shards = *shards
-	r.Retries = *retries
-	r.RunTimeout = *runTimeout
+	r.Opt = experiments.Options{Cores: f.Cores, Scale: *scale, Seed: f.Seed, Tech: f.Tech, Optics: f.Optics}
 	r.RecallFailures = true
 	r.EpochCycles = sim.Time(*epoch)
 	// An explicit -cache-dir that cannot be opened is fatal; the default
 	// directory (used when REPRO_CACHE attached nothing) is only a warning.
-	dir := *cacheDir
-	if *noCache {
+	dir := f.CacheDir
+	if f.NoCache {
 		r.Cache, dir = nil, ""
 	} else if dir == "" && r.Cache == nil {
 		dir = experiments.DefaultCacheDir()
 	}
 	closeCache, err := r.AttachCache(dir, true, log.Printf)
 	if err != nil {
-		if *cacheDir != "" {
+		if f.CacheDir != "" {
 			log.Print(err)
 			return experiments.ExitFatal
 		}
@@ -141,7 +128,7 @@ func run() int {
 	}
 	defer closeCache()
 	if r.Cache != nil {
-		r.Cache.MaxBytes = *cacheMax
+		r.Cache.MaxBytes = f.CacheMaxBytes
 		log.Printf("cache: %s", r.Cache.Dir())
 	}
 
@@ -228,7 +215,7 @@ func run() int {
 		Store:          store,
 		Cluster:        clusterCfg,
 	}, log.Printf)
-	ctx, stopSignals := r.InstallSignalHandlerHook(*grace, log.Printf, func(stage string) {
+	ctx, stopSignals := r.InstallSignalHandlerHook(f.Grace, log.Printf, func(stage string) {
 		if stage == "drain" {
 			srv.Drain()
 		}

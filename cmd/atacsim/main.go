@@ -16,7 +16,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strings"
 	"syscall"
 
 	"repro/internal/config"
@@ -38,20 +37,13 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("atacsim: ")
 
+	f := experiments.Flags{Geometry: experiments.Geometry{Net: "atac+", Cores: 64, Sharers: 4,
+		Coherence: "ackwise", FlitBits: 64, Seed: 42}}
+	f.Bind(flag.CommandLine, "net", "cores", "sharers", "coherence", "flit", "rthres",
+		"hybrid-radius", "tech", "optics", "seed", "shards", "run-timeout", "version")
 	var (
 		bench   = flag.String("bench", "radix", "benchmark: dynamic_graph, radix, barnes, fmm, ocean_contig, lu_contig, ocean_non_contig, lu_non_contig")
-		net     = flag.String("net", "atac+", "network: pure, bcast, atac, atac+, corona, hybrid")
-		cores   = flag.Int("cores", 64, "total cores (perfect square, multiple of cluster size)")
 		scale   = flag.Int("scale", 1, "workload scale factor")
-		sharers = flag.Int("sharers", 4, "ACKwise/DirKB hardware sharer pointers")
-		proto   = flag.String("coherence", "ackwise", "coherence protocol: ackwise, dirkb")
-		flit    = flag.Int("flit", 64, "flit width in bits")
-		rthres  = flag.Int("rthres", 0, "distance routing threshold (0 = auto)")
-		hybridR = flag.Int("hybrid-radius", 0, "hybrid network: photonic-gateway radius in clusters (0 = 1, a gateway per cluster)")
-		techN   = flag.String("tech", "", "electrical technology scenario: "+strings.Join(tech.Scenarios(), ", ")+" (default 11nm)")
-		opticsN = flag.String("optics", "", "optical technology scenario: "+strings.Join(photonics.Variants(), ", ")+" (default baseline)")
-		seed    = flag.Int64("seed", 42, "simulation seed")
-		shards  = flag.Int("shards", 0, "parallel PDES shards, one per cluster-row slab (0: REPRO_SHARDS env, else 1 = serial; results are bit-identical either way)")
 		heat    = flag.Bool("heatmap", false, "print the mesh congestion heatmap")
 		traceN  = flag.Int("trace", 0, "dump the last N protocol events after the run")
 		cfgPath = flag.String("config", "", "load the system configuration from this JSON file (overrides the geometry flags)")
@@ -74,13 +66,10 @@ func main() {
 		degrade   = flag.Float64("degrade", 0, "observed error rate above which an optical channel degrades to the ENet (0 = never)")
 		faultSeed = flag.Int64("faultseed", 0, "fault stream seed (0 = derive from -seed)")
 		watchdog  = flag.Int("watchdog", 0, "progress watchdog sampling interval in cycles (0 = off)")
-
-		runTimeout = flag.Duration("run-timeout", 0, "wall-clock deadline for the run (0 = none); Ctrl-C also cancels cleanly")
-		showVer    = flag.Bool("version", false, "print the build version and exit")
 	)
 	flag.Parse()
 
-	if *showVer {
+	if f.Version {
 		fmt.Println(version.String())
 		return
 	}
@@ -96,12 +85,7 @@ func main() {
 	if *cfgPath != "" {
 		cfg, err = config.LoadFile(*cfgPath)
 	} else {
-		cfg, err = experiments.BuildConfig(experiments.Geometry{
-			Net: *net, Cores: *cores, Sharers: *sharers, Coherence: *proto,
-			FlitBits: *flit, RThres: *rthres, Seed: *seed,
-			HybridRadius: *hybridR,
-			Tech:         *techN, Optics: *opticsN,
-		})
+		cfg, err = experiments.BuildConfig(f.Geometry)
 	}
 	if err != nil {
 		log.Fatal(err)
@@ -139,7 +123,7 @@ func main() {
 		go func() { log.Println(http.ListenAndServe(*pprofAddr, nil)) }()
 	}
 
-	nsh := *shards
+	nsh := f.Runner.Shards
 	if nsh <= 0 {
 		nsh = experiments.DefaultShards()
 	}
@@ -186,9 +170,9 @@ func main() {
 	// observability sinks below instead of dying mid-write.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if *runTimeout > 0 {
+	if d := f.Runner.RunTimeout; d > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeoutCause(ctx, *runTimeout, fmt.Errorf("run deadline %v exceeded", *runTimeout))
+		ctx, cancel = context.WithTimeoutCause(ctx, d, fmt.Errorf("run deadline %v exceeded", d))
 		defer cancel()
 	}
 	res, err := sys.RunContext(ctx, spec, 0)

@@ -46,37 +46,29 @@ func main() {
 }
 
 func run() int {
+	r := experiments.NewRunner(experiments.Options{})
+	r.Retries = 2
+	f := experiments.Flags{Geometry: experiments.Geometry{Cores: 64, Seed: 42}, Runner: r,
+		Grace: 15 * time.Second}
+	f.Bind(flag.CommandLine, "cores", "seed", "tech", "optics", "q", "jobs", "shards", "retries",
+		"run-timeout", "cache-dir", "no-cache", "cache-max-bytes", "grace", "version")
 	var (
-		cores    = flag.Int("cores", 64, "total cores (paper: 1024)")
 		scale    = flag.Int("scale", 1, "workload scale factor")
-		seed     = flag.Int64("seed", 42, "simulation seed")
-		techN    = flag.String("tech", "", "electrical technology scenario for every figure: "+strings.Join(tech.Scenarios(), ", ")+" (default 11nm)")
-		opticsN  = flag.String("optics", "", "optical technology scenario for every figure: "+strings.Join(photonics.Variants(), ", ")+" (default baseline)")
 		scenList = flag.String("scenarios", "", `techsweep scenario list, comma-separated "tech[/optics]" pairs (default: the built-in six-point sweep)`)
 		topoList = flag.String("topos", "", `xtopo topology list, comma-separated network names, e.g. "bcast,corona,hybrid" (default: bcast,atac+,corona,hybrid; first entry is the normalization reference)`)
 		only     = flag.String("only", "", "comma-separated subset of "+strings.Join(experiments.FigureIDs(), ","))
 		out      = flag.String("o", "", "also write results to this file")
 		svgDir   = flag.String("svg", "", "also render each figure as an SVG into this directory")
 		format   = flag.String("format", "text", "output format: text, csv, json")
-		quiet    = flag.Bool("q", false, "suppress per-run progress")
-		jobsN    = flag.Int("jobs", 0, "max concurrent simulations (0: REPRO_JOBS env, else GOMAXPROCS)")
-		shards   = flag.Int("shards", 0, "parallel PDES shards per simulation (0: REPRO_SHARDS env, else 1 = serial; results and cache entries are identical either way)")
-		cacheDir = flag.String("cache-dir", "", "persistent result cache directory (default: REPRO_CACHE env, else the user cache dir)")
-		noCache  = flag.Bool("no-cache", false, "disable the persistent result cache")
-		cacheMax = flag.Int64("cache-max-bytes", 0, "bound the on-disk cache, evicting least-recently-used entries (0 = unbounded)")
 		clear    = flag.Bool("clear-cache", false, "invalidate the persistent result cache, then proceed")
 		pprofA   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 
-		runTimeout  = flag.Duration("run-timeout", 0, "per-run wall-clock deadline, e.g. 5m (0 = none; overruns retry, then fail)")
-		retries     = flag.Int("retries", 2, "extra attempts for transiently failed runs (panics, deadlines)")
-		grace       = flag.Duration("grace", 15*time.Second, "drain window after SIGINT/SIGTERM before in-flight runs are cancelled")
 		noJournal   = flag.Bool("no-journal", false, "disable the write-ahead run journal (journal.jsonl next to the cache)")
 		retryFailed = flag.Bool("retry-failed", false, "re-attempt runs the journal recorded as terminally failed")
-		showVer     = flag.Bool("version", false, "print the build version and exit")
 	)
 	flag.Parse()
 
-	if *showVer {
+	if f.Version {
 		fmt.Println(version.String())
 		return 0
 	}
@@ -85,18 +77,14 @@ func run() int {
 	}
 	start := time.Now()
 
-	f, err := report.ParseFormat(*format)
+	form, err := report.ParseFormat(*format)
 	if err != nil {
 		log.Print(err)
 		return experiments.ExitFatal
 	}
-	// Resolve the technology scenario before spending any simulation time:
-	// a typo should fail here, not after the first figure's runs.
-	if _, err := tech.ByName(*techN); err != nil {
-		log.Print(err)
-		return experiments.ExitFatal
-	}
-	if _, err := photonics.ByName(*opticsN); err != nil {
+	// Resolve the campaign machine before spending any simulation time: an
+	// impossible core count or a scenario typo fails here, not in every run.
+	if _, err := experiments.BuildConfig(f.Geometry); err != nil {
 		log.Print(err)
 		return experiments.ExitFatal
 	}
@@ -115,23 +103,19 @@ func run() int {
 		log.Print(err)
 		return experiments.ExitFatal
 	}
-	o := experiments.Options{Cores: *cores, Scale: *scale, Seed: *seed,
-		Tech: *techN, Optics: *opticsN, Scenarios: scens, Topologies: topos}
-	r := experiments.NewRunner(o)
-	r.Jobs = *jobsN
-	r.Shards = *shards
-	r.Retries = *retries
-	r.RunTimeout = *runTimeout
+	o := experiments.Options{Cores: f.Cores, Scale: *scale, Seed: f.Seed,
+		Tech: f.Tech, Optics: f.Optics, Scenarios: scens, Topologies: topos}
+	r.Opt = o
 	r.Partial = true
 	r.RecallFailures = !*retryFailed
-	if !*quiet {
+	if !f.Quiet {
 		r.Progress = func(s string) { fmt.Fprintln(os.Stderr, "  ...", s) }
 	}
 	// The cache directory is resolved here (flag, REPRO_CACHE, user cache dir); unopenable is a warning.
 	r.Cache = nil
 	dir := ""
-	if !*noCache {
-		dir = cmp.Or(*cacheDir, experiments.DefaultCacheDir())
+	if !f.NoCache {
+		dir = cmp.Or(f.CacheDir, experiments.DefaultCacheDir())
 	}
 	closeCache, err := r.AttachCache(dir, !*noJournal, log.Printf)
 	if err != nil {
@@ -139,25 +123,25 @@ func run() int {
 	}
 	defer closeCache()
 	if r.Cache != nil {
-		r.Cache.MaxBytes = *cacheMax
+		r.Cache.MaxBytes = f.CacheMaxBytes
 		if *clear {
 			if err := r.Cache.Invalidate(); err != nil {
 				log.Printf("warning: %v", err)
 			}
 		}
 	}
-	_, stopSignals := r.InstallSignalHandler(*grace, log.Printf)
+	_, stopSignals := r.InstallSignalHandler(f.Grace, log.Printf)
 	defer stopSignals()
 
 	var w io.Writer = os.Stdout
 	if *out != "" {
-		f, err := os.Create(*out)
+		file, err := os.Create(*out)
 		if err != nil {
 			log.Print(err)
 			return experiments.ExitFatal
 		}
-		defer f.Close()
-		w = io.MultiWriter(os.Stdout, f)
+		defer file.Close()
+		w = io.MultiWriter(os.Stdout, file)
 	}
 
 	fmt.Fprintf(w, "ATAC+ evaluation campaign: %d cores, scale %d, seed %d, %s electronics, %s optics\n\n",
@@ -179,7 +163,7 @@ func run() int {
 			figureFailed = true
 			continue
 		}
-		if err := report.Write(w, t, f); err != nil {
+		if err := report.Write(w, t, form); err != nil {
 			log.Print(err)
 			return experiments.ExitFatal
 		}
@@ -190,7 +174,7 @@ func run() int {
 			}
 		}
 	}
-	if !*quiet {
+	if !f.Quiet {
 		fmt.Fprintf(os.Stderr, "campaign: %d simulations run, %d recalled from cache, %d failures recalled from journal\n",
 			r.FreshRuns(), r.CacheHits(), r.RecalledFailures())
 	}
@@ -202,7 +186,7 @@ func run() int {
 		path := filepath.Join(dir, "manifest.json")
 		if err := experiments.WriteManifest(path, p); err != nil {
 			log.Printf("warning: manifest: %v", err)
-		} else if !*quiet {
+		} else if !f.Quiet {
 			fmt.Fprintln(os.Stderr, "provenance ->", path)
 		}
 	}

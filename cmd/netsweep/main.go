@@ -23,7 +23,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/config"
 	"repro/internal/experiments"
 	"repro/internal/sim"
 	"repro/internal/traffic"
@@ -37,24 +36,27 @@ func main() {
 }
 
 func run() int {
+	r := experiments.NewRunner(experiments.Options{})
+	f := experiments.Flags{Geometry: experiments.Geometry{Cores: 64, Seed: 42}, Runner: r}
+	f.Bind(flag.CommandLine, "cores", "seed", "jobs", "cache-dir", "no-cache", "q", "version")
 	var (
-		cores    = flag.Int("cores", 64, "total cores")
-		loadStr  = flag.String("loads", "0.01,0.02,0.04,0.08,0.12,0.16", "offered loads, flits/cycle/core")
-		bcast    = flag.Float64("bcast", 0.001, "broadcast fraction of injected messages")
-		pattern  = flag.String("pattern", "uniform", "traffic pattern: "+strings.Join(traffic.Patterns(), ", "))
-		warmup   = flag.Uint64("warmup", 3000, "warmup cycles")
-		measure  = flag.Uint64("measure", 6000, "measurement cycles")
-		seed     = flag.Int64("seed", 42, "seed")
-		jobsN    = flag.Int("jobs", 0, "max concurrent simulations (0: REPRO_JOBS env, else GOMAXPROCS)")
-		cacheDir = flag.String("cache-dir", "", "persistent result cache directory (default: REPRO_CACHE env, else disabled)")
-		noCache  = flag.Bool("no-cache", false, "disable the persistent result cache")
-		quiet    = flag.Bool("q", false, "suppress per-run progress")
-		showVer  = flag.Bool("version", false, "print the build version and exit")
+		loadStr = flag.String("loads", "0.01,0.02,0.04,0.08,0.12,0.16", "offered loads, flits/cycle/core")
+		bcast   = flag.Float64("bcast", 0.001, "broadcast fraction of injected messages")
+		pattern = flag.String("pattern", "uniform", "traffic pattern: "+strings.Join(traffic.Patterns(), ", "))
+		warmup  = flag.Uint64("warmup", 3000, "warmup cycles")
+		measure = flag.Uint64("measure", 6000, "measurement cycles")
 	)
 	flag.Parse()
-	if *showVer {
+	if f.Version {
 		fmt.Println(version.String())
 		return 0
+	}
+	// The sweep runs on the campaign's ATAC+ machine: an impossible one
+	// fails here, before any point is simulated.
+	cfg, err := experiments.BuildConfig(f.Geometry)
+	if err != nil {
+		log.Print(err)
+		return experiments.ExitFatal
 	}
 
 	var loads []float64
@@ -67,12 +69,10 @@ func run() int {
 		loads = append(loads, v)
 	}
 
-	o := experiments.Options{Cores: *cores, Scale: 1, Seed: *seed}
-	r := experiments.NewRunner(o)
-	r.Jobs = *jobsN
+	r.Opt = experiments.Options{Cores: f.Cores, Scale: 1, Seed: f.Seed}
 	r.RecallFailures = true
-	dir := *cacheDir
-	if *noCache {
+	dir := f.CacheDir
+	if f.NoCache {
 		r.Cache, dir = nil, ""
 	}
 	closeCache, err := r.AttachCache(dir, true, log.Printf)
@@ -81,13 +81,12 @@ func run() int {
 		return experiments.ExitFatal
 	}
 	defer closeCache()
-	if !*quiet {
+	if !f.Quiet {
 		r.Progress = func(s string) { fmt.Fprintln(os.Stderr, "  ...", s) }
 	}
 	ctx, stopSignals := r.InstallSignalHandler(15*time.Second, log.Printf)
 	defer stopSignals()
 
-	cfg := o.Config(config.ATACPlus)
 	schemes := experiments.Fig3Schemes(cfg.MeshDim())
 	sp := experiments.SynthSpec{
 		Pattern:   *pattern,
@@ -120,11 +119,11 @@ func run() int {
 			fmt.Printf("  %14.2f", res.Synth.MeanLat)
 		}
 		fmt.Println()
-		for _, f := range failures {
-			fmt.Printf("# load %.3f %s\n", load, f)
+		for _, msg := range failures {
+			fmt.Printf("# load %.3f %s\n", load, msg)
 		}
 	}
-	if !*quiet {
+	if !f.Quiet {
 		fmt.Fprintf(os.Stderr, "sweep: %d simulations run, %d recalled from cache\n",
 			r.FreshRuns(), r.CacheHits())
 	}

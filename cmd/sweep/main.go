@@ -29,23 +29,10 @@ import (
 	"repro/internal/energy"
 	"repro/internal/experiments"
 	"repro/internal/noc"
-	"repro/internal/photonics"
 	"repro/internal/sim"
-	"repro/internal/tech"
 	"repro/internal/traffic"
 	"repro/internal/version"
 )
-
-// sweepOpts carries the campaign-engine knobs of a system sweep.
-type sweepOpts struct {
-	jobs       int
-	shards     int
-	cacheDir   string
-	noCache    bool
-	runTimeout time.Duration
-	retries    int
-	grace      time.Duration
-}
 
 func main() {
 	log.SetFlags(0)
@@ -54,29 +41,21 @@ func main() {
 }
 
 func run() int {
+	r := experiments.NewRunner(experiments.Options{})
+	r.Retries = 2
+	f := experiments.Flags{Geometry: experiments.Geometry{Net: "atac+", Cores: 64, Seed: 42}, Runner: r,
+		Grace: 15 * time.Second}
+	f.Bind(flag.CommandLine, "net", "cores", "tech", "optics", "seed", "jobs", "shards", "retries",
+		"run-timeout", "cache-dir", "no-cache", "grace", "version")
 	var (
-		param    = flag.String("param", "flit", "swept parameter: flit, rthres, sharers, load")
-		values   = flag.String("values", "", "comma-separated integer values")
-		bench    = flag.String("bench", "radix", "benchmark (system sweeps)")
-		net      = flag.String("net", "atac+", "network: pure, bcast, atac, atac+")
-		cores    = flag.Int("cores", 64, "total cores")
-		pattern  = flag.String("pattern", "uniform", "traffic pattern (load sweeps): "+strings.Join(traffic.Patterns(), ", "))
-		techN    = flag.String("tech", "", "electrical technology scenario: "+strings.Join(tech.Scenarios(), ", ")+" (default 11nm)")
-		opticsN  = flag.String("optics", "", "optical technology scenario: "+strings.Join(photonics.Variants(), ", ")+" (default baseline)")
-		seed     = flag.Int64("seed", 42, "seed")
-		jobsN    = flag.Int("jobs", 0, "max concurrent simulations (0: REPRO_JOBS env, else GOMAXPROCS)")
-		shards   = flag.Int("shards", 0, "parallel PDES shards per simulation (0: REPRO_SHARDS env, else 1 = serial; load sweeps are synthetic and always serial)")
-		cacheDir = flag.String("cache-dir", "", "persistent result cache directory (default: REPRO_CACHE env, else disabled)")
-		noCache  = flag.Bool("no-cache", false, "disable the persistent result cache")
-
-		runTimeout = flag.Duration("run-timeout", 0, "per-run wall-clock deadline (0 = none)")
-		retries    = flag.Int("retries", 2, "extra attempts for transiently failed runs (panics, deadlines)")
-		grace      = flag.Duration("grace", 15*time.Second, "drain window after SIGINT/SIGTERM before in-flight runs are cancelled")
-		showVer    = flag.Bool("version", false, "print the build version and exit")
+		param   = flag.String("param", "flit", "swept parameter: flit, rthres, sharers, load")
+		values  = flag.String("values", "", "comma-separated integer values")
+		bench   = flag.String("bench", "radix", "benchmark (system sweeps)")
+		pattern = flag.String("pattern", "uniform", "traffic pattern (load sweeps): "+strings.Join(traffic.Patterns(), ", "))
 	)
 	flag.Parse()
 
-	if *showVer {
+	if f.Version {
 		fmt.Println(version.String())
 		return 0
 	}
@@ -89,16 +68,19 @@ func run() int {
 		log.Print("no -values given")
 		return experiments.ExitFatal
 	}
-
-	g := experiments.Geometry{Net: *net, Cores: *cores, Seed: *seed, Tech: *techN, Optics: *opticsN}
+	// Every point is this machine with one knob moved, so -tech/-optics
+	// land in the run keys (and energy models) exactly as they do in the
+	// other front ends, and an impossible machine fails before any run.
+	base, err := experiments.BuildConfig(f.Geometry)
+	if err != nil {
+		log.Print(err)
+		return experiments.ExitFatal
+	}
 	switch *param {
 	case "load":
-		return sweepLoad(*pattern, g, vals)
+		return sweepLoad(*pattern, base, vals)
 	case "flit", "rthres", "sharers":
-		return sweepSystem(*param, *bench, g, vals, sweepOpts{
-			jobs: *jobsN, shards: *shards, cacheDir: *cacheDir, noCache: *noCache,
-			runTimeout: *runTimeout, retries: *retries, grace: *grace,
-		})
+		return sweepSystem(*param, *bench, base, vals, &f)
 	default:
 		log.Printf("unknown -param %q", *param)
 		return experiments.ExitFatal
@@ -121,21 +103,14 @@ func parseInts(s string) ([]int, error) {
 	return out, nil
 }
 
-func sweepSystem(param, bench string, g experiments.Geometry, vals []int, o sweepOpts) int {
+func sweepSystem(param, bench string, base config.Config, vals []int, f *experiments.Flags) int {
 	// Build every swept configuration first, then hand the whole set to the
 	// campaign engine: points run concurrently (up to -jobs) and repeat
-	// invocations hit the persistent cache. Every point goes through
-	// experiments.BuildConfig, so the -tech/-optics scenario lands in the
-	// run keys (and energy models) exactly as it does in the other front
-	// ends.
+	// invocations hit the persistent cache.
 	cfgs := make([]config.Config, 0, len(vals))
 	specs := make([]experiments.RunSpec, 0, len(vals))
 	for _, v := range vals {
-		cfg, err := experiments.BuildConfig(g)
-		if err != nil {
-			log.Print(err)
-			return experiments.ExitFatal
-		}
+		cfg := base
 		switch param {
 		case "flit":
 			cfg.Network.FlitBits = v
@@ -153,15 +128,11 @@ func sweepSystem(param, bench string, g experiments.Geometry, vals []int, o swee
 		specs = append(specs, experiments.RunSpec{Cfg: cfg, Bench: bench})
 	}
 
-	r := experiments.NewRunner(experiments.Options{Cores: g.Cores, Scale: 1, Seed: g.Seed,
-		Tech: g.Tech, Optics: g.Optics})
-	r.Jobs = o.jobs
-	r.Shards = o.shards
-	r.Retries = o.retries
-	r.RunTimeout = o.runTimeout
+	r := f.Runner
+	r.Opt = experiments.Options{Cores: f.Cores, Scale: 1, Seed: f.Seed, Tech: f.Tech, Optics: f.Optics}
 	r.RecallFailures = true
-	dir := o.cacheDir
-	if o.noCache {
+	dir := f.CacheDir
+	if f.NoCache {
 		r.Cache, dir = nil, ""
 	}
 	closeCache, err := r.AttachCache(dir, true, log.Printf)
@@ -170,7 +141,7 @@ func sweepSystem(param, bench string, g experiments.Geometry, vals []int, o swee
 		return experiments.ExitFatal
 	}
 	defer closeCache()
-	ctx, stopSignals := r.InstallSignalHandler(o.grace, log.Printf)
+	ctx, stopSignals := r.InstallSignalHandler(f.Grace, log.Printf)
 	defer stopSignals()
 
 	// Errors are surfaced per-point below, as comment rows in the CSV; an
@@ -198,13 +169,7 @@ func sweepSystem(param, bench string, g experiments.Geometry, vals []int, o swee
 }
 
 // sweepLoad drives the bare -net fabric with synthetic traffic at each load.
-func sweepLoad(pattern string, g experiments.Geometry, percents []int) int {
-	cfg, err := experiments.BuildConfig(g)
-	if err != nil {
-		log.Print(err)
-		return experiments.ExitFatal
-	}
-	seed := g.Seed
+func sweepLoad(pattern string, cfg config.Config, percents []int) int {
 	p, err := traffic.ByName(pattern, cfg.MeshDim(), 0.001)
 	if err != nil {
 		log.Print(err)
@@ -219,7 +184,7 @@ func sweepLoad(pattern string, g experiments.Geometry, percents []int) int {
 			return experiments.ExitFatal
 		}
 		res := traffic.Drive(&k, net, cfg.Cores, p, float64(pc)/100, cfg.Network.FlitBits,
-			2000, 6000, 20000, seed)
+			2000, 6000, 20000, cfg.Seed)
 		fmt.Printf("%d,%d,%d,%.2f,%d,%d,%d,%d\n", pc, res.Injected, res.Delivered,
 			res.Latency.Mean(), res.Latency.Percentile(50), res.Latency.Percentile(95),
 			res.Latency.Percentile(99), res.Latency.Max())

@@ -1,11 +1,12 @@
 // Command validate runs the full correctness matrix: every workload
 // (including the extension kernels) on every network architecture and both
 // coherence protocols, each validated against its sequential reference.
-// It is the repository's end-to-end health check.
+// Every machine is resolved through experiments.BuildConfig, like every
+// other front end's. It is the repository's end-to-end health check.
 //
 // Usage:
 //
-//	validate              # 16-core matrix (~1 min)
+//	validate              # 16-core matrix, 120 combinations
 //	validate -cores 64    # larger machines, same matrix
 package main
 
@@ -17,6 +18,7 @@ import (
 	"time"
 
 	"repro/internal/config"
+	"repro/internal/experiments"
 	"repro/internal/system"
 	"repro/internal/version"
 	"repro/internal/workload"
@@ -26,40 +28,29 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("validate: ")
 
-	var (
-		cores   = flag.Int("cores", 16, "total cores")
-		seed    = flag.Int64("seed", 42, "seed")
-		scale   = flag.Int("scale", 1, "workload scale")
-		showVer = flag.Bool("version", false, "print the build version and exit")
-	)
+	f := experiments.Flags{Geometry: experiments.Geometry{Cores: 16, Seed: 42}}
+	f.Bind(flag.CommandLine, "cores", "seed", "version")
+	scale := flag.Int("scale", 1, "workload scale")
 	flag.Parse()
 
-	if *showVer {
+	if f.Version {
 		fmt.Println(version.String())
 		return
 	}
 
-	networks := []config.NetworkKind{config.EMeshPure, config.EMeshBCast, config.ATAC, config.ATACPlus}
+	networks := []config.NetworkKind{config.EMeshPure, config.EMeshBCast, config.ATAC,
+		config.ATACPlus, config.Corona, config.HybridMesh}
 	protocols := []config.CoherenceKind{config.ACKwise, config.DirKB}
 
 	var pass, fail int
 	start := time.Now()
-	for _, spec := range workload.ExtendedCatalog(*cores, *seed, *scale) {
+	for _, spec := range workload.ExtendedCatalog(f.Cores, f.Seed, *scale) {
 		for _, nk := range networks {
 			for _, ck := range protocols {
-				cfg := config.Default().WithNetwork(nk)
-				cfg.Cores = *cores
-				cfg.Seed = *seed
-				if *cores < 64 {
-					cfg.ClusterDim = 2
-				}
-				cfg.Caches.DirSlices = cfg.Clusters()
-				cfg.Memory.Controllers = cfg.Clusters()
-				cfg.Coherence.Kind = ck
-				if *cores < 1024 {
-					cfg.Network.RThres = max(2, cfg.MeshDim()/2)
-				}
-				if err := cfg.Validate(); err != nil {
+				g := f.Geometry
+				g.Net, g.Coherence = nk.String(), ck.String()
+				cfg, err := experiments.BuildConfig(g)
+				if err != nil {
 					log.Fatal(err)
 				}
 				sys, err := system.New(cfg)
@@ -83,11 +74,4 @@ func main() {
 	if fail > 0 {
 		os.Exit(1)
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

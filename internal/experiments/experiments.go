@@ -20,10 +20,8 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/energy"
-	"repro/internal/photonics"
 	"repro/internal/sim"
 	"repro/internal/system"
-	"repro/internal/tech"
 )
 
 // Benchmarks lists the evaluation applications in the paper's Fig 4 order.
@@ -73,25 +71,13 @@ func DefaultOptions() Options {
 	return o
 }
 
-// Config derives a validated system config for the given network kind.
+// Config derives the system config for the given network kind through
+// BuildConfig, the one resolution path. Its error is Validate's, which the
+// campaign front ends report once at start-up by resolving the same
+// geometry themselves; the config is built either way.
 func (o Options) Config(kind config.NetworkKind) config.Config {
-	cfg := config.Default().WithNetwork(kind)
-	cfg.Cores = o.Cores
-	cfg.Seed = o.Seed
-	cfg.Tech = tech.Canonical(o.Tech)
-	cfg.Optics = photonics.Canonical(o.Optics)
-	if o.Cores < 64 {
-		cfg.ClusterDim = 2 // keep >= 4 clusters at tiny scales
-	}
-	cfg.Caches.DirSlices = cfg.Clusters()
-	cfg.Memory.Controllers = cfg.Clusters()
-	if o.Cores < 1024 {
-		// Keep the distance threshold proportional to the mesh span.
-		cfg.Network.RThres = cfg.MeshDim() / 2
-		if cfg.Network.RThres < 2 {
-			cfg.Network.RThres = 2
-		}
-	}
+	cfg, _ := BuildConfig(Geometry{Net: kind.String(), Cores: o.Cores, Seed: o.Seed,
+		Tech: o.Tech, Optics: o.Optics})
 	return cfg
 }
 

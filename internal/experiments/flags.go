@@ -1,0 +1,82 @@
+// Command-line flags shared by the front ends.
+//
+// Seven binaries describe a machine and drive the campaign engine from the
+// command line. Every flag more than one of them takes is declared here,
+// once, with one help text, and writes straight into the field it sets: the
+// machine description into a Geometry, the engine knobs into Runner
+// fields. The value a field holds when Bind runs is the flag's default, so
+// each binary keeps its own defaults while the names and meanings stay one.
+package experiments
+
+import (
+	"flag"
+	"strings"
+	"time"
+
+	"repro/internal/photonics"
+	"repro/internal/tech"
+)
+
+// Flags is what the shared flags write: the machine description, the
+// campaign engine's knobs (fields of Runner; Bind gives a nil Runner a zero
+// one to hold them), and the cache, shutdown and output switches each
+// front end applies by its own policy.
+type Flags struct {
+	Geometry
+	Runner *Runner
+
+	CacheDir      string
+	NoCache       bool
+	CacheMaxBytes int64
+	Grace         time.Duration
+	Quiet         bool
+	Version       bool
+}
+
+// Bind declares the named shared flags on fs, each defaulting to the value
+// its field holds now. A name Flags does not declare is a programming error
+// and panics.
+func (f *Flags) Bind(fs *flag.FlagSet, names ...string) {
+	all := f.declare()
+	for _, name := range names {
+		fl := all.Lookup(name)
+		if fl == nil {
+			panic("experiments: no shared flag -" + name)
+		}
+		fs.Var(fl.Value, name, fl.Usage)
+	}
+}
+
+// declare declares every shared flag on a private set; Bind re-declares
+// the requested ones on the caller's.
+func (f *Flags) declare() *flag.FlagSet {
+	if f.Runner == nil {
+		f.Runner = new(Runner)
+	}
+	g, r := &f.Geometry, f.Runner
+	fs := flag.NewFlagSet("shared", flag.ContinueOnError)
+
+	fs.StringVar(&g.Net, "net", g.Net, "network: pure, bcast, atac, atac+, corona, hybrid")
+	fs.IntVar(&g.Cores, "cores", g.Cores, "total cores (perfect square, multiple of cluster size)")
+	fs.IntVar(&g.Sharers, "sharers", g.Sharers, "ACKwise/DirKB hardware sharer pointers")
+	fs.StringVar(&g.Coherence, "coherence", g.Coherence, "coherence protocol: ackwise, dirkb")
+	fs.IntVar(&g.FlitBits, "flit", g.FlitBits, "flit width in bits")
+	fs.IntVar(&g.RThres, "rthres", g.RThres, "distance routing threshold (0 = auto)")
+	fs.IntVar(&g.HybridRadius, "hybrid-radius", g.HybridRadius, "hybrid network: photonic-gateway radius in clusters (0 = 1, a gateway per cluster)")
+	fs.StringVar(&g.Tech, "tech", g.Tech, "electrical technology scenario: "+strings.Join(tech.Scenarios(), ", ")+" (empty = 11nm)")
+	fs.StringVar(&g.Optics, "optics", g.Optics, "optical technology scenario: "+strings.Join(photonics.Variants(), ", ")+" (empty = baseline)")
+	fs.Int64Var(&g.Seed, "seed", g.Seed, "simulation seed")
+
+	fs.IntVar(&r.Jobs, "jobs", r.Jobs, "max concurrent simulations (0: REPRO_JOBS env, else GOMAXPROCS)")
+	fs.IntVar(&r.Shards, "shards", r.Shards, "parallel PDES shards per simulation, one per cluster-row slab (0: REPRO_SHARDS env, else 1 = serial; results and cache entries are identical either way; synthetic runs stay serial)")
+	fs.IntVar(&r.Retries, "retries", r.Retries, "extra attempts for transiently failed runs (panics, deadlines)")
+	fs.DurationVar(&r.RunTimeout, "run-timeout", r.RunTimeout, "per-run wall-clock deadline, e.g. 5m (0 = none)")
+
+	fs.StringVar(&f.CacheDir, "cache-dir", f.CacheDir, "persistent result cache directory (default: REPRO_CACHE env, else the user cache dir for figures and atacd, none for sweep and netsweep)")
+	fs.BoolVar(&f.NoCache, "no-cache", f.NoCache, "disable the persistent result cache")
+	fs.Int64Var(&f.CacheMaxBytes, "cache-max-bytes", f.CacheMaxBytes, "bound the on-disk cache, evicting least-recently-used entries (0 = unbounded)")
+	fs.DurationVar(&f.Grace, "grace", f.Grace, "drain window after SIGINT/SIGTERM before in-flight runs are cancelled")
+	fs.BoolVar(&f.Quiet, "q", f.Quiet, "suppress progress narration on stderr")
+	fs.BoolVar(&f.Version, "version", f.Version, "print the build version and exit")
+	return fs
+}

@@ -1,11 +1,13 @@
 // Flag/API-level configuration building, shared by every front end.
 //
-// atacsim, sweep, the serving daemon and its client all describe a
-// machine the same way — a network name, a core count, and a handful of
-// optional overrides — and they must all resolve that description to the
+// Every front end describes a machine the same way — a network name, a
+// core count, and a handful of optional overrides, bound from the shared
+// flags (flags.go) — and they must all resolve that description to the
 // exact same config.Config, or a result served by the daemon would not be
-// comparable to one produced by the CLI. Geometry and BuildConfig are
-// that single resolution path.
+// comparable to one produced by the CLI or a figure. Geometry and
+// BuildConfig are that single resolution path: Options.Config, atacsim,
+// sweep, validate and the daemon all call BuildConfig, and no defaulting
+// rule lives anywhere else.
 package experiments
 
 import (

@@ -86,7 +86,8 @@ func (l *Log[E]) Len() int {
 	return len(l.state)
 }
 
-// Snapshot returns the last record of every key in less order.
+// Snapshot returns the last record of every key in less order, or in no
+// particular order when less is nil.
 func (l *Log[E]) Snapshot(less func(a, b E) bool) []E {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -98,7 +99,9 @@ func (l *Log[E]) snapshot(less func(a, b E) bool) []E {
 	for _, e := range l.state {
 		out = append(out, e)
 	}
-	sort.Slice(out, func(i, j int) bool { return less(out[i], out[j]) })
+	if less != nil {
+		sort.Slice(out, func(i, j int) bool { return less(out[i], out[j]) })
+	}
 	return out
 }
 

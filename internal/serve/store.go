@@ -127,9 +127,13 @@ func (s *JobStore) Entries() []StoreEntry {
 	return s.log.Snapshot(acceptOrder)
 }
 
-// Pending counts the jobs accepted but not terminally settled.
+// Pending counts the jobs accepted but not terminally settled. It runs on
+// every /healthz and /metrics scrape, so it counts an unsorted snapshot.
 func (s *JobStore) Pending() (n int) {
-	for _, e := range s.Entries() {
+	if s == nil {
+		return 0
+	}
+	for _, e := range s.log.Snapshot(nil) {
 		if e.Status == StoreAccepted {
 			n++
 		}
