@@ -46,11 +46,13 @@ bench-pair:
 # Fuzz the flit-conservation property (exactly-once delivery under
 # randomized traffic and fault seeds) and the optical link budget (both
 # solvers: finite powers, broadcast = readers x unicast, monotone in loss)
-# for FUZZTIME per target. Go allows one -fuzz target per invocation, so
-# the targets run back to back. The three optical conservation targets
+# for FUZZTIME per target, and the event kernel's same-cycle order
+# against an independent model. Go allows one -fuzz target per invocation,
+# so the targets run back to back. The three optical conservation targets
 # are one body (fuzzOpticalConservation) entered per fabric kind, so each
 # optical fabric still gets a full FUZZTIME.
 fuzz:
+	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzKernelOrder$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/noc -run '^$$' -fuzz '^FuzzMeshConservation$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/noc -run '^$$' -fuzz '^FuzzAtacConservation$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/noc -run '^$$' -fuzz '^FuzzCrossbarConservation$$' -fuzztime $(FUZZTIME)
