@@ -9,12 +9,19 @@
 // horizon (4096 cycles — covering every latency in the modelled system)
 // go to O(1) per-cycle buckets; rarer far-future events go to a small
 // binary heap and are folded into their bucket when their cycle begins.
-// Same-cycle ordering is FIFO within each class, with far-scheduled events
-// first when their cycle's bucket was still empty on arrival.
+// Within a cycle, events run in the order they joined its bucket: a near
+// event joins when it is scheduled, a far one when the clock arrives at
+// its cycle (after the near events already there, in scheduling order,
+// and before anything the cycle's own events schedule).
+//
+// Neither queue allocates per event in steady state: the heap sifts a
+// typed slice (no event is boxed in an interface), and a drained bucket's
+// array goes onto a spare list that the next empty bucket takes, so the
+// wheel holds arrays for its live buckets only, not 4096 arrays each grown
+// to the busiest cycle they ever held.
 package sim
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 )
@@ -53,24 +60,59 @@ type farEvent struct {
 	fn  func()
 }
 
+// before is the heap order. seq is unique, so (at, seq) is a total order
+// and any correct heap pops the same sequence.
+func (e farEvent) before(o farEvent) bool {
+	return e.at < o.at || e.at == o.at && e.seq < o.seq
+}
+
+// farHeap is a binary min-heap of far events on (at, seq).
 type farHeap []farEvent
 
-func (h farHeap) Len() int { return len(h) }
-func (h farHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (h *farHeap) push(e farEvent) {
+	*h = append(*h, e)
+	s := *h
+	i := len(s) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.before(s[p]) {
+			break
+		}
+		s[i] = s[p]
+		i = p
 	}
-	return h[i].seq < h[j].seq
+	s[i] = e
 }
-func (h farHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *farHeap) Push(x any)   { *h = append(*h, x.(farEvent)) }
-func (h *farHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = farEvent{}
-	*h = old[:n-1]
-	return e
+
+// pop removes the earliest event and returns its function.
+func (h *farHeap) pop() func() {
+	s := *h
+	fn := s[0].fn
+	n := len(s) - 1
+	last := s[n]
+	s[n] = farEvent{}
+	s = s[:n]
+	*h = s
+	if n == 0 {
+		return fn
+	}
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && s[c+1].before(s[c]) {
+			c++
+		}
+		if !s[c].before(last) {
+			break
+		}
+		s[i] = s[c]
+		i = c
+	}
+	s[i] = last
+	return fn
 }
 
 // Kernel is a discrete-event simulator. The zero value is ready to use.
@@ -78,8 +120,9 @@ type Kernel struct {
 	now Time
 
 	wheel      [wheelSize][]func()
-	wheelCount int // unprocessed events currently in the wheel
-	idx        int // next unprocessed index in the current cycle's bucket
+	wheelCount int        // unprocessed events currently in the wheel
+	idx        int        // next unprocessed index in the current cycle's bucket
+	spare      [][]func() // drained bucket arrays, most recent last
 
 	far    farHeap
 	farSeq uint64
@@ -179,15 +222,33 @@ func (k *Kernel) spend() bool {
 //
 // The wheel fast path is kept branch-light so Schedule inlines into a
 // direct At call at the NoC and coherence call sites; far-future events
-// take the outlined slow path. A time before now underflows the unsigned
-// subtraction to a huge delta, so the past-check also lives there.
+// and full buckets take the slow paths (atFar, grow). A time before now
+// underflows the unsigned subtraction to a huge delta, so the past-check
+// lives in atFar.
 func (k *Kernel) At(t Time, fn func()) {
-	if t-k.now < wheelSize {
-		k.wheel[t&wheelMask] = append(k.wheel[t&wheelMask], fn)
-		k.wheelCount++
+	if t-k.now >= wheelSize {
+		k.atFar(t, fn)
 		return
 	}
-	k.atFar(t, fn)
+	b := &k.wheel[t&wheelMask]
+	if n := len(*b); n < cap(*b) {
+		*b = (*b)[:n+1]
+		(*b)[n] = fn
+	} else {
+		k.grow(b, fn)
+	}
+	k.wheelCount++
+}
+
+// grow appends fn to a full bucket. A bucket without an array first takes
+// the most recently drained one, which is still warm in cache.
+func (k *Kernel) grow(b *[]func(), fn func()) {
+	if n := len(k.spare); cap(*b) == 0 && n > 0 {
+		*b = k.spare[n-1]
+		k.spare[n-1] = nil
+		k.spare = k.spare[:n-1]
+	}
+	*b = append(*b, fn)
 }
 
 // atFar handles the rare cases At keeps off its fast path: events beyond
@@ -197,7 +258,7 @@ func (k *Kernel) atFar(t Time, fn func()) {
 		panic(fmt.Sprintf("sim: scheduling event in the past: t=%d < now=%d", t, k.now))
 	}
 	k.farSeq++
-	heap.Push(&k.far, farEvent{at: t, seq: k.farSeq, fn: fn})
+	k.far.push(farEvent{at: t, seq: k.farSeq, fn: fn})
 }
 
 // Pending reports the number of queued events.
@@ -259,9 +320,11 @@ func (k *Kernel) advance(limit Time) int {
 		if k.idx < len(b) {
 			return advFound
 		}
-		// The current cycle is exhausted: recycle its bucket.
+		// The current cycle is exhausted: its array (every slot already
+		// nil'd) goes to the spare list for the next empty bucket.
 		if k.idx > 0 {
-			k.wheel[k.now&wheelMask] = b[:0]
+			k.spare = append(k.spare, b[:0])
+			k.wheel[k.now&wheelMask] = nil
 			k.idx = 0
 		}
 		if k.wheelCount == 0 {
@@ -282,9 +345,7 @@ func (k *Kernel) advance(limit Time) int {
 		}
 		// Fold far events whose cycle has arrived into the bucket.
 		for len(k.far) > 0 && k.far[0].at == k.now {
-			e := heap.Pop(&k.far).(farEvent)
-			k.wheel[k.now&wheelMask] = append(k.wheel[k.now&wheelMask], e.fn)
-			k.wheelCount++
+			k.At(k.now, k.far.pop())
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestZeroKernel(t *testing.T) {
@@ -476,4 +477,86 @@ func TestPollAndBudgetCompose(t *testing.T) {
 	if k.Pending() != 30 {
 		t.Fatalf("pending=%d, want 30", k.Pending())
 	}
+}
+
+// bucketArrays counts the arrays the wheel holds — in buckets and on the
+// spare list — and their capacity in bytes.
+func (k *Kernel) bucketArrays() (arrays, bytes int) {
+	const slot = int(unsafe.Sizeof(func() {}))
+	for _, b := range k.wheel {
+		if cap(b) > 0 {
+			arrays++
+			bytes += cap(b) * slot
+		}
+	}
+	for _, b := range k.spare {
+		arrays++
+		bytes += cap(b) * slot
+	}
+	return arrays, bytes
+}
+
+func TestFarAtAllocatesNothing(t *testing.T) {
+	// Once the heap's array and one bucket array exist, a far event costs
+	// no allocation: not at At, not at the fold into its bucket, and not
+	// when the drained bucket is recycled.
+	var k Kernel
+	fn := func() {}
+	far := func() {
+		for i := Time(0); i < 8; i++ {
+			k.Schedule(wheelSize+(i*37)%11, fn) // equal-time far events too
+		}
+		k.RunAll()
+	}
+	for i := 0; i < 100; i++ {
+		far()
+	}
+	if got := testing.AllocsPerRun(1000, far); got != 0 {
+		t.Errorf("8 far events: %.2f allocs per round, want 0", got)
+	}
+}
+
+func TestWheelHoldsLiveBucketsOnly(t *testing.T) {
+	// A steady 100k-cycle run where each cycle schedules 16 events 1..8
+	// cycles ahead: every one of the 4096 buckets is used, but at most 9
+	// are live at once, so the wheel must hold a handful of arrays — not
+	// one per bucket grown to the busiest cycle it ever held.
+	var k Kernel
+	nop := func() {}
+	var tick func()
+	tick = func() {
+		c := k.Now()
+		for i := Time(0); i < 16; i++ {
+			k.Schedule(1+(c+i)%8, nop)
+		}
+		if c < 100_000 {
+			k.Schedule(1, tick)
+		}
+	}
+	k.Schedule(0, tick)
+	k.RunAll()
+	const live, peak = 9, 17 // buckets ahead of a tick, events in one cycle
+	arrays, bytes := k.bucketArrays()
+	slot := int(unsafe.Sizeof(nop))
+	if limit := 2 * live * 2 * peak * slot; arrays > 2*live || bytes > limit {
+		t.Errorf("wheel holds %d arrays, %d bytes; want at most %d and %d (4096 x peak would be %d bytes)",
+			arrays, bytes, 2*live, limit, wheelSize*peak*slot)
+	}
+}
+
+// BenchmarkKernelFar measures one far event end to end: a chain whose
+// every event schedules the next beyond the wheel horizon, so each costs a
+// heap push, a pop, a fold into its bucket and that bucket's recycling.
+func BenchmarkKernelFar(b *testing.B) {
+	var k Kernel
+	left := b.N
+	var fn func()
+	fn = func() {
+		if left--; left > 0 {
+			k.Schedule(5000, fn)
+		}
+	}
+	b.ReportAllocs()
+	k.Schedule(5000, fn)
+	k.RunAll()
 }

@@ -2,6 +2,7 @@ package traffic
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/config"
@@ -138,5 +139,55 @@ func TestDriveDeterminism(t *testing.T) {
 	d2, l2 := run()
 	if d1 != d2 || l1 != l2 {
 		t.Fatalf("nondeterministic: (%d,%v) vs (%d,%v)", d1, l1, d2, l2)
+	}
+}
+
+// queueProbe records the kernel's queue length when Drive's first message
+// is sent, i.e. after every injection has been scheduled.
+type queueProbe struct {
+	noc.Network
+	k       *sim.Kernel
+	pending int
+}
+
+func (q *queueProbe) Send(m *noc.Message) {
+	if q.pending < 0 {
+		q.pending = q.k.Pending()
+	}
+	q.Network.Send(m)
+}
+
+func TestDriveQueueIndependentOfLoad(t *testing.T) {
+	// Drive queues one event per cycle of its window, however many
+	// messages those cycles inject.
+	const horizon = 6000
+	for _, load := range []float64{0.02, 0.5} {
+		var k sim.Kernel
+		q := &queueProbe{Network: noc.NewMesh(&k, 8, 64, 4, 1, 1, false), k: &k, pending: -1}
+		p, _ := ByName("uniform", 8, 0)
+		Drive(&k, q, 64, p, load, 64, 1000, horizon-1000, 20000, 7)
+		if q.pending < 0 || q.pending >= horizon {
+			t.Errorf("load %g: %d events queued at the first send, want < %d", load, q.pending, horizon)
+		}
+	}
+}
+
+func TestDriveAllocBudget(t *testing.T) {
+	// Drive allocates the Message per send and O(cycles) besides (the
+	// kernel's bucket arrays, one per pre-scheduled cycle within the wheel,
+	// growing to that cycle's load; latency-histogram growth; the mesh's
+	// pools): no closure per message, and no boxed heap entry per far
+	// injection.
+	const cycles = 20000
+	var k sim.Kernel
+	m := noc.NewMesh(&k, 8, 64, 4, 1, 1, false)
+	p, _ := ByName("uniform", 8, 0)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res := Drive(&k, m, 64, p, 0.05, 64, 0, cycles, 5000, 7)
+	runtime.ReadMemStats(&after)
+	allocs := after.Mallocs - before.Mallocs
+	if budget := res.Injected + 2*cycles; allocs > budget {
+		t.Errorf("%d allocs for %d messages over %d cycles, budget %d", allocs, res.Injected, cycles, budget)
 	}
 }
