@@ -546,7 +546,7 @@ func (r *Runner) simulate(ctx context.Context, cfg config.Config, bench string, 
 		h(cfg, bench, attempt) // chaos seam: may panic, by design
 	}
 	if sp, ok := ParseSynthBench(bench); ok {
-		return r.runSynthetic(cfg, bench, sp)
+		return r.runSynthetic(ctx, cfg, bench, sp)
 	}
 	if r.EpochCycles > 0 && r.Events != nil {
 		return r.runObserved(ctx, cfg, bench)

@@ -10,6 +10,8 @@
 package experiments
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -39,6 +41,10 @@ const synthPrefix = "synth:"
 // synthDrainLimit bounds the post-measurement drain, matching the Fig 3
 // and load-sweep drivers.
 const synthDrainLimit = 20000
+
+// synthPollEvents is how many kernel events a synthetic run executes
+// between context checks, the same interval System.RunContext uses.
+const synthPollEvents = 4096
 
 // Bench encodes the spec as a canonical pseudo-benchmark name. The
 // encoding is part of the run's identity: it appears in the memo key and
@@ -89,6 +95,29 @@ func ParseSynthBench(bench string) (SynthSpec, bool) {
 	return sp, true
 }
 
+// Validate rejects a spec no run can honour: load and broadcast fraction
+// must be finite and in [0, 1], the pattern one traffic.ByName knows, and
+// the measurement window non-empty. ParseSynthBench checks only the
+// encoding, so atacd validates a submitted spec before it is enqueued and
+// every synthetic run validates again before it simulates.
+func (s SynthSpec) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"load", s.Load}, {"bcast", s.BcastFrac}} {
+		if !(f.v >= 0 && f.v <= 1) { // also NaN and ±Inf
+			return fmt.Errorf("synthetic spec: %s=%g outside [0, 1]", f.name, f.v)
+		}
+	}
+	if _, err := traffic.ByName(s.Pattern, 1, 0); err != nil {
+		return err
+	}
+	if s.Measure == 0 {
+		return errors.New("synthetic spec: measure must be > 0")
+	}
+	return nil
+}
+
 // RunSynthetic executes (or recalls) one synthetic run through the full
 // memo/cache/journal pipeline. Concurrent calls for the same (config,
 // spec) share one execution, exactly like application runs.
@@ -130,7 +159,14 @@ func (r *Runner) SchemeConfig(sch RoutingScheme) config.Config {
 // order is a cross-shard total order no conservative window schedule can
 // reproduce (the same reason fault-injected configs refuse to shard),
 // and the bare fabric is cheap enough that parallelism buys nothing.
-func (r *Runner) runSynthetic(cfg config.Config, bench string, sp SynthSpec) (system.Result, error) {
+//
+// ctx reaches the kernel as System.RunContext's does: a cancellable
+// context is polled every synthPollEvents events, and a cancelled run
+// fails with system.ErrRunCancelled wrapping the context's cause.
+func (r *Runner) runSynthetic(ctx context.Context, cfg config.Config, bench string, sp SynthSpec) (system.Result, error) {
+	if err := sp.Validate(); err != nil {
+		return system.Result{}, err
+	}
 	p, err := traffic.ByName(sp.Pattern, cfg.MeshDim(), sp.BcastFrac)
 	if err != nil {
 		return system.Result{}, err
@@ -140,8 +176,15 @@ func (r *Runner) runSynthetic(cfg config.Config, bench string, sp SynthSpec) (sy
 	if err != nil {
 		return system.Result{}, fmt.Errorf("synthetic run: %w", err)
 	}
+	if ctx.Done() != nil {
+		k.SetPoll(synthPollEvents, func() bool { return ctx.Err() == nil })
+	}
 	res := traffic.Drive(&k, net, cfg.Cores, p, sp.Load, cfg.Network.FlitBits,
 		sp.Warmup, sp.Measure, synthDrainLimit, cfg.Seed)
+	if k.Cancelled() {
+		return system.Result{}, fmt.Errorf("synthetic run %s: %w at cycle %d: %w",
+			bench, system.ErrRunCancelled, k.Now(), context.Cause(ctx))
+	}
 	return system.Result{
 		Benchmark: bench,
 		Cfg:       cfg,

@@ -254,6 +254,11 @@ func TestBadRequests(t *testing.T) {
 		{},                                     // no bench
 		{Bench: "no-such-benchmark"},           // unknown name
 		{Bench: "synth:uniform:load=x:bcast=0:warmup=1:measure=1"}, // bad synth encoding
+		// Well-encoded synth specs no run can honour (SynthSpec.Validate).
+		{Bench: "synth:uniform:load=NaN:bcast=0:warmup=1:measure=1"},
+		{Bench: "synth:uniform:load=+Inf:bcast=0:warmup=1:measure=1"},
+		{Bench: "synth:uniform:load=0.1:bcast=-3:warmup=1:measure=1"},
+		{Bench: "synth:nosuch:load=0.1:bcast=0:warmup=1:measure=1"},
 		{Bench: "radix", Geometry: experiments.Geometry{Net: "hypercube"}},
 		{Bench: "radix", Geometry: experiments.Geometry{Cores: 63}},
 	}

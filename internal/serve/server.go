@@ -104,7 +104,8 @@ type Server struct {
 	execute func(ctx context.Context, cfg config.Config, bench string) (system.Result, error)
 
 	// benches is the set of valid application benchmark names, resolved
-	// once; synth: pseudo-benchmarks are validated structurally instead.
+	// once; synth: pseudo-benchmarks are parsed and SynthSpec.Validate'd
+	// instead.
 	benches map[string]bool
 }
 
@@ -393,7 +394,11 @@ func (s *Server) resolve(spec JobSpec) (config.Config, string, JobSpec, error) {
 	if spec.Bench == "" {
 		return config.Config{}, "", spec, errors.New("missing bench")
 	}
-	if _, ok := experiments.ParseSynthBench(spec.Bench); !ok && !s.benches[spec.Bench] {
+	if sp, ok := experiments.ParseSynthBench(spec.Bench); ok {
+		if err := sp.Validate(); err != nil {
+			return config.Config{}, "", spec, err
+		}
+	} else if !s.benches[spec.Bench] {
 		return config.Config{}, "", spec, fmt.Errorf("unknown benchmark %q", spec.Bench)
 	}
 	if spec.Cores == 0 {
