@@ -1,6 +1,8 @@
-// Command sweep runs one-dimensional parameter sweeps of the full system
-// and emits CSV: runtime, energy, and E-D product per swept value. It
-// generalizes the fixed sweeps behind Figs 9, 11, 13, 15 and 16.
+// Command sweep runs one-dimensional parameter sweeps and emits CSV: for
+// the full system, runtime, energy, and E-D product per swept value; for
+// the bare -net fabric under synthetic traffic (-param load), the latency
+// distribution per offered load. It generalizes the fixed sweeps behind
+// Figs 3, 9, 11, 13, 15 and 16.
 //
 // Usage:
 //
@@ -9,7 +11,7 @@
 //	sweep -param sharers -values 4,8,16,32       -bench barnes
 //	sweep -param load -pattern tornado -values 2,5,10,20   (load in % — network only)
 //
-// System sweeps share the campaign engine's resilience layer with
+// Every sweep shares the campaign engine's resilience layer with
 // cmd/figures: runs are journaled next to the cache, failed points emit a
 // "# value N failed: ..." comment row instead of killing the sweep, and a
 // SIGINT/SIGTERM drains in-flight runs before emitting what completed.
@@ -28,8 +30,6 @@ import (
 	"repro/internal/config"
 	"repro/internal/energy"
 	"repro/internal/experiments"
-	"repro/internal/noc"
-	"repro/internal/sim"
 	"repro/internal/traffic"
 	"repro/internal/version"
 )
@@ -76,15 +76,60 @@ func run() int {
 		log.Print(err)
 		return experiments.ExitFatal
 	}
-	switch *param {
-	case "load":
-		return sweepLoad(*pattern, base, vals)
-	case "flit", "rthres", "sharers":
-		return sweepSystem(*param, *bench, base, vals, &f)
-	default:
-		log.Printf("unknown -param %q", *param)
+	specs, err := points(*param, *bench, *pattern, base, vals)
+	if err != nil {
+		log.Print(err)
 		return experiments.ExitFatal
 	}
+
+	r.Opt = experiments.Options{Cores: f.Cores, Scale: 1, Seed: f.Seed, Tech: f.Tech, Optics: f.Optics}
+	r.RecallFailures = true
+	dir := f.CacheDir
+	if f.NoCache {
+		r.Cache, dir = nil, ""
+	}
+	closeCache, err := r.AttachCache(dir, true, log.Printf)
+	if err != nil {
+		log.Print(err)
+		return experiments.ExitFatal
+	}
+	defer closeCache()
+	ctx, stopSignals := r.InstallSignalHandler(f.Grace, log.Printf)
+	defer stopSignals()
+
+	// Hand the whole point set to the campaign engine first: points run
+	// concurrently (up to -jobs) and repeat invocations hit the persistent
+	// cache. Errors are surfaced per point below, as comment rows in the
+	// CSV; an entirely failed sweep still emits its header and comments.
+	_ = r.RunAll(ctx, specs)
+
+	if *param == "load" {
+		fmt.Println("load_pct,injected,delivered,mean_lat,p50,p95,p99,max")
+	} else {
+		fmt.Printf("%s,cycles,instructions,energy_mJ,edp_uJs\n", *param)
+	}
+	for i, v := range vals {
+		res, err := r.Run(specs[i].Cfg, specs[i].Bench)
+		if err != nil {
+			fmt.Printf("# value %d failed: %v\n", v, err)
+			continue
+		}
+		if s := res.Synth; s != nil {
+			fmt.Printf("%d,%d,%d,%.2f,%d,%d,%d,%d\n", v, s.Injected, s.Delivered,
+				s.MeanLat, s.P50Lat, s.P95Lat, s.P99Lat, s.MaxLat)
+			continue
+		}
+		m, err := energy.Build(specs[i].Cfg)
+		if err != nil {
+			log.Print(err)
+			return experiments.ExitFatal
+		}
+		bd := energy.Combine(m, res)
+		fmt.Printf("%d,%d,%d,%.4f,%.4f\n", v, res.Cycles, res.Instructions,
+			bd.Total()*1e3, energy.EDP(m, res)*1e6)
+	}
+	fmt.Fprintln(os.Stderr, "done")
+	return r.ExitCode()
 }
 
 func parseInts(s string) ([]int, error) {
@@ -103,92 +148,36 @@ func parseInts(s string) ([]int, error) {
 	return out, nil
 }
 
-func sweepSystem(param, bench string, base config.Config, vals []int, f *experiments.Flags) int {
-	// Build every swept configuration first, then hand the whole set to the
-	// campaign engine: points run concurrently (up to -jobs) and repeat
-	// invocations hit the persistent cache.
-	cfgs := make([]config.Config, 0, len(vals))
+// points builds the run of each swept value: for a system sweep, base with
+// one knob moved running bench; for a load sweep, base itself driven by
+// pattern at v% offered load. A value no run can honour is an error before
+// anything is simulated.
+func points(param, bench, pattern string, base config.Config, vals []int) ([]experiments.RunSpec, error) {
 	specs := make([]experiments.RunSpec, 0, len(vals))
 	for _, v := range vals {
-		cfg := base
+		s := experiments.RunSpec{Cfg: base, Bench: bench}
 		switch param {
+		case "load":
+			sp := experiments.SynthSpec{Pattern: pattern, Load: float64(v) / 100, BcastFrac: 0.001,
+				Warmup: 2000, Measure: 6000}
+			if err := sp.Validate(); err != nil {
+				return nil, fmt.Errorf("value %d: %v", v, err)
+			}
+			s.Bench = sp.Bench()
 		case "flit":
-			cfg.Network.FlitBits = v
+			s.Cfg.Network.FlitBits = v
 		case "rthres":
-			cfg.Network.Routing = config.DistanceRouting
-			cfg.Network.RThres = v
+			s.Cfg.Network.Routing = config.DistanceRouting
+			s.Cfg.Network.RThres = v
 		case "sharers":
-			cfg.Coherence.Sharers = v
+			s.Cfg.Coherence.Sharers = v
+		default:
+			return nil, fmt.Errorf("unknown -param %q", param)
 		}
-		if err := cfg.Validate(); err != nil {
-			log.Printf("value %d: %v", v, err)
-			return experiments.ExitFatal
+		if err := s.Cfg.Validate(); err != nil {
+			return nil, fmt.Errorf("value %d: %v", v, err)
 		}
-		cfgs = append(cfgs, cfg)
-		specs = append(specs, experiments.RunSpec{Cfg: cfg, Bench: bench})
+		specs = append(specs, s)
 	}
-
-	r := f.Runner
-	r.Opt = experiments.Options{Cores: f.Cores, Scale: 1, Seed: f.Seed, Tech: f.Tech, Optics: f.Optics}
-	r.RecallFailures = true
-	dir := f.CacheDir
-	if f.NoCache {
-		r.Cache, dir = nil, ""
-	}
-	closeCache, err := r.AttachCache(dir, true, log.Printf)
-	if err != nil {
-		log.Print(err)
-		return experiments.ExitFatal
-	}
-	defer closeCache()
-	ctx, stopSignals := r.InstallSignalHandler(f.Grace, log.Printf)
-	defer stopSignals()
-
-	// Errors are surfaced per-point below, as comment rows in the CSV; an
-	// entirely failed sweep still emits its header and comments.
-	_ = r.RunAll(ctx, specs)
-
-	fmt.Printf("%s,cycles,instructions,energy_mJ,edp_uJs\n", param)
-	for i, v := range vals {
-		res, err := r.Run(cfgs[i], bench)
-		if err != nil {
-			fmt.Printf("# value %d failed: %v\n", v, err)
-			continue
-		}
-		m, err := energy.Build(cfgs[i])
-		if err != nil {
-			log.Print(err)
-			return experiments.ExitFatal
-		}
-		bd := energy.Combine(m, res)
-		fmt.Printf("%d,%d,%d,%.4f,%.4f\n", v, res.Cycles, res.Instructions,
-			bd.Total()*1e3, energy.EDP(m, res)*1e6)
-	}
-	fmt.Fprintln(os.Stderr, "done")
-	return r.ExitCode()
-}
-
-// sweepLoad drives the bare -net fabric with synthetic traffic at each load.
-func sweepLoad(pattern string, cfg config.Config, percents []int) int {
-	p, err := traffic.ByName(pattern, cfg.MeshDim(), 0.001)
-	if err != nil {
-		log.Print(err)
-		return experiments.ExitFatal
-	}
-	fmt.Println("load_pct,injected,delivered,mean_lat,p50,p95,p99,max")
-	for _, pc := range percents {
-		var k sim.Kernel
-		net, err := noc.New(&k, &cfg)
-		if err != nil {
-			log.Print(err)
-			return experiments.ExitFatal
-		}
-		res := traffic.Drive(&k, net, cfg.Cores, p, float64(pc)/100, cfg.Network.FlitBits,
-			2000, 6000, 20000, cfg.Seed)
-		fmt.Printf("%d,%d,%d,%.2f,%d,%d,%d,%d\n", pc, res.Injected, res.Delivered,
-			res.Latency.Mean(), res.Latency.Percentile(50), res.Latency.Percentile(95),
-			res.Latency.Percentile(99), res.Latency.Max())
-	}
-	fmt.Fprintln(os.Stderr, "done")
-	return experiments.ExitOK
+	return specs, nil
 }

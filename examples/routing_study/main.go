@@ -15,20 +15,20 @@ import (
 func main() {
 	log.SetFlags(0)
 
-	o := experiments.Options{Cores: 64, Scale: 1, Seed: 42}
+	campaign := repro.NewCampaign(experiments.Options{Cores: 64, Scale: 1, Seed: 42})
 
 	// Part 1 (Fig 3): uniform-random traffic with 0.1% broadcasts.
 	// At low load, sending every inter-cluster unicast over the ONet
 	// (Cluster) gives the lowest latency; as load rises, larger distance
 	// thresholds win by spreading load across the ENet.
-	fmt.Println(experiments.Fig3(o, []float64{0.01, 0.05, 0.10, 0.20}))
-
+	//
 	// Part 2 (Fig 13): the same routing choice evaluated end-to-end on
-	// two applications, in energy-delay product.
-	campaign := repro.NewCampaign(o)
-	tab, err := campaign.Figure("13")
-	if err != nil {
-		log.Fatal(err)
+	// the applications, in energy-delay product.
+	for _, id := range []string{"3", "13"} {
+		tab, err := campaign.Figure(id)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Println(tab)
 	}
-	fmt.Println(tab)
 }

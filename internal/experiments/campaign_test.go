@@ -146,14 +146,14 @@ func TestSingleflight(t *testing.T) {
 // renders, and its run-set declaration is exact — after the declared runs
 // are executed, rendering must not need any further simulation, and the
 // declaration must not include runs the figure never uses. Only the
-// model-only entries (Figs 3 and 10) may declare none.
+// model-only entry (Fig 10) may declare none.
 func TestFigureRunsCoverFigures(t *testing.T) {
 	for _, id := range FigureIDs() {
 		t.Run(id, func(t *testing.T) {
 			r := testCampaignRunner()
 			r.Apps = []string{"radix"}
 			declared := uint64(len(r.FigureRuns(id)))
-			if modelOnly := id == "3" || id == "10"; modelOnly != (declared == 0) {
+			if modelOnly := id == "10"; modelOnly != (declared == 0) {
 				t.Fatalf("FigureRuns(%q) declares %d runs, model-only %v", id, declared, modelOnly)
 			}
 			tbl, err := r.Figure(id)

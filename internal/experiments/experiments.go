@@ -444,10 +444,7 @@ func fig12(r *Runner, cfgs []config.Config) (*Table, error) {
 
 // fig13Schemes are Fig 3's series without Distance-All: Cluster and
 // Distance-{5,15,25,35}.
-func fig13Schemes(o Options) []RoutingScheme {
-	cfg := o.Config(config.ATACPlus)
-	return Fig3Schemes(cfg.MeshDim())[:5]
-}
+func fig13Schemes(o Options) []RoutingScheme { return fig3Schemes(o)[:5] }
 
 func routingConfigs(r *Runner) []config.Config {
 	return atacSweep(r, fig13Schemes(r.Opt), applyScheme)

@@ -345,13 +345,21 @@ func TestTableV(t *testing.T) {
 }
 
 func TestFig3Synthetic(t *testing.T) {
-	o := Options{Cores: 16, Scale: 1, Seed: 42}
+	r := NewRunner(Options{Cores: 16, Scale: 1, Seed: 42})
+	r.Cache = nil
 	sch := Fig3Schemes(4)
 	if len(sch) != 6 || sch[0].Name != "Cluster" || sch[5].Name != "Distance-All" {
 		t.Fatalf("schemes: %+v", sch)
 	}
-	low := SyntheticLatency(o, sch[0], 0.01, 0.001, 500, 1500)
-	high := SyntheticLatency(o, sch[0], 0.30, 0.001, 500, 1500)
+	latency := func(load float64) float64 {
+		res, err := r.RunSynthetic(r.SchemeConfig(sch[0]),
+			SynthSpec{Pattern: "uniform", Load: load, BcastFrac: 0.001, Warmup: 500, Measure: 1500})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Synth.MeanLat
+	}
+	low, high := latency(0.01), latency(0.30)
 	if low <= 0 {
 		t.Fatal("no latency measured")
 	}

@@ -21,13 +21,13 @@ type figure struct {
 	// receives the same slice, so each derivation is written once. A
 	// model-only figure, with no Runner-backed runs, lists none.
 	configs func(r *Runner) []config.Config
-	bench   string // the one benchmark swept (faults); "" = the campaign's set
+	benches []string // a fixed benchmark list (Fig 3, faults); nil = the campaign's set
 	render  func(r *Runner, cfgs []config.Config) (*Table, error)
 }
 
 // figures is the campaign in cmd/figures' output order.
 var figures = []figure{
-	{id: "3", configs: onKinds(), render: func(r *Runner, _ []config.Config) (*Table, error) { return Fig3(r.Opt, nil), nil }},
+	{id: "3", configs: fig3Configs, benches: fig3Benches(), render: fig3},
 	{id: "4", configs: onKinds(config.ATACPlus, config.EMeshBCast, config.EMeshPure), render: fig4},
 	{id: "5", configs: onKinds(config.ATACPlus), render: fig5},
 	{id: "6", configs: onKinds(config.ATACPlus), render: fig6},
@@ -50,7 +50,7 @@ var figures = []figure{
 	{id: "techsweep", configs: techsweepConfigs, render: techSweep},
 	{id: "xtopo", configs: xtopoConfigs, render: xtopo},
 	{id: "ablations", configs: ablationConfigs, render: ablations},
-	{id: "faults", configs: faultConfigs, bench: faultBench, render: faultSweep},
+	{id: "faults", configs: faultConfigs, benches: []string{faultBench}, render: faultSweep},
 }
 
 // onKinds declares the campaign's default configuration of each kind.
@@ -96,8 +96,8 @@ func figureByID(id string) *figure {
 // runs expands cfgs over the entry's benchmarks, benchmark-major.
 func (f *figure) runs(r *Runner, cfgs []config.Config) []RunSpec {
 	apps := r.apps()
-	if f.bench != "" {
-		apps = []string{f.bench}
+	if f.benches != nil {
+		apps = f.benches
 	}
 	var specs []RunSpec
 	for _, b := range apps {
@@ -136,7 +136,7 @@ func (r *Runner) Fig8() (*Table, float64, float64, error) {
 func (r *Runner) Xtopo() (*Table, error) { return r.Figure("xtopo") }
 
 // FigureRuns returns the deduplicated run-set figure id draws on; nil for
-// model-only figures ("3", "10") and unknown ids.
+// the model-only Fig 10 and unknown ids.
 func (r *Runner) FigureRuns(id string) []RunSpec {
 	f := figureByID(id)
 	if f == nil {

@@ -1,12 +1,12 @@
 // Synthetic network-only runs through the campaign engine.
 //
-// Fig 3 and cmd/netsweep drive uniform-random (and other) traffic
-// patterns through a bare fabric with no cores or coherence. Encoding
-// such a run as a pseudo-benchmark name ("synth:...") lets it flow
-// through the Runner unchanged, so network-only sweeps inherit the
-// singleflight dedup, worker pool, persistent cache and journal that the
-// application campaigns already have. The latency statistics land in
-// Result.Synth and are cached like any other result.
+// Fig 3, cmd/sweep -param load and atacd synth: jobs drive uniform-random
+// (and other) traffic patterns through a bare fabric with no cores or
+// coherence. Encoding such a run as a pseudo-benchmark name ("synth:...")
+// lets it flow through the Runner unchanged, so network-only sweeps
+// inherit the singleflight dedup, worker pool, persistent cache and
+// journal that the application campaigns already have. The latency
+// statistics land in Result.Synth and are cached like any other result.
 package experiments
 
 import (
@@ -38,8 +38,7 @@ type SynthSpec struct {
 // synthPrefix marks a pseudo-benchmark name as a synthetic run.
 const synthPrefix = "synth:"
 
-// synthDrainLimit bounds the post-measurement drain, matching the Fig 3
-// and load-sweep drivers.
+// synthDrainLimit bounds the post-measurement drain of every synthetic run.
 const synthDrainLimit = 20000
 
 // synthPollEvents is how many kernel events a synthetic run executes
@@ -123,21 +122,6 @@ func (s SynthSpec) Validate() error {
 // spec) share one execution, exactly like application runs.
 func (r *Runner) RunSynthetic(cfg config.Config, sp SynthSpec) (system.Result, error) {
 	return r.Run(cfg, sp.Bench())
-}
-
-// SynthSpecs builds the RunSpec set of a (scheme x load) sweep for
-// Prefetch: every named routing scheme of the base config's mesh span,
-// crossed with every offered load.
-func (r *Runner) SynthSpecs(schemes []RoutingScheme, loads []float64, sp SynthSpec) []RunSpec {
-	var specs []RunSpec
-	for _, load := range loads {
-		s := sp
-		s.Load = load
-		for _, sch := range schemes {
-			specs = append(specs, RunSpec{Cfg: r.SchemeConfig(sch), Bench: s.Bench()})
-		}
-	}
-	return specs
 }
 
 // SchemeConfig derives the ATAC+ configuration for one Fig 3 routing
@@ -246,29 +230,40 @@ func applyScheme(cfg *config.Config, sch RoutingScheme) {
 	}
 }
 
-// SyntheticLatency drives uniform-random unicast traffic (plus bcastFrac
-// broadcasts) at `load` flits/cycle/core through an ATAC fabric with the
-// given routing scheme and returns the average delivery latency in cycles
-// for messages injected after warmup. Saturated networks report the
-// (large) latency accumulated before the drain horizon.
-func SyntheticLatency(o Options, sch RoutingScheme, load, bcastFrac float64, warmup, measure sim.Time) float64 {
-	cfg := o.Config(config.ATACPlus)
-	applyScheme(&cfg, sch)
-	var k sim.Kernel
-	a := noc.NewAtac(&k, &cfg)
-	p := traffic.Uniform{Cores: cfg.Cores, BcastFrac: bcastFrac}
-	res := traffic.Drive(&k, a, cfg.Cores, p, load, cfg.Network.FlitBits,
-		warmup, measure, synthDrainLimit, o.Seed)
-	return res.Latency.Mean()
+// fig3Loads are Fig 3's offered loads in flits/cycle/core.
+var fig3Loads = []float64{0.01, 0.02, 0.04, 0.08, 0.12, 0.16}
+
+// fig3Bench names Fig 3's run at one offered load: uniform random traffic
+// with 0.1% broadcasts, 3000 warm-up and 6000 measured cycles.
+func fig3Bench(load float64) string {
+	return SynthSpec{Pattern: "uniform", Load: load, BcastFrac: 0.001, Warmup: 3000, Measure: 6000}.Bench()
 }
 
-// Fig3 regenerates the latency-vs-load curves.
-func Fig3(o Options, loads []float64) *Table {
-	if len(loads) == 0 {
-		loads = []float64{0.01, 0.02, 0.04, 0.08, 0.12, 0.16}
+// fig3Benches is Fig 3's fixed benchmark list, one run per offered load.
+func fig3Benches() []string {
+	out := make([]string, len(fig3Loads))
+	for i, load := range fig3Loads {
+		out[i] = fig3Bench(load)
 	}
+	return out
+}
+
+// fig3Schemes are Fig 3's series on the campaign's mesh span.
+func fig3Schemes(o Options) []RoutingScheme {
 	cfg := o.Config(config.ATACPlus)
-	schemes := Fig3Schemes(cfg.MeshDim())
+	return Fig3Schemes(cfg.MeshDim())
+}
+
+// fig3Configs is one ATAC+ config per Fig 3 routing scheme.
+func fig3Configs(r *Runner) []config.Config {
+	return atacSweep(r, fig3Schemes(r.Opt), applyScheme)
+}
+
+// fig3 regenerates the latency-vs-load curves: one row per offered load,
+// the mean delivery latency of each scheme's run in cycles. A saturated
+// network reports the (large) latency accumulated before the drain horizon.
+func fig3(r *Runner, cfgs []config.Config) (*Table, error) {
+	schemes := fig3Schemes(r.Opt)
 	t := &Table{
 		Title:   "Fig 3: Latency vs Offered Load (uniform random, 0.1% broadcasts)",
 		Columns: append([]string{"load (flits/cyc/core)"}, schemeNames(schemes)...),
@@ -276,15 +271,23 @@ func Fig3(o Options, loads []float64) *Table {
 			"Cluster wins at low load (ONet zero-load latency); larger rthres wins as load rises",
 		},
 	}
-	for _, load := range loads {
-		row := []string{f3(load)}
-		for _, sch := range schemes {
-			lat := SyntheticLatency(o, sch, load, 0.001, 3000, 6000)
-			row = append(row, f2(lat))
+	for _, load := range fig3Loads {
+		err := r.row(t, f3(load), func() ([]string, error) {
+			res, err := r.runEach(cfgs, fig3Bench(load))
+			if err != nil {
+				return nil, err
+			}
+			cells := make([]string, len(res))
+			for i := range res {
+				cells[i] = f2(res[i].Synth.MeanLat)
+			}
+			return cells, nil
+		})
+		if err != nil {
+			return nil, err
 		}
-		t.Rows = append(t.Rows, row)
 	}
-	return t
+	return t, nil
 }
 
 func schemeNames(s []RoutingScheme) []string {
