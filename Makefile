@@ -11,10 +11,12 @@ build:
 test:
 	$(GO) test ./...
 
-# check is the full pre-merge gate: compile, vet, and the test suite under
-# the race detector (the sharded engine resumes program coroutines from its
-# shard workers — a race there would silently break determinism).
+# check is the full pre-merge gate: gofmt-clean sources, compile, vet, and
+# the test suite under the race detector (the sharded engine resumes
+# program coroutines from its shard workers — a race there would silently
+# break determinism).
 check:
+	@unformatted=$$(gofmt -l .); test -z "$$unformatted" || { echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; }
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test -race ./...

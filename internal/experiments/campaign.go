@@ -307,10 +307,10 @@ func shortHash(h string) string {
 	return h
 }
 
-// configLabel names a run's configuration for ledger rows and wrapped
+// ConfigLabel names a run's configuration for ledger rows and wrapped
 // errors: the network kind plus the coherence scheme and scale, enough to
 // find the run in any figure without the full key.
-func configLabel(cfg config.Config) string {
+func ConfigLabel(cfg config.Config) string {
 	return fmt.Sprintf("%v/%v%d/c%d", cfg.Network.Kind, cfg.Coherence.Kind,
 		cfg.Coherence.Sharers, cfg.Cores)
 }
@@ -404,7 +404,7 @@ func (r *Runner) RunContext(ctx context.Context, cfg config.Config, bench string
 func (r *Runner) execute(ctx context.Context, k string, cfg config.Config, bench string) (system.Result, error) {
 	ck := r.cacheKey(k, cfg, bench)
 	hash := runHash(ck)
-	rec := RunRecord{Key: k, Hash: hash, Benchmark: bench, Config: configLabel(cfg)}
+	rec := RunRecord{Key: k, Hash: hash, Benchmark: bench, Config: ConfigLabel(cfg)}
 
 	if store := r.resultStore(); store != nil && ck != "" {
 		if res, ok := store.Get(ck); ok {
@@ -439,7 +439,7 @@ func (r *Runner) execute(ctx context.Context, k string, cfg config.Config, bench
 		r.emitEvent(RunEvent{Hash: hash, Benchmark: bench, Config: rec.Config,
 			Phase: PhaseInterrupted})
 		return system.Result{}, fmt.Errorf("run %s (%s, %s): %w",
-			shortHash(hash), bench, configLabel(cfg), ErrInterrupted)
+			shortHash(hash), bench, ConfigLabel(cfg), ErrInterrupted)
 	}
 
 	r.fresh.Add(1)
@@ -489,7 +489,7 @@ func (r *Runner) execute(ctx context.Context, k string, cfg config.Config, bench
 			r.emitEvent(RunEvent{Hash: hash, Benchmark: bench, Config: rec.Config,
 				Phase: PhaseInterrupted, Attempt: attempt, Error: err.Error()})
 			return system.Result{}, fmt.Errorf("run %s (%s, %s): %w: %v",
-				shortHash(hash), bench, configLabel(cfg), ErrInterrupted, err)
+				shortHash(hash), bench, ConfigLabel(cfg), ErrInterrupted, err)
 		}
 		if attempt < attempts && transientFailure(err) {
 			d := RetryBackoff(k, attempt, r.backoffBase, r.backoffCap)
@@ -504,7 +504,7 @@ func (r *Runner) execute(ctx context.Context, k string, cfg config.Config, bench
 				rec.Error = err.Error()
 				r.record(rec)
 				return system.Result{}, fmt.Errorf("run %s (%s, %s): %w",
-					shortHash(hash), bench, configLabel(cfg), ErrInterrupted)
+					shortHash(hash), bench, ConfigLabel(cfg), ErrInterrupted)
 			}
 		}
 		// Terminal: deterministic failure, or the attempt budget is spent.
@@ -512,7 +512,7 @@ func (r *Runner) execute(ctx context.Context, k string, cfg config.Config, bench
 		// watchdog or exhausted event budget is attributable in the
 		// failure ledger without re-running anything.
 		wrapped := fmt.Errorf("run %s (%s, %s, attempt %d/%d): %w",
-			shortHash(hash), bench, configLabel(cfg), attempt, attempts, err)
+			shortHash(hash), bench, ConfigLabel(cfg), attempt, attempts, err)
 		r.Journal.Fail(hash, k, attempt, wall, wrapped)
 		rec.Status, rec.Source, rec.Attempts = StatusFailed, "sim", attempt
 		rec.WallMS = float64(wall.Microseconds()) / 1e3

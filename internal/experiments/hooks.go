@@ -42,9 +42,9 @@ type RunEvent struct {
 	Attempt   int    `json:"attempt,omitempty"`
 	// Epoch fields (Phase == PhaseEpoch): the closed epoch's index, the
 	// simulated clock at its end, and cumulative retired instructions.
-	Epoch        int    `json:"epoch,omitempty"`
-	Cycles       uint64 `json:"cycles,omitempty"`
-	Instructions uint64 `json:"instructions,omitempty"`
+	Epoch        int     `json:"epoch,omitempty"`
+	Cycles       uint64  `json:"cycles,omitempty"`
+	Instructions uint64  `json:"instructions,omitempty"`
 	WallMS       float64 `json:"wall_ms,omitempty"`
 	Error        string  `json:"error,omitempty"`
 }
@@ -89,7 +89,7 @@ func (r *Runner) runObserved(ctx context.Context, cfg config.Config, bench strin
 	col := metrics.New(sys.Clock(), r.EpochCycles)
 	sys.AttachMetrics(col)
 	hash := r.RunHash(cfg, bench)
-	label := configLabel(cfg)
+	label := ConfigLabel(cfg)
 	instrIx := col.ColIndex("core.instructions")
 	var instr uint64
 	col.Subscribe(func(i int, row metrics.Row) {

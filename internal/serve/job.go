@@ -120,7 +120,7 @@ func (j *Job) Status() JobStatus {
 		Finished:  rfc3339(j.finished),
 		Error:     j.errText,
 	}
-	st.Config = configString(j.Cfg)
+	st.Config = experiments.ConfigLabel(j.Cfg)
 	if j.state == StateDone {
 		st.ResultURL = "/v1/jobs/" + j.ID + "/result"
 	}

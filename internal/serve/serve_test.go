@@ -251,8 +251,8 @@ func TestEventStream(t *testing.T) {
 func TestBadRequests(t *testing.T) {
 	_, _, ts := newTestServer(t, Options{QueueDepth: 4, Workers: 1})
 	cases := []JobSpec{
-		{},                                     // no bench
-		{Bench: "no-such-benchmark"},           // unknown name
+		{},                           // no bench
+		{Bench: "no-such-benchmark"}, // unknown name
 		{Bench: "synth:uniform:load=x:bcast=0:warmup=1:measure=1"}, // bad synth encoding
 		// Well-encoded synth specs no run can honour (SynthSpec.Validate).
 		{Bench: "synth:uniform:load=NaN:bcast=0:warmup=1:measure=1"},

@@ -626,9 +626,9 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 
 // Health is the /healthz body.
 type Health struct {
-	Status      string       `json:"status"` // ok | draining | store-unwritable
-	Version     string       `json:"version"`
-	CacheSchema int          `json:"cache_schema"`
+	Status      string         `json:"status"` // ok | draining | store-unwritable
+	Version     string         `json:"version"`
+	CacheSchema int            `json:"cache_schema"`
 	Jobs        int            `json:"jobs"`
 	QueueDepth  int            `json:"queue_depth"`
 	QueueCap    int            `json:"queue_capacity"`
@@ -693,9 +693,4 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	s.met.write(w, s.runner, s.opt.Store, len(s.queue), s.opt.QueueDepth, s.opt.Cluster)
-}
-
-func configString(cfg config.Config) string {
-	return fmt.Sprintf("%v/%v%d/c%d", cfg.Network.Kind, cfg.Coherence.Kind,
-		cfg.Coherence.Sharers, cfg.Cores)
 }

@@ -103,16 +103,16 @@ type Result struct {
 // distribution. It rides inside Result so synthetic runs share the
 // campaign engine's memo, persistent cache, and journal unchanged.
 type SynthStats struct {
-	Pattern    string
-	Load       float64 // offered flits/cycle/core
-	BcastFrac  float64
-	Injected   uint64
-	Delivered  uint64
-	MeanLat    float64
-	P50Lat     uint64
-	P95Lat     uint64
-	P99Lat     uint64
-	MaxLat     uint64
+	Pattern   string
+	Load      float64 // offered flits/cycle/core
+	BcastFrac float64
+	Injected  uint64
+	Delivered uint64
+	MeanLat   float64
+	P50Lat    uint64
+	P95Lat    uint64
+	P99Lat    uint64
+	MaxLat    uint64
 }
 
 // IPC returns average retired instructions per core-cycle.
