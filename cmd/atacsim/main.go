@@ -38,12 +38,12 @@ func main() {
 	log.SetPrefix("atacsim: ")
 
 	f := experiments.Flags{Geometry: experiments.Geometry{Net: "atac+", Cores: 64, Sharers: 4,
-		Coherence: "ackwise", FlitBits: 64, Seed: 42}}
+		Coherence: "ackwise", FlitBits: 64, Seed: 42},
+		Runner: &experiments.Runner{Opt: experiments.Options{Scale: 1}}}
 	f.Bind(flag.CommandLine, "net", "cores", "sharers", "coherence", "flit", "rthres",
-		"hybrid-radius", "tech", "optics", "seed", "shards", "run-timeout", "version")
+		"hybrid-radius", "tech", "optics", "seed", "scale", "shards", "run-timeout", "version")
 	var (
 		bench   = flag.String("bench", "radix", "benchmark: dynamic_graph, radix, barnes, fmm, ocean_contig, lu_contig, ocean_non_contig, lu_non_contig")
-		scale   = flag.Int("scale", 1, "workload scale factor")
 		heat    = flag.Bool("heatmap", false, "print the mesh congestion heatmap")
 		traceN  = flag.Int("trace", 0, "dump the last N protocol events after the run")
 		cfgPath = flag.String("config", "", "load the system configuration from this JSON file (overrides the geometry flags)")
@@ -148,7 +148,7 @@ func main() {
 				sys.Shards, nsh, cfg.MeshDim()/cfg.ClusterDim)
 		}
 	}
-	spec, err := system.WorkloadFor(cfg, *bench, *scale)
+	spec, err := system.WorkloadFor(cfg, *bench, f.Runner.Opt.Scale)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -28,9 +28,9 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("validate: ")
 
-	f := experiments.Flags{Geometry: experiments.Geometry{Cores: 16, Seed: 42}}
-	f.Bind(flag.CommandLine, "cores", "seed", "version")
-	scale := flag.Int("scale", 1, "workload scale")
+	f := experiments.Flags{Geometry: experiments.Geometry{Cores: 16, Seed: 42},
+		Runner: &experiments.Runner{Opt: experiments.Options{Scale: 1}}}
+	f.Bind(flag.CommandLine, "cores", "seed", "scale", "version")
 	flag.Parse()
 
 	if f.Version {
@@ -44,7 +44,7 @@ func main() {
 
 	var pass, fail int
 	start := time.Now()
-	for _, spec := range workload.ExtendedCatalog(f.Cores, f.Seed, *scale) {
+	for _, spec := range workload.ExtendedCatalog(f.Cores, f.Seed, f.Runner.Opt.Scale) {
 		for _, nk := range networks {
 			for _, ck := range protocols {
 				g := f.Geometry

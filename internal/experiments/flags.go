@@ -1,11 +1,12 @@
 // Command-line flags shared by the front ends.
 //
-// Seven binaries describe a machine and drive the campaign engine from the
+// Six binaries describe a machine and drive the campaign engine from the
 // command line. Every flag more than one of them takes is declared here,
 // once, with one help text, and writes straight into the field it sets: the
-// machine description into a Geometry, the engine knobs into Runner
-// fields. The value a field holds when Bind runs is the flag's default, so
-// each binary keeps its own defaults while the names and meanings stay one.
+// machine description into a Geometry, the engine knobs into Runner fields
+// (the workload scale into Runner.Opt). The value a field holds when Bind
+// runs is the flag's default, so each binary keeps its own defaults while
+// the names and meanings stay one.
 package experiments
 
 import (
@@ -67,12 +68,13 @@ func (f *Flags) declare() *flag.FlagSet {
 	fs.StringVar(&g.Optics, "optics", g.Optics, "optical technology scenario: "+strings.Join(photonics.Variants(), ", ")+" (empty = baseline)")
 	fs.Int64Var(&g.Seed, "seed", g.Seed, "simulation seed")
 
+	fs.IntVar(&r.Opt.Scale, "scale", r.Opt.Scale, "per-core workload scale factor (part of every run's identity)")
 	fs.IntVar(&r.Jobs, "jobs", r.Jobs, "max concurrent simulations (0: REPRO_JOBS env, else GOMAXPROCS)")
 	fs.IntVar(&r.Shards, "shards", r.Shards, "parallel PDES shards per simulation, one per cluster-row slab (0: REPRO_SHARDS env, else 1 = serial; results and cache entries are identical either way; synthetic runs stay serial)")
 	fs.IntVar(&r.Retries, "retries", r.Retries, "extra attempts for transiently failed runs (panics, deadlines)")
 	fs.DurationVar(&r.RunTimeout, "run-timeout", r.RunTimeout, "per-run wall-clock deadline, e.g. 5m (0 = none)")
 
-	fs.StringVar(&f.CacheDir, "cache-dir", f.CacheDir, "persistent result cache directory (default: REPRO_CACHE env, else the user cache dir for figures and atacd, none for sweep and netsweep)")
+	fs.StringVar(&f.CacheDir, "cache-dir", f.CacheDir, "persistent result cache directory (default: REPRO_CACHE env, else the user cache dir for figures and atacd, none for sweep)")
 	fs.BoolVar(&f.NoCache, "no-cache", f.NoCache, "disable the persistent result cache")
 	fs.Int64Var(&f.CacheMaxBytes, "cache-max-bytes", f.CacheMaxBytes, "bound the on-disk cache, evicting least-recently-used entries (0 = unbounded)")
 	fs.DurationVar(&f.Grace, "grace", f.Grace, "drain window after SIGINT/SIGTERM before in-flight runs are cancelled")

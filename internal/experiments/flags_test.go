@@ -111,5 +111,5 @@ func TestFlagsBind(t *testing.T) {
 			t.Error("binding an unknown shared flag did not panic")
 		}
 	}()
-	f.Bind(flag.NewFlagSet("test", flag.ContinueOnError), "scale")
+	f.Bind(flag.NewFlagSet("test", flag.ContinueOnError), "no-such-flag")
 }
