@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/config"
 	"repro/internal/recordlog"
 	"repro/internal/resultstore"
 	"repro/internal/system"
@@ -28,11 +27,9 @@ import (
 const cacheSchemaVersion = version.CacheSchema
 
 // Cache is a persistent, on-disk store of benchmark results, one JSON file
-// per run keyed by a content hash of the full run identity. It is shared
-// across processes: unlike the Runner's in-memory memo (whose key only
-// needs to separate runs within one Runner), the persistent key covers
-// everything that determines a result — the full configuration, the
-// benchmark, and the campaign's scale and horizon.
+// per run named by its RunHash. It is shared across processes: the key
+// (Runner.cacheKey) covers everything that determines a result — the run
+// config, the benchmark, and the campaign's scale and horizon.
 //
 // Writes are atomic (temp file + fsync + rename), so a crashed or
 // parallel writer can never leave a torn entry. Corrupt, schema-stale, or
@@ -363,20 +360,4 @@ func (r *Runner) AttachCache(dir string, journal bool, logf func(format string, 
 		}
 	}
 	return closeJournal, nil
-}
-
-// cacheKey derives the persistent cache key for a run. The in-memory memo
-// key k only distinguishes runs issued by this Runner (fixed scale,
-// horizon, and untouched config fields), so the persistent key extends it
-// with the campaign scale and horizon plus the full configuration JSON —
-// any field that could change a result changes the key.
-func (r *Runner) cacheKey(k string, cfg config.Config, bench string) string {
-	blob, err := json.Marshal(cfg)
-	if err != nil {
-		// Config is a plain value struct; marshaling cannot fail. Fall
-		// back to an uncacheable key rather than risk a collision.
-		return ""
-	}
-	return fmt.Sprintf("v%d|%s|bench=%s|scale=%d|horizon=%d|cfg=%s",
-		cacheSchemaVersion, k, bench, r.Opt.Scale, r.Opt.Horizon, blob)
 }

@@ -3,8 +3,8 @@
 //
 // Three layers cooperate:
 //
-//   - a singleflight memo: concurrent figures requesting the same run key
-//     share one simulation, and completed runs (including failed ones —
+//   - a singleflight memo: concurrent figures requesting the same run
+//     (runConfig) share one simulation, and completed runs (including failed ones —
 //     simulations are deterministic, so an error is as cacheable as a
 //     result) are recalled from an in-process map;
 //   - a worker pool (RunAll/Prefetch): figures declare their run-set up
@@ -22,13 +22,15 @@
 package experiments
 
 import (
+	"cmp"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/debug"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -61,8 +63,8 @@ type Runner struct {
 	// engine with that many per-cluster-slab event queues (rounded down to
 	// a feasible count per config — see system.EffectiveShards). The
 	// sharded engine is bit-identical to the serial kernel, so Shards is
-	// deliberately absent from the run key and the persistent cache key:
-	// sharded and serial campaigns share cache entries. Zero means
+	// deliberately absent from the run identity: sharded and serial
+	// campaigns share cache entries. Zero means
 	// DefaultShards() (REPRO_SHARDS env, else 1 = serial). Synthetic
 	// network-only runs ignore it and stay serial (see runSynthetic).
 	Shards int
@@ -109,10 +111,10 @@ type Runner struct {
 	EpochCycles sim.Time
 
 	mu       sync.Mutex
-	memo     map[string]system.Result
-	errs     map[string]error
-	inflight map[string]*inflightRun
-	ledger   map[string]*RunRecord // per-run disposition, keyed by run key
+	memo     map[runID]system.Result
+	errs     map[runID]error
+	inflight map[runID]*inflightRun
+	ledger   map[runID]*RunRecord // per-run disposition
 	progMu   sync.Mutex
 	evMu     sync.Mutex
 
@@ -135,7 +137,6 @@ type Runner struct {
 // died. The ledger lands in manifest.json so a degraded figure set is
 // attributable without re-running anything.
 type RunRecord struct {
-	Key       string  `json:"key"`
 	Hash      string  `json:"hash"`
 	Benchmark string  `json:"benchmark"`
 	Config    string  `json:"config"`
@@ -146,7 +147,7 @@ type RunRecord struct {
 	Error     string  `json:"error,omitempty"`
 }
 
-// inflightRun is the singleflight rendezvous for one executing run key.
+// inflightRun is the singleflight rendezvous for one executing run.
 type inflightRun struct {
 	done chan struct{}
 	res  system.Result
@@ -160,10 +161,10 @@ type inflightRun struct {
 func NewRunner(o Options) *Runner {
 	r := &Runner{
 		Opt:      o,
-		memo:     make(map[string]system.Result),
-		errs:     make(map[string]error),
-		inflight: make(map[string]*inflightRun),
-		ledger:   make(map[string]*RunRecord),
+		memo:     make(map[runID]system.Result),
+		errs:     make(map[runID]error),
+		inflight: make(map[runID]*inflightRun),
+		ledger:   make(map[runID]*RunRecord),
 	}
 	if dir := os.Getenv("REPRO_CACHE"); dir != "" {
 		if c, err := OpenCache(dir); err == nil {
@@ -248,7 +249,8 @@ func (r *Runner) context() context.Context {
 	return context.Background()
 }
 
-// Ledger returns the per-run disposition records, sorted by run key.
+// Ledger returns the per-run disposition records, sorted by benchmark,
+// configuration label and run hash.
 func (r *Runner) Ledger() []RunRecord {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -256,7 +258,10 @@ func (r *Runner) Ledger() []RunRecord {
 	for _, rec := range r.ledger {
 		out = append(out, *rec)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	slices.SortFunc(out, func(a, b RunRecord) int {
+		return cmp.Or(cmp.Compare(a.Benchmark, b.Benchmark), cmp.Compare(a.Config, b.Config),
+			cmp.Compare(a.Hash, b.Hash))
+	})
 	return out
 }
 
@@ -273,18 +278,10 @@ func (r *Runner) FailedRuns() []RunRecord {
 }
 
 // record stores (or overwrites) a run's ledger row.
-func (r *Runner) record(rec RunRecord) {
+func (r *Runner) record(id runID, rec RunRecord) {
 	r.mu.Lock()
-	r.ledger[rec.Key] = &rec
+	r.ledger[id] = &rec
 	r.mu.Unlock()
-}
-
-// runHash is the run's persistent identity: the sha256 of the full cache
-// key, i.e. the same hex the result cache files the run under. The
-// journal uses it so two processes with different in-memory state agree
-// on which runs are which.
-func runHash(cacheKey string) string {
-	return resultstore.Hash(cacheKey)
 }
 
 // resultStore returns where this Runner persists results: the explicit
@@ -315,56 +312,68 @@ func ConfigLabel(cfg config.Config) string {
 		cfg.Coherence.Sharers, cfg.Cores)
 }
 
-// Results returns a snapshot of every memoized run, keyed by run key
-// (determinism-test hook).
-func (r *Runner) Results() map[string]system.Result {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]system.Result, len(r.memo))
-	for k, v := range r.memo {
-		out[k] = v
-	}
-	return out
+// runID is a run's identity inside one process: the benchmark and the
+// configuration as the simulator reads it (runConfig). config.Config holds
+// only scalar fields, so runID is comparable and keys the memo, the
+// in-flight table and the ledger directly.
+type runID struct {
+	cfg   config.Config
+	bench string
 }
 
-// key uniquely identifies a (config, benchmark) run within one campaign.
-// The technology scenario is part of the identity even though it only
-// affects the post-hoc energy models: each scenario is a first-class
-// campaign axis with its own ledger rows, manifest entries, and cache
-// files, so a techsweep is attributable per scenario. Names are
-// canonicalized so "7NM" and "7nm" share one run.
-func key(cfg config.Config, bench string) string {
-	k := fmt.Sprintf("%s|%v|%v|%v|rt%d|fl%d|k%d|%v|c%d|s%d|sn%d|lag%d|bau%v|tech=%s|optics=%s",
-		bench, cfg.Network.Kind, cfg.Network.ReceiveNet, cfg.Network.Routing,
-		cfg.Network.RThres, cfg.Network.FlitBits, cfg.Coherence.Sharers,
-		cfg.Coherence.Kind, cfg.Cores, cfg.Seed,
-		cfg.Network.StarNetsPerCl, cfg.Network.SelectDataLag, cfg.Network.BcastAsUnicast,
-		tech.Canonical(cfg.Tech), photonics.Canonical(cfg.Optics))
-	// The gateway radius changes hybrid timing and energy; it enters the
-	// key only for that kind so every other kind's keys stay byte-stable
-	// across the fabric's introduction.
-	if cfg.Network.Kind == config.HybridMesh {
-		k += fmt.Sprintf("|hr%d", cfg.Hybrid.Radius)
+// paperConfig supplies the values runConfig resets the energy-only fields to.
+var paperConfig = config.Default()
+
+// runConfig is the one definition of run identity: cfg with the fields only
+// the post-hoc energy and area models read (the ATAC+ flavor, the core NDD
+// fraction and peak power, the L1-I size) reset to config.Default()'s, and
+// the technology scenario names canonicalized. Runs whose configs agree
+// here are one simulation — Figs 7, 8 and 17 re-cost a single run per
+// flavor and NDD fraction — and every other field is part of the identity.
+// The scenario stays in it although the simulator never reads it: each
+// scenario is a campaign axis with its own ledger rows and cache files.
+func runConfig(cfg config.Config) config.Config {
+	cfg.Network.Flavor = paperConfig.Network.Flavor
+	cfg.Core.NDDFraction = paperConfig.Core.NDDFraction
+	cfg.Core.PeakPowerW = paperConfig.Core.PeakPowerW
+	cfg.Caches.L1IKB = paperConfig.Caches.L1IKB
+	cfg.Tech = tech.Canonical(cfg.Tech)
+	cfg.Optics = photonics.Canonical(cfg.Optics)
+	return cfg
+}
+
+// cacheKey is a run's identity across processes: the schema stamp, the
+// benchmark, the campaign's scale and horizon, and the run config as JSON.
+func (r *Runner) cacheKey(id runID) string {
+	blob, err := json.Marshal(id.cfg)
+	if err != nil {
+		// Config is a plain value struct; marshaling cannot fail. Fall
+		// back to an uncacheable key rather than risk a collision.
+		return ""
 	}
-	if f := cfg.Fault; f.Enabled {
-		k += fmt.Sprintf("|F:m%g:o%g:dp%d:dd%d:dm%g:lr%g:thr%g:fs%d",
-			f.MeshBER, f.OpticalBER, f.DriftPeriod, f.DriftDuty, f.DriftBERMult,
-			f.LaserDroopPerMCycle, f.DegradeThreshold, f.Seed)
-	}
-	return k
+	return fmt.Sprintf("v%d|bench=%s|scale=%d|horizon=%d|cfg=%s",
+		cacheSchemaVersion, id.bench, r.Opt.Scale, r.Opt.Horizon, blob)
+}
+
+// RunHash returns the run's persistent identity for this Runner's campaign
+// options: the sha256 hex of its cacheKey — the name of its cache file, the
+// key of its journal records, the Hash of its RunEvents and ledger row, and
+// what the serving layer coalesces requests on.
+func (r *Runner) RunHash(cfg config.Config, bench string) string {
+	return resultstore.Hash(r.cacheKey(runID{runConfig(cfg), bench}))
 }
 
 // Run executes (or recalls) one benchmark on one configuration. Concurrent
-// calls for the same key share a single execution.
+// calls for the same run share a single execution.
 func (r *Runner) Run(cfg config.Config, bench string) (system.Result, error) {
 	return r.RunContext(r.context(), cfg, bench)
 }
 
 // RunContext is Run under an explicit cancellation context. Concurrent
-// calls for the same key share a single execution regardless of which
+// calls for the same run share a single execution regardless of which
 // caller's context it runs under.
 func (r *Runner) RunContext(ctx context.Context, cfg config.Config, bench string) (system.Result, error) {
-	k := key(cfg, bench)
+	k := runID{runConfig(cfg), bench}
 	r.mu.Lock()
 	if res, ok := r.memo[k]; ok {
 		r.mu.Unlock()
@@ -383,7 +392,7 @@ func (r *Runner) RunContext(ctx context.Context, cfg config.Config, bench string
 	r.inflight[k] = c
 	r.mu.Unlock()
 
-	c.res, c.err = r.execute(ctx, k, cfg, bench)
+	c.res, c.err = r.execute(ctx, k)
 
 	r.mu.Lock()
 	delete(r.inflight, k)
@@ -401,16 +410,18 @@ func (r *Runner) RunContext(ctx context.Context, cfg config.Config, bench string
 // journal recall of known terminal failures, then panic-isolated
 // simulation with bounded retry. Every state transition is write-ahead
 // journaled, and the final disposition lands in the ledger.
-func (r *Runner) execute(ctx context.Context, k string, cfg config.Config, bench string) (system.Result, error) {
-	ck := r.cacheKey(k, cfg, bench)
-	hash := runHash(ck)
-	rec := RunRecord{Key: k, Hash: hash, Benchmark: bench, Config: ConfigLabel(cfg)}
+func (r *Runner) execute(ctx context.Context, id runID) (system.Result, error) {
+	cfg, bench := id.cfg, id.bench
+	ck := r.cacheKey(id)
+	hash := resultstore.Hash(ck)
+	rec := RunRecord{Hash: hash, Benchmark: bench, Config: ConfigLabel(cfg)}
+	label := bench + "@" + rec.Config // the journal's readable key
 
 	if store := r.resultStore(); store != nil && ck != "" {
 		if res, ok := store.Get(ck); ok {
 			r.cacheHits.Add(1)
 			rec.Status, rec.Source = StatusDone, "cache"
-			r.record(rec)
+			r.record(id, rec)
 			r.progress(cfg, bench, "cached")
 			r.emitEvent(RunEvent{Hash: hash, Benchmark: bench, Config: rec.Config,
 				Phase: PhaseCached, Cycles: uint64(res.Cycles)})
@@ -422,7 +433,7 @@ func (r *Runner) execute(ctx context.Context, k string, cfg config.Config, bench
 			r.recalled.Add(1)
 			rec.Status, rec.Source = StatusFailed, "journal"
 			rec.Attempts, rec.WallMS, rec.Error = e.Attempt, e.WallMS, e.Error
-			r.record(rec)
+			r.record(id, rec)
 			r.progress(cfg, bench, fmt.Sprintf("failed (recalled from journal, %d attempt(s))", e.Attempt))
 			r.emitEvent(RunEvent{Hash: hash, Benchmark: bench, Config: rec.Config,
 				Phase: PhaseRecalled, Attempt: e.Attempt, Error: e.Error})
@@ -435,7 +446,7 @@ func (r *Runner) execute(ctx context.Context, k string, cfg config.Config, bench
 	if r.quiesced.Load() || ctx.Err() != nil {
 		r.interrupted.Store(true)
 		rec.Status, rec.Source = "interrupted", "sim"
-		r.record(rec)
+		r.record(id, rec)
 		r.emitEvent(RunEvent{Hash: hash, Benchmark: bench, Config: rec.Config,
 			Phase: PhaseInterrupted})
 		return system.Result{}, fmt.Errorf("run %s (%s, %s): %w",
@@ -446,7 +457,7 @@ func (r *Runner) execute(ctx context.Context, k string, cfg config.Config, bench
 	attempts := r.Retries + 1
 	var wall time.Duration
 	for attempt := 1; ; attempt++ {
-		r.Journal.Begin(hash, k, attempt)
+		r.Journal.Begin(hash, label, attempt)
 		msg := fmt.Sprintf("run (routing=%v, flit=%d, %v%d)",
 			cfg.Network.Routing, cfg.Network.FlitBits,
 			cfg.Coherence.Kind, cfg.Coherence.Sharers)
@@ -462,14 +473,14 @@ func (r *Runner) execute(ctx context.Context, k string, cfg config.Config, bench
 			Phase: phase, Attempt: attempt})
 
 		start := time.Now()
-		res, err := r.simulate(ctx, cfg, bench, attempt)
+		res, err := r.simulate(ctx, cfg, bench, hash, attempt)
 		wall += time.Since(start)
 
 		if err == nil {
-			r.Journal.Done(hash, k, attempt, wall)
+			r.Journal.Done(hash, label, attempt, wall)
 			rec.Status, rec.Source, rec.Attempts = StatusDone, "sim", attempt
 			rec.WallMS = float64(wall.Microseconds()) / 1e3
-			r.record(rec)
+			r.record(id, rec)
 			if store := r.resultStore(); store != nil && ck != "" {
 				store.Put(ck, res) // best effort: a failed write only costs a re-run
 			}
@@ -485,14 +496,14 @@ func (r *Runner) execute(ctx context.Context, k string, cfg config.Config, bench
 			rec.Status, rec.Source, rec.Attempts = "interrupted", "sim", attempt
 			rec.WallMS = float64(wall.Microseconds()) / 1e3
 			rec.Error = err.Error()
-			r.record(rec)
+			r.record(id, rec)
 			r.emitEvent(RunEvent{Hash: hash, Benchmark: bench, Config: rec.Config,
 				Phase: PhaseInterrupted, Attempt: attempt, Error: err.Error()})
 			return system.Result{}, fmt.Errorf("run %s (%s, %s): %w: %v",
 				shortHash(hash), bench, ConfigLabel(cfg), ErrInterrupted, err)
 		}
 		if attempt < attempts && transientFailure(err) {
-			d := RetryBackoff(k, attempt, r.backoffBase, r.backoffCap)
+			d := RetryBackoff(hash, attempt, r.backoffBase, r.backoffCap)
 			r.progress(cfg, bench, fmt.Sprintf("attempt %d/%d failed (%v); retrying in %v",
 				attempt, attempts, err, d.Round(time.Millisecond)))
 			select {
@@ -502,22 +513,22 @@ func (r *Runner) execute(ctx context.Context, k string, cfg config.Config, bench
 				r.interrupted.Store(true)
 				rec.Status, rec.Source, rec.Attempts = "interrupted", "sim", attempt
 				rec.Error = err.Error()
-				r.record(rec)
+				r.record(id, rec)
 				return system.Result{}, fmt.Errorf("run %s (%s, %s): %w",
 					shortHash(hash), bench, ConfigLabel(cfg), ErrInterrupted)
 			}
 		}
 		// Terminal: deterministic failure, or the attempt budget is spent.
-		// The wrap carries the run key hash and config name so a tripped
+		// The wrap carries the run hash and config name so a tripped
 		// watchdog or exhausted event budget is attributable in the
 		// failure ledger without re-running anything.
 		wrapped := fmt.Errorf("run %s (%s, %s, attempt %d/%d): %w",
 			shortHash(hash), bench, ConfigLabel(cfg), attempt, attempts, err)
-		r.Journal.Fail(hash, k, attempt, wall, wrapped)
+		r.Journal.Fail(hash, label, attempt, wall, wrapped)
 		rec.Status, rec.Source, rec.Attempts = StatusFailed, "sim", attempt
 		rec.WallMS = float64(wall.Microseconds()) / 1e3
 		rec.Error = wrapped.Error()
-		r.record(rec)
+		r.record(id, rec)
 		r.emitEvent(RunEvent{Hash: hash, Benchmark: bench, Config: rec.Config,
 			Phase: PhaseFailed, Attempt: attempt, WallMS: rec.WallMS, Error: wrapped.Error()})
 		var pe *PanicError
@@ -530,8 +541,12 @@ func (r *Runner) execute(ctx context.Context, k string, cfg config.Config, bench
 
 // simulate performs one panic-isolated attempt under the per-run deadline.
 // A panic anywhere in the simulator surfaces as a *PanicError carrying the
-// worker's stack instead of unwinding into the pool.
-func (r *Runner) simulate(ctx context.Context, cfg config.Config, bench string, attempt int) (res system.Result, err error) {
+// worker's stack instead of unwinding into the pool. Every fresh system
+// run takes one path: the machine is built on r.shards() shards (one is
+// the serial kernel, and the engines are bit-identical, so the result and
+// the cache entry it files under do not depend on the count), and an
+// epoch collector is attached only when an Events consumer wants epochs.
+func (r *Runner) simulate(ctx context.Context, cfg config.Config, bench, hash string, attempt int) (res system.Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = &PanicError{Value: p, Stack: debug.Stack()}
@@ -548,28 +563,16 @@ func (r *Runner) simulate(ctx context.Context, cfg config.Config, bench string, 
 	if sp, ok := ParseSynthBench(bench); ok {
 		return r.runSynthetic(ctx, cfg, bench, sp)
 	}
-	if r.EpochCycles > 0 && r.Events != nil {
-		return r.runObserved(ctx, cfg, bench)
-	}
-	if n := r.shards(); n > 1 {
-		return r.runSharded(ctx, cfg, bench, n)
-	}
-	return system.RunBenchmarkContext(ctx, cfg, bench, r.Opt.Scale, r.Opt.Horizon)
-}
-
-// runSharded is the fresh-simulation path on the parallel PDES engine:
-// system.RunBenchmarkContext with the machine partitioned onto n shards.
-// The engine replays the serial event order bit for bit (the cross-engine
-// parity tests pin this), so the result — and the cache entry it files
-// under — is the same bytes either way; only wall-clock time differs.
-func (r *Runner) runSharded(ctx context.Context, cfg config.Config, bench string, n int) (system.Result, error) {
 	spec, err := system.WorkloadFor(cfg, bench, r.Opt.Scale)
 	if err != nil {
 		return system.Result{}, err
 	}
-	sys, err := system.NewSharded(cfg, n)
+	sys, err := system.NewSharded(cfg, r.shards())
 	if err != nil {
 		return system.Result{}, err
+	}
+	if r.EpochCycles > 0 && r.Events != nil {
+		r.observe(sys, hash, bench, ConfigLabel(cfg))
 	}
 	return sys.RunContext(ctx, spec, r.Opt.Horizon)
 }
@@ -655,13 +658,13 @@ func (r *Runner) Prefetch(specs []RunSpec) {
 	_ = r.RunAll(r.context(), specs)
 }
 
-// dedupSpecs drops duplicate run keys, keeping first-occurrence order (the
+// dedupSpecs drops duplicate runs, keeping first-occurrence order (the
 // serial execution order of the declaring figure).
 func dedupSpecs(specs []RunSpec) []RunSpec {
-	seen := make(map[string]bool, len(specs))
+	seen := make(map[runID]bool, len(specs))
 	out := specs[:0:0]
 	for _, s := range specs {
-		k := key(s.Cfg, s.Bench)
+		k := runID{runConfig(s.Cfg), s.Bench}
 		if seen[k] {
 			continue
 		}

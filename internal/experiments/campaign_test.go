@@ -57,18 +57,18 @@ func TestParallelMatchesSerial(t *testing.T) {
 			fs.fig4, fp.fig4, fs.fig8, fp.fig8)
 	}
 
-	rs, rp := serial.Results(), parallel.Results()
+	rs, rp := serial.memo, parallel.memo
 	if len(rs) == 0 || len(rs) != len(rp) {
 		t.Fatalf("result sets differ in size: serial %d, parallel %d", len(rs), len(rp))
 	}
 	for k, v := range rs {
 		pv, ok := rp[k]
 		if !ok {
-			t.Errorf("run %q missing from parallel results", k)
+			t.Errorf("run %s@%s missing from parallel results", k.bench, ConfigLabel(k.cfg))
 			continue
 		}
 		if !reflect.DeepEqual(v, pv) {
-			t.Errorf("run %q: parallel result differs from serial\nserial:   %+v\nparallel: %+v", k, v, pv)
+			t.Errorf("run %s@%s: parallel result differs from serial\nserial:   %+v\nparallel: %+v", k.bench, ConfigLabel(k.cfg), v, pv)
 		}
 	}
 }
@@ -76,8 +76,8 @@ func TestParallelMatchesSerial(t *testing.T) {
 // TestShardedCampaignMatchesSerial pins the campaign-level contract of
 // the sharded PDES engine: a Runner with Shards set produces bit-identical
 // memoized results to a serial Runner for the same run-set, under the same
-// run keys — which is what lets sharded and serial campaigns share
-// persistent cache entries (Shards is not part of any key).
+// run identities — which is what lets sharded and serial campaigns share
+// persistent cache entries (Shards is not part of any run hash).
 func TestShardedCampaignMatchesSerial(t *testing.T) {
 	serial := testCampaignRunner()
 	sharded := testCampaignRunner()
@@ -86,21 +86,21 @@ func TestShardedCampaignMatchesSerial(t *testing.T) {
 	for _, r := range []*Runner{serial, sharded} {
 		r.Prefetch(r.FigureRuns("4"))
 	}
-	rs, rp := serial.Results(), sharded.Results()
+	rs, rp := serial.memo, sharded.memo
 	if len(rs) == 0 || len(rs) != len(rp) {
 		t.Fatalf("result sets differ in size: serial %d, sharded %d", len(rs), len(rp))
 	}
 	for k, v := range rs {
 		pv, ok := rp[k]
 		if !ok {
-			t.Errorf("run %q missing from sharded results", k)
+			t.Errorf("run %s@%s missing from sharded results", k.bench, ConfigLabel(k.cfg))
 			continue
 		}
 		if !reflect.DeepEqual(v, pv) {
-			t.Errorf("run %q: sharded result differs from serial\nserial:  %+v\nsharded: %+v", k, v, pv)
+			t.Errorf("run %s@%s: sharded result differs from serial\nserial:  %+v\nsharded: %+v", k.bench, ConfigLabel(k.cfg), v, pv)
 		}
 	}
-	// Same persistent identity: the cache key — and so the cache file a
+	// Same persistent identity: the run hash — and so the cache file a
 	// result lands in — must not depend on the engine.
 	cfg := serial.Opt.Config(config.ATACPlus)
 	if sk, pk := serial.RunHash(cfg, "radix"), sharded.RunHash(cfg, "radix"); sk != pk {
@@ -228,8 +228,7 @@ func TestPersistentCacheRoundTrip(t *testing.T) {
 	}
 
 	// A different campaign scale must never hit the same entries: the
-	// persistent key covers scale and horizon even though the in-memory
-	// memo key does not.
+	// run hash covers scale and horizon.
 	scaled := testCampaignRunner()
 	scaled.Opt.Scale = 2
 	scaled.Cache = c
@@ -294,30 +293,37 @@ func TestCacheRejectsBadEntries(t *testing.T) {
 	}
 }
 
-// TestCacheKeyCoversConfig checks that any config change — including fields
-// the in-memory memo key ignores — changes the persistent key.
+// TestCacheKeyCoversConfig: a field the simulator reads is part of the
+// run hash even where no figure varies it (BufFlits was left out of the old
+// hand-written memo key), so are the campaign's scale and horizon, and the
+// technology names hash by meaning: spelling variants and "" are the
+// baseline.
 func TestCacheKeyCoversConfig(t *testing.T) {
 	r := NewRunner(testCampaignOpts())
 	base := r.Opt.Config(config.ATACPlus)
-	k := key(base, "radix")
-	ck := r.cacheKey(k, base, "radix")
-	if ck == "" {
-		t.Fatal("empty cache key")
-	}
+	h := r.RunHash(base, "radix")
 
 	mutated := base
-	mutated.Network.BufFlits++ // not part of the memo key
-	if key(mutated, "radix") != k {
-		t.Skip("memo key now covers BufFlits; pick another memo-invisible field")
+	mutated.Network.BufFlits++
+	if r.RunHash(mutated, "radix") == h {
+		t.Error("BufFlits change did not change the run hash")
 	}
-	if r.cacheKey(k, mutated, "radix") == ck {
-		t.Error("BufFlits change did not change the persistent cache key")
+	for _, opt := range []func(*Options){
+		func(o *Options) { o.Horizon = 999 },
+		func(o *Options) { o.Scale = 2 },
+	} {
+		r2 := NewRunner(testCampaignOpts())
+		opt(&r2.Opt)
+		if r2.RunHash(base, "radix") == h {
+			t.Errorf("campaign options %+v did not change the run hash", r2.Opt)
+		}
 	}
-
-	r2 := NewRunner(testCampaignOpts())
-	r2.Opt.Horizon = 999
-	if r2.cacheKey(k, base, "radix") == ck {
-		t.Error("horizon change did not change the persistent cache key")
+	for _, sc := range [][2]string{{"", ""}, {" 11NM ", " Baseline "}} {
+		spelled := base
+		spelled.Tech, spelled.Optics = sc[0], sc[1]
+		if r.RunHash(spelled, "radix") != h {
+			t.Errorf("tech %q optics %q hash apart from the canonical baseline", sc[0], sc[1])
+		}
 	}
 }
 

@@ -171,8 +171,7 @@ func TestChaosInterruptResume(t *testing.T) {
 	// record at all.
 	var done, running int
 	for _, s := range specs {
-		h := runHash(r1.cacheKey(key(s.Cfg, s.Bench), s.Cfg, s.Bench))
-		if e, ok := r1.Journal.Lookup(h); ok {
+		if e, ok := r1.Journal.Lookup(r1.RunHash(s.Cfg, s.Bench)); ok {
 			switch e.Status {
 			case StatusDone:
 				done++

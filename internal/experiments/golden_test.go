@@ -21,7 +21,7 @@ import (
 // diff like any other behavioural change. Its first paragraph is cmd/figures' banner; everything after it
 // is the tables in campaign order, which this test renders and compares
 // byte for byte. The run-set behind them is pinned alongside: same run
-// keys, same RunSetHash.
+// count, same RunSetHash.
 func TestGoldenCampaign16Core(t *testing.T) {
 	r := NewRunner(Options{Cores: 16, Scale: 1, Seed: 42})
 	r.Cache = nil // hermetic: never recall results from a REPRO_CACHE dir
@@ -46,7 +46,7 @@ func TestGoldenCampaign16Core(t *testing.T) {
 	}
 
 	p := r.Provenance(FigureIDs(), 0)
-	const wantHash = "8c35623a18c1942bb92eb6ead177fbfcb7313588f17d1c839ab1c6073a88c96f"
+	const wantHash = "24864b535261d354fa392caed8251766ecae012db7359f43848dea16c6d15375"
 	if p.Runs != 286 || p.RunSetHash != wantHash {
 		t.Errorf("run-set: %d runs, hash %s; want 286, %s", p.Runs, p.RunSetHash, wantHash)
 	}

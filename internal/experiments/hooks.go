@@ -9,9 +9,6 @@
 package experiments
 
 import (
-	"context"
-
-	"repro/internal/config"
 	"repro/internal/metrics"
 	"repro/internal/system"
 )
@@ -61,35 +58,17 @@ func (r *Runner) emitEvent(ev RunEvent) {
 	r.Events(ev)
 }
 
-// RunHash returns the run's persistent identity for this Runner's
-// campaign options: the sha256 hex of the full cache key — the same value
-// the cache files results under, the journal records state under, and
-// RunEvents carry. The serving layer keys request coalescing on it.
-func (r *Runner) RunHash(cfg config.Config, bench string) string {
-	return runHash(r.cacheKey(key(cfg, bench), cfg, bench))
-}
-
-// runObserved is the simulation path taken when live progress is wanted
-// (EpochCycles > 0 and an Events consumer is attached): the system is
-// built explicitly so a metrics collector can be attached, and each
-// closed epoch fans out as a PhaseEpoch event. Chunked kernel execution
-// is provably non-perturbing (see system.runKernel), so results are
-// bit-identical to the unobserved path. Sharding composes: epochs are
-// sampled at engine barriers (no shard is running while the collector
-// reads), and the collector stamps time from the engine's global clock.
-func (r *Runner) runObserved(ctx context.Context, cfg config.Config, bench string) (system.Result, error) {
-	spec, err := system.WorkloadFor(cfg, bench, r.Opt.Scale)
-	if err != nil {
-		return system.Result{}, err
-	}
-	sys, err := system.NewSharded(cfg, r.shards())
-	if err != nil {
-		return system.Result{}, err
-	}
+// observe attaches a metrics collector to a fresh simulation and fans each
+// closed epoch out as a PhaseEpoch event — the path taken when live
+// progress is wanted (EpochCycles > 0 and an Events consumer is attached).
+// Chunked kernel execution is provably non-perturbing (see
+// system.runKernel), so results are bit-identical to an unobserved run.
+// Sharding composes: epochs are sampled at engine barriers (no shard is
+// running while the collector reads), and the collector stamps time from
+// the engine's global clock.
+func (r *Runner) observe(sys *system.System, hash, bench, label string) {
 	col := metrics.New(sys.Clock(), r.EpochCycles)
 	sys.AttachMetrics(col)
-	hash := r.RunHash(cfg, bench)
-	label := ConfigLabel(cfg)
 	instrIx := col.ColIndex("core.instructions")
 	var instr uint64
 	col.Subscribe(func(i int, row metrics.Row) {
@@ -99,5 +78,4 @@ func (r *Runner) runObserved(ctx context.Context, cfg config.Config, bench strin
 		r.emitEvent(RunEvent{Hash: hash, Benchmark: bench, Config: label,
 			Phase: PhaseEpoch, Epoch: i, Cycles: uint64(row.End), Instructions: instr})
 	})
-	return sys.RunContext(ctx, spec, r.Opt.Horizon)
 }

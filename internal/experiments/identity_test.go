@@ -8,85 +8,15 @@ import (
 	"repro/internal/system"
 )
 
-type identityClass int
-
-const (
-	// keyed fields are part of the run key: runs that differ in one are
-	// distinct runs.
-	keyed identityClass = iota + 1
-	// energyOnly fields are read only by the post-hoc energy and area
-	// models, so runs that differ in one are one simulation (Figs 7, 8 and
-	// 17 re-cost a single run under several of them).
-	energyOnly
-	// fixed fields are set by no campaign front end apart from the keyed
-	// ones: BuildConfig derives them from Cores, or nothing varies them.
-	// The memo may leave them out of the key only while that holds; a
-	// front end that starts varying one must key it (the persistent cache
-	// already hashes the whole config, but the memo is consulted first).
-	fixed
-)
-
-// runIdentity declares, for every leaf field of config.Config, whether the
-// run key covers it. A field added to config.Config must be added here.
-var runIdentity = map[string]identityClass{
-	"Cores":                     keyed,
-	"Seed":                      keyed,
-	"Tech":                      keyed,
-	"Optics":                    keyed,
-	"Network.Kind":              keyed,
-	"Network.FlitBits":          keyed,
-	"Network.SelectDataLag":     keyed,
-	"Network.ReceiveNet":        keyed,
-	"Network.StarNetsPerCl":     keyed,
-	"Network.Routing":           keyed,
-	"Network.RThres":            keyed,
-	"Network.BcastAsUnicast":    keyed,
-	"Coherence.Kind":            keyed,
-	"Coherence.Sharers":         keyed,
-	"Hybrid.Radius":             keyed, // on the hybrid only
-	"Fault.Enabled":             keyed, // the other keyed Fault fields only while Enabled
-	"Fault.MeshBER":             keyed,
-	"Fault.OpticalBER":          keyed,
-	"Fault.DriftPeriod":         keyed,
-	"Fault.DriftDuty":           keyed,
-	"Fault.DriftBERMult":        keyed,
-	"Fault.LaserDroopPerMCycle": keyed,
-	"Fault.DegradeThreshold":    keyed,
-	"Fault.Seed":                keyed,
-
-	"Network.Flavor":   energyOnly,
-	"Core.NDDFraction": energyOnly,
-	"Core.PeakPowerW":  energyOnly,
-	"Caches.L1IKB":     energyOnly,
-
-	"ClusterDim":               fixed, // derived from Cores
-	"Caches.DirSlices":         fixed, // derived from Cores
-	"Memory.Controllers":       fixed, // derived from Cores
-	"FreqGHz":                  fixed,
-	"Caches.L1DKB":             fixed,
-	"Caches.L2KB":              fixed,
-	"Caches.LineBytes":         fixed,
-	"Caches.L1Assoc":           fixed,
-	"Caches.L2Assoc":           fixed,
-	"Caches.L1HitCycles":       fixed,
-	"Caches.L2HitCycles":       fixed,
-	"Caches.MSHRs":             fixed,
-	"Caches.DirAccCycles":      fixed,
-	"Network.RouterDelay":      fixed,
-	"Network.LinkDelay":        fixed,
-	"Network.BufFlits":         fixed,
-	"Network.ONetLinkDelay":    fixed,
-	"Network.AdaptiveQueueMax": fixed,
-	"Network.SeqNumBits":       fixed,
-	"Memory.LatencyCycles":     fixed,
-	"Memory.GBPerSec":          fixed,
-	"Fault.MaxRetries":         fixed,
-	"Fault.BackoffBase":        fixed,
-	"Fault.BackoffCap":         fixed,
-	"Fault.DegradeWindow":      fixed,
-	"Fault.WatchdogInterval":   fixed,
-	"Fault.WatchdogStalls":     fixed,
-	"Fault.EventBudget":        fixed,
+// energyOnly declares the config.Config leaves only the post-hoc energy and
+// area models read. runConfig resets them, so runs that differ in one are one
+// simulation (Figs 7, 8 and 17 re-cost a single run under several of them);
+// every other leaf is part of the run identity without being listed.
+var energyOnly = map[string]bool{
+	"Network.Flavor":   true,
+	"Core.NDDFraction": true,
+	"Core.PeakPowerW":  true,
+	"Caches.L1IKB":     true,
 }
 
 // configLeaves calls visit with the dotted path and settable value of
@@ -124,56 +54,86 @@ func mutate(t *testing.T, path string, f reflect.Value) {
 	}
 }
 
-// TestRunIdentityDeclared checks the run key against runIdentity field by
-// field: mutating a keyed field changes key(), mutating any other field
-// does not, and a field the table does not classify fails. The base is a
-// fault-enabled hybrid, so the conditionally keyed fields are live.
+// TestRunIdentityDeclared checks the run identity leaf by leaf: mutating an
+// energy-only leaf of config.Config leaves RunHash unchanged and is a memo
+// hit, and mutating any other leaf changes RunHash.
 func TestRunIdentityDeclared(t *testing.T) {
-	base, err := BuildConfig(Geometry{Net: "hybrid", Cores: 64, Seed: 1})
-	if err != nil {
+	r := testCampaignRunner()
+	base := r.Opt.Config(config.ATACPlus)
+	if _, err := r.Run(base, "radix"); err != nil {
 		t.Fatal(err)
 	}
-	base.Fault = config.DefaultFault()
-	k0 := key(base, "radix")
+	h0 := r.RunHash(base, "radix")
 	seen := map[string]bool{}
 	var leaves []string
 	configLeaves(&base, func(path string, _ reflect.Value) { leaves = append(leaves, path) })
 	for _, path := range leaves {
 		seen[path] = true
-		class, ok := runIdentity[path]
-		if !ok {
-			t.Errorf("config.%s is not classified in runIdentity: is it keyed, energy-only or fixed?", path)
-			continue
-		}
 		cfg := base
 		configLeaves(&cfg, func(p string, f reflect.Value) {
 			if p == path {
 				mutate(t, p, f)
 			}
 		})
-		if changed := key(cfg, "radix") != k0; changed != (class == keyed) {
-			t.Errorf("config.%s (class %d): mutating it changes the run key = %v", path, class, changed)
+		if changed := r.RunHash(cfg, "radix") != h0; changed == energyOnly[path] {
+			t.Errorf("config.%s (energy-only %v): mutating it changes the run hash = %v", path, energyOnly[path], changed)
+		}
+		if energyOnly[path] {
+			if _, err := r.Run(cfg, "radix"); err != nil {
+				t.Fatalf("config.%s mutated: %v", path, err)
+			}
 		}
 	}
-	for path := range runIdentity {
+	if n := r.FreshRuns(); n != 1 {
+		t.Errorf("%d simulations for one run re-costed under every energy-only mutation, want 1", n)
+	}
+	for path := range energyOnly {
 		if !seen[path] {
-			t.Errorf("runIdentity lists config.%s, which config.Config does not have", path)
+			t.Errorf("energyOnly lists config.%s, which config.Config does not have", path)
 		}
 	}
 }
 
+// TestRunIdentitySharedAcrossProcesses: two runners on one cache directory
+// agree on which runs are one. A re-costs radix under ATAC+(RingTuned) with
+// the scenario left empty; B asks for the BuildConfig machine, which is the
+// same simulation, so B recalls A's entry instead of simulating.
+func TestRunIdentitySharedAcrossProcesses(t *testing.T) {
+	dir := t.TempDir()
+	open := func() *Runner {
+		c, err := OpenCache(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := testCampaignRunner()
+		r.Cache = c
+		return r
+	}
+	cfg := testCampaignOpts().Config(config.ATACPlus)
+	tuned := cfg
+	tuned.Network.Flavor, tuned.Tech = config.FlavorRingTuned, ""
+	a, b := open(), open()
+	if _, err := a.Run(tuned, "radix"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Run(cfg, "radix"); err != nil {
+		t.Fatal(err)
+	}
+	if a.FreshRuns() != 1 || b.FreshRuns() != 0 || b.CacheHits() != 1 {
+		t.Errorf("A simulated %d, B simulated %d and recalled %d; want 1, 0 and 1",
+			a.FreshRuns(), b.FreshRuns(), b.CacheHits())
+	}
+}
+
 // TestEnergyOnlyFieldsLeaveTheRunAlone: an energy-only field may stay out
-// of the run key only because the simulation never reads it.
+// of the run identity only because the simulation never reads it.
 func TestEnergyOnlyFieldsLeaveTheRunAlone(t *testing.T) {
 	base := testCampaignOpts().Config(config.ATACPlus)
 	want, err := system.RunBenchmark(base, "radix", 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for path, class := range runIdentity {
-		if class != energyOnly {
-			continue
-		}
+	for path := range energyOnly {
 		cfg := base
 		configLeaves(&cfg, func(p string, f reflect.Value) {
 			if p == path {

@@ -22,7 +22,8 @@ const (
 )
 
 // JournalEntry is one run-state transition. Hash is the run's persistent
-// identity (the cache's file name); Key is the human-readable run key.
+// identity (RunHash, the cache's file name); Key is a human-readable label
+// (bench@ConfigLabel from the Runner).
 type JournalEntry struct {
 	Hash    string  `json:"hash"`
 	Key     string  `json:"key"`
@@ -88,8 +89,8 @@ func (j *Journal) append(hash, key, status string, attempt int, wall time.Durati
 }
 
 // Compact rewrites the journal to one record per run in (key, hash) order.
-// Key alone is not unique: a cache directory that sees two -scale or
-// horizon values holds runs that share a key and differ in hash.
+// Key alone is not unique: runs that differ in anything but benchmark,
+// network kind, coherence scheme and core count share a label.
 func (j *Journal) Compact() error {
 	if j == nil {
 		return nil

@@ -33,15 +33,15 @@ type Provenance struct {
 	// Tech and Optics are the campaign's default technology scenario
 	// (canonical registry names); Scenarios lists the techsweep's
 	// scenario set when a techsweep was part of the campaign. Per-run
-	// scenario identity is already inside each run key (and therefore
-	// RunSetHash); these fields make it readable without parsing keys.
+	// scenario identity is already inside each run hash (and therefore
+	// RunSetHash); these fields make it readable.
 	Tech      string   `json:"tech"`
 	Optics    string   `json:"optics"`
 	Scenarios []string `json:"scenarios,omitempty"`
 
-	// RunSetHash is a SHA-256 over the campaign options and the sorted,
-	// deduplicated run keys: two campaigns with the same hash simulated
-	// the same (config, benchmark) set.
+	// RunSetHash is a SHA-256 over the sorted, deduplicated run hashes
+	// (RunHash): two campaigns with the same hash simulated the same
+	// (config, benchmark) set at the same scale and horizon.
 	RunSetHash string `json:"run_set_hash"`
 	Runs       int    `json:"runs"`
 	FreshRuns  uint64 `json:"fresh_runs"`
@@ -60,8 +60,8 @@ type Provenance struct {
 	WallSeconds float64 `json:"wall_seconds"`
 	Jobs        int     `json:"jobs"`
 	// Shards is the PDES shard count fresh simulations requested. It is
-	// recorded for attribution only and is absent from RunSetHash and the
-	// cache keys: sharded and serial runs are bit-identical.
+	// recorded for attribution only and is absent from every run hash:
+	// sharded and serial runs are bit-identical.
 	Shards      int    `json:"shards"`
 	GitDescribe string `json:"git_describe,omitempty"`
 	GoVersion   string `json:"go_version"`
@@ -75,15 +75,14 @@ type Provenance struct {
 // campaign has run. wall is the campaign's measured wall-clock duration.
 func (r *Runner) Provenance(figures []string, wall time.Duration) Provenance {
 	specs := r.CampaignRuns(figures)
-	keys := make([]string, len(specs))
+	hashes := make([]string, len(specs))
 	for i, s := range specs {
-		keys[i] = key(s.Cfg, s.Bench)
+		hashes[i] = r.RunHash(s.Cfg, s.Bench)
 	}
-	sort.Strings(keys)
+	sort.Strings(hashes)
 	h := sha256.New()
-	fmt.Fprintf(h, "opts:%d/%d/%d\n", r.Opt.Cores, r.Opt.Scale, r.Opt.Seed)
-	for _, k := range keys {
-		fmt.Fprintln(h, k)
+	for _, rh := range hashes {
+		fmt.Fprintln(h, rh)
 	}
 	var scenarios []string
 	for _, id := range figures {

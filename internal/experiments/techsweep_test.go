@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"strconv"
-	"strings"
 	"testing"
 	"time"
 
@@ -16,31 +15,25 @@ import (
 )
 
 // TestRunKeyScenarioIdentity: the technology scenario is part of the run
-// key — distinct scenarios are distinct runs — while spelling variants of
-// the same scenario (and the empty baseline) share one key, so cache
-// entries and ledger rows stay stable across front ends.
+// hash — distinct scenarios are distinct runs — while spelling variants of
+// the same scenario and the empty baseline share one hash, so cache
+// entries, journal records and ledger rows stay stable across front ends.
 func TestRunKeyScenarioIdentity(t *testing.T) {
-	base := testCampaignOpts().Config(config.ATACPlus)
-	k0 := key(base, "radix")
-	if !strings.Contains(k0, "tech=11nm") || !strings.Contains(k0, "optics=baseline") {
-		t.Errorf("baseline key %q does not record the scenario", k0)
-	}
+	r := testCampaignRunner()
+	base := r.Opt.Config(config.ATACPlus)
+	h0 := r.RunHash(base, "radix")
 	for _, sc := range [][2]string{{"7nm", ""}, {"", "optimistic"}, {"5nm", "pessimistic"}} {
 		c := base
 		c.Tech, c.Optics = sc[0], sc[1]
-		if key(c, "radix") == k0 {
-			t.Errorf("scenario %v key collides with baseline", sc)
+		if r.RunHash(c, "radix") == h0 {
+			t.Errorf("scenario %v hash collides with baseline", sc)
 		}
 	}
-	spelled := base
-	spelled.Tech, spelled.Optics = " 11NM ", " Baseline "
-	if key(spelled, "radix") != k0 {
-		t.Errorf("spelling variant produced a different key:\n%q\n%q", key(spelled, "radix"), k0)
-	}
-	// Determinism across repeated derivations (registry lookups inside).
-	for i := 0; i < 3; i++ {
-		if key(base, "radix") != k0 {
-			t.Fatal("run key not deterministic")
+	for _, sc := range [][2]string{{" 11NM ", " Baseline "}, {"", ""}, {"11nm", ""}} {
+		c := base
+		c.Tech, c.Optics = sc[0], sc[1]
+		if h := r.RunHash(c, "radix"); h != h0 {
+			t.Errorf("spelling %q/%q hashes to %s, the baseline to %s", sc[0], sc[1], h, h0)
 		}
 	}
 }
@@ -97,7 +90,7 @@ func TestDefaultTechScenariosValid(t *testing.T) {
 }
 
 // TestFigureRunsTechsweep: the declared run-set is one ATAC+ run per
-// scenario per benchmark, each with a distinct run key.
+// scenario per benchmark, each with a distinct run hash.
 func TestFigureRunsTechsweep(t *testing.T) {
 	r := testCampaignRunner()
 	specs := r.FigureRuns("techsweep")
@@ -105,15 +98,15 @@ func TestFigureRunsTechsweep(t *testing.T) {
 	if len(specs) != wantN {
 		t.Fatalf("techsweep declares %d runs, want %d", len(specs), wantN)
 	}
-	keys := map[string]bool{}
+	hashes := map[string]bool{}
 	for _, s := range specs {
 		if s.Cfg.Network.Kind != config.ATACPlus {
 			t.Errorf("techsweep run on %v, want ATAC+", s.Cfg.Network.Kind)
 		}
-		keys[key(s.Cfg, s.Bench)] = true
+		hashes[r.RunHash(s.Cfg, s.Bench)] = true
 	}
-	if len(keys) != wantN {
-		t.Errorf("%d distinct keys for %d runs", len(keys), wantN)
+	if len(hashes) != wantN {
+		t.Errorf("%d distinct run hashes for %d runs", len(hashes), wantN)
 	}
 }
 

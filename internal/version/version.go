@@ -31,8 +31,12 @@ import (
 // 5 the Corona crossbar and hybrid fabric backends arrived: Config
 // gained the Hybrid.Radius field (part of the hybrid run key) and Stats
 // gained the crossbar/express counters, so pre-crossbar entries neither
-// parse into the new Result layout nor key identically.
-const CacheSchema = 5
+// parse into the new Result layout nor key identically;
+// 6 one run identity: the cache key is the JSON of the run config
+// (energy-only fields reset, scenario names canonical) instead of a
+// hand-written key plus the raw config, and Stats lost the five counters
+// that duplicated a twin and the per-class latency sums.
+const CacheSchema = 6
 
 // GitDescribe returns `git describe --always --dirty --tags` for the
 // working tree, or "" when git or the repository is unavailable.
