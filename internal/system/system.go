@@ -308,13 +308,7 @@ func WorkloadFor(cfg config.Config, name string, scale int) (workload.Spec, erro
 // RunBenchmark is the one-call convenience: build a machine for cfg and
 // run the named workload at the given scale.
 func RunBenchmark(cfg config.Config, name string, scale int, horizon sim.Time) (Result, error) {
-	return RunBenchmarkContext(context.Background(), cfg, name, scale, horizon)
-}
-
-// RunBenchmarkContext is RunBenchmark under a cancellable context (see
-// RunContext for the cancellation semantics).
-func RunBenchmarkContext(ctx context.Context, cfg config.Config, name string, scale int, horizon sim.Time) (Result, error) {
-	spec, err := workload.ByName(name, cfg.Cores, cfg.Seed, scale)
+	spec, err := WorkloadFor(cfg, name, scale)
 	if err != nil {
 		return Result{}, err
 	}
@@ -322,5 +316,5 @@ func RunBenchmarkContext(ctx context.Context, cfg config.Config, name string, sc
 	if err != nil {
 		return Result{}, err
 	}
-	return s.RunContext(ctx, spec, horizon)
+	return s.Run(spec, horizon)
 }
