@@ -212,7 +212,7 @@ func main() {
 	if res.Net.FaultEvents() {
 		n := res.Net
 		fmt.Printf("faults           mesh: %d errors, %d retx flits, %d forced through\n",
-			n.MeshFlitErrors, n.MeshRetxFlits, n.MeshRetriesExhausted)
+			n.MeshNacks, n.MeshRetxFlits, n.MeshRetriesExhausted)
 		fmt.Printf("                 optical: %d errors, %d retx pkts (%d flits), %d forced through\n",
 			n.OpticalFlitErrors, n.OpticalRetxPkts, n.OpticalRetxFlits, n.OpticalRetriesExhausted)
 		fmt.Printf("                 degraded channels %d; rerouted %d msgs (%d flits)\n",

@@ -343,7 +343,6 @@ func (d *DirSlice) bcastInv(line uint64) {
 	d.s.trace("dir", "slice %d: InvBcast line=%#x seq=%d", d.slice, line, d.seq)
 	d.s.Net.Send(&noc.Message{
 		Src: d.core, Dst: noc.BroadcastDst,
-		Class:   noc.ClassCoherence,
 		Bits:    CtrlBits,
 		Payload: &Msg{Type: MsgInvBcast, Line: line, From: d.core, Slice: d.slice, Seq: d.seq},
 	})

@@ -289,17 +289,9 @@ func (s *System) send(src, dst int, m *Msg) {
 	}
 	s.Net.Send(&noc.Message{
 		Src: src, Dst: dst,
-		Class:   classOf(m.Type),
 		Bits:    m.Type.Bits(),
 		Payload: m,
 	})
-}
-
-func classOf(t MsgType) noc.Class {
-	if t.CarriesData() {
-		return noc.ClassData
-	}
-	return noc.ClassCoherence
 }
 
 // onDeliver dispatches network deliveries to the component at dst.

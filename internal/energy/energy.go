@@ -248,8 +248,8 @@ func Combine(m Models, r system.Result) Breakdown {
 		float64(r.Net.SelectEvents+r.Net.TokensGranted)*o.SelectEventEnergyJ(1e-9) +
 		float64(r.Net.OpticalNacks)*o.SelectEventEnergyJ(1e-9)
 	if cfg.Network.Flavor.LaserGated() {
-		b.Laser = float64(r.Net.LaserUniCycles+r.Net.XbarLaserCycles+r.Net.ExpressLaserCycles)*o.DataLinkWallPowerW(false)*1e-9 +
-			float64(r.Net.LaserBcastCycles)*o.DataLinkWallPowerW(true)*1e-9
+		// A gated data laser burns for exactly the flits it sends.
+		b.Laser = uniF*o.DataLinkWallPowerW(false)*1e-9 + bcF*o.DataLinkWallPowerW(true)*1e-9
 	} else {
 		// No power gating: every hub's data and select lasers burn
 		// worst-case (broadcast) power for the whole run.

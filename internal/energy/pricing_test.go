@@ -115,19 +115,15 @@ var counterPricing = map[string]pricing{
 	"Instructions": moves("CoreDD", "L1IDyn"), // each retires once and reads the L1-I once
 	"Cycles":       moves("CoreNDD", "L1IStatic", "L1DStatic", "L2Static", "DirStatic", "NetElecStatic", "RingTuning"),
 
-	"Net.UnicastSent":      unpriced("message count; its flits are priced per crossing"),
-	"Net.BroadcastSent":    unpriced("message count; its flits are priced per crossing"),
-	"Net.Delivered":        unpriced("delivery count; its flits are priced per crossing"),
-	"Net.UnicastRecv":      unpriced("delivery count; its flits are priced per crossing"),
-	"Net.BroadcastRecv":    unpriced("delivery count; its flits are priced per crossing"),
-	"Net.InjectedFlits":    unpriced("injection count; flits are priced per crossing"),
-	"Net.LatencySum":       unpriced("latency statistic"),
-	"Net.LatencyCount":     unpriced("latency statistic"),
-	"Net.LatencyMax":       unpriced("latency statistic"),
-	"Net.CtrlLatencySum":   unpriced("latency statistic"),
-	"Net.CtrlLatencyCount": unpriced("latency statistic"),
-	"Net.DataLatencySum":   unpriced("latency statistic"),
-	"Net.DataLatencyCount": unpriced("latency statistic"),
+	"Net.UnicastSent":   unpriced("message count; its flits are priced per crossing"),
+	"Net.BroadcastSent": unpriced("message count; its flits are priced per crossing"),
+	"Net.Delivered":     unpriced("delivery count; its flits are priced per crossing"),
+	"Net.UnicastRecv":   unpriced("delivery count; its flits are priced per crossing"),
+	"Net.BroadcastRecv": unpriced("delivery count; its flits are priced per crossing"),
+	"Net.InjectedFlits": unpriced("injection count; flits are priced per crossing"),
+	"Net.LatencySum":    unpriced("latency statistic"),
+	"Net.LatencyCount":  unpriced("latency statistic"),
+	"Net.LatencyMax":    unpriced("latency statistic"),
 
 	"Net.MeshLinkFlits":   moves("NetElecDyn"),
 	"Net.MeshRouterFlits": moves("NetElecDyn"),
@@ -136,26 +132,21 @@ var counterPricing = map[string]pricing{
 	"Net.StarUniFlits":    moves("NetElecDyn"),
 	"Net.StarBcastFlits":  moves("NetElecDyn"),
 
-	"Net.ONetUniFlits":     moves("ONetOther"),
-	"Net.ONetBcastFlits":   moves("ONetOther"),
-	"Net.ONetUniPkts":      unpriced("packet count; its flits are priced"),
-	"Net.ONetBcastPkts":    unpriced("packet count; its flits are priced"),
-	"Net.SelectEvents":     moves("ONetOther"),
-	"Net.LaserUniCycles":   moves("Laser"),
-	"Net.LaserBcastCycles": moves("Laser"),
+	"Net.ONetUniFlits":   moves("ONetOther", "Laser"),
+	"Net.ONetBcastFlits": moves("ONetOther", "Laser"),
+	"Net.ONetUniPkts":    unpriced("packet count; its flits are priced"),
+	"Net.ONetBcastPkts":  unpriced("packet count; its flits are priced"),
+	"Net.SelectEvents":   moves("ONetOther"),
 
 	"Net.XbarPkts":        unpriced("packet count; its flits are priced"),
-	"Net.XbarFlits":       moves("ONetOther"),
-	"Net.XbarLaserCycles": moves("Laser"),
+	"Net.XbarFlits":       moves("ONetOther", "Laser"),
 	"Net.TokenWaitCycles": unpriced("waiting for a token burns only the static power Cycles prices"),
 	"Net.TokensGranted":   moves("ONetOther"),
 	"Net.TokensReturned":  unpriced("the release of a granted token; the grant is priced"),
 
-	"Net.ExpressPkts":        unpriced("packet count; its flits are priced"),
-	"Net.ExpressFlits":       moves("ONetOther"),
-	"Net.ExpressLaserCycles": moves("Laser"),
+	"Net.ExpressPkts":  unpriced("packet count; its flits are priced"),
+	"Net.ExpressFlits": moves("ONetOther", "Laser"),
 
-	"Net.MeshFlitErrors":          unpriced("equals MeshNacks, which prices the NACK wire event"),
 	"Net.MeshNacks":               moves("NetElecDyn"),
 	"Net.MeshRetxFlits":           unpriced("already inside MeshLinkFlits/MeshRouterFlits"),
 	"Net.MeshRetriesExhausted":    unpriced("forced flits cross like any other"),

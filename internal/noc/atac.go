@@ -232,7 +232,6 @@ func (h *hub) transmit(m *Message, retxTo []int) {
 		h.st.SelectEvents += uint64(len(retxTo))
 		h.st.ONetUniPkts += uint64(len(retxTo))
 		h.st.ONetUniFlits += uint64(len(retxTo) * n)
-		h.st.LaserUniCycles += uint64(len(retxTo) * n)
 		h.st.OpticalRetxPkts += uint64(len(retxTo))
 		h.st.OpticalRetxFlits += uint64(len(retxTo) * n)
 		for i, cl := range retxTo {
@@ -253,7 +252,6 @@ func (h *hub) transmit(m *Message, retxTo []int) {
 		h.st.SelectEvents += uint64(hubs)
 		h.st.ONetUniPkts += uint64(hubs)
 		h.st.ONetUniFlits += uint64(hubs * n)
-		h.st.LaserUniCycles += uint64(hubs * n)
 		per := sim.Time(lag + n)
 		busy = per * sim.Time(hubs)
 		h.busyCycles += uint64(busy)
@@ -272,7 +270,6 @@ func (h *hub) transmit(m *Message, retxTo []int) {
 		h.st.SelectEvents++
 		h.st.ONetBcastPkts++
 		h.st.ONetBcastFlits += uint64(n)
-		h.st.LaserBcastCycles += uint64(n)
 		busy = sim.Time(lag + n)
 		h.busyCycles += uint64(busy)
 		// Every other hub receives via the ONet loop; the sending
@@ -292,7 +289,6 @@ func (h *hub) transmit(m *Message, retxTo []int) {
 		h.st.SelectEvents++
 		h.st.ONetUniPkts++
 		h.st.ONetUniFlits += uint64(n)
-		h.st.LaserUniCycles += uint64(n)
 		busy = sim.Time(lag + n)
 		h.busyCycles += uint64(busy)
 		rx := h.a.hubs[cfg.ClusterOf(m.Dst)]

@@ -179,7 +179,6 @@ func (c *xchan) transmit(r xreq) {
 	w := x.hubs[r.srcCl] // the writer accounts, and evaluates the home hub's reception
 	w.st.XbarPkts++
 	w.st.XbarFlits += uint64(r.n)
-	w.st.XbarLaserCycles += uint64(r.n)
 	if r.retx > 0 {
 		w.st.OpticalRetxPkts++
 		w.st.OpticalRetxFlits += uint64(r.n)

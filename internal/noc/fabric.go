@@ -143,7 +143,6 @@ func (f *fabric) Stats() *Stats {
 	}
 	s.MeshLinkFlits = ms.MeshLinkFlits
 	s.MeshRouterFlits = ms.MeshRouterFlits
-	s.MeshFlitErrors = ms.MeshFlitErrors
 	s.MeshNacks = ms.MeshNacks
 	s.MeshRetxFlits = ms.MeshRetxFlits
 	s.MeshRetriesExhausted = ms.MeshRetriesExhausted
@@ -286,7 +285,6 @@ func (f *fabric) deliverNow(dst int, m *Message) {
 		st.UnicastRecv++
 	}
 	st.RecordLatency(now - m.Inject)
-	st.RecordClassLatency(m.Class, now-m.Inject)
 	f.lat.Observe(uint64(now - m.Inject))
 	if f.deliver != nil {
 		f.deliver(dst, m)

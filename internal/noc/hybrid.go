@@ -165,7 +165,6 @@ func (g *gateway) transmit(m *Message) {
 	g.st.SelectEvents++
 	g.st.ExpressPkts++
 	g.st.ExpressFlits += uint64(n)
-	g.st.ExpressLaserCycles += uint64(n)
 	if m.retx > 0 {
 		g.st.OpticalRetxPkts++
 		g.st.OpticalRetxFlits += uint64(n)

@@ -279,7 +279,6 @@ func (m *Mesh) eject(dst int, msg *Message) {
 			r.st.UnicastRecv++
 		}
 		r.st.RecordLatency(now - msg.Inject)
-		r.st.RecordClassLatency(msg.Class, now-msg.Inject)
 		m.lat.Observe(uint64(now - msg.Inject))
 	}
 	if m.deliver != nil {
@@ -533,7 +532,6 @@ func (r *router) tick() {
 			// the coherence protocol's ordering assumptions are unaffected.
 			if r.m.inj != nil && r.m.inj.MeshFlitError() {
 				st := r.st
-				st.MeshFlitErrors++
 				st.MeshNacks++
 				st.MeshLinkFlits++
 				st.MeshRouterFlits++

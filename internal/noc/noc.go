@@ -25,15 +25,6 @@ import (
 // BroadcastDst marks a message addressed to every core.
 const BroadcastDst = -1
 
-// Class labels a message for statistics; the energy model does not need
-// it, but traffic-mix figures (Fig 5) do.
-type Class uint8
-
-const (
-	ClassCoherence Class = iota // short protocol message (requests, acks)
-	ClassData                   // cache-line-carrying message
-)
-
 // Message is one network transaction. A broadcast (Dst == BroadcastDst) is
 // delivered once to every core, including the sender's.
 type Message struct {
@@ -45,7 +36,6 @@ type Message struct {
 	// pairSeq is the per-(src,dst) sequence number an optical fabric's
 	// reorder CAM restores FIFO delivery from (0 = unsequenced).
 	pairSeq uint64
-	Class   Class // kept with the other one-byte fields: 64 bytes, not 80
 	// viaHub marks a message on an optical fabric's internal ENet leg to
 	// an endpoint's core (fabric.sendVia); cleared when the leg ends.
 	viaHub bool
@@ -127,23 +117,18 @@ type Stats struct {
 	LatencySum    uint64 // cycles, inject -> delivery (per delivery)
 	LatencyCount  uint64
 	LatencyMax    uint64
-	// Per-class delivery latency (coherence control vs data-carrying).
-	CtrlLatencySum, CtrlLatencyCount uint64
-	DataLatencySum, DataLatencyCount uint64
 
 	// Electrical mesh events (ENet or EMesh).
 	MeshLinkFlits   uint64 // flit-link traversals
 	MeshRouterFlits uint64 // flit-router traversals (buffer wr+rd+xbar)
 
 	// ATAC hub / optical events.
-	HubFlits         uint64 // flits buffered through a hub or gateway (either direction)
-	ONetUniFlits     uint64 // data-link flits sent in unicast mode
-	ONetBcastFlits   uint64 // data-link flits sent in broadcast mode
-	ONetUniPkts      uint64
-	ONetBcastPkts    uint64
-	SelectEvents     uint64 // select-link notifications
-	LaserUniCycles   uint64 // cycles any data laser spent in unicast mode
-	LaserBcastCycles uint64 // cycles any data laser spent in broadcast mode
+	HubFlits       uint64 // flits buffered through a hub or gateway (either direction)
+	ONetUniFlits   uint64 // data-link flits sent in unicast mode (= unicast-mode laser cycles)
+	ONetBcastFlits uint64 // data-link flits sent in broadcast mode (= broadcast-mode laser cycles)
+	ONetUniPkts    uint64
+	ONetBcastPkts  uint64
+	SelectEvents   uint64 // select-link notifications
 
 	// Receive-network events.
 	BNetFlits      uint64 // flits broadcast over a BNet tree
@@ -154,21 +139,18 @@ type Stats struct {
 	// conservation property: after a drain every granted token has been
 	// returned to the serpentine ring.
 	XbarPkts        uint64 // packets sent over a home channel
-	XbarFlits       uint64 // data flits sent over a home channel
-	XbarLaserCycles uint64 // cycles any home-channel laser spent transmitting
+	XbarFlits       uint64 // data flits sent over a home channel (= laser cycles)
 	TokenWaitCycles uint64 // cycles packets waited for a channel token (request -> first flit)
 	TokensGranted   uint64 // channel tokens handed to a writer
 	TokensReturned  uint64 // channel tokens released back to the ring
 
 	// HybridMesh photonic-express events.
-	ExpressPkts        uint64 // packets sent over a gateway express link
-	ExpressFlits       uint64 // data flits sent over a gateway express link
-	ExpressLaserCycles uint64 // cycles any express laser spent transmitting
+	ExpressPkts  uint64 // packets sent over a gateway express link
+	ExpressFlits uint64 // data flits sent over a gateway express link (= laser cycles)
 
 	// Fault-injection / resilience events (internal/fault). All zero
 	// when the fault layer is disabled.
-	MeshFlitErrors          uint64 // electrical link crossings NACKed by the receiver
-	MeshNacks               uint64 // link-level NACK wire traversals (== errors)
+	MeshNacks               uint64 // electrical link crossings NACKed by the receiver
 	MeshRetxFlits           uint64 // link-level retransmission crossings
 	MeshRetriesExhausted    uint64 // flits forced through after the retry budget
 	OpticalFlitErrors       uint64 // ONet data-link flits corrupted at a receiving hub
@@ -203,7 +185,7 @@ func (s *Stats) MergeFrom(o *Stats) {
 // FaultEvents reports whether any resilience counter is nonzero (used by
 // reports to decide whether to print the resilience block).
 func (s *Stats) FaultEvents() bool {
-	return s.MeshFlitErrors != 0 || s.OpticalFlitErrors != 0 ||
+	return s.MeshNacks != 0 || s.OpticalFlitErrors != 0 ||
 		s.ReroutedMsgs != 0 || s.DegradedChannels != 0
 }
 
@@ -214,31 +196,6 @@ func (s *Stats) RecordLatency(d sim.Time) {
 	if uint64(d) > s.LatencyMax {
 		s.LatencyMax = uint64(d)
 	}
-}
-
-// RecordClassLatency adds a per-class latency observation.
-func (s *Stats) RecordClassLatency(c Class, d sim.Time) {
-	if c == ClassData {
-		s.DataLatencySum += uint64(d)
-		s.DataLatencyCount++
-	} else {
-		s.CtrlLatencySum += uint64(d)
-		s.CtrlLatencyCount++
-	}
-}
-
-// AvgClassLatency returns the mean latency for a message class.
-func (s *Stats) AvgClassLatency(c Class) float64 {
-	if c == ClassData {
-		if s.DataLatencyCount == 0 {
-			return 0
-		}
-		return float64(s.DataLatencySum) / float64(s.DataLatencyCount)
-	}
-	if s.CtrlLatencyCount == 0 {
-		return 0
-	}
-	return float64(s.CtrlLatencySum) / float64(s.CtrlLatencyCount)
 }
 
 // AvgLatency returns the mean delivery latency in cycles.

@@ -177,29 +177,6 @@ func TestMeshFuzzManySeeds(t *testing.T) {
 	}
 }
 
-func TestPerClassLatency(t *testing.T) {
-	var k sim.Kernel
-	m := NewMesh(&k, 8, 64, 4, 1, 1, false)
-	newCollector(m)
-	// A short control message and a long data message over the same path:
-	// the data class must record a higher mean (serialization latency).
-	m.Send(&Message{Src: 0, Dst: 63, Bits: 104, Class: ClassCoherence})
-	m.Send(&Message{Src: 0, Dst: 63, Bits: 616, Class: ClassData})
-	k.RunAll()
-	st := m.Stats()
-	if st.CtrlLatencyCount != 1 || st.DataLatencyCount != 1 {
-		t.Fatalf("class counts %d/%d", st.CtrlLatencyCount, st.DataLatencyCount)
-	}
-	if st.AvgClassLatency(ClassData) <= st.AvgClassLatency(ClassCoherence) {
-		t.Errorf("data latency %.1f not above control %.1f",
-			st.AvgClassLatency(ClassData), st.AvgClassLatency(ClassCoherence))
-	}
-	var empty Stats
-	if empty.AvgClassLatency(ClassData) != 0 || empty.AvgClassLatency(ClassCoherence) != 0 {
-		t.Error("empty class latency not 0")
-	}
-}
-
 // Property: the mesh route function always returns a legal output port
 // that makes progress toward the destination.
 func TestRouteProgressProperty(t *testing.T) {

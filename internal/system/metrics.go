@@ -79,7 +79,7 @@ func (s *System) AttachMetrics(c *metrics.Collector) {
 	if s.Atac != nil {
 		c.AddSource("onet", []string{
 			"hub_flits", "uni_flits", "bcast_flits", "uni_pkts", "bcast_pkts",
-			"select_events", "laser_uni_cycles", "laser_bcast_cycles", "busy_cycles",
+			"select_events", "busy_cycles",
 		}, func(v []float64) {
 			ns := s.Net.Stats()
 			v[0] = float64(ns.HubFlits)
@@ -88,9 +88,7 @@ func (s *System) AttachMetrics(c *metrics.Collector) {
 			v[3] = float64(ns.ONetUniPkts)
 			v[4] = float64(ns.ONetBcastPkts)
 			v[5] = float64(ns.SelectEvents)
-			v[6] = float64(ns.LaserUniCycles)
-			v[7] = float64(ns.LaserBcastCycles)
-			v[8] = float64(s.Atac.BusyCycles())
+			v[6] = float64(s.Atac.BusyCycles())
 		})
 	}
 
@@ -101,7 +99,7 @@ func (s *System) AttachMetrics(c *metrics.Collector) {
 			"rerouted_msgs", "degraded_channels",
 		}, func(v []float64) {
 			ns := s.Net.Stats()
-			v[0] = float64(ns.MeshFlitErrors)
+			v[0] = float64(ns.MeshNacks)
 			v[1] = float64(ns.MeshRetxFlits)
 			v[2] = float64(ns.MeshRetriesExhausted)
 			v[3] = float64(ns.OpticalFlitErrors)
@@ -164,13 +162,14 @@ func (s *System) AttachMetrics(c *metrics.Collector) {
 	})
 	if s.Atac != nil {
 		busyIx := c.ColIndex("onet.busy_cycles")
-		laserUIx := c.ColIndex("onet.laser_uni_cycles")
-		laserBIx := c.ColIndex("onet.laser_bcast_cycles")
+		uniFIx := c.ColIndex("onet.uni_flits")
+		bcFIx := c.ColIndex("onet.bcast_flits")
 		c.AddDerived("link_util", func(d []float64, cyc float64) float64 {
 			return d[busyIx] / (cyc * hubs)
 		})
 		c.AddDerived("laser_duty", func(d []float64, cyc float64) float64 {
-			return (d[laserUIx] + d[laserBIx]) / (cyc * hubs)
+			// A data laser is on for exactly the flits it sends.
+			return (d[uniFIx] + d[bcFIx]) / (cyc * hubs)
 		})
 	}
 }

@@ -59,7 +59,7 @@ func TestMetricsReconcileWithResult(t *testing.T) {
 		{"coh.dir_accesses", float64(res.Coh.DirAccesses)},
 		{"coh.inv_bcasts", float64(res.Coh.InvBroadcasts)},
 		{"onet.busy_cycles", float64(sys.Atac.BusyCycles())},
-		{"onet.laser_uni_cycles", float64(res.Net.LaserUniCycles)},
+		{"onet.uni_flits", float64(res.Net.ONetUniFlits)},
 	}
 	for _, c := range checks {
 		if got := col.Total(c.col); got != c.want {
