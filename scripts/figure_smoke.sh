@@ -2,7 +2,7 @@
 # Cache-contract smoke test of one figure: figure_smoke.sh techsweep|xtopo
 #
 # Runs the figure (two sweep points, 16 cores) through the cached campaign
-# engine and checks what the run key's scenario / topology identity promises:
+# engine and checks what the run identity's scenario / topology axis promises:
 #
 #   1. the figure renders what the sweep asked for, and every run of the
 #      cold campaign is simulated:
@@ -14,7 +14,7 @@
 #                   average, normalized to the first topology;
 #   2. a second, identical invocation is answered entirely from the cache
 #      (zero fresh simulations) and renders byte-identical output: the
-#      identity in the run key is deterministic;
+#      run identity is deterministic;
 #   3. cache entries stamped with an older schema (techsweep: the
 #      pre-scenario 2 and 3; xtopo: the pre-crossbar 3 and 4) are
 #      quarantined, never served: corrupting two live entries forces exactly
@@ -79,12 +79,13 @@ same_as_cold 2 warm
 echo "   zero fresh simulations, byte-identical output"
 
 echo "== stale-schema quarantine"
-# Rewrite two live entries to older cache generations; the campaign must
-# quarantine them and re-simulate exactly those two runs.
+# Rewrite the stamp of two live entries (whatever the current schema) to
+# older cache generations; the campaign must quarantine them and
+# re-simulate exactly those two runs.
 stale=0
 for f in "$REPRO_CACHE"/*.json; do
     [ "$stale" -ge 2 ] && break
-    sed -i "s/\"schema\":5/\"schema\":$((stale_schema + stale))/" "$f"
+    sed -i -E "s/^\{\"schema\":[0-9]+/{\"schema\":$((stale_schema + stale))/" "$f"
     stale=$((stale + 1))
 done
 [ "$stale" -eq 2 ] || fail "found only $stale cache entries to corrupt"
