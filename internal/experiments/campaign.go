@@ -4,9 +4,9 @@
 // Three layers cooperate:
 //
 //   - a singleflight memo: concurrent figures requesting the same run
-//     (runConfig) share one simulation, and completed runs (including failed ones —
-//     simulations are deterministic, so an error is as cacheable as a
-//     result) are recalled from an in-process map;
+//     (runConfig) share one simulation, and completed runs (including
+//     failed ones — simulations are deterministic, so an error is as
+//     cacheable as a result) are recalled from an in-process map;
 //   - a worker pool (RunAll/Prefetch): figures declare their run-set up
 //     front so up to Jobs simulations execute concurrently instead of
 //     being discovered lazily one at a time. Each run owns a private

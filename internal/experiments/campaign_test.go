@@ -294,10 +294,9 @@ func TestCacheRejectsBadEntries(t *testing.T) {
 }
 
 // TestCacheKeyCoversConfig: a field the simulator reads is part of the
-// run hash even where no figure varies it (BufFlits was left out of the old
-// hand-written memo key), so are the campaign's scale and horizon, and the
-// technology names hash by meaning: spelling variants and "" are the
-// baseline.
+// run hash even where no figure varies it (BufFlits), so are the campaign's
+// scale and horizon, and the technology names hash by meaning: spelling
+// variants and "" are the baseline.
 func TestCacheKeyCoversConfig(t *testing.T) {
 	r := NewRunner(testCampaignOpts())
 	base := r.Opt.Config(config.ATACPlus)
