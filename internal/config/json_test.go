@@ -38,19 +38,19 @@ func TestFromJSONPartial(t *testing.T) {
 	// Omitted fields keep Default() values.
 	c, err := FromJSON([]byte(`{"Cores": 64, "ClusterDim": 2,
 		"Caches": {"L1IKB":32,"L1DKB":32,"L2KB":256,"LineBytes":64,"L1Assoc":4,"L2Assoc":8,
-		"L1HitCycles":1,"L2HitCycles":8,"MSHRs":8,"DirSlices":16,"DirAccCycles":1},
+		"L1HitCycles":1,"L2HitCycles":8,"DirSlices":16},
 		"Memory": {"Controllers":16,"LatencyCycles":100,"GBPerSec":5},
 		"Network": {"Kind":"EMesh-BCast","FlitBits":64,"RouterDelay":1,"LinkDelay":1,"BufFlits":4,
 		"ONetLinkDelay":3,"SelectDataLag":1,"ReceiveNet":"StarNet","StarNetsPerCl":2,
-		"Routing":"Distance","RThres":4,"Flavor":"ATAC+","SeqNumBits":16,"AdaptiveQueueMax":8}}`))
+		"Routing":"Distance","RThres":4,"Flavor":"ATAC+","AdaptiveQueueMax":8}}`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if c.Cores != 64 || c.Network.Kind != EMeshBCast {
 		t.Fatalf("parsed %+v", c)
 	}
-	if c.FreqGHz != 1.0 { // untouched default
-		t.Errorf("FreqGHz = %v", c.FreqGHz)
+	if c.Seed != 42 { // untouched default
+		t.Errorf("Seed = %v", c.Seed)
 	}
 }
 

@@ -191,7 +191,7 @@ func (b Breakdown) UncoreTotal() float64 { return b.Caches() + b.Network() }
 // golden: reordering them changes the low bits of the result.
 func Combine(m Models, r system.Result) Breakdown {
 	cfg := m.Cfg
-	T := float64(r.Cycles) * 1e-9 // seconds at 1 GHz
+	T := float64(r.Cycles) * config.CycleSeconds // run time, seconds
 	n := float64(cfg.Cores)
 	o := m.Opt
 	hubs := float64(o.Geometry.Hubs) // ONet hubs, crossbar home channels or hybrid gateways
@@ -202,7 +202,7 @@ func Combine(m Models, r system.Result) Breakdown {
 	f := cfg.Core.NDDFraction
 	peak := cfg.Core.PeakPowerW
 	b.CoreNDD = f * peak * n * T
-	b.CoreDD = (1 - f) * peak * float64(r.Instructions) * 1e-9
+	b.CoreDD = (1 - f) * peak * float64(r.Instructions) * config.CycleSeconds
 
 	// Caches.
 	b.L1IDyn = float64(r.Instructions) * m.L1I.ReadEnergyJ
@@ -245,11 +245,11 @@ func Combine(m Models, r system.Result) Breakdown {
 	b.ONetOther = (uniF+bcF)*o.ModulatorEnergyJPerFlit() +
 		uniF*o.ReceiverEnergyJPerFlit(1) +
 		bcF*o.ReceiverEnergyJPerFlit(o.Geometry.Hubs-1) +
-		float64(r.Net.SelectEvents+r.Net.TokensGranted)*o.SelectEventEnergyJ(1e-9) +
-		float64(r.Net.OpticalNacks)*o.SelectEventEnergyJ(1e-9)
+		float64(r.Net.SelectEvents+r.Net.TokensGranted)*o.SelectEventEnergyJ(config.CycleSeconds) +
+		float64(r.Net.OpticalNacks)*o.SelectEventEnergyJ(config.CycleSeconds)
 	if cfg.Network.Flavor.LaserGated() {
 		// A gated data laser burns for exactly the flits it sends.
-		b.Laser = uniF*o.DataLinkWallPowerW(false)*1e-9 + bcF*o.DataLinkWallPowerW(true)*1e-9
+		b.Laser = uniF*o.DataLinkWallPowerW(false)*config.CycleSeconds + bcF*o.DataLinkWallPowerW(true)*config.CycleSeconds
 	} else {
 		// No power gating: every hub's data and select lasers burn
 		// worst-case (broadcast) power for the whole run.
@@ -272,15 +272,15 @@ func ResilienceOverheadJ(m Models, r system.Result) float64 {
 	meanHops := 2.0 * 2.0 / 3.0 * float64(m.Cfg.MeshDim())
 	return float64(r.Net.MeshNacks)*m.Link.PerFlitJ +
 		float64(r.Net.MeshRetxFlits)*(m.Link.PerFlitJ+m.Router.PerFlitJ()) +
-		float64(r.Net.OpticalNacks)*o.SelectEventEnergyJ(1e-9) +
+		float64(r.Net.OpticalNacks)*o.SelectEventEnergyJ(config.CycleSeconds) +
 		float64(r.Net.OpticalRetxFlits)*(o.ModulatorEnergyJPerFlit()+
-			o.ReceiverEnergyJPerFlit(1)+o.DataLinkWallPowerW(false)*1e-9) +
+			o.ReceiverEnergyJPerFlit(1)+o.DataLinkWallPowerW(false)*config.CycleSeconds) +
 		float64(r.Net.ReroutedFlits)*meanHops*(m.Link.PerFlitJ+m.Router.PerFlitJ())
 }
 
 // EDP returns the energy-delay product (J·s) for a run under its models.
 func EDP(m Models, r system.Result) float64 {
-	return Combine(m, r).Total() * float64(r.Cycles) * 1e-9
+	return Combine(m, r).Total() * float64(r.Cycles) * config.CycleSeconds
 }
 
 // AveragePowerW returns the run's mean chip power in watts.
@@ -288,7 +288,7 @@ func AveragePowerW(m Models, r system.Result) float64 {
 	if r.Cycles == 0 {
 		return 0
 	}
-	return Combine(m, r).Total() / (float64(r.Cycles) * 1e-9)
+	return Combine(m, r).Total() / (float64(r.Cycles) * config.CycleSeconds)
 }
 
 // Area is the die area breakdown (Fig 10), in mm².

@@ -32,9 +32,9 @@ type Provenance struct {
 
 	// Tech and Optics are the campaign's default technology scenario
 	// (canonical registry names); Scenarios lists the techsweep's
-	// scenario set when a techsweep was part of the campaign. Per-run
-	// scenario identity is already inside each run hash (and therefore
-	// RunSetHash); these fields make it readable.
+	// scenario set when a techsweep was part of the campaign. A scenario
+	// only re-costs runs, so it is in no run hash (nor RunSetHash): these
+	// fields are the manifest's record of it.
 	Tech      string   `json:"tech"`
 	Optics    string   `json:"optics"`
 	Scenarios []string `json:"scenarios,omitempty"`

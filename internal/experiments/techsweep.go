@@ -1,11 +1,11 @@
 // The techsweep figure: a design-space exploration across device
 // technology scenarios. Where the paper evaluates one technology point
-// (11 nm tri-gate electronics, Table II optics), the techsweep replays
+// (11 nm tri-gate electronics, Table II optics), the techsweep re-costs
 // the same application runs under every named scenario of the
 // internal/tech and internal/photonics registries and reports how the
-// uncore energy breakdown and the chip EDP move. It runs through the
-// cached Runner like any other campaign: each scenario is a distinct set
-// of run keys, cache entries, and manifest rows.
+// uncore energy breakdown and the chip EDP move. A scenario is not part of
+// the run identity (the simulator never reads it), so the sweep simulates
+// one ATAC+ run per benchmark, cached like any other campaign run.
 package experiments
 
 import (

@@ -14,26 +14,20 @@ import (
 	"repro/internal/system"
 )
 
-// TestRunKeyScenarioIdentity: the technology scenario is part of the run
-// hash — distinct scenarios are distinct runs — while spelling variants of
-// the same scenario and the empty baseline share one hash, so cache
-// entries, journal records and ledger rows stay stable across front ends.
+// TestRunKeyScenarioIdentity: the technology scenario is not part of the
+// run hash. The simulator never reads it, so every scenario, spelled any
+// way, is one run that the energy models re-cost, and cache entries,
+// journal records and ledger rows are shared across scenarios.
 func TestRunKeyScenarioIdentity(t *testing.T) {
 	r := testCampaignRunner()
 	base := r.Opt.Config(config.ATACPlus)
 	h0 := r.RunHash(base, "radix")
-	for _, sc := range [][2]string{{"7nm", ""}, {"", "optimistic"}, {"5nm", "pessimistic"}} {
-		c := base
-		c.Tech, c.Optics = sc[0], sc[1]
-		if r.RunHash(c, "radix") == h0 {
-			t.Errorf("scenario %v hash collides with baseline", sc)
-		}
-	}
-	for _, sc := range [][2]string{{" 11NM ", " Baseline "}, {"", ""}, {"11nm", ""}} {
+	for _, sc := range [][2]string{{"7nm", ""}, {"", "optimistic"}, {"5nm", "pessimistic"},
+		{" 11NM ", " Baseline "}, {"", ""}, {"11nm", ""}} {
 		c := base
 		c.Tech, c.Optics = sc[0], sc[1]
 		if h := r.RunHash(c, "radix"); h != h0 {
-			t.Errorf("spelling %q/%q hashes to %s, the baseline to %s", sc[0], sc[1], h, h0)
+			t.Errorf("scenario %q/%q hashes to %s, the baseline to %s", sc[0], sc[1], h, h0)
 		}
 	}
 }
@@ -90,13 +84,12 @@ func TestDefaultTechScenariosValid(t *testing.T) {
 }
 
 // TestFigureRunsTechsweep: the declared run-set is one ATAC+ run per
-// scenario per benchmark, each with a distinct run hash.
+// benchmark, which every scenario of the sweep re-costs.
 func TestFigureRunsTechsweep(t *testing.T) {
 	r := testCampaignRunner()
 	specs := r.FigureRuns("techsweep")
-	wantN := len(DefaultTechScenarios()) * len(r.Apps)
-	if len(specs) != wantN {
-		t.Fatalf("techsweep declares %d runs, want %d", len(specs), wantN)
+	if len(specs) != len(r.Apps) {
+		t.Fatalf("techsweep declares %d runs, want one per benchmark (%d)", len(specs), len(r.Apps))
 	}
 	hashes := map[string]bool{}
 	for _, s := range specs {
@@ -105,8 +98,8 @@ func TestFigureRunsTechsweep(t *testing.T) {
 		}
 		hashes[r.RunHash(s.Cfg, s.Bench)] = true
 	}
-	if len(hashes) != wantN {
-		t.Errorf("%d distinct run hashes for %d runs", len(hashes), wantN)
+	if len(hashes) != len(r.Apps) {
+		t.Errorf("%d distinct run hashes for %d benchmarks", len(hashes), len(r.Apps))
 	}
 }
 
@@ -189,8 +182,8 @@ func TestTechSweepCustomScenarios(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.Opt.Scenarios = scens
-	if got := len(r.FigureRuns("techsweep")); got != 2 {
-		t.Fatalf("restricted techsweep declares %d runs, want 2", got)
+	if got := len(r.FigureRuns("techsweep")); got != 1 {
+		t.Fatalf("restricted techsweep declares %d runs, want 1", got)
 	}
 	tbl, err := r.Figure("techsweep")
 	if err != nil {
@@ -202,8 +195,8 @@ func TestTechSweepCustomScenarios(t *testing.T) {
 }
 
 // TestProvenanceRecordsScenario: the manifest names the campaign default
-// scenario and, for techsweep campaigns, the swept scenario set; changing
-// the scenario set changes RunSetHash.
+// scenario and, for techsweep campaigns, the swept scenario set. Neither
+// changes RunSetHash: a scenario re-costs the same runs.
 func TestProvenanceRecordsScenario(t *testing.T) {
 	r := testCampaignRunner()
 	p := r.Provenance([]string{"techsweep"}, time.Second)
@@ -219,13 +212,13 @@ func TestProvenanceRecordsScenario(t *testing.T) {
 	}
 	r2 := testCampaignRunner()
 	r2.Opt.Scenarios, _ = ParseScenarios("11nm/baseline,7nm/baseline")
-	if p2 := r2.Provenance([]string{"techsweep"}, time.Second); p2.RunSetHash == p.RunSetHash {
-		t.Error("restricting the scenario set did not change RunSetHash")
+	if p2 := r2.Provenance([]string{"techsweep"}, time.Second); p2.RunSetHash != p.RunSetHash {
+		t.Error("restricting the scenario set changed RunSetHash")
 	}
 	r3 := testCampaignRunner()
 	r3.Opt.Tech, r3.Opt.Optics = "7nm", "optimistic"
-	if p3 := r3.Provenance([]string{"4"}, time.Second); p3.RunSetHash == r.Provenance([]string{"4"}, time.Second).RunSetHash {
-		t.Error("campaign default scenario did not change figure 4's RunSetHash")
+	if p3 := r3.Provenance([]string{"4"}, time.Second); p3.RunSetHash != r.Provenance([]string{"4"}, time.Second).RunSetHash {
+		t.Error("campaign default scenario changed figure 4's RunSetHash")
 	}
 }
 

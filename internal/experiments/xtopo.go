@@ -109,7 +109,7 @@ func xtopo(r *Runner, cfgs []config.Config) (*Table, error) {
 				cells[i].lat = float64(results[i].Net.LatencySum) / float64(n)
 			}
 			if cyc := results[i].Cycles; cyc > 0 {
-				cells[i].optW = (bd.Laser + bd.RingTuning) / (float64(cyc) * 1e-9)
+				cells[i].optW = (bd.Laser + bd.RingTuning) / (float64(cyc) * config.CycleSeconds)
 			}
 			sums[i].edp += cells[i].edp
 			sums[i].lat += cells[i].lat

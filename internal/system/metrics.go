@@ -6,6 +6,7 @@
 package system
 
 import (
+	"repro/internal/config"
 	"repro/internal/metrics"
 )
 
@@ -120,8 +121,8 @@ func (s *System) AttachMetrics(c *metrics.Collector) {
 		for _, core := range s.Core {
 			instr += core.Instructions
 		}
-		v[0] = f * peak * cores * float64(s.eng.Now()) * 1e-9
-		v[1] = (1 - f) * peak * float64(instr) * 1e-9
+		v[0] = f * peak * cores * float64(s.eng.Now()) * config.CycleSeconds
+		v[1] = (1 - f) * peak * float64(instr) * config.CycleSeconds
 	})
 
 	// Delivery-latency histogram, hooked into the network ejection path

@@ -35,8 +35,12 @@ import (
 // 6 one run identity: the cache key is the JSON of the run config
 // (energy-only fields reset, scenario names canonical) instead of a
 // hand-written key plus the raw config, and Stats lost the five counters
-// that duplicated a twin and the per-class latency sums.
-const CacheSchema = 6
+// that duplicated a twin and the per-class latency sums;
+// 7 run identity is what the simulator reads: Config lost FreqGHz,
+// Caches.MSHRs, Caches.DirAccCycles and Network.SeqNumBits, and the
+// technology scenario left the cache key (one entry serves every
+// scenario).
+const CacheSchema = 7
 
 // GitDescribe returns `git describe --always --dirty --tags` for the
 // working tree, or "" when git or the repository is unavailable.
