@@ -1,12 +1,52 @@
 package main
 
 import (
+	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/config"
 	"repro/internal/system"
 )
+
+// TestMain runs main itself when a test re-executes the test binary with
+// ATACSIM_TEST_MAIN=1, so a test can watch atacsim exit.
+func TestMain(m *testing.M) {
+	if os.Getenv("ATACSIM_TEST_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// Each of these configs used to pass Validate, and atacsim -config on it
+// died with a Go panic inside the simulator. It must exit non-zero with
+// Validate's message instead.
+func TestConfigFileRejected(t *testing.T) {
+	for _, tc := range []struct {
+		mut  func(*config.Config)
+		want string
+	}{
+		{func(c *config.Config) { c.Caches.DirSlices = 8 }, "config: DirSlices 8 out of range"},
+		{func(c *config.Config) { c.Network.RouterDelay = 0 }, "config: RouterDelay, LinkDelay"},
+		{func(c *config.Config) { c.Network.LinkDelay = 0 }, "config: RouterDelay, LinkDelay"},
+	} {
+		cfg := config.Tiny()
+		tc.mut(&cfg)
+		path := filepath.Join(t.TempDir(), "cfg.json")
+		if err := cfg.SaveFile(path); err != nil {
+			t.Fatal(err)
+		}
+		cmd := exec.Command(os.Args[0], "-config", path)
+		cmd.Env = append(os.Environ(), "ATACSIM_TEST_MAIN=1")
+		out, err := cmd.CombinedOutput()
+		if err == nil || !strings.Contains(string(out), tc.want) {
+			t.Errorf("atacsim -config (%s): err %v, output %q; want a non-zero exit saying %q", tc.want, err, out, tc.want)
+		}
+	}
+}
 
 // Config resolution lives in internal/experiments (BuildConfig) and is
 // tested there; atacsim only forwards its flags into a Geometry.

@@ -103,6 +103,14 @@ func TestValidateRejects(t *testing.T) {
 		{"bad line size", func(c *Config) { c.Caches.LineBytes = 60 }},
 		{"zero sharers", func(c *Config) { c.Coherence.Sharers = 0 }},
 		{"too many dir slices", func(c *Config) { c.Caches.DirSlices = 2048 }},
+		{"more dir slices than clusters", func(c *Config) { *c = Tiny(); c.Caches.DirSlices = 8 }},
+		{"zero L1 associativity", func(c *Config) { c.Caches.L1Assoc = 0 }},
+		{"zero L2 associativity", func(c *Config) { c.Caches.L2Assoc = 0 }},
+		{"unknown network kind", func(c *Config) { c.Network.Kind = HybridMesh + 1 }},
+		{"zero router delay", func(c *Config) { c.Network.RouterDelay = 0 }},
+		{"zero link delay", func(c *Config) { c.Network.LinkDelay = 0 }},
+		{"zero buffer depth", func(c *Config) { c.Network.BufFlits = 0 }},
+		{"no receive networks", func(c *Config) { c.Network.StarNetsPerCl = 0 }},
 		{"no mem controllers", func(c *Config) { c.Memory.Controllers = 0 }},
 		{"distance routing without rthres", func(c *Config) { c.Network.RThres = 0 }},
 		{"atac+ with one cluster", func(c *Config) {
