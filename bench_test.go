@@ -19,6 +19,7 @@ package repro
 
 import (
 	"fmt"
+	"os"
 	"testing"
 
 	"repro/internal/experiments"
@@ -26,6 +27,13 @@ import (
 
 func BenchmarkFigures(b *testing.B) {
 	campaign := experiments.NewRunner(experiments.DefaultOptions())
+	// Cached only when REPRO_CACHE says where, never in the user cache.
+	f := experiments.Flags{Runner: campaign, NoCache: os.Getenv("REPRO_CACHE") == ""}
+	closeCache, err := f.AttachCache(false, b.Logf)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer closeCache()
 	for _, id := range experiments.FigureIDs() {
 		b.Run(id, func(b *testing.B) {
 			// Memoization makes repeated iterations (b.N > 1) nearly free;

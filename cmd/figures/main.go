@@ -16,7 +16,6 @@
 package main
 
 import (
-	"cmp"
 	"flag"
 	"fmt"
 	"io"
@@ -110,23 +109,15 @@ func run() int {
 	if !f.Quiet {
 		r.Progress = func(s string) { fmt.Fprintln(os.Stderr, "  ...", s) }
 	}
-	// The cache directory is resolved here (flag, REPRO_CACHE, user cache dir); unopenable is a warning.
-	r.Cache = nil
-	dir := ""
-	if !f.NoCache {
-		dir = cmp.Or(f.CacheDir, experiments.DefaultCacheDir())
-	}
-	closeCache, err := r.AttachCache(dir, !*noJournal, log.Printf)
+	closeCache, err := f.AttachCache(!*noJournal, log.Printf)
 	if err != nil {
-		log.Printf("warning: %v (continuing without cache)", err)
+		log.Print(err)
+		return experiments.ExitFatal
 	}
 	defer closeCache()
-	if r.Cache != nil {
-		r.Cache.MaxBytes = f.CacheMaxBytes
-		if *clear {
-			if err := r.Cache.Invalidate(); err != nil {
-				log.Printf("warning: %v", err)
-			}
+	if r.Cache != nil && *clear {
+		if err := r.Cache.Invalidate(); err != nil {
+			log.Printf("warning: %v", err)
 		}
 	}
 	_, stopSignals := r.InstallSignalHandler(f.Grace, log.Printf)

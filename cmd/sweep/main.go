@@ -84,11 +84,7 @@ func run() int {
 
 	r.Opt = experiments.Options{Cores: f.Cores, Scale: 1, Seed: f.Seed, Tech: f.Tech, Optics: f.Optics}
 	r.RecallFailures = true
-	dir := f.CacheDir
-	if f.NoCache {
-		r.Cache, dir = nil, ""
-	}
-	closeCache, err := r.AttachCache(dir, true, log.Printf)
+	closeCache, err := f.AttachCache(true, log.Printf)
 	if err != nil {
 		log.Print(err)
 		return experiments.ExitFatal

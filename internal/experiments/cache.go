@@ -314,50 +314,3 @@ func (c *Cache) Len() int {
 	}
 	return n
 }
-
-// DefaultCacheDir resolves the cache location when no -cache-dir flag is
-// given: the REPRO_CACHE environment variable if set, else a
-// "repro-campaign" subdirectory of the user cache directory.
-func DefaultCacheDir() string {
-	if dir := os.Getenv("REPRO_CACHE"); dir != "" {
-		return dir
-	}
-	base, err := os.UserCacheDir()
-	if err != nil {
-		return ""
-	}
-	return filepath.Join(base, "repro-campaign")
-}
-
-// AttachCache wires the runner's durable state for every campaign front
-// end: the persistent cache at dir ("" keeps the one NewRunner took from
-// REPRO_CACHE, if any) with its warnings routed to logf, and, when journal
-// is set, the write-ahead journal next to it. A cache that cannot be opened
-// is the returned error (fatal or not is the caller's call) and leaves the
-// runner as it was; a journal that cannot be opened is only a logged
-// warning. The returned func, never nil, closes the runner's journal.
-func (r *Runner) AttachCache(dir string, journal bool, logf func(format string, args ...any)) (func(), error) {
-	closeJournal := func() {
-		if err := r.Journal.Close(); err != nil {
-			logf("warning: journal close: %v", err)
-		}
-	}
-	if dir != "" {
-		c, err := OpenCache(dir)
-		if err != nil {
-			return closeJournal, err
-		}
-		r.Cache = c
-	}
-	if r.Cache == nil {
-		return closeJournal, nil
-	}
-	r.Cache.Log = func(s string) { logf("%s", s) }
-	if journal {
-		var err error
-		if r.Journal, err = OpenJournal(r.Cache.JournalPath()); err != nil {
-			logf("warning: %v (continuing without journal)", err)
-		}
-	}
-	return closeJournal, nil
-}

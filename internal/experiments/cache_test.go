@@ -174,11 +174,13 @@ func TestCacheUnboundedIsUntouched(t *testing.T) {
 	}
 }
 
-// TestAttachCache: the one wiring call of the campaign front ends. An
-// unopenable directory is the returned error and leaves the runner alone;
-// "" keeps the cache the runner already has; a journal that cannot be
-// opened is a logged warning, not an error; the close func compacts.
+// TestAttachCache: the one wiring call of the campaign front ends. A named
+// directory that cannot be opened is the returned error and leaves the
+// runner alone; -no-cache attaches nothing; the cache is bounded by
+// -cache-max-bytes; a journal that cannot be opened is a logged warning,
+// not an error; the close func compacts.
 func TestAttachCache(t *testing.T) {
+	t.Setenv("REPRO_CACHE", "")
 	var logged []string
 	logf := func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) }
 	dir := t.TempDir()
@@ -186,27 +188,30 @@ func TestAttachCache(t *testing.T) {
 	if err := os.WriteFile(file, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	attach := func(f Flags, journal bool) (*Runner, func(), error) {
+		f.Runner = NewRunner(testCampaignOpts())
+		closeCache, err := f.AttachCache(journal, logf)
+		return f.Runner, closeCache, err
+	}
 
-	r := NewRunner(testCampaignOpts())
-	r.Cache = nil
-	closeCache, err := r.AttachCache(filepath.Join(file, "sub"), true, logf)
+	r, closeCache, err := attach(Flags{CacheDir: filepath.Join(file, "sub")}, true)
 	if err == nil || r.Cache != nil || r.Journal != nil {
 		t.Fatalf("unopenable dir: err=%v cache=%v journal=%v", err, r.Cache, r.Journal)
 	}
 	closeCache()
-	if closeCache, err = r.AttachCache("", true, logf); err != nil || r.Cache != nil || r.Journal != nil {
-		t.Fatalf("no dir, no cache: err=%v cache=%v journal=%v", err, r.Cache, r.Journal)
+	if r, closeCache, err = attach(Flags{CacheDir: dir, NoCache: true}, true); err != nil || r.Cache != nil || r.Journal != nil {
+		t.Fatalf("-no-cache: err=%v cache=%v journal=%v", err, r.Cache, r.Journal)
 	}
 	closeCache()
 
 	cdir := filepath.Join(dir, "cache")
-	if closeCache, err = r.AttachCache(cdir, false, logf); err != nil || r.Cache == nil || r.Journal != nil {
+	if r, closeCache, err = attach(Flags{CacheDir: cdir, CacheMaxBytes: 1 << 20}, false); err != nil ||
+		r.Cache == nil || r.Cache.MaxBytes != 1<<20 || r.Journal != nil {
 		t.Fatalf("journal off: err=%v cache=%v journal=%v", err, r.Cache, r.Journal)
 	}
 	closeCache()
-	had := r.Cache
-	if closeCache, err = r.AttachCache("", true, logf); err != nil || r.Cache != had || r.Journal == nil {
-		t.Fatalf("keep cache: err=%v cache=%v journal=%v", err, r.Cache, r.Journal)
+	if r, closeCache, err = attach(Flags{CacheDir: cdir}, true); err != nil || r.Cache.Dir() != cdir || r.Journal == nil {
+		t.Fatalf("journal on: err=%v cache=%v journal=%v", err, r.Cache, r.Journal)
 	}
 	r.Cache.Log("from the cache")
 	r.Journal.Begin("h", "k", 1)
@@ -224,8 +229,8 @@ func TestAttachCache(t *testing.T) {
 	if err := os.MkdirAll(filepath.Join(jdir, JournalFileName), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	r.Journal, logged = nil, nil
-	if closeCache, err = r.AttachCache(jdir, true, logf); err != nil || r.Cache.Dir() != jdir || r.Journal != nil {
+	logged = nil
+	if r, closeCache, err = attach(Flags{CacheDir: jdir}, true); err != nil || r.Cache.Dir() != jdir || r.Journal != nil {
 		t.Fatalf("broken journal: err=%v cache=%v journal=%v", err, r.Cache.Dir(), r.Journal)
 	}
 	closeCache()

@@ -211,7 +211,6 @@ func TestChaosInterruptResume(t *testing.T) {
 	// The stitched-together campaign must be indistinguishable from one
 	// that was never interrupted.
 	ref := NewRunner(Options{Cores: 16, Scale: 1, Seed: 42})
-	ref.Cache = nil
 	ref.Apps = []string{"radix", "fmm"}
 	ref.Jobs = 2
 	tRef, err := ref.Figure("4")
@@ -225,7 +224,6 @@ func TestChaosInterruptResume(t *testing.T) {
 
 func TestChaosRunDeadlineIsTransientAndRetried(t *testing.T) {
 	r := NewRunner(Options{Cores: 16, Scale: 1, Seed: 42})
-	r.Cache = nil
 	r.Retries = 2
 	r.RunTimeout = time.Nanosecond // expired before the kernel's first poll
 	r.backoffBase, r.backoffCap = 100*time.Microsecond, time.Millisecond
@@ -267,7 +265,6 @@ func TestChaosWorkloadPanicIsFailedRun(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		before := runtime.NumGoroutine()
 		r := NewRunner(Options{Cores: 16, Scale: 1, Seed: 42})
-		r.Cache = nil
 		r.testHook = func(cfg config.Config, _ string, _ int) {
 			sys, err := system.NewSharded(cfg, shards)
 			if err != nil {

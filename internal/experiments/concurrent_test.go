@@ -18,7 +18,6 @@ import (
 // Run under -race (make check does) this also proves the path is clean.
 func TestConcurrentIdenticalRuns(t *testing.T) {
 	r := NewRunner(Options{Cores: 16, Scale: 1, Seed: 1})
-	r.Cache = nil
 	sp := SynthSpec{Pattern: "uniform", Load: 0.05, BcastFrac: 0.001, Warmup: 200, Measure: 400}
 	cfg := r.SchemeConfig(Fig3Schemes(4)[0])
 
@@ -64,7 +63,6 @@ func TestConcurrentIdenticalRuns(t *testing.T) {
 // lifecycle exactly once even under concurrency.
 func TestConcurrentDistinctRuns(t *testing.T) {
 	r := NewRunner(Options{Cores: 16, Scale: 1, Seed: 1})
-	r.Cache = nil
 	var mu sync.Mutex
 	done := map[string]int{}
 	r.Events = func(ev RunEvent) {

@@ -346,7 +346,6 @@ func TestTableV(t *testing.T) {
 
 func TestFig3Synthetic(t *testing.T) {
 	r := NewRunner(Options{Cores: 16, Scale: 1, Seed: 42})
-	r.Cache = nil
 	sch := Fig3Schemes(4)
 	if len(sch) != 6 || sch[0].Name != "Cluster" || sch[5].Name != "Distance-All" {
 		t.Fatalf("schemes: %+v", sch)

@@ -10,7 +10,10 @@
 package experiments
 
 import (
+	"cmp"
 	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"time"
 
@@ -74,11 +77,54 @@ func (f *Flags) declare() *flag.FlagSet {
 	fs.IntVar(&r.Retries, "retries", r.Retries, "extra attempts for transiently failed runs (panics, deadlines)")
 	fs.DurationVar(&r.RunTimeout, "run-timeout", r.RunTimeout, "per-run wall-clock deadline, e.g. 5m (0 = none)")
 
-	fs.StringVar(&f.CacheDir, "cache-dir", f.CacheDir, "persistent result cache directory (default: REPRO_CACHE env, else the user cache dir for figures and atacd, none for sweep)")
+	fs.StringVar(&f.CacheDir, "cache-dir", f.CacheDir, "persistent result cache directory (default: REPRO_CACHE env, else the user cache dir)")
 	fs.BoolVar(&f.NoCache, "no-cache", f.NoCache, "disable the persistent result cache")
 	fs.Int64Var(&f.CacheMaxBytes, "cache-max-bytes", f.CacheMaxBytes, "bound the on-disk cache, evicting least-recently-used entries (0 = unbounded)")
 	fs.DurationVar(&f.Grace, "grace", f.Grace, "drain window after SIGINT/SIGTERM before in-flight runs are cancelled")
 	fs.BoolVar(&f.Quiet, "q", f.Quiet, "suppress progress narration on stderr")
 	fs.BoolVar(&f.Version, "version", f.Version, "print the build version and exit")
 	return fs
+}
+
+// AttachCache gives f.Runner its durable state by the one cache-directory
+// policy of the front ends: -cache-dir, else the REPRO_CACHE environment
+// variable, else a "repro-campaign" directory under the user cache
+// directory, and no cache with -no-cache. A directory the user named (flag
+// or environment) that cannot be opened is the returned error; the default
+// one is only a warning. The cache is bounded by -cache-max-bytes, logs
+// through logf, and, when journal is set, holds the write-ahead journal (a
+// journal that cannot be opened is a warning). The returned func, never
+// nil, closes the journal.
+func (f *Flags) AttachCache(journal bool, logf func(format string, args ...any)) (func(), error) {
+	r := f.Runner
+	closeJournal := func() {
+		if err := r.Journal.Close(); err != nil {
+			logf("warning: journal close: %v", err)
+		}
+	}
+	if f.NoCache {
+		return closeJournal, nil
+	}
+	dir := cmp.Or(f.CacheDir, os.Getenv("REPRO_CACHE"))
+	named := dir != ""
+	if base, err := os.UserCacheDir(); !named && err == nil {
+		dir = filepath.Join(base, "repro-campaign")
+	}
+	c, err := OpenCache(dir) // "" (no user cache directory) fails too
+	if err != nil {
+		if named {
+			return closeJournal, err
+		}
+		logf("warning: %v (continuing without cache)", err)
+		return closeJournal, nil
+	}
+	c.Log = func(s string) { logf("%s", s) }
+	c.MaxBytes = f.CacheMaxBytes
+	r.Cache = c
+	if journal {
+		if r.Journal, err = OpenJournal(c.JournalPath()); err != nil {
+			logf("warning: %v (continuing without journal)", err)
+		}
+	}
+	return closeJournal, nil
 }

@@ -12,7 +12,6 @@ import (
 
 func TestProvenanceManifest(t *testing.T) {
 	r := NewRunner(Options{Cores: 16, Scale: 1, Seed: 42})
-	r.Cache = nil
 	r.Apps = []string{"radix"}
 	if _, err := r.Run(r.Opt.Config(config.ATACPlus), "radix"); err != nil {
 		t.Fatal(err)
@@ -38,7 +37,6 @@ func TestProvenanceManifest(t *testing.T) {
 		t.Error("hash not deterministic for an identical campaign")
 	}
 	r2 := NewRunner(Options{Cores: 16, Scale: 1, Seed: 43})
-	r2.Cache = nil
 	r2.Apps = []string{"radix"}
 	if p3 := r2.Provenance([]string{"4"}, 0); p3.RunSetHash == p.RunSetHash {
 		t.Error("hash ignores the campaign seed")

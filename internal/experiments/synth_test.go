@@ -38,7 +38,6 @@ func TestSyntheticRunHonoursCancellation(t *testing.T) {
 	// at the deadline and fail as cancelled, like an application run,
 	// instead of running to completion and reporting success.
 	r := NewRunner(Options{Cores: 16, Scale: 1, Seed: 1})
-	r.Cache = nil
 	r.RunTimeout = 50 * time.Millisecond
 	sp := SynthSpec{Pattern: "uniform", Load: 0.05, BcastFrac: 0.001, Measure: 400_000}
 	t0 := time.Now()

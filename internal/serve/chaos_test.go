@@ -194,7 +194,6 @@ func TestResumeOrphans(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := experiments.NewRunner(experiments.Options{Cores: 16, Scale: 1, Seed: 1})
-	r.Cache = nil
 	s := New(r, Options{QueueDepth: 4, Workers: 1, Store: store}, t.Logf)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
@@ -312,7 +311,6 @@ func TestHealthzStoreUnwritable(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := experiments.NewRunner(experiments.Options{Cores: 16, Scale: 1, Seed: 1})
-	r.Cache = nil
 	s := New(r, Options{QueueDepth: 4, Workers: 1, Store: store}, t.Logf)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
@@ -383,7 +381,6 @@ func fixStore(t *testing.T, store *JobStore) {
 // /metrics; the daemon survives.
 func TestHandlerPanicIsolated(t *testing.T) {
 	r := experiments.NewRunner(experiments.Options{Cores: 16, Scale: 1, Seed: 1})
-	r.Cache = nil
 	s := New(r, Options{QueueDepth: 4, Workers: 1}, t.Logf)
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -408,7 +405,6 @@ func TestHandlerPanicIsolated(t *testing.T) {
 // instead of holding the connection forever.
 func TestRequestTimeout(t *testing.T) {
 	r := experiments.NewRunner(experiments.Options{Cores: 16, Scale: 1, Seed: 1})
-	r.Cache = nil
 	s := New(r, Options{QueueDepth: 4, Workers: 1, RequestTimeout: 30 * time.Millisecond}, t.Logf)
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
