@@ -291,9 +291,11 @@ func (s *System) runKernel(horizon sim.Time) {
 		}
 		c.Tick()
 	}
-	// Close the final (partial) epoch at the real end-of-run clock, then
-	// reproduce Kernel.Run's drained-queue semantics (clock jumps to the
-	// horizon) so callers observe the same Now() either way.
+	// Close the final (partial) epoch where the last chunk stopped (the
+	// chunk's end when the queue drained inside it, so up to one epoch past
+	// the last core's finish), then reproduce Kernel.Run's drained-queue
+	// semantics (clock jumps to the horizon) so callers observe the same
+	// Now() either way.
 	c.Finish()
 	if s.eng.Pending() == 0 && s.eng.Now() < horizon {
 		s.eng.Run(horizon)
