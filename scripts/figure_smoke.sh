@@ -2,16 +2,19 @@
 # Cache-contract smoke test of one figure: figure_smoke.sh techsweep|xtopo
 #
 # Runs the figure (two sweep points, 16 cores) through the cached campaign
-# engine and checks what the run identity's scenario / topology axis promises:
+# engine and checks its cache contract:
 #
 #   1. the figure renders what the sweep asked for, and every run of the
 #      cold campaign is simulated:
 #        techsweep  one row per scenario, normalized to the paper's
-#                   11nm/baseline point; the provenance manifest records the
+#                   11nm/baseline point, all re-costed from one ATAC+ run
+#                   per benchmark (a scenario is not part of the run
+#                   identity); the provenance manifest records the
 #                   campaign's default scenario and the swept scenario set;
 #        xtopo      one column group per topology (the electrical reference
-#                   and the Corona crossbar), per-benchmark rows plus the
-#                   average, normalized to the first topology;
+#                   and the Corona crossbar), each topology its own runs,
+#                   per-benchmark rows plus the average, normalized to the
+#                   first topology;
 #   2. a second, identical invocation is answered entirely from the cache
 #      (zero fresh simulations) and renders byte-identical output: the
 #      run identity is deterministic;
