@@ -48,9 +48,10 @@ bench-pair:
 # Fuzz the flit-conservation property (exactly-once delivery under
 # randomized traffic and fault seeds) and the optical link budget (both
 # solvers: finite powers, broadcast = readers x unicast, monotone in loss)
-# for FUZZTIME per target, and the event kernel's same-cycle order
-# against an independent model. Go allows one -fuzz target per invocation,
-# so the targets run back to back. The three optical conservation targets
+# for FUZZTIME per target, the event kernel's same-cycle order against an
+# independent model, and the cache tag store against a dense reference
+# array. Go allows one -fuzz target per invocation, so the targets run
+# back to back. The three optical conservation targets
 # are one body (fuzzOpticalConservation) entered per fabric kind, so each
 # optical fabric still gets a full FUZZTIME.
 fuzz:
@@ -60,6 +61,7 @@ fuzz:
 	$(GO) test ./internal/noc -run '^$$' -fuzz '^FuzzCrossbarConservation$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/noc -run '^$$' -fuzz '^FuzzHybridConservation$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/photonics -run '^$$' -fuzz '^FuzzLinkBudget$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/coherence -run '^$$' -fuzz '^FuzzCacheArray$$' -fuzztime $(FUZZTIME)
 
 # End-to-end crash-safety smoke: SIGINT a figure campaign mid-flight,
 # resume it from the journal+cache, and require byte-identical output with
