@@ -2,12 +2,27 @@ package coherence
 
 // cacheArray is a set-associative tag array with LRU replacement. It
 // tracks per-line coherence state but no data (see the package comment).
+//
+// A set's ways are allocated the first time the set is filled, so tag
+// memory grows with the sets a run touches, not with the cache's capacity
+// (a 1024-core radix run fills under a tenth of its L2 sets). slot maps a
+// set to its block of assoc entries; blocks are carved in order from
+// fixed-size chunks and never freed. Neither slot nor a chunk holds a
+// pointer, so the garbage collector never scans them.
 type cacheArray struct {
-	sets    int
-	assoc   int
-	entries []cacheEntry // sets*assoc, set-major
-	clock   uint64       // LRU timestamp source
+	sets   int
+	assoc  int
+	slot   []int32        // per set: 0 if never filled, else 1 + its block number
+	chunks [][]cacheEntry // block b is chunks[b/chunkSets], entries (b%chunkSets)*assoc onward
+	blocks int            // blocks handed out
+	clock  uint64         // LRU timestamp source
 }
+
+// chunkSets is how many sets' blocks one chunk holds: large enough that a
+// run's chunks are few, small enough that the partly used last chunk
+// wastes little. Chunks are allocated whole rather than grown, so a block
+// never moves.
+const chunkSets = 16
 
 type cacheEntry struct {
 	line  uint64
@@ -31,19 +46,35 @@ func newCacheArray(sizeBytes, lineBytes, assoc int) *cacheArray {
 		sets = 1
 	}
 	return &cacheArray{
-		sets:    sets,
-		assoc:   assoc,
-		entries: make([]cacheEntry, sets*assoc),
+		sets:  sets,
+		assoc: assoc,
+		slot:  make([]int32, sets),
 	}
 }
 
 func (c *cacheArray) setOf(line uint64) int { return int(line % uint64(c.sets)) }
 
+// block returns the ways of the block a non-zero slot value names.
+func (c *cacheArray) block(slot int32) []cacheEntry {
+	b := uint(slot - 1)
+	off := b % chunkSets * uint(c.assoc)
+	return c.chunks[b/chunkSets][off : off+uint(c.assoc)]
+}
+
+// ways returns the line's set, or nil if the set has never been filled.
+func (c *cacheArray) ways(line uint64) []cacheEntry {
+	s := c.slot[c.setOf(line)]
+	if s == 0 {
+		return nil
+	}
+	return c.block(s)
+}
+
 // lookup returns the line's state (Invalid if absent) and refreshes LRU.
 func (c *cacheArray) lookup(line uint64) State {
-	base := c.setOf(line) * c.assoc
-	for i := base; i < base+c.assoc; i++ {
-		e := &c.entries[i]
+	ways := c.ways(line)
+	for i := range ways {
+		e := &ways[i]
 		if e.state != Invalid && e.line == line {
 			c.clock++
 			e.lru = c.clock
@@ -55,9 +86,9 @@ func (c *cacheArray) lookup(line uint64) State {
 
 // peek returns the state without touching LRU.
 func (c *cacheArray) peek(line uint64) State {
-	base := c.setOf(line) * c.assoc
-	for i := base; i < base+c.assoc; i++ {
-		e := &c.entries[i]
+	ways := c.ways(line)
+	for i := range ways {
+		e := &ways[i]
 		if e.state != Invalid && e.line == line {
 			return e.state
 		}
@@ -67,14 +98,10 @@ func (c *cacheArray) peek(line uint64) State {
 
 // setState transitions an existing line; it is a no-op if absent.
 func (c *cacheArray) setState(line uint64, s State) {
-	base := c.setOf(line) * c.assoc
-	for i := base; i < base+c.assoc; i++ {
-		e := &c.entries[i]
+	ways := c.ways(line)
+	for i := range ways {
+		e := &ways[i]
 		if e.state != Invalid && e.line == line {
-			if s == Invalid {
-				e.state = Invalid
-				return
-			}
 			e.state = s
 			return
 		}
@@ -85,10 +112,14 @@ func (c *cacheArray) setState(line uint64, s State) {
 // to be evicted (evicted==false if a free way existed). The caller handles
 // victim write-back / directory notification.
 func (c *cacheArray) insert(line uint64, s State) (victimLine uint64, victimState State, evicted bool) {
-	base := c.setOf(line) * c.assoc
+	set := c.setOf(line)
+	if c.slot[set] == 0 {
+		c.slot[set] = c.newBlock()
+	}
+	ways := c.block(c.slot[set])
 	// Already present: state change only.
-	for i := base; i < base+c.assoc; i++ {
-		if e := &c.entries[i]; e.state != Invalid && e.line == line {
+	for i := range ways {
+		if e := &ways[i]; e.state != Invalid && e.line == line {
 			e.state = s
 			c.clock++
 			e.lru = c.clock
@@ -96,36 +127,37 @@ func (c *cacheArray) insert(line uint64, s State) (victimLine uint64, victimStat
 		}
 	}
 	// Free way?
-	for i := base; i < base+c.assoc; i++ {
-		if e := &c.entries[i]; e.state == Invalid {
+	for i := range ways {
+		if e := &ways[i]; e.state == Invalid {
 			c.clock++
 			*e = cacheEntry{line: line, state: s, lru: c.clock}
 			return 0, Invalid, false
 		}
 	}
 	// Evict LRU.
-	v := base
-	for i := base + 1; i < base+c.assoc; i++ {
-		if c.entries[i].lru < c.entries[v].lru {
+	v := 0
+	for i := 1; i < len(ways); i++ {
+		if ways[i].lru < ways[v].lru {
 			v = i
 		}
 	}
-	victimLine, victimState = c.entries[v].line, c.entries[v].state
+	victimLine, victimState = ways[v].line, ways[v].state
 	c.clock++
-	c.entries[v] = cacheEntry{line: line, state: s, lru: c.clock}
+	ways[v] = cacheEntry{line: line, state: s, lru: c.clock}
 	return victimLine, victimState, true
+}
+
+// newBlock hands out the next free block as a slot value, starting a
+// chunk when the last one is full. A chunk never holds more blocks than
+// there are sets left to fill, so a cache whose every set fills costs the
+// dense array plus its slot index.
+func (c *cacheArray) newBlock() int32 {
+	if c.blocks%chunkSets == 0 {
+		c.chunks = append(c.chunks, make([]cacheEntry, min(chunkSets, c.sets-c.blocks)*c.assoc))
+	}
+	c.blocks++
+	return int32(c.blocks)
 }
 
 // invalidate removes a line (no-op if absent).
 func (c *cacheArray) invalidate(line uint64) { c.setState(line, Invalid) }
-
-// countState returns how many lines are in state s (test helper).
-func (c *cacheArray) countState(s State) int {
-	n := 0
-	for i := range c.entries {
-		if c.entries[i].state == s {
-			n++
-		}
-	}
-	return n
-}

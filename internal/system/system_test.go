@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/config"
@@ -31,6 +32,24 @@ func TestNewBuildsAllNetworkKinds(t *testing.T) {
 		if len(s.Core) != cfg.Cores {
 			t.Errorf("%v: %d cores", k, len(s.Core))
 		}
+	}
+}
+
+// TestNewAllocatesLittleAtPaperScale guards host memory at the paper's
+// geometry: building the 1024-core machine allocates no cache tag storage
+// until a run fills it, so setup stays far below the ≈ 117 MB that tags
+// allocated up front cost.
+func TestNewAllocatesLittleAtPaperScale(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s, err := New(config.Default())
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const budget = 16 << 20
+	if got := after.TotalAlloc - before.TotalAlloc; got > budget {
+		t.Errorf("New at %d cores allocated %.1f MB, budget %d MB", len(s.Core), float64(got)/(1<<20), budget>>20)
 	}
 }
 
