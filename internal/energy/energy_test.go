@@ -1,9 +1,11 @@
 package energy
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/metrics"
 	"repro/internal/photonics"
 	"repro/internal/system"
 	"repro/internal/tech"
@@ -307,5 +309,34 @@ func TestFaultRunEnergyExceedsClean(t *testing.T) {
 	if fn.ONetOther+fn.NetElecDyn <= cn.ONetOther+cn.NetElecDyn {
 		t.Errorf("faulty network dynamic energy %v <= clean %v",
 			fn.ONetOther+fn.NetElecDyn, cn.ONetOther+cn.NetElecDyn)
+	}
+}
+
+// TestEpochCoreNDDMatchesCombine: the per-epoch core_ndd_j column stops at
+// the run's cycle count, so its epochs sum to Combine's CoreNDD.
+func TestEpochCoreNDDMatchesCombine(t *testing.T) {
+	cfg := config.Tiny()
+	sys, err := system.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := metrics.New(sys.Clock(), 1000)
+	sys.AttachMetrics(col)
+	spec, err := system.WorkloadFor(cfg, "radix", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sys.Run(spec, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, got := Combine(m, res).CoreNDD, col.Total("energy.core_ndd_j")
+	if math.Abs(got-want) > 1e-9*want {
+		t.Errorf("epoch core_ndd_j sums to %.12g J, CoreNDD is %.12g J (%d epochs, %d cycles)",
+			got, want, len(col.Rows()), res.Cycles)
 	}
 }

@@ -13,9 +13,7 @@ import (
 // event per closed epoch, their clocks rise to the run's end, their
 // instruction deltas add up to the run's instructions, and observing the
 // run leaves its result byte-identical to an unobserved one. The last epoch
-// closes at the first epoch boundary at or after the run's cycle count:
-// when the event queue drains inside a chunk, the kernel moves the clock to
-// the chunk's end before the collector closes the epoch.
+// closes at the run's cycle count, not at the epoch boundary after it.
 func TestEpochEvents(t *testing.T) {
 	cfg := testCampaignOpts().Config(config.ATACPlus)
 	observed := testCampaignRunner()
@@ -40,7 +38,7 @@ func TestEpochEvents(t *testing.T) {
 		}
 		cycles, instr = ev.Cycles, ev.Instructions
 	}
-	if end := uint64(res.Cycles); cycles < end || cycles >= end+uint64(observed.EpochCycles) || instr != res.Instructions {
+	if cycles != uint64(res.Cycles) || instr != res.Instructions {
 		t.Errorf("epochs end at cycle %d with %d instructions; the run took %d cycles and %d instructions",
 			cycles, instr, res.Cycles, res.Instructions)
 	}

@@ -69,6 +69,7 @@ type Collector struct {
 	prev, cur []float64
 	rows      []Row
 	lastAt    sim.Time
+	at        sim.Time // the time the sample being taken stands for
 	started   bool
 
 	subs []EpochFunc
@@ -195,42 +196,62 @@ func (c *Collector) Start() {
 	c.started = true
 	c.prev = make([]float64, len(c.cols))
 	c.cur = make([]float64, len(c.cols))
+	c.at = c.clock.Now()
 	c.sampleInto(c.prev)
-	c.lastAt = c.clock.Now()
+	c.lastAt = c.at
 }
 
 // NextBoundary returns the simulated time of the next epoch boundary.
 func (c *Collector) NextBoundary() sim.Time { return c.lastAt + c.epoch }
 
-// Tick closes the current epoch: it samples every source and records the
-// deltas since the previous boundary as one Row. A Tick with no elapsed
-// simulated time is folded into the next epoch instead of recording a
-// zero-length row.
+// Tick closes the current epoch at the clock: it samples every source and
+// records the deltas since the previous boundary as one Row. A Tick with
+// no elapsed simulated time is folded into the next epoch instead of
+// recording a zero-length row.
 func (c *Collector) Tick() {
 	if c == nil || !c.started {
 		return
 	}
-	now := c.clock.Now()
-	if now == c.lastAt {
+	c.closeAt(c.clock.Now())
+}
+
+// Finish records the final (possibly partial) epoch, closing it at end:
+// the run's last cycle, which lies before the clock when events drained
+// after the run's work was done. The sources are sampled now, so that
+// drain tail's counts land in the final epoch, and after Finish the
+// column sums across all rows equal the end-of-run cumulative counters.
+func (c *Collector) Finish(end sim.Time) {
+	if c == nil || !c.started {
 		return
 	}
+	c.closeAt(end)
+}
+
+// SampleTime returns the simulated time the sample being taken stands
+// for: the clock at Start and Tick, the end given to Finish. A source
+// whose value grows with elapsed time rather than with events reads this,
+// not the clock.
+func (c *Collector) SampleTime() sim.Time { return c.at }
+
+// closeAt records the epoch [lastAt, end) from a sample of every source.
+func (c *Collector) closeAt(end sim.Time) {
+	if end == c.lastAt {
+		return
+	}
+	c.at = end
 	c.sampleInto(c.cur)
 	deltas := make([]float64, len(c.cols))
 	for i := range deltas {
 		deltas[i] = c.cur[i] - c.prev[i]
 	}
-	row := Row{Start: c.lastAt, End: now, Deltas: deltas}
+	row := Row{Start: c.lastAt, End: end, Deltas: deltas}
 	c.rows = append(c.rows, row)
 	c.prev, c.cur = c.cur, c.prev
-	c.lastAt = now
+	c.lastAt = end
 	for _, fn := range c.subs {
 		fn(len(c.rows)-1, row)
 	}
 }
-
-// Finish records the final (possibly partial) epoch. After Finish the
-// column sums across all rows equal the end-of-run cumulative counters.
-func (c *Collector) Finish() { c.Tick() }
 
 func (c *Collector) sampleInto(dst []float64) {
 	for _, s := range c.sources {

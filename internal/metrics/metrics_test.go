@@ -73,7 +73,7 @@ func TestNilCollectorIsNoOp(t *testing.T) {
 	c.AddDerived("d", nil)
 	c.Start()
 	c.Tick()
-	c.Finish()
+	c.Finish(0)
 	if c.Rows() != nil || c.Totals() != nil || c.Columns() != nil {
 		t.Fatal("nil collector returned data")
 	}
@@ -121,7 +121,7 @@ func TestCollectorReconciliation(t *testing.T) {
 	c.Tick()
 	counters[0]++
 	clk.now = 250 // partial final epoch
-	c.Finish()
+	c.Finish(clk.now)
 
 	rows := c.Rows()
 	if len(rows) != 3 {
@@ -149,6 +149,35 @@ func TestCollectorReconciliation(t *testing.T) {
 	}
 }
 
+// TestFinishBeforeClock: a run whose last events drain after its end
+// closes the final epoch at that end, not at the clock. The tail's counts
+// still land in the final epoch, and a time-proportional source sampled
+// through SampleTime stops at the end.
+func TestFinishBeforeClock(t *testing.T) {
+	clk := &fakeClock{}
+	var events uint64
+	c := New(clk, 100)
+	c.AddSource("a", []string{"events", "cycles"}, func(v []float64) {
+		v[0], v[1] = float64(events), float64(c.SampleTime())
+	})
+	c.Start()
+	events, clk.now = 3, 100
+	c.Tick()
+	events, clk.now = 5, 200 // the run ended at 140; its tail drained until 200
+	c.Finish(140)
+
+	rows := c.Rows()
+	if len(rows) != 2 || rows[1].Start != 100 || rows[1].End != 140 {
+		t.Fatalf("rows = %+v, want [0,100) and [100,140)", rows)
+	}
+	if got := c.Total("a.events"); got != 5 {
+		t.Errorf("sum a.events = %g, want 5", got)
+	}
+	if got := c.Total("a.cycles"); got != 140 {
+		t.Errorf("sum a.cycles = %g, want 140", got)
+	}
+}
+
 func TestCollectorZeroElapsedTickFolds(t *testing.T) {
 	c, clk, counters := buildCollector(t)
 	c.Start()
@@ -169,7 +198,7 @@ func TestWriteCSV(t *testing.T) {
 	c.Start()
 	counters[0], counters[1] = 10, 2
 	clk.now = 100
-	c.Finish()
+	c.Finish(clk.now)
 
 	var buf bytes.Buffer
 	if err := c.WriteCSV(&buf); err != nil {
@@ -195,7 +224,7 @@ func TestWriteJSONRoundTrip(t *testing.T) {
 	c.Tick()
 	counters[1] = 9
 	clk.now = 200
-	c.Finish()
+	c.Finish(clk.now)
 
 	var buf bytes.Buffer
 	if err := c.WriteJSON(&buf); err != nil {
@@ -233,7 +262,7 @@ func TestWriteChromeTrace(t *testing.T) {
 	c.Start()
 	counters[0] = 3
 	clk.now = 2000
-	c.Finish()
+	c.Finish(clk.now)
 
 	var buf bytes.Buffer
 	instants := []Instant{{At: 1500, Cat: "dir", Name: "evt"}}

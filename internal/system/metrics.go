@@ -115,13 +115,15 @@ func (s *System) AttachMetrics(c *metrics.Collector) {
 	// time, DD with retired instructions. Cumulative joules, so the
 	// per-epoch deltas expose where slow network epochs inflate the
 	// non-data-dependent energy — the paper's cross-layer feedback loop.
+	// NDD reads the epoch's end, not the clock, so it stops at the run's
+	// cycle count and sums to energy.Combine's CoreNDD.
 	f, peak := s.Cfg.Core.NDDFraction, s.Cfg.Core.PeakPowerW
 	c.AddSource("energy", []string{"core_ndd_j", "core_dd_j"}, func(v []float64) {
 		var instr uint64
 		for _, core := range s.Core {
 			instr += core.Instructions
 		}
-		v[0] = f * peak * cores * float64(s.eng.Now()) * config.CycleSeconds
+		v[0] = f * peak * cores * float64(c.SampleTime()) * config.CycleSeconds
 		v[1] = (1 - f) * peak * float64(instr) * config.CycleSeconds
 	})
 

@@ -71,12 +71,15 @@ func TestMetricsReconcileWithResult(t *testing.T) {
 	if got, want := sys.LatHist.Total(), res.Net.LatencyCount; got != want {
 		t.Errorf("latency histogram total = %d, want %d", got, want)
 	}
-	// Epochs tile simulated time with no gaps.
+	// Epochs tile simulated time with no gaps, up to the run's last cycle.
 	rows := col.Rows()
 	for i := 1; i < len(rows); i++ {
 		if rows[i].Start != rows[i-1].End {
 			t.Errorf("epoch %d starts at %d, previous ended at %d", i, rows[i].Start, rows[i-1].End)
 		}
+	}
+	if end := rows[len(rows)-1].End; end != res.Cycles {
+		t.Errorf("final epoch ends at %d, the run took %d cycles", end, res.Cycles)
 	}
 }
 

@@ -93,16 +93,7 @@ func NewSharded(cfg config.Config, shards int) (*System, error) {
 	}
 	s.K = dom.ShardK(0)
 	s.sh = sh
-	s.dom = dom
 	s.eng = sh
 	s.Shards = eff
 	return s, nil
-}
-
-// shardOf returns the shard owning core id (0 on a serial machine).
-func (s *System) shardOf(id int) int {
-	if s.dom == nil {
-		return 0
-	}
-	return s.dom.Shard(id)
 }
