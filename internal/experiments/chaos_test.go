@@ -222,6 +222,33 @@ func TestChaosInterruptResume(t *testing.T) {
 	}
 }
 
+// TestQuiesce covers the drain half of graceful shutdown: after Quiesce a
+// memoized run is still served, while a run that needs fresh simulation
+// fails fast with ErrInterrupted, simulates nothing, and leaves the Runner
+// reporting Interrupted.
+func TestQuiesce(t *testing.T) {
+	r := testCampaignRunner()
+	cfg := testCampaignOpts().Config(config.ATACPlus)
+	want, err := r.Run(cfg, "radix")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Quiesce()
+	if r.Interrupted() {
+		t.Fatal("Quiesce alone reported an interrupted run")
+	}
+	got, err := r.Run(cfg, "radix")
+	if err != nil || got.Cycles != want.Cycles || got.Instructions != want.Instructions {
+		t.Fatalf("memoized run after Quiesce: %d cycles, err %v; want %d cycles", got.Cycles, err, want.Cycles)
+	}
+	if _, err := r.Run(cfg, "dynamic_graph"); !errors.Is(err, ErrInterrupted) {
+		t.Fatalf("fresh run after Quiesce returned %v, want ErrInterrupted", err)
+	}
+	if r.FreshRuns() != 1 || !r.Interrupted() {
+		t.Errorf("after Quiesce: %d fresh runs (want 1), interrupted=%v (want true)", r.FreshRuns(), r.Interrupted())
+	}
+}
+
 func TestChaosRunDeadlineIsTransientAndRetried(t *testing.T) {
 	r := NewRunner(Options{Cores: 16, Scale: 1, Seed: 42})
 	r.Retries = 2

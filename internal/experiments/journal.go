@@ -50,8 +50,6 @@ func OpenJournal(path string) (*Journal, error) {
 	return &Journal{l}, nil
 }
 
-func (j *Journal) Path() string { return j.log.Path() }
-
 // Lookup returns the last recorded state of the run with the given hash;
 // Len reports how many distinct runs the journal knows about.
 func (j *Journal) Lookup(hash string) (JournalEntry, bool) { return j.log.Get(hash) }
