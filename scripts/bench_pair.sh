@@ -11,9 +11,9 @@
 # bench/run.sh, then N pairs of the driver's one-process form
 # (--workload W --seed SEED --seconds 20 --trace 0) run one after the other,
 # alternating which side goes first. Prints, per side, the median and
-# quartiles of op_s / op_cpu_s / setup_s / peak_rss_mb, how many pairs the
-# change won on op_s, and whether sim_cycles / sim_edp_js / sim_flits /
-# failed agree. Exits non-zero when they do not agree, or when the change's
+# quartiles of op_s / op_cpu_s / setup_s / peak_rss_mb, in how many pairs
+# the change read lower on each, and whether sim_cycles / sim_edp_js /
+# sim_flits / failed agree. Exits non-zero when they do not agree, or when the change's
 # median op_s is worse than the parent's by more than the distance between
 # the parent's quartiles. Nothing under bench/ is touched.
 set -euo pipefail
@@ -68,11 +68,12 @@ END {
   printf "%s seed %d, %d pairs (median [q1 .. q3])\n", w, seed, n
   split("op_s op_cpu_s setup_s peak_rss_mb", ms, " ")
   for (k = 1; k <= 4; k++) {
-    m = ms[k]
-    printf "  %-12s parent %.4g [%.4g .. %.4g]   change %.4g [%.4g .. %.4g]   %+.1f %%\n", m,
+    m = ms[k]; lower = 0
+    for (i = 1; i <= n; i++) if (x["change", m, i] + 0 < x["parent", m, i] + 0) lower++
+    printf "  %-12s parent %.4g [%.4g .. %.4g]   change %.4g [%.4g .. %.4g]   %+.1f %%, lower in %d of %d\n", m,
       quantile("parent", m, .5), quantile("parent", m, .25), quantile("parent", m, .75),
       quantile("change", m, .5), quantile("change", m, .25), quantile("change", m, .75),
-      100 * (quantile("change", m, .5) / quantile("parent", m, .5) - 1)
+      100 * (quantile("change", m, .5) / quantile("parent", m, .5) - 1), lower, n
   }
   wins = 0; losses = 0
   for (i = 1; i <= n; i++) {
