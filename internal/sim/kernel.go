@@ -16,9 +16,9 @@
 //
 // Neither queue allocates per event in steady state: the heap sifts a
 // typed slice (no event is boxed in an interface), and a drained bucket's
-// array goes onto a spare list that the next empty bucket takes, so the
-// wheel holds arrays for its live buckets only, not 4096 arrays each grown
-// to the busiest cycle they ever held.
+// array goes onto a spare list that the next empty or outgrown bucket
+// takes, so the wheel holds arrays for its live buckets only, not 4096
+// arrays each grown to the busiest cycle they ever held.
 package sim
 
 import (
@@ -240,13 +240,23 @@ func (k *Kernel) At(t Time, fn func()) {
 	k.wheelCount++
 }
 
-// grow appends fn to a full bucket. A bucket without an array first takes
-// the most recently drained one, which is still warm in cache.
+// grow appends fn to a full bucket. When the most recently drained array
+// (still warm in cache) is larger than the bucket's, the bucket's events
+// move into it and the bucket's own array, if it has one, takes its place
+// on the spare list: a bucket that was given a small array before any
+// array had drained (a run that schedules a whole window up front) then
+// borrows a pooled one instead of growing a private copy of it.
 func (k *Kernel) grow(b *[]func(), fn func()) {
-	if n := len(k.spare); cap(*b) == 0 && n > 0 {
-		*b = k.spare[n-1]
-		k.spare[n-1] = nil
-		k.spare = k.spare[:n-1]
+	if n := len(k.spare); n > 0 && cap(k.spare[n-1]) > cap(*b) {
+		old := *b
+		*b = append(k.spare[n-1], old...)
+		if cap(old) > 0 {
+			clear(old)
+			k.spare[n-1] = old[:0]
+		} else {
+			k.spare[n-1] = nil
+			k.spare = k.spare[:n-1]
+		}
 	}
 	*b = append(*b, fn)
 }

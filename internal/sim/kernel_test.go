@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -541,6 +542,40 @@ func TestWheelHoldsLiveBucketsOnly(t *testing.T) {
 	if limit := 2 * live * 2 * peak * slot; arrays > 2*live || bytes > limit {
 		t.Errorf("wheel holds %d arrays, %d bytes; want at most %d and %d (4096 x peak would be %d bytes)",
 			arrays, bytes, 2*live, limit, wheelSize*peak*slot)
+	}
+}
+
+func TestWheelPoolsPrescheduledBuckets(t *testing.T) {
+	// The shape of an open-loop traffic window: one event per cycle for
+	// 3 x 4096 cycles, all scheduled before the run (the first 4096 fill
+	// every bucket while the spare list is still empty, so each bucket
+	// starts with a private one-slot array), and each scheduling 64 events
+	// for the next cycle. Buckets must borrow the drained arrays rather
+	// than grow 4096 private ones to 65 slots.
+	const cycles, fanout = 3 * wheelSize, 64
+	var k Kernel
+	nop := func() {}
+	inject := func() {
+		for i := 0; i < fanout; i++ {
+			k.Schedule(1, nop)
+		}
+	}
+	for c := Time(0); c < cycles; c++ {
+		k.At(c, inject)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if n := k.RunAll(); n != cycles*(fanout+1) {
+		t.Fatalf("ran %d events, want %d", n, cycles*(fanout+1))
+	}
+	runtime.ReadMemStats(&after)
+	_, bytes := k.bucketArrays()
+	slots := bytes / int(unsafe.Sizeof(nop))
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Errorf("run allocated %d bytes (%d mallocs), want under 1 MB", alloc, after.Mallocs-before.Mallocs)
+	}
+	if slots >= 16<<10 {
+		t.Errorf("wheel and spare list retain %d slots, want fewer than %d", slots, 16<<10)
 	}
 }
 
