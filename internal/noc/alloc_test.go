@@ -15,6 +15,7 @@
 package noc
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/config"
@@ -73,6 +74,49 @@ func TestFlitPathAllocBudget(t *testing.T) {
 	}
 	if got := flitPathAllocs(nil, true); got > 4 {
 		t.Errorf("broadcast flit path: %.2f allocs/msg, budget 4", got)
+	}
+}
+
+// TestSustainedLoadAllocatesOnlyMessages keeps a 16x16 mesh saturated with
+// closed-loop uniform traffic (every core keeps four 8-flit messages in
+// flight and sends a new one whenever one of its own is delivered), so the
+// links in the middle of the mesh never go idle. After warm-up the only
+// allocations may be the messages the test creates: an input queue that
+// kept a slot for every flit it ever carried until it drained would grow
+// without bound here.
+func TestSustainedLoadAllocatesOnlyMessages(t *testing.T) {
+	const dim, window, warmup, measure = 16, 4, 5000, 5000
+	var k sim.Kernel
+	m := NewMesh(&k, dim, 64, 4, 1, 1, false)
+	rng := rand.New(rand.NewSource(1))
+	sent := 0
+	send := func(src int) {
+		dst := rng.Intn(dim*dim - 1)
+		if dst >= src {
+			dst++
+		}
+		m.Send(&Message{Src: src, Dst: dst, Bits: 512})
+		sent++
+	}
+	m.SetDeliver(func(_ int, msg *Message) { send(msg.Src) })
+	for src := 0; src < dim*dim; src++ {
+		for i := 0; i < window; i++ {
+			send(src)
+		}
+	}
+	k.Run(warmup)
+	flits := m.Stats().MeshLinkFlits
+	allocs := testing.AllocsPerRun(1, func() {
+		sent = 0
+		k.Run(k.Now() + measure)
+	})
+	flits = (m.Stats().MeshLinkFlits - flits) / 2 // AllocsPerRun runs twice
+	if flits < measure*dim*dim/8 {
+		t.Fatalf("only %d link flits in %d cycles: the mesh is not under sustained load", flits, measure)
+	}
+	if extra := allocs - float64(sent); extra > 4 {
+		t.Errorf("%.0f allocations for %d messages over %d cycles (%d link flits): %.0f beyond the messages",
+			allocs, sent, measure, flits, extra)
 	}
 }
 

@@ -8,6 +8,7 @@ package noc
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -233,14 +234,23 @@ func TestConservationUnderLoadBursts(t *testing.T) {
 
 // checkMeshInvariants asserts the router bookkeeping a mesh must return to
 // once the kernel has run dry: no flit queued or counted as landed, no
-// output still held by a worm, and on every link all BufFlits credits back
-// at the sender — spendable or staged on the reverse wire (credits are
-// folded only by the output that spends them, so some stay staged).
+// link-input ring grown past the BufFlits-sized ring it was given (credit
+// flow control bounds it), no output still held by a worm, and on every
+// link all BufFlits credits back at the sender — spendable or staged on
+// the reverse wire (credits are folded only by the output that spends
+// them, so some stay staged).
 func checkMeshInvariants(t testing.TB, m *Mesh) {
 	t.Helper()
+	depth := 1 << bits.Len(uint(m.BufFlits-1))
 	for _, r := range m.routers {
 		if r.occ != 0 || r.landed != 0 {
 			t.Fatalf("router %d: occ=%05b landed=%d after drain", r.id, r.occ, r.landed)
+		}
+		for p := 0; p < portLocal; p++ {
+			if got := len(r.in[p].buf); got != depth {
+				t.Fatalf("router %d input %d: ring holds %d slots, allocated %d for %d buffer flits",
+					r.id, p, got, depth, m.BufFlits)
+			}
 		}
 		for out, w := range r.outLock {
 			if w != 0 {
@@ -248,7 +258,7 @@ func checkMeshInvariants(t testing.TB, m *Mesh) {
 			}
 		}
 		for out, c := range r.outCredit {
-			if staged := len(r.credQ[out]) - r.credHead[out]; c+staged != m.BufFlits {
+			if staged := r.credQ[out].n; c+staged != m.BufFlits {
 				t.Fatalf("router %d output %d: %d credits + %d staged, want %d", r.id, out, c, staged, m.BufFlits)
 			}
 		}

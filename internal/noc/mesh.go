@@ -113,13 +113,29 @@ func NewMesh(k *sim.Kernel, dim, flitBits, bufFlits, routerDelay, linkDelay int,
 		K: k, Dim: dim, FlitBits: flitBits, BufFlits: bufFlits,
 		RouterDelay: routerDelay, LinkDelay: linkDelay, Multicast: multicast,
 	}
-	m.routers = make([]*router, dim*dim)
-	for i := range m.routers {
-		r := &router{m: m, id: i, x: i % dim, y: i / dim}
+	// Credit flow control holds every link input to bufFlits flits and
+	// every credit queue to bufFlits stamps, so the rings are carved at
+	// full size from one block per type, next to contiguous routers. The
+	// local injection ring starts at the same size and grows with bursts.
+	n := dim * dim
+	depth := 1 << bits.Len(uint(bufFlits-1)) // bufFlits rounded up to a power of two
+	rs := make([]router, n)
+	flits := make([]flit, n*numPorts*depth)
+	creds := make([]sim.Time, n*4*bufFlits)
+	m.routers = make([]*router, n)
+	for i := range rs {
+		r := &rs[i]
+		r.m, r.id, r.x, r.y = m, i, i%dim, i/dim
 		r.tickFn = r.tick
 		r.landFn = func() { r.landed++; r.wake() }
+		for p := range r.in {
+			j := (i*numPorts + p) * depth
+			r.in[p].buf = flits[j : j+depth : j+depth]
+		}
 		for o := range r.outCredit {
 			r.outCredit[o] = bufFlits
+			j := (i*4 + o) * bufFlits
+			r.credQ[o].buf = creds[j : j+bufFlits : j+bufFlits]
 		}
 		m.routers[i] = r
 	}
@@ -286,16 +302,61 @@ func (m *Mesh) eject(dst int, msg *Message) {
 	}
 }
 
+// flitRing is a FIFO of flits in a non-empty power-of-two array. A push
+// to a full ring doubles it; credit flow control keeps a link input from
+// ever being full, so only the local injection queue grows.
+type flitRing struct {
+	buf  []flit
+	head int // index of the front flit, < len(buf)
+	n    int
+}
+
+func (q *flitRing) front() *flit { return &q.buf[q.head] }
+
+func (q *flitRing) push(f flit) {
+	if q.n == len(q.buf) {
+		// Two copies of a full ring: the len(buf) slots from head on
+		// hold the queue in order, so head stays where it is.
+		q.buf = append(q.buf, q.buf...)
+	}
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = f
+	q.n++
+}
+
+// pop removes and returns the front flit. A ring that empties restarts at
+// slot 0, so a lightly loaded queue keeps reusing the same cache line.
+func (q *flitRing) pop() flit {
+	f := q.buf[q.head]
+	q.buf[q.head].msg = nil // drop the *Message reference for GC
+	if q.n--; q.n == 0 {
+		q.head = 0
+	} else {
+		q.head = (q.head + 1) & (len(q.buf) - 1)
+	}
+	return f
+}
+
+// creditRing stages returning credit stamps, oldest first, in a fixed ring
+// of BufFlits: an output's staged credits and its spendable ones never
+// exceed the downstream buffer they stand for.
+type creditRing struct {
+	buf  []sim.Time
+	head int
+	n    int
+}
+
 // router is one mesh node. All state is touched only from kernel events.
 //
-// Input queues are ring-free FIFOs: a head index advances on pop, and the
-// backing array is reused (reset to [:0]) whenever the queue drains, so
-// steady-state flit traffic allocates nothing. A flit sent over a link is
-// appended to the downstream input queue at send time, stamped with the
-// cycle it becomes arbitrable (flit.vis); the link crossing itself is one
-// pre-allocated event (landFn) that only counts the flit as landed and
-// wakes the router, so a crossing copies the flit once and schedules no
-// per-flit closure.
+// Input queues are rings (flitRing): a link input is carved at BufFlits
+// rounded up to a power of two and never grows, because credit flow
+// control bounds it; the local injection queue starts at the same size
+// and doubles when a burst fills it. So steady-state flit traffic allocates nothing
+// and a link that never goes idle holds no more than its buffer. A flit
+// sent over a link is pushed onto the downstream input ring at send time,
+// stamped with the cycle it becomes arbitrable (flit.vis); the link
+// crossing itself is one pre-allocated event (landFn) that only counts
+// the flit as landed and wakes the router, so a crossing copies the flit
+// once and schedules no per-flit closure.
 type router struct {
 	m      *Mesh
 	k      *sim.Kernel // owning shard's kernel (== m.K when serial)
@@ -307,9 +368,8 @@ type router struct {
 	tickFn func()
 	landFn func()
 
-	in     [numPorts][]flit
-	inHead [numPorts]int
-	occ    uint8 // bit p set <=> input p holds a flit, landed or still on its link
+	in  [numPorts]flitRing
+	occ uint8 // bit p set <=> input p holds a flit, landed or still on its link
 	// landed counts queued flits whose landing event (or local injection)
 	// has run. The end-of-tick re-arm asks this, not occ: a tick scheduled
 	// for a flit still on its link would be pushed into its cycle's bucket
@@ -328,8 +388,7 @@ type router struct {
 	// discipline as flit arrival: no same-cycle cross-tile visibility, so
 	// credit-return ordering inside a cycle cannot matter — serial and
 	// sharded engines agree bit for bit.
-	credQ     [4][]sim.Time
-	credHead  [4]int
+	credQ     [4]creditRing
 	outLock   [numPorts]uint64 // worm holding each output; 0 = free
 	lockedIn  [numPorts]int    // input the locked worm streams from
 	rr        [numPorts]int    // round-robin arbitration pointer
@@ -337,25 +396,20 @@ type router struct {
 }
 
 // qfront returns the head flit of input port p (callers check occ).
-func (r *router) qfront(p int) *flit { return &r.in[p][r.inHead[p]] }
+func (r *router) qfront(p int) *flit { return r.in[p].front() }
 
 // qpush appends a flit to input port p. The caller accounts for landing.
 func (r *router) qpush(p int, f flit) {
-	r.in[p] = append(r.in[p], f)
+	r.in[p].push(f)
 	r.occ |= 1 << p
 }
 
-// qpop removes and returns the head flit of input port p, recycling the
-// backing array once the queue drains.
+// qpop removes and returns the head flit of input port p.
 func (r *router) qpop(p int) flit {
-	q, h := r.in[p], r.inHead[p]
-	f := q[h]
-	q[h].msg = nil // drop the *Message reference for GC
-	if h++; h == len(q) {
-		r.in[p], h = q[:0], 0
+	f := r.in[p].pop()
+	if r.in[p].n == 0 {
 		r.occ &^= 1 << p
 	}
-	r.inHead[p] = h
 	r.landed--
 	return f
 }
@@ -406,7 +460,13 @@ func (r *router) enqueueWorm(msg *Message, ph mcPhase, dst, n int) {
 // be behaviorally a no-op, and not having one is what lets credits cross
 // shard boundaries without an event.
 func (r *router) pushCredit(out int, freed sim.Time) {
-	r.credQ[out] = append(r.credQ[out], freed)
+	q := &r.credQ[out]
+	i := q.head + q.n
+	if i >= len(q.buf) {
+		i -= len(q.buf)
+	}
+	q.buf[i] = freed
+	q.n++
 }
 
 // foldCredits moves output out's credits that have completed the
@@ -415,17 +475,14 @@ func (r *router) pushCredit(out int, freed sim.Time) {
 // outCredit, so folding there — not on every tick, for every output —
 // leaves every check's value unchanged.
 func (r *router) foldCredits(out int, now sim.Time) {
-	q, h := r.credQ[out], r.credHead[out]
-	if h == len(q) {
-		return
-	}
-	for ld := sim.Time(r.m.LinkDelay); h < len(q) && q[h]+ld <= now; h++ {
+	q := &r.credQ[out]
+	for q.n > 0 && q.buf[q.head]+sim.Time(r.m.LinkDelay) <= now {
 		r.outCredit[out]++
+		q.n--
+		if q.head++; q.head == len(q.buf) {
+			q.head = 0
+		}
 	}
-	if h == len(q) {
-		r.credQ[out], h = q[:0], 0
-	}
-	r.credHead[out] = h
 }
 
 func (r *router) wake() {
