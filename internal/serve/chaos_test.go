@@ -300,6 +300,52 @@ func TestSlowSubscriberNeverBlocksDeliver(t *testing.T) {
 	}
 }
 
+// TestServerCountsEvictedSubscribers: a stalled subscriber on a job the
+// server admitted is evicted through the server's own event path, and
+// /metrics counts the eviction.
+func TestServerCountsEvictedSubscribers(t *testing.T) {
+	s, _, ts := newTestServer(t, Options{QueueDepth: 4, Workers: 1})
+	release := make(chan struct{})
+	s.execute = func(ctx context.Context, cfg config.Config, bench string) (system.Result, error) {
+		<-release
+		return system.Result{Benchmark: bench, Finished: true}, nil
+	}
+	defer close(release)
+
+	resp, st := submit(t, ts.URL, testSpec(0.08))
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %s", resp.Status)
+	}
+	s.mu.Lock()
+	j := s.jobs[st.ID]
+	s.mu.Unlock()
+	_, stalled, cancel := j.subscribe(0)
+	defer cancel()
+	if stalled == nil {
+		t.Fatal("expected a live channel")
+	}
+	for i := 0; i < subBuffer+subEvictDrops+64; i++ {
+		s.routeEvent(experiments.RunEvent{Phase: "epoch", Hash: j.Hash})
+	}
+	// The eviction closes the channel after its buffered backlog.
+	deadline := time.After(5 * time.Second)
+	for open := true; open; {
+		select {
+		case _, open = <-stalled:
+		case <-deadline:
+			t.Fatal("stalled subscriber was not evicted")
+		}
+	}
+
+	mr, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if text := readAll(t, mr); !strings.Contains(text, "\natacd_sse_evicted_total 1\n") {
+		t.Errorf("/metrics does not count one eviction:\n%s", text)
+	}
+}
+
 // TestHealthzStoreUnwritable: when the ledger cannot take an append the
 // daemon reports store-unwritable (503) and refuses new work, then
 // recovers without a restart once the path is fixed.
