@@ -34,15 +34,16 @@ bench-trace:
 	bash bench/run.sh -trace
 
 # The protocol a performance claim is judged by: N alternating pairs of one
-# workload, parent commit REF against this working tree, with medians,
-# quartiles, the win count and the must-not-move sim_* check; non-zero exit
-# on a mismatch or on a loss outside the parent's inter-quartile spread.
-#   make bench-pair REF=<commit> [W=paper-1024] [N=10] [SEED=42]
+# workload (W=all: of each workload in turn), parent commit REF against this
+# working tree, with medians, quartiles, the win count and the must-not-move
+# sim_* check; non-zero exit on a mismatch or on a loss outside the parent's
+# inter-quartile spread.
+#   make bench-pair REF=<commit> [W=paper-1024|all] [N=10] [SEED=42]
 W ?= paper-1024
 N ?= 10
 SEED ?= 42
 bench-pair:
-	@test -n "$(REF)" || { echo "usage: make bench-pair REF=<commit> [W=$(W)] [N=$(N)] [SEED=$(SEED)]" >&2; exit 2; }
+	@test -n "$(REF)" || { echo "usage: make bench-pair REF=<commit> [W=$(W)|all] [N=$(N)] [SEED=$(SEED)]" >&2; exit 2; }
 	bash scripts/bench_pair.sh $(REF) $(W) $(N) $(SEED)
 
 # Fuzz the flit-conservation property (exactly-once delivery under

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # scripts/bench_pair.sh — alternating parent/change pairs of one benchmark
-# workload: the protocol a performance claim in this repo is judged by.
+# workload, or of every workload: the protocol a performance claim in this
+# repo is judged by.
 #
-#   make bench-pair REF=<commit> [W=paper-1024] [N=10] [SEED=42]
-#   scripts/bench_pair.sh <ref> [workload] [pairs] [seed]
+#   make bench-pair REF=<commit> [W=paper-1024|all] [N=10] [SEED=42]
+#   scripts/bench_pair.sh <ref> [workload|all] [pairs] [seed]
 #
 # The parent is <ref>, exported with `git archive` into a temporary
 # directory (under $TMPDIR, removed on exit); the change is this checkout's
@@ -15,10 +16,13 @@
 # the change read lower on each, and whether sim_cycles / sim_edp_js /
 # sim_flits / failed agree. Exits non-zero when they do not agree, or when the change's
 # median op_s is worse than the parent's by more than the distance between
-# the parent's quartiles. Nothing under bench/ is touched.
+# the parent's quartiles. W=all runs that protocol, with the same N and
+# seed, for each workload the change's `atacbench -list` names, prints one
+# table per workload, and exits non-zero if any workload fails either
+# check. Nothing under bench/ is touched.
 set -euo pipefail
 
-ref="${1:?usage: scripts/bench_pair.sh <ref> [workload] [pairs] [seed]}"
+ref="${1:?usage: scripts/bench_pair.sh <ref> [workload|all] [pairs] [seed]}"
 w="${2:-paper-1024}"
 n="${3:-10}"
 seed="${4:-42}"
@@ -33,23 +37,27 @@ echo "bench-pair: building parent ($(git -C "$root" rev-parse --short "$ref")) a
 bash "$tmp/parent/bench/run.sh" -list >/dev/null
 bash "$root/bench/run.sh" -list >/dev/null
 
-# run SIDE DIR I: one process; a failing run still leaves its output behind
-# and is caught by the agreement check on "failed".
+# run W SIDE DIR I: one process; a failing run still leaves its output
+# behind and is caught by the agreement check on "failed".
 run() {
-  "$2/.bench_build/atacbench" --workload "$w" --seed "$seed" --seconds 20 --trace 0 \
-    >"$tmp/$1-$3.txt" 2>/dev/null || true
+  "$3/.bench_build/atacbench" --workload "$1" --seed "$seed" --seconds 20 --trace 0 \
+    >"$tmp/$1/$2-$4.txt" 2>/dev/null || true
 }
-for i in $(seq 1 "$n"); do
-  if [ $((i % 2)) = 1 ]; then
-    run parent "$tmp/parent" "$i"; run change "$root" "$i"
-  else
-    run change "$root" "$i"; run parent "$tmp/parent" "$i"
-  fi
-  echo "bench-pair: $w pair $i/$n: parent $(awk '$1 ~ /\/op_s$/ {print $2}' "$tmp/parent-$i.txt") s," \
-    "change $(awk '$1 ~ /\/op_s$/ {print $2}' "$tmp/change-$i.txt") s" >&2
-done
 
-awk -v n="$n" -v w="$w" -v seed="$seed" '
+# pair W: N alternating pairs of workload W, then its table; the status is
+# the table's verdict.
+pair() {
+  mkdir "$tmp/$1"
+  for i in $(seq 1 "$n"); do
+    if [ $((i % 2)) = 1 ]; then
+      run "$1" parent "$tmp/parent" "$i"; run "$1" change "$root" "$i"
+    else
+      run "$1" change "$root" "$i"; run "$1" parent "$tmp/parent" "$i"
+    fi
+    echo "bench-pair: $1 pair $i/$n: parent $(awk '$1 ~ /\/op_s$/ {print $2}' "$tmp/$1/parent-$i.txt") s," \
+      "change $(awk '$1 ~ /\/op_s$/ {print $2}' "$tmp/$1/change-$i.txt") s" >&2
+  done
+  awk -v n="$n" -v w="$1" -v seed="$seed" '
 function quantile(side, m, q,    i, j, a, cnt, t, pos, lo) {
   cnt = 0
   for (i = 1; i <= n; i++) if ((side, m, i) in x) a[++cnt] = x[side, m, i] + 0
@@ -97,4 +105,15 @@ END {
     bad = 1
   }
   exit bad
-}' "$tmp"/parent-*.txt "$tmp"/change-*.txt
+}' "$tmp/$1"/parent-*.txt "$tmp/$1"/change-*.txt
+}
+
+workloads="$w"
+if [ "$w" = all ]; then
+  workloads="$("$root/.bench_build/atacbench" -list)"
+fi
+status=0
+for wl in $workloads; do
+  pair "$wl" || status=1
+done
+exit "$status"
