@@ -214,13 +214,14 @@ func transientStatus(code int) bool {
 }
 
 // get performs one GET with transient-failure retries, returning the
-// final response body and status code. With multiple endpoints the read
-// hedges: a job lives only on the node executing it, so a 404 from one
+// final response body and status code; a status for which retry reports
+// true is retried like a connection failure. With multiple endpoints the
+// read hedges: a job lives only on the node executing it, so a 404 from one
 // peer advances to the next, and only every endpoint agreeing on 404
 // makes the 404 final. Transient failures likewise advance — a dead
 // node costs one connection attempt within the same attempt round, not
 // a backoff pause.
-func (c *Client) get(path string) (int, []byte, error) {
+func (c *Client) get(path string, retry func(code int) bool) (int, []byte, error) {
 	eps := c.endpoints()
 	var lastErr error
 	for attempt := 0; ; attempt++ {
@@ -240,7 +241,7 @@ func (c *Client) get(path string) (int, []byte, error) {
 			case resp.StatusCode == http.StatusNotFound && len(eps) > 1:
 				notFound++
 				nfBody = body
-			case transientStatus(resp.StatusCode):
+			case retry(resp.StatusCode):
 				lastErr = &transientError{apiErr(resp.Status, body)}
 			default:
 				return resp.StatusCode, body, nil
@@ -268,7 +269,7 @@ func (c *Client) get(path string) (int, []byte, error) {
 
 // getJSON is get plus a 2xx check and decode.
 func (c *Client) getJSON(path string, out any) error {
-	code, body, err := c.get(path)
+	code, body, err := c.get(path, transientStatus)
 	if err != nil {
 		return err
 	}
@@ -362,7 +363,7 @@ func (c *Client) waitRetryAfter(header string, attempt int) {
 // Status fetches one job's status, hedging across endpoints. In
 // multi-endpoint mode a unanimous 404 wraps ErrJobLost.
 func (c *Client) Status(id string) (JobStatus, error) {
-	code, body, err := c.get("/v1/jobs/" + id)
+	code, body, err := c.get("/v1/jobs/"+id, transientStatus)
 	if err != nil {
 		return JobStatus{}, err
 	}
@@ -384,10 +385,13 @@ func (c *Client) List() ([]JobStatus, error) {
 }
 
 // Health fetches /healthz. A draining or store-unwritable daemon answers
-// 503 with a valid body; the body and status code are both returned so
-// callers can show it rather than erroring.
+// 503 with a valid body; that is its answer, not a hiccup, so it is not
+// retried, and the body and status code are both returned so callers can
+// show it rather than erroring. Connection failures still retry.
 func (c *Client) Health() (Health, int, error) {
-	code, body, err := c.get("/healthz")
+	code, body, err := c.get("/healthz", func(code int) bool {
+		return code != http.StatusServiceUnavailable && transientStatus(code)
+	})
 	if err != nil {
 		return Health{}, 0, err
 	}
@@ -405,7 +409,7 @@ func (c *Client) Health() (Health, int, error) {
 func (c *Client) Result(id string, wait bool) ([]byte, error) {
 	path := "/v1/jobs/" + id + "/result"
 	for {
-		code, body, err := c.get(path)
+		code, body, err := c.get(path, transientStatus)
 		if err != nil {
 			return nil, err
 		}

@@ -120,6 +120,26 @@ func TestClientRetriesExhausted(t *testing.T) {
 	}
 }
 
+// TestClientHealthDraining: a draining daemon's 503 /healthz is its
+// answer, so Health returns its status and code at once, without a pause.
+func TestClientHealthDraining(t *testing.T) {
+	s, _, ts := newTestServer(t, Options{QueueDepth: 1, Workers: 1})
+	s.Drain()
+	select {
+	case <-s.Draining():
+	default:
+		t.Fatal("Draining still open after Drain")
+	}
+	sr := &sleepRecorder{}
+	h, code, err := testClient(ts.URL, sr, 8).Health()
+	if err != nil || code != http.StatusServiceUnavailable || h.Status != "draining" {
+		t.Errorf("Health = %q, %d, %v; want \"draining\", 503, nil", h.Status, code, err)
+	}
+	if n := len(sr.all()); n != 0 {
+		t.Errorf("paused %d times, want 0", n)
+	}
+}
+
 // TestClientSubmitRetryAfter: 429 responses honor the server's
 // Retry-After hint (clamped to at least 1s), and the submit succeeds
 // once the queue opens up.
