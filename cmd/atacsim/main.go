@@ -160,10 +160,15 @@ func main() {
 		ring = trace.New(n)
 		sys.Coh.Tracer = ring
 	}
+	m, err := energy.Build(cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
 	var col *metrics.Collector
 	if *metricsDir != "" || *traceOut != "" {
 		col = metrics.New(sys.Clock(), sim.Time(*epochN))
 		sys.AttachMetrics(col)
+		energy.AttachMetrics(col, m, sys)
 	}
 	// SIGINT/SIGTERM (and -run-timeout) cancel the simulation cooperatively
 	// at the kernel's next poll, so an interrupted run still flushes its
@@ -183,10 +188,6 @@ func main() {
 	if werr := writeMetrics(*metricsDir, *traceOut, label, col, ring); werr != nil {
 		log.Fatal(werr)
 	}
-	if err != nil {
-		log.Fatal(err)
-	}
-	m, err := energy.Build(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

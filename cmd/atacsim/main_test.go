@@ -1,9 +1,12 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -96,4 +99,93 @@ func TestReportCoversEveryOpticalFabric(t *testing.T) {
 			t.Errorf("%v: no heatmap: %q", tc.kind, hm)
 		}
 	}
+}
+
+// TestMetricsSinks drives atacsim's observability sinks on Corona. The CSV
+// header names the Result counters by field path, Corona's home-channel
+// and token counters included, next to one energy column per Breakdown
+// category. The JSON totals of the Net.* columns equal a direct run's
+// Result. The Chrome trace parses, with one counter track per column group
+// plus the derived track, and the retained protocol events as instants.
+func TestMetricsSinks(t *testing.T) {
+	dir := t.TempDir()
+	cfgPath, mdir, tracePath := filepath.Join(dir, "cfg.json"), filepath.Join(dir, "m"), filepath.Join(dir, "trace.json")
+	runAtacsim(t, "-net", "corona", "-dumpconfig", cfgPath)
+	if out := runAtacsim(t, "-net", "corona", "-metrics-dir", mdir, "-trace-out", tracePath, "-trace", "32"); !strings.Contains(out, "last 32 of") {
+		t.Errorf("stdout lacks the protocol event tail:\n%s", out)
+	}
+
+	csv, err := os.ReadFile(filepath.Join(mdir, "metrics.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	header, _, _ := strings.Cut(string(csv), "\n")
+	for _, col := range []string{"Net.XbarFlits", "Net.TokensGranted", "energy.Laser"} {
+		if !slices.Contains(strings.Split(header, ","), col) {
+			t.Errorf("metrics.csv header lacks %s: %s", col, header)
+		}
+	}
+
+	var series struct {
+		Columns []string
+		Totals  []float64
+	}
+	if err := readJSON(filepath.Join(mdir, "metrics.json"), &series); err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := config.LoadFile(cfgPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := system.RunBenchmark(cfg, "radix", 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, n := reflect.ValueOf(res.Net), 0
+	for i, col := range series.Columns {
+		if field, ok := strings.CutPrefix(col, "Net."); ok {
+			n++
+			if want := float64(net.FieldByName(field).Uint()); series.Totals[i] != want {
+				t.Errorf("metrics.json total of %s = %g, the direct run's Result has %g", col, series.Totals[i], want)
+			}
+		}
+	}
+	if n != net.NumField() {
+		t.Errorf("metrics.json has %d Net.* columns for %d noc.Stats fields", n, net.NumField())
+	}
+
+	var trace struct {
+		TraceEvents []struct{ Name, Ph string }
+	}
+	if err := readJSON(tracePath, &trace); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]bool{"derived": true}
+	for _, col := range series.Columns {
+		group, _, _ := strings.Cut(col, ".")
+		want[group] = true
+	}
+	got, instants := map[string]bool{}, 0
+	for _, e := range trace.TraceEvents {
+		switch e.Ph {
+		case "C":
+			got[e.Name] = true
+		case "i":
+			instants++
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("trace counter tracks %v, want one per column group %v", got, want)
+	}
+	if instants != 32 {
+		t.Errorf("trace holds %d protocol instants, want the 32 retained", instants)
+	}
+}
+
+func readJSON(path string, v any) error {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	return json.Unmarshal(b, v)
 }

@@ -172,9 +172,6 @@ type Proc struct {
 // ID returns this core's index.
 func (p *Proc) ID() int { return p.core.ID }
 
-// NCores returns the total core count.
-func (p *Proc) NCores() int { return p.core.Coh.Cfg.Cores }
-
 // send issues one operation and waits for its completion value.
 func (p *Proc) send(op opReq) uint64 {
 	if !p.yield(op) {

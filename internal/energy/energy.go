@@ -12,10 +12,12 @@ package energy
 import (
 	"fmt"
 	"math"
+	"reflect"
 
 	"repro/internal/config"
 	"repro/internal/dsent"
 	"repro/internal/mcpat"
+	"repro/internal/metrics"
 	"repro/internal/photonics"
 	"repro/internal/system"
 	"repro/internal/tech"
@@ -69,12 +71,6 @@ func Scenario(cfg config.Config) (tech.Params, photonics.Params, error) {
 	}
 	return tp, pp, nil
 }
-
-// DefaultTech returns the default electrical technology (Table III).
-func DefaultTech() tech.Params { return tech.Default11nm() }
-
-// DefaultPhotonics returns the default optical technology (Table II).
-func DefaultPhotonics() photonics.Params { return photonics.DefaultParams() }
 
 // BuildWith solves all models with explicit technology parameters (used by
 // the waveguide-loss and flavor sweeps). The photonic parameters are
@@ -257,6 +253,29 @@ func Combine(m Models, r system.Result) Breakdown {
 	}
 	b.RingTuning = o.TuningPowerW(cfg.Network.Flavor.Athermal()) * T
 	return b
+}
+
+// AttachMetrics registers one per-epoch column per Breakdown category on
+// the collector, "energy.<field>": Combine priced on the machine's
+// cumulative counters at the collector's sample time. Combine is linear in
+// the counters and the run time, so each column's epochs sum to the run's
+// final category, and a slow network epoch shows as the non-data-
+// dependent energy its cycles inflate (Section V-G). A nil collector is a
+// no-op.
+func AttachMetrics(c *metrics.Collector, m Models, s *system.System) {
+	typ := reflect.TypeOf(Breakdown{})
+	cols := make([]string, typ.NumField())
+	for i := range cols {
+		cols[i] = typ.Field(i).Name
+	}
+	c.AddSource("energy", cols, func(v []float64) {
+		r := s.Counters()
+		r.Cycles = c.SampleTime()
+		b := reflect.ValueOf(Combine(m, r))
+		for i := range v {
+			v[i] = b.Field(i).Float()
+		}
+	})
 }
 
 // ResilienceOverheadJ estimates the dynamic energy the run spent on fault

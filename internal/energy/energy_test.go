@@ -2,6 +2,8 @@ package energy
 
 import (
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/config"
@@ -312,31 +314,53 @@ func TestFaultRunEnergyExceedsClean(t *testing.T) {
 	}
 }
 
-// TestEpochCoreNDDMatchesCombine: the per-epoch core_ndd_j column stops at
-// the run's cycle count, so its epochs sum to Combine's CoreNDD.
-func TestEpochCoreNDDMatchesCombine(t *testing.T) {
-	cfg := config.Tiny()
-	sys, err := system.New(cfg)
-	if err != nil {
-		t.Fatal(err)
+// TestEpochEnergyMatchesCombine: every energy.<Breakdown field> epoch
+// column sums to the final Combine category — on the three optical fabrics,
+// the broadcast mesh, and an ATAC+ run under FlavorCons, whose ungated
+// laser burns with time rather than with flits.
+func TestEpochEnergyMatchesCombine(t *testing.T) {
+	cons := config.Tiny().WithNetwork(config.ATACPlus)
+	cons.Network.Flavor = config.FlavorCons
+	cfgs := []config.Config{cons}
+	for _, kind := range []config.NetworkKind{config.ATACPlus, config.Corona, config.HybridMesh, config.EMeshBCast} {
+		cfgs = append(cfgs, config.Tiny().WithNetwork(kind))
 	}
-	col := metrics.New(sys.Clock(), 1000)
-	sys.AttachMetrics(col)
-	spec, err := system.WorkloadFor(cfg, "radix", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sys.Run(spec, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := Build(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, got := Combine(m, res).CoreNDD, col.Total("energy.core_ndd_j")
-	if math.Abs(got-want) > 1e-9*want {
-		t.Errorf("epoch core_ndd_j sums to %.12g J, CoreNDD is %.12g J (%d epochs, %d cycles)",
-			got, want, len(col.Rows()), res.Cycles)
+	for _, cfg := range cfgs {
+		sys, err := system.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := Build(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		col := metrics.New(sys.Clock(), 1000)
+		sys.AttachMetrics(col)
+		AttachMetrics(col, m, sys)
+		spec, err := system.WorkloadFor(cfg, "radix", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sys.Run(spec, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := reflect.ValueOf(Combine(m, res))
+		n := 0
+		for _, name := range col.Columns() {
+			field, ok := strings.CutPrefix(name, "energy.")
+			if !ok {
+				continue
+			}
+			n++
+			w, got := want.FieldByName(field).Float(), col.Total(name)
+			if math.Abs(got-w) > 1e-9*math.Abs(w) {
+				t.Errorf("%v/%v: epoch %s sums to %.12g J, Combine gives %.12g J (%d epochs, %d cycles)",
+					cfg.Network.Kind, cfg.Network.Flavor, name, got, w, len(col.Rows()), res.Cycles)
+			}
+		}
+		if n != want.NumField() {
+			t.Errorf("%v: %d energy columns for %d Breakdown categories", cfg.Network.Kind, n, want.NumField())
+		}
 	}
 }

@@ -10,9 +10,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/coherence"
 	"repro/internal/config"
-	"repro/internal/noc"
 	"repro/internal/photonics"
 	"repro/internal/system"
 	"repro/internal/tech"
@@ -180,22 +178,14 @@ var counterPricing = map[string]pricing{
 }
 
 // TestEveryCounterPriced is the completeness lint over counterPricing:
-// every noc.Stats and coherence.Stats field, Instructions and Cycles has a
-// row, and bumping a counter on a real run moves exactly the Breakdown
+// every Result counter (system.CounterNames, the walk that also names the
+// epoch columns: Instructions and every coherence.Stats and noc.Stats
+// field) and Cycles has a row, and bumping a counter on a real run moves exactly the Breakdown
 // fields its row lists — so no counter is priced twice, in the wrong
 // category, or silently not at all. Every Breakdown field is moved by some
 // counter.
 func TestEveryCounterPriced(t *testing.T) {
-	counters := []string{"Instructions", "Cycles"}
-	for _, sub := range []struct {
-		prefix string
-		v      any
-	}{{"Net.", noc.Stats{}}, {"Coh.", coherence.Stats{}}} {
-		typ := reflect.TypeOf(sub.v)
-		for i := 0; i < typ.NumField(); i++ {
-			counters = append(counters, sub.prefix+typ.Field(i).Name)
-		}
-	}
+	counters := append(system.CounterNames(), "Cycles")
 	for _, c := range counters {
 		if _, ok := counterPricing[c]; !ok {
 			t.Errorf("counter %s has no row in counterPricing", c)

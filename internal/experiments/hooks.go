@@ -69,13 +69,8 @@ func (r *Runner) emitEvent(ev RunEvent) {
 func (r *Runner) observe(sys *system.System, hash, bench, label string) {
 	col := metrics.New(sys.Clock(), r.EpochCycles)
 	sys.AttachMetrics(col)
-	instrIx := col.ColIndex("core.instructions")
-	var instr uint64
 	col.Subscribe(func(i int, row metrics.Row) {
-		if instrIx >= 0 {
-			instr += uint64(row.Deltas[instrIx])
-		}
 		r.emitEvent(RunEvent{Hash: hash, Benchmark: bench, Config: label,
-			Phase: PhaseEpoch, Epoch: i, Cycles: uint64(row.End), Instructions: instr})
+			Phase: PhaseEpoch, Epoch: i, Cycles: uint64(row.End), Instructions: sys.Counters().Instructions})
 	})
 }

@@ -1,14 +1,13 @@
 // Package metrics is the cross-layer, epoch-based observability layer.
 //
 // A Collector divides a simulation into fixed-length epochs of simulated
-// time and records, per epoch, the delta of every registered counter:
-// cores (instructions), coherence (hits, misses, directory traffic), the
-// NoC (flit crossings, latency histogram, broadcast/unicast mix), the
-// photonic layer (laser-on cycles, channel busy cycles) and the fault
-// layer (retries, reroutes). The sum of a column across all epochs equals
-// the run's end-of-run aggregate counter — a reconciliation invariant the
-// tests assert — so the time series is a lossless refinement of the
-// aggregate statistics the figures already use.
+// time and records, per epoch, the delta of every registered counter —
+// for a simulated machine, every counter of its run Result (cores,
+// coherence, every fabric's network, optical and fault counters), a
+// latency histogram and the energy breakdown. The sum of a column across
+// all epochs equals the run's end-of-run aggregate counter — a
+// reconciliation invariant the tests assert — so the time series is a
+// lossless refinement of the aggregate statistics the figures already use.
 //
 // The layer is zero-cost when disabled: components hold a nil *Collector
 // or nil *Histogram and every hook is a single nil check, verified by the
@@ -38,9 +37,8 @@ func (r Row) Cycles() float64 { return float64(r.End - r.Start) }
 
 // source is one registered group of cumulative counters.
 type source struct {
-	prefix string
-	cols   []string
-	sample func([]float64) // fills cumulative values, len == len(cols)
+	n      int             // columns
+	sample func([]float64) // fills cumulative values, len == n
 	off    int             // column offset in the flattened row
 }
 
@@ -49,7 +47,7 @@ type source struct {
 // columns are excluded from reconciliation: they are not counters.
 type Derived struct {
 	Name string
-	// Fn maps one epoch's raw deltas (indexed per ColIndex) and length in
+	// Fn maps one epoch's raw deltas (indexed as Columns) and length in
 	// cycles to the derived value.
 	Fn func(deltas []float64, cycles float64) float64
 }
@@ -99,10 +97,10 @@ func (c *Collector) Epoch() sim.Time {
 	return c.epoch
 }
 
-// AddSource registers a group of cumulative counters under a prefix.
-// sample must fill vals (len == len(cols)) with the counters' current
-// cumulative values; it is called once per epoch boundary. Sources must
-// be registered before Start.
+// AddSource registers a group of cumulative counters, each column named
+// "prefix.col" (col alone under an empty prefix). sample must fill vals
+// (len == len(cols)) with the counters' current cumulative values; it is
+// called once per epoch boundary. Sources must be registered before Start.
 func (c *Collector) AddSource(prefix string, cols []string, sample func(vals []float64)) {
 	if c == nil {
 		return
@@ -110,9 +108,12 @@ func (c *Collector) AddSource(prefix string, cols []string, sample func(vals []f
 	if c.started {
 		panic("metrics: AddSource after Start")
 	}
-	c.sources = append(c.sources, source{prefix: prefix, cols: cols, sample: sample, off: len(c.cols)})
+	c.sources = append(c.sources, source{n: len(cols), sample: sample, off: len(c.cols)})
 	for _, col := range cols {
-		c.cols = append(c.cols, prefix+"."+col)
+		if prefix != "" {
+			col = prefix + "." + col
+		}
+		c.cols = append(c.cols, col)
 	}
 }
 
@@ -142,8 +143,7 @@ func (c *Collector) AddDerived(name string, fn func(deltas []float64, cycles flo
 }
 
 // ColIndex returns the flattened index of a qualified column name
-// ("noc.delivered"), or -1 when absent. Derived-column closures use it to
-// bind their inputs once, at registration time.
+// ("Net.Delivered"), or -1 when absent.
 func (c *Collector) ColIndex(name string) int {
 	if c == nil {
 		return -1
@@ -255,7 +255,7 @@ func (c *Collector) closeAt(end sim.Time) {
 
 func (c *Collector) sampleInto(dst []float64) {
 	for _, s := range c.sources {
-		s.sample(dst[s.off : s.off+len(s.cols)])
+		s.sample(dst[s.off : s.off+s.n])
 	}
 }
 

@@ -125,11 +125,12 @@ type traceEvent struct {
 const cyclesPerMicro = 1e3 // 1 GHz: 1000 cycles per microsecond
 
 // WriteChromeTrace renders the epoch series (and optional instant events)
-// as Chrome trace_event JSON. Each source prefix becomes one counter
-// track ("ph":"C") sampled per epoch with per-cycle rates, derived
-// columns become a "derived" track, and instants appear as global instant
-// events — all on the one simulated-time axis, so a run opens directly in
-// chrome://tracing or Perfetto.
+// as Chrome trace_event JSON. Each column group — the text before a
+// column's first '.', or a dotless column on its own — becomes one counter
+// track ("ph":"C") sampled per epoch, derived columns become a "derived"
+// track, and instants appear as global instant events — all on the one
+// simulated-time axis, so a run opens directly in chrome://tracing or
+// Perfetto.
 func (c *Collector) WriteChromeTrace(w io.Writer, proc string, instants []Instant) error {
 	if c == nil {
 		return nil
@@ -138,15 +139,28 @@ func (c *Collector) WriteChromeTrace(w io.Writer, proc string, instants []Instan
 		Name: "process_name", Phase: "M", PID: 0, TID: 0,
 		Args: map[string]any{"name": proc},
 	}}
+	var tracks []string // in first-column order
+	trackCols := map[string][]int{}
+	for i, col := range c.cols {
+		t, _, _ := strings.Cut(col, ".")
+		if trackCols[t] == nil {
+			tracks = append(tracks, t)
+		}
+		trackCols[t] = append(trackCols[t], i)
+	}
 	for _, r := range c.rows {
 		ts := float64(r.Start) / cyclesPerMicro
-		for _, s := range c.sources {
-			args := make(map[string]any, len(s.cols))
-			for i, col := range s.cols {
-				args[col] = r.Deltas[s.off+i]
+		for _, t := range tracks {
+			args := make(map[string]any, len(trackCols[t]))
+			for _, i := range trackCols[t] {
+				_, key, ok := strings.Cut(c.cols[i], ".")
+				if !ok {
+					key = t
+				}
+				args[key] = r.Deltas[i]
 			}
 			events = append(events, traceEvent{
-				Name: s.prefix, Phase: "C", TS: ts, PID: 0, TID: 0, Args: args,
+				Name: t, Phase: "C", TS: ts, PID: 0, TID: 0, Args: args,
 			})
 		}
 		if len(c.derived) > 0 {

@@ -1,22 +1,73 @@
-// Cross-layer metrics wiring: AttachMetrics registers one sampler per
-// architectural layer on a metrics.Collector, and Run (system.go) drives
-// the collector between kernel chunks so epochs land on exact simulated-
-// time boundaries without adding a single event to the kernel queue —
-// the hot paths are untouched whether metrics are on or off.
+// Cross-layer metrics wiring: AttachMetrics registers the machine's
+// counters on a metrics.Collector, and Run (system.go) drives the
+// collector between kernel chunks so epochs land on exact simulated-time
+// boundaries without adding a single event to the kernel queue — the hot
+// paths are untouched whether metrics are on or off.
 package system
 
 import (
-	"repro/internal/config"
+	"reflect"
+
 	"repro/internal/metrics"
+	"repro/internal/sim"
 )
 
-// AttachMetrics registers per-epoch samplers for every layer of this
-// machine on the collector: cores, coherence/caches, the NoC (including a
-// delivery-latency histogram hooked into the network's ejection path),
-// the optical layer (ATAC only), the fault layer (when armed), and the
-// first-order core energy split (NDD vs DD, Section V-G). Derived
-// rate/ratio columns (IPC, offered load, laser duty, link utilization)
-// are computed per epoch from the same deltas at export time.
+// counterNames and counterIndex are Result's counters, walked once: every
+// uint64 field and every field of a struct made only of uint64 fields
+// (coherence.Stats, noc.Stats), named by field path ("Instructions",
+// "Coh.L2Misses", "Net.XbarFlits"). Cycles is a sim.Time, the epoch's own
+// length, so it is not a counter; Cfg and Synth are not counters.
+var counterNames, counterIndex = walkCounters()
+
+func walkCounters() (names []string, index [][]int) {
+	u64 := reflect.TypeOf(uint64(0))
+	allU64 := func(t reflect.Type) bool {
+		for i := 0; i < t.NumField(); i++ {
+			if t.Field(i).Type != u64 {
+				return false
+			}
+		}
+		return true
+	}
+	t := reflect.TypeOf(Result{})
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		switch {
+		case f.Type == u64:
+			names, index = append(names, f.Name), append(index, f.Index)
+		case f.Type.Kind() == reflect.Struct && allU64(f.Type):
+			for j := 0; j < f.Type.NumField(); j++ {
+				names = append(names, f.Name+"."+f.Type.Field(j).Name)
+				index = append(index, []int{i, j})
+			}
+		}
+	}
+	return names, index
+}
+
+// CounterNames returns the field paths of Result's counters in
+// declaration order: the epoch columns AttachMetrics samples, and the
+// counters the energy model's pricing lint covers.
+func CounterNames() []string { return append([]string(nil), counterNames...) }
+
+// Counters returns the machine's cumulative event counters: a Result
+// holding only Instructions, Coh and Net. RunContext builds its final
+// Result from it and every metrics epoch samples it.
+func (s *System) Counters() Result {
+	r := Result{Coh: *s.Coh.Stats(), Net: *s.Net.Stats()}
+	for _, c := range s.Core {
+		r.Instructions += c.Instructions
+	}
+	return r
+}
+
+// AttachMetrics registers per-epoch samplers on the collector: one column
+// per Result counter, named by its field path and sampled from Counters,
+// plus what is not a Result counter — the finished-core count, ATAC's
+// optical busy cycles and a delivery-latency histogram hooked into the
+// network's ejection path. Derived rate/ratio columns (IPC, offered load,
+// laser duty, link utilization) are computed per epoch from the same
+// deltas at export time.
 //
 // Attach before Run; a nil collector is a no-op. Attaching changes no
 // simulation behavior: sampling is pull-based and read-only.
@@ -26,105 +77,25 @@ func (s *System) AttachMetrics(c *metrics.Collector) {
 	}
 	s.metrics = c
 
-	cores := float64(s.Cfg.Cores)
-	c.AddSource("core", []string{"instructions", "finished"}, func(v []float64) {
-		var instr, fin uint64
+	// The coherence and network counters are merged on read under
+	// sharding, so sample through Counters each epoch rather than holding
+	// pointers.
+	off := len(c.Columns())
+	c.AddSource("", counterNames, func(v []float64) {
+		r := s.Counters()
+		rv := reflect.ValueOf(&r).Elem()
+		for i, ix := range counterIndex {
+			v[i] = float64(rv.FieldByIndex(ix).Uint())
+		}
+	})
+	c.AddSource("core", []string{"finished"}, func(v []float64) {
+		var fin int
 		for _, core := range s.Core {
-			instr += core.Instructions
 			if core.Finished {
 				fin++
 			}
 		}
-		v[0], v[1] = float64(instr), float64(fin)
-	})
-
-	// The coherence counters are merged on read under sharding, so sample
-	// through the accessor each epoch rather than holding the pointer.
-	c.AddSource("coh", []string{
-		"l1d_reads", "l1d_writes", "l1d_misses", "l2_misses",
-		"dir_accesses", "inv_bcasts", "inv_unicasts", "acks", "mem_reads", "mem_writes",
-	}, func(v []float64) {
-		cs := s.Coh.Stats()
-		v[0] = float64(cs.L1DReads)
-		v[1] = float64(cs.L1DWrites)
-		v[2] = float64(cs.L1DMisses)
-		v[3] = float64(cs.L2Misses)
-		v[4] = float64(cs.DirAccesses)
-		v[5] = float64(cs.InvBroadcasts)
-		v[6] = float64(cs.InvUnicasts)
-		v[7] = float64(cs.AcksCollected)
-		v[8] = float64(cs.MemReads)
-		v[9] = float64(cs.MemWrites)
-	})
-
-	// The network counters are folded on read (Atac.Stats), so sample
-	// through the interface each epoch rather than holding the pointer.
-	c.AddSource("noc", []string{
-		"unicast_sent", "bcast_sent", "delivered", "unicast_recv", "bcast_recv",
-		"injected_flits", "mesh_link_flits", "mesh_router_flits", "latency_sum", "latency_count",
-	}, func(v []float64) {
-		ns := s.Net.Stats()
-		v[0] = float64(ns.UnicastSent)
-		v[1] = float64(ns.BroadcastSent)
-		v[2] = float64(ns.Delivered)
-		v[3] = float64(ns.UnicastRecv)
-		v[4] = float64(ns.BroadcastRecv)
-		v[5] = float64(ns.InjectedFlits)
-		v[6] = float64(ns.MeshLinkFlits)
-		v[7] = float64(ns.MeshRouterFlits)
-		v[8] = float64(ns.LatencySum)
-		v[9] = float64(ns.LatencyCount)
-	})
-
-	hubs := float64(s.Cfg.Clusters())
-	if s.Atac != nil {
-		c.AddSource("onet", []string{
-			"hub_flits", "uni_flits", "bcast_flits", "uni_pkts", "bcast_pkts",
-			"select_events", "busy_cycles",
-		}, func(v []float64) {
-			ns := s.Net.Stats()
-			v[0] = float64(ns.HubFlits)
-			v[1] = float64(ns.ONetUniFlits)
-			v[2] = float64(ns.ONetBcastFlits)
-			v[3] = float64(ns.ONetUniPkts)
-			v[4] = float64(ns.ONetBcastPkts)
-			v[5] = float64(ns.SelectEvents)
-			v[6] = float64(s.Atac.BusyCycles())
-		})
-	}
-
-	if s.Cfg.Fault.Enabled {
-		c.AddSource("fault", []string{
-			"mesh_errors", "mesh_retx_flits", "mesh_forced",
-			"optical_errors", "optical_retx_flits", "optical_forced",
-			"rerouted_msgs", "degraded_channels",
-		}, func(v []float64) {
-			ns := s.Net.Stats()
-			v[0] = float64(ns.MeshNacks)
-			v[1] = float64(ns.MeshRetxFlits)
-			v[2] = float64(ns.MeshRetriesExhausted)
-			v[3] = float64(ns.OpticalFlitErrors)
-			v[4] = float64(ns.OpticalRetxFlits)
-			v[5] = float64(ns.OpticalRetriesExhausted)
-			v[6] = float64(ns.ReroutedMsgs)
-			v[7] = float64(ns.DegradedChannels)
-		})
-	}
-
-	// First-order core energy split (Section V-G): NDD burns with wall
-	// time, DD with retired instructions. Cumulative joules, so the
-	// per-epoch deltas expose where slow network epochs inflate the
-	// non-data-dependent energy — the paper's cross-layer feedback loop.
-	// NDD reads the epoch's end, not the clock, so it stops at the run's
-	// cycle count and sums to energy.Combine's CoreNDD.
-	f, peak := s.Cfg.Core.NDDFraction, s.Cfg.Core.PeakPowerW
-	c.AddSource("energy", []string{"core_ndd_j", "core_dd_j"}, func(v []float64) {
-		var instr uint64
-		for _, core := range s.Core {
-			instr += core.Instructions
-		}
-		v[0] = f * peak * cores * float64(c.SampleTime()) * config.CycleSeconds
-		v[1] = (1 - f) * peak * float64(instr) * config.CycleSeconds
+		v[0] = float64(fin)
 	})
 
 	// Delivery-latency histogram, hooked into the network ejection path
@@ -133,46 +104,39 @@ func (s *System) AttachMetrics(c *metrics.Collector) {
 	s.Net.(interface{ SetLatencyHist(*metrics.Histogram) }).SetLatencyHist(s.LatHist)
 	c.AddHistogram("lat", s.LatHist)
 
-	// Derived per-epoch rates and ratios. Indices are bound once here;
-	// the closures then read straight out of each row's delta slice.
-	instrIx := c.ColIndex("core.instructions")
-	injIx := c.ColIndex("noc.injected_flits")
-	uniIx := c.ColIndex("noc.unicast_recv")
-	bcIx := c.ColIndex("noc.bcast_recv")
-	latSumIx := c.ColIndex("noc.latency_sum")
-	latCntIx := c.ColIndex("noc.latency_count")
-	c.AddDerived("ipc", func(d []float64, cyc float64) float64 {
-		return d[instrIx] / (cyc * cores)
-	})
-	c.AddDerived("stall_frac", func(d []float64, cyc float64) float64 {
-		return 1 - d[instrIx]/(cyc*cores)
-	})
-	c.AddDerived("offered_load", func(d []float64, cyc float64) float64 {
-		return d[injIx] / (cyc * cores)
-	})
-	c.AddDerived("bcast_recv_frac", func(d []float64, cyc float64) float64 {
-		tot := d[uniIx] + d[bcIx]
-		if tot == 0 {
-			return 0
+	// Derived per-epoch rates read one epoch's counter deltas as a Result,
+	// through the methods the end-of-run report uses.
+	delta := func(d []float64, cyc float64) Result {
+		r := Result{Cfg: s.Cfg, Cycles: sim.Time(cyc)}
+		rv := reflect.ValueOf(&r).Elem()
+		for i, ix := range counterIndex {
+			rv.FieldByIndex(ix).SetUint(uint64(d[off+i]))
 		}
-		return d[bcIx] / tot
-	})
-	c.AddDerived("avg_latency", func(d []float64, cyc float64) float64 {
-		if d[latCntIx] == 0 {
-			return 0
-		}
-		return d[latSumIx] / d[latCntIx]
-	})
+		return r
+	}
+	derive := func(name string, fn func(r *Result) float64) {
+		c.AddDerived(name, func(d []float64, cyc float64) float64 {
+			r := delta(d, cyc)
+			return fn(&r)
+		})
+	}
+	derive("ipc", (*Result).IPC)
+	derive("stall_frac", func(r *Result) float64 { return 1 - r.IPC() })
+	derive("offered_load", (*Result).OfferedLoad)
+	derive("bcast_recv_frac", (*Result).BroadcastRecvFraction)
+	derive("avg_latency", func(r *Result) float64 { return r.Net.AvgLatency() })
 	if s.Atac != nil {
-		busyIx := c.ColIndex("onet.busy_cycles")
-		uniFIx := c.ColIndex("onet.uni_flits")
-		bcFIx := c.ColIndex("onet.bcast_flits")
+		busyIx := len(c.Columns())
+		c.AddSource("onet", []string{"busy_cycles"}, func(v []float64) {
+			v[0] = float64(s.Atac.BusyCycles())
+		})
+		hubs := float64(s.Cfg.Clusters())
 		c.AddDerived("link_util", func(d []float64, cyc float64) float64 {
 			return d[busyIx] / (cyc * hubs)
 		})
-		c.AddDerived("laser_duty", func(d []float64, cyc float64) float64 {
+		derive("laser_duty", func(r *Result) float64 {
 			// A data laser is on for exactly the flits it sends.
-			return (d[uniFIx] + d[bcFIx]) / (cyc * hubs)
+			return float64(r.Net.ONetUniFlits+r.Net.ONetBcastFlits) / (float64(r.Cycles) * hubs)
 		})
 	}
 }

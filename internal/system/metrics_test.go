@@ -2,6 +2,7 @@ package system
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/config"
@@ -35,52 +36,79 @@ func runWithMetrics(t *testing.T, kind config.NetworkKind, epoch sim.Time, ring 
 	return sys, col, res
 }
 
-// TestMetricsReconcileWithResult asserts the tentpole invariant: the sum
-// of every per-epoch counter delta equals the run's end-of-run aggregate.
-// The epoch series is then a lossless refinement of the figures' counters.
+// TestMetricsReconcileWithResult asserts the tentpole invariant on the
+// three optical fabrics and the broadcast mesh: every column's epoch
+// deltas sum exactly to its end-of-run value. A column named by a Result
+// field path sums to that field, and every Result counter has one; the
+// rest are core.finished (the core count), ATAC's onet.busy_cycles and the
+// latency histogram (one observation per delivery). The epoch series is
+// then a lossless refinement of the figures' counters.
 func TestMetricsReconcileWithResult(t *testing.T) {
-	sys, col, res := runWithMetrics(t, config.ATACPlus, 5000, nil)
+	for _, kind := range []config.NetworkKind{config.ATACPlus, config.Corona, config.HybridMesh, config.EMeshBCast} {
+		sys, col, res := runWithMetrics(t, kind, 5000, nil)
+		rows := col.Rows()
+		if len(rows) < 2 {
+			t.Fatalf("%v: expected multiple epochs, got %d", kind, len(rows))
+		}
+		counters, lat, totals := 0, 0.0, col.Totals()
+		for i, name := range col.Columns() {
+			got := totals[i]
+			var want float64
+			if f := resultField(res, name); f.IsValid() {
+				counters++
+				want = float64(f.Uint())
+			} else if strings.HasPrefix(name, "lat.") {
+				lat += got
+				continue
+			} else if name == "core.finished" {
+				want = float64(res.Cfg.Cores)
+			} else if name == "onet.busy_cycles" && sys.Atac != nil {
+				want = float64(sys.Atac.BusyCycles())
+			} else {
+				t.Errorf("%v: column %s reconciles with nothing", kind, name)
+				continue
+			}
+			if got != want {
+				t.Errorf("%v: epoch sum of %s = %g, want %g", kind, name, got, want)
+			}
+		}
+		if want := 1 + reflect.TypeOf(res.Coh).NumField() + reflect.TypeOf(res.Net).NumField(); counters != want {
+			t.Errorf("%v: %d columns are Result counters, want %d", kind, counters, want)
+		}
+		// The latency histogram rides the same delivery path as the
+		// aggregate latency counters: identical observation counts.
+		if lat != float64(res.Net.LatencyCount) || sys.LatHist.Total() != res.Net.LatencyCount {
+			t.Errorf("%v: latency histogram epochs sum to %g, total %d, want %d",
+				kind, lat, sys.LatHist.Total(), res.Net.LatencyCount)
+		}
+		// Epochs tile simulated time with no gaps, up to the run's last cycle.
+		for i := 1; i < len(rows); i++ {
+			if rows[i].Start != rows[i-1].End {
+				t.Errorf("%v: epoch %d starts at %d, previous ended at %d", kind, i, rows[i].Start, rows[i-1].End)
+			}
+		}
+		if end := rows[len(rows)-1].End; end != res.Cycles {
+			t.Errorf("%v: final epoch ends at %d, the run took %d cycles", kind, end, res.Cycles)
+		}
+	}
+}
 
-	if len(col.Rows()) < 2 {
-		t.Fatalf("expected multiple epochs, got %d", len(col.Rows()))
-	}
-	checks := []struct {
-		col  string
-		want float64
-	}{
-		{"core.instructions", float64(res.Instructions)},
-		{"noc.delivered", float64(res.Net.Delivered)},
-		{"noc.unicast_recv", float64(res.Net.UnicastRecv)},
-		{"noc.bcast_recv", float64(res.Net.BroadcastRecv)},
-		{"noc.injected_flits", float64(res.Net.InjectedFlits)},
-		{"noc.latency_sum", float64(res.Net.LatencySum)},
-		{"noc.latency_count", float64(res.Net.LatencyCount)},
-		{"coh.l1d_misses", float64(res.Coh.L1DMisses)},
-		{"coh.dir_accesses", float64(res.Coh.DirAccesses)},
-		{"coh.inv_bcasts", float64(res.Coh.InvBroadcasts)},
-		{"onet.busy_cycles", float64(sys.Atac.BusyCycles())},
-		{"onet.uni_flits", float64(res.Net.ONetUniFlits)},
-	}
-	for _, c := range checks {
-		if got := col.Total(c.col); got != c.want {
-			t.Errorf("epoch sum of %s = %g, want %g", c.col, got, c.want)
+// resultField resolves a column name as a Result field path ("Coh.L2Misses");
+// the zero Value when the name is no uint64 field of Result.
+func resultField(res Result, name string) reflect.Value {
+	v := reflect.ValueOf(res)
+	for _, part := range strings.Split(name, ".") {
+		if v.Kind() != reflect.Struct {
+			return reflect.Value{}
+		}
+		if v = v.FieldByName(part); !v.IsValid() {
+			return v
 		}
 	}
-	// The latency histogram rides the same delivery path as the
-	// aggregate latency counters: identical observation counts.
-	if got, want := sys.LatHist.Total(), res.Net.LatencyCount; got != want {
-		t.Errorf("latency histogram total = %d, want %d", got, want)
+	if v.Kind() != reflect.Uint64 {
+		return reflect.Value{}
 	}
-	// Epochs tile simulated time with no gaps, up to the run's last cycle.
-	rows := col.Rows()
-	for i := 1; i < len(rows); i++ {
-		if rows[i].Start != rows[i-1].End {
-			t.Errorf("epoch %d starts at %d, previous ended at %d", i, rows[i].Start, rows[i-1].End)
-		}
-	}
-	if end := rows[len(rows)-1].End; end != res.Cycles {
-		t.Errorf("final epoch ends at %d, the run took %d cycles", end, res.Cycles)
-	}
+	return v
 }
 
 // TestMetricsDoNotPerturbSimulation runs the identical workload with and

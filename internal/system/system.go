@@ -204,17 +204,8 @@ func (s *System) RunContext(ctx context.Context, spec workload.Spec, horizon sim
 	s.runKernel(horizon)
 
 	last, remaining := s.lastFinish()
-	res := Result{
-		Benchmark: spec.Name,
-		Cfg:       s.Cfg,
-		Cycles:    last,
-		Finished:  remaining == 0,
-		Coh:       *s.Coh.Stats(),
-		Net:       *s.Net.Stats(),
-	}
-	for _, c := range s.Core {
-		res.Instructions += c.Instructions
-	}
+	res := s.Counters()
+	res.Benchmark, res.Cfg, res.Cycles, res.Finished = spec.Name, s.Cfg, last, remaining == 0
 	if !res.Finished {
 		// No core finished: the run's extent is the time actually
 		// simulated, not the zero value of "last finish".
