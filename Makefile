@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check figures bench bench-trace bench-pair fuzz resume-smoke serve-smoke chaos-smoke cluster-smoke techsweep-smoke xtopo-smoke clean
+.PHONY: build test check cover figures bench bench-trace bench-pair fuzz resume-smoke serve-smoke chaos-smoke cluster-smoke techsweep-smoke xtopo-smoke clean
 
 # Per-target budget for `make fuzz` (go test -fuzztime syntax).
 FUZZTIME ?= 10s
@@ -20,6 +20,14 @@ check:
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test -race ./...
+
+# Unit-test coverage of every package by the whole suite (-coverpkg): writes
+# the profile to COVER and lists each function no test reaches (0.0 %).
+# bench/ is its own module, so ./... leaves it out.
+COVER ?= cover.out
+cover:
+	$(GO) test -coverpkg=./... -coverprofile=$(COVER) ./...
+	@$(GO) tool cover -func=$(COVER) | awk '$$NF == "0.0%"'
 
 figures:
 	$(GO) run ./cmd/figures -cores 64
