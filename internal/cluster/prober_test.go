@@ -237,3 +237,49 @@ func TestHTTPProbe(t *testing.T) {
 		t.Error("unreachable probe reported healthy")
 	}
 }
+
+// TestProberZeroOptions: NewProber fills every zero option with its
+// documented default, and the default probe is HTTPProbe with a client
+// bounded by the probe timeout.
+func TestProberZeroOptions(t *testing.T) {
+	p := NewProber([]string{"http://n2:1"}, ProberOptions{})
+	o := p.opt
+	if o.Interval != 2*time.Second || o.Timeout != time.Second || o.FailAfter != 2 || o.RiseAfter != 2 || o.BackoffCap != 16*time.Second {
+		t.Errorf("defaults: interval %v timeout %v failAfter %d riseAfter %d backoffCap %v, want 2s 1s 2 2 16s",
+			o.Interval, o.Timeout, o.FailAfter, o.RiseAfter, o.BackoffCap)
+	}
+	if o.Probe == nil {
+		t.Fatal("no default probe")
+	}
+
+	var status int
+	release := make(chan struct{})
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/hang/healthz" {
+			select { // held until the client gives up or the test ends
+			case <-r.Context().Done():
+			case <-release:
+			}
+			return
+		}
+		w.WriteHeader(status)
+	}))
+	defer srv.Close()
+	defer close(release)
+
+	status = http.StatusOK
+	if err := o.Probe(context.Background(), srv.URL); err != nil {
+		t.Errorf("default probe of a 200 peer: %v", err)
+	}
+	status = http.StatusServiceUnavailable
+	if err := o.Probe(context.Background(), srv.URL); err == nil {
+		t.Error("default probe reported a 503 peer healthy")
+	}
+	start := time.Now()
+	if err := o.Probe(context.Background(), srv.URL+"/hang"); err == nil {
+		t.Error("default probe reported a hung peer healthy")
+	}
+	if d := time.Since(start); d > 5*o.Timeout {
+		t.Errorf("default probe of a hung peer took %v, want about the %v timeout", d, o.Timeout)
+	}
+}

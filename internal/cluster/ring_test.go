@@ -111,3 +111,23 @@ func TestParsePeers(t *testing.T) {
 		t.Errorf("ParsePeers = %v", got)
 	}
 }
+
+// TestRingContains: membership is checked on the normalized URL, so every
+// spelling of a configured peer is a member and nothing else is; the
+// zero-peer ring contains nothing.
+func TestRingContains(t *testing.T) {
+	r := NewRing([]string{"http://n1:1", "n2:1/"})
+	for _, p := range []string{"http://n1:1", "n1:1", " http://n1:1/ ", "http://n2:1"} {
+		if !r.Contains(p) {
+			t.Errorf("Contains(%q) = false, want true", p)
+		}
+	}
+	for _, p := range []string{"http://n3:1", "https://n1:1", ""} {
+		if r.Contains(p) {
+			t.Errorf("Contains(%q) = true, want false", p)
+		}
+	}
+	if NewRing(nil).Contains("http://n1:1") {
+		t.Error("empty ring contains a peer")
+	}
+}

@@ -24,10 +24,28 @@ type cacheArray struct {
 // never moves.
 const chunkSets = 16
 
+// cacheEntry is one way: 16 bytes. The state sits in the top two bits of
+// tag, the line number below it; config requires LineBytes to be a
+// positive multiple of 8, so a line number is below 2^61 and never reaches
+// the state bits. An Invalid entry keeps its line and clock, as a free way.
 type cacheEntry struct {
-	line  uint64
-	state State
-	lru   uint64
+	tag uint64 // state<<stateShift | line
+	lru uint64 // LRU timestamp
+}
+
+const (
+	stateShift = 62
+	lineMask   = 1<<stateShift - 1
+)
+
+func packTag(line uint64, s State) uint64 { return uint64(s)<<stateShift | line }
+
+func (e *cacheEntry) line() uint64 { return e.tag & lineMask }
+func (e *cacheEntry) state() State { return State(e.tag >> stateShift) }
+
+// holds reports whether the entry is a valid copy of line.
+func (e *cacheEntry) holds(line uint64) bool {
+	return e.tag>>stateShift != uint64(Invalid) && e.tag&lineMask == line
 }
 
 // newCacheArray builds an array covering sizeBytes with the given line
@@ -75,10 +93,10 @@ func (c *cacheArray) lookup(line uint64) State {
 	ways := c.ways(line)
 	for i := range ways {
 		e := &ways[i]
-		if e.state != Invalid && e.line == line {
+		if e.holds(line) {
 			c.clock++
 			e.lru = c.clock
-			return e.state
+			return e.state()
 		}
 	}
 	return Invalid
@@ -89,8 +107,8 @@ func (c *cacheArray) peek(line uint64) State {
 	ways := c.ways(line)
 	for i := range ways {
 		e := &ways[i]
-		if e.state != Invalid && e.line == line {
-			return e.state
+		if e.holds(line) {
+			return e.state()
 		}
 	}
 	return Invalid
@@ -101,8 +119,8 @@ func (c *cacheArray) setState(line uint64, s State) {
 	ways := c.ways(line)
 	for i := range ways {
 		e := &ways[i]
-		if e.state != Invalid && e.line == line {
-			e.state = s
+		if e.holds(line) {
+			e.tag = packTag(line, s)
 			return
 		}
 	}
@@ -119,8 +137,8 @@ func (c *cacheArray) insert(line uint64, s State) (victimLine uint64, victimStat
 	ways := c.block(c.slot[set])
 	// Already present: state change only.
 	for i := range ways {
-		if e := &ways[i]; e.state != Invalid && e.line == line {
-			e.state = s
+		if e := &ways[i]; e.holds(line) {
+			e.tag = packTag(line, s)
 			c.clock++
 			e.lru = c.clock
 			return 0, Invalid, false
@@ -128,9 +146,9 @@ func (c *cacheArray) insert(line uint64, s State) (victimLine uint64, victimStat
 	}
 	// Free way?
 	for i := range ways {
-		if e := &ways[i]; e.state == Invalid {
+		if e := &ways[i]; e.state() == Invalid {
 			c.clock++
-			*e = cacheEntry{line: line, state: s, lru: c.clock}
+			*e = cacheEntry{tag: packTag(line, s), lru: c.clock}
 			return 0, Invalid, false
 		}
 	}
@@ -141,9 +159,9 @@ func (c *cacheArray) insert(line uint64, s State) (victimLine uint64, victimStat
 			v = i
 		}
 	}
-	victimLine, victimState = ways[v].line, ways[v].state
+	victimLine, victimState = ways[v].line(), ways[v].state()
 	c.clock++
-	ways[v] = cacheEntry{line: line, state: s, lru: c.clock}
+	ways[v] = cacheEntry{tag: packTag(line, s), lru: c.clock}
 	return victimLine, victimState, true
 }
 

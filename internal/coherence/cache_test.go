@@ -10,12 +10,19 @@ import (
 
 // denseArray is the reference tag store: every set's ways allocated up
 // front in one set-major slice, with the same LRU, free-way order and
-// victim choice cacheArray must reproduce. It exists only as an oracle.
+// victim choice cacheArray must reproduce. It exists only as an oracle,
+// so its entries keep line, state and clock in separate fields.
 type denseArray struct {
 	sets    int
 	assoc   int
-	entries []cacheEntry // sets*assoc, set-major
+	entries []denseEntry // sets*assoc, set-major
 	clock   uint64       // LRU timestamp source
+}
+
+type denseEntry struct {
+	line  uint64
+	state State
+	lru   uint64
 }
 
 func newDenseArray(sizeBytes, lineBytes, assoc int) *denseArray {
@@ -33,7 +40,7 @@ func newDenseArray(sizeBytes, lineBytes, assoc int) *denseArray {
 	return &denseArray{
 		sets:    sets,
 		assoc:   assoc,
-		entries: make([]cacheEntry, sets*assoc),
+		entries: make([]denseEntry, sets*assoc),
 	}
 }
 
@@ -93,7 +100,7 @@ func (c *denseArray) insert(line uint64, s State) (victimLine uint64, victimStat
 	for i := base; i < base+c.assoc; i++ {
 		if e := &c.entries[i]; e.state == Invalid {
 			c.clock++
-			*e = cacheEntry{line: line, state: s, lru: c.clock}
+			*e = denseEntry{line: line, state: s, lru: c.clock}
 			return 0, Invalid, false
 		}
 	}
@@ -106,7 +113,7 @@ func (c *denseArray) insert(line uint64, s State) (victimLine uint64, victimStat
 	}
 	victimLine, victimState = c.entries[v].line, c.entries[v].state
 	c.clock++
-	c.entries[v] = cacheEntry{line: line, state: s, lru: c.clock}
+	c.entries[v] = denseEntry{line: line, state: s, lru: c.clock}
 	return victimLine, victimState, true
 }
 
@@ -116,8 +123,8 @@ func (c *denseArray) invalidate(line uint64) { c.setState(line, Invalid) }
 func (c *cacheArray) eachLine(f func(line uint64, s State)) {
 	for _, chunk := range c.chunks {
 		for _, e := range chunk {
-			if e.state != Invalid {
-				f(e.line, e.state)
+			if e.state() != Invalid {
+				f(e.line(), e.state())
 			}
 		}
 	}
@@ -133,7 +140,8 @@ type cacheOp struct {
 // replayCacheOps drives a cacheArray and the dense oracle of one geometry
 // with the same op stream and fails at the first return value (victims
 // included) that differs; at the end every line of the stream's line space
-// must hold the same state in both, and both LRU clocks must agree.
+// must hold the same state in both, both LRU clocks must agree, and every
+// way must hold the same line, state and timestamp as its dense twin.
 func replayCacheOps(t *testing.T, sizeBytes, lineBytes, assoc int, space uint64, ops []cacheOp) {
 	t.Helper()
 	c, d := newCacheArray(sizeBytes, lineBytes, assoc), newDenseArray(sizeBytes, lineBytes, assoc)
@@ -172,6 +180,22 @@ func replayCacheOps(t *testing.T, sizeBytes, lineBytes, assoc int, space uint64,
 	}
 	if c.clock != d.clock {
 		t.Fatalf("after %d ops: LRU clock %d, dense %d", len(ops), c.clock, d.clock)
+	}
+	for set := 0; set < d.sets; set++ {
+		var ways []cacheEntry
+		if s := c.slot[set]; s != 0 {
+			ways = c.block(s)
+		}
+		for w, de := range d.entries[set*d.assoc : (set+1)*d.assoc] {
+			var got denseEntry
+			if ways != nil {
+				e := &ways[w]
+				got = denseEntry{line: e.line(), state: e.state(), lru: e.lru}
+			}
+			if got != de {
+				t.Fatalf("after %d ops: set %d way %d holds %+v, dense %+v", len(ops), set, w, got, de)
+			}
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package coherence
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"repro/internal/config"
 	"repro/internal/noc"
@@ -533,6 +534,49 @@ func TestCacheArrayStateOps(t *testing.T) {
 	c.eachLine(func(uint64, State) { valid++ })
 	if valid != 0 || c.blocks != 1 {
 		t.Errorf("%d valid lines in %d blocks after invalidate, want 0 in 1", valid, c.blocks)
+	}
+}
+
+// TestCacheEntryIs16Bytes: a tag entry packs its state into the line word,
+// and the widest line a valid config can name keeps every state intact.
+func TestCacheEntryIs16Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(cacheEntry{}); n != 16 {
+		t.Fatalf("cacheEntry is %d bytes, want 16", n)
+	}
+	const widest = uint64(1)<<61 - 1 // addr / LineBytes, LineBytes >= 8
+	for _, line := range []uint64{0, 1, widest} {
+		for _, st := range []State{Invalid, Shared, Modified} {
+			e := cacheEntry{tag: packTag(line, st)}
+			if e.line() != line || e.state() != st || e.holds(line) != (st != Invalid) {
+				t.Errorf("packTag(%#x, %v): line %#x state %v holds %v", line, st, e.line(), e.state(), e.holds(line))
+			}
+		}
+	}
+}
+
+// dropNet accepts every message and delivers none.
+type dropNet struct{ stats noc.Stats }
+
+func (*dropNet) Send(*noc.Message)          {}
+func (*dropNet) SetDeliver(noc.DeliverFunc) {}
+func (d *dropNet) Stats() *noc.Stats        { return &d.stats }
+
+// TestProtocolMessageIsOneAllocation: a protocol message and its network
+// envelope are one object, from a cache controller and from a directory
+// slice alike.
+func TestProtocolMessageIsOneAllocation(t *testing.T) {
+	cfg := config.Tiny()
+	var k sim.Kernel
+	s := NewSystem(&k, &cfg, &dropNet{})
+	bcast := &Msg{Type: MsgInvBcast, Line: 0x40, From: s.DirCore(0), Slice: 0, Seq: 1}
+	if n := testing.AllocsPerRun(100, func() { s.ctrls[5].ack(bcast) }); n != 1 {
+		t.Errorf("Ctrl.ack: %v allocations per message, want 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { s.dirs[0].reply(MsgShRep, 5, 0x40, false) }); n != 1 {
+		t.Errorf("DirSlice.reply: %v allocations per message, want 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { s.dirs[0].bcastInv(0x40) }); n != 1 {
+		t.Errorf("DirSlice.bcastInv: %v allocations per message, want 1", n)
 	}
 }
 

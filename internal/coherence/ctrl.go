@@ -29,7 +29,9 @@ type Ctrl struct {
 	// lastSeq[slice] is the newest processed broadcast sequence number.
 	lastSeq []uint16
 	// uniBuf[slice] holds directory unicasts that arrived ahead of a
-	// broadcast they must follow.
+	// broadcast they must follow. Nil until the core first gates one:
+	// most cores never do, and a slice per directory slice per core is
+	// 1.5 MB at 1024 cores.
 	uniBuf [][]*Msg
 	// bcastBuf holds broadcasts buffered behind an outstanding shared
 	// request or an in-flight eviction, per line.
@@ -66,7 +68,6 @@ func newCtrl(s *System, id int) *Ctrl {
 
 		evicting:  make(map[uint64]bool),
 		lastSeq:   make([]uint16, cc.DirSlices),
-		uniBuf:    make([][]*Msg, cc.DirSlices),
 		bcastBuf:  make(map[uint64][]*Msg),
 		killSeq:   make(map[uint64]uint16),
 		evictedAt: make(map[uint64]uint16),
@@ -189,6 +190,9 @@ func (c *Ctrl) handleUnicast(m *Msg) {
 	if m.Type != MsgEvictAck && !seqLE(m.Seq, c.lastSeq[m.Slice]) {
 		c.s.trace("reorder", "core %d gates %v behind seq %d", c.id, m, c.lastSeq[m.Slice])
 		c.st.ReorderBufferedUni++
+		if c.uniBuf == nil {
+			c.uniBuf = make([][]*Msg, len(c.lastSeq))
+		}
 		c.uniBuf[m.Slice] = append(c.uniBuf[m.Slice], m)
 		return
 	}
@@ -399,6 +403,9 @@ func (c *Ctrl) resolveEvictBuffered(line uint64, evictSeq uint16) {
 func (c *Ctrl) markBcastArrived(slice int, seq uint16) {
 	if seqLE(c.lastSeq[slice], seq) {
 		c.lastSeq[slice] = seq
+	}
+	if c.uniBuf == nil {
+		return
 	}
 	for len(c.uniBuf[slice]) > 0 && seqLE(c.uniBuf[slice][0].Seq, c.lastSeq[slice]) {
 		m := c.uniBuf[slice][0]

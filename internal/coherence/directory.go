@@ -341,11 +341,8 @@ func (d *DirSlice) grantExclusive(e *dirEntry, c int, line uint64, withData bool
 // just-incremented sequence number.
 func (d *DirSlice) bcastInv(line uint64) {
 	d.s.trace("dir", "slice %d: InvBcast line=%#x seq=%d", d.slice, line, d.seq)
-	d.s.Net.Send(&noc.Message{
-		Src: d.core, Dst: noc.BroadcastDst,
-		Bits:    CtrlBits,
-		Payload: &Msg{Type: MsgInvBcast, Line: line, From: d.core, Slice: d.slice, Seq: d.seq},
-	})
+	m := &Msg{Type: MsgInvBcast, Line: line, From: d.core, Slice: d.slice, Seq: d.seq}
+	d.s.Net.Send(m.envelope(d.core, noc.BroadcastDst))
 }
 
 // feed routes a response into the line's transaction and completes it when

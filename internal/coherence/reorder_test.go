@@ -160,6 +160,9 @@ func TestReorderUnicastGatedBehindBroadcast(t *testing.T) {
 	// Fabricate the gating scenario directly: core 10 has seen no
 	// broadcasts; hand it a unicast with seq 1.
 	ctrl := s.ctrls[10]
+	if ctrl.uniBuf != nil {
+		t.Fatal("reorder buffers built before any unicast was gated")
+	}
 	before := s.Stats().ReorderBufferedUni
 	ctrl.handleUnicast(&Msg{Type: MsgInv, Line: 0x1000, From: 0, Slice: 0, Seq: 1})
 	if s.Stats().ReorderBufferedUni != before+1 {

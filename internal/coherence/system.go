@@ -90,8 +90,8 @@ type System struct {
 	ctrls  []*Ctrl
 	dirs   []*DirSlice
 	mems   []*mem.Controller
-	dirAt  map[int]*DirSlice       // core -> slice located there
-	memAt  map[int]*mem.Controller // core -> controller located there
+	dirAt  []*DirSlice       // per core: the slice located there, or nil
+	memAt  []*mem.Controller // per core: the controller located there, or nil
 	d      *sim.Domain
 	stats  []Stats // one block per shard; Stats() merges
 	snap   Stats
@@ -103,8 +103,8 @@ type System struct {
 func NewSystem(k *sim.Kernel, cfg *config.Config, net noc.Network) *System {
 	s := &System{
 		K: k, Cfg: cfg, Net: net, Vals: NewValueStore(),
-		dirAt:  make(map[int]*DirSlice),
-		memAt:  make(map[int]*mem.Controller),
+		dirAt:  make([]*DirSlice, cfg.Cores),
+		memAt:  make([]*mem.Controller, cfg.Cores),
 		lineSz: uint64(cfg.Caches.LineBytes),
 	}
 	s.ctrls = make([]*Ctrl, cfg.Cores)
@@ -282,16 +282,12 @@ func (s *System) trace(kind, format string, args ...any) {
 	}
 }
 
-// send wraps a protocol message and injects it into the network.
+// send injects a protocol message into the network in its own envelope.
 func (s *System) send(src, dst int, m *Msg) {
 	if s.Tracer != nil { // unguarded, the variadic call boxes src and dst per message
 		s.trace("msg", "%d->%d %v", src, dst, m)
 	}
-	s.Net.Send(&noc.Message{
-		Src: src, Dst: dst,
-		Bits:    m.Type.Bits(),
-		Payload: m,
-	})
+	s.Net.Send(m.envelope(src, dst))
 }
 
 // onDeliver dispatches network deliveries to the component at dst.

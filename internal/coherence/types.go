@@ -15,6 +15,8 @@ package coherence
 import (
 	"fmt"
 	"reflect"
+
+	"repro/internal/noc"
 )
 
 // State is a cache line's MSI coherence state.
@@ -114,16 +116,28 @@ func (t MsgType) Bits() int {
 	return CtrlBits
 }
 
-// Msg is a protocol message; it rides the network as noc.Message payload.
+// Msg is a protocol message. It carries its own network envelope, whose
+// Payload points back at the Msg, so a message costs one allocation.
+// Every send builds a fresh Msg, so an envelope is never in flight twice.
+// The small fields share the last word: a Msg is 32 bytes before its
+// envelope.
 type Msg struct {
-	Type  MsgType
 	Line  uint64 // cache line index (address >> log2(LineBytes))
 	From  int    // sending core
 	Slice int    // directory slice responsible for Line
 	Seq   uint16 // sequence number of the slice's latest broadcast
+	Type  MsgType
 	// Requestor context for directory-bound requests.
 	HadShared bool // ExReq: requestor already holds the line Shared
 	Stale     bool // response for a line the responder no longer holds
+
+	env noc.Message
+}
+
+// envelope addresses m's network envelope from src to dst and returns it.
+func (m *Msg) envelope(src, dst int) *noc.Message {
+	m.env = noc.Message{Src: src, Dst: dst, Bits: m.Type.Bits(), Payload: m}
+	return &m.env
 }
 
 func (m *Msg) String() string {

@@ -6,6 +6,7 @@ package config
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/photonics"
 	"repro/internal/tech"
@@ -370,10 +371,13 @@ type Config struct {
 	Optics string
 }
 
-// MeshDim returns the edge length of the global core mesh.
+// MeshDim returns the edge length of the global core mesh: the smallest
+// d >= 1 with d*d >= Cores. The float square root is exact on perfect
+// squares and truncates below the ceiling otherwise (for any Cores below
+// 2^52), so one step up corrects it.
 func (c *Config) MeshDim() int {
-	d := 1
-	for d*d < c.Cores {
+	d := int(math.Sqrt(float64(max(c.Cores, 1))))
+	if d*d < c.Cores {
 		d++
 	}
 	return d

@@ -26,6 +26,21 @@ func TestGeometryDefault(t *testing.T) {
 	}
 }
 
+// TestMeshDimMatchesLoop: the closed form returns what the linear search
+// it replaced returns, for every core count up to 5000.
+func TestMeshDimMatchesLoop(t *testing.T) {
+	for n := 0; n <= 5000; n++ {
+		want := 1
+		for want*want < n {
+			want++
+		}
+		c := Config{Cores: n}
+		if got := c.MeshDim(); got != want {
+			t.Fatalf("MeshDim(%d cores) = %d, want %d", n, got, want)
+		}
+	}
+}
+
 func TestClusterOf(t *testing.T) {
 	c := Default()
 	// Core 0 is at (0,0) -> cluster 0. Core 31 is at (31,0) -> cluster 7.

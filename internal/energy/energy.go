@@ -27,7 +27,6 @@ import (
 type Models struct {
 	Cfg  config.Config
 	Tech tech.Params
-	Phot photonics.Params
 
 	L1I, L1D, L2, Dir mcpat.Model
 	Router            dsent.Router
@@ -137,7 +136,6 @@ func BuildWith(cfg config.Config, tp tech.Params, pp photonics.Params) (Models, 
 			return m, err
 		}
 	}
-	m.Phot = pp
 	return m, nil
 }
 

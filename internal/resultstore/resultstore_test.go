@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/system"
 )
@@ -233,5 +234,24 @@ func TestHashStable(t *testing.T) {
 	const want = "2c26b46b68ffc68ff99b453c1d30413413422d706483bfa0f98a5e886266e7ae"
 	if got := Hash("foo"); got != want {
 		t.Fatalf("Hash(foo) = %s, want %s", got, want)
+	}
+}
+
+// TestPeersDefaultTimeout: with no HTTP client, peer requests use one
+// client bounded by Timeout, 2s when Timeout is zero.
+func TestPeersDefaultTimeout(t *testing.T) {
+	for _, tc := range []struct{ set, want time.Duration }{{0, 2 * time.Second}, {300 * time.Millisecond, 300 * time.Millisecond}} {
+		p := &Peers{Timeout: tc.set}
+		c := p.http()
+		if c.Timeout != tc.want {
+			t.Errorf("Timeout %v: client timeout %v, want %v", tc.set, c.Timeout, tc.want)
+		}
+		if p.http() != c {
+			t.Errorf("Timeout %v: second call built a new client", tc.set)
+		}
+	}
+	own := &http.Client{}
+	if got := (&Peers{HTTP: own}).http(); got != own {
+		t.Error("explicit HTTP client not used")
 	}
 }
