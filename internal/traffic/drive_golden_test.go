@@ -16,16 +16,21 @@ import (
 	"repro/internal/sim"
 )
 
-// -update rewrites testdata/drive_golden.json from the current code:
+// -update rewrites the golden of each test run from the current code:
 //
 //	go test ./internal/traffic -run TestDriveGolden -update
+//	go test ./internal/traffic -run TestDriveEventCounts -update
 //
-// Only do that for an intended behaviour change: the file pins where
-// Drive's injections land in the kernel's buckets and the order of its RNG
-// draws, which the determinism tests (same code twice) cannot see.
-var update = flag.Bool("update", false, "rewrite testdata/drive_golden.json")
+// Only do that for an intended behaviour change: drive_golden.json pins
+// where Drive's injections land in the kernel's buckets and the order of
+// its RNG draws, which the determinism tests (same code twice) cannot see;
+// drive_events_golden.json pins how many kernel events each run executes.
+var update = flag.Bool("update", false, "rewrite testdata/drive_golden.json or drive_events_golden.json")
 
-const driveGolden = "testdata/drive_golden.json"
+const (
+	driveGolden       = "testdata/drive_golden.json"
+	driveEventsGolden = "testdata/drive_events_golden.json"
+)
 
 // driveWindows are the two measurement windows every (kind, pattern) is
 // driven through. Both horizons lie beyond the kernel's 4096-cycle wheel,
@@ -91,7 +96,11 @@ func netRecord(st noc.Stats) json.RawMessage {
 	return b.Bytes()
 }
 
-func driveDigest(t *testing.T, kind config.NetworkKind, pattern string, w int) string {
+// driveDigest runs one case and returns its digest and the number of
+// kernel events the run executed. The count comes from a poll armed to run
+// before every event; a poll schedules nothing, so it leaves the run as it
+// was.
+func driveDigest(t *testing.T, kind config.NetworkKind, pattern string, w int) (string, uint64) {
 	t.Helper()
 	cfg := config.Small().WithNetwork(kind)
 	if err := cfg.Validate(); err != nil {
@@ -106,6 +115,8 @@ func driveDigest(t *testing.T, kind config.NetworkKind, pattern string, w int) s
 	if err != nil {
 		t.Fatal(err)
 	}
+	var events uint64
+	k.SetPoll(1, func() bool { events++; return true })
 	win := driveWindows[w]
 	res := Drive(&k, net, cfg.Cores, p, win.load, cfg.Network.FlitBits,
 		win.warmup, win.measure, 20000, 7)
@@ -126,7 +137,39 @@ func driveDigest(t *testing.T, kind config.NetworkKind, pattern string, w int) s
 		t.Fatal(err)
 	}
 	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
+	return hex.EncodeToString(sum[:]), events
+}
+
+// driveOutcome is what one case leaves: its digest and its event count.
+type driveOutcome struct {
+	digest string
+	events uint64
+}
+
+// driveRuns memoizes driveCases: TestDriveGolden and TestDriveEventCounts
+// read the same 72 runs instead of repeating them.
+var driveRuns map[string]driveOutcome
+
+// driveCases runs every (kind, pattern, window) case, once per test binary.
+func driveCases(t *testing.T) map[string]driveOutcome {
+	t.Helper()
+	if driveRuns != nil {
+		return driveRuns
+	}
+	kinds := []config.NetworkKind{config.EMeshPure, config.EMeshBCast, config.ATAC,
+		config.ATACPlus, config.Corona, config.HybridMesh}
+	got := map[string]driveOutcome{}
+	for _, kind := range kinds {
+		for _, pattern := range Patterns() {
+			for w := range driveWindows {
+				var o driveOutcome
+				o.digest, o.events = driveDigest(t, kind, pattern, w)
+				got[fmt.Sprintf("%v/%s/%d", kind, pattern, w)] = o
+			}
+		}
+	}
+	driveRuns = got
+	return got
 }
 
 // TestDriveGolden pins Drive's observable output on every fabric kind and
@@ -135,31 +178,45 @@ func driveDigest(t *testing.T, kind config.NetworkKind, pattern string, w int) s
 // Pending. A change to how Drive schedules its injections, or to the
 // kernel's same-cycle order, moves some of them.
 func TestDriveGolden(t *testing.T) {
-	kinds := []config.NetworkKind{config.EMeshPure, config.EMeshBCast, config.ATAC,
-		config.ATACPlus, config.Corona, config.HybridMesh}
 	got := map[string]string{}
-	for _, kind := range kinds {
-		for _, pattern := range Patterns() {
-			for w := range driveWindows {
-				got[fmt.Sprintf("%v/%s/%d", kind, pattern, w)] = driveDigest(t, kind, pattern, w)
-			}
-		}
+	for name, o := range driveCases(t) {
+		got[name] = o.digest
 	}
+	checkGolden(t, driveGolden, got, func(g, w string) string { return fmt.Sprintf("digest %s, want %s", g[:16], w) })
+}
+
+// TestDriveEventCounts pins, per TestDriveGolden case, how many kernel
+// events the run executes (testdata/drive_events_golden.json). It is the
+// cost gate's first count: a change that only makes event handlers cheaper
+// leaves every count equal, and one that adds or drops a scheduled event
+// moves one, even where the run's digest could not tell.
+func TestDriveEventCounts(t *testing.T) {
+	got := map[string]uint64{}
+	for name, o := range driveCases(t) {
+		got[name] = o.events
+	}
+	checkGolden(t, driveEventsGolden, got, func(g, w uint64) string { return fmt.Sprintf("%d events, want %d", g, w) })
+}
+
+// checkGolden compares got with the JSON map in file, or rewrites the file
+// under -update; diff words one mismatch.
+func checkGolden[V comparable](t *testing.T, file string, got map[string]V, diff func(got, want V) string) {
+	t.Helper()
 	if *update {
 		b, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(driveGolden, append(b, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(file, append(b, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	b, err := os.ReadFile(driveGolden)
+	b, err := os.ReadFile(file)
 	if err != nil {
 		t.Fatalf("%v (run with -update to create it)", err)
 	}
-	want := map[string]string{}
+	want := map[string]V{}
 	if err := json.Unmarshal(b, &want); err != nil {
 		t.Fatal(err)
 	}
@@ -167,8 +224,8 @@ func TestDriveGolden(t *testing.T) {
 		t.Errorf("golden has %d cases, test runs %d", len(want), len(got))
 	}
 	for name, g := range got {
-		if want[name] != g {
-			t.Errorf("%s: digest %s, want %s", name, g[:16], want[name])
+		if w, ok := want[name]; !ok || w != g {
+			t.Errorf("%s: %s", name, diff(g, w))
 		}
 	}
 }
