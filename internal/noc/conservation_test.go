@@ -258,7 +258,7 @@ func checkMeshInvariants(t testing.TB, m *Mesh) {
 			}
 		}
 		for out, c := range r.outCredit {
-			if staged := r.credQ[out].n; c+staged != m.BufFlits {
+			if staged := r.credQ[out].n; int(c+staged) != m.BufFlits {
 				t.Fatalf("router %d output %d: %d credits + %d staged, want %d", r.id, out, c, staged, m.BufFlits)
 			}
 		}
