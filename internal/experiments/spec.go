@@ -6,8 +6,8 @@
 // exact same config.Config, or a result served by the daemon would not be
 // comparable to one produced by the CLI or a figure. Geometry and
 // BuildConfig are that single resolution path: Options.Config, atacsim,
-// sweep, validate and the daemon all call BuildConfig, and no defaulting
-// rule lives anywhere else.
+// sweep and the daemon all call BuildConfig, and no defaulting rule lives
+// anywhere else.
 package experiments
 
 import (

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/experiments"
 	"repro/internal/system"
 	"repro/internal/workload"
 )
@@ -25,6 +26,41 @@ func runAndValidate(t *testing.T, spec workload.Spec, kind config.NetworkKind) s
 		t.Fatalf("%s: empty result %+v", spec.Name, res)
 	}
 	return res
+}
+
+// TestCorrectnessMatrix runs every workload, the extension kernels
+// included, on all six networks under both coherence protocols at 16
+// cores (120 runs), each checked against its sequential reference. Every
+// machine is resolved through experiments.BuildConfig, as every front end
+// resolves its own.
+func TestCorrectnessMatrix(t *testing.T) {
+	networks := []config.NetworkKind{config.EMeshPure, config.EMeshBCast, config.ATAC,
+		config.ATACPlus, config.Corona, config.HybridMesh}
+	protocols := []config.CoherenceKind{config.ACKwise, config.DirKB}
+	for _, spec := range workload.ExtendedCatalog(16, 42, 1) {
+		for _, nk := range networks {
+			for _, ck := range protocols {
+				t.Run(spec.Name+"/"+nk.String()+"/"+ck.String(), func(t *testing.T) {
+					cfg, err := experiments.BuildConfig(experiments.Geometry{
+						Cores: 16, Seed: 42, Net: nk.String(), Coherence: ck.String()})
+					if err != nil {
+						t.Fatal(err)
+					}
+					s, err := system.New(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					res, err := s.Run(spec, 500_000_000)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res.Cycles == 0 || res.Instructions == 0 {
+						t.Fatalf("empty result %+v", res)
+					}
+				})
+			}
+		}
+	}
 }
 
 func TestAllWorkloadsValidateOnATACPlus(t *testing.T) {
