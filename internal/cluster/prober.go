@@ -33,11 +33,9 @@ type ProbeFunc func(ctx context.Context, peer string) error
 // HTTPProbe returns the standard probe: GET {peer}/healthz, healthy on
 // 200. A draining or store-unwritable daemon answers 503 and therefore
 // probes unhealthy — exactly the peers the cluster should stop routing
-// work to.
+// work to. client must not be nil: it carries the probe's timeout
+// (NewProber's default passes one with ProberOptions.Timeout).
 func HTTPProbe(client *http.Client) ProbeFunc {
-	if client == nil {
-		client = &http.Client{}
-	}
 	return func(ctx context.Context, peer string) error {
 		req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+"/healthz", nil)
 		if err != nil {

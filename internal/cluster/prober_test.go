@@ -168,11 +168,13 @@ func TestProberSweepRespectsSchedule(t *testing.T) {
 }
 
 // TestProberSnapshotAndUntracked: Snapshot reports sorted, per-peer
-// state; untracked peers (e.g. self) read healthy.
+// state, with Consecutive counting failures while healthy and successes
+// while down; untracked peers (e.g. self) read healthy.
 func TestProberSnapshotAndUntracked(t *testing.T) {
 	boom := errors.New("refused")
 	sp := newScriptedProbe()
-	sp.set("http://n3:1", boom)
+	sp.set("http://n3:1", boom, boom, nil)
+	sp.set("http://n2:1", nil, nil, boom)
 	p := testProber(t, sp, "http://n3:1", "http://n2:1")
 	sweepOnce(p)
 	sweepOnce(p)
@@ -186,6 +188,16 @@ func TestProberSnapshotAndUntracked(t *testing.T) {
 	}
 	if snap[1].LastErr == "" {
 		t.Errorf("down peer snapshot lacks last error: %+v", snap[1])
+	}
+	// One more round: the down peer's first success and the healthy
+	// peer's first failure are each a run of one, neither enough to flip.
+	sweepOnce(p)
+	snap = p.Snapshot()
+	if !snap[0].Healthy || snap[0].Consecutive != 1 || snap[0].LastErr == "" {
+		t.Errorf("healthy peer after one failure: %+v, want Consecutive 1 and the error", snap[0])
+	}
+	if snap[1].Healthy || snap[1].Consecutive != 1 {
+		t.Errorf("down peer after one success: %+v, want Consecutive 1", snap[1])
 	}
 	if !p.Healthy("http://self:9") {
 		t.Error("untracked peer must read healthy")

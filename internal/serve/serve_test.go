@@ -189,6 +189,36 @@ func TestQueueFullRejects(t *testing.T) {
 	}
 }
 
+// TestBaseContextStopsJobs: jobs execute under the context SetBaseContext
+// installs, so once it is cancelled a submitted job fails as interrupted
+// without simulating.
+func TestBaseContextStopsJobs(t *testing.T) {
+	s, r, ts := newTestServer(t, Options{QueueDepth: 4, Workers: 1})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	s.SetBaseContext(ctx)
+	_, st := submit(t, ts.URL, testSpec(0.05))
+	deadline := time.Now().Add(10 * time.Second)
+	for st.State != StateFailed && st.State != StateDone {
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s still %s", st.ID, st.State)
+		}
+		time.Sleep(5 * time.Millisecond)
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+	}
+	if st.State != StateFailed || !strings.Contains(st.Error, experiments.ErrInterrupted.Error()) {
+		t.Errorf("job under a cancelled base context: state %s, error %q; want failed, interrupted", st.State, st.Error)
+	}
+	if got := r.FreshRuns(); got != 0 {
+		t.Errorf("FreshRuns = %d, want 0", got)
+	}
+}
+
 // TestDrainRejectsNewWork: after Drain, submissions get 503 and /healthz
 // flips to draining, but status/result of existing jobs keep serving.
 func TestDrainRejectsNewWork(t *testing.T) {

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -29,6 +30,19 @@ func TestHistBasics(t *testing.T) {
 	}
 	if h.Max() != 100 {
 		t.Errorf("Max = %d", h.Max())
+	}
+}
+
+// TestHistString: the one-line summary formats through fmt as a Stringer.
+func TestHistString(t *testing.T) {
+	var h Hist
+	for i := uint64(1); i <= 100; i++ {
+		h.Add(i)
+	}
+	h.Add(1000) // an octave bucket: p99 stays exact, max is the sample
+	want := "n=101 mean=59.90 p50=51 p95=96 p99=100 max=1000"
+	if got := fmt.Sprint(&h); got != want {
+		t.Errorf("String = %q, want %q", got, want)
 	}
 }
 
