@@ -113,11 +113,15 @@ var (
 )
 
 // opticalFixture builds the 16-core fabric of the given optical kind
-// (ATAC+, Corona, or the 4-gateway radius-1 hybrid) with optional faults.
-func opticalFixture(t testing.TB, kind config.NetworkKind, fc config.Fault) (*sim.Kernel, Network) {
+// (ATAC+, Corona, or the 4-gateway radius-1 hybrid) with optional faults;
+// mut, if given, edits the config before validation.
+func opticalFixture(t testing.TB, kind config.NetworkKind, fc config.Fault, mut ...func(*config.Config)) (*sim.Kernel, Network) {
 	t.Helper()
 	cfg := config.Tiny().WithNetwork(kind)
 	cfg.Fault = fc // set ahead of construction: the fabric sizes its fault-aware state from it
+	for _, f := range mut {
+		f(&cfg)
+	}
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}

@@ -266,15 +266,22 @@ const faultStatsGolden = "testdata/fault_stats_golden.json"
 // degradation policy, driven by the conservation harness in bursts so that
 // later traffic meets retransmissions in flight and degraded channels. Every
 // Stats counter must equal the recorded value — one reordered RNG draw or
-// Schedule call anywhere on the fault path moves some of them.
+// Schedule call anywhere on the fault path moves some of them. The
+// ATACPlusBcastAsUnicast row runs ATAC+ with the Section V-D ablation on,
+// the only route under faults into its serialized broadcast slots.
 func TestOpticalFaultStatsGolden(t *testing.T) {
+	const ablation = "ATACPlusBcastAsUnicast"
+	rows := append(opticalKinds[:len(opticalKinds):len(opticalKinds)], opticalKinds[0])
+	rows[len(rows)-1].name = ablation
 	got := map[string]Stats{}
-	for _, tc := range opticalKinds {
+	for _, tc := range rows {
 		fc := opticalFaultProfile(7)
 		fc.DriftPeriod, fc.DriftDuty, fc.DriftBERMult = 400, 80, 20
 		fc.DegradeWindow = 256
 		fc.MaxRetries = 2 // reachable inside one drift episode: pins the forced-through path
-		k, net := opticalFixture(t, tc.kind, fc)
+		k, net := opticalFixture(t, tc.kind, fc, func(cfg *config.Config) {
+			cfg.Network.BcastAsUnicast = tc.name == ablation
+		})
 		h := newConservationHarness(k, net, 16)
 		rng := rand.New(rand.NewSource(7))
 		for burst := 0; burst < 10; burst++ {
@@ -296,7 +303,7 @@ func TestOpticalFaultStatsGolden(t *testing.T) {
 	if !goldenFile(t, faultStatsGolden, got, &want) {
 		return
 	}
-	for _, tc := range opticalKinds {
+	for _, tc := range rows {
 		g, w := reflect.ValueOf(got[tc.name]), reflect.ValueOf(want[tc.name])
 		for i := 0; i < g.NumField(); i++ {
 			if g.Field(i).Uint() != w.Field(i).Uint() {
