@@ -48,7 +48,12 @@ func NewAtac(k *sim.Kernel, cfg *config.Config) *Atac {
 	pairFIFO := cfg.Network.Routing == config.AdaptiveRouting || cfg.Fault.Enabled
 	a := &Atac{}
 	a.setup(k, cfg, false, pairFIFO)
-	a.atHub = func(core int, m *Message) { a.hubs[cfg.ClusterOf(core)].enqueueTX(m) }
+	a.atHub = func(core int, m *Message) {
+		h := a.hubs[cfg.ClusterOf(core)]
+		n := FlitsFor(m.Bits, cfg.Network.FlitBits)
+		h.st.HubFlits += uint64(n)
+		h.tx.push(m, n, h.id)
+	}
 	a.pendingTX = make([]int, cfg.Clusters())
 	a.health = make([]channelHealth, cfg.Clusters())
 	a.hubs = make([]*hub, cfg.Clusters())
@@ -86,16 +91,6 @@ func (a *Atac) BusyCycles() uint64 {
 		busy += h.busyCycles
 	}
 	return busy
-}
-
-// Drained reports whether no traffic remains anywhere in the fabric.
-func (a *Atac) Drained() bool {
-	for _, h := range a.hubs {
-		if h.txBusy || len(h.txq) > 0 {
-			return false
-		}
-	}
-	return a.idle()
 }
 
 // Send implements Network. It runs on the shard owning m.Src, so the
@@ -162,14 +157,10 @@ type hub struct {
 	clusterPort
 	a *Atac
 
-	txq    []*Message
-	txBusy bool
-	// The channel is stop-and-wait, so one transfer's completion state —
-	// the message and the receivers that NACKed it — lives here and
-	// txDoneFn is bound once: no closure per transmission.
-	txMsg    *Message
-	txFailed []int
-	txDoneFn func()
+	tx tx
+	// failed lists the clusters that NACKed the holder's last attempt, the
+	// receivers of its retransmission.
+	failed []int
 
 	// in stages optical arrivals for receive-network booking.
 	in inbox
@@ -180,50 +171,33 @@ type hub struct {
 func newHub(a *Atac, cluster int) *hub {
 	h := &hub{clusterPort: newClusterPort(&a.fabric, cluster), a: a}
 	h.in.init(&h.port, h.receive)
-	h.txDoneFn = h.txDone
+	h.tx.init(&h.port, h.transmit)
+	h.tx.release = func(*transfer) { a.pendingTX[cluster]-- }
 	return h
 }
 
-func (h *hub) enqueueTX(m *Message) {
-	n := FlitsFor(m.Bits, h.a.Cfg.Network.FlitBits)
-	h.st.HubFlits += uint64(n)
-	h.txq = append(h.txq, m)
-	if !h.txBusy {
-		h.startTX()
-	}
-}
-
-// startTX dequeues the head of the queue and launches its first optical
-// transmission attempt.
-func (h *hub) startTX() {
-	m := h.txq[0]
-	h.txq = h.txq[1:]
-	h.txBusy = true
-	h.transmit(m, nil)
-}
-
-// transmit performs one optical transmission attempt of m: a select-link
-// notification, then the data flits on the hub's wavelength set. The laser
-// runs only for the duration of the transfer (power gating; the Cons
-// flavor's always-on laser is an energy-model concern, not a timing one).
+// transmit is the hub transmitter's attempt: one optical transmission of
+// r.m, a select-link notification, then the data flits on the hub's
+// wavelength set. The laser runs only for the duration of the transfer
+// (power gating; the Cons flavor's always-on laser is an energy-model
+// concern, not a timing one).
 //
-// retxTo is nil for a first attempt (normal mode selection); for
-// retransmissions it lists the clusters whose previous reception was
-// corrupted, which are re-sent as serialized unicast-mode slots. The
-// channel is stop-and-wait: it stays busy — including the backoff gap —
-// until every receiver holds a clean copy or the retry budget forces the
-// residue through, so hub transmission order (and with it the per-slice
-// broadcast FIFO the coherence sequence numbers assume) survives faults.
-func (h *hub) transmit(m *Message, retxTo []int) {
+// A first attempt selects its mode from the message; a retransmission
+// re-sends to the clusters whose previous reception was corrupted, as
+// serialized unicast-mode slots. The transmitter is stop-and-wait, so hub
+// transmission order (and with it the per-slice broadcast FIFO the
+// coherence sequence numbers assume) survives faults.
+func (h *hub) transmit(r *transfer) (sim.Time, bool) {
 	cfg := h.a.Cfg
-	n := FlitsFor(m.Bits, cfg.Network.FlitBits)
+	m, n := r.m, r.n
 	lag := cfg.Network.SelectDataLag
 	oDelay := cfg.Network.ONetLinkDelay
-	var failed []int
+	// Filtered in place: a retransmission's slot i writes at most entry i.
+	retxTo, failed := h.failed, h.failed[:0]
 
 	var busy sim.Time
 	switch {
-	case retxTo != nil:
+	case r.retx > 0:
 		// Retransmission attempt: serialized unicast-mode slots to the
 		// failed receivers only, each with its own select notification.
 		per := sim.Time(lag + n)
@@ -237,7 +211,7 @@ func (h *hub) transmit(m *Message, retxTo []int) {
 		for i, cl := range retxTo {
 			rx := h.a.hubs[cl]
 			arrive := sim.Time(i)*per + sim.Time(lag+1+oDelay)
-			if h.corrupted(rx, n, m.retx) {
+			if h.corrupted(rx, n, r.retx) {
 				failed = append(failed, cl)
 				continue
 			}
@@ -260,7 +234,7 @@ func (h *hub) transmit(m *Message, retxTo []int) {
 			if rx == h {
 				arrive = sim.Time(i)*per + sim.Time(lag+1)
 			}
-			if h.corrupted(rx, n, m.retx) {
+			if h.corrupted(rx, n, r.retx) {
 				failed = append(failed, rx.id)
 				continue
 			}
@@ -279,7 +253,7 @@ func (h *hub) transmit(m *Message, retxTo []int) {
 			if rx == h {
 				arrive = sim.Time(lag + 1)
 			}
-			if h.corrupted(rx, n, m.retx) {
+			if h.corrupted(rx, n, r.retx) {
 				failed = append(failed, rx.id)
 				continue
 			}
@@ -292,30 +266,15 @@ func (h *hub) transmit(m *Message, retxTo []int) {
 		busy = sim.Time(lag + n)
 		h.busyCycles += uint64(busy)
 		rx := h.a.hubs[cfg.ClusterOf(m.Dst)]
-		if h.corrupted(rx, n, m.retx) {
+		if h.corrupted(rx, n, r.retx) {
 			failed = append(failed, rx.id)
 		} else {
 			rx.in.book(&h.port, h.k.Now()+sim.Time(lag+1+oDelay), m, n)
 		}
 	}
 
-	h.txMsg, h.txFailed = m, failed
-	h.k.Schedule(busy, h.txDoneFn)
-}
-
-// txDone ends a transmission attempt's busy period.
-func (h *hub) txDone() {
-	if m, failed := h.txMsg, h.txFailed; len(failed) > 0 {
-		// NACKed receivers remain: retransmit to the failed subset only.
-		h.retry(&m.retx, func() { h.transmit(m, failed) })
-		return
-	}
-	h.txMsg = nil
-	h.a.pendingTX[h.id]--
-	h.txBusy = false
-	if len(h.txq) > 0 {
-		h.startTX()
-	}
+	h.failed = failed
+	return busy, len(failed) > 0
 }
 
 // corrupted reports whether receiving hub rx NACKs this n-flit transfer,

@@ -58,19 +58,12 @@ func NewCrossbar(k *sim.Kernel, cfg *config.Config) *Crossbar {
 		x.hubs[i] = &xhub{clusterPort: newClusterPort(&x.fabric, i), x: x}
 		x.hubs[i].bind()
 		// The home channel's token starts parked at its home hub.
-		x.chans[i] = &xchan{x: x, home: i, tokenAt: i}
+		c := &xchan{x: x, home: i, tokenAt: i}
+		c.tx.init(&x.hubs[i].port, c.transmit)
+		c.begin, c.release = c.grant, c.free
+		x.chans[i] = c
 	}
 	return x
-}
-
-// Drained reports whether no traffic remains anywhere in the fabric.
-func (x *Crossbar) Drained() bool {
-	for _, c := range x.chans {
-		if c.busy || len(c.q) > 0 {
-			return false
-		}
-	}
-	return x.idle()
 }
 
 // Send implements Network.
@@ -106,7 +99,7 @@ func (h *xhub) request(m *Message) {
 	n := FlitsFor(m.Bits, h.x.Cfg.Network.FlitBits)
 	h.st.HubFlits += uint64(n)
 	if m.Dst != BroadcastDst {
-		h.x.chans[h.x.Cfg.ClusterOf(m.Dst)].enqueue(h.id, m, n)
+		h.x.chans[h.x.Cfg.ClusterOf(m.Dst)].push(m, n, h.id)
 		return
 	}
 	for cl := range h.x.chans {
@@ -114,69 +107,47 @@ func (h *xhub) request(m *Message) {
 			h.x.scheduleRX(h, h.x.K.Now()+1, m, n)
 			continue
 		}
-		h.x.chans[cl].enqueue(h.id, m, n)
+		h.x.chans[cl].push(m, n, h.id)
 	}
-}
-
-// xreq is one pending home-channel transfer.
-type xreq struct {
-	srcCl int
-	m     *Message
-	n     int
-	at    sim.Time // request time, for token-wait accounting
-	retx  uint8    // retransmission attempts spent (fault injection)
 }
 
 // xchan is one home channel: the MWSR waveguide bundle read by cluster
-// 'home', its arbitration token, and the FIFO of writers waiting for it.
+// 'home', its arbitration token, and the transmitter queueing the writers
+// that wait for it (the home hub's port hosts it).
 type xchan struct {
+	tx
 	x       *Crossbar
 	home    int
 	tokenAt int // serpentine position the free token is parked at
-	q       []xreq
-	busy    bool
 }
 
-// enqueue registers a transfer request and starts arbitration if the
-// channel is idle.
-func (c *xchan) enqueue(srcCl int, m *Message, n int) {
-	c.q = append(c.q, xreq{srcCl: srcCl, m: m, n: n, at: c.x.K.Now()})
-	if !c.busy {
-		c.busy = true
-		c.grant()
-	}
-}
-
-// grant hands the channel token to the request at the head of the queue.
-// The token travels the serpentine ring from its parked position to the
-// requester at one cycle per hub segment; transmission starts when it
-// arrives, and the token is released at the writer's own position when the
-// transfer completes — so the next grant's travel starts from there.
-func (c *xchan) grant() {
-	r := c.q[0]
-	c.q = c.q[1:]
-	now := c.x.K.Now()
+// grant hands the channel token to the writer taking the channel and
+// returns its travel time. The token travels the serpentine ring from its
+// parked position to the writer at one cycle per hub segment;
+// transmission starts when it arrives, and the token is released at the
+// writer's own position when the transfer completes — so the next grant's
+// travel starts from there.
+func (c *xchan) grant(r *transfer) sim.Time {
 	hubs := len(c.x.hubs)
-	travel := sim.Time((r.srcCl - c.tokenAt + hubs) % hubs)
-	start := now + travel
-	st := c.x.hubs[r.srcCl].st
+	travel := sim.Time((r.from - c.tokenAt + hubs) % hubs)
+	st := c.x.hubs[r.from].st
 	st.TokensGranted++
-	st.TokenWaitCycles += uint64(start - r.at)
-	c.x.K.Schedule(travel, func() { c.transmit(r) })
+	st.TokenWaitCycles += uint64(c.x.K.Now() + travel - r.at)
+	return travel
 }
 
-// transmit performs one transmission attempt of r on the channel: n data
-// flits toward the home hub, whose fixed-tuned drop rings are the only
-// reader. Under fault injection a corrupted reception is NACKed and the
-// writer — still holding the token — retries after a backoff; after the
-// retry budget the transfer is forced through (end-to-end FEC). The
-// channel is stop-and-wait, so home-channel order is FIFO even with
-// faults.
-func (c *xchan) transmit(r xreq) {
+// free parks the token at the writer releasing the channel.
+func (c *xchan) free(r *transfer) {
+	c.tokenAt = r.from
+	c.x.hubs[r.from].st.TokensReturned++
+}
+
+// transmit is the channel's attempt: n data flits of r.m toward the home
+// hub, whose fixed-tuned drop rings are the only reader. A NACKed writer
+// keeps the token through its retries.
+func (c *xchan) transmit(r *transfer) (sim.Time, bool) {
 	x := c.x
-	oDelay := sim.Time(x.Cfg.Network.ONetLinkDelay)
-	busy := sim.Time(r.n)
-	w := x.hubs[r.srcCl] // the writer accounts, and evaluates the home hub's reception
+	w := x.hubs[r.from] // the writer accounts, and evaluates the home hub's reception
 	w.st.XbarPkts++
 	w.st.XbarFlits += uint64(r.n)
 	if r.retx > 0 {
@@ -185,21 +156,9 @@ func (c *xchan) transmit(r xreq) {
 	}
 	_, failed := w.reception(r.n, r.retx)
 	if !failed {
-		x.scheduleRX(x.hubs[c.home], x.K.Now()+1+oDelay, r.m, r.n)
+		x.scheduleRX(x.hubs[c.home], x.K.Now()+1+sim.Time(x.Cfg.Network.ONetLinkDelay), r.m, r.n)
 	}
-	x.K.Schedule(busy, func() {
-		if failed {
-			w.retry(&r.retx, func() { c.transmit(r) })
-			return
-		}
-		c.tokenAt = r.srcCl
-		w.st.TokensReturned++
-		if len(c.q) > 0 {
-			c.grant()
-			return
-		}
-		c.busy = false
-	})
+	return sim.Time(r.n), failed
 }
 
 // scheduleRX books an optical arrival on hub h's receive networks at

@@ -50,7 +50,7 @@ func NewHybrid(k *sim.Kernel, cfg *config.Config) *Hybrid {
 	for i := range h.gws {
 		g := &gateway{port: port{f: &h.fabric, id: i, core: cfg.GatewayCore(i)}, h: h}
 		g.in.init(&g.port, g.arrive)
-		g.txDoneFn = g.txDone
+		g.tx.init(&g.port, g.transmit)
 		h.gws[i] = g
 	}
 	h.Partition(sim.SerialDomain(k, cfg.MeshDim()*cfg.MeshDim()))
@@ -65,16 +65,6 @@ func (h *Hybrid) Partition(d *sim.Domain) {
 	for _, g := range h.gws {
 		g.bind()
 	}
-}
-
-// Drained reports whether no traffic remains anywhere in the fabric.
-func (h *Hybrid) Drained() bool {
-	for _, g := range h.gws {
-		if g.txBusy || len(g.txq) > 0 {
-			return false
-		}
-	}
-	return h.idle()
 }
 
 // Send implements Network. Runs on the shard owning m.Src.
@@ -114,81 +104,44 @@ func (h *Hybrid) atGateway(core int, m *Message) {
 		h.deliverCore(core, m)
 		return
 	}
-	h.gws[h.Cfg.GatewayOf(core)].enqueueTX(m)
+	g := h.gws[h.Cfg.GatewayOf(core)]
+	n := FlitsFor(m.Bits, h.Cfg.Network.FlitBits)
+	g.st.HubFlits += uint64(n)
+	g.tx.push(m, n, g.id)
 }
 
 // gateway is one photonic express endpoint: a serializing SWMR optical
 // transmitter plus the staging that hands arrivals back to the mesh.
 type gateway struct {
 	port
-	h *Hybrid
-
-	txq    []*Message
-	txBusy bool
-	// Stop-and-wait: the transfer in flight and whether it was NACKed live
-	// here, and txDoneFn is bound once — no closure per transmission.
-	txMsg    *Message
-	txFailed bool
-	txDoneFn func()
+	h  *Hybrid
+	tx tx
 
 	// in stages express arrivals for the final mesh leg.
 	in inbox
 }
 
-func (g *gateway) enqueueTX(m *Message) {
-	n := FlitsFor(m.Bits, g.h.Cfg.Network.FlitBits)
-	g.st.HubFlits += uint64(n)
-	g.txq = append(g.txq, m)
-	if !g.txBusy {
-		g.startTX()
-	}
-}
-
-func (g *gateway) startTX() {
-	m := g.txq[0]
-	g.txq = g.txq[1:]
-	g.txBusy = true
-	g.transmit(m)
-}
-
-// transmit performs one express transmission attempt of m: a select-link
-// notification to the destination gateway, then the data flits on this
-// gateway's wavelength set. The channel is stop-and-wait under faults —
-// it stays busy, including the backoff gap, until the receiver holds a
-// clean copy or the retry budget forces it through.
-func (g *gateway) transmit(m *Message) {
+// transmit is the gateway transmitter's attempt: one express transmission
+// of r.m, a select-link notification to the destination gateway, then the
+// data flits on this gateway's wavelength set.
+func (g *gateway) transmit(r *transfer) (sim.Time, bool) {
 	cfg := g.h.Cfg
-	n := FlitsFor(m.Bits, cfg.Network.FlitBits)
+	n := r.n
 	lag := cfg.Network.SelectDataLag
 	oDelay := cfg.Network.ONetLinkDelay
-	busy := sim.Time(lag + n)
 	g.st.SelectEvents++
 	g.st.ExpressPkts++
 	g.st.ExpressFlits += uint64(n)
-	if m.retx > 0 {
+	if r.retx > 0 {
 		g.st.OpticalRetxPkts++
 		g.st.OpticalRetxFlits += uint64(n)
 	}
-	errs, failed := g.reception(n, m.retx)
+	errs, failed := g.reception(n, r.retx)
 	g.f.health[g.id].observe(&g.port, n, errs)
 	if !failed {
-		g.h.gws[cfg.GatewayOf(m.Dst)].in.book(&g.port, g.k.Now()+sim.Time(lag+1+oDelay), m, n)
+		g.h.gws[cfg.GatewayOf(r.m.Dst)].in.book(&g.port, g.k.Now()+sim.Time(lag+1+oDelay), r.m, n)
 	}
-	g.txMsg, g.txFailed = m, failed
-	g.k.Schedule(busy, g.txDoneFn)
-}
-
-// txDone ends a transmission attempt's busy period.
-func (g *gateway) txDone() {
-	if m := g.txMsg; g.txFailed {
-		g.retry(&m.retx, func() { g.transmit(m) })
-		return
-	}
-	g.txMsg = nil
-	g.txBusy = false
-	if len(g.txq) > 0 {
-		g.startTX()
-	}
+	return sim.Time(lag + n), failed
 }
 
 // arrive hands a landed express arrival back to the mesh: the final

@@ -42,9 +42,6 @@ type Message struct {
 	// origBcast marks per-destination clones of a serialized broadcast
 	// (EMesh-Pure) so receiver-side traffic statistics stay correct.
 	origBcast bool
-	// retx counts optical retransmission attempts already spent on this
-	// message (fault injection; bounded by the injector's MaxRetries).
-	retx uint8
 }
 
 // IsBroadcast reports whether this delivery belongs to a logical broadcast,
