@@ -480,8 +480,19 @@ func (r *Runner) execute(ctx context.Context, id runID) (system.Result, error) {
 				Instructions: res.Instructions, WallMS: rec.WallMS})
 			return res, nil
 		}
-		// Campaign-level cancellation is not a run failure: leave the
-		// journal record at "running" so a resumed campaign re-runs it.
+		if ctx.Err() == nil && attempt < attempts && transientFailure(err) {
+			d := RetryBackoff(hash, attempt, r.backoffBase, r.backoffCap)
+			r.progress(cfg, bench, fmt.Sprintf("attempt %d/%d failed (%v); retrying in %v",
+				attempt, attempts, err, d.Round(time.Millisecond)))
+			select {
+			case <-time.After(d):
+				continue
+			case <-ctx.Done():
+			}
+		}
+		// Campaign-level cancellation — during the attempt or its retry
+		// backoff — is not a run failure: leave the journal record at
+		// "running" so a resumed campaign re-runs it.
 		if ctx.Err() != nil {
 			r.interrupted.Store(true)
 			rec.Status, rec.Source, rec.Attempts = "interrupted", "sim", attempt
@@ -492,22 +503,6 @@ func (r *Runner) execute(ctx context.Context, id runID) (system.Result, error) {
 				Phase: PhaseInterrupted, Attempt: attempt, Error: err.Error()})
 			return system.Result{}, fmt.Errorf("run %s (%s, %s): %w: %v",
 				shortHash(hash), bench, ConfigLabel(cfg), ErrInterrupted, err)
-		}
-		if attempt < attempts && transientFailure(err) {
-			d := RetryBackoff(hash, attempt, r.backoffBase, r.backoffCap)
-			r.progress(cfg, bench, fmt.Sprintf("attempt %d/%d failed (%v); retrying in %v",
-				attempt, attempts, err, d.Round(time.Millisecond)))
-			select {
-			case <-time.After(d):
-				continue
-			case <-ctx.Done():
-				r.interrupted.Store(true)
-				rec.Status, rec.Source, rec.Attempts = "interrupted", "sim", attempt
-				rec.Error = err.Error()
-				r.record(id, rec)
-				return system.Result{}, fmt.Errorf("run %s (%s, %s): %w",
-					shortHash(hash), bench, ConfigLabel(cfg), ErrInterrupted)
-			}
 		}
 		// Terminal: deterministic failure, or the attempt budget is spent.
 		// The wrap carries the run hash and config name so a tripped

@@ -222,6 +222,60 @@ func TestChaosInterruptResume(t *testing.T) {
 	}
 }
 
+// TestChaosInterruptDuringRetryBackoff cancels the campaign while a
+// panicked run waits out its retry backoff. The run must end like one cut
+// off mid-attempt: an interrupted event after its start, a ledger row with
+// the attempt's wall time, and an error that wraps ErrInterrupted and keeps
+// the panic as its cause — without waiting out the hour-long backoff.
+func TestChaosInterruptDuringRetryBackoff(t *testing.T) {
+	r := NewRunner(Options{Cores: 16, Scale: 1, Seed: 42})
+	r.Retries = 1
+	r.backoffBase, r.backoffCap = time.Hour, time.Hour
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	r.testHook = func(_ config.Config, _ string, attempt int) {
+		time.Sleep(2 * time.Millisecond) // a wall time the ledger row must keep
+		panic(fmt.Sprintf("chaos: injected panic (attempt %d)", attempt))
+	}
+	r.Progress = func(line string) {
+		if strings.Contains(line, "retrying in") {
+			cancel() // the backoff has begun
+		}
+	}
+	var events []RunEvent
+	r.Events = func(ev RunEvent) { events = append(events, ev) }
+
+	start := time.Now()
+	_, err := r.RunContext(ctx, r.Opt.Config(config.ATACPlus), "radix")
+	if took := time.Since(start); took > time.Minute {
+		t.Fatalf("cancelled run took %v: the backoff was waited out", took)
+	}
+	if !errors.Is(err, ErrInterrupted) || !strings.Contains(err.Error(), "injected panic (attempt 1)") {
+		t.Fatalf("error %v: want ErrInterrupted carrying the attempt's panic", err)
+	}
+	var phases []string
+	for _, ev := range events {
+		phases = append(phases, ev.Phase)
+	}
+	if len(events) != 2 || events[0].Phase != PhaseStart || events[1].Phase != PhaseInterrupted {
+		t.Fatalf("events %v, want [start interrupted]", phases)
+	}
+	if ev := events[1]; ev.Attempt != 1 || !strings.Contains(ev.Error, "injected panic") {
+		t.Fatalf("interrupted event: attempt %d, error %q", ev.Attempt, ev.Error)
+	}
+	ledger := r.Ledger()
+	if len(ledger) != 1 {
+		t.Fatalf("ledger has %d rows, want 1", len(ledger))
+	}
+	if row := ledger[0]; row.Status != "interrupted" || row.Attempts != 1 || row.WallMS < 2 ||
+		!strings.Contains(row.Error, "injected panic") {
+		t.Fatalf("ledger row %+v: want interrupted after 1 attempt, its wall time and its panic", row)
+	}
+	if !r.Interrupted() {
+		t.Fatal("runner not marked interrupted")
+	}
+}
+
 // TestQuiesce covers the drain half of graceful shutdown: after Quiesce a
 // memoized run is still served, while a run that needs fresh simulation
 // fails fast with ErrInterrupted, simulates nothing, and leaves the Runner
