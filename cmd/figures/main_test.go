@@ -3,10 +3,12 @@ package main
 import (
 	"flag"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/config"
 	"repro/internal/experiments"
 )
 
@@ -56,5 +58,96 @@ func TestSelectFigures(t *testing.T) {
 				t.Errorf("selectFigures(%q): %q does not list valid id %q", only, err, id)
 			}
 		}
+	}
+}
+
+// -topos takes a comma list of network names; blanks around and between
+// names are ignored, but a list that names nothing or misspells a name is
+// an error rather than an empty or partial campaign.
+func TestParseTopologies(t *testing.T) {
+	got, err := parseTopologies(" atac+, corona ,,bcast")
+	if want := []config.NetworkKind{config.ATACPlus, config.Corona, config.EMeshBCast}; err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("parseTopologies(valid) = %v, %v; want %v", got, err, want)
+	}
+	if got, err := parseTopologies("  "); err != nil || got != nil {
+		t.Errorf("parseTopologies(empty) = %v, %v; want nil, nil (the figure's own set)", got, err)
+	}
+	if got, err := parseTopologies(" , ,"); err == nil || got != nil || !strings.Contains(err.Error(), "names no topologies") {
+		t.Errorf("parseTopologies(commas) = %v, %v; want a names-no-topologies error", got, err)
+	}
+	if got, err := parseTopologies("atac+,corna"); err == nil || got != nil || !strings.Contains(err.Error(), `"corna"`) {
+		t.Errorf("parseTopologies(typo) = %v, %v; want an error naming the typo", got, err)
+	}
+}
+
+// The provenance manifest goes beside the SVGs, else beside -o, else
+// nowhere.
+func TestManifestDir(t *testing.T) {
+	for _, tc := range []struct{ svg, out, want string }{
+		{"svg", "res/out.txt", "svg"},
+		{"", "res/out.txt", "res"},
+		{"", "", ""},
+	} {
+		if got := manifestDir(tc.svg, tc.out); got != tc.want {
+			t.Errorf("manifestDir(%q, %q) = %q, want %q", tc.svg, tc.out, got, tc.want)
+		}
+	}
+}
+
+// Fig 3 renders as a line chart with one polyline per series and one
+// marker per numeric cell; any other figure as a bar chart of its numeric
+// columns. The output directory is created on demand.
+func TestWriteSVG(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "svg")
+	read := func(id string) string {
+		t.Helper()
+		b, err := os.ReadFile(filepath.Join(dir, "fig"+id+".svg"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.HasPrefix(string(b), "<svg") || !strings.HasSuffix(string(b), "</svg>\n") {
+			t.Fatalf("fig%s.svg is not one svg element:\n%s", id, b)
+		}
+		return string(b)
+	}
+
+	fig3 := &experiments.Table{
+		Title:   "Fig 3: Latency vs Offered Load",
+		Columns: []string{"load", "Cluster", "Distance-8"},
+		Rows:    [][]string{{"0.010", "10.87", "10.23"}, {"0.020", "—", "10.19"}, {"0.040", "23.86", "10.13"}},
+	}
+	if err := writeSVG(dir, "3", fig3); err != nil {
+		t.Fatal(err)
+	}
+	svg := read("3")
+	if n := strings.Count(svg, "<polyline"); n != 2 {
+		t.Errorf("fig3.svg has %d polylines, want 2 (one per series)", n)
+	}
+	if n := strings.Count(svg, "<circle"); n != 5 {
+		t.Errorf("fig3.svg has %d markers, want 5 (the non-numeric cell skipped)", n)
+	}
+	if !strings.Contains(svg, ">Distance-8</text>") {
+		t.Error("fig3.svg has no legend entry for Distance-8")
+	}
+
+	fig4 := &experiments.Table{
+		Title:   "Fig 4: Runtime",
+		Columns: []string{"benchmark", "ATAC+", "EMesh-BCast", "note"},
+		Rows:    [][]string{{"radix", "1.00", "1.08", "x"}, {"barnes", "1.00", "0.95", "y"}},
+	}
+	if err := writeSVG(dir, "4", fig4); err != nil {
+		t.Fatal(err)
+	}
+	svg = read("4")
+	if strings.Contains(svg, "<polyline") {
+		t.Error("fig4.svg is a line chart, want bars")
+	}
+	for _, want := range []string{">radix</text>", ">barnes</text>", ">EMesh-BCast</text>"} {
+		if !strings.Contains(svg, want) {
+			t.Errorf("fig4.svg lacks %s", want)
+		}
+	}
+	if strings.Contains(svg, ">note</text>") {
+		t.Error("fig4.svg charts the non-numeric note column")
 	}
 }

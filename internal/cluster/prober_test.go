@@ -223,6 +223,26 @@ func TestProberStartStop(t *testing.T) {
 	p.Stop() // idempotent
 }
 
+// TestProberTickFloor: the loop ticks at a quarter of the interval but
+// never faster than every 10 ms, so a tiny -probe-interval cannot turn the
+// prober into a busy loop. A healthy peer with a 1 ms interval is due every
+// millisecond; over 100 ms the floored loop probes it about 11 times (the
+// priming sweep plus one per tick), an unfloored 250 µs tick about 100.
+func TestProberTickFloor(t *testing.T) {
+	sp := newScriptedProbe()
+	p := NewProber([]string{"http://n2:1"}, ProberOptions{Interval: time.Millisecond, Probe: sp.probe, Logf: t.Logf})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	p.Start(ctx)
+	time.Sleep(100 * time.Millisecond)
+	p.Stop()
+	// A late ticker drops ticks, never adds them: the bound holds on a
+	// loaded machine too.
+	if n := sp.callCount("http://n2:1"); n < 2 || n > 20 {
+		t.Fatalf("%d probes in 100 ms at a 1 ms interval, want 2..20 (a 10 ms tick)", n)
+	}
+}
+
 // TestHTTPProbe: 200 is healthy, anything else (a draining daemon's 503)
 // is not, and connection failures are errors.
 func TestHTTPProbe(t *testing.T) {
