@@ -58,11 +58,12 @@ bench-pair:
 # randomized traffic and fault seeds) and the optical link budget (both
 # solvers: finite powers, broadcast = readers x unicast, monotone in loss)
 # for FUZZTIME per target, the event kernel's same-cycle order against an
-# independent model, and the cache tag store against a dense reference
-# array. Go allows one -fuzz target per invocation, so the targets run
-# back to back. The three optical conservation targets
-# are one body (fuzzOpticalConservation) entered per fabric kind, so each
-# optical fabric still gets a full FUZZTIME.
+# independent model, the cache tag store against a dense reference
+# array, and the paged value store against a map of words. Go allows one
+# -fuzz target per invocation, so the targets run back to back. The three
+# optical conservation targets are one body (fuzzOpticalConservation)
+# entered per fabric kind, so each optical fabric still gets a full
+# FUZZTIME.
 fuzz:
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzKernelOrder$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/noc -run '^$$' -fuzz '^FuzzMeshConservation$$' -fuzztime $(FUZZTIME)
@@ -71,6 +72,7 @@ fuzz:
 	$(GO) test ./internal/noc -run '^$$' -fuzz '^FuzzHybridConservation$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/photonics -run '^$$' -fuzz '^FuzzLinkBudget$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/coherence -run '^$$' -fuzz '^FuzzCacheArray$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/coherence -run '^$$' -fuzz '^FuzzValueStore$$' -fuzztime $(FUZZTIME)
 
 # End-to-end crash-safety smoke: SIGINT a figure campaign mid-flight,
 # resume it from the journal+cache, and require byte-identical output with

@@ -3,6 +3,13 @@ package coherence
 // cacheArray is a set-associative tag array with LRU replacement. It
 // tracks per-line coherence state but no data (see the package comment).
 //
+// Each set keeps its ways most-recent-first: a lookup hit and every
+// insert move their way to the front, shifting the ways ahead of it back
+// one, while peek, setState and invalidate leave the order alone. A set's
+// valid lines are therefore always in recency order, which is all LRU
+// needs: the victim is the last way, since eviction is reached only when
+// every way is valid.
+//
 // A set's ways are allocated the first time the set is filled, so tag
 // memory grows with the sets a run touches, not with the cache's capacity
 // (a 1024-core radix run fills under a tenth of its L2 sets). slot maps a
@@ -15,7 +22,6 @@ type cacheArray struct {
 	slot   []int32        // per set: 0 if never filled, else 1 + its block number
 	chunks [][]cacheEntry // block b is chunks[b/chunkSets], entries (b%chunkSets)*assoc onward
 	blocks int            // blocks handed out
-	clock  uint64         // LRU timestamp source
 }
 
 // chunkSets is how many sets' blocks one chunk holds: large enough that a
@@ -24,13 +30,12 @@ type cacheArray struct {
 // never moves.
 const chunkSets = 16
 
-// cacheEntry is one way: 16 bytes. The state sits in the top two bits of
+// cacheEntry is one way: 8 bytes. The state sits in the top two bits of
 // tag, the line number below it; config requires LineBytes to be a
 // positive multiple of 8, so a line number is below 2^61 and never reaches
-// the state bits. An Invalid entry keeps its line and clock, as a free way.
+// the state bits. An Invalid entry keeps its line, as a free way.
 type cacheEntry struct {
 	tag uint64 // state<<stateShift | line
-	lru uint64 // LRU timestamp
 }
 
 const (
@@ -88,21 +93,27 @@ func (c *cacheArray) ways(line uint64) []cacheEntry {
 	return c.block(s)
 }
 
-// lookup returns the line's state (Invalid if absent) and refreshes LRU.
+// toFront moves way i to the front of its set, shifting the ways ahead of
+// it back one, and stores tag there.
+func toFront(ways []cacheEntry, i int, tag uint64) {
+	copy(ways[1:i+1], ways[:i])
+	ways[0] = cacheEntry{tag: tag}
+}
+
+// lookup returns the line's state (Invalid if absent) and makes a hit the
+// set's most recent way.
 func (c *cacheArray) lookup(line uint64) State {
 	ways := c.ways(line)
 	for i := range ways {
-		e := &ways[i]
-		if e.holds(line) {
-			c.clock++
-			e.lru = c.clock
+		if e := ways[i]; e.holds(line) {
+			toFront(ways, i, e.tag)
 			return e.state()
 		}
 	}
 	return Invalid
 }
 
-// peek returns the state without touching LRU.
+// peek returns the state without touching the recency order.
 func (c *cacheArray) peek(line uint64) State {
 	ways := c.ways(line)
 	for i := range ways {
@@ -135,33 +146,25 @@ func (c *cacheArray) insert(line uint64, s State) (victimLine uint64, victimStat
 		c.slot[set] = c.newBlock()
 	}
 	ways := c.block(c.slot[set])
+	tag := packTag(line, s)
 	// Already present: state change only.
 	for i := range ways {
-		if e := &ways[i]; e.holds(line) {
-			e.tag = packTag(line, s)
-			c.clock++
-			e.lru = c.clock
+		if ways[i].holds(line) {
+			toFront(ways, i, tag)
 			return 0, Invalid, false
 		}
 	}
 	// Free way?
 	for i := range ways {
-		if e := &ways[i]; e.state() == Invalid {
-			c.clock++
-			*e = cacheEntry{tag: packTag(line, s), lru: c.clock}
+		if ways[i].state() == Invalid {
+			toFront(ways, i, tag)
 			return 0, Invalid, false
 		}
 	}
-	// Evict LRU.
-	v := 0
-	for i := 1; i < len(ways); i++ {
-		if ways[i].lru < ways[v].lru {
-			v = i
-		}
-	}
-	victimLine, victimState = ways[v].line(), ways[v].state()
-	c.clock++
-	ways[v] = cacheEntry{tag: packTag(line, s), lru: c.clock}
+	// Evict LRU: every way is valid, the last is the least recent.
+	v := &ways[len(ways)-1]
+	victimLine, victimState = v.line(), v.state()
+	toFront(ways, len(ways)-1, tag)
 	return victimLine, victimState, true
 }
 

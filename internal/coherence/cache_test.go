@@ -3,6 +3,7 @@ package coherence
 import (
 	"encoding/binary"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/config"
@@ -140,8 +141,9 @@ type cacheOp struct {
 // replayCacheOps drives a cacheArray and the dense oracle of one geometry
 // with the same op stream and fails at the first return value (victims
 // included) that differs; at the end every line of the stream's line space
-// must hold the same state in both, both LRU clocks must agree, and every
-// way must hold the same line, state and timestamp as its dense twin.
+// must hold the same state in both, and each set's valid lines, read
+// front to back, must be the dense set's valid lines by descending
+// timestamp.
 func replayCacheOps(t *testing.T, sizeBytes, lineBytes, assoc int, space uint64, ops []cacheOp) {
 	t.Helper()
 	c, d := newCacheArray(sizeBytes, lineBytes, assoc), newDenseArray(sizeBytes, lineBytes, assoc)
@@ -178,22 +180,29 @@ func replayCacheOps(t *testing.T, sizeBytes, lineBytes, assoc int, space uint64,
 			t.Fatalf("after %d ops: line %d is %v, dense %v", len(ops), line, got, want)
 		}
 	}
-	if c.clock != d.clock {
-		t.Fatalf("after %d ops: LRU clock %d, dense %d", len(ops), c.clock, d.clock)
-	}
 	for set := 0; set < d.sets; set++ {
-		var ways []cacheEntry
-		if s := c.slot[set]; s != 0 {
-			ways = c.block(s)
-		}
-		for w, de := range d.entries[set*d.assoc : (set+1)*d.assoc] {
-			var got denseEntry
-			if ways != nil {
-				e := &ways[w]
-				got = denseEntry{line: e.line(), state: e.state(), lru: e.lru}
+		dense := make([]denseEntry, 0, d.assoc)
+		for _, de := range d.entries[set*d.assoc : (set+1)*d.assoc] {
+			if de.state != Invalid {
+				dense = append(dense, de)
 			}
-			if got != de {
-				t.Fatalf("after %d ops: set %d way %d holds %+v, dense %+v", len(ops), set, w, got, de)
+		}
+		sort.Slice(dense, func(i, j int) bool { return dense[i].lru > dense[j].lru })
+		var got []denseEntry
+		if s := c.slot[set]; s != 0 {
+			for _, e := range c.block(s) {
+				if e.state() != Invalid {
+					got = append(got, denseEntry{line: e.line(), state: e.state()})
+				}
+			}
+		}
+		if len(got) != len(dense) {
+			t.Fatalf("after %d ops: set %d holds %d valid lines, dense %d", len(ops), set, len(got), len(dense))
+		}
+		for w, de := range dense {
+			if got[w].line != de.line || got[w].state != de.state {
+				t.Fatalf("after %d ops: set %d recency rank %d holds line %d %v, dense line %d %v",
+					len(ops), set, w, got[w].line, got[w].state, de.line, de.state)
 			}
 		}
 	}

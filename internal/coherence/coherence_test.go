@@ -537,11 +537,14 @@ func TestCacheArrayStateOps(t *testing.T) {
 	}
 }
 
-// TestCacheEntryIs16Bytes: a tag entry packs its state into the line word,
-// and the widest line a valid config can name keeps every state intact.
+// TestCacheEntryIs16Bytes: a tag entry is its packed tag alone, 8 bytes,
+// since a set's recency order is its way order and no LRU timestamp is
+// kept (an 8-way set is one 64-byte host line); the state shares the line
+// word, and the widest line a valid config can name keeps every state
+// intact.
 func TestCacheEntryIs16Bytes(t *testing.T) {
-	if n := unsafe.Sizeof(cacheEntry{}); n != 16 {
-		t.Fatalf("cacheEntry is %d bytes, want 16", n)
+	if n := unsafe.Sizeof(cacheEntry{}); n != 8 {
+		t.Fatalf("cacheEntry is %d bytes, want 8", n)
 	}
 	const widest = uint64(1)<<61 - 1 // addr / LineBytes, LineBytes >= 8
 	for _, line := range []uint64{0, 1, widest} {

@@ -13,18 +13,27 @@ import (
 	"repro/internal/trace"
 )
 
-// vstripes is the lock-striping factor of the ValueStore. Word accesses
-// hash to stripes, so shards touching disjoint words contend only on
-// 1/vstripes of the keyspace.
+// vstripes is the lock-striping factor of the ValueStore. Pages hash to
+// stripes, so shards touching disjoint pages contend only on 1/vstripes
+// of the keyspace.
 const vstripes = 64
 
+// pageWords is the length of a ValueStore page: 512 words, 4 KB.
+const pageWords = 512
+
+// page is one run of pageWords words, allocated whole on its first write.
+type page [pageWords]uint64
+
 // ValueStore is the single authoritative backing store for all simulated
-// memory words (8-byte granularity). Absent words read as zero.
+// memory words (8-byte granularity). Absent words read as zero. Words live
+// in 4 KB pages, so a run's arrays cost their own size plus one map entry
+// per page rather than one map entry per word; a read never creates a
+// page.
 //
 // Under a partitioned simulation the coherence protocol still serializes
 // conflicting accesses to a *word* (single-writer at the directory), but
 // different shards may concurrently touch different words, which would
-// race on map internals. The store therefore stripes its words across
+// race on map internals. The store therefore stripes its pages across
 // locked maps; the locks are elided entirely (a plain branch) while the
 // simulation runs on a single shard.
 type ValueStore struct {
@@ -34,14 +43,14 @@ type ValueStore struct {
 
 type vstripe struct {
 	mu    sync.Mutex
-	words map[uint64]uint64
+	pages map[uint64]*page // by word address / pageWords
 }
 
 // NewValueStore returns an empty store.
 func NewValueStore() *ValueStore {
 	v := &ValueStore{}
 	for i := range v.stripes {
-		v.stripes[i].words = make(map[uint64]uint64)
+		v.stripes[i].pages = make(map[uint64]*page)
 	}
 	return v
 }
@@ -53,12 +62,12 @@ func (v *ValueStore) SetShared(shared bool) { v.shared = shared }
 // Read returns the word at byte address addr (aligned down to 8 bytes).
 func (v *ValueStore) Read(addr uint64) uint64 {
 	w := addr >> 3
-	s := &v.stripes[w%vstripes]
+	s := &v.stripes[w/pageWords%vstripes]
 	if !v.shared {
-		return s.words[w]
+		return s.read(w)
 	}
 	s.mu.Lock()
-	val := s.words[w]
+	val := s.read(w)
 	s.mu.Unlock()
 	return val
 }
@@ -66,14 +75,32 @@ func (v *ValueStore) Read(addr uint64) uint64 {
 // Write stores the word at byte address addr.
 func (v *ValueStore) Write(addr, val uint64) {
 	w := addr >> 3
-	s := &v.stripes[w%vstripes]
+	s := &v.stripes[w/pageWords%vstripes]
 	if !v.shared {
-		s.words[w] = val
+		s.write(w, val)
 		return
 	}
 	s.mu.Lock()
-	s.words[w] = val
+	s.write(w, val)
 	s.mu.Unlock()
+}
+
+// read returns word w, 0 if its page was never written.
+func (s *vstripe) read(w uint64) uint64 {
+	if p := s.pages[w/pageWords]; p != nil {
+		return p[w%pageWords]
+	}
+	return 0
+}
+
+// write stores word w, allocating its page on first use.
+func (s *vstripe) write(w, val uint64) {
+	p := s.pages[w/pageWords]
+	if p == nil {
+		p = new(page)
+		s.pages[w/pageWords] = p
+	}
+	p[w%pageWords] = val
 }
 
 // System wires per-core cache controllers, directory slices and memory

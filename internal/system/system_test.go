@@ -37,8 +37,9 @@ func TestNewBuildsAllNetworkKinds(t *testing.T) {
 
 // TestNewAllocatesLittleAtPaperScale guards host memory at the paper's
 // geometry: building the 1024-core machine allocates no cache tag storage
-// until a run fills it, so setup stays far below the ≈ 117 MB that tags
-// allocated up front cost.
+// until a run fills it, so setup stays far below the ≈ 38 MB that tags
+// allocated up front would cost (a core's dense L1-D and L2 tags are
+// 4608 8-byte entries, 37 KB).
 func TestNewAllocatesLittleAtPaperScale(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
