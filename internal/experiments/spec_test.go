@@ -118,3 +118,45 @@ func TestBuildConfigScenario(t *testing.T) {
 		t.Error("unknown optics scenario accepted")
 	}
 }
+
+// TestParseNamesPinned pins the front ends' spellings: every table name in
+// any case, the short aliases, and the error text for an unknown name.
+func TestParseNamesPinned(t *testing.T) {
+	nets := map[string]string{
+		"": "ATAC+", "pure": "EMesh-Pure", "PURE": "EMesh-Pure", "emesh-pure": "EMesh-Pure",
+		"EMesh-Pure": "EMesh-Pure", "bcast": "EMesh-BCast", "EMESH-BCAST": "EMesh-BCast",
+		"atac": "ATAC", "ATAC": "ATAC", "atac+": "ATAC+", "Atac+": "ATAC+", "atacplus": "ATAC+",
+		"ATACPlus": "ATAC+", "corona": "Corona", "Corona": "Corona", "crossbar": "Corona",
+		"hybrid": "Hybrid", "HYBRID": "Hybrid", "morpho": "Hybrid",
+		"mesh":   `unknown network "mesh"`,
+		"x":      `unknown network "x"`,
+		" atac":  `unknown network " atac"`,
+		"ATAC++": `unknown network "ATAC++"`,
+	}
+	for in, want := range nets {
+		k, err := ParseNetworkKind(in)
+		got := k.String()
+		if err != nil {
+			got = err.Error()
+		}
+		if got != want {
+			t.Errorf("ParseNetworkKind(%q) = %s, want %s", in, got, want)
+		}
+	}
+	cohs := map[string]string{
+		"": "ACKwise", "ackwise": "ACKwise", "ACKwise": "ACKwise", "ACKWISE": "ACKwise",
+		"dirkb": "DirKB", "DirKB": "DirKB", "DIRKB": "DirKB",
+		"dir_kb": `unknown coherence "dir_kb"`,
+		"moesi":  `unknown coherence "moesi"`,
+	}
+	for in, want := range cohs {
+		k, err := ParseCoherenceKind(in)
+		got := k.String()
+		if err != nil {
+			got = err.Error()
+		}
+		if got != want {
+			t.Errorf("ParseCoherenceKind(%q) = %s, want %s", in, got, want)
+		}
+	}
+}
