@@ -202,7 +202,7 @@ func run() int {
 		Store:          store,
 		Cluster:        clusterCfg,
 	}, log.Printf)
-	ctx, stopSignals := r.InstallSignalHandlerHook(f.Grace, log.Printf, func(stage string) {
+	ctx, stopSignals := r.InstallSignalHandler(f.Grace, log.Printf, func(stage string) {
 		if stage == "drain" {
 			srv.Drain()
 		}

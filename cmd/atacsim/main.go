@@ -16,6 +16,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"strings"
 	"syscall"
 
 	"repro/internal/config"
@@ -43,7 +44,7 @@ func main() {
 	f.Bind(flag.CommandLine, "net", "cores", "sharers", "coherence", "flit", "rthres",
 		"hybrid-radius", "tech", "optics", "seed", "scale", "shards", "run-timeout", "version")
 	var (
-		bench   = flag.String("bench", "radix", "benchmark: dynamic_graph, radix, barnes, fmm, ocean_contig, lu_contig, ocean_non_contig, lu_non_contig")
+		bench   = flag.String("bench", "radix", "benchmark: "+strings.Join(workloadNames(), ", ")+" (list prints them)")
 		heat    = flag.Bool("heatmap", false, "print the mesh congestion heatmap")
 		traceN  = flag.Int("trace", 0, "dump the last N protocol events after the run")
 		cfgPath = flag.String("config", "", "load the system configuration from this JSON file (overrides the geometry flags)")

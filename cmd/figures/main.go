@@ -120,7 +120,7 @@ func run() int {
 			log.Printf("warning: %v", err)
 		}
 	}
-	_, stopSignals := r.InstallSignalHandler(f.Grace, log.Printf)
+	_, stopSignals := r.InstallSignalHandler(f.Grace, log.Printf, nil)
 	defer stopSignals()
 
 	var w io.Writer = os.Stdout

@@ -90,7 +90,7 @@ func run() int {
 		return experiments.ExitFatal
 	}
 	defer closeCache()
-	ctx, stopSignals := r.InstallSignalHandler(f.Grace, log.Printf)
+	ctx, stopSignals := r.InstallSignalHandler(f.Grace, log.Printf, nil)
 	defer stopSignals()
 
 	// Hand the whole point set to the campaign engine first: points run

@@ -5,12 +5,50 @@
 package config
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"reflect"
+	"strings"
 
 	"repro/internal/photonics"
 	"repro/internal/tech"
 )
+
+// enumTable is the one spelling of an enum's values: names is indexed by
+// value, and what is the noun error messages use. String, the JSON codec,
+// Validate and the front ends' parsers all read it.
+type enumTable[T ~int] struct {
+	what  string
+	names []string
+}
+
+// name returns v's table name, or Type(n) for a value outside the table.
+func (t enumTable[T]) name(v T) string {
+	if v >= 0 && int(v) < len(t.names) {
+		return t.names[v]
+	}
+	return fmt.Sprintf("%s(%d)", reflect.TypeFor[T]().Name(), int(v))
+}
+
+// check rejects a value outside the table.
+func (t enumTable[T]) check(v T) error {
+	if v < 0 || int(v) >= len(t.names) {
+		return fmt.Errorf("config: unknown %s %v", t.what, t.name(v))
+	}
+	return nil
+}
+
+// named returns the value whose table name equals s in any case.
+func (t enumTable[T]) named(s string) (T, bool) {
+	s = strings.ToLower(s)
+	for i, n := range t.names {
+		if strings.ToLower(n) == s {
+			return T(i), true
+		}
+	}
+	return 0, false
+}
 
 // NetworkKind selects the on-chip interconnect architecture under study.
 type NetworkKind int
@@ -44,24 +82,15 @@ const (
 	HybridMesh
 )
 
-func (k NetworkKind) String() string {
-	switch k {
-	case EMeshPure:
-		return "EMesh-Pure"
-	case EMeshBCast:
-		return "EMesh-BCast"
-	case ATAC:
-		return "ATAC"
-	case ATACPlus:
-		return "ATAC+"
-	case Corona:
-		return "Corona"
-	case HybridMesh:
-		return "Hybrid"
-	default:
-		return fmt.Sprintf("NetworkKind(%d)", int(k))
-	}
-}
+var networkKinds = enumTable[NetworkKind]{"network kind", []string{
+	EMeshPure: "EMesh-Pure", EMeshBCast: "EMesh-BCast", ATAC: "ATAC",
+	ATACPlus: "ATAC+", Corona: "Corona", HybridMesh: "Hybrid",
+}}
+
+func (k NetworkKind) String() string { return networkKinds.name(k) }
+
+// NetworkKindNamed returns the kind whose name equals s in any case.
+func NetworkKindNamed(s string) (NetworkKind, bool) { return networkKinds.named(s) }
 
 // IsOptical reports whether the network contains the ONet optical fabric
 // (the ATAC hub/receive-net composition). The crossbar and hybrid fabrics
@@ -88,12 +117,9 @@ const (
 	BNet
 )
 
-func (r ReceiveNet) String() string {
-	if r == BNet {
-		return "BNet"
-	}
-	return "StarNet"
-}
+var receiveNets = enumTable[ReceiveNet]{"receive net", []string{StarNet: "StarNet", BNet: "BNet"}}
+
+func (r ReceiveNet) String() string { return receiveNets.name(r) }
 
 // RoutingPolicy selects how inter-cluster unicasts are routed in ATAC/ATAC+.
 type RoutingPolicy int
@@ -117,20 +143,12 @@ const (
 	AdaptiveRouting
 )
 
-func (p RoutingPolicy) String() string {
-	switch p {
-	case ClusterRouting:
-		return "Cluster"
-	case DistanceRouting:
-		return "Distance"
-	case ENetOnlyRouting:
-		return "Distance-All"
-	case AdaptiveRouting:
-		return "Adaptive"
-	default:
-		return fmt.Sprintf("RoutingPolicy(%d)", int(p))
-	}
-}
+var routingPolicies = enumTable[RoutingPolicy]{"routing policy", []string{
+	ClusterRouting: "Cluster", DistanceRouting: "Distance",
+	ENetOnlyRouting: "Distance-All", AdaptiveRouting: "Adaptive",
+}}
+
+func (p RoutingPolicy) String() string { return routingPolicies.name(p) }
 
 // CoherenceKind selects the cache coherence protocol.
 type CoherenceKind int
@@ -146,12 +164,12 @@ const (
 	DirKB
 )
 
-func (c CoherenceKind) String() string {
-	if c == DirKB {
-		return "DirKB"
-	}
-	return "ACKwise"
-}
+var coherenceKinds = enumTable[CoherenceKind]{"coherence kind", []string{ACKwise: "ACKwise", DirKB: "DirKB"}}
+
+func (c CoherenceKind) String() string { return coherenceKinds.name(c) }
+
+// CoherenceKindNamed returns the kind whose name equals s in any case.
+func CoherenceKindNamed(s string) (CoherenceKind, bool) { return coherenceKinds.named(s) }
 
 // Flavor is an ATAC+ optical technology scenario (Table IV).
 type Flavor int
@@ -171,18 +189,12 @@ const (
 	FlavorCons
 )
 
-func (f Flavor) String() string {
-	switch f {
-	case FlavorIdeal:
-		return "ATAC+(Ideal)"
-	case FlavorRingTuned:
-		return "ATAC+(RingTuned)"
-	case FlavorCons:
-		return "ATAC+(Cons)"
-	default:
-		return "ATAC+"
-	}
-}
+var flavors = enumTable[Flavor]{"flavor", []string{
+	FlavorDefault: "ATAC+", FlavorIdeal: "ATAC+(Ideal)",
+	FlavorRingTuned: "ATAC+(RingTuned)", FlavorCons: "ATAC+(Cons)",
+}}
+
+func (f Flavor) String() string { return flavors.name(f) }
 
 // LaserGated reports whether this flavor's laser can be power gated and
 // mode throttled.
@@ -502,8 +514,9 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: Memory.Controllers must be positive, got %d", c.Memory.Controllers)
 	}
 	n := &c.Network
-	if n.Kind < EMeshPure || n.Kind > HybridMesh {
-		return fmt.Errorf("config: unknown network kind %v", n.Kind)
+	if err := cmp.Or(networkKinds.check(n.Kind), receiveNets.check(n.ReceiveNet),
+		routingPolicies.check(n.Routing), coherenceKinds.check(c.Coherence.Kind), flavors.check(n.Flavor)); err != nil {
+		return err
 	}
 	if n.RouterDelay < 1 || n.LinkDelay < 1 || n.BufFlits < 1 || n.StarNetsPerCl < 1 {
 		return fmt.Errorf("config: RouterDelay, LinkDelay, BufFlits and StarNetsPerCl must be >= 1, got %d, %d, %d, %d",

@@ -122,6 +122,10 @@ func TestValidateRejects(t *testing.T) {
 		{"zero L1 associativity", func(c *Config) { c.Caches.L1Assoc = 0 }},
 		{"zero L2 associativity", func(c *Config) { c.Caches.L2Assoc = 0 }},
 		{"unknown network kind", func(c *Config) { c.Network.Kind = HybridMesh + 1 }},
+		{"unknown receive net", func(c *Config) { c.Network.ReceiveNet = BNet + 1 }},
+		{"unknown routing policy", func(c *Config) { c.Network.Routing = AdaptiveRouting + 1 }},
+		{"unknown coherence kind", func(c *Config) { c.Coherence.Kind = DirKB + 1 }},
+		{"unknown flavor", func(c *Config) { c.Network.Flavor = FlavorCons + 1 }},
 		{"zero router delay", func(c *Config) { c.Network.RouterDelay = 0 }},
 		{"zero link delay", func(c *Config) { c.Network.LinkDelay = 0 }},
 		{"zero buffer depth", func(c *Config) { c.Network.BufFlits = 0 }},

@@ -4,126 +4,41 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 )
 
-// The enum types marshal as their human-readable names so configuration
-// files read naturally ("network": {"Kind": "ATAC+"}).
+// The enum types marshal as their table names so configuration files read
+// naturally ("network": {"Kind": "ATAC+"}). UnmarshalJSON, not
+// UnmarshalText: encoding/json skips UnmarshalText on null, and a null
+// enum must be rejected like any other name outside the table.
 
-// MarshalJSON implements json.Marshaler.
-func (k NetworkKind) MarshalJSON() ([]byte, error) { return json.Marshal(k.String()) }
+// marshal encodes v as its table name.
+func (t enumTable[T]) marshal(v T) ([]byte, error) { return json.Marshal(t.name(v)) }
 
-// UnmarshalJSON implements json.Unmarshaler.
-func (k *NetworkKind) UnmarshalJSON(b []byte) error {
+// unmarshal decodes a table name into *v.
+func (t enumTable[T]) unmarshal(b []byte, v *T) error {
 	var s string
 	if err := json.Unmarshal(b, &s); err != nil {
 		return err
 	}
-	switch s {
-	case "EMesh-Pure":
-		*k = EMeshPure
-	case "EMesh-BCast":
-		*k = EMeshBCast
-	case "ATAC":
-		*k = ATAC
-	case "ATAC+":
-		*k = ATACPlus
-	case "Corona":
-		*k = Corona
-	case "Hybrid":
-		*k = HybridMesh
-	default:
-		return fmt.Errorf("config: unknown network kind %q", s)
+	i := slices.Index(t.names, s)
+	if i < 0 {
+		return fmt.Errorf("config: unknown %s %q", t.what, s)
 	}
+	*v = T(i)
 	return nil
 }
 
-// MarshalJSON implements json.Marshaler.
-func (r ReceiveNet) MarshalJSON() ([]byte, error) { return json.Marshal(r.String()) }
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (r *ReceiveNet) UnmarshalJSON(b []byte) error {
-	var s string
-	if err := json.Unmarshal(b, &s); err != nil {
-		return err
-	}
-	switch s {
-	case "StarNet":
-		*r = StarNet
-	case "BNet":
-		*r = BNet
-	default:
-		return fmt.Errorf("config: unknown receive net %q", s)
-	}
-	return nil
-}
-
-// MarshalJSON implements json.Marshaler.
-func (p RoutingPolicy) MarshalJSON() ([]byte, error) { return json.Marshal(p.String()) }
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (p *RoutingPolicy) UnmarshalJSON(b []byte) error {
-	var s string
-	if err := json.Unmarshal(b, &s); err != nil {
-		return err
-	}
-	switch s {
-	case "Cluster":
-		*p = ClusterRouting
-	case "Distance":
-		*p = DistanceRouting
-	case "Distance-All":
-		*p = ENetOnlyRouting
-	case "Adaptive":
-		*p = AdaptiveRouting
-	default:
-		return fmt.Errorf("config: unknown routing policy %q", s)
-	}
-	return nil
-}
-
-// MarshalJSON implements json.Marshaler.
-func (c CoherenceKind) MarshalJSON() ([]byte, error) { return json.Marshal(c.String()) }
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (c *CoherenceKind) UnmarshalJSON(b []byte) error {
-	var s string
-	if err := json.Unmarshal(b, &s); err != nil {
-		return err
-	}
-	switch s {
-	case "ACKwise":
-		*c = ACKwise
-	case "DirKB":
-		*c = DirKB
-	default:
-		return fmt.Errorf("config: unknown coherence kind %q", s)
-	}
-	return nil
-}
-
-// MarshalJSON implements json.Marshaler.
-func (f Flavor) MarshalJSON() ([]byte, error) { return json.Marshal(f.String()) }
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (f *Flavor) UnmarshalJSON(b []byte) error {
-	var s string
-	if err := json.Unmarshal(b, &s); err != nil {
-		return err
-	}
-	switch s {
-	case "ATAC+":
-		*f = FlavorDefault
-	case "ATAC+(Ideal)":
-		*f = FlavorIdeal
-	case "ATAC+(RingTuned)":
-		*f = FlavorRingTuned
-	case "ATAC+(Cons)":
-		*f = FlavorCons
-	default:
-		return fmt.Errorf("config: unknown flavor %q", s)
-	}
-	return nil
-}
+func (k NetworkKind) MarshalJSON() ([]byte, error)    { return networkKinds.marshal(k) }
+func (k *NetworkKind) UnmarshalJSON(b []byte) error   { return networkKinds.unmarshal(b, k) }
+func (r ReceiveNet) MarshalJSON() ([]byte, error)     { return receiveNets.marshal(r) }
+func (r *ReceiveNet) UnmarshalJSON(b []byte) error    { return receiveNets.unmarshal(b, r) }
+func (p RoutingPolicy) MarshalJSON() ([]byte, error)  { return routingPolicies.marshal(p) }
+func (p *RoutingPolicy) UnmarshalJSON(b []byte) error { return routingPolicies.unmarshal(b, p) }
+func (c CoherenceKind) MarshalJSON() ([]byte, error)  { return coherenceKinds.marshal(c) }
+func (c *CoherenceKind) UnmarshalJSON(b []byte) error { return coherenceKinds.unmarshal(b, c) }
+func (f Flavor) MarshalJSON() ([]byte, error)         { return flavors.marshal(f) }
+func (f *Flavor) UnmarshalJSON(b []byte) error        { return flavors.unmarshal(b, f) }
 
 // ToJSON renders the configuration as indented JSON.
 func (c Config) ToJSON() ([]byte, error) {

@@ -2,6 +2,7 @@ package config
 
 import (
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -186,4 +187,83 @@ func TestFaultValidate(t *testing.T) {
 	if z.Active() {
 		t.Error("zero Fault must be inactive")
 	}
+}
+
+// TestEnumJSONErrors pins the decoder's text for a name outside an enum's
+// table, null included.
+func TestEnumJSONErrors(t *testing.T) {
+	cases := map[string]string{
+		`"x"`:              `config: unknown network kind "x"`,
+		`null`:             `config: unknown network kind ""`,
+		`"atac+"`:          `config: unknown network kind "atac+"`,
+		`"NetworkKind(6)"`: `config: unknown network kind "NetworkKind(6)"`,
+	}
+	for in, want := range cases {
+		var k NetworkKind
+		if err := k.UnmarshalJSON([]byte(in)); err == nil || err.Error() != want {
+			t.Errorf("UnmarshalJSON(%s) = %v, want %s", in, err, want)
+		}
+	}
+	for field, want := range map[string]string{
+		`{"Network": {"ReceiveNet": null}}`: `config: unknown receive net ""`,
+		`{"Network": {"Routing": "Magic"}}`: `config: unknown routing policy "Magic"`,
+		`{"Coherence": {"Kind": "MOESI"}}`:  `config: unknown coherence kind "MOESI"`,
+		`{"Network": {"Flavor": "ATAC++"}}`: `config: unknown flavor "ATAC++"`,
+	} {
+		if _, err := FromJSON([]byte(field)); err == nil || !strings.HasSuffix(err.Error(), want) {
+			t.Errorf("FromJSON(%s) = %v, want ...%s", field, err, want)
+		}
+	}
+}
+
+// FuzzConfigJSON: for arbitrary bytes FromJSON never panics, and a config
+// it accepts satisfies Validate, names every enum from its table, and
+// round-trips through ToJSON and FromJSON unchanged.
+func FuzzConfigJSON(f *testing.F) {
+	for _, c := range []Config{Default(), Tiny(), Small().WithNetwork(HybridMesh), Default().WithNetwork(ATAC)} {
+		data, err := c.ToJSON()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	for _, s := range []string{`{}`, `null`, `{"Network": {"Kind": null}}`, `{"Coherence": {"Kind": "DirKB"}}`,
+		`{"Cores": 64, "Network": {"Kind": "Corona", "Routing": "Adaptive", "ReceiveNet": "BNet"}}`,
+		`{"Network": {"Flavor": "ATAC+(Cons)"}, "Fault": {"Enabled": true, "OpticalBER": 1e-5}}`} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, err := FromJSON(data)
+		if err != nil {
+			return
+		}
+		if err := c.Validate(); err != nil {
+			t.Fatalf("FromJSON accepted a config Validate rejects: %v", err)
+		}
+		for _, n := range []struct {
+			name  string
+			names []string
+		}{
+			{c.Network.Kind.String(), networkKinds.names},
+			{c.Network.ReceiveNet.String(), receiveNets.names},
+			{c.Network.Routing.String(), routingPolicies.names},
+			{c.Coherence.Kind.String(), coherenceKinds.names},
+			{c.Network.Flavor.String(), flavors.names},
+		} {
+			if !slices.Contains(n.names, n.name) {
+				t.Fatalf("accepted enum prints as %q, not a table name", n.name)
+			}
+		}
+		out, err := c.ToJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := FromJSON(out)
+		if err != nil {
+			t.Fatalf("re-parsing ToJSON output: %v\n%s", err, out)
+		}
+		if back != c {
+			t.Fatalf("round trip changed the config:\n%+v\n%+v", c, back)
+		}
+	})
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"cmp"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -318,5 +319,36 @@ func TestEnergyOnlyFieldsLeaveTheRunAlone(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("config.%s is classified energy-only but changes the simulated result", path)
 		}
+	}
+}
+
+// TestOutOfRangeEnumMissesCache: a config enum outside its name table is
+// not a spelling of a valid value. A CoherenceKind(2) run once marshaled
+// as "ACKwise" and recalled ACKwise's cache entry for a run that simulates
+// as DirKB; it must reach Validate's error instead.
+func TestOutOfRangeEnumMissesCache(t *testing.T) {
+	c, err := OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := testCampaignRunner()
+	warm.Cache = c
+	cfg := testCampaignOpts().Config(config.ATACPlus)
+	if _, err := warm.Run(cfg, "radix"); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Coherence.Kind = config.CoherenceKind(2)
+	want := cfg.Validate()
+	if want == nil {
+		t.Fatal("Validate accepts CoherenceKind(2)")
+	}
+	r := testCampaignRunner()
+	r.Cache = c
+	_, err = r.Run(cfg, "radix")
+	if err == nil || !strings.Contains(err.Error(), want.Error()) {
+		t.Errorf("Run(CoherenceKind(2)) = %v, want Validate's error %q", err, want)
+	}
+	if r.CacheHits() != 0 {
+		t.Errorf("%d cache hits for an out-of-range coherence kind", r.CacheHits())
 	}
 }

@@ -48,16 +48,11 @@ func (r *Runner) ExitCode() int {
 // function. Call stop when the campaign is over: it detaches the signal
 // handler (restoring default signal behavior) and releases the context.
 // logf, if non-nil, receives progress messages ("draining", "cancelling").
-func (r *Runner) InstallSignalHandler(grace time.Duration, logf func(format string, args ...any)) (context.Context, func()) {
-	return r.InstallSignalHandlerHook(grace, logf, nil)
-}
-
-// InstallSignalHandlerHook is InstallSignalHandler with a stage callback:
 // onStage, if non-nil, fires with "drain" when the first signal quiesces
 // the Runner and with "cancel" when the grace period (or a second signal)
 // hard-cancels it. The serving daemon uses it to stop admitting work and
 // to flip /healthz while the same two-stage machinery drains the queue.
-func (r *Runner) InstallSignalHandlerHook(grace time.Duration, logf func(format string, args ...any), onStage func(stage string)) (context.Context, func()) {
+func (r *Runner) InstallSignalHandler(grace time.Duration, logf func(format string, args ...any), onStage func(stage string)) (context.Context, func()) {
 	ctx, cancel := context.WithCancel(context.Background())
 	r.Ctx = ctx
 

@@ -19,39 +19,36 @@ import (
 	"repro/internal/tech"
 )
 
-// ParseNetworkKind maps the user-facing network names (pure, bcast, atac,
-// atac+, corona, hybrid) to config kinds. The empty string defaults to
-// ATAC+.
-func ParseNetworkKind(s string) (config.NetworkKind, error) {
-	switch strings.ToLower(s) {
-	case "pure", "emesh-pure":
-		return config.EMeshPure, nil
-	case "bcast", "emesh-bcast":
-		return config.EMeshBCast, nil
-	case "atac":
-		return config.ATAC, nil
-	case "", "atac+", "atacplus":
-		return config.ATACPlus, nil
-	case "corona", "crossbar":
-		return config.Corona, nil
-	case "hybrid", "morpho":
-		return config.HybridMesh, nil
-	default:
-		return 0, fmt.Errorf("unknown network %q", s)
-	}
+// networkAliases are the short network names the front ends accept besides
+// the config table's names; "" defaults to ATAC+.
+var networkAliases = map[string]config.NetworkKind{
+	"": config.ATACPlus, "pure": config.EMeshPure, "bcast": config.EMeshBCast,
+	"atacplus": config.ATACPlus, "crossbar": config.Corona, "morpho": config.HybridMesh,
 }
 
-// ParseCoherenceKind maps the user-facing protocol names to config kinds.
+// ParseNetworkKind maps a user-facing network name to its config kind: a
+// config name in any case (emesh-pure, atac+, corona, hybrid, ...) or one
+// of networkAliases.
+func ParseNetworkKind(s string) (config.NetworkKind, error) {
+	if k, ok := config.NetworkKindNamed(s); ok {
+		return k, nil
+	}
+	if k, ok := networkAliases[strings.ToLower(s)]; ok {
+		return k, nil
+	}
+	return 0, fmt.Errorf("unknown network %q", s)
+}
+
+// ParseCoherenceKind maps a protocol name in any case to its config kind.
 // The empty string defaults to ACKwise.
 func ParseCoherenceKind(s string) (config.CoherenceKind, error) {
-	switch strings.ToLower(s) {
-	case "", "ackwise":
+	if s == "" {
 		return config.ACKwise, nil
-	case "dirkb":
-		return config.DirKB, nil
-	default:
-		return 0, fmt.Errorf("unknown coherence %q", s)
 	}
+	if k, ok := config.CoherenceKindNamed(s); ok {
+		return k, nil
+	}
+	return 0, fmt.Errorf("unknown coherence %q", s)
 }
 
 // Geometry is the flag/API-level description of one machine

@@ -112,30 +112,37 @@ func (h Hotspot) Dst(src int, rng *rand.Rand) int {
 	return rng.Intn(h.Cores)
 }
 
+// patterns is the one list of pattern names, each with its constructor
+// for a square mesh of dim x dim cores.
+var patterns = []struct {
+	name string
+	make func(dim int, bcastFrac float64) Pattern
+}{
+	{"uniform", func(dim int, bcastFrac float64) Pattern { return Uniform{Cores: dim * dim, BcastFrac: bcastFrac} }},
+	{"transpose", func(dim int, _ float64) Pattern { return Transpose{Dim: dim} }},
+	{"bitcomp", func(dim int, _ float64) Pattern { return BitComplement{Cores: dim * dim} }},
+	{"neighbor", func(dim int, _ float64) Pattern { return Neighbor{Dim: dim} }},
+	{"tornado", func(dim int, _ float64) Pattern { return Tornado{Dim: dim} }},
+	{"hotspot", func(dim int, _ float64) Pattern { return Hotspot{Cores: dim * dim, Hot: dim * dim / 2, HotFrac: 0.2} }},
+}
+
 // ByName constructs a pattern for a square mesh of dim x dim cores.
 func ByName(name string, dim int, bcastFrac float64) (Pattern, error) {
-	cores := dim * dim
-	switch name {
-	case "uniform":
-		return Uniform{Cores: cores, BcastFrac: bcastFrac}, nil
-	case "transpose":
-		return Transpose{Dim: dim}, nil
-	case "bitcomp":
-		return BitComplement{Cores: cores}, nil
-	case "neighbor":
-		return Neighbor{Dim: dim}, nil
-	case "tornado":
-		return Tornado{Dim: dim}, nil
-	case "hotspot":
-		return Hotspot{Cores: cores, Hot: cores / 2, HotFrac: 0.2}, nil
-	default:
-		return nil, fmt.Errorf("traffic: unknown pattern %q", name)
+	for _, p := range patterns {
+		if p.name == name {
+			return p.make(dim, bcastFrac), nil
+		}
 	}
+	return nil, fmt.Errorf("traffic: unknown pattern %q", name)
 }
 
 // Patterns lists the available pattern names.
 func Patterns() []string {
-	return []string{"uniform", "transpose", "bitcomp", "neighbor", "tornado", "hotspot"}
+	names := make([]string, len(patterns))
+	for i, p := range patterns {
+		names[i] = p.name
+	}
+	return names
 }
 
 // Result summarizes one measurement window.

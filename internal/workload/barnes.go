@@ -82,12 +82,7 @@ func Barnes(cores int, seed int64, scale int) Spec {
 			kind := func(i uint64) uint64 { return kA + i*8 }
 			leaf := func(i uint64) uint64 { return lA + i*8 }
 			child := func(i uint64, q int) uint64 { return cA + (i*4+uint64(q))*8 }
-			lockNode := func(i uint64) uint64 {
-				t := p.FetchAdd(lnA+i*8, 1)
-				p.WaitUntil(lsA+i*8, func(v uint64) bool { return v == t })
-				return t
-			}
-			unlockNode := func(i uint64, t uint64) { p.Store(lsA+i*8, t+1) }
+			lock := func(i uint64) *Lock { return &Lock{next: lnA + i*8, serving: lsA + i*8} }
 
 			if me == 0 {
 				p.Store(alA, 1) // node 0 is the root
@@ -112,16 +107,17 @@ func Barnes(cores int, seed int64, scale int) Spec {
 						continue
 					}
 					// Empty or leaf: lock and revalidate.
-					t := lockNode(node)
+					l := lock(node)
+					t := l.Acquire(p)
 					k = p.Load(kind(node))
 					if k == kindInner {
-						unlockNode(node, t)
+						l.Release(p, t)
 						continue
 					}
 					if k == kindEmpty {
 						p.Store(leaf(node), uint64(b)+1)
 						p.Store(kind(node), kindLeaf)
-						unlockNode(node, t)
+						l.Release(p, t)
 						break
 					}
 					// Split a leaf: push the resident body and ours down
@@ -160,7 +156,7 @@ func Barnes(cores int, seed int64, scale int) Spec {
 					for i := len(chain) - 1; i >= 0; i-- {
 						p.Store(kind(chain[i].idx), kindInner)
 					}
-					unlockNode(node, t)
+					l.Release(p, t)
 					break
 				}
 			}
