@@ -249,19 +249,15 @@ func degradedLine(net noc.Network, kind config.NetworkKind) string {
 	return fmt.Sprintf("                 degraded %s %v\n", what, ch)
 }
 
-// meshHeatmap renders the congestion heatmap of the fabric's electrical
-// mesh: the fabric itself on the EMesh kinds, the embedded ENet on every
-// optical one.
+// meshHeatmap renders the congestion heatmap of the electrical mesh every
+// fabric is built on.
 func meshHeatmap(net noc.Network, dim int) string {
-	mesh, _ := net.(*noc.Mesh)
-	if e, ok := net.(interface{ ENet() *noc.Mesh }); ok {
-		mesh = e.ENet()
-	}
-	if mesh == nil {
+	e, ok := net.(interface{ ENet() *noc.Mesh })
+	if !ok {
 		return ""
 	}
 	hm := stats.NewHeatmap(dim)
-	for i, v := range mesh.RouterFlits() {
+	for i, v := range e.ENet().RouterFlits() {
 		hm.Add(i%dim, i/dim, v)
 	}
 	x, y, v := hm.Hottest()

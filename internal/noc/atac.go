@@ -9,9 +9,10 @@ import (
 
 // Atac is the composed ATAC/ATAC+ fabric (Section III/IV of the paper):
 //
-//   - an ENet: the full-chip electrical wormhole mesh (transport mode),
-//     used core->hub, for intra-cluster unicasts, and for short-distance
-//     unicasts under distance-based routing;
+//   - an ENet: the full-chip electrical wormhole mesh, a flit transport
+//     under the shared fabric base, used core->hub, for intra-cluster
+//     unicasts, and for short-distance unicasts under distance-based
+//     routing (with RThres beyond the mesh span ATAC+ is EMesh-Pure);
 //   - one hub per cluster with an adaptive SWMR optical channel (ONet):
 //     each hub owns a dedicated wavelength set, so there is no optical
 //     arbitration; a select link notifies receivers one cycle before data;
@@ -47,7 +48,7 @@ func NewAtac(k *sim.Kernel, cfg *config.Config) *Atac {
 	// reorder, but the optical->electrical switch can).
 	pairFIFO := cfg.Network.Routing == config.AdaptiveRouting || cfg.Fault.Enabled
 	a := &Atac{}
-	a.setup(k, cfg, false, pairFIFO)
+	a.setup(cfg, false, pairFIFO)
 	a.atHub = func(core int, m *Message) {
 		h := a.hubs[cfg.ClusterOf(core)]
 		n := FlitsFor(m.Bits, cfg.Network.FlitBits)
@@ -70,7 +71,7 @@ func NewAtac(k *sim.Kernel, cfg *config.Config) *Atac {
 // cluster-row slabs do); hub->hub optical deliveries are the only
 // cross-shard edges.
 func (a *Atac) Partition(d *sim.Domain) {
-	a.bind(d)
+	a.bindOptical(d)
 	for _, h := range a.hubs {
 		h.bind()
 		for _, c := range h.cores {

@@ -106,7 +106,7 @@ func (h *conservationHarness) check(t testing.TB) {
 // Every fabric backend must satisfy Drainer so the harness check above —
 // and the system layer's end-of-run accounting — hold by construction.
 var (
-	_ Drainer = (*Mesh)(nil)
+	_ Drainer = (*EMesh)(nil)
 	_ Drainer = (*Atac)(nil)
 	_ Drainer = (*Crossbar)(nil)
 	_ Drainer = (*Hybrid)(nil)
@@ -139,7 +139,7 @@ func opticalFixture(t testing.TB, kind config.NetworkKind, fc config.Fault, mut 
 // TestNew: the factory maps every kind to its fabric and refuses the rest.
 func TestNew(t *testing.T) {
 	for kind, want := range map[config.NetworkKind]string{
-		config.EMeshPure: "*noc.Mesh", config.EMeshBCast: "*noc.Mesh",
+		config.EMeshPure: "*noc.EMesh", config.EMeshBCast: "*noc.EMesh",
 		config.ATAC: "*noc.Atac", config.ATACPlus: "*noc.Atac",
 		config.Corona: "*noc.Crossbar", config.HybridMesh: "*noc.Hybrid",
 	} {
@@ -210,12 +210,7 @@ func TestFlitConservation(t *testing.T) {
 					h := newConservationHarness(k, net, 16)
 					h.inject(rand.New(rand.NewSource(seed)), 200, 0.25)
 					h.check(t)
-					switch n := net.(type) {
-					case *Mesh:
-						checkMeshInvariants(t, n)
-					case interface{ ENet() *Mesh }:
-						checkMeshInvariants(t, n.ENet())
-					}
+					checkMeshInvariants(t, net.(interface{ ENet() *Mesh }).ENet())
 				})
 			}
 		})

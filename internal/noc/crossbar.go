@@ -14,8 +14,9 @@ import (
 // circulates the serpentine ring: a hub holds its request until the token
 // reaches it, transmits, and releases the token at its own position.
 //
-//   - the ENet electrical mesh (transport mode) carries core->hub legs and
-//     intra-cluster unicasts, exactly as in the ATAC fabric;
+//   - the ENet electrical mesh, a flit transport under the shared fabric
+//     base, carries core->hub legs and intra-cluster unicasts, exactly as
+//     in the ATAC fabric;
 //   - each inter-cluster packet is one optical transfer on the destination
 //     cluster's home channel; there is no broadcast medium, so a broadcast
 //     becomes one home-channel packet per remote cluster (the source
@@ -49,7 +50,7 @@ func NewCrossbar(k *sim.Kernel, cfg *config.Config) *Crossbar {
 		panic(fmt.Sprintf("noc: NewCrossbar called for %v", cfg.Network.Kind))
 	}
 	x := &Crossbar{}
-	x.setup(k, cfg, false, false)
+	x.setup(cfg, false, false)
 	x.atHub = func(core int, m *Message) { x.hubs[cfg.ClusterOf(core)].request(m) }
 	x.bind(sim.SerialDomain(k, cfg.MeshDim()*cfg.MeshDim()))
 	x.hubs = make([]*xhub, cfg.Clusters())

@@ -33,7 +33,7 @@ func FuzzMeshConservation(f *testing.F) {
 		h := newConservationHarness(&k, m, 16)
 		h.inject(rand.New(rand.NewSource(seed)), int(nMsgs)%200+1, float64(bcastPct%101)/100)
 		h.check(t)
-		checkMeshInvariants(t, m)
+		checkMeshInvariants(t, m.enet)
 	})
 }
 

@@ -26,7 +26,9 @@ import (
 // cluster a gateway, ATAC-like express coverage) and the plain EMesh-BCast
 // (radius = cluster-grid edge would leave one gateway; validation requires
 // at least two, so the electrical end of the spectrum is the EMeshBCast
-// kind itself).
+// kind itself). An RThres beyond the mesh span reaches the same end: no
+// unicast qualifies for an express link, and the hybrid is EMesh-BCast
+// (TestDegenerateEquivalence).
 type Hybrid struct {
 	fabric // multicast mesh, shard domain, statistics, reorder CAM, delivery
 
@@ -43,7 +45,7 @@ func NewHybrid(k *sim.Kernel, cfg *config.Config) *Hybrid {
 	// degradation can flip a pair's path from express to mesh mid-run.
 	// Fault-free hybrid paths are fixed per pair.
 	h := &Hybrid{}
-	h.setup(k, cfg, true, cfg.Fault.Enabled)
+	h.setup(cfg, true, cfg.Fault.Enabled)
 	h.atHub = h.atGateway
 	h.health = make([]channelHealth, cfg.HybridGateways())
 	h.gws = make([]*gateway, cfg.HybridGateways())
@@ -61,7 +63,7 @@ func NewHybrid(k *sim.Kernel, cfg *config.Config) *Hybrid {
 // mesh, then each gateway joins the shard owning its core.
 // Gateway-to-gateway express deliveries are the only cross-shard edges.
 func (h *Hybrid) Partition(d *sim.Domain) {
-	h.bind(d)
+	h.bindOptical(d)
 	for _, g := range h.gws {
 		g.bind()
 	}

@@ -9,7 +9,7 @@ import (
 	"repro/internal/sim"
 )
 
-func newTestMesh(k *sim.Kernel, dim int, multicast bool) *Mesh {
+func newTestMesh(k *sim.Kernel, dim int, multicast bool) *EMesh {
 	return NewMesh(k, dim, 64, 4, 1, 1, multicast)
 }
 
@@ -309,14 +309,14 @@ func TestRouterInputFeedsTwoOutputsPerCycle(t *testing.T) {
 				m.Send(&Message{Src: 4, Dst: d, Bits: 64})
 			}
 			k.Run(1) // injected at 0, arbitrable from 1: the first tick
-			if moved := m.routers[4].fwdFlits; moved != tc.firstTick {
+			if moved := m.enet.routers[4].fwdFlits; moved != tc.firstTick {
 				t.Fatalf("first tick moved %d flits, want %d", moved, tc.firstTick)
 			}
 			k.RunAll()
 			if len(got) != 2 || got[0].dst != tc.dsts[0] || got[1].dst != tc.dsts[1] || got[1].at-got[0].at != tc.gap {
 				t.Fatalf("ejections %v, want dsts %v in that order, %d cycle(s) apart", got, tc.dsts, tc.gap)
 			}
-			checkMeshInvariants(t, m)
+			checkMeshInvariants(t, m.enet)
 		})
 	}
 }

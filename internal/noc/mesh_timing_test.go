@@ -75,7 +75,7 @@ func runMeshTiming(t *testing.T, ci, shards int) meshTiming {
 	accs := make([]acc, shards)
 	ordered := sha256.New()
 	m.SetDeliver(func(dst int, msg *Message) {
-		r := m.routers[dst]
+		r := m.enet.routers[dst]
 		var rec [32]byte
 		for i, v := range [4]uint64{uint64(r.k.Now()), uint64(dst), uint64(msg.Src), uint64(msg.Bits)} {
 			binary.LittleEndian.PutUint64(rec[8*i:], v)
@@ -108,7 +108,7 @@ func runMeshTiming(t *testing.T, ci, shards int) meshTiming {
 	if !m.Drained() {
 		t.Fatalf("%s: mesh not drained", tc.name)
 	}
-	checkMeshInvariants(t, m)
+	checkMeshInvariants(t, m.enet)
 	st := m.Stats()
 	got := meshTiming{
 		MeshLinkFlits: st.MeshLinkFlits, MeshRouterFlits: st.MeshRouterFlits,

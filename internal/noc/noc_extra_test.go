@@ -184,7 +184,7 @@ func TestRouteProgressProperty(t *testing.T) {
 	m := NewMesh(&k, 8, 64, 4, 1, 1, false)
 	f := func(srcRaw, dstRaw uint8) bool {
 		src, dst := int(srcRaw)%64, int(dstRaw)%64
-		r := m.routers[src]
+		r := m.enet.routers[src]
 		out := r.route(int16(dst%8), int16(dst/8))
 		if src == dst || out == portLocal {
 			return src == dst && out == portLocal
