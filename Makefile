@@ -74,6 +74,7 @@ fuzz:
 	$(GO) test ./internal/coherence -run '^$$' -fuzz '^FuzzCacheArray$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/coherence -run '^$$' -fuzz '^FuzzValueStore$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/config -run '^$$' -fuzz '^FuzzConfigJSON$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/system -run '^$$' -fuzz '^FuzzConfigRuns$$' -fuzztime $(FUZZTIME)
 
 # End-to-end crash-safety smoke: SIGINT a figure campaign mid-flight,
 # resume it from the journal+cache, and require byte-identical output with

@@ -522,6 +522,12 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: RouterDelay, LinkDelay, BufFlits and StarNetsPerCl must be >= 1, got %d, %d, %d, %d",
 			n.RouterDelay, n.LinkDelay, n.BufFlits, n.StarNetsPerCl)
 	}
+	// Zero is a valid latency for each of these; a negative one schedules
+	// events in the past or flies an optical flit backwards in time.
+	if n.SelectDataLag < 0 || n.ONetLinkDelay < 0 || c.Caches.L1HitCycles < 0 || c.Caches.L2HitCycles < 0 || c.Memory.LatencyCycles < 0 {
+		return fmt.Errorf("config: SelectDataLag, ONetLinkDelay, L1HitCycles, L2HitCycles and Memory.LatencyCycles must be >= 0, got %d, %d, %d, %d, %d",
+			n.SelectDataLag, n.ONetLinkDelay, c.Caches.L1HitCycles, c.Caches.L2HitCycles, c.Memory.LatencyCycles)
+	}
 	// Every cluster is an optical endpoint except in the hybrid, whose
 	// gateway count is checked below.
 	if c.Network.Kind.HasPhotonics() && c.Network.Kind != HybridMesh && c.Clusters() < 2 {

@@ -131,6 +131,11 @@ func TestValidateRejects(t *testing.T) {
 		{"zero buffer depth", func(c *Config) { c.Network.BufFlits = 0 }},
 		{"no receive networks", func(c *Config) { c.Network.StarNetsPerCl = 0 }},
 		{"no mem controllers", func(c *Config) { c.Memory.Controllers = 0 }},
+		{"negative select lag", func(c *Config) { c.Network.SelectDataLag = -1 }},
+		{"negative optical link delay", func(c *Config) { c.Network.ONetLinkDelay = -1 }},
+		{"negative L1 hit latency", func(c *Config) { c.Caches.L1HitCycles = -1 }},
+		{"negative L2 hit latency", func(c *Config) { c.Caches.L2HitCycles = -1 }},
+		{"negative memory latency", func(c *Config) { c.Memory.LatencyCycles = -1 }},
 		{"distance routing without rthres", func(c *Config) { c.Network.RThres = 0 }},
 		{"atac+ with one cluster", func(c *Config) {
 			*c = Default().WithNetwork(ATACPlus)

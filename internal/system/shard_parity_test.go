@@ -125,3 +125,20 @@ func TestShardedDegenerateAndFallbacks(t *testing.T) {
 		}
 	}
 }
+
+// TestShardedSlowLinksStaySerial: a valid optical machine whose electrical
+// link (the engine's lookahead) is slower than its optical hop cannot be
+// partitioned — an optical delivery would land inside the window that
+// sent it — so NewSharded keeps the serial kernel and the result is the
+// serial run's.
+func TestShardedSlowLinksStaySerial(t *testing.T) {
+	for _, kind := range []config.NetworkKind{config.ATACPlus, config.HybridMesh} {
+		cfg := config.Tiny().WithNetwork(kind)
+		cfg.Network.LinkDelay = 10
+		serial, sharded, eff := runEngines(t, cfg, "radix", 1, 2)
+		if eff != 1 {
+			t.Errorf("%v: LinkDelay 10 sharded to %d, want serial", kind, eff)
+		}
+		mustMatch(t, kind.String()+"/LinkDelay10", serial, sharded)
+	}
+}
