@@ -62,7 +62,7 @@ func selfFromAddr(addr string) string {
 	if err != nil {
 		return cluster.NormalizePeer(addr)
 	}
-	if host == "" || host == "0.0.0.0" || host == "::" || host == "[::]" {
+	if host == "" || host == "0.0.0.0" || host == "::" {
 		host = "127.0.0.1"
 	}
 	return cluster.NormalizePeer("http://" + net.JoinHostPort(host, port))
@@ -202,11 +202,7 @@ func run() int {
 		Store:          store,
 		Cluster:        clusterCfg,
 	}, log.Printf)
-	ctx, stopSignals := r.InstallSignalHandler(f.Grace, log.Printf, func(stage string) {
-		if stage == "drain" {
-			srv.Drain()
-		}
-	})
+	ctx, stopSignals := r.InstallSignalHandler(f.Grace, log.Printf, srv.Drain)
 	defer stopSignals()
 	srv.SetBaseContext(ctx)
 

@@ -48,11 +48,10 @@ func (r *Runner) ExitCode() int {
 // function. Call stop when the campaign is over: it detaches the signal
 // handler (restoring default signal behavior) and releases the context.
 // logf, if non-nil, receives progress messages ("draining", "cancelling").
-// onStage, if non-nil, fires with "drain" when the first signal quiesces
-// the Runner and with "cancel" when the grace period (or a second signal)
-// hard-cancels it. The serving daemon uses it to stop admitting work and
-// to flip /healthz while the same two-stage machinery drains the queue.
-func (r *Runner) InstallSignalHandler(grace time.Duration, logf func(format string, args ...any), onStage func(stage string)) (context.Context, func()) {
+// onDrain, if non-nil, runs when the first signal quiesces the Runner. The
+// serving daemon uses it to stop admitting work and to flip /healthz while
+// the same two-stage machinery drains the queue.
+func (r *Runner) InstallSignalHandler(grace time.Duration, logf func(format string, args ...any), onDrain func()) (context.Context, func()) {
 	ctx, cancel := context.WithCancel(context.Background())
 	r.Ctx = ctx
 
@@ -66,8 +65,8 @@ func (r *Runner) InstallSignalHandler(grace time.Duration, logf func(format stri
 				logf("%v: draining in-flight runs (signal again to cancel now; hard cancel in %v)", s, grace)
 			}
 			r.Quiesce()
-			if onStage != nil {
-				onStage("drain")
+			if onDrain != nil {
+				onDrain()
 			}
 			timer := time.NewTimer(grace)
 			defer timer.Stop()
@@ -79,9 +78,6 @@ func (r *Runner) InstallSignalHandler(grace time.Duration, logf func(format stri
 			}
 			if logf != nil {
 				logf("cancelling in-flight runs")
-			}
-			if onStage != nil {
-				onStage("cancel")
 			}
 			cancel()
 		case <-done:
