@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
 
+	"repro/internal/sim"
 	"repro/internal/system"
 )
 
@@ -47,5 +49,26 @@ func TestSyntheticRunHonoursCancellation(t *testing.T) {
 	}
 	if wall := time.Since(t0); wall > 10*time.Second {
 		t.Errorf("cancelled run took %v", wall)
+	}
+}
+
+func TestSyntheticCancelPinned(t *testing.T) {
+	// A cancelled synthetic run stops before its first event and names
+	// the run, the cycle and the context's cause: the exact text a
+	// journal records and a resumed campaign replays.
+	r := NewRunner(Options{Cores: 16, Scale: 1, Seed: 1})
+	sp := SynthSpec{Pattern: "uniform", Load: 0.05, BcastFrac: 0.001, Measure: 400}
+	cause := errors.New("pinned cause")
+	ctx, cancel := context.WithCancelCause(context.Background())
+	cancel(cause)
+	_, err := r.runSynthetic(ctx, r.SchemeConfig(Fig3Schemes(4)[0]), sp.Bench(), sp)
+	want := "synthetic run synth:uniform:load=0.05:bcast=0.001:warmup=0:measure=400: " +
+		"run cancelled at cycle 0: pinned cause"
+	if err == nil || err.Error() != want {
+		t.Fatalf("err = %v\nwant %s", err, want)
+	}
+	if !errors.Is(err, system.ErrRunCancelled) || !errors.Is(err, cause) ||
+		errors.Is(err, system.ErrStalled) || errors.Is(err, sim.ErrEventBudget) {
+		t.Fatalf("err = %v: want ErrRunCancelled wrapping its cause, and no other class", err)
 	}
 }
