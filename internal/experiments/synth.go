@@ -41,10 +41,6 @@ const synthPrefix = "synth:"
 // synthDrainLimit bounds the post-measurement drain of every synthetic run.
 const synthDrainLimit = 20000
 
-// synthPollEvents is how many kernel events a synthetic run executes
-// between context checks, the same interval System.RunContext uses.
-const synthPollEvents = 4096
-
 // Bench encodes the spec as a canonical pseudo-benchmark name. The
 // encoding is part of the run's identity: it appears in the memo key and
 // the persistent cache key, so two specs encode equal iff they describe
@@ -144,9 +140,9 @@ func (r *Runner) SchemeConfig(sch RoutingScheme) config.Config {
 // reproduce (the same reason fault-injected configs refuse to shard),
 // and the bare fabric is cheap enough that parallelism buys nothing.
 //
-// ctx reaches the kernel as System.RunContext's does: a cancellable
-// context is polled every synthPollEvents events, and a cancelled run
-// fails with system.ErrRunCancelled wrapping the context's cause.
+// ctx reaches the kernel through the poll System.RunContext uses
+// (system.PollContext), and a cancelled run fails with
+// system.ErrRunCancelled wrapping the context's cause.
 func (r *Runner) runSynthetic(ctx context.Context, cfg config.Config, bench string, sp SynthSpec) (system.Result, error) {
 	if err := sp.Validate(); err != nil {
 		return system.Result{}, err
@@ -160,14 +156,12 @@ func (r *Runner) runSynthetic(ctx context.Context, cfg config.Config, bench stri
 	if err != nil {
 		return system.Result{}, fmt.Errorf("synthetic run: %w", err)
 	}
-	if ctx.Done() != nil {
-		k.SetPoll(synthPollEvents, func() bool { return ctx.Err() == nil })
-	}
+	system.PollContext(ctx, &k)
 	res := traffic.Drive(&k, net, cfg.Cores, p, sp.Load, cfg.Network.FlitBits,
 		sp.Warmup, sp.Measure, synthDrainLimit, cfg.Seed)
-	if k.Cancelled() {
+	if stop := k.Stopped(); stop != nil {
 		return system.Result{}, fmt.Errorf("synthetic run %s: %w at cycle %d: %w",
-			bench, system.ErrRunCancelled, k.Now(), context.Cause(ctx))
+			bench, stop, k.Now(), context.Cause(ctx))
 	}
 	return system.Result{
 		Benchmark: bench,

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -132,14 +133,13 @@ func TestEventBudgetStopsRun(t *testing.T) {
 	if n != 100 || ran != 100 {
 		t.Fatalf("executed %d events (callback saw %d), want 100", n, ran)
 	}
-	if !k.BudgetExhausted() {
-		t.Fatal("BudgetExhausted not reported")
+	if k.Stopped() != ErrEventBudget {
+		t.Fatalf("Stopped() = %v, want ErrEventBudget", k.Stopped())
 	}
-	// Topping the budget up resumes exactly where it stopped.
+	// Topping the budget up and clearing the latch resumes exactly where
+	// it stopped.
 	k.SetEventBudget(50)
-	if k.BudgetExhausted() {
-		t.Fatal("SetEventBudget did not clear the exhausted flag")
-	}
+	k.Halt(nil)
 	if n := k.Run(Forever); n != 50 || ran != 150 {
 		t.Fatalf("resumed run executed %d events (total %d)", n, ran)
 	}
@@ -154,8 +154,8 @@ func TestEventBudgetZeroHaltsImmediately(t *testing.T) {
 	if n := k.Run(Forever); n != 0 || ran != 0 {
 		t.Fatalf("zero budget executed %d events", n)
 	}
-	if !k.BudgetExhausted() {
-		t.Fatal("BudgetExhausted not reported")
+	if k.Stopped() != ErrEventBudget {
+		t.Fatalf("Stopped() = %v, want ErrEventBudget", k.Stopped())
 	}
 	if k.Pending() != 2 {
 		t.Fatalf("queued events lost: Pending() = %d", k.Pending())
@@ -174,8 +174,8 @@ func TestNoBudgetRunsUnbounded(t *testing.T) {
 	if n := k.RunAll(); n != 1000 || ran != 1000 {
 		t.Fatalf("unbudgeted kernel executed %d events", n)
 	}
-	if k.BudgetExhausted() {
-		t.Fatal("unbudgeted kernel claims exhaustion")
+	if k.Stopped() != nil {
+		t.Fatalf("unbudgeted kernel stopped: %v", k.Stopped())
 	}
 }
 
@@ -404,16 +404,17 @@ func TestPollCancelsRun(t *testing.T) {
 	}
 	k.Schedule(1, tick)
 	calls := 0
-	k.SetPoll(10, func() bool {
+	errCancel := errors.New("cancelled")
+	k.SetPoll(10, func() error {
 		calls++
-		return calls < 5
+		if calls < 5 {
+			return nil
+		}
+		return errCancel
 	})
 	k.Run(1 << 20)
-	if !k.Cancelled() {
-		t.Fatal("kernel not cancelled")
-	}
-	if k.BudgetExhausted() {
-		t.Fatal("cancellation misreported as budget exhaustion")
+	if k.Stopped() != errCancel {
+		t.Fatalf("Stopped() = %v, want the poll's error", k.Stopped())
 	}
 	// 4 successful polls cover 4*10 events; the 5th poll fires before
 	// event 41 and trips.
@@ -449,12 +450,12 @@ func TestPollHarmlessWhenHealthy(t *testing.T) {
 		}
 		k.Schedule(1, tick)
 	}
-	run.SetPoll(7, func() bool { return true })
+	run.SetPoll(7, func() error { return nil })
 	n1 := run.Run(5000)
 	n2 := ref.Run(5000)
-	if n1 != n2 || run.Now() != ref.Now() || run.Cancelled() {
-		t.Fatalf("poll perturbed the run: n=%d/%d now=%d/%d cancelled=%v",
-			n1, n2, run.Now(), ref.Now(), run.Cancelled())
+	if n1 != n2 || run.Now() != ref.Now() || run.Stopped() != nil {
+		t.Fatalf("poll perturbed the run: n=%d/%d now=%d/%d stopped=%v",
+			n1, n2, run.Now(), ref.Now(), run.Stopped())
 	}
 	// Disarming restores the unpolled kernel.
 	run.SetPoll(1, nil)
@@ -469,11 +470,11 @@ func TestPollAndBudgetCompose(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		k.Schedule(Time(i+1), func() {})
 	}
-	k.SetPoll(3, func() bool { return true })
+	k.SetPoll(3, func() error { return nil })
 	k.SetEventBudget(20)
 	k.Run(1 << 20)
-	if !k.BudgetExhausted() || k.Cancelled() {
-		t.Fatalf("exhausted=%v cancelled=%v, want true/false", k.BudgetExhausted(), k.Cancelled())
+	if k.Stopped() != ErrEventBudget {
+		t.Fatalf("Stopped() = %v, want ErrEventBudget", k.Stopped())
 	}
 	if k.Pending() != 30 {
 		t.Fatalf("pending=%d, want 30", k.Pending())

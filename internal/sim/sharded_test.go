@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -45,7 +46,7 @@ func TestNextEventTimeCurrentBucketLeftovers(t *testing.T) {
 	k.Schedule(3, func() {})
 	k.SetEventBudget(1)
 	k.Run(Forever)
-	if !k.BudgetExhausted() {
+	if k.Stopped() != ErrEventBudget {
 		t.Fatal("budget did not trip")
 	}
 	if at, ok := k.NextEventTime(); !ok || at != k.Now() {
@@ -88,15 +89,20 @@ func TestWheelCountMatchesOccupancy(t *testing.T) {
 	// Repeatedly cancel mid-run via the poll, re-arm, and continue.
 	for round := 0; round < 20; round++ {
 		polls := 0
-		k.SetPoll(uint64(1+rng.Intn(7)), func() bool {
+		k.SetPoll(uint64(1+rng.Intn(7)), func() error {
 			polls++
-			return polls < 3
+			if polls < 3 {
+				return nil
+			}
+			return errors.New("cancelled")
 		})
+		k.Halt(nil)
 		k.Run(k.Now() + Time(1+rng.Intn(300)))
-		check(fmt.Sprintf("round %d (cancelled=%v)", round, k.Cancelled()))
+		check(fmt.Sprintf("round %d (stopped=%v)", round, k.Stopped()))
 	}
 	k.SetPoll(1, nil)
 	k.SetEventBudget(1 << 20)
+	k.Halt(nil)
 	k.Run(k.Now() + 100000)
 	check("after drain")
 }
@@ -289,19 +295,23 @@ func TestShardedBudgetAndCancel(t *testing.T) {
 	}
 	s.SetEventBudget(100)
 	s.Run(Forever)
-	if !s.BudgetExhausted() {
-		t.Fatal("budget did not trip")
+	if s.Stopped() != ErrEventBudget {
+		t.Fatalf("Stopped() = %v, want ErrEventBudget", s.Stopped())
 	}
-	if s.Cancelled() {
-		t.Fatal("budget misreported as cancellation")
-	}
-	// Top up and cancel via the poll instead.
+	// Top up, clear the latch and cancel via the poll instead.
 	s.SetEventBudget(1 << 30)
+	s.Halt(nil)
 	var polls atomic.Int64
-	s.SetPoll(10, func() bool { return polls.Add(1) < 20 })
+	errCancel := errors.New("cancelled")
+	s.SetPoll(10, func() error {
+		if polls.Add(1) < 20 {
+			return nil
+		}
+		return errCancel
+	})
 	s.Run(Forever)
-	if !s.Cancelled() {
-		t.Fatal("poll did not cancel")
+	if s.Stopped() != errCancel {
+		t.Fatalf("Stopped() = %v, want the poll's error", s.Stopped())
 	}
 	if s.Pending() == 0 {
 		t.Fatal("cancellation dropped queued events")
@@ -309,6 +319,7 @@ func TestShardedBudgetAndCancel(t *testing.T) {
 }
 
 func TestShardedHaltStopsAtBarrier(t *testing.T) {
+	errHalt := errors.New("halted")
 	s := NewSharded(2, 1)
 	defer s.Close()
 	for i := 0; i < 2; i++ {
@@ -321,12 +332,12 @@ func TestShardedHaltStopsAtBarrier(t *testing.T) {
 	s.AddBarrierHook(func(now Time) {
 		if now >= 50 {
 			at = now
-			s.Halt()
+			s.Halt(errHalt)
 		}
 	})
 	s.Run(Forever)
-	if !s.Halted() || at != 50 {
-		t.Fatalf("halted=%v at=%d, want true/50", s.Halted(), at)
+	if s.Stopped() != errHalt || at != 50 {
+		t.Fatalf("stopped=%v at=%d, want %v/50", s.Stopped(), at, errHalt)
 	}
 	if s.Now() != 50 {
 		t.Fatalf("clock = %d, want 50", s.Now())

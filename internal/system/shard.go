@@ -23,9 +23,9 @@ type engine interface {
 	Now() sim.Time
 	Pending() int
 	SetEventBudget(n uint64)
-	BudgetExhausted() bool
-	Cancelled() bool
-	SetPoll(every uint64, fn func() bool)
+	SetPoll(every uint64, fn func() error)
+	Halt(cause error)
+	Stopped() error
 }
 
 // EffectiveShards returns the shard count actually usable for cfg when

@@ -152,10 +152,28 @@ var ErrStalled = errors.New("watchdog stall")
 var ErrRunCancelled = errors.New("run cancelled")
 
 // cancelPollEvents is how many kernel events execute between context
-// checks when RunContext is given a cancellable context: frequent enough
-// that a cancelled run stops within microseconds of wall clock, rare
-// enough that the hot loop never notices.
+// checks under a cancellable context: frequent enough that a cancelled
+// run stops within microseconds of wall clock, rare enough that the hot
+// loop never notices.
 const cancelPollEvents = 4096
+
+// PollContext arms eng's cancellation poll on ctx: every cancelPollEvents
+// executed events the engine checks ctx, and a cancelled (or expired)
+// context halts it with ErrRunCancelled at the next event boundary. A
+// context that can never be cancelled arms nothing, so the run stays on
+// the poll-free path. Application runs (RunContext) and synthetic runs
+// share it.
+func PollContext(ctx context.Context, eng interface{ SetPoll(uint64, func() error) }) {
+	if ctx.Done() == nil {
+		return
+	}
+	eng.SetPoll(cancelPollEvents, func() error {
+		if ctx.Err() != nil {
+			return ErrRunCancelled
+		}
+		return nil
+	})
+}
 
 // Run executes the benchmark to completion (or the horizon, whichever is
 // first) and returns the measured counters. The spec's Init pre-loads the
@@ -165,12 +183,13 @@ func (s *System) Run(spec workload.Spec, horizon sim.Time) (Result, error) {
 	return s.RunContext(context.Background(), spec, horizon)
 }
 
-// RunContext is Run under a context: when ctx is cancellable, the kernel
-// polls it every cancelPollEvents executed events and a cancellation (or
-// deadline) halts even a livelocked simulation at the next event
-// boundary, returning an error wrapping ErrRunCancelled and the context's
-// cause. The poll composes with — and does not replace — the simulated
-// health backstops (event budget, watchdog).
+// RunContext is Run under a context: when ctx is cancellable, the engine
+// polls it (PollContext) and a cancellation (or deadline) halts even a
+// livelocked simulation at the next event boundary, returning an error
+// wrapping ErrRunCancelled and the context's cause. The poll composes
+// with — and does not replace — the simulated health backstops (event
+// budget, watchdog). Whichever stops the run first is the engine's one
+// latched stop cause, and the error names it.
 func (s *System) RunContext(ctx context.Context, spec workload.Spec, horizon sim.Time) (Result, error) {
 	if spec.Init != nil {
 		spec.Init(s.Coh.Vals)
@@ -194,13 +213,10 @@ func (s *System) RunContext(ctx context.Context, spec workload.Spec, horizon sim
 	if s.Cfg.Fault.EventBudget > 0 {
 		s.eng.SetEventBudget(s.Cfg.Fault.EventBudget)
 	}
-	var wd *Watchdog
 	if s.Cfg.Fault.WatchdogInterval > 0 && s.Cfg.Fault.WatchdogStalls > 0 {
-		wd = startWatchdog(s, sim.Time(s.Cfg.Fault.WatchdogInterval), s.Cfg.Fault.WatchdogStalls)
+		startWatchdog(s, sim.Time(s.Cfg.Fault.WatchdogInterval), s.Cfg.Fault.WatchdogStalls)
 	}
-	if ctx.Done() != nil {
-		s.eng.SetPoll(cancelPollEvents, func() bool { return ctx.Err() == nil })
-	}
+	PollContext(ctx, s.eng)
 	s.runKernel(horizon)
 
 	last, remaining := s.lastFinish()
@@ -212,16 +228,15 @@ func (s *System) RunContext(ctx context.Context, spec workload.Spec, horizon sim
 		if last == 0 {
 			res.Cycles = s.eng.Now()
 		}
-		if wd.Tripped() {
-			return res, fmt.Errorf("system: %s: %w: %s", spec.Name, ErrStalled, wd.Report())
-		}
-		if s.eng.Cancelled() {
+		switch stop := s.eng.Stopped(); {
+		case errors.Is(stop, ErrRunCancelled):
 			return res, fmt.Errorf("system: %s: %w at cycle %d (%d instructions retired): %w",
-				spec.Name, ErrRunCancelled, s.eng.Now(), res.Instructions, context.Cause(ctx))
-		}
-		if s.eng.BudgetExhausted() {
+				spec.Name, stop, s.eng.Now(), res.Instructions, context.Cause(ctx))
+		case errors.Is(stop, sim.ErrEventBudget):
 			return res, fmt.Errorf("system: %s: %w after %d events at cycle %d",
-				spec.Name, sim.ErrEventBudget, s.Cfg.Fault.EventBudget, s.eng.Now())
+				spec.Name, stop, s.Cfg.Fault.EventBudget, s.eng.Now())
+		case stop != nil: // the watchdog's stall report
+			return res, fmt.Errorf("system: %s: %w", spec.Name, stop)
 		}
 		return res, fmt.Errorf("system: %s: %d cores unfinished at horizon %d", spec.Name, remaining, horizon)
 	}
@@ -271,8 +286,7 @@ func (s *System) runKernel(horizon sim.Time) {
 			until = horizon
 		}
 		s.eng.Run(until)
-		if s.eng.Pending() == 0 || s.eng.BudgetExhausted() || s.eng.Cancelled() ||
-			(s.sh != nil && s.sh.Halted()) || s.eng.Now() >= horizon {
+		if s.eng.Pending() == 0 || s.eng.Stopped() != nil || s.eng.Now() >= horizon {
 			break
 		}
 		if _, unfinished := s.lastFinish(); unfinished == 0 {

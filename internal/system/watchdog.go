@@ -10,18 +10,18 @@ import (
 	"repro/internal/sim"
 )
 
-// Watchdog periodically samples global progress (retired instructions and
+// watchdog periodically samples global progress (retired instructions and
 // delivered network flits). After a configured number of consecutive
-// sample windows with no progress on either axis it trips: it records a
-// per-core blocked-state report and halts the kernel by zeroing its event
-// budget, so Run returns immediately rather than at the horizon.
+// sample windows with no progress on either axis it trips: it halts the
+// engine with an ErrStalled cause carrying a per-core blocked-state
+// report, so Run returns immediately rather than at the horizon.
 //
 // The watchdog's own periodic event doubles as the heartbeat that keeps
 // simulated time advancing when every core is asleep on a spin-wait (an
 // idle deadlock drains the event queue — without the heartbeat the kernel
 // would stop the clock and the stall would go undetected until the
 // horizon).
-type Watchdog struct {
+type watchdog struct {
 	s         *System
 	interval  sim.Time
 	maxStalls int
@@ -29,9 +29,6 @@ type Watchdog struct {
 	lastInstr     uint64
 	lastDelivered uint64
 	stalls        int
-
-	tripped bool
-	report  string
 }
 
 // startWatchdog arms the watchdog; interval and maxStalls must be
@@ -43,32 +40,28 @@ type Watchdog struct {
 // event on shard 0 keeps simulated time — and with it the window barriers
 // — advancing through idle phases, while the check itself runs as a
 // barrier hook, where all shard workers are parked and cross-shard reads
-// are ordered.
-func startWatchdog(s *System, interval sim.Time, maxStalls int) *Watchdog {
-	w := &Watchdog{s: s, interval: interval, maxStalls: maxStalls}
+// are ordered. A trip halts the engine, so neither the heartbeat nor the
+// hook runs again.
+func startWatchdog(s *System, interval sim.Time, maxStalls int) {
+	w := &watchdog{s: s, interval: interval, maxStalls: maxStalls}
 	if s.sh != nil {
 		var beat func()
-		beat = func() {
-			if !w.tripped {
-				s.K.Schedule(w.interval, beat)
-			}
-		}
+		beat = func() { s.K.Schedule(w.interval, beat) }
 		s.K.Schedule(w.interval, beat)
 		next := w.interval
 		s.sh.AddBarrierHook(func(now sim.Time) {
-			if w.tripped || now < next {
+			if now < next {
 				return
 			}
 			next = now + w.interval
 			w.check()
 		})
-		return w
+		return
 	}
 	s.K.Schedule(interval, w.tick)
-	return w
 }
 
-func (w *Watchdog) tick() {
+func (w *watchdog) tick() {
 	if !w.check() {
 		w.s.K.Schedule(w.interval, w.tick)
 	}
@@ -76,7 +69,7 @@ func (w *Watchdog) tick() {
 
 // check samples global progress and trips after maxStalls stagnant
 // windows, halting the engine. Reports whether the watchdog tripped.
-func (w *Watchdog) check() bool {
+func (w *watchdog) check() bool {
 	var instr uint64
 	for _, c := range w.s.Core {
 		instr += c.Instructions
@@ -91,36 +84,16 @@ func (w *Watchdog) check() bool {
 	if w.stalls < w.maxStalls {
 		return false
 	}
-	w.tripped = true
-	w.report = w.blockedReport()
-	if w.s.sh != nil {
-		// The sharded engine stops at the next window barrier; every
-		// queued event survives for post-mortem inspection.
-		w.s.sh.Halt()
-		return true
-	}
-	// Halting the kernel from inside one of its own events: zero the
-	// event budget so Run stops at the next event boundary with every
-	// queued event preserved for post-mortem inspection.
-	w.s.K.SetEventBudget(0)
+	// The serial kernel stops at the next event boundary, the sharded
+	// engine at the next window barrier; every queued event survives for
+	// post-mortem inspection.
+	w.s.eng.Halt(fmt.Errorf("%w: %s", ErrStalled, w.blockedReport()))
 	return true
-}
-
-// Tripped reports whether the watchdog detected a stall.
-func (w *Watchdog) Tripped() bool { return w != nil && w.tripped }
-
-// Report returns the per-core blocked-state dump captured when the
-// watchdog tripped (empty otherwise).
-func (w *Watchdog) Report() string {
-	if w == nil {
-		return ""
-	}
-	return w.report
 }
 
 // blockedReport names every unfinished core and its coherence-layer
 // blocked state at trip time.
-func (w *Watchdog) blockedReport() string {
+func (w *watchdog) blockedReport() string {
 	var b strings.Builder
 	window := sim.Time(w.maxStalls) * w.interval
 	fmt.Fprintf(&b, "no progress for %d cycles (instr=%d, delivered=%d) at cycle %d; stuck cores:",

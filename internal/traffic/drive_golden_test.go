@@ -116,7 +116,7 @@ func driveDigest(t *testing.T, kind config.NetworkKind, pattern string, w int) (
 		t.Fatal(err)
 	}
 	var events uint64
-	k.SetPoll(1, func() bool { events++; return true })
+	k.SetPoll(1, func() error { events++; return nil })
 	win := driveWindows[w]
 	res := Drive(&k, net, cfg.Cores, p, win.load, cfg.Network.FlitBits,
 		win.warmup, win.measure, 20000, 7)
