@@ -269,11 +269,26 @@ func (r *Runner) FailedRuns() []RunRecord {
 	return out
 }
 
-// record stores (or overwrites) a run's ledger row.
-func (r *Runner) record(id runID, rec RunRecord) {
+// settle records a run's final disposition, all of it derived from the
+// run's terminal event: the ledger row, the cache-hit and recalled-failure
+// counters and the interrupted flag. Then it emits the event.
+func (r *Runner) settle(id runID, ev RunEvent) {
+	rec := RunRecord{Hash: ev.Hash, Benchmark: ev.Benchmark, Config: ev.Config,
+		Status: ev.Phase, Source: "sim", Attempts: ev.Attempt, WallMS: ev.WallMS, Error: ev.Error}
+	switch ev.Phase {
+	case PhaseCached:
+		r.cacheHits.Add(1)
+		rec.Status, rec.Source = StatusDone, "cache"
+	case PhaseRecalled:
+		r.recalled.Add(1)
+		rec.Status, rec.Source = StatusFailed, "journal"
+	case PhaseInterrupted:
+		r.interrupted.Store(true)
+	}
 	r.mu.Lock()
 	r.ledger[id] = &rec
 	r.mu.Unlock()
+	r.emitEvent(ev)
 }
 
 // resultStore returns where this Runner persists results: the explicit
@@ -400,34 +415,32 @@ func (r *Runner) RunContext(ctx context.Context, cfg config.Config, bench string
 // execute performs one run, cheapest source first: persistent cache, then
 // journal recall of known terminal failures, then panic-isolated
 // simulation with bounded retry. Every state transition is write-ahead
-// journaled, and the final disposition lands in the ledger.
+// journaled, and the final disposition is settled from one event.
 func (r *Runner) execute(ctx context.Context, id runID) (system.Result, error) {
 	cfg, bench := id.cfg, id.bench
 	ck := r.cacheKey(id)
 	hash := resultstore.Hash(ck)
-	rec := RunRecord{Hash: hash, Benchmark: bench, Config: ConfigLabel(cfg)}
-	label := bench + "@" + rec.Config // the journal's readable key
+	label := ConfigLabel(cfg)
+	key := bench + "@" + label // the journal's readable key
+	event := func(phase string) RunEvent {
+		return RunEvent{Hash: hash, Benchmark: bench, Config: label, Phase: phase}
+	}
 
 	if store := r.resultStore(); store != nil && ck != "" {
 		if res, ok := store.Get(ck); ok {
-			r.cacheHits.Add(1)
-			rec.Status, rec.Source = StatusDone, "cache"
-			r.record(id, rec)
+			ev := event(PhaseCached)
+			ev.Cycles = uint64(res.Cycles)
+			r.settle(id, ev)
 			r.progress(cfg, bench, "cached")
-			r.emitEvent(RunEvent{Hash: hash, Benchmark: bench, Config: rec.Config,
-				Phase: PhaseCached, Cycles: uint64(res.Cycles)})
 			return res, nil
 		}
 	}
 	if r.Journal != nil && r.RecallFailures {
 		if e, ok := r.Journal.Lookup(hash); ok && e.Status == StatusFailed {
-			r.recalled.Add(1)
-			rec.Status, rec.Source = StatusFailed, "journal"
-			rec.Attempts, rec.WallMS, rec.Error = e.Attempt, e.WallMS, e.Error
-			r.record(id, rec)
+			ev := event(PhaseRecalled)
+			ev.Attempt, ev.WallMS, ev.Error = e.Attempt, e.WallMS, e.Error
+			r.settle(id, ev)
 			r.progress(cfg, bench, fmt.Sprintf("failed (recalled from journal, %d attempt(s))", e.Attempt))
-			r.emitEvent(RunEvent{Hash: hash, Benchmark: bench, Config: rec.Config,
-				Phase: PhaseRecalled, Attempt: e.Attempt, Error: e.Error})
 			// Reproduce the stored error verbatim: a resumed campaign then
 			// renders byte-identical degraded figures. The ledger row's
 			// Source field records that it came from the journal.
@@ -435,20 +448,18 @@ func (r *Runner) execute(ctx context.Context, id runID) (system.Result, error) {
 		}
 	}
 	if r.quiesced.Load() || ctx.Err() != nil {
-		r.interrupted.Store(true)
-		rec.Status, rec.Source = "interrupted", "sim"
-		r.record(id, rec)
-		r.emitEvent(RunEvent{Hash: hash, Benchmark: bench, Config: rec.Config,
-			Phase: PhaseInterrupted})
+		r.settle(id, event(PhaseInterrupted))
 		return system.Result{}, fmt.Errorf("run %s (%s, %s): %w",
-			shortHash(hash), bench, ConfigLabel(cfg), ErrInterrupted)
+			shortHash(hash), bench, label, ErrInterrupted)
 	}
 
+	// Counted as the first attempt starts, not at settle: the progress
+	// lines' [done/total] counter includes the run it announces.
 	r.fresh.Add(1)
 	attempts := r.Retries + 1
 	var wall time.Duration
 	for attempt := 1; ; attempt++ {
-		r.Journal.Begin(hash, label, attempt)
+		r.Journal.Begin(hash, key, attempt)
 		msg := fmt.Sprintf("run (routing=%v, flit=%d, %v%d)",
 			cfg.Network.Routing, cfg.Network.FlitBits,
 			cfg.Coherence.Kind, cfg.Coherence.Sharers)
@@ -460,24 +471,22 @@ func (r *Runner) execute(ctx context.Context, id runID) (system.Result, error) {
 		if attempt > 1 {
 			phase = PhaseRetry
 		}
-		r.emitEvent(RunEvent{Hash: hash, Benchmark: bench, Config: rec.Config,
-			Phase: phase, Attempt: attempt})
+		ev := event(phase)
+		ev.Attempt = attempt
+		r.emitEvent(ev)
 
 		start := time.Now()
 		res, err := r.simulate(ctx, cfg, bench, hash, attempt)
 		wall += time.Since(start)
+		ev.WallMS = float64(wall.Microseconds()) / 1e3
 
 		if err == nil {
-			r.Journal.Done(hash, label, attempt, wall)
-			rec.Status, rec.Source, rec.Attempts = StatusDone, "sim", attempt
-			rec.WallMS = float64(wall.Microseconds()) / 1e3
-			r.record(id, rec)
+			r.Journal.Done(hash, key, attempt, wall)
 			if store := r.resultStore(); store != nil && ck != "" {
 				store.Put(ck, res) // best effort: a failed write only costs a re-run
 			}
-			r.emitEvent(RunEvent{Hash: hash, Benchmark: bench, Config: rec.Config,
-				Phase: PhaseDone, Attempt: attempt, Cycles: uint64(res.Cycles),
-				Instructions: res.Instructions, WallMS: rec.WallMS})
+			ev.Phase, ev.Cycles, ev.Instructions = PhaseDone, uint64(res.Cycles), res.Instructions
+			r.settle(id, ev)
 			return res, nil
 		}
 		if ctx.Err() == nil && attempt < attempts && transientFailure(err) {
@@ -494,29 +503,20 @@ func (r *Runner) execute(ctx context.Context, id runID) (system.Result, error) {
 		// backoff — is not a run failure: leave the journal record at
 		// "running" so a resumed campaign re-runs it.
 		if ctx.Err() != nil {
-			r.interrupted.Store(true)
-			rec.Status, rec.Source, rec.Attempts = "interrupted", "sim", attempt
-			rec.WallMS = float64(wall.Microseconds()) / 1e3
-			rec.Error = err.Error()
-			r.record(id, rec)
-			r.emitEvent(RunEvent{Hash: hash, Benchmark: bench, Config: rec.Config,
-				Phase: PhaseInterrupted, Attempt: attempt, Error: err.Error()})
+			ev.Phase, ev.Error = PhaseInterrupted, err.Error()
+			r.settle(id, ev)
 			return system.Result{}, fmt.Errorf("run %s (%s, %s): %w: %v",
-				shortHash(hash), bench, ConfigLabel(cfg), ErrInterrupted, err)
+				shortHash(hash), bench, label, ErrInterrupted, err)
 		}
 		// Terminal: deterministic failure, or the attempt budget is spent.
 		// The wrap carries the run hash and config name so a tripped
 		// watchdog or exhausted event budget is attributable in the
 		// failure ledger without re-running anything.
 		wrapped := fmt.Errorf("run %s (%s, %s, attempt %d/%d): %w",
-			shortHash(hash), bench, ConfigLabel(cfg), attempt, attempts, err)
-		r.Journal.Fail(hash, label, attempt, wall, wrapped)
-		rec.Status, rec.Source, rec.Attempts = StatusFailed, "sim", attempt
-		rec.WallMS = float64(wall.Microseconds()) / 1e3
-		rec.Error = wrapped.Error()
-		r.record(id, rec)
-		r.emitEvent(RunEvent{Hash: hash, Benchmark: bench, Config: rec.Config,
-			Phase: PhaseFailed, Attempt: attempt, WallMS: rec.WallMS, Error: wrapped.Error()})
+			shortHash(hash), bench, label, attempt, attempts, err)
+		r.Journal.Fail(hash, key, attempt, wall, wrapped)
+		ev.Phase, ev.Error = PhaseFailed, wrapped.Error()
+		r.settle(id, ev)
 		var pe *PanicError
 		if errors.As(err, &pe) && len(pe.Stack) > 0 {
 			r.progress(cfg, bench, fmt.Sprintf("panic isolated (stack captured, %d bytes)", len(pe.Stack)))

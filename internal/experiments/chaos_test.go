@@ -380,3 +380,48 @@ func TestChaosWorkloadPanicIsFailedRun(t *testing.T) {
 		}
 	}
 }
+
+// TestLedgerMatchesTerminalEvents checks that every ledger row agrees
+// with its run's last event (status, attempts, wall time, error) across
+// fresh, failed, cached and journal-recalled runs, and that a recalled
+// failure's event carries the wall time its journal record kept.
+func TestLedgerMatchesTerminalEvents(t *testing.T) {
+	dir := t.TempDir()
+	for pass, wantSources := range []string{"sim", "cache journal"} {
+		r := chaosRunner(t, dir)
+		r.Apps = []string{"radix"}
+		r.testHook = func(cfg config.Config, _ string, _ int) {
+			if cfg.Network.Kind == config.EMeshPure {
+				panic("chaos: injected panic")
+			}
+		}
+		last := map[string]RunEvent{}
+		r.Events = func(ev RunEvent) { last[ev.Hash] = ev }
+		if _, err := r.Figure("4"); err != nil {
+			t.Fatal(err)
+		}
+		ledger := r.Ledger()
+		if len(ledger) != 3 {
+			t.Fatalf("pass %d: %d ledger rows, want 3", pass, len(ledger))
+		}
+		for _, row := range ledger {
+			ev := last[row.Hash]
+			status := map[string]string{PhaseCached: StatusDone, PhaseRecalled: StatusFailed}[ev.Phase]
+			if status == "" {
+				status = ev.Phase
+			}
+			if row.Status != status || row.Attempts != ev.Attempt || row.WallMS != ev.WallMS || row.Error != ev.Error {
+				t.Errorf("pass %d: ledger row %+v disagrees with its last event %+v", pass, row, ev)
+			}
+			if !strings.Contains(wantSources, row.Source) {
+				t.Errorf("pass %d: row source %q, want one of %q", pass, row.Source, wantSources)
+			}
+			if row.Status == StatusFailed && row.WallMS <= 0 {
+				t.Errorf("pass %d: failed row %+v has no wall time", pass, row)
+			}
+		}
+		if err := r.Journal.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
