@@ -44,7 +44,7 @@ func main() {
 	f.Bind(flag.CommandLine, "net", "cores", "sharers", "coherence", "flit", "rthres",
 		"hybrid-radius", "tech", "optics", "seed", "scale", "shards", "run-timeout", "version")
 	var (
-		bench   = flag.String("bench", "radix", "benchmark: "+strings.Join(workloadNames(), ", ")+" (list prints them)")
+		bench   = flag.String("bench", "radix", "benchmark: "+strings.Join(workload.ExtendedNames(), ", ")+" (list prints them)")
 		heat    = flag.Bool("heatmap", false, "print the mesh congestion heatmap")
 		traceN  = flag.Int("trace", 0, "dump the last N protocol events after the run")
 		cfgPath = flag.String("config", "", "load the system configuration from this JSON file (overrides the geometry flags)")
@@ -75,7 +75,7 @@ func main() {
 		return
 	}
 	if *bench == "list" {
-		for _, n := range workloadNames() {
+		for _, n := range workload.ExtendedNames() {
 			fmt.Println(n)
 		}
 		return
@@ -323,14 +323,6 @@ func instantsFrom(ring *trace.Ring) []metrics.Instant {
 		out[i] = metrics.Instant{At: e.At, Cat: e.Kind, Name: e.Text}
 	}
 	return out
-}
-
-func workloadNames() []string {
-	var names []string
-	for _, s := range workload.ExtendedCatalog(16, 1, 1) {
-		names = append(names, s.Name)
-	}
-	return names
 }
 
 func init() {

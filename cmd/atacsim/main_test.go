@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/system"
+	"repro/internal/workload"
 )
 
 // TestMain runs main itself when a test re-executes the test binary with
@@ -55,7 +56,7 @@ func TestConfigFileRejected(t *testing.T) {
 // tested there; atacsim only forwards its flags into a Geometry.
 
 func TestWorkloadNames(t *testing.T) {
-	names := workloadNames()
+	names := workload.ExtendedNames()
 	if len(names) != 10 {
 		t.Fatalf("%d workloads", len(names))
 	}

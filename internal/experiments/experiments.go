@@ -22,13 +22,11 @@ import (
 	"repro/internal/energy"
 	"repro/internal/sim"
 	"repro/internal/system"
+	"repro/internal/workload"
 )
 
 // Benchmarks lists the evaluation applications in the paper's Fig 4 order.
-var Benchmarks = []string{
-	"dynamic_graph", "radix", "barnes", "fmm",
-	"ocean_contig", "lu_contig", "ocean_non_contig", "lu_non_contig",
-}
+var Benchmarks = workload.Names()
 
 // Options scopes an experiment campaign.
 type Options struct {

@@ -152,8 +152,8 @@ func newServer(r *experiments.Runner, opt Options, logf func(format string, args
 	}
 	s.execute = r.RunContext
 	r.Events = s.routeEvent
-	for _, spec := range workload.ExtendedCatalog(16, 1, 1) {
-		s.benches[spec.Name] = true
+	for _, name := range workload.ExtendedNames() {
+		s.benches[name] = true
 	}
 	for i := 0; i < opt.Workers; i++ {
 		s.workers.Add(1)

@@ -120,39 +120,69 @@ func rng(seed int64, core int) *rand.Rand {
 	return rand.New(rand.NewSource(seed*1000003 + int64(core)*7919 + 1))
 }
 
+// catalog is every benchmark in one ordered table: the paper's eight in
+// Fig 4 order, then the extension kernels this repository adds beyond the
+// paper (fft, water). Name lists read it without building a workload.
+var catalog = []struct {
+	name  string
+	build func(cores int, seed int64, scale int) Spec
+}{
+	{"dynamic_graph", DynamicGraph},
+	{"radix", Radix},
+	{"barnes", Barnes},
+	{"fmm", FMM},
+	{"ocean_contig", OceanContig},
+	{"lu_contig", LUContig},
+	{"ocean_non_contig", OceanNonContig},
+	{"lu_non_contig", LUNonContig},
+	{"fft", FFT},
+	{"water", Water},
+}
+
+// paperApps is how many leading catalog entries the paper evaluates.
+const paperApps = 8
+
+// Names returns the paper's eight benchmark names in Fig 4 order.
+func Names() []string { return catalogNames(paperApps) }
+
+// ExtendedNames returns every benchmark name: the paper's eight, then the
+// extension kernels.
+func ExtendedNames() []string { return catalogNames(len(catalog)) }
+
+func catalogNames(n int) []string {
+	out := make([]string, n)
+	for i, e := range catalog[:n] {
+		out[i] = e.name
+	}
+	return out
+}
+
 // Catalog builds all eight benchmarks at a scale appropriate for the given
 // core count. scale multiplies the per-core problem size (1 = the default
 // used throughout the evaluation).
 func Catalog(cores int, seed int64, scale int) []Spec {
-	if scale < 1 {
-		scale = 1
-	}
-	return []Spec{
-		DynamicGraph(cores, seed, scale),
-		Radix(cores, seed, scale),
-		Barnes(cores, seed, scale),
-		FMM(cores, seed, scale),
-		OceanContig(cores, seed, scale),
-		LUContig(cores, seed, scale),
-		OceanNonContig(cores, seed, scale),
-		LUNonContig(cores, seed, scale),
-	}
+	return buildCatalog(paperApps, cores, seed, scale)
 }
 
 // ExtendedCatalog returns the paper's eight benchmarks plus the extension
 // kernels this repository adds beyond the paper (fft, water).
 func ExtendedCatalog(cores int, seed int64, scale int) []Spec {
-	return append(Catalog(cores, seed, scale),
-		FFT(cores, seed, scale),
-		Water(cores, seed, scale),
-	)
+	return buildCatalog(len(catalog), cores, seed, scale)
 }
 
-// ByName returns the named benchmark from the extended catalog.
+func buildCatalog(n, cores int, seed int64, scale int) []Spec {
+	out := make([]Spec, n)
+	for i, e := range catalog[:n] {
+		out[i] = e.build(cores, seed, max(scale, 1))
+	}
+	return out
+}
+
+// ByName builds the named benchmark from the extended catalog.
 func ByName(name string, cores int, seed int64, scale int) (Spec, error) {
-	for _, s := range ExtendedCatalog(cores, seed, scale) {
-		if s.Name == name {
-			return s, nil
+	for _, e := range catalog {
+		if e.name == name {
+			return e.build(cores, seed, max(scale, 1)), nil
 		}
 	}
 	return Spec{}, fmt.Errorf("workload: unknown benchmark %q", name)

@@ -106,11 +106,6 @@ func NewCampaign(o CampaignOptions) *Campaign { return experiments.NewRunner(o) 
 // set REPRO_FULL=1 for the paper's 1024-core geometry).
 func DefaultCampaignOptions() CampaignOptions { return experiments.DefaultOptions() }
 
-// WorkloadNames verifies a benchmark name, returning the catalog entry.
-func WorkloadNames(cores int, seed int64, scale int) []string {
-	var names []string
-	for _, s := range workload.Catalog(cores, seed, scale) {
-		names = append(names, s.Name)
-	}
-	return names
-}
+// WorkloadNames returns the eight evaluation benchmarks' names in Fig 4
+// order. The names do not depend on the geometry, seed or scale.
+func WorkloadNames(cores int, seed int64, scale int) []string { return workload.Names() }
