@@ -180,13 +180,6 @@ func TestFaultValidate(t *testing.T) {
 	if err := c.Validate(); err != nil {
 		t.Errorf("default fault profile rejected: %v", err)
 	}
-	if !c.Fault.Active() {
-		t.Error("DefaultFault must be active")
-	}
-	var z Fault
-	if z.Active() {
-		t.Error("zero Fault must be inactive")
-	}
 }
 
 // TestEnumJSONErrors pins the decoder's text for a name outside an enum's

@@ -73,34 +73,3 @@ func BucketLabel(i int) string {
 	_, hi := BucketBounds(i)
 	return fmt.Sprintf("le%d", hi)
 }
-
-// Quantile returns the upper bound of the bucket containing the q-th
-// quantile observation (q in [0,1]); 0 when the histogram is empty. The
-// bucket bound is the tightest statement a fixed-bucket histogram can
-// make, and is monotone in q.
-func (h *Histogram) Quantile(q float64) uint64 {
-	total := h.Total()
-	if total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := uint64(q * float64(total))
-	if rank >= total {
-		rank = total - 1
-	}
-	var seen uint64
-	for i, c := range h.Counts {
-		seen += c
-		if rank < seen {
-			_, hi := BucketBounds(i)
-			return hi
-		}
-	}
-	_, hi := BucketBounds(HistBuckets - 1)
-	return hi
-}

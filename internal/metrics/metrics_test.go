@@ -43,22 +43,6 @@ func TestHistogramBucketing(t *testing.T) {
 	}
 }
 
-func TestHistogramQuantile(t *testing.T) {
-	var h Histogram
-	for i := 0; i < 90; i++ {
-		h.Observe(3) // bucket 0, upper bound 4
-	}
-	for i := 0; i < 10; i++ {
-		h.Observe(1000)
-	}
-	if q := h.Quantile(0.5); q != 4 {
-		t.Errorf("p50 = %d, want 4", q)
-	}
-	if q := h.Quantile(0.99); q < 1000 {
-		t.Errorf("p99 = %d, want >= 1000", q)
-	}
-}
-
 func TestHistogramNilSafe(t *testing.T) {
 	var h *Histogram
 	h.Observe(7) // must not panic

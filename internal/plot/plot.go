@@ -7,7 +7,6 @@ package plot
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -298,9 +297,4 @@ func FromTable(title, ylabel string, columns []string, rows [][]string, parse fu
 		bar.Values = append(bar.Values, vals)
 	}
 	return bar
-}
-
-// SortSeriesByName orders line series alphabetically (stable output).
-func (l *Line) SortSeriesByName() {
-	sort.Slice(l.Series, func(i, j int) bool { return l.Series[i].Name < l.Series[j].Name })
 }

@@ -145,14 +145,6 @@ func TestFromTable(t *testing.T) {
 	}
 }
 
-func TestSortSeriesByName(t *testing.T) {
-	l := &Line{Series: []Series{{Name: "z"}, {Name: "a"}}}
-	l.SortSeriesByName()
-	if l.Series[0].Name != "a" {
-		t.Error("not sorted")
-	}
-}
-
 func TestShorten(t *testing.T) {
 	if s := shorten("ocean_non_contig"); len(s) > 14 {
 		t.Errorf("shorten failed: %q", s)

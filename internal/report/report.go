@@ -86,13 +86,3 @@ func Write(w io.Writer, t *experiments.Table, f Format) error {
 	}
 	return fmt.Errorf("report: unknown format %q", f)
 }
-
-// WriteAll renders a sequence of tables.
-func WriteAll(w io.Writer, ts []*experiments.Table, f Format) error {
-	for _, t := range ts {
-		if err := Write(w, t, f); err != nil {
-			return err
-		}
-	}
-	return nil
-}

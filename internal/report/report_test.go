@@ -75,16 +75,6 @@ func TestWriteJSON(t *testing.T) {
 	}
 }
 
-func TestWriteAll(t *testing.T) {
-	var b bytes.Buffer
-	if err := WriteAll(&b, []*experiments.Table{sample(), sample()}, CSV); err != nil {
-		t.Fatal(err)
-	}
-	if got := strings.Count(b.String(), "# Sample"); got != 2 {
-		t.Errorf("%d tables written", got)
-	}
-}
-
 func TestWriteUnknownFormat(t *testing.T) {
 	if err := Write(&bytes.Buffer{}, sample(), Format("xml")); err == nil {
 		t.Error("unknown format accepted")

@@ -1,39 +1,29 @@
 // Package stats provides the small statistical toolkit the evaluation
 // harness uses: streaming histograms with percentile queries (network
-// latency distributions behind Fig 3), running means, and a fixed-bucket
-// heatmap used for spatial traffic summaries.
+// latency distributions behind Fig 3) and a fixed-bucket heatmap used for
+// spatial traffic summaries.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
 // Hist is a streaming histogram over non-negative integer samples with
 // power-of-two bucketing above a linear region: exact counts for values
-// < LinearMax, then one bucket per octave. Memory is O(log max).
+// < linearMax, then one bucket per octave. Memory is O(log max). The zero
+// value is an empty histogram.
 type Hist struct {
-	// LinearMax bounds the exact region; 0 means DefaultLinearMax.
-	LinearMax int
-
-	linear []uint64 // counts for 0..LinearMax-1
-	exp    []uint64 // octave buckets: [2^k*LinearMax, 2^(k+1)*LinearMax)
+	linear []uint64 // counts for 0..linearMax-1
+	exp    []uint64 // octave buckets: [2^k*linearMax, 2^(k+1)*linearMax)
 	count  uint64
 	sum    uint64
 	max    uint64
 }
 
-// DefaultLinearMax is the exact-count region of a zero-value Hist.
-const DefaultLinearMax = 256
-
-func (h *Hist) linearMax() int {
-	if h.LinearMax <= 0 {
-		return DefaultLinearMax
-	}
-	return h.LinearMax
-}
+// linearMax bounds a Hist's exact-count region.
+const linearMax = 256
 
 // Add records one sample.
 func (h *Hist) Add(v uint64) {
@@ -42,16 +32,15 @@ func (h *Hist) Add(v uint64) {
 	if v > h.max {
 		h.max = v
 	}
-	lm := uint64(h.linearMax())
-	if v < lm {
+	if v < linearMax {
 		if h.linear == nil {
-			h.linear = make([]uint64, lm)
+			h.linear = make([]uint64, linearMax)
 		}
 		h.linear[v]++
 		return
 	}
 	k := 0
-	for x := v / lm; x > 0; x >>= 1 {
+	for x := v / linearMax; x > 0; x >>= 1 {
 		k++
 	}
 	for len(h.exp) <= k {
@@ -98,11 +87,10 @@ func (h *Hist) Percentile(p float64) uint64 {
 			return uint64(v)
 		}
 	}
-	lm := uint64(h.linearMax())
 	for k, c := range h.exp {
 		seen += c
 		if seen >= target {
-			edge := lm << uint(k)
+			edge := uint64(linearMax) << uint(k)
 			if edge > h.max {
 				return h.max
 			}
@@ -112,59 +100,10 @@ func (h *Hist) Percentile(p float64) uint64 {
 	return h.max
 }
 
-// Merge folds other into h.
-func (h *Hist) Merge(other *Hist) {
-	if other.count == 0 {
-		return
-	}
-	if h.linearMax() != other.linearMax() {
-		panic("stats: merging histograms with different linear regions")
-	}
-	h.count += other.count
-	h.sum += other.sum
-	if other.max > h.max {
-		h.max = other.max
-	}
-	if other.linear != nil {
-		if h.linear == nil {
-			h.linear = make([]uint64, h.linearMax())
-		}
-		for i, c := range other.linear {
-			h.linear[i] += c
-		}
-	}
-	for len(h.exp) < len(other.exp) {
-		h.exp = append(h.exp, 0)
-	}
-	for i, c := range other.exp {
-		h.exp[i] += c
-	}
-}
-
 // String summarizes the distribution.
 func (h *Hist) String() string {
 	return fmt.Sprintf("n=%d mean=%.2f p50=%d p95=%d p99=%d max=%d",
 		h.count, h.Mean(), h.Percentile(50), h.Percentile(95), h.Percentile(99), h.max)
-}
-
-// Mean accumulates a running mean without storing samples.
-type Mean struct {
-	n   uint64
-	sum float64
-}
-
-// Add records one observation.
-func (m *Mean) Add(v float64) { m.n++; m.sum += v }
-
-// N returns the observation count.
-func (m *Mean) N() uint64 { return m.n }
-
-// Value returns the mean (0 for an empty accumulator).
-func (m *Mean) Value() float64 {
-	if m.n == 0 {
-		return 0
-	}
-	return m.sum / float64(m.n)
 }
 
 // Heatmap is a dim x dim grid of counters used for spatial summaries
@@ -222,25 +161,4 @@ func (h *Heatmap) Render() string {
 		sb.WriteByte('\n')
 	}
 	return sb.String()
-}
-
-// Summary computes order statistics of a float slice (used by sweep
-// post-processing). The input is not modified.
-func Summary(xs []float64) (mean, median, min, max float64) {
-	if len(xs) == 0 {
-		return 0, 0, 0, 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	min, max = s[0], s[len(s)-1]
-	for _, v := range s {
-		mean += v
-	}
-	mean /= float64(len(s))
-	if n := len(s); n%2 == 1 {
-		median = s[n/2]
-	} else {
-		median = (s[n/2-1] + s[n/2]) / 2
-	}
-	return
 }

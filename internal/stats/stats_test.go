@@ -84,39 +84,6 @@ func TestHistOctaveBuckets(t *testing.T) {
 	}
 }
 
-func TestHistMerge(t *testing.T) {
-	var a, b Hist
-	for i := uint64(0); i < 50; i++ {
-		a.Add(i)
-		b.Add(i + 50)
-	}
-	a.Merge(&b)
-	if a.Count() != 100 {
-		t.Errorf("merged count %d", a.Count())
-	}
-	if got := a.Percentile(50); got < 48 || got > 51 {
-		t.Errorf("merged p50 = %d", got)
-	}
-	var empty Hist
-	a.Merge(&empty) // no-op
-	if a.Count() != 100 {
-		t.Error("merging empty changed count")
-	}
-}
-
-func TestHistMergeMismatchPanics(t *testing.T) {
-	a := &Hist{LinearMax: 16}
-	b := &Hist{LinearMax: 32}
-	a.Add(1)
-	b.Add(1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for mismatched linear regions")
-		}
-	}()
-	a.Merge(b)
-}
-
 // Property: percentiles are monotone in p and bounded by max.
 func TestHistPercentileMonotone(t *testing.T) {
 	f := func(vals []uint16) bool {
@@ -139,18 +106,6 @@ func TestHistPercentileMonotone(t *testing.T) {
 	}
 }
 
-func TestMean(t *testing.T) {
-	var m Mean
-	if m.Value() != 0 {
-		t.Error("empty mean not 0")
-	}
-	m.Add(2)
-	m.Add(4)
-	if m.Value() != 3 || m.N() != 2 {
-		t.Errorf("mean %v n %d", m.Value(), m.N())
-	}
-}
-
 func TestHeatmap(t *testing.T) {
 	h := NewHeatmap(4)
 	h.Add(1, 2, 5)
@@ -169,23 +124,6 @@ func TestHeatmap(t *testing.T) {
 	r := h.Render()
 	if len(r) != 4*5 { // 4 rows of 4 chars + newline
 		t.Errorf("render size %d", len(r))
-	}
-}
-
-func TestSummary(t *testing.T) {
-	mean, median, lo, hi := Summary([]float64{3, 1, 2})
-	if mean != 2 || median != 2 || lo != 1 || hi != 3 {
-		t.Errorf("summary %v %v %v %v", mean, median, lo, hi)
-	}
-	mean, median, lo, hi = Summary([]float64{1, 2, 3, 4})
-	if median != 2.5 {
-		t.Errorf("even median %v", median)
-	}
-	if mean != 2.5 || lo != 1 || hi != 4 {
-		t.Errorf("even summary %v %v %v", mean, lo, hi)
-	}
-	if m, md, l, h := Summary(nil); m != 0 || md != 0 || l != 0 || h != 0 {
-		t.Error("empty summary not zero")
 	}
 }
 

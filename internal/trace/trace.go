@@ -26,7 +26,6 @@ type Ring struct {
 	entries []Entry
 	next    int
 	total   uint64
-	filter  func(kind string) bool
 	clock   sim.Clock
 }
 
@@ -36,13 +35,6 @@ func New(n int) *Ring {
 		n = 1
 	}
 	return &Ring{entries: make([]Entry, 0, n)}
-}
-
-// SetFilter restricts recording to kinds the predicate accepts.
-func (r *Ring) SetFilter(f func(kind string) bool) {
-	if r != nil {
-		r.filter = f
-	}
 }
 
 // BindClock attaches the simulated-time source Recordf stamps entries
@@ -77,13 +69,10 @@ func (r *Ring) Recordf(kind, format string, args ...any) {
 	r.Record(at, kind, format, args...)
 }
 
-// Record adds an event. Arguments are formatted eagerly only when the
-// ring is non-nil and the kind passes the filter.
+// Record adds an event. Arguments are formatted only when the ring is
+// non-nil.
 func (r *Ring) Record(at sim.Time, kind, format string, args ...any) {
 	if r == nil {
-		return
-	}
-	if r.filter != nil && !r.filter(kind) {
 		return
 	}
 	e := Entry{At: at, Kind: kind, Text: fmt.Sprintf(format, args...)}

@@ -13,7 +13,6 @@ func TestNilRingNoops(t *testing.T) {
 	if r.Total() != 0 || r.Entries() != nil {
 		t.Fatal("nil ring retained data")
 	}
-	r.SetFilter(func(string) bool { return true })
 }
 
 func TestRecordAndOrder(t *testing.T) {
@@ -49,16 +48,6 @@ func TestRingWrap(t *testing.T) {
 	}
 	if r.Total() != 7 {
 		t.Errorf("Total = %d", r.Total())
-	}
-}
-
-func TestFilter(t *testing.T) {
-	r := New(8)
-	r.SetFilter(func(k string) bool { return k == "dir" })
-	r.Record(1, "dir", "kept")
-	r.Record(2, "net", "dropped")
-	if len(r.Entries()) != 1 || r.Entries()[0].Kind != "dir" {
-		t.Fatalf("filter failed: %v", r.Entries())
 	}
 }
 
