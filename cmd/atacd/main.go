@@ -77,7 +77,7 @@ func run() int {
 	r.Retries = 2
 	f := experiments.Flags{Geometry: experiments.Geometry{Cores: 64, Seed: 42}, Runner: r,
 		Grace: 30 * time.Second}
-	f.Bind(flag.CommandLine, "cores", "seed", "scale", "jobs", "shards", "retries",
+	f.Bind(flag.CommandLine, "cores", "seed", "scale", "jobs", "retries",
 		"run-timeout", "cache-dir", "no-cache", "cache-max-bytes", "grace", "version")
 	var (
 		addr  = flag.String("addr", ":8347", "HTTP listen address")

@@ -42,7 +42,7 @@ func main() {
 		Coherence: "ackwise", FlitBits: 64, Seed: 42},
 		Runner: &experiments.Runner{Opt: experiments.Options{Scale: 1}}}
 	f.Bind(flag.CommandLine, "net", "cores", "sharers", "coherence", "flit", "rthres",
-		"hybrid-radius", "tech", "optics", "seed", "scale", "shards", "run-timeout", "version")
+		"hybrid-radius", "tech", "optics", "seed", "scale", "run-timeout", "version")
 	var (
 		bench   = flag.String("bench", "radix", "benchmark: "+strings.Join(workload.ExtendedNames(), ", ")+" (list prints them)")
 		heat    = flag.Bool("heatmap", false, "print the mesh congestion heatmap")
@@ -124,30 +124,9 @@ func main() {
 		go func() { log.Println(http.ListenAndServe(*pprofAddr, nil)) }()
 	}
 
-	nsh := f.Runner.Shards
-	if nsh <= 0 {
-		nsh = experiments.DefaultShards()
-	}
-	if nsh > 1 && (*traceN > 0 || *traceOut != "") {
-		// The protocol trace ring records the coherence layer's global event
-		// order from concurrent shard goroutines without synchronization;
-		// only the serial kernel can feed it coherently.
-		log.Println("protocol tracing forces serial execution; ignoring -shards")
-		nsh = 1
-	}
-	sys, err := system.NewSharded(cfg, nsh)
+	sys, err := system.New(cfg)
 	if err != nil {
 		log.Fatal(err)
-	}
-	if nsh > 1 && sys.Shards != nsh {
-		if cfg.Fault.Enabled {
-			// The injector draws from one global RNG stream whose draw order
-			// no conservative window schedule can reproduce.
-			log.Println("fault injection forces serial execution; ignoring -shards")
-		} else {
-			log.Printf("using %d shards (%d requested; shards must divide the %d cluster rows)",
-				sys.Shards, nsh, cfg.MeshDim()/cfg.ClusterDim)
-		}
 	}
 	spec, err := system.WorkloadFor(cfg, *bench, f.Runner.Opt.Scale)
 	if err != nil {

@@ -49,7 +49,7 @@ func run() int {
 	r.Retries = 2
 	f := experiments.Flags{Geometry: experiments.Geometry{Cores: 64, Seed: 42}, Runner: r,
 		Grace: 15 * time.Second}
-	f.Bind(flag.CommandLine, "cores", "seed", "tech", "optics", "scale", "q", "jobs", "shards", "retries",
+	f.Bind(flag.CommandLine, "cores", "seed", "tech", "optics", "scale", "q", "jobs", "retries",
 		"run-timeout", "cache-dir", "no-cache", "cache-max-bytes", "grace", "version")
 	var (
 		scenList = flag.String("scenarios", "", `techsweep scenario list, comma-separated "tech[/optics]" pairs (default: the built-in six-point sweep)`)

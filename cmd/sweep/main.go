@@ -45,7 +45,7 @@ func run() int {
 	r.Retries = 2
 	f := experiments.Flags{Geometry: experiments.Geometry{Net: "atac+", Cores: 64, Seed: 42}, Runner: r,
 		Grace: 15 * time.Second}
-	f.Bind(flag.CommandLine, "net", "cores", "tech", "optics", "seed", "jobs", "shards", "retries",
+	f.Bind(flag.CommandLine, "net", "cores", "tech", "optics", "seed", "jobs", "retries",
 		"run-timeout", "cache-dir", "no-cache", "grace", "version")
 	var (
 		param   = flag.String("param", "flit", "swept parameter: flit, rthres, sharers, load")

@@ -59,15 +59,6 @@ type Runner struct {
 	// Jobs caps concurrent simulations in RunAll/Prefetch. Zero means
 	// DefaultJobs() (REPRO_JOBS env, else GOMAXPROCS). One runs serially.
 	Jobs int
-	// Shards partitions each fresh simulation onto the parallel PDES
-	// engine with that many per-cluster-slab event queues (rounded down to
-	// a feasible count per config — see system.EffectiveShards). The
-	// sharded engine is bit-identical to the serial kernel, so Shards is
-	// deliberately absent from the run identity: sharded and serial
-	// campaigns share cache entries. Zero means
-	// DefaultShards() (REPRO_SHARDS env, else 1 = serial). Synthetic
-	// network-only runs ignore it and stay serial (see runSynthetic).
-	Shards int
 	// Cache, if non-nil, persists results on disk across processes.
 	Cache *Cache
 	// Store, if non-nil, overrides where completed results persist — e.g.
@@ -118,7 +109,7 @@ type Runner struct {
 	progMu   sync.Mutex
 	evMu     sync.Mutex
 
-	fresh     atomic.Uint64 // simulations actually executed
+	fresh     atomic.Uint64 // simulations started (see FreshRuns)
 	cacheHits atomic.Uint64 // runs recalled from the persistent cache
 	recalled  atomic.Uint64 // failures recalled from the journal
 	expected  atomic.Uint64 // campaign run-set size declared via Prefetch
@@ -184,25 +175,6 @@ func (r *Runner) jobs() int {
 	return DefaultJobs()
 }
 
-// DefaultShards returns the campaign-wide PDES shard-count default: the
-// REPRO_SHARDS environment variable when set to a positive integer, else
-// 1 (serial execution).
-func DefaultShards() int {
-	if v := os.Getenv("REPRO_SHARDS"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			return n
-		}
-	}
-	return 1
-}
-
-func (r *Runner) shards() int {
-	if r.Shards > 0 {
-		return r.Shards
-	}
-	return DefaultShards()
-}
-
 // apps returns the benchmark set this campaign covers.
 func (r *Runner) apps() []string {
 	if len(r.Apps) > 0 {
@@ -211,8 +183,9 @@ func (r *Runner) apps() []string {
 	return Benchmarks
 }
 
-// FreshRuns returns the number of simulations this Runner actually
-// executed (memo and persistent-cache hits excluded).
+// FreshRuns returns the number of simulations this Runner started,
+// including ones in flight, failed or interrupted (memo and
+// persistent-cache hits excluded).
 func (r *Runner) FreshRuns() uint64 { return r.fresh.Load() }
 
 // CacheHits returns the number of runs recalled from the persistent cache.
@@ -528,10 +501,8 @@ func (r *Runner) execute(ctx context.Context, id runID) (system.Result, error) {
 // simulate performs one panic-isolated attempt under the per-run deadline.
 // A panic anywhere in the simulator surfaces as a *PanicError carrying the
 // worker's stack instead of unwinding into the pool. Every fresh system
-// run takes one path: the machine is built on r.shards() shards (one is
-// the serial kernel, and the engines are bit-identical, so the result and
-// the cache entry it files under do not depend on the count), and an
-// epoch collector is attached only when an Events consumer wants epochs.
+// run takes one path on the serial kernel; an epoch collector is attached
+// only when an Events consumer wants epochs.
 func (r *Runner) simulate(ctx context.Context, cfg config.Config, bench, hash string, attempt int) (res system.Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -553,7 +524,7 @@ func (r *Runner) simulate(ctx context.Context, cfg config.Config, bench, hash st
 	if err != nil {
 		return system.Result{}, err
 	}
-	sys, err := system.NewSharded(cfg, r.shards())
+	sys, err := system.New(cfg)
 	if err != nil {
 		return system.Result{}, err
 	}

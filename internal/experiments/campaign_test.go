@@ -72,42 +72,42 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestShardedCampaignMatchesSerial pins the campaign-level contract of
-// the sharded PDES engine: a Runner with Shards set produces bit-identical
-// memoized results to a serial Runner for the same run-set, under the same
-// run identities — which is what lets sharded and serial campaigns share
-// persistent cache entries (Shards is not part of any run hash).
+// TestShardedCampaignMatchesSerial pins the sharded PDES engine at
+// campaign scale: every Fig 4 run, built on two shards from the same run
+// config a Runner keys it under, produces a Result bit-identical to the
+// serial Runner's memoized one.
 func TestShardedCampaignMatchesSerial(t *testing.T) {
 	serial := testCampaignRunner()
-	sharded := testCampaignRunner()
-	sharded.Shards = 2
-
-	for _, r := range []*Runner{serial, sharded} {
-		r.Prefetch(r.FigureRuns("4"))
+	specs := serial.FigureRuns("4")
+	serial.Prefetch(specs)
+	if len(serial.memo) == 0 {
+		t.Fatal("serial campaign memoized no results")
 	}
-	rs, rp := serial.memo, sharded.memo
-	if len(rs) == 0 || len(rs) != len(rp) {
-		t.Fatalf("result sets differ in size: serial %d, sharded %d", len(rs), len(rp))
-	}
-	for k, v := range rs {
-		pv, ok := rp[k]
+	for _, s := range specs {
+		cfg := runConfig(s.Cfg)
+		want, ok := serial.memo[runID{cfg, s.Bench}]
 		if !ok {
-			t.Errorf("run %s@%s missing from sharded results", k.bench, ConfigLabel(k.cfg))
+			t.Errorf("run %s@%s missing from serial results", s.Bench, ConfigLabel(cfg))
 			continue
 		}
-		if !reflect.DeepEqual(v, pv) {
-			t.Errorf("run %s@%s: sharded result differs from serial\nserial:  %+v\nsharded: %+v", k.bench, ConfigLabel(k.cfg), v, pv)
+		sys, err := system.NewSharded(cfg, 2)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// Same persistent identity: the run hash — and so the cache file a
-	// result lands in — must not depend on the engine.
-	cfg := serial.Opt.Config(config.ATACPlus)
-	if sk, pk := serial.RunHash(cfg, "radix"), sharded.RunHash(cfg, "radix"); sk != pk {
-		t.Errorf("run hash depends on Shards: serial %s, sharded %s", sk, pk)
-	}
-	// The manifest records the shard count for attribution.
-	if p := sharded.Provenance([]string{"4"}, 0); p.Shards != 2 {
-		t.Errorf("provenance Shards = %d, want 2", p.Shards)
+		if sys.Shards != 2 {
+			t.Fatalf("run %s@%s built on %d shards, want 2", s.Bench, ConfigLabel(cfg), sys.Shards)
+		}
+		spec, err := system.WorkloadFor(cfg, s.Bench, serial.Opt.Scale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := sys.Run(spec, serial.Opt.Horizon)
+		if err != nil {
+			t.Fatalf("run %s@%s on 2 shards: %v", s.Bench, ConfigLabel(cfg), err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Errorf("run %s@%s: sharded result differs from serial\nserial:  %+v\nsharded: %+v", s.Bench, ConfigLabel(cfg), want, got)
+		}
 	}
 }
 

@@ -73,7 +73,6 @@ func (f *Flags) declare() *flag.FlagSet {
 
 	fs.IntVar(&r.Opt.Scale, "scale", r.Opt.Scale, "per-core workload scale factor (part of every run's identity)")
 	fs.IntVar(&r.Jobs, "jobs", r.Jobs, "max concurrent simulations (0: REPRO_JOBS env, else GOMAXPROCS)")
-	fs.IntVar(&r.Shards, "shards", r.Shards, "parallel PDES shards per simulation, one per cluster-row slab (0: REPRO_SHARDS env, else 1 = serial; results and cache entries are identical either way; synthetic runs stay serial)")
 	fs.IntVar(&r.Retries, "retries", r.Retries, "extra attempts for transiently failed runs (panics, deadlines)")
 	fs.DurationVar(&r.RunTimeout, "run-timeout", r.RunTimeout, "per-run wall-clock deadline, e.g. 5m (0 = none)")
 

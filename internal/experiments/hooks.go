@@ -63,9 +63,6 @@ func (r *Runner) emitEvent(ev RunEvent) {
 // progress is wanted (EpochCycles > 0 and an Events consumer is attached).
 // Chunked kernel execution is provably non-perturbing (see
 // system.runKernel), so results are bit-identical to an unobserved run.
-// Sharding composes: epochs are sampled at engine barriers (no shard is
-// running while the collector reads), and the collector stamps time from
-// the engine's global clock.
 func (r *Runner) observe(sys *system.System, hash, bench, label string) {
 	col := metrics.New(sys.Clock(), r.EpochCycles)
 	sys.AttachMetrics(col)

@@ -44,8 +44,10 @@ type Provenance struct {
 	// (config, benchmark) set at the same scale and horizon.
 	RunSetHash string `json:"run_set_hash"`
 	Runs       int    `json:"runs"`
-	FreshRuns  uint64 `json:"fresh_runs"`
-	CacheHits  uint64 `json:"cache_hits"`
+	// FreshRuns counts simulations started, including ones in flight,
+	// failed or interrupted.
+	FreshRuns uint64 `json:"fresh_runs"`
+	CacheHits uint64 `json:"cache_hits"`
 
 	// Failure ledger. RecalledFailures counts failed runs recalled from
 	// the journal without re-simulation; Failures lists every run that did
@@ -59,12 +61,8 @@ type Provenance struct {
 
 	WallSeconds float64 `json:"wall_seconds"`
 	Jobs        int     `json:"jobs"`
-	// Shards is the PDES shard count fresh simulations requested. It is
-	// recorded for attribution only and is absent from every run hash:
-	// sharded and serial runs are bit-identical.
-	Shards      int    `json:"shards"`
-	GitDescribe string `json:"git_describe,omitempty"`
-	GoVersion   string `json:"go_version"`
+	GitDescribe string  `json:"git_describe,omitempty"`
+	GoVersion   string  `json:"go_version"`
 	// CacheSchema is the result-cache schema stamp this build enforces
 	// (internal/version), so a manifest records which cache generation its
 	// recalled results came from.
@@ -111,7 +109,6 @@ func (r *Runner) Provenance(figures []string, wall time.Duration) Provenance {
 		Interrupted:      r.Interrupted(),
 		WallSeconds:      wall.Seconds(),
 		Jobs:             r.jobs(),
-		Shards:           r.shards(),
 		GitDescribe:      GitDescribe(),
 		GoVersion:        runtime.Version(),
 		CacheSchema:      version.CacheSchema,

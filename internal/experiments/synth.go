@@ -134,12 +134,6 @@ func (r *Runner) SchemeConfig(sch RoutingScheme) config.Config {
 // distribution. Deterministic for a given (config, spec), so it is as
 // cacheable as an application run.
 //
-// Synthetic runs ignore Runner.Shards and always use the serial kernel:
-// the injector draws destinations from one global RNG stream whose draw
-// order is a cross-shard total order no conservative window schedule can
-// reproduce (the same reason fault-injected configs refuse to shard),
-// and the bare fabric is cheap enough that parallelism buys nothing.
-//
 // ctx reaches the kernel through the poll System.RunContext uses
 // (system.PollContext), and a cancelled run fails with
 // system.ErrRunCancelled wrapping the context's cause.
