@@ -152,7 +152,7 @@ func (m *metricsState) write(w io.Writer, r *experiments.Runner, store *JobStore
 	}
 
 	fresh, hits := r.FreshRuns(), r.CacheHits()
-	counter("atacd_runner_fresh_runs_total", "Simulations actually executed by the campaign engine.", fresh)
+	counter("atacd_runner_fresh_runs_total", "Simulations started by the campaign engine, including ones in flight, failed or interrupted.", fresh)
 	counter("atacd_runner_cache_hits_total", "Runs recalled from the persistent cache.", hits)
 	counter("atacd_runner_recalled_failures_total", "Terminal failures replayed from the journal.", r.RecalledFailures())
 	ratio := 0.0

@@ -138,7 +138,7 @@ func TestLockFairnessFIFO(t *testing.T) {
 
 func TestWorkloadsAtScaleTwo(t *testing.T) {
 	// The scale knob must keep every kernel valid.
-	for _, spec := range workload.Catalog(16, 11, 2) {
+	for _, spec := range specs(t, workload.Names(), 16, 11, 2) {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
 			runAndValidate(t, spec, config.ATACPlus)

@@ -157,27 +157,6 @@ func catalogNames(n int) []string {
 	return out
 }
 
-// Catalog builds all eight benchmarks at a scale appropriate for the given
-// core count. scale multiplies the per-core problem size (1 = the default
-// used throughout the evaluation).
-func Catalog(cores int, seed int64, scale int) []Spec {
-	return buildCatalog(paperApps, cores, seed, scale)
-}
-
-// ExtendedCatalog returns the paper's eight benchmarks plus the extension
-// kernels this repository adds beyond the paper (fft, water).
-func ExtendedCatalog(cores int, seed int64, scale int) []Spec {
-	return buildCatalog(len(catalog), cores, seed, scale)
-}
-
-func buildCatalog(n, cores int, seed int64, scale int) []Spec {
-	out := make([]Spec, n)
-	for i, e := range catalog[:n] {
-		out[i] = e.build(cores, seed, max(scale, 1))
-	}
-	return out
-}
-
 // ByName builds the named benchmark from the extended catalog.
 func ByName(name string, cores int, seed int64, scale int) (Spec, error) {
 	for _, e := range catalog {

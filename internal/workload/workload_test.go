@@ -28,6 +28,20 @@ func runAndValidate(t *testing.T, spec workload.Spec, kind config.NetworkKind) s
 	return res
 }
 
+// specs builds the named benchmarks, in order, through ByName.
+func specs(t *testing.T, names []string, cores int, seed int64, scale int) []workload.Spec {
+	t.Helper()
+	out := make([]workload.Spec, len(names))
+	for i, name := range names {
+		spec, err := workload.ByName(name, cores, seed, scale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = spec
+	}
+	return out
+}
+
 // TestCorrectnessMatrix runs every workload, the extension kernels
 // included, on all six networks under both coherence protocols at 16
 // cores (120 runs), each checked against its sequential reference. Every
@@ -37,7 +51,7 @@ func TestCorrectnessMatrix(t *testing.T) {
 	networks := []config.NetworkKind{config.EMeshPure, config.EMeshBCast, config.ATAC,
 		config.ATACPlus, config.Corona, config.HybridMesh}
 	protocols := []config.CoherenceKind{config.ACKwise, config.DirKB}
-	for _, spec := range workload.ExtendedCatalog(16, 42, 1) {
+	for _, spec := range specs(t, workload.ExtendedNames(), 16, 42, 1) {
 		for _, nk := range networks {
 			for _, ck := range protocols {
 				t.Run(spec.Name+"/"+nk.String()+"/"+ck.String(), func(t *testing.T) {
@@ -64,7 +78,7 @@ func TestCorrectnessMatrix(t *testing.T) {
 }
 
 func TestAllWorkloadsValidateOnATACPlus(t *testing.T) {
-	for _, spec := range workload.Catalog(16, 42, 1) {
+	for _, spec := range specs(t, workload.Names(), 16, 42, 1) {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
 			runAndValidate(t, spec, config.ATACPlus)
@@ -73,7 +87,7 @@ func TestAllWorkloadsValidateOnATACPlus(t *testing.T) {
 }
 
 func TestAllWorkloadsValidateOnEMeshBCast(t *testing.T) {
-	for _, spec := range workload.Catalog(16, 42, 1) {
+	for _, spec := range specs(t, workload.Names(), 16, 42, 1) {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
 			runAndValidate(t, spec, config.EMeshBCast)
@@ -82,7 +96,7 @@ func TestAllWorkloadsValidateOnEMeshBCast(t *testing.T) {
 }
 
 func TestAllWorkloadsValidateOnEMeshPure(t *testing.T) {
-	for _, spec := range workload.Catalog(16, 42, 1) {
+	for _, spec := range specs(t, workload.Names(), 16, 42, 1) {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
 			runAndValidate(t, spec, config.EMeshPure)
@@ -93,7 +107,7 @@ func TestAllWorkloadsValidateOnEMeshPure(t *testing.T) {
 func TestWorkloadsValidateWithDirKB(t *testing.T) {
 	cfg := config.Tiny()
 	cfg.Coherence.Kind = config.DirKB
-	for _, spec := range workload.Catalog(16, 42, 1) {
+	for _, spec := range specs(t, workload.Names(), 16, 42, 1) {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
 			s, err := system.New(cfg)
@@ -110,7 +124,7 @@ func TestWorkloadsValidateWithDirKB(t *testing.T) {
 func TestNetworkIndependence(t *testing.T) {
 	// The application's final memory image must be identical on every
 	// network — only timing may differ.
-	for _, spec := range workload.Catalog(16, 7, 1) {
+	for _, spec := range specs(t, workload.Names(), 16, 7, 1) {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
 			var cycles []uint64
@@ -147,7 +161,7 @@ func TestDeterministicRuns(t *testing.T) {
 func TestCatalogNamesAndLookup(t *testing.T) {
 	want := []string{"dynamic_graph", "radix", "barnes", "fmm",
 		"ocean_contig", "lu_contig", "ocean_non_contig", "lu_non_contig"}
-	cat := workload.Catalog(16, 1, 1)
+	cat := specs(t, workload.Names(), 16, 1, 1)
 	if len(cat) != len(want) {
 		t.Fatalf("catalog has %d entries", len(cat))
 	}
@@ -218,7 +232,7 @@ func TestExtendedWorkloadsValidate(t *testing.T) {
 }
 
 func TestExtendedCatalog(t *testing.T) {
-	ext := workload.ExtendedCatalog(16, 1, 1)
+	ext := specs(t, workload.ExtendedNames(), 16, 1, 1)
 	if len(ext) != 10 {
 		t.Fatalf("extended catalog has %d entries, want 10", len(ext))
 	}
