@@ -44,7 +44,7 @@ func main() {
 	f.Bind(flag.CommandLine, "net", "cores", "sharers", "coherence", "flit", "rthres",
 		"hybrid-radius", "tech", "optics", "seed", "scale", "run-timeout", "version")
 	var (
-		bench   = flag.String("bench", "radix", "benchmark: "+strings.Join(workload.ExtendedNames(), ", ")+" (list prints them)")
+		bench   = flag.String("bench", "radix", "benchmark: "+strings.Join(workload.Names(), ", ")+" (list prints them)")
 		heat    = flag.Bool("heatmap", false, "print the mesh congestion heatmap")
 		traceN  = flag.Int("trace", 0, "dump the last N protocol events after the run")
 		cfgPath = flag.String("config", "", "load the system configuration from this JSON file (overrides the geometry flags)")
@@ -75,7 +75,7 @@ func main() {
 		return
 	}
 	if *bench == "list" {
-		for _, n := range workload.ExtendedNames() {
+		for _, n := range workload.Names() {
 			fmt.Println(n)
 		}
 		return

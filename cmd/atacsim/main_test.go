@@ -55,10 +55,23 @@ func TestConfigFileRejected(t *testing.T) {
 // Config resolution lives in internal/experiments (BuildConfig) and is
 // tested there; atacsim only forwards its flags into a Geometry.
 
+// -bench list prints the paper's eight applications, one a line, and a
+// name outside them is refused.
 func TestWorkloadNames(t *testing.T) {
-	names := workload.ExtendedNames()
-	if len(names) != 10 {
-		t.Fatalf("%d workloads", len(names))
+	cmd := exec.Command(os.Args[0], "-bench", "list")
+	cmd.Env = append(os.Environ(), "ATACSIM_TEST_MAIN=1")
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := strings.Fields(string(out))
+	if want := workload.Names(); len(want) != 8 || !slices.Equal(names, want) {
+		t.Fatalf("-bench list printed %v, want the 8 names %v", names, want)
+	}
+	cmd = exec.Command(os.Args[0], "-bench", "fft", "-cores", "16")
+	cmd.Env = append(os.Environ(), "ATACSIM_TEST_MAIN=1")
+	if out, err := cmd.CombinedOutput(); err == nil || !strings.Contains(string(out), "unknown benchmark") {
+		t.Errorf("atacsim -bench fft: err %v, output %q; want a non-zero exit saying unknown benchmark", err, out)
 	}
 }
 

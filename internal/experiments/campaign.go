@@ -16,8 +16,8 @@
 //
 // On top of those sits the resilience layer (journal.go, retry.go): every
 // run-state transition is write-ahead logged to a journal next to the
-// cache, workers are panic-isolated with bounded retry/backoff, each
-// attempt can carry a wall-clock deadline, and an interrupted or partially
+// cache, workers are panic-isolated, each attempt can carry a wall-clock
+// deadline retried with bounded backoff, and an interrupted or partially
 // failed campaign resumes with zero duplicate simulations.
 package experiments
 
@@ -69,10 +69,10 @@ type Runner struct {
 	// Journal, if non-nil, write-ahead logs every run-state transition
 	// (journal.jsonl next to the cache), making the campaign resumable.
 	Journal *Journal
-	// Retries is how many extra attempts a transiently failed run (panic
-	// or per-run deadline) gets before being marked failed. Deterministic
-	// failures — watchdog, event budget, horizon, validation — never
-	// retry. Zero means fail on the first attempt.
+	// Retries is how many extra attempts a run cut by its per-run
+	// deadline gets before being marked failed. Deterministic failures —
+	// panic, watchdog, event budget, horizon, validation — never retry.
+	// Zero means fail on the first attempt.
 	Retries int
 	// RunTimeout caps each attempt's wall-clock time; an overrunning
 	// simulation is cancelled cooperatively (sim kernel poll), journaled,

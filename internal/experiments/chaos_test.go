@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -46,11 +47,14 @@ func chaosRunner(t *testing.T, dir string) *Runner {
 func TestChaosPanicIsolationAndJournalResume(t *testing.T) {
 	dir := t.TempDir()
 
-	// Campaign 1: one run (fmm on EMesh-Pure) panics on every attempt.
+	// Campaign 1: one run (fmm on EMesh-Pure) panics. A panic is
+	// deterministic, so even with a retry to spare it runs exactly once.
 	r1 := chaosRunner(t, dir)
 	r1.Retries = 1
+	var panicked atomic.Int32
 	r1.testHook = func(cfg config.Config, bench string, attempt int) {
 		if bench == "fmm" && cfg.Network.Kind == config.EMeshPure {
+			panicked.Add(1)
 			panic(fmt.Sprintf("chaos: injected panic (attempt %d)", attempt))
 		}
 	}
@@ -90,21 +94,24 @@ func TestChaosPanicIsolationAndJournalResume(t *testing.T) {
 		t.Fatalf("no missing-row note in %q", t1.Notes)
 	}
 
-	// One failure in the ledger, with both attempts spent and the stack
+	// One failure in the ledger after its first attempt, with the stack
 	// captured as a panic classification; the campaign exits degraded.
+	if n := panicked.Load(); n != 1 {
+		t.Fatalf("panicking run simulated %d times under Retries = 1, want 1", n)
+	}
 	failed := r1.FailedRuns()
 	if len(failed) != 1 {
 		t.Fatalf("failed runs = %+v, want exactly 1", failed)
 	}
 	fr := failed[0]
-	if fr.Status != StatusFailed || fr.Source != "sim" || fr.Attempts != 2 ||
+	if fr.Status != StatusFailed || fr.Source != "sim" || fr.Attempts != 1 ||
 		fr.Benchmark != "fmm" || !strings.Contains(fr.Error, "simulation panic") {
 		t.Fatalf("failure record = %+v", fr)
 	}
 	if got := r1.ExitCode(); got != ExitDegraded {
 		t.Fatalf("exit code = %d, want %d (degraded)", got, ExitDegraded)
 	}
-	if e, ok := r1.Journal.Lookup(fr.Hash); !ok || e.Status != StatusFailed || e.Attempt != 2 {
+	if e, ok := r1.Journal.Lookup(fr.Hash); !ok || e.Status != StatusFailed || e.Attempt != 1 {
 		t.Fatalf("journal entry = %+v", e)
 	}
 	if err := r1.Journal.Close(); err != nil {
@@ -222,20 +229,21 @@ func TestChaosInterruptResume(t *testing.T) {
 	}
 }
 
-// TestChaosInterruptDuringRetryBackoff cancels the campaign while a
-// panicked run waits out its retry backoff. The run must end like one cut
-// off mid-attempt: an interrupted event after its start, a ledger row with
-// the attempt's wall time, and an error that wraps ErrInterrupted and keeps
-// the panic as its cause — without waiting out the hour-long backoff.
+// TestChaosInterruptDuringRetryBackoff cancels the campaign while a run
+// cut by its per-run deadline waits out its retry backoff. The run must end
+// like one cut off mid-attempt: an interrupted event after its start, a
+// ledger row with the attempt's wall time, and an error that wraps
+// ErrInterrupted and keeps the deadline as its cause — without waiting out
+// the hour-long backoff.
 func TestChaosInterruptDuringRetryBackoff(t *testing.T) {
 	r := NewRunner(Options{Cores: 16, Scale: 1, Seed: 42})
 	r.Retries = 1
+	r.RunTimeout = time.Nanosecond // expired before the kernel's first poll
 	r.backoffBase, r.backoffCap = time.Hour, time.Hour
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	r.testHook = func(_ config.Config, _ string, attempt int) {
+	r.testHook = func(config.Config, string, int) {
 		time.Sleep(2 * time.Millisecond) // a wall time the ledger row must keep
-		panic(fmt.Sprintf("chaos: injected panic (attempt %d)", attempt))
 	}
 	r.Progress = func(line string) {
 		if strings.Contains(line, "retrying in") {
@@ -250,8 +258,9 @@ func TestChaosInterruptDuringRetryBackoff(t *testing.T) {
 	if took := time.Since(start); took > time.Minute {
 		t.Fatalf("cancelled run took %v: the backoff was waited out", took)
 	}
-	if !errors.Is(err, ErrInterrupted) || !strings.Contains(err.Error(), "injected panic (attempt 1)") {
-		t.Fatalf("error %v: want ErrInterrupted carrying the attempt's panic", err)
+	cause := ErrRunDeadline.Error()
+	if !errors.Is(err, ErrInterrupted) || !strings.Contains(err.Error(), cause) {
+		t.Fatalf("error %v: want ErrInterrupted carrying the attempt's deadline", err)
 	}
 	var phases []string
 	for _, ev := range events {
@@ -260,7 +269,7 @@ func TestChaosInterruptDuringRetryBackoff(t *testing.T) {
 	if len(events) != 2 || events[0].Phase != PhaseStart || events[1].Phase != PhaseInterrupted {
 		t.Fatalf("events %v, want [start interrupted]", phases)
 	}
-	if ev := events[1]; ev.Attempt != 1 || !strings.Contains(ev.Error, "injected panic") {
+	if ev := events[1]; ev.Attempt != 1 || !strings.Contains(ev.Error, cause) {
 		t.Fatalf("interrupted event: attempt %d, error %q", ev.Attempt, ev.Error)
 	}
 	ledger := r.Ledger()
@@ -268,8 +277,8 @@ func TestChaosInterruptDuringRetryBackoff(t *testing.T) {
 		t.Fatalf("ledger has %d rows, want 1", len(ledger))
 	}
 	if row := ledger[0]; row.Status != "interrupted" || row.Attempts != 1 || row.WallMS < 2 ||
-		!strings.Contains(row.Error, "injected panic") {
-		t.Fatalf("ledger row %+v: want interrupted after 1 attempt, its wall time and its panic", row)
+		!strings.Contains(row.Error, cause) {
+		t.Fatalf("ledger row %+v: want interrupted after 1 attempt, its wall time and its deadline", row)
 	}
 	if !r.Interrupted() {
 		t.Fatal("runner not marked interrupted")

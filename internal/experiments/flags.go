@@ -73,7 +73,7 @@ func (f *Flags) declare() *flag.FlagSet {
 
 	fs.IntVar(&r.Opt.Scale, "scale", r.Opt.Scale, "per-core workload scale factor (part of every run's identity)")
 	fs.IntVar(&r.Jobs, "jobs", r.Jobs, "max concurrent simulations (0: REPRO_JOBS env, else GOMAXPROCS)")
-	fs.IntVar(&r.Retries, "retries", r.Retries, "extra attempts for transiently failed runs (panics, deadlines)")
+	fs.IntVar(&r.Retries, "retries", r.Retries, "extra attempts for runs cut by the per-run deadline")
 	fs.DurationVar(&r.RunTimeout, "run-timeout", r.RunTimeout, "per-run wall-clock deadline, e.g. 5m (0 = none)")
 
 	fs.StringVar(&f.CacheDir, "cache-dir", f.CacheDir, "persistent result cache directory (default: REPRO_CACHE env, else the user cache dir)")

@@ -109,17 +109,11 @@ func (r *Runner) Provenance(figures []string, wall time.Duration) Provenance {
 		Interrupted:      r.Interrupted(),
 		WallSeconds:      wall.Seconds(),
 		Jobs:             r.jobs(),
-		GitDescribe:      GitDescribe(),
+		GitDescribe:      version.GitDescribe(),
 		GoVersion:        runtime.Version(),
 		CacheSchema:      version.CacheSchema,
 	}
 }
-
-// GitDescribe returns `git describe --always --dirty --tags` for the
-// working tree, or "" when git or the repository is unavailable (the
-// manifest then simply omits the revision). It delegates to
-// internal/version, the shared build-identity helper.
-func GitDescribe() string { return version.GitDescribe() }
 
 // WriteManifest writes the manifest as indented JSON at path, via the same
 // fsync-and-rename discipline as the cache and journal, so an interrupted

@@ -2,13 +2,13 @@
 //
 // A run can die three ways, and each gets a different response:
 //
+//   - a per-run wall-clock deadline: *transient* — host load can differ
+//     between attempts, so the run is retried with bounded exponential
+//     backoff before being marked failed;
 //   - a panic in the simulator (worker isolation catches it with its
-//     stack) or a per-run wall-clock deadline: *transient* — host-side
-//     conditions can differ between attempts, so the run is retried with
-//     bounded exponential backoff before being marked failed;
-//   - a watchdog trip, event-budget exhaustion, horizon overrun, or
-//     validation failure: *deterministic* — the simulation will reproduce
-//     it exactly, so the run fails fast on the first attempt;
+//     stack), a watchdog trip, event-budget exhaustion, horizon overrun,
+//     or validation failure: *deterministic* — the simulation will
+//     reproduce it exactly, so the run fails fast on the first attempt;
 //   - campaign-level cancellation (SIGINT/SIGTERM): not a failure at all —
 //     the run is left "running" in the journal so a resumed campaign
 //     simply runs it again.
@@ -44,13 +44,7 @@ func (e *PanicError) Error() string {
 
 // transientFailure reports whether a retry could plausibly change the
 // outcome (see the package comment's failure taxonomy).
-func transientFailure(err error) bool {
-	var pe *PanicError
-	if errors.As(err, &pe) {
-		return true
-	}
-	return errors.Is(err, ErrRunDeadline)
-}
+func transientFailure(err error) bool { return errors.Is(err, ErrRunDeadline) }
 
 // Default backoff schedule: 100ms, 200ms, 400ms, ... capped at 5s, each
 // jittered. Tests shrink these via the Runner's unexported overrides.

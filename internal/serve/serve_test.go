@@ -282,6 +282,8 @@ func TestBadRequests(t *testing.T) {
 	cases := []JobSpec{
 		{},                           // no bench
 		{Bench: "no-such-benchmark"}, // unknown name
+		{Bench: "fft"},               // outside the paper's eight
+		{Bench: "water"},
 		{Bench: "synth:uniform:load=x:bcast=0:warmup=1:measure=1"}, // bad synth encoding
 		// Well-encoded synth specs no run can honour (SynthSpec.Validate).
 		{Bench: "synth:uniform:load=NaN:bcast=0:warmup=1:measure=1"},

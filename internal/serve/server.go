@@ -152,7 +152,7 @@ func newServer(r *experiments.Runner, opt Options, logf func(format string, args
 	}
 	s.execute = r.RunContext
 	r.Events = s.routeEvent
-	for _, name := range workload.ExtendedNames() {
+	for _, name := range workload.Names() {
 		s.benches[name] = true
 	}
 	for i := 0; i < opt.Workers; i++ {

@@ -120,9 +120,8 @@ func rng(seed int64, core int) *rand.Rand {
 	return rand.New(rand.NewSource(seed*1000003 + int64(core)*7919 + 1))
 }
 
-// catalog is every benchmark in one ordered table: the paper's eight in
-// Fig 4 order, then the extension kernels this repository adds beyond the
-// paper (fft, water). Name lists read it without building a workload.
+// catalog is every benchmark in one ordered table, the paper's eight in
+// Fig 4 order. Name lists read it without building a workload.
 var catalog = []struct {
 	name  string
 	build func(cores int, seed int64, scale int) Spec
@@ -135,29 +134,18 @@ var catalog = []struct {
 	{"lu_contig", LUContig},
 	{"ocean_non_contig", OceanNonContig},
 	{"lu_non_contig", LUNonContig},
-	{"fft", FFT},
-	{"water", Water},
 }
 
-// paperApps is how many leading catalog entries the paper evaluates.
-const paperApps = 8
-
-// Names returns the paper's eight benchmark names in Fig 4 order.
-func Names() []string { return catalogNames(paperApps) }
-
-// ExtendedNames returns every benchmark name: the paper's eight, then the
-// extension kernels.
-func ExtendedNames() []string { return catalogNames(len(catalog)) }
-
-func catalogNames(n int) []string {
-	out := make([]string, n)
-	for i, e := range catalog[:n] {
+// Names returns the benchmark names in Fig 4 order.
+func Names() []string {
+	out := make([]string, len(catalog))
+	for i, e := range catalog {
 		out[i] = e.name
 	}
 	return out
 }
 
-// ByName builds the named benchmark from the extended catalog.
+// ByName builds the named benchmark.
 func ByName(name string, cores int, seed int64, scale int) (Spec, error) {
 	for _, e := range catalog {
 		if e.name == name {

@@ -42,16 +42,15 @@ func specs(t *testing.T, names []string, cores int, seed int64, scale int) []wor
 	return out
 }
 
-// TestCorrectnessMatrix runs every workload, the extension kernels
-// included, on all six networks under both coherence protocols at 16
-// cores (120 runs), each checked against its sequential reference. Every
-// machine is resolved through experiments.BuildConfig, as every front end
-// resolves its own.
+// TestCorrectnessMatrix runs every workload on all six networks under
+// both coherence protocols at 16 cores (96 runs), each checked against its
+// sequential reference. Every machine is resolved through
+// experiments.BuildConfig, as every front end resolves its own.
 func TestCorrectnessMatrix(t *testing.T) {
 	networks := []config.NetworkKind{config.EMeshPure, config.EMeshBCast, config.ATAC,
 		config.ATACPlus, config.Corona, config.HybridMesh}
 	protocols := []config.CoherenceKind{config.ACKwise, config.DirKB}
-	for _, spec := range specs(t, workload.ExtendedNames(), 16, 42, 1) {
+	for _, spec := range specs(t, workload.Names(), 16, 42, 1) {
 		for _, nk := range networks {
 			for _, ck := range protocols {
 				t.Run(spec.Name+"/"+nk.String()+"/"+ck.String(), func(t *testing.T) {
@@ -212,31 +211,5 @@ func TestMemPrimitives(t *testing.T) {
 	}
 	if z := m.Alloc(0); z == 0 {
 		t.Error("zero-size alloc must still return an address")
-	}
-}
-
-func TestExtendedWorkloadsValidate(t *testing.T) {
-	// The extension kernels (beyond the paper's eight) must validate on
-	// the reordering ATAC+ fabric and the plain mesh.
-	for _, name := range []string{"fft", "water"} {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			spec, err := workload.ByName(name, 16, 42, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			runAndValidate(t, spec, config.ATACPlus)
-			runAndValidate(t, spec, config.EMeshPure)
-		})
-	}
-}
-
-func TestExtendedCatalog(t *testing.T) {
-	ext := specs(t, workload.ExtendedNames(), 16, 1, 1)
-	if len(ext) != 10 {
-		t.Fatalf("extended catalog has %d entries, want 10", len(ext))
-	}
-	if ext[8].Name != "fft" || ext[9].Name != "water" {
-		t.Fatalf("extension names: %s %s", ext[8].Name, ext[9].Name)
 	}
 }

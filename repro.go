@@ -27,7 +27,6 @@ import (
 	"repro/internal/energy"
 	"repro/internal/experiments"
 	"repro/internal/system"
-	"repro/internal/workload"
 )
 
 // Re-exported core types.
@@ -105,7 +104,3 @@ func NewCampaign(o CampaignOptions) *Campaign { return experiments.NewRunner(o) 
 // DefaultCampaignOptions returns the default campaign scale (64 cores;
 // set REPRO_FULL=1 for the paper's 1024-core geometry).
 func DefaultCampaignOptions() CampaignOptions { return experiments.DefaultOptions() }
-
-// WorkloadNames returns the eight evaluation benchmarks' names in Fig 4
-// order. The names do not depend on the geometry, seed or scale.
-func WorkloadNames(cores int, seed int64, scale int) []string { return workload.Names() }

@@ -10,10 +10,6 @@ func TestPublicAPISurface(t *testing.T) {
 	if got := len(Benchmarks()); got != 8 {
 		t.Fatalf("Benchmarks() has %d entries, want 8", got)
 	}
-	names := WorkloadNames(16, 1, 1)
-	if len(names) != 8 {
-		t.Fatalf("WorkloadNames: %v", names)
-	}
 }
 
 func TestRunBenchmarkEndToEnd(t *testing.T) {

@@ -63,10 +63,10 @@ check_parity() { # check_parity <result.json>: the served radix run equals the r
     [ "$instr" = "$ref_instr" ] || fail "served instructions $instr != atacsim $ref_instr"
 }
 
-submit_campaign() { # submit_campaign <atacctl flag>...: radix, fft, water, each -wait in the background
+submit_campaign() { # submit_campaign <atacctl flag>...: radix, ocean_contig, ocean_non_contig, each -wait in the background
     client_pids=()
     local i=0 bench
-    for bench in radix fft water; do
+    for bench in radix ocean_contig ocean_non_contig; do
         i=$((i + 1))
         "$workdir/atacctl" "$@" submit -bench "$bench" -cores "$cores" -seed "$seed" -wait \
             >"$workdir/result$i.json" 2>"$workdir/client$i.log" &
