@@ -8,8 +8,7 @@
 //   - flap damping: a single dropped probe must not mark a peer down
 //     (and trigger a wave of local failover executions), and a single
 //     lucky probe must not mark a flapping peer up — state flips only
-//     after FailAfter consecutive failures or RiseAfter consecutive
-//     successes;
+//     after damping (2) consecutive failures or successes;
 //   - polite reprobing: a down peer is reprobed on capped exponential
 //     backoff with deterministic jitter (the engine's RetryBackoff,
 //     keyed per peer), so a fleet of N nodes does not hammer a peer that
@@ -34,7 +33,7 @@ type ProbeFunc func(ctx context.Context, peer string) error
 // 200. A draining or store-unwritable daemon answers 503 and therefore
 // probes unhealthy — exactly the peers the cluster should stop routing
 // work to. client must not be nil: it carries the probe's timeout
-// (NewProber's default passes one with ProberOptions.Timeout).
+// (NewProber's default passes one bounded by half the interval).
 func HTTPProbe(client *http.Client) ProbeFunc {
 	return func(ctx context.Context, peer string) error {
 		req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+"/healthz", nil)
@@ -53,22 +52,16 @@ func HTTPProbe(client *http.Client) ProbeFunc {
 	}
 }
 
+// damping is how many consecutive probe failures mark a peer down, and
+// how many consecutive successes mark a down peer up again.
+const damping = 2
+
 // ProberOptions tunes the probe loop. The zero value is usable.
 type ProberOptions struct {
-	// Interval is the healthy-peer poll cadence. Zero means 2s.
+	// Interval is the healthy-peer poll cadence. Zero means 2s. One probe
+	// is bounded by half of it, and a down peer's reprobe pause (starting
+	// at Interval, doubling with deterministic per-peer jitter) by 8x it.
 	Interval time.Duration
-	// Timeout bounds one probe. Zero means half the interval.
-	Timeout time.Duration
-	// FailAfter is how many consecutive probe failures mark a peer down.
-	// Zero means 2.
-	FailAfter int
-	// RiseAfter is how many consecutive successes mark a down peer up
-	// again. Zero means 2.
-	RiseAfter int
-	// BackoffCap bounds the reprobe pause for a down peer (the schedule
-	// starts at Interval and doubles with deterministic per-peer jitter).
-	// Zero means 8× the interval.
-	BackoffCap time.Duration
 	// Probe performs one check. Nil means HTTPProbe with a per-probe
 	// timeout client.
 	Probe ProbeFunc
@@ -115,26 +108,14 @@ type Prober struct {
 // NewProber builds a prober over peers (this node's URL should not be in
 // the list — a node does not probe itself). All peers start healthy:
 // optimistic bootstrap means a cold cluster forwards normally, and a
-// genuinely dead peer is demoted within FailAfter probes (the first
+// genuinely dead peer is demoted within damping probes (the first
 // forward to it just fails over locally in the meantime).
 func NewProber(peers []string, opt ProberOptions) *Prober {
 	if opt.Interval <= 0 {
 		opt.Interval = 2 * time.Second
 	}
-	if opt.Timeout <= 0 {
-		opt.Timeout = opt.Interval / 2
-	}
-	if opt.FailAfter <= 0 {
-		opt.FailAfter = 2
-	}
-	if opt.RiseAfter <= 0 {
-		opt.RiseAfter = 2
-	}
-	if opt.BackoffCap <= 0 {
-		opt.BackoffCap = 8 * opt.Interval
-	}
 	if opt.Probe == nil {
-		opt.Probe = HTTPProbe(&http.Client{Timeout: opt.Timeout})
+		opt.Probe = HTTPProbe(&http.Client{Timeout: opt.Interval / 2})
 	}
 	p := &Prober{
 		opt:  opt,
@@ -200,7 +181,7 @@ func (p *Prober) Sweep(ctx context.Context) {
 		if !due {
 			continue
 		}
-		pctx, cancel := context.WithTimeout(ctx, p.opt.Timeout)
+		pctx, cancel := context.WithTimeout(ctx, p.opt.Interval/2)
 		err := p.opt.Probe(pctx, peer)
 		cancel()
 		p.observe(peer, err, time.Now())
@@ -224,12 +205,12 @@ func (p *Prober) observe(peer string, err error, now time.Time) {
 		st.fails = 0
 		if !st.healthy {
 			st.oks++
-			if st.oks >= p.opt.RiseAfter {
+			if st.oks >= damping {
 				st.healthy, st.oks, st.attempt = true, 0, 0
 				p.logf("cluster: peer %s healthy again", peer)
 			} else {
-				// Still damping the recovery: reprobe promptly so RiseAfter
-				// successes accumulate in ~RiseAfter intervals, not the
+				// Still damping the recovery: reprobe promptly so the
+				// successes accumulate in ~damping intervals, not the
 				// down-peer backoff schedule.
 				next = p.opt.Interval
 			}
@@ -238,7 +219,7 @@ func (p *Prober) observe(peer string, err error, now time.Time) {
 		st.oks = 0
 		if st.healthy {
 			st.fails++
-			if st.fails >= p.opt.FailAfter {
+			if st.fails >= damping {
 				st.healthy, st.fails, st.attempt = false, 0, 1
 				p.logf("cluster: peer %s marked down: %v", peer, err)
 			}
@@ -246,7 +227,7 @@ func (p *Prober) observe(peer string, err error, now time.Time) {
 			st.attempt++
 		}
 		if !st.healthy {
-			next = experiments.RetryBackoff("probe "+peer, st.attempt, p.opt.Interval, p.opt.BackoffCap)
+			next = experiments.RetryBackoff("probe "+peer, st.attempt, p.opt.Interval, 8*p.opt.Interval)
 		}
 	}
 	st.nextProbe = now.Add(next)

@@ -66,16 +66,14 @@ func sweepOnce(p *Prober) {
 func testProber(t *testing.T, sp *scriptedProbe, peers ...string) *Prober {
 	t.Helper()
 	return NewProber(peers, ProberOptions{
-		Interval:  50 * time.Millisecond,
-		FailAfter: 2,
-		RiseAfter: 2,
-		Probe:     sp.probe,
-		Logf:      t.Logf,
+		Interval: 50 * time.Millisecond,
+		Probe:    sp.probe,
+		Logf:     t.Logf,
 	})
 }
 
 // TestProberFlapDamping: one failed probe must not demote a peer, and
-// one good probe must not promote a down peer — FailAfter/RiseAfter
+// one good probe must not promote a down peer — damping (2)
 // consecutive outcomes are required, so a single dropped packet cannot
 // trigger a cluster-wide failover wave.
 func TestProberFlapDamping(t *testing.T) {
@@ -101,7 +99,7 @@ func TestProberFlapDamping(t *testing.T) {
 	sweepOnce(p)
 	sweepOnce(p)
 	if p.Healthy("http://n2:1") {
-		t.Fatal("peer still healthy after FailAfter consecutive failures")
+		t.Fatal("peer still healthy after two consecutive failures")
 	}
 
 	// One success while down: still down (damped).
@@ -118,7 +116,7 @@ func TestProberFlapDamping(t *testing.T) {
 	sweepOnce(p)
 	sweepOnce(p)
 	if !p.Healthy("http://n2:1") {
-		t.Fatal("peer still down after RiseAfter consecutive successes")
+		t.Fatal("peer still down after two consecutive successes")
 	}
 }
 
@@ -272,13 +270,12 @@ func TestHTTPProbe(t *testing.T) {
 
 // TestProberZeroOptions: NewProber fills every zero option with its
 // documented default, and the default probe is HTTPProbe with a client
-// bounded by the probe timeout.
+// bounded by half the interval (1s).
 func TestProberZeroOptions(t *testing.T) {
 	p := NewProber([]string{"http://n2:1"}, ProberOptions{})
 	o := p.opt
-	if o.Interval != 2*time.Second || o.Timeout != time.Second || o.FailAfter != 2 || o.RiseAfter != 2 || o.BackoffCap != 16*time.Second {
-		t.Errorf("defaults: interval %v timeout %v failAfter %d riseAfter %d backoffCap %v, want 2s 1s 2 2 16s",
-			o.Interval, o.Timeout, o.FailAfter, o.RiseAfter, o.BackoffCap)
+	if o.Interval != 2*time.Second {
+		t.Errorf("default interval %v, want 2s", o.Interval)
 	}
 	if o.Probe == nil {
 		t.Fatal("no default probe")
@@ -311,7 +308,7 @@ func TestProberZeroOptions(t *testing.T) {
 	if err := o.Probe(context.Background(), srv.URL+"/hang"); err == nil {
 		t.Error("default probe reported a hung peer healthy")
 	}
-	if d := time.Since(start); d > 5*o.Timeout {
-		t.Errorf("default probe of a hung peer took %v, want about the %v timeout", d, o.Timeout)
+	if d := time.Since(start); d < time.Second || d > 5*time.Second {
+		t.Errorf("default probe of a hung peer took %v, want about the 1s bound", d)
 	}
 }

@@ -322,7 +322,7 @@ func runConfig(cfg config.Config) config.Config {
 }
 
 // cacheKey is a run's identity across processes: the schema stamp, the
-// benchmark, the campaign's scale and horizon, and the run config as JSON.
+// benchmark, the campaign's scale, and the run config as JSON.
 func (r *Runner) cacheKey(id runID) string {
 	blob, err := json.Marshal(id.cfg)
 	if err != nil {
@@ -330,8 +330,10 @@ func (r *Runner) cacheKey(id runID) string {
 		// back to an uncacheable key rather than risk a collision.
 		return ""
 	}
-	return fmt.Sprintf("v%d|bench=%s|scale=%d|horizon=%d|cfg=%s",
-		cacheSchemaVersion, id.bench, r.Opt.Scale, r.Opt.Horizon, blob)
+	// horizon=0 (runs are uncapped) stays in the key so every existing
+	// run hash and cache entry keeps its name.
+	return fmt.Sprintf("v%d|bench=%s|scale=%d|horizon=0|cfg=%s",
+		cacheSchemaVersion, id.bench, r.Opt.Scale, blob)
 }
 
 // RunHash returns the run's persistent identity for this Runner's campaign
@@ -531,7 +533,7 @@ func (r *Runner) simulate(ctx context.Context, cfg config.Config, bench, hash st
 	if r.EpochCycles > 0 && r.Events != nil {
 		r.observe(sys, hash, bench, ConfigLabel(cfg))
 	}
-	return sys.RunContext(ctx, spec, r.Opt.Horizon)
+	return sys.RunContext(ctx, spec, 0)
 }
 
 // progress emits one serialized, labelled progress line. When the

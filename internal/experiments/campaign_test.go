@@ -42,7 +42,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		t8, avgB, avgP, err := r.Fig8()
+		t8, avgB, avgP, err := fig8Of(r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,7 +101,7 @@ func TestShardedCampaignMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := sys.Run(spec, serial.Opt.Horizon)
+		got, err := sys.Run(spec, 0)
 		if err != nil {
 			t.Fatalf("run %s@%s on 2 shards: %v", s.Bench, ConfigLabel(cfg), err)
 		}
@@ -293,9 +293,9 @@ func TestCacheRejectsBadEntries(t *testing.T) {
 }
 
 // TestCacheKeyCoversConfig: a field the simulator reads is part of the
-// run hash even where no figure varies it (BufFlits), so are the campaign's
-// scale and horizon, and the technology scenario, which only the energy
-// models read, is not.
+// run hash even where no figure varies it (BufFlits), so is the campaign's
+// scale, and the technology scenario, which only the energy models read,
+// is not.
 func TestCacheKeyCoversConfig(t *testing.T) {
 	r := NewRunner(testCampaignOpts())
 	base := r.Opt.Config(config.ATACPlus)
@@ -307,7 +307,6 @@ func TestCacheKeyCoversConfig(t *testing.T) {
 		t.Error("BufFlits change did not change the run hash")
 	}
 	for _, opt := range []func(*Options){
-		func(o *Options) { o.Horizon = 999 },
 		func(o *Options) { o.Scale = 2 },
 	} {
 		r2 := NewRunner(testCampaignOpts())

@@ -1,8 +1,8 @@
 // Package experiments reproduces every table and figure of the paper's
 // evaluation (Section V). Each is one entry of the figure table
 // (figures.go) — a declared run-set plus a render function — and
-// Runner.Figure(id) regenerates it as a printable table; cmd/figures, the
-// examples, and the root bench harness all call into here.
+// Runner.Figure(id) regenerates it as a printable table; cmd/figures and
+// the examples call into here.
 //
 // Simulation runs are memoized per Runner, because many figures share the
 // same underlying runs (e.g. Figs 4, 5, 6, 8 and 17 all use the ATAC+
@@ -13,14 +13,12 @@ package experiments
 
 import (
 	"fmt"
-	"os"
 	"strconv"
 	"strings"
 	"text/tabwriter"
 
 	"repro/internal/config"
 	"repro/internal/energy"
-	"repro/internal/sim"
 	"repro/internal/system"
 	"repro/internal/workload"
 )
@@ -30,10 +28,9 @@ var Benchmarks = workload.Names()
 
 // Options scopes an experiment campaign.
 type Options struct {
-	Cores   int // total cores; the paper uses 1024
-	Scale   int // per-core workload scale factor
-	Seed    int64
-	Horizon sim.Time // per-run cycle cap (0 = unlimited)
+	Cores int // total cores; the paper uses 1024
+	Scale int // per-core workload scale factor
+	Seed  int64
 
 	// Tech and Optics name the campaign's default device-technology
 	// scenario (internal/tech and internal/photonics registries); empty
@@ -52,22 +49,10 @@ type Options struct {
 	Topologies []config.NetworkKind
 }
 
-// DefaultOptions returns the campaign scale: the paper's full 1024-core
-// geometry when REPRO_FULL=1 is set, otherwise a 64-core geometry (same
-// code paths, 16 clusters of 4) that keeps a full campaign tractable.
-// REPRO_CORES overrides the core count explicitly.
-func DefaultOptions() Options {
-	o := Options{Cores: 64, Scale: 1, Seed: 42}
-	if os.Getenv("REPRO_FULL") == "1" {
-		o.Cores = 1024
-	}
-	if v := os.Getenv("REPRO_CORES"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil {
-			o.Cores = n
-		}
-	}
-	return o
-}
+// DefaultOptions returns the default campaign scale: a 64-core geometry
+// (same code paths as the paper's 1024, 4 clusters of 16) that keeps a
+// full campaign tractable. Set Cores to 1024 for the paper's geometry.
+func DefaultOptions() Options { return Options{Cores: 64, Scale: 1, Seed: 42} }
 
 // Config derives the system config for the given network kind through
 // BuildConfig, the one resolution path. Its error is Validate's, which the

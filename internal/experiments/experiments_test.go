@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -50,11 +51,18 @@ func TestOptionsConfig(t *testing.T) {
 	}
 }
 
+// TestDefaultOptions pins the default campaign scale; it reads no
+// environment.
 func TestDefaultOptions(t *testing.T) {
-	o := DefaultOptions()
-	if o.Cores < 16 || o.Scale < 1 {
-		t.Errorf("bad defaults %+v", o)
+	if o, want := DefaultOptions(), (Options{Cores: 64, Scale: 1, Seed: 42}); !reflect.DeepEqual(o, want) {
+		t.Errorf("DefaultOptions() = %+v, want %+v", o, want)
 	}
+}
+
+// fig8Of renders Fig 8 on r with the average EMesh-BCast/ATAC+ and
+// EMesh-Pure/ATAC+ E-D ratios of its closing note (paper: 1.8x, 4.8x).
+func fig8Of(r *Runner) (*Table, float64, float64, error) {
+	return fig8(r, r.prepare(figureByID("8")))
 }
 
 func TestFig4RuntimeOrdering(t *testing.T) {
@@ -149,7 +157,7 @@ func TestFig7Shape(t *testing.T) {
 }
 
 func TestFig8Headline(t *testing.T) {
-	_, avgB, avgP, err := runner().Fig8()
+	_, avgB, avgP, err := fig8Of(runner())
 	if err != nil {
 		t.Fatal(err)
 	}

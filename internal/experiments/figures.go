@@ -1,9 +1,9 @@
 // The figure table. Every table and figure of the evaluation is declared
 // once, here: its id, the configurations each benchmark is run on, and the
 // function that renders those runs into a Table. The run-set registry
-// (FigureRuns, CampaignRuns), the per-figure prefetch, the manifest,
-// cmd/figures' job list and -only selection, and the root bench harness
-// all read it, so adding a figure is one entry plus its render function.
+// (FigureRuns, CampaignRuns), the per-figure prefetch, the manifest, and
+// cmd/figures' job list and -only selection all read it, so adding a
+// figure is one entry plus its render function.
 package experiments
 
 import (
@@ -124,12 +124,6 @@ func (r *Runner) Figure(id string) (*Table, error) {
 		return nil, fmt.Errorf("unknown figure %q (valid: %s)", id, strings.Join(FigureIDs(), ", "))
 	}
 	return f.render(r, r.prepare(f))
-}
-
-// Fig8 is Figure("8") plus the average EMesh-BCast/ATAC+ and
-// EMesh-Pure/ATAC+ E-D ratios of its closing note (paper: 1.8x, 4.8x).
-func (r *Runner) Fig8() (*Table, float64, float64, error) {
-	return fig8(r, r.prepare(figureByID("8")))
 }
 
 // Xtopo is Figure("xtopo").

@@ -52,7 +52,7 @@ func TestGoldenCampaign16Core(t *testing.T) {
 	// The two averages of Fig 8's closing note, as numbers: the rendered
 	// table rounds them to two decimals. Recalled from the warm runner, so
 	// this simulates nothing.
-	_, avgB, avgP, err := r.Fig8()
+	_, avgB, avgP, err := fig8Of(r)
 	if err != nil {
 		t.Fatal(err)
 	}

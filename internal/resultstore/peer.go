@@ -37,33 +37,24 @@ type Peers struct {
 	// Schema is the cache schema stamp entries must carry
 	// (version.CacheSchema); mismatched peers read as misses.
 	Schema int
-	// HTTP is the transport; nil means a client with Timeout.
+	// HTTP is the transport; nil means peerClient.
 	HTTP *http.Client
-	// Timeout bounds each peer request when HTTP is nil. Zero means 2s —
-	// peer reads sit on the simulation path (a failed read-through falls
-	// back to re-simulating), so they must fail fast.
-	Timeout time.Duration
 	// Logf, if non-nil, narrates validation rejections and push errors.
 	Logf func(format string, args ...any)
 
 	hits, misses, errs, pushes, pushErrs atomic.Uint64
-	client                               atomic.Pointer[http.Client]
 }
+
+// peerClient bounds each peer request to 2s: peer reads sit on the
+// simulation path (a failed read-through falls back to re-simulating), so
+// they must fail fast.
+var peerClient = &http.Client{Timeout: 2 * time.Second}
 
 func (p *Peers) http() *http.Client {
 	if p.HTTP != nil {
 		return p.HTTP
 	}
-	if c := p.client.Load(); c != nil {
-		return c
-	}
-	to := p.Timeout
-	if to <= 0 {
-		to = 2 * time.Second
-	}
-	c := &http.Client{Timeout: to}
-	p.client.CompareAndSwap(nil, c)
-	return p.client.Load()
+	return peerClient
 }
 
 func (p *Peers) logf(format string, args ...any) {

@@ -238,17 +238,15 @@ func TestHashStable(t *testing.T) {
 }
 
 // TestPeersDefaultTimeout: with no HTTP client, peer requests use one
-// client bounded by Timeout, 2s when Timeout is zero.
+// client bounded by 2s.
 func TestPeersDefaultTimeout(t *testing.T) {
-	for _, tc := range []struct{ set, want time.Duration }{{0, 2 * time.Second}, {300 * time.Millisecond, 300 * time.Millisecond}} {
-		p := &Peers{Timeout: tc.set}
-		c := p.http()
-		if c.Timeout != tc.want {
-			t.Errorf("Timeout %v: client timeout %v, want %v", tc.set, c.Timeout, tc.want)
-		}
-		if p.http() != c {
-			t.Errorf("Timeout %v: second call built a new client", tc.set)
-		}
+	p := &Peers{}
+	c := p.http()
+	if c.Timeout != 2*time.Second {
+		t.Errorf("client timeout %v, want 2s", c.Timeout)
+	}
+	if p.http() != c {
+		t.Error("second call built a new client")
 	}
 	own := &http.Client{}
 	if got := (&Peers{HTTP: own}).http(); got != own {

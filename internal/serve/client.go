@@ -88,23 +88,14 @@ type Client struct {
 	// Retries caps transient-failure re-attempts per operation. Zero
 	// means 8; negative disables retrying.
 	Retries int
-	// BackoffBase and BackoffCap shape the retry pauses (see
-	// experiments.RetryBackoff). Zero takes the campaign defaults
-	// (100ms doubling to a 5s cap).
-	BackoffBase, BackoffCap time.Duration
-	// BackoffSalt decorrelates this client's deterministic retry jitter
-	// from every other client retrying the same operation: RetryBackoff
-	// keys on the operation string, so without a salt a fleet of watchers
-	// reconnecting to a restarted daemon would all sleep identical
-	// schedules and arrive as one synchronized thundering herd. Empty
-	// draws a random salt once per Client; tests pin it for reproducible
-	// schedules.
-	BackoffSalt string
 	// Logf, if non-nil, narrates retries and reconnections.
 	Logf func(format string, args ...any)
 
 	// sleep is the test seam for pauses; nil means time.Sleep.
 	sleep func(time.Duration)
+	// salt is the test seam that pins the backoff salt (see jitterSalt);
+	// empty draws a random one.
+	salt string
 
 	saltOnce sync.Once
 	saltVal  string
@@ -134,12 +125,16 @@ func (c *Client) endpoints() []string {
 	return eps
 }
 
-// salt resolves the backoff salt: the pinned BackoffSalt, else eight
-// random bytes drawn once for this Client's lifetime.
-func (c *Client) salt() string {
+// jitterSalt decorrelates this client's deterministic retry jitter from
+// every other client retrying the same operation: RetryBackoff keys on
+// the operation string, so without a salt a fleet of watchers
+// reconnecting to a restarted daemon would all sleep identical schedules
+// and arrive as one synchronized thundering herd. It is the pinned salt,
+// else eight random bytes drawn once for this Client's lifetime.
+func (c *Client) jitterSalt() string {
 	c.saltOnce.Do(func() {
-		if c.BackoffSalt != "" {
-			c.saltVal = c.BackoffSalt
+		if c.salt != "" {
+			c.saltVal = c.salt
 			return
 		}
 		var b [8]byte
@@ -182,11 +177,11 @@ func (c *Client) doSleep(d time.Duration) {
 }
 
 // pause sleeps the deterministic backoff for one retry of the keyed
-// operation. The schedule is capped-exponential with jitter seeded by
-// (salt, key, attempt): reproducible within one client, decorrelated
-// across a fleet.
+// operation. The schedule is the campaign's (100ms doubling to a 5s cap)
+// with jitter seeded by (salt, key, attempt): reproducible within one
+// client, decorrelated across a fleet.
 func (c *Client) pause(key string, attempt int) {
-	d := experiments.RetryBackoff(c.salt()+"|"+key, attempt, c.BackoffBase, c.BackoffCap)
+	d := experiments.RetryBackoff(c.jitterSalt()+"|"+key, attempt, 0, 0)
 	c.logf("retrying %s in %v (attempt %d)", key, d.Round(time.Millisecond), attempt+1)
 	c.doSleep(d)
 }

@@ -148,7 +148,7 @@ func TestClientRetryAfterHTTPDate(t *testing.T) {
 	sr := &sleepRecorder{}
 	c := testClient("", sr, 1)
 	c.waitRetryAfter("soon-ish", 1)
-	want := experiments.RetryBackoff("test|retry-after", 1, 10*time.Millisecond, 100*time.Millisecond)
+	want := experiments.RetryBackoff("test|retry-after", 1, 0, 0)
 	if got := sr.all(); len(got) != 1 || got[0] != want {
 		t.Errorf("unparsable hint slept %v, want backoff %v", got, want)
 	}
@@ -210,10 +210,10 @@ func TestClientSaltDecorrelation(t *testing.T) {
 	}
 	// An unsalted client draws a random salt once and sticks to it.
 	c := &Client{}
-	if s := c.salt(); s == "" || s != c.salt() {
+	if s := c.jitterSalt(); s == "" || s != c.jitterSalt() {
 		t.Errorf("random salt unstable or empty: %q", s)
 	}
-	if (&Client{}).salt() == c.salt() {
+	if (&Client{}).jitterSalt() == c.jitterSalt() {
 		t.Error("two unsalted clients drew the same random salt")
 	}
 }

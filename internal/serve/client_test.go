@@ -35,14 +35,12 @@ func (sr *sleepRecorder) all() []time.Duration {
 
 func testClient(base string, sr *sleepRecorder, retries int) *Client {
 	return &Client{
-		Base:        base,
-		Retries:     retries,
-		BackoffBase: 10 * time.Millisecond,
-		BackoffCap:  100 * time.Millisecond,
+		Base:    base,
+		Retries: retries,
+		sleep:   sr.sleep,
 		// Pinned salt: production clients draw a random one to decorrelate
 		// fleet retry schedules; tests pin it so schedules are assertable.
-		BackoffSalt: "test",
-		sleep:       sr.sleep,
+		salt: "test",
 	}
 }
 
@@ -88,7 +86,7 @@ func TestClientBackoffDeterminism(t *testing.T) {
 	// salt plus the request, so two clients with the same pinned salt
 	// sleep identically and differently salted clients do not.
 	for i, d := range got {
-		want := experiments.RetryBackoff("test|GET /v1/jobs/x", i+1, 10*time.Millisecond, 100*time.Millisecond)
+		want := experiments.RetryBackoff("test|GET /v1/jobs/x", i+1, 0, 0)
 		if d != want {
 			t.Errorf("pause %d = %v, want %v", i, d, want)
 		}

@@ -46,17 +46,11 @@ type ClusterConfig struct {
 	// Snapshot feeds /healthz and /metrics the per-peer probe state; nil
 	// omits it.
 	Snapshot func() []cluster.PeerHealth
-	// HTTP is the forwarding transport; nil means a 10s-timeout client
-	// (a forward waits only for admission — the 202 — not the run).
-	HTTP *http.Client
 }
 
-func (cc *ClusterConfig) client() *http.Client {
-	if cc.HTTP != nil {
-		return cc.HTTP
-	}
-	return &http.Client{Timeout: 10 * time.Second}
-}
+// forwardClient is the forwarding transport (a forward waits only for
+// admission — the 202 — not the run).
+var forwardClient = &http.Client{Timeout: 10 * time.Second}
 
 func (cc *ClusterConfig) healthy(peer string) bool {
 	if cc.Healthy == nil {
@@ -119,7 +113,7 @@ func (s *Server) forwardSubmit(w http.ResponseWriter, owner string, spec JobSpec
 	}
 	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set(ForwardHeader, s.self())
-	resp, err := s.opt.Cluster.client().Do(req)
+	resp, err := forwardClient.Do(req)
 	if err != nil {
 		s.met.forwardFailovers.Add(1)
 		s.logf("cluster: forward to %s failed (%v); executing locally", owner, err)

@@ -158,7 +158,7 @@ func TestCoalescing(t *testing.T) {
 // TestQueueFullRejects: with one stalled worker and a depth-1 queue, the
 // third distinct submission is rejected 429 with a Retry-After hint.
 func TestQueueFullRejects(t *testing.T) {
-	s, _, ts := newTestServer(t, Options{QueueDepth: 1, Workers: 1, RetryAfter: 7 * time.Second})
+	s, _, ts := newTestServer(t, Options{QueueDepth: 1, Workers: 1})
 	started := make(chan struct{}, 8)
 	release := make(chan struct{})
 	s.execute = func(ctx context.Context, cfg config.Config, bench string) (system.Result, error) {
@@ -179,8 +179,8 @@ func TestQueueFullRejects(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("submit 3: %s, want 429", resp.Status)
 	}
-	if got := resp.Header.Get("Retry-After"); got != "7" {
-		t.Errorf("Retry-After = %q, want \"7\"", got)
+	if got := resp.Header.Get("Retry-After"); got != "5" {
+		t.Errorf("Retry-After = %q, want \"5\"", got)
 	}
 	// An identical resubmission still coalesces even while the queue is
 	// full: admission control never rejects work it already owns.

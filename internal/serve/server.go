@@ -53,6 +53,9 @@ import (
 	"repro/internal/workload"
 )
 
+// retryAfter is the hint returned with 429 responses.
+const retryAfter = 5 * time.Second
+
 // Options sizes the daemon.
 type Options struct {
 	// QueueDepth bounds how many submitted jobs may wait for a worker;
@@ -61,8 +64,6 @@ type Options struct {
 	// Workers is how many jobs execute concurrently. Zero means the
 	// Runner's job default (REPRO_JOBS env, else GOMAXPROCS).
 	Workers int
-	// RetryAfter is the hint returned with 429 responses. Zero means 5s.
-	RetryAfter time.Duration
 	// RequestTimeout bounds every non-streaming HTTP request. Zero means
 	// 15s; negative disables the bound (tests).
 	RequestTimeout time.Duration
@@ -129,9 +130,6 @@ func newServer(r *experiments.Runner, opt Options, logf func(format string, args
 	}
 	if opt.Workers <= 0 {
 		opt.Workers = experiments.DefaultJobs()
-	}
-	if opt.RetryAfter <= 0 {
-		opt.RetryAfter = 5 * time.Second
 	}
 	if opt.RequestTimeout == 0 {
 		opt.RequestTimeout = 15 * time.Second
@@ -493,7 +491,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.mu.Unlock()
 		s.opt.Store.Settle(j.ID, hash, StoreRejected, "queue full")
 		s.met.rejected.Add(1)
-		w.Header().Set("Retry-After", strconv.Itoa(int(s.opt.RetryAfter/time.Second)))
+		w.Header().Set("Retry-After", strconv.Itoa(int(retryAfter/time.Second)))
 		writeJSON(w, http.StatusTooManyRequests,
 			apiError{fmt.Sprintf("queue full (%d jobs waiting); retry later", s.opt.QueueDepth)})
 		return

@@ -11,10 +11,7 @@
 //
 // Quick start:
 //
-//	cfg := repro.DefaultConfig()          // 1024-core ATAC+ (Table I)
-//	cfg.Cores = 64                        // scale down for a laptop
-//	cfg.Caches.DirSlices = 16
-//	cfg.Memory.Controllers = 16
+//	cfg := repro.SmallConfig()            // 64-core ATAC+; DefaultConfig is the paper's 1024
 //	res, err := repro.RunBenchmark(cfg, "radix", 1)
 //	bd, err2 := repro.EnergyOf(res)       // component energy breakdown
 //
@@ -101,6 +98,6 @@ func AreaOf(cfg Config) (Area, error) {
 // NewCampaign builds a memoizing figure-regeneration campaign.
 func NewCampaign(o CampaignOptions) *Campaign { return experiments.NewRunner(o) }
 
-// DefaultCampaignOptions returns the default campaign scale (64 cores;
-// set REPRO_FULL=1 for the paper's 1024-core geometry).
+// DefaultCampaignOptions returns the default campaign scale: 64 cores.
+// Set its Cores to 1024 for the paper's geometry.
 func DefaultCampaignOptions() CampaignOptions { return experiments.DefaultOptions() }
