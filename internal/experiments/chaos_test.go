@@ -242,12 +242,12 @@ func TestChaosInterruptDuringRetryBackoff(t *testing.T) {
 	r.backoffBase, r.backoffCap = time.Hour, time.Hour
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	r.testHook = func(config.Config, string, int) {
+	r.testHook = func(_ config.Config, _ string, attempt int) {
 		time.Sleep(2 * time.Millisecond) // a wall time the ledger row must keep
-	}
-	r.Progress = func(line string) {
-		if strings.Contains(line, "retrying in") {
-			cancel() // the backoff has begun
+		if attempt == 1 {
+			// The attempt fails at the kernel's first poll, so the cancel
+			// lands in the hour-long backoff that follows it.
+			time.AfterFunc(50*time.Millisecond, cancel)
 		}
 	}
 	var events []RunEvent
@@ -390,10 +390,12 @@ func TestChaosWorkloadPanicIsFailedRun(t *testing.T) {
 	}
 }
 
-// TestLedgerMatchesTerminalEvents checks that every ledger row agrees
-// with its run's last event (status, attempts, wall time, error) across
-// fresh, failed, cached and journal-recalled runs, and that a recalled
-// failure's event carries the wall time its journal record kept.
+// TestLedgerMatchesTerminalEvents checks that every ledger row and every
+// journal record agrees with its run's last event (status, attempts, wall
+// time, error) across fresh, failed, cached and journal-recalled runs, a
+// deadline-cut run retried to completion and a run interrupted in its
+// retry backoff, and that a recalled failure's event carries the wall time
+// its journal record kept.
 func TestLedgerMatchesTerminalEvents(t *testing.T) {
 	dir := t.TempDir()
 	for pass, wantSources := range []string{"sim", "cache journal"} {
@@ -428,9 +430,81 @@ func TestLedgerMatchesTerminalEvents(t *testing.T) {
 			if row.Status == StatusFailed && row.WallMS <= 0 {
 				t.Errorf("pass %d: failed row %+v has no wall time", pass, row)
 			}
+			checkJournalRecord(t, r.Journal, ev)
 		}
 		if err := r.Journal.Close(); err != nil {
 			t.Fatal(err)
 		}
+	}
+
+	// Two dispositions a figure does not reach, one run each, with their
+	// whole event sequence. Every attempt's deadline has expired before the
+	// kernel's first poll.
+	for _, c := range []struct {
+		name   string
+		arm    func(r *Runner, cancel context.CancelFunc)
+		phases string
+	}{
+		{"retry then done", func(r *Runner, _ context.CancelFunc) {
+			r.testHook = func(_ config.Config, _ string, attempt int) {
+				if attempt == 1 {
+					r.RunTimeout = 0 // this attempt's deadline is already set
+				}
+			}
+		}, "start retry done"},
+		{"interrupted during backoff", func(r *Runner, cancel context.CancelFunc) {
+			r.backoffBase, r.backoffCap = time.Hour, time.Hour
+			r.testHook = func(_ config.Config, _ string, attempt int) {
+				if attempt == 1 {
+					time.AfterFunc(50*time.Millisecond, cancel)
+				}
+			}
+		}, "start interrupted"},
+	} {
+		r := chaosRunner(t, t.TempDir())
+		r.Retries, r.RunTimeout = 1, time.Nanosecond
+		ctx, cancel := context.WithCancel(context.Background())
+		c.arm(r, cancel)
+		var phases []string
+		var last RunEvent
+		r.Events = func(ev RunEvent) { phases = append(phases, ev.Phase); last = ev }
+		_, _ = r.RunContext(ctx, r.Opt.Config(config.ATACPlus), "radix")
+		cancel()
+		if got := strings.Join(phases, " "); got != c.phases {
+			t.Errorf("%s: events [%s], want [%s]", c.name, got, c.phases)
+		}
+		ledger := r.Ledger()
+		if len(ledger) != 1 {
+			t.Fatalf("%s: %d ledger rows, want 1", c.name, len(ledger))
+		}
+		if row := ledger[0]; row.Status != last.Phase || row.Attempts != last.Attempt ||
+			row.WallMS != last.WallMS || row.Error != last.Error {
+			t.Errorf("%s: ledger row %+v disagrees with its last event %+v", c.name, row, last)
+		}
+		checkJournalRecord(t, r.Journal, last)
+		if err := r.Journal.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// checkJournalRecord checks a run's last journal record against its
+// terminal event. A cached run keeps the record of the run that stored
+// its entry, and an interrupted one the record its last attempt began.
+func checkJournalRecord(t *testing.T, j *Journal, ev RunEvent) {
+	t.Helper()
+	e, ok := j.Lookup(ev.Hash)
+	want := JournalEntry{Hash: ev.Hash, Key: ev.Benchmark + "@" + ev.Config, Status: ev.Phase,
+		Attempt: ev.Attempt, WallMS: ev.WallMS, Error: ev.Error, At: e.At}
+	switch ev.Phase {
+	case PhaseCached:
+		want.Status, want.Attempt, want.WallMS = StatusDone, e.Attempt, e.WallMS
+	case PhaseRecalled:
+		want.Status = StatusFailed
+	case PhaseInterrupted:
+		want.Status, want.WallMS, want.Error = StatusRunning, 0, ""
+	}
+	if !ok || e != want {
+		t.Errorf("journal record %+v (found %v) disagrees with the terminal event %+v", e, ok, ev)
 	}
 }

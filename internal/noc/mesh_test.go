@@ -332,6 +332,14 @@ func TestFlitAndRouterSizes(t *testing.T) {
 	}
 }
 
+// TestMessageSize pins a Message at 64 bytes: every Send allocates one, and
+// a flag or count added to it must fit in the padding after its bools.
+func TestMessageSize(t *testing.T) {
+	if got := unsafe.Sizeof(Message{}); got != 64 {
+		t.Errorf("Message is %d bytes, want 64", got)
+	}
+}
+
 // TestRRPickMatchesScan checks rrPick against the round-robin it replaced,
 // a scan of the inputs from the pointer for a candidate with a worm head in
 // front, for every candidate set, head set and pointer: the same grant and
