@@ -106,8 +106,9 @@ func run() int {
 	o.Scenarios, o.Topologies = scens, topos
 	r.Partial = true
 	r.RecallFailures = !*retryFailed
+	runs := r.CampaignRuns(selected)
 	if !f.Quiet {
-		r.Progress = func(s string) { fmt.Fprintln(os.Stderr, "  ...", s) }
+		r.Events = narrate(os.Stderr, len(runs), r.Retries+1)
 	}
 	closeCache, err := f.AttachCache(!*noJournal, log.Printf)
 	if err != nil {
@@ -140,7 +141,7 @@ func run() int {
 	// Declare the whole campaign's run-set up front so the worker pool is
 	// saturated from the start, instead of discovering runs one figure at
 	// a time. The serial loop below then renders from warm memo entries.
-	r.Prefetch(r.CampaignRuns(selected))
+	r.Prefetch(runs)
 
 	figureFailed := false
 	for _, id := range selected {
@@ -193,6 +194,35 @@ func run() int {
 			len(r.FailedRuns()))
 	}
 	return code
+}
+
+// narrate returns the Events consumer behind the campaign's stderr
+// narration: one line per run transition, "[settled/total] bench@config
+// <hash> <phase>" and what the phase carries, where total is the declared
+// run count and attempts each run's budget. Events arrive serialized, so
+// the counter needs no lock.
+func narrate(w io.Writer, total, attempts int) func(experiments.RunEvent) {
+	settled := 0
+	return func(ev experiments.RunEvent) {
+		what := ev.Error // failed, interrupted
+		switch ev.Phase {
+		case experiments.PhaseStart:
+			what = fmt.Sprintf("attempt 1/%d", attempts)
+		case experiments.PhaseRetry: // the per-run deadline is the only transient failure
+			what = fmt.Sprintf("attempt %d/%d after a per-run deadline", ev.Attempt, attempts)
+		case experiments.PhaseDone:
+			what = fmt.Sprintf("%d cycles in %.0f ms", ev.Cycles, ev.WallMS)
+		case experiments.PhaseCached:
+			what = fmt.Sprintf("%d cycles", ev.Cycles)
+		case experiments.PhaseRecalled:
+			what = fmt.Sprintf("from the journal, %d attempt(s): %s", ev.Attempt, ev.Error)
+		}
+		if ev.Phase != experiments.PhaseStart && ev.Phase != experiments.PhaseRetry {
+			settled++
+		}
+		line := fmt.Sprintf("[%d/%d] %s@%s %s %s %s", settled, total, ev.Benchmark, ev.Config, ev.Hash[:12], ev.Phase, what)
+		fmt.Fprintln(w, strings.TrimSpace(line))
+	}
 }
 
 // selectFigures resolves the -only list against the figure table: the

@@ -151,3 +151,34 @@ func TestWriteSVG(t *testing.T) {
 		t.Error("fig4.svg charts the non-numeric note column")
 	}
 }
+
+// The narration is RunEvents formatted: one line per transition, the
+// settled count moving on terminal phases only.
+func TestNarrate(t *testing.T) {
+	var b strings.Builder
+	say := narrate(&b, 4, 2)
+	ev := func(phase string, mod func(*experiments.RunEvent)) {
+		e := experiments.RunEvent{Hash: strings.Repeat("ab", 32), Benchmark: "radix",
+			Config: "ATAC+/ACKwise4/c16", Phase: phase}
+		if mod != nil {
+			mod(&e)
+		}
+		say(e)
+	}
+	ev(experiments.PhaseStart, func(e *experiments.RunEvent) { e.Attempt = 1 })
+	ev(experiments.PhaseRetry, func(e *experiments.RunEvent) { e.Attempt = 2 })
+	ev(experiments.PhaseDone, func(e *experiments.RunEvent) { e.Attempt, e.Cycles, e.WallMS = 2, 48471, 39.4 })
+	ev(experiments.PhaseCached, func(e *experiments.RunEvent) { e.Cycles = 48471 })
+	ev(experiments.PhaseRecalled, func(e *experiments.RunEvent) { e.Attempt, e.Error = 1, "run x: boom" })
+	ev(experiments.PhaseInterrupted, nil)
+	want := `[0/4] radix@ATAC+/ACKwise4/c16 abababababab start attempt 1/2
+[0/4] radix@ATAC+/ACKwise4/c16 abababababab retry attempt 2/2 after a per-run deadline
+[1/4] radix@ATAC+/ACKwise4/c16 abababababab done 48471 cycles in 39 ms
+[2/4] radix@ATAC+/ACKwise4/c16 abababababab cached 48471 cycles
+[3/4] radix@ATAC+/ACKwise4/c16 abababababab recalled from the journal, 1 attempt(s): run x: boom
+[4/4] radix@ATAC+/ACKwise4/c16 abababababab interrupted
+`
+	if got := b.String(); got != want {
+		t.Errorf("narration:\n%s\nwant:\n%s", got, want)
+	}
+}

@@ -203,7 +203,11 @@ func (c *Cache) Put(key string, res system.Result) error {
 		return fmt.Errorf("cache: %w", err)
 	}
 	if err := recordlog.AtomicWriteFile(c.path(key), data, 0o644); err != nil {
-		return fmt.Errorf("cache: %w", err)
+		err = fmt.Errorf("cache: %w", err)
+		if c.Log != nil { // the campaign drops the error: a failed write only costs a re-run
+			c.Log(err.Error())
+		}
+		return err
 	}
 	if c.MaxBytes > 0 {
 		if _, err := c.EnforceBudget(); err != nil && c.Log != nil {

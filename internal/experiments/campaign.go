@@ -48,11 +48,6 @@ import (
 // methods are safe for concurrent use.
 type Runner struct {
 	Opt Options
-	// Progress, if non-nil, receives one line per run disposition (fresh
-	// simulation or persistent-cache hit). Lines are serialized behind an
-	// internal mutex and prefixed with a [bench@network] label, so
-	// concurrent workers never interleave partial lines.
-	Progress func(string)
 	// Apps restricts the benchmark set (default: all of Benchmarks).
 	// Used to keep smoke campaigns cheap.
 	Apps []string
@@ -91,8 +86,9 @@ type Runner struct {
 	// to clear it and re-attempt.
 	RecallFailures bool
 	// Events, if non-nil, receives one structured RunEvent per run
-	// lifecycle transition (see hooks.go). Calls are serialized; the
-	// consumer must not block.
+	// lifecycle transition (see hooks.go), after the journal, counters and
+	// ledger have taken it. Calls are serialized; the consumer must not
+	// block.
 	Events func(RunEvent)
 	// EpochCycles, when positive and Events is set, attaches a metrics
 	// collector to every fresh simulation and streams one PhaseEpoch
@@ -105,14 +101,12 @@ type Runner struct {
 	memo     map[runID]system.Result
 	errs     map[runID]error
 	inflight map[runID]*inflightRun
-	ledger   map[runID]*RunRecord // per-run disposition
-	progMu   sync.Mutex
+	ledger   map[string]*RunRecord // per-run disposition, by run hash
 	evMu     sync.Mutex
 
 	fresh     atomic.Uint64 // simulations started (see FreshRuns)
 	cacheHits atomic.Uint64 // runs recalled from the persistent cache
 	recalled  atomic.Uint64 // failures recalled from the journal
-	expected  atomic.Uint64 // campaign run-set size declared via Prefetch
 
 	quiesced    atomic.Bool // Quiesce called: no new simulations
 	interrupted atomic.Bool // at least one run was cut off or skipped
@@ -153,7 +147,7 @@ func NewRunner(o Options) *Runner {
 		memo:     make(map[runID]system.Result),
 		errs:     make(map[runID]error),
 		inflight: make(map[runID]*inflightRun),
-		ledger:   make(map[runID]*RunRecord),
+		ledger:   make(map[string]*RunRecord),
 	}
 }
 
@@ -242,25 +236,34 @@ func (r *Runner) FailedRuns() []RunRecord {
 	return out
 }
 
-// settle records a run's final disposition, all of it derived from the
-// run's terminal event: the ledger row, the cache-hit and recalled-failure
-// counters and the interrupted flag. Then it emits the event.
-func (r *Runner) settle(id runID, ev RunEvent) {
-	rec := RunRecord{Hash: ev.Hash, Benchmark: ev.Benchmark, Config: ev.Config,
+// record applies one run transition to every sink, in a fixed order: the
+// journal first (write-ahead: an attempt's record lands before it does any
+// work), then the counters, then the ledger row of a terminal phase, and
+// Events last. Every transition execute decides on goes through here.
+func (r *Runner) record(ev RunEvent) {
+	if status, ok := journalStatus[ev.Phase]; ok {
+		r.Journal.append(JournalEntry{Hash: ev.Hash, Key: ev.Benchmark + "@" + ev.Config,
+			Status: status, Attempt: ev.Attempt, WallMS: ev.WallMS, Error: ev.Error})
+	}
+	row := RunRecord{Hash: ev.Hash, Benchmark: ev.Benchmark, Config: ev.Config,
 		Status: ev.Phase, Source: "sim", Attempts: ev.Attempt, WallMS: ev.WallMS, Error: ev.Error}
 	switch ev.Phase {
+	case PhaseStart:
+		r.fresh.Add(1)
 	case PhaseCached:
 		r.cacheHits.Add(1)
-		rec.Status, rec.Source = StatusDone, "cache"
+		row.Status, row.Source = StatusDone, "cache"
 	case PhaseRecalled:
 		r.recalled.Add(1)
-		rec.Status, rec.Source = StatusFailed, "journal"
+		row.Status, row.Source = StatusFailed, "journal"
 	case PhaseInterrupted:
 		r.interrupted.Store(true)
 	}
-	r.mu.Lock()
-	r.ledger[id] = &rec
-	r.mu.Unlock()
+	if ev.Phase != PhaseStart && ev.Phase != PhaseRetry { // an attempt is no disposition
+		r.mu.Lock()
+		r.ledger[ev.Hash] = &row
+		r.mu.Unlock()
+	}
 	r.emitEvent(ev)
 }
 
@@ -274,14 +277,6 @@ func (r *Runner) resultStore() resultstore.Store {
 		return r.Cache
 	}
 	return nil
-}
-
-// shortHash abbreviates a run hash for log lines and error messages.
-func shortHash(h string) string {
-	if len(h) > 12 {
-		return h[:12]
-	}
-	return h
 }
 
 // ConfigLabel names a run's configuration for ledger rows and wrapped
@@ -389,24 +384,24 @@ func (r *Runner) RunContext(ctx context.Context, cfg config.Config, bench string
 
 // execute performs one run, cheapest source first: persistent cache, then
 // journal recall of known terminal failures, then panic-isolated
-// simulation with bounded retry. Every state transition is write-ahead
-// journaled, and the final disposition is settled from one event.
+// simulation with bounded retry. It makes the decisions; every transition
+// they lead to is one RunEvent, applied to the journal, counters, ledger
+// and Events by record.
 func (r *Runner) execute(ctx context.Context, id runID) (system.Result, error) {
 	cfg, bench := id.cfg, id.bench
 	ck := r.cacheKey(id)
 	hash := resultstore.Hash(ck)
 	label := ConfigLabel(cfg)
-	key := bench + "@" + label // the journal's readable key
 	event := func(phase string) RunEvent {
 		return RunEvent{Hash: hash, Benchmark: bench, Config: label, Phase: phase}
 	}
+	run := fmt.Sprintf("run %s (%s, %s", hash[:12], bench, label) // every error's prefix
 
 	if store := r.resultStore(); store != nil && ck != "" {
 		if res, ok := store.Get(ck); ok {
 			ev := event(PhaseCached)
 			ev.Cycles = uint64(res.Cycles)
-			r.settle(id, ev)
-			r.progress(cfg, bench, "cached")
+			r.record(ev)
 			return res, nil
 		}
 	}
@@ -414,8 +409,7 @@ func (r *Runner) execute(ctx context.Context, id runID) (system.Result, error) {
 		if e, ok := r.Journal.Lookup(hash); ok && e.Status == StatusFailed {
 			ev := event(PhaseRecalled)
 			ev.Attempt, ev.WallMS, ev.Error = e.Attempt, e.WallMS, e.Error
-			r.settle(id, ev)
-			r.progress(cfg, bench, fmt.Sprintf("failed (recalled from journal, %d attempt(s))", e.Attempt))
+			r.record(ev)
 			// Reproduce the stored error verbatim: a resumed campaign then
 			// renders byte-identical degraded figures. The ledger row's
 			// Source field records that it came from the journal.
@@ -423,53 +417,39 @@ func (r *Runner) execute(ctx context.Context, id runID) (system.Result, error) {
 		}
 	}
 	if r.quiesced.Load() || ctx.Err() != nil {
-		r.settle(id, event(PhaseInterrupted))
-		return system.Result{}, fmt.Errorf("run %s (%s, %s): %w",
-			shortHash(hash), bench, label, ErrInterrupted)
+		r.record(event(PhaseInterrupted))
+		return system.Result{}, fmt.Errorf("%s): %w", run, ErrInterrupted)
 	}
 
-	// Counted as the first attempt starts, not at settle: the progress
-	// lines' [done/total] counter includes the run it announces.
-	r.fresh.Add(1)
 	attempts := r.Retries + 1
 	var wall time.Duration
 	for attempt := 1; ; attempt++ {
-		r.Journal.Begin(hash, key, attempt)
-		msg := fmt.Sprintf("run (routing=%v, flit=%d, %v%d)",
-			cfg.Network.Routing, cfg.Network.FlitBits,
-			cfg.Coherence.Kind, cfg.Coherence.Sharers)
+		ev := event(PhaseStart)
 		if attempt > 1 {
-			msg = fmt.Sprintf("retry %d/%d", attempt, attempts)
+			ev.Phase = PhaseRetry
 		}
-		r.progress(cfg, bench, msg)
-		phase := PhaseStart
-		if attempt > 1 {
-			phase = PhaseRetry
-		}
-		ev := event(phase)
 		ev.Attempt = attempt
-		r.emitEvent(ev)
+		r.record(ev)
 
 		start := time.Now()
 		res, err := r.simulate(ctx, cfg, bench, hash, attempt)
 		wall += time.Since(start)
-		ev.WallMS = float64(wall.Microseconds()) / 1e3
+		ev.WallMS = wallMS(wall)
 
 		if err == nil {
-			r.Journal.Done(hash, key, attempt, wall)
+			// The entry is written (or its failed write logged) before the
+			// journal says done. Best effort: a failed write only costs a
+			// re-run.
 			if store := r.resultStore(); store != nil && ck != "" {
-				store.Put(ck, res) // best effort: a failed write only costs a re-run
+				_ = store.Put(ck, res)
 			}
 			ev.Phase, ev.Cycles, ev.Instructions = PhaseDone, uint64(res.Cycles), res.Instructions
-			r.settle(id, ev)
+			r.record(ev)
 			return res, nil
 		}
 		if ctx.Err() == nil && attempt < attempts && transientFailure(err) {
-			d := RetryBackoff(hash, attempt, r.backoffBase, r.backoffCap)
-			r.progress(cfg, bench, fmt.Sprintf("attempt %d/%d failed (%v); retrying in %v",
-				attempt, attempts, err, d.Round(time.Millisecond)))
 			select {
-			case <-time.After(d):
+			case <-time.After(RetryBackoff(hash, attempt, r.backoffBase, r.backoffCap)):
 				continue
 			case <-ctx.Done():
 			}
@@ -479,23 +459,16 @@ func (r *Runner) execute(ctx context.Context, id runID) (system.Result, error) {
 		// "running" so a resumed campaign re-runs it.
 		if ctx.Err() != nil {
 			ev.Phase, ev.Error = PhaseInterrupted, err.Error()
-			r.settle(id, ev)
-			return system.Result{}, fmt.Errorf("run %s (%s, %s): %w: %v",
-				shortHash(hash), bench, label, ErrInterrupted, err)
+			r.record(ev)
+			return system.Result{}, fmt.Errorf("%s): %w: %v", run, ErrInterrupted, err)
 		}
 		// Terminal: deterministic failure, or the attempt budget is spent.
 		// The wrap carries the run hash and config name so a tripped
 		// watchdog or exhausted event budget is attributable in the
 		// failure ledger without re-running anything.
-		wrapped := fmt.Errorf("run %s (%s, %s, attempt %d/%d): %w",
-			shortHash(hash), bench, label, attempt, attempts, err)
-		r.Journal.Fail(hash, key, attempt, wall, wrapped)
+		wrapped := fmt.Errorf("%s, attempt %d/%d): %w", run, attempt, attempts, err)
 		ev.Phase, ev.Error = PhaseFailed, wrapped.Error()
-		r.settle(id, ev)
-		var pe *PanicError
-		if errors.As(err, &pe) && len(pe.Stack) > 0 {
-			r.progress(cfg, bench, fmt.Sprintf("panic isolated (stack captured, %d bytes)", len(pe.Stack)))
-		}
+		r.record(ev)
 		return system.Result{}, wrapped
 	}
 }
@@ -534,26 +507,6 @@ func (r *Runner) simulate(ctx context.Context, cfg config.Config, bench, hash st
 		r.observe(sys, hash, bench, ConfigLabel(cfg))
 	}
 	return sys.RunContext(ctx, spec, 0)
-}
-
-// progress emits one serialized, labelled progress line. When the
-// campaign's run-set size was declared up front (Prefetch), each line is
-// prefixed with a [done/total] completion counter.
-func (r *Runner) progress(cfg config.Config, bench, msg string) {
-	if r.Progress == nil {
-		return
-	}
-	line := fmt.Sprintf("[%s@%v] %s", bench, cfg.Network.Kind, msg)
-	if tot := r.expected.Load(); tot > 0 {
-		done := r.fresh.Load() + r.cacheHits.Load() + r.recalled.Load()
-		if done > tot {
-			done = tot // figure-local extras beyond the declared set
-		}
-		line = fmt.Sprintf("[%d/%d] %s", done, tot, line)
-	}
-	r.progMu.Lock()
-	defer r.progMu.Unlock()
-	r.Progress(line)
 }
 
 // RunSpec names one (config, benchmark) simulation of a campaign.
@@ -609,11 +562,8 @@ func (r *Runner) RunAll(ctx context.Context, specs []RunSpec) error {
 // Prefetch warms the memo with every spec, saturating the worker pool.
 // Errors are not reported here: a failed run is memoized, and the figure
 // that needs it surfaces the identical error at the same table position a
-// serial campaign would. The deduplicated spec count also becomes the
-// denominator of the [done/total] progress counter.
+// serial campaign would.
 func (r *Runner) Prefetch(specs []RunSpec) {
-	specs = dedupSpecs(specs)
-	r.expected.Add(uint64(len(specs)))
 	_ = r.RunAll(r.context(), specs)
 }
 

@@ -1,11 +1,12 @@
 // Run-event hooks: the campaign engine's push-style observability seam.
 //
-// The Runner's Progress callback emits human-oriented log lines; Events
-// emits the same lifecycle as structured records, plus — when EpochCycles
-// is set — live per-epoch progress sampled by the metrics layer while a
-// simulation is still running. The serving daemon (internal/serve) fans
-// these out to Server-Sent-Events subscribers; batch commands leave
-// Events nil and pay nothing.
+// Every run transition is one RunEvent: the engine applies it to the
+// journal, its counters and the ledger, then hands it to Events, plus —
+// when EpochCycles is set — live per-epoch progress sampled by the metrics
+// layer while a simulation is still running. The serving daemon
+// (internal/serve) fans these out to Server-Sent-Events subscribers, and
+// cmd/figures formats them as its stderr narration; a consumer that leaves
+// Events nil pays nothing.
 package experiments
 
 import (

@@ -21,6 +21,11 @@ const (
 	StatusFailed  = "failed"
 )
 
+// journalStatus is the run state the journal records for a RunEvent phase
+// (Runner.record); the other phases leave the journal as it was.
+var journalStatus = map[string]string{PhaseStart: StatusRunning, PhaseRetry: StatusRunning,
+	PhaseDone: StatusDone, PhaseFailed: StatusFailed}
+
 // JournalEntry is one run-state transition. Hash is the run's persistent
 // identity (RunHash, the cache's file name); Key is a human-readable label
 // (bench@ConfigLabel from the Runner).
@@ -58,31 +63,32 @@ func (j *Journal) Len() int                                { return j.log.Len() 
 // Begin records that an attempt at the run is starting (write-ahead: the
 // record hits disk before the simulation does any work).
 func (j *Journal) Begin(hash, key string, attempt int) {
-	j.append(hash, key, StatusRunning, attempt, 0, nil)
+	j.append(JournalEntry{Hash: hash, Key: key, Status: StatusRunning, Attempt: attempt})
 }
 
 // Done records a successful run.
 func (j *Journal) Done(hash, key string, attempt int, wall time.Duration) {
-	j.append(hash, key, StatusDone, attempt, wall, nil)
+	j.append(JournalEntry{Hash: hash, Key: key, Status: StatusDone, Attempt: attempt, WallMS: wallMS(wall)})
 }
 
 // Fail records a terminal failure: no attempt is left, or the error class
 // is deterministic and retrying is pointless.
 func (j *Journal) Fail(hash, key string, attempt int, wall time.Duration, runErr error) {
-	j.append(hash, key, StatusFailed, attempt, wall, runErr)
+	j.append(JournalEntry{Hash: hash, Key: key, Status: StatusFailed, Attempt: attempt,
+		WallMS: wallMS(wall), Error: runErr.Error()})
 }
+
+// wallMS is a wall time as the journal, the ledger and RunEvents carry it:
+// milliseconds, to the microsecond.
+func wallMS(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 }
 
 // append stamps and records one transition. Journal trouble never takes a
 // campaign down: a failed append only costs that record's resumability.
-func (j *Journal) append(hash, key, status string, attempt int, wall time.Duration, runErr error) {
+func (j *Journal) append(e JournalEntry) {
 	if j == nil {
 		return
 	}
-	e := JournalEntry{Hash: hash, Key: key, Status: status, Attempt: attempt,
-		WallMS: float64(wall.Microseconds()) / 1e3, At: time.Now().UTC().Format(time.RFC3339)}
-	if runErr != nil {
-		e.Error = runErr.Error()
-	}
+	e.At = time.Now().UTC().Format(time.RFC3339)
 	_ = j.log.Append(e)
 }
 
