@@ -51,9 +51,8 @@ func NewAtac(k *sim.Kernel, cfg *config.Config) *Atac {
 	a.setup(cfg, false, pairFIFO)
 	a.atHub = func(core int, m *Message) {
 		h := a.hubs[cfg.ClusterOf(core)]
-		n := FlitsFor(m.Bits, cfg.Network.FlitBits)
-		h.st.HubFlits += uint64(n)
-		h.tx.push(m, n, h.id)
+		h.st.HubFlits += uint64(m.flits)
+		h.tx.push(m, int(m.flits), h.id)
 	}
 	a.pendingTX = make([]int, cfg.Clusters())
 	a.health = make([]channelHealth, cfg.Clusters())

@@ -97,7 +97,7 @@ type xhub struct {
 // cluster's own broadcast copy bypasses the optics onto the local receive
 // network (the hub already holds the data).
 func (h *xhub) request(m *Message) {
-	n := FlitsFor(m.Bits, h.x.Cfg.Network.FlitBits)
+	n := int(m.flits)
 	h.st.HubFlits += uint64(n)
 	if m.Dst != BroadcastDst {
 		h.x.chans[h.x.Cfg.ClusterOf(m.Dst)].push(m, n, h.id)

@@ -189,11 +189,13 @@ func (f *fabric) Drained() bool {
 // the message and its flits and, with the reorder CAM armed, sequences a
 // unicast within its pair. It runs on the shard owning m.Src (senders
 // inject from their own tile's events), so all of it is shard-local.
-// Returns that shard's statistics block and the flit count.
+// Returns that shard's statistics block and the flit count, which m also
+// carries from here on.
 func (f *fabric) admit(m *Message) (st *Stats, n int) {
 	st = f.statsAt(m.Src)
 	m.Inject = f.d.K(m.Src).Now()
 	n = FlitsFor(m.Bits, f.enet.FlitBits)
+	m.flits = int32(n)
 	st.InjectedFlits += uint64(n)
 	if m.Dst == BroadcastDst {
 		st.BroadcastSent++

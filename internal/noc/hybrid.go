@@ -107,9 +107,8 @@ func (h *Hybrid) atGateway(core int, m *Message) {
 		return
 	}
 	g := h.gws[h.Cfg.GatewayOf(core)]
-	n := FlitsFor(m.Bits, h.Cfg.Network.FlitBits)
-	g.st.HubFlits += uint64(n)
-	g.tx.push(m, n, g.id)
+	g.st.HubFlits += uint64(m.flits)
+	g.tx.push(m, int(m.flits), g.id)
 }
 
 // gateway is one photonic express endpoint: a serializing SWMR optical

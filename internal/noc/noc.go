@@ -45,6 +45,9 @@ type Message struct {
 	// origBcast marks per-destination clones of a serialized broadcast
 	// (EMesh-Pure) so receiver-side traffic statistics stay correct.
 	origBcast bool
+	// flits is the flit count admit computed from Bits, read again where
+	// an optical endpoint takes the message (it fits the bools' padding).
+	flits int32
 }
 
 // IsBroadcast reports whether this delivery belongs to a logical broadcast,
