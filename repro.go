@@ -11,7 +11,7 @@
 //
 // Quick start:
 //
-//	cfg := repro.SmallConfig()            // 64-core ATAC+; DefaultConfig is the paper's 1024
+//	cfg := repro.SmallConfig()            // 64-core ATAC+, 16 clusters of 4; DefaultConfig is the paper's 1024
 //	res, err := repro.RunBenchmark(cfg, "radix", 1)
 //	bd, err2 := repro.EnergyOf(res)       // component energy breakdown
 //
@@ -55,7 +55,9 @@ const (
 // DefaultConfig returns the paper's 1024-core ATAC+ configuration.
 func DefaultConfig() Config { return config.Default() }
 
-// SmallConfig returns a 64-core configuration for quick experiments.
+// SmallConfig returns a 64-core ATAC+ configuration for quick experiments:
+// config.Small(), 16 clusters of 4 cores. It is not the machine `-cores 64`
+// builds in the front ends, which is 4 clusters of 16 (BuildConfig).
 func SmallConfig() Config { return config.Small() }
 
 // Benchmarks lists the eight evaluation applications.
