@@ -56,18 +56,34 @@ func TestParallelMatchesSerial(t *testing.T) {
 			fs.fig4, fp.fig4, fs.fig8, fp.fig8)
 	}
 
-	rs, rp := serial.memo, parallel.memo
-	if len(rs) == 0 || len(rs) != len(rp) {
-		t.Fatalf("result sets differ in size: serial %d, parallel %d", len(rs), len(rp))
+	// Every run the two figures declare is read back through Run: each read
+	// must be a memo hit (FreshRuns holds still), and each runner must have
+	// simulated exactly the declared set.
+	specs := serial.CampaignRuns([]string{"4", "8"})
+	if len(specs) == 0 {
+		t.Fatal("figures 4 and 8 declare no runs")
 	}
-	for k, v := range rs {
-		pv, ok := rp[k]
-		if !ok {
-			t.Errorf("run %s@%s missing from parallel results", k.bench, ConfigLabel(k.cfg))
-			continue
+	for _, r := range []*Runner{serial, parallel} {
+		if got := r.FreshRuns(); got != uint64(len(specs)) {
+			t.Fatalf("Jobs=%d simulated %d runs, want the %d declared", r.Jobs, got, len(specs))
+		}
+	}
+	for _, s := range specs {
+		v, err := serial.Run(s.Cfg, s.Bench)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pv, err := parallel.Run(s.Cfg, s.Bench)
+		if err != nil {
+			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(v, pv) {
-			t.Errorf("run %s@%s: parallel result differs from serial\nserial:   %+v\nparallel: %+v", k.bench, ConfigLabel(k.cfg), v, pv)
+			t.Errorf("run %s@%s: parallel result differs from serial\nserial:   %+v\nparallel: %+v", s.Bench, ConfigLabel(s.Cfg), v, pv)
+		}
+	}
+	for _, r := range []*Runner{serial, parallel} {
+		if got := r.FreshRuns(); got != uint64(len(specs)) {
+			t.Errorf("Jobs=%d: reading the declared runs simulated again (%d fresh runs, want %d)", r.Jobs, got, len(specs))
 		}
 	}
 }
@@ -80,14 +96,15 @@ func TestShardedCampaignMatchesSerial(t *testing.T) {
 	serial := testCampaignRunner()
 	specs := serial.FigureRuns("4")
 	serial.Prefetch(specs)
-	if len(serial.memo) == 0 {
-		t.Fatal("serial campaign memoized no results")
+	fresh := serial.FreshRuns()
+	if fresh == 0 {
+		t.Fatal("serial campaign simulated no runs")
 	}
 	for _, s := range specs {
 		cfg := runConfig(s.Cfg)
-		want, ok := serial.memo[runID{cfg, s.Bench}]
-		if !ok {
-			t.Errorf("run %s@%s missing from serial results", s.Bench, ConfigLabel(cfg))
+		want, err := serial.Run(s.Cfg, s.Bench)
+		if err != nil {
+			t.Errorf("run %s@%s: %v", s.Bench, ConfigLabel(cfg), err)
 			continue
 		}
 		sys, err := system.NewSharded(cfg, 2)
@@ -108,6 +125,9 @@ func TestShardedCampaignMatchesSerial(t *testing.T) {
 		if !reflect.DeepEqual(want, got) {
 			t.Errorf("run %s@%s: sharded result differs from serial\nserial:  %+v\nsharded: %+v", s.Bench, ConfigLabel(cfg), want, got)
 		}
+	}
+	if got := serial.FreshRuns(); got != fresh {
+		t.Errorf("reading the prefetched runs simulated again: %d fresh runs, want %d", got, fresh)
 	}
 }
 

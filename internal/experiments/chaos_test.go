@@ -407,7 +407,13 @@ func TestLedgerMatchesTerminalEvents(t *testing.T) {
 			}
 		}
 		last := map[string]RunEvent{}
-		r.Events = func(ev RunEvent) { last[ev.Hash] = ev }
+		starts := 0
+		r.Events = func(ev RunEvent) {
+			last[ev.Hash] = ev
+			if ev.Phase == PhaseStart {
+				starts++
+			}
+		}
 		if _, err := r.Figure("4"); err != nil {
 			t.Fatal(err)
 		}
@@ -432,6 +438,7 @@ func TestLedgerMatchesTerminalEvents(t *testing.T) {
 			}
 			checkJournalRecord(t, r.Journal, ev)
 		}
+		checkCounters(t, fmt.Sprintf("pass %d", pass), r, starts)
 		if err := r.Journal.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -482,6 +489,7 @@ func TestLedgerMatchesTerminalEvents(t *testing.T) {
 			t.Errorf("%s: ledger row %+v disagrees with its last event %+v", c.name, row, last)
 		}
 		checkJournalRecord(t, r.Journal, last)
+		checkCounters(t, c.name, r, strings.Count(" "+c.phases+" ", " "+PhaseStart+" "))
 		if err := r.Journal.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -506,5 +514,36 @@ func checkJournalRecord(t *testing.T, j *Journal, ev RunEvent) {
 	}
 	if !ok || e != want {
 		t.Errorf("journal record %+v (found %v) disagrees with the terminal event %+v", e, ok, ev)
+	}
+}
+
+// checkCounters holds a Runner's counters to what defines them: FreshRuns
+// to the start events it emitted, CacheHits to the ledger rows sourced from
+// the cache, RecalledFailures to those sourced from the journal, and
+// Interrupted to whether any row is interrupted.
+func checkCounters(t *testing.T, name string, r *Runner, starts int) {
+	t.Helper()
+	var cache, journal uint64
+	interrupted := false
+	for _, row := range r.Ledger() {
+		switch row.Source {
+		case "cache":
+			cache++
+		case "journal":
+			journal++
+		}
+		interrupted = interrupted || row.Status == PhaseInterrupted
+	}
+	if got := r.FreshRuns(); got != uint64(starts) {
+		t.Errorf("%s: FreshRuns %d, want %d start events", name, got, starts)
+	}
+	if got := r.CacheHits(); got != cache {
+		t.Errorf("%s: CacheHits %d, want %d cache rows", name, got, cache)
+	}
+	if got := r.RecalledFailures(); got != journal {
+		t.Errorf("%s: RecalledFailures %d, want %d journal rows", name, got, journal)
+	}
+	if got := r.Interrupted(); got != interrupted {
+		t.Errorf("%s: Interrupted %v, want %v from the ledger", name, got, interrupted)
 	}
 }
