@@ -277,7 +277,7 @@ func writeMetrics(dir, traceOut, label string, col *metrics.Collector, ring *tra
 		if err != nil {
 			return err
 		}
-		if err := col.WriteChromeTrace(f, label, instantsFrom(ring)); err != nil {
+		if err := col.WriteChromeTrace(f, label, ring.Entries()); err != nil {
 			f.Close()
 			return err
 		}
@@ -287,21 +287,6 @@ func writeMetrics(dir, traceOut, label string, col *metrics.Collector, ring *tra
 		fmt.Fprintf(os.Stderr, "timeline -> %s (open in chrome://tracing or Perfetto)\n", traceOut)
 	}
 	return nil
-}
-
-// instantsFrom converts the trace ring's retained protocol events into
-// Chrome-trace instant markers. Ring entries and metric epochs are both
-// stamped from the kernel clock, so they land on the same timeline axis.
-func instantsFrom(ring *trace.Ring) []metrics.Instant {
-	entries := ring.Entries()
-	if len(entries) == 0 {
-		return nil
-	}
-	out := make([]metrics.Instant, len(entries))
-	for i, e := range entries {
-		out[i] = metrics.Instant{At: e.At, Cat: e.Kind, Name: e.Text}
-	}
-	return out
 }
 
 func init() {

@@ -85,8 +85,9 @@ func (c *Cache) JournalPath() string { return filepath.Join(c.dir, JournalFileNa
 // detected as a miss instead of silently returning the wrong run's
 // result, and the same JSON travels verbatim over the peer cache routes.
 
-func (c *Cache) path(key string) string {
-	return filepath.Join(c.dir, resultstore.Hash(key)+".json")
+// entryPath is where the entry whose key hashes to hash lives.
+func (c *Cache) entryPath(hash string) string {
+	return filepath.Join(c.dir, hash+".json")
 }
 
 // entryHashPattern is the only shape EntryByHash accepts: a full sha256
@@ -103,7 +104,7 @@ func (c *Cache) EntryByHash(hash string) ([]byte, bool) {
 	if !entryHashPattern.MatchString(hash) {
 		return nil, false
 	}
-	data, err := os.ReadFile(filepath.Join(c.dir, hash+".json"))
+	data, err := os.ReadFile(c.entryPath(hash))
 	if err != nil {
 		return nil, false
 	}
@@ -129,15 +130,7 @@ func (c *Cache) PutEntry(hash string, data []byte) error {
 	if resultstore.Hash(e.Key) != hash {
 		return fmt.Errorf("cache: entry key does not hash to %s", hash[:12])
 	}
-	if err := recordlog.AtomicWriteFile(filepath.Join(c.dir, hash+".json"), data, 0o644); err != nil {
-		return fmt.Errorf("cache: %w", err)
-	}
-	if c.MaxBytes > 0 {
-		if _, err := c.EnforceBudget(); err != nil && c.Log != nil {
-			c.Log(fmt.Sprintf("cache: eviction: %v", err))
-		}
-	}
-	return nil
+	return c.write(hash, data)
 }
 
 // Get returns the cached result for key, if present and valid. An entry
@@ -145,7 +138,7 @@ func (c *Cache) PutEntry(hash string, data []byte) error {
 // stamp, or an embedded key that disagrees with its filename — is
 // quarantined and reads as a miss.
 func (c *Cache) Get(key string) (system.Result, bool) {
-	path := c.path(key)
+	path := c.entryPath(resultstore.Hash(key))
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return system.Result{}, false
@@ -202,12 +195,18 @@ func (c *Cache) Put(key string, res system.Result) error {
 	if err != nil {
 		return fmt.Errorf("cache: %w", err)
 	}
-	if err := recordlog.AtomicWriteFile(c.path(key), data, 0o644); err != nil {
-		err = fmt.Errorf("cache: %w", err)
-		if c.Log != nil { // the campaign drops the error: a failed write only costs a re-run
-			c.Log(err.Error())
-		}
-		return err
+	err = c.write(resultstore.Hash(key), data)
+	if err != nil && c.Log != nil { // the campaign drops the error: a failed write only costs a re-run
+		c.Log(err.Error())
+	}
+	return err
+}
+
+// write is Put's and PutEntry's common tail: it stores an entry's bytes
+// under hash, then evicts down to MaxBytes.
+func (c *Cache) write(hash string, data []byte) error {
+	if err := recordlog.AtomicWriteFile(c.entryPath(hash), data, 0o644); err != nil {
+		return fmt.Errorf("cache: %w", err)
 	}
 	if c.MaxBytes > 0 {
 		if _, err := c.EnforceBudget(); err != nil && c.Log != nil {
@@ -238,14 +237,11 @@ func (c *Cache) EnforceBudget() (int, error) {
 	var files []entry
 	var total int64
 	for _, dir := range []string{c.dir, filepath.Join(c.dir, quarantineDirName)} {
-		des, err := os.ReadDir(dir)
+		des, err := jsonFiles(dir)
 		if err != nil {
 			continue // quarantine/ may not exist yet
 		}
 		for _, de := range des {
-			if de.IsDir() || filepath.Ext(de.Name()) != ".json" {
-				continue
-			}
 			info, err := de.Info()
 			if err != nil {
 				continue // raced with another evictor
@@ -289,14 +285,11 @@ func (c *Cache) Evicted() uint64 { return c.evicted.Load() }
 // invalidation path behind the -clear-cache flag). The directory itself
 // is kept.
 func (c *Cache) Invalidate() error {
-	entries, err := os.ReadDir(c.dir)
+	entries, err := jsonFiles(c.dir)
 	if err != nil {
 		return fmt.Errorf("cache: %w", err)
 	}
 	for _, e := range entries {
-		if e.IsDir() || filepath.Ext(e.Name()) != ".json" {
-			continue
-		}
 		if err := os.Remove(filepath.Join(c.dir, e.Name())); err != nil {
 			return fmt.Errorf("cache: %w", err)
 		}
@@ -306,15 +299,22 @@ func (c *Cache) Invalidate() error {
 
 // Len reports how many entries the cache currently holds.
 func (c *Cache) Len() int {
-	entries, err := os.ReadDir(c.dir)
+	entries, _ := jsonFiles(c.dir)
+	return len(entries)
+}
+
+// jsonFiles lists the .json files directly in dir: the cache's entries,
+// or its quarantined files.
+func jsonFiles(dir string) ([]os.DirEntry, error) {
+	des, err := os.ReadDir(dir)
 	if err != nil {
-		return 0
+		return nil, err
 	}
-	n := 0
-	for _, e := range entries {
-		if !e.IsDir() && filepath.Ext(e.Name()) == ".json" {
-			n++
+	out := des[:0]
+	for _, de := range des {
+		if !de.IsDir() && filepath.Ext(de.Name()) == ".json" {
+			out = append(out, de)
 		}
 	}
-	return n
+	return out, nil
 }

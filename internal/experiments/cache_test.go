@@ -8,8 +8,12 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/resultstore"
 	"repro/internal/system"
 )
+
+// path is where the cache keeps the entry for key.
+func (c *Cache) path(key string) string { return c.entryPath(resultstore.Hash(key)) }
 
 // fileSizes sums the .json entries under the cache root and quarantine.
 func cacheBytes(t *testing.T, dir string) int64 {
@@ -214,7 +218,7 @@ func TestAttachCache(t *testing.T) {
 		t.Fatalf("journal on: err=%v cache=%v journal=%v", err, r.Cache, r.Journal)
 	}
 	r.Cache.Log("from the cache")
-	r.Journal.Begin("h", "k", 1)
+	r.Journal.append(running("h", "k", 1))
 	r.Journal.Done("h", "k", 1, 0)
 	closeCache()
 	if data, _ := os.ReadFile(r.Cache.JournalPath()); strings.Count(string(data), "\n") != 1 {

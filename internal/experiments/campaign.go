@@ -3,10 +3,12 @@
 //
 // Three layers cooperate:
 //
-//   - a singleflight memo: concurrent figures requesting the same run
-//     (runConfig) share one simulation, and completed runs (including
-//     failed ones — simulations are deterministic, so an error is as
-//     cacheable as a result) are recalled from an in-process map;
+//   - one run table: every run a Runner is asked for (runConfig) gets one
+//     entry, so concurrent figures requesting the same run share one
+//     simulation, completed runs (including failed ones — simulations are
+//     deterministic, so an error is as cacheable as a result) are recalled
+//     from it, and each settled entry carries the run's ledger row, which
+//     the recall counters are read from;
 //   - a worker pool (RunAll/Prefetch): figures declare their run-set up
 //     front so up to Jobs simulations execute concurrently instead of
 //     being discovered lazily one at a time. Each run owns a private
@@ -86,9 +88,9 @@ type Runner struct {
 	// to clear it and re-attempt.
 	RecallFailures bool
 	// Events, if non-nil, receives one structured RunEvent per run
-	// lifecycle transition (see hooks.go), after the journal, counters and
-	// ledger have taken it. Calls are serialized; the consumer must not
-	// block.
+	// lifecycle transition (see hooks.go), after the journal, the fresh-run
+	// counter and the ledger have taken it. Calls are serialized; the
+	// consumer must not block.
 	Events func(RunEvent)
 	// EpochCycles, when positive and Events is set, attaches a metrics
 	// collector to every fresh simulation and streams one PhaseEpoch
@@ -97,19 +99,12 @@ type Runner struct {
 	// path.
 	EpochCycles sim.Time
 
-	mu       sync.Mutex
-	memo     map[runID]system.Result
-	errs     map[runID]error
-	inflight map[runID]*inflightRun
-	ledger   map[string]*RunRecord // per-run disposition, by run hash
-	evMu     sync.Mutex
+	mu   sync.Mutex
+	runs map[runID]*run // the run table: every run asked for, by identity
+	evMu sync.Mutex
 
-	fresh     atomic.Uint64 // simulations started (see FreshRuns)
-	cacheHits atomic.Uint64 // runs recalled from the persistent cache
-	recalled  atomic.Uint64 // failures recalled from the journal
-
-	quiesced    atomic.Bool // Quiesce called: no new simulations
-	interrupted atomic.Bool // at least one run was cut off or skipped
+	fresh    atomic.Uint64 // simulations started (see FreshRuns)
+	quiesced atomic.Bool   // Quiesce called: no new simulations
 
 	// Test seams: backoff overrides and the chaos-injection hook, which
 	// runs at the top of every simulation attempt and may panic.
@@ -132,23 +127,21 @@ type RunRecord struct {
 	Error     string  `json:"error,omitempty"`
 }
 
-// inflightRun is the singleflight rendezvous for one executing run.
-type inflightRun struct {
+// run is one entry of the run table. The caller that inserts it executes
+// the run, sets res and err, and closes done; every other caller asking for
+// the run waits on done and returns the same res and err. row, guarded by
+// the Runner's mu, is the run's ledger row once it settles.
+type run struct {
 	done chan struct{}
 	res  system.Result
 	err  error
+	row  *RunRecord
 }
 
 // NewRunner builds a campaign runner with no persistent cache; the front
 // ends attach one with Flags.AttachCache.
 func NewRunner(o Options) *Runner {
-	return &Runner{
-		Opt:      o,
-		memo:     make(map[runID]system.Result),
-		errs:     make(map[runID]error),
-		inflight: make(map[runID]*inflightRun),
-		ledger:   make(map[string]*RunRecord),
-	}
+	return &Runner{Opt: o, runs: make(map[runID]*run)}
 }
 
 // DefaultJobs returns the campaign-wide concurrency default: the REPRO_JOBS
@@ -182,19 +175,28 @@ func (r *Runner) apps() []string {
 // persistent-cache hits excluded).
 func (r *Runner) FreshRuns() uint64 { return r.fresh.Load() }
 
-// CacheHits returns the number of runs recalled from the persistent cache.
-func (r *Runner) CacheHits() uint64 { return r.cacheHits.Load() }
+// CacheHits returns the number of runs recalled from the persistent cache:
+// the ledger rows whose source is the cache.
+func (r *Runner) CacheHits() uint64 {
+	return uint64(len(r.rowsWhere(func(row RunRecord) bool { return row.Source == "cache" })))
+}
 
 // RecalledFailures returns the number of terminal failures replayed from
-// the journal without re-simulation.
-func (r *Runner) RecalledFailures() uint64 { return r.recalled.Load() }
+// the journal without re-simulation: the ledger rows whose source is the
+// journal.
+func (r *Runner) RecalledFailures() uint64 {
+	return uint64(len(r.rowsWhere(func(row RunRecord) bool { return row.Source == "journal" })))
+}
 
 // Interrupted reports whether any run was skipped or cut off by campaign
-// cancellation (SIGINT/SIGTERM or Ctx expiry).
-func (r *Runner) Interrupted() bool { return r.interrupted.Load() }
+// cancellation (SIGINT/SIGTERM or Ctx expiry): whether any ledger row is
+// interrupted.
+func (r *Runner) Interrupted() bool {
+	return len(r.rowsWhere(func(row RunRecord) bool { return row.Status == PhaseInterrupted })) > 0
+}
 
 // Quiesce stops the campaign from starting new simulations: subsequent
-// runs still recall memo, cache, and journal entries, but a run that
+// runs still recall settled runs, cache and journal entries, but a run that
 // would need fresh simulation fails fast with ErrInterrupted. This is the
 // drain half of graceful shutdown — in-flight runs finish, nothing new
 // starts, and rendering proceeds from whatever completed.
@@ -208,14 +210,16 @@ func (r *Runner) context() context.Context {
 	return context.Background()
 }
 
-// Ledger returns the per-run disposition records, sorted by benchmark,
-// configuration label and run hash.
+// Ledger returns the per-run disposition records of the settled runs,
+// sorted by benchmark, configuration label and run hash.
 func (r *Runner) Ledger() []RunRecord {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]RunRecord, 0, len(r.ledger))
-	for _, rec := range r.ledger {
-		out = append(out, *rec)
+	out := make([]RunRecord, 0, len(r.runs))
+	for _, c := range r.runs {
+		if c.row != nil {
+			out = append(out, *c.row)
+		}
 	}
 	slices.SortFunc(out, func(a, b RunRecord) int {
 		return cmp.Or(cmp.Compare(a.Benchmark, b.Benchmark), cmp.Compare(a.Config, b.Config),
@@ -227,20 +231,26 @@ func (r *Runner) Ledger() []RunRecord {
 // FailedRuns returns the ledger rows that did not complete: terminal
 // failures and interrupted runs.
 func (r *Runner) FailedRuns() []RunRecord {
+	return r.rowsWhere(func(row RunRecord) bool { return row.Status != StatusDone })
+}
+
+// rowsWhere returns the ledger rows that satisfy keep, in Ledger's order.
+func (r *Runner) rowsWhere(keep func(RunRecord) bool) []RunRecord {
 	var out []RunRecord
-	for _, rec := range r.Ledger() {
-		if rec.Status != StatusDone {
-			out = append(out, rec)
+	for _, row := range r.Ledger() {
+		if keep(row) {
+			out = append(out, row)
 		}
 	}
 	return out
 }
 
-// record applies one run transition to every sink, in a fixed order: the
-// journal first (write-ahead: an attempt's record lands before it does any
-// work), then the counters, then the ledger row of a terminal phase, and
-// Events last. Every transition execute decides on goes through here.
-func (r *Runner) record(ev RunEvent) {
+// record applies one transition of run c to every sink, in a fixed order:
+// the journal first (write-ahead: an attempt's record lands before it does
+// any work), then the fresh-run counter, then the ledger row of a terminal
+// phase onto c, and Events last. Every transition execute decides on goes
+// through here.
+func (r *Runner) record(c *run, ev RunEvent) {
 	if status, ok := journalStatus[ev.Phase]; ok {
 		r.Journal.append(JournalEntry{Hash: ev.Hash, Key: ev.Benchmark + "@" + ev.Config,
 			Status: status, Attempt: ev.Attempt, WallMS: ev.WallMS, Error: ev.Error})
@@ -251,17 +261,13 @@ func (r *Runner) record(ev RunEvent) {
 	case PhaseStart:
 		r.fresh.Add(1)
 	case PhaseCached:
-		r.cacheHits.Add(1)
 		row.Status, row.Source = StatusDone, "cache"
 	case PhaseRecalled:
-		r.recalled.Add(1)
 		row.Status, row.Source = StatusFailed, "journal"
-	case PhaseInterrupted:
-		r.interrupted.Store(true)
 	}
 	if ev.Phase != PhaseStart && ev.Phase != PhaseRetry { // an attempt is no disposition
 		r.mu.Lock()
-		r.ledger[ev.Hash] = &row
+		c.row = &row
 		r.mu.Unlock()
 	}
 	r.emitEvent(ev)
@@ -289,8 +295,8 @@ func ConfigLabel(cfg config.Config) string {
 
 // runID is a run's identity inside one process: the benchmark and the
 // configuration as the simulator reads it (runConfig). config.Config holds
-// only scalar fields, so runID is comparable and keys the memo, the
-// in-flight table and the ledger directly.
+// only scalar fields, so runID is comparable and keys the run table
+// directly.
 type runID struct {
 	cfg   config.Config
 	bench string
@@ -347,47 +353,31 @@ func (r *Runner) Run(cfg config.Config, bench string) (system.Result, error) {
 
 // RunContext is Run under an explicit cancellation context. Concurrent
 // calls for the same run share a single execution regardless of which
-// caller's context it runs under.
+// caller's context it runs under; a settled run is a receive on its closed
+// done channel.
 func (r *Runner) RunContext(ctx context.Context, cfg config.Config, bench string) (system.Result, error) {
 	k := runID{runConfig(cfg), bench}
 	r.mu.Lock()
-	if res, ok := r.memo[k]; ok {
-		r.mu.Unlock()
-		return res, nil
-	}
-	if err, ok := r.errs[k]; ok {
-		r.mu.Unlock()
-		return system.Result{}, err
-	}
-	if c, ok := r.inflight[k]; ok {
-		r.mu.Unlock()
-		<-c.done
-		return c.res, c.err
-	}
-	c := &inflightRun{done: make(chan struct{})}
-	r.inflight[k] = c
-	r.mu.Unlock()
-
-	c.res, c.err = r.execute(ctx, k)
-
-	r.mu.Lock()
-	delete(r.inflight, k)
-	if c.err != nil {
-		r.errs[k] = c.err
-	} else {
-		r.memo[k] = c.res
+	c, ok := r.runs[k]
+	if !ok {
+		c = &run{done: make(chan struct{})}
+		r.runs[k] = c
 	}
 	r.mu.Unlock()
-	close(c.done)
+	if !ok {
+		c.res, c.err = r.execute(ctx, k, c)
+		close(c.done)
+	}
+	<-c.done
 	return c.res, c.err
 }
 
 // execute performs one run, cheapest source first: persistent cache, then
 // journal recall of known terminal failures, then panic-isolated
 // simulation with bounded retry. It makes the decisions; every transition
-// they lead to is one RunEvent, applied to the journal, counters, ledger
-// and Events by record.
-func (r *Runner) execute(ctx context.Context, id runID) (system.Result, error) {
+// they lead to is one RunEvent, applied to the journal, counter, c's ledger
+// row and Events by record.
+func (r *Runner) execute(ctx context.Context, id runID, c *run) (system.Result, error) {
 	cfg, bench := id.cfg, id.bench
 	ck := r.cacheKey(id)
 	hash := resultstore.Hash(ck)
@@ -395,13 +385,13 @@ func (r *Runner) execute(ctx context.Context, id runID) (system.Result, error) {
 	event := func(phase string) RunEvent {
 		return RunEvent{Hash: hash, Benchmark: bench, Config: label, Phase: phase}
 	}
-	run := fmt.Sprintf("run %s (%s, %s", hash[:12], bench, label) // every error's prefix
+	prefix := fmt.Sprintf("run %s (%s, %s", hash[:12], bench, label) // every error's prefix
 
 	if store := r.resultStore(); store != nil && ck != "" {
 		if res, ok := store.Get(ck); ok {
 			ev := event(PhaseCached)
 			ev.Cycles = uint64(res.Cycles)
-			r.record(ev)
+			r.record(c, ev)
 			return res, nil
 		}
 	}
@@ -409,7 +399,7 @@ func (r *Runner) execute(ctx context.Context, id runID) (system.Result, error) {
 		if e, ok := r.Journal.Lookup(hash); ok && e.Status == StatusFailed {
 			ev := event(PhaseRecalled)
 			ev.Attempt, ev.WallMS, ev.Error = e.Attempt, e.WallMS, e.Error
-			r.record(ev)
+			r.record(c, ev)
 			// Reproduce the stored error verbatim: a resumed campaign then
 			// renders byte-identical degraded figures. The ledger row's
 			// Source field records that it came from the journal.
@@ -417,8 +407,8 @@ func (r *Runner) execute(ctx context.Context, id runID) (system.Result, error) {
 		}
 	}
 	if r.quiesced.Load() || ctx.Err() != nil {
-		r.record(event(PhaseInterrupted))
-		return system.Result{}, fmt.Errorf("%s): %w", run, ErrInterrupted)
+		r.record(c, event(PhaseInterrupted))
+		return system.Result{}, fmt.Errorf("%s): %w", prefix, ErrInterrupted)
 	}
 
 	attempts := r.Retries + 1
@@ -429,7 +419,7 @@ func (r *Runner) execute(ctx context.Context, id runID) (system.Result, error) {
 			ev.Phase = PhaseRetry
 		}
 		ev.Attempt = attempt
-		r.record(ev)
+		r.record(c, ev)
 
 		start := time.Now()
 		res, err := r.simulate(ctx, cfg, bench, hash, attempt)
@@ -444,7 +434,7 @@ func (r *Runner) execute(ctx context.Context, id runID) (system.Result, error) {
 				_ = store.Put(ck, res)
 			}
 			ev.Phase, ev.Cycles, ev.Instructions = PhaseDone, uint64(res.Cycles), res.Instructions
-			r.record(ev)
+			r.record(c, ev)
 			return res, nil
 		}
 		if ctx.Err() == nil && attempt < attempts && transientFailure(err) {
@@ -459,16 +449,16 @@ func (r *Runner) execute(ctx context.Context, id runID) (system.Result, error) {
 		// "running" so a resumed campaign re-runs it.
 		if ctx.Err() != nil {
 			ev.Phase, ev.Error = PhaseInterrupted, err.Error()
-			r.record(ev)
-			return system.Result{}, fmt.Errorf("%s): %w: %v", run, ErrInterrupted, err)
+			r.record(c, ev)
+			return system.Result{}, fmt.Errorf("%s): %w: %v", prefix, ErrInterrupted, err)
 		}
 		// Terminal: deterministic failure, or the attempt budget is spent.
 		// The wrap carries the run hash and config name so a tripped
 		// watchdog or exhausted event budget is attributable in the
 		// failure ledger without re-running anything.
-		wrapped := fmt.Errorf("%s, attempt %d/%d): %w", run, attempt, attempts, err)
+		wrapped := fmt.Errorf("%s, attempt %d/%d): %w", prefix, attempt, attempts, err)
 		ev.Phase, ev.Error = PhaseFailed, wrapped.Error()
-		r.record(ev)
+		r.record(c, ev)
 		return system.Result{}, wrapped
 	}
 }

@@ -60,22 +60,9 @@ func OpenJournal(path string) (*Journal, error) {
 func (j *Journal) Lookup(hash string) (JournalEntry, bool) { return j.log.Get(hash) }
 func (j *Journal) Len() int                                { return j.log.Len() }
 
-// Begin records that an attempt at the run is starting (write-ahead: the
-// record hits disk before the simulation does any work).
-func (j *Journal) Begin(hash, key string, attempt int) {
-	j.append(JournalEntry{Hash: hash, Key: key, Status: StatusRunning, Attempt: attempt})
-}
-
 // Done records a successful run.
 func (j *Journal) Done(hash, key string, attempt int, wall time.Duration) {
 	j.append(JournalEntry{Hash: hash, Key: key, Status: StatusDone, Attempt: attempt, WallMS: wallMS(wall)})
-}
-
-// Fail records a terminal failure: no attempt is left, or the error class
-// is deterministic and retrying is pointless.
-func (j *Journal) Fail(hash, key string, attempt int, wall time.Duration, runErr error) {
-	j.append(JournalEntry{Hash: hash, Key: key, Status: StatusFailed, Attempt: attempt,
-		WallMS: wallMS(wall), Error: runErr.Error()})
 }
 
 // wallMS is a wall time as the journal, the ledger and RunEvents carry it:

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"errors"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -10,17 +9,22 @@ import (
 	"time"
 )
 
+// running is the record Runner.record appends when an attempt starts.
+func running(hash, key string, attempt int) JournalEntry {
+	return JournalEntry{Hash: hash, Key: key, Status: StatusRunning, Attempt: attempt}
+}
+
 func TestJournalRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), JournalFileName)
 	j, err := OpenJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.Begin("h1", "k1", 1)
+	j.append(running("h1", "k1", 1))
 	j.Done("h1", "k1", 1, 1500*time.Millisecond)
-	j.Begin("h2", "k2", 1)
-	j.Fail("h2", "k2", 2, time.Second, errors.New("watchdog stall"))
-	j.Begin("h3", "k3", 1) // interrupted: no terminal record
+	j.append(running("h2", "k2", 1))
+	j.append(JournalEntry{Hash: "h2", Key: "k2", Status: StatusFailed, Attempt: 2, WallMS: 1000, Error: "watchdog stall"})
+	j.append(running("h3", "k3", 1)) // interrupted: no terminal record
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -100,10 +104,10 @@ func TestJournalCompact(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Three transitions for one run; compaction must fold them to one line.
-	j.Begin("h1", "k1", 1)
-	j.Begin("h1", "k1", 2)
+	j.append(running("h1", "k1", 1))
+	j.append(running("h1", "k1", 2))
 	j.Done("h1", "k1", 2, 0)
-	j.Begin("h2", "k2", 1)
+	j.append(running("h2", "k2", 1))
 	if err := j.Compact(); err != nil {
 		t.Fatal(err)
 	}
@@ -149,11 +153,11 @@ func TestJournalFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.Begin("h1", "k1", 1)
+	j.append(running("h1", "k1", 1))
 	j.Done("h1", "k1", 1, 1500*time.Millisecond)
-	j.Begin("h2", "k2", 1)
-	j.Fail("h2", "k2", 2, time.Second, errors.New("watchdog stall"))
-	j.Begin("h0", "k3", 1)
+	j.append(running("h2", "k2", 1))
+	j.append(JournalEntry{Hash: "h2", Key: "k2", Status: StatusFailed, Attempt: 2, WallMS: 1000, Error: "watchdog stall"})
+	j.append(running("h0", "k3", 1))
 	const raw = `{"hash":"h1","key":"k1","status":"running","attempt":1,"at":"T"}
 {"hash":"h1","key":"k1","status":"done","attempt":1,"wall_ms":1500,"at":"T"}
 {"hash":"h2","key":"k2","status":"running","attempt":1,"at":"T"}

@@ -99,9 +99,10 @@ func (c *Collector) WriteJSON(w io.Writer) error {
 	return enc.Encode(doc)
 }
 
-// Instant is one point event merged into the Chrome trace export —
-// typically a protocol trace.Ring entry, so the exported timeline shows
-// protocol events against the counter tracks on the shared sim.Time axis.
+// Instant is one point event merged into the Chrome trace export — the
+// protocol trace.Ring records its events as Instants, so the exported
+// timeline shows them against the counter tracks on the shared sim.Time
+// axis.
 type Instant struct {
 	At   sim.Time
 	Cat  string // category, e.g. "dir", "net"

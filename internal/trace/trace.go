@@ -3,27 +3,22 @@
 // events with their simulated timestamp; the ring keeps the most recent N
 // and can be dumped on demand (atacsim -trace) or when a test fails.
 // Recording through a nil *Ring is a no-op, so tracing costs nothing when
-// disabled.
+// disabled. Each event is a metrics.Instant, the point event the Chrome
+// trace export merges onto its timeline.
 package trace
 
 import (
 	"fmt"
 	"strings"
 
+	"repro/internal/metrics"
 	"repro/internal/sim"
 )
-
-// Entry is one recorded event.
-type Entry struct {
-	At   sim.Time
-	Kind string // short category, e.g. "dir", "net", "cache"
-	Text string
-}
 
 // Ring is a fixed-capacity event recorder. The zero value is unusable;
 // create with New. A nil ring ignores all records.
 type Ring struct {
-	entries []Entry
+	entries []metrics.Instant
 	next    int
 	total   uint64
 	clock   sim.Clock
@@ -34,7 +29,7 @@ func New(n int) *Ring {
 	if n < 1 {
 		n = 1
 	}
-	return &Ring{entries: make([]Entry, 0, n)}
+	return &Ring{entries: make([]metrics.Instant, 0, n)}
 }
 
 // BindClock attaches the simulated-time source Recordf stamps entries
@@ -69,13 +64,13 @@ func (r *Ring) Recordf(kind, format string, args ...any) {
 	r.Record(at, kind, format, args...)
 }
 
-// Record adds an event. Arguments are formatted only when the ring is
-// non-nil.
+// Record adds an event of category kind (e.g. "dir", "net", "cache").
+// Arguments are formatted only when the ring is non-nil.
 func (r *Ring) Record(at sim.Time, kind, format string, args ...any) {
 	if r == nil {
 		return
 	}
-	e := Entry{At: at, Kind: kind, Text: fmt.Sprintf(format, args...)}
+	e := metrics.Instant{At: at, Cat: kind, Name: fmt.Sprintf(format, args...)}
 	if len(r.entries) < cap(r.entries) {
 		r.entries = append(r.entries, e)
 	} else {
@@ -94,14 +89,14 @@ func (r *Ring) Total() uint64 {
 }
 
 // Entries returns the retained events in chronological order.
-func (r *Ring) Entries() []Entry {
+func (r *Ring) Entries() []metrics.Instant {
 	if r == nil || len(r.entries) == 0 {
 		return nil
 	}
 	if len(r.entries) < cap(r.entries) {
-		return append([]Entry(nil), r.entries...)
+		return append([]metrics.Instant(nil), r.entries...)
 	}
-	out := make([]Entry, 0, len(r.entries))
+	out := make([]metrics.Instant, 0, len(r.entries))
 	out = append(out, r.entries[r.next:]...)
 	out = append(out, r.entries[:r.next]...)
 	return out
@@ -111,7 +106,7 @@ func (r *Ring) Entries() []Entry {
 func (r *Ring) Dump() string {
 	var sb strings.Builder
 	for _, e := range r.Entries() {
-		fmt.Fprintf(&sb, "%10d [%s] %s\n", e.At, e.Kind, e.Text)
+		fmt.Fprintf(&sb, "%10d [%s] %s\n", e.At, e.Cat, e.Name)
 	}
 	return sb.String()
 }
