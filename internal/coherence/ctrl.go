@@ -15,7 +15,6 @@ type Ctrl struct {
 	s  *System
 	id int
 	k  *sim.Kernel // kernel of the shard owning this core (set by Partition)
-	st *Stats      // that shard's statistics block
 
 	l1, l2 *cacheArray
 
@@ -85,7 +84,7 @@ func (c *Ctrl) access(op AccessOp, addr, sval uint64, f func(uint64) uint64, don
 		panic(fmt.Sprintf("coherence: core %d issued a second outstanding access", c.id))
 	}
 	line := c.s.LineOf(addr)
-	st := c.st
+	st := &c.s.stats
 	l1h := sim.Time(c.s.Cfg.Caches.L1HitCycles)
 
 	if op == OpLoad {
@@ -155,13 +154,13 @@ func (c *Ctrl) applyWrite(op AccessOp, addr, sval uint64, f func(uint64) uint64)
 func (c *Ctrl) l1fill(line uint64, st State) {
 	_, vs, ev := c.l1.insert(line, st)
 	if ev && vs == Modified {
-		c.st.L2Writes++
+		c.s.stats.L2Writes++
 	}
 }
 
 // l2fill inserts a granted line into the L2, handling victim eviction.
 func (c *Ctrl) l2fill(line uint64, st State) {
-	c.st.L2Writes++
+	c.s.stats.L2Writes++
 	vline, vstate, ev := c.l2.insert(line, st)
 	if !ev {
 		return
@@ -189,7 +188,7 @@ func (c *Ctrl) l2fill(line uint64, st State) {
 func (c *Ctrl) handleUnicast(m *Msg) {
 	if m.Type != MsgEvictAck && !seqLE(m.Seq, c.lastSeq[m.Slice]) {
 		c.s.trace("reorder", "core %d gates %v behind seq %d", c.id, m, c.lastSeq[m.Slice])
-		c.st.ReorderBufferedUni++
+		c.s.stats.ReorderBufferedUni++
 		if c.uniBuf == nil {
 			c.uniBuf = make([][]*Msg, len(c.lastSeq))
 		}
@@ -203,7 +202,7 @@ func (c *Ctrl) processUnicast(m *Msg) {
 	line := m.Line
 	switch m.Type {
 	case MsgInv:
-		c.st.L2TagProbes++
+		c.s.stats.L2TagProbes++
 		switch c.l2.peek(line) {
 		case Shared:
 			c.invalidateLocal(line)
@@ -220,7 +219,7 @@ func (c *Ctrl) processUnicast(m *Msg) {
 			panic(fmt.Sprintf("coherence: core %d got Inv for Modified line %#x", c.id, line))
 		}
 	case MsgWBReq:
-		c.st.L2TagProbes++
+		c.s.stats.L2TagProbes++
 		if c.l2.peek(line) == Modified {
 			c.l2.setState(line, Shared)
 			c.l1.setState(line, Shared)
@@ -229,7 +228,7 @@ func (c *Ctrl) processUnicast(m *Msg) {
 			c.s.send(c.id, m.From, &Msg{Type: MsgWBRep, Line: line, From: c.id, Slice: m.Slice, Stale: true})
 		}
 	case MsgFlushReq:
-		c.st.L2TagProbes++
+		c.s.stats.L2TagProbes++
 		if c.l2.peek(line) == Modified {
 			c.invalidateLocal(line)
 			c.s.send(c.id, m.From, &Msg{Type: MsgFlushRep, Line: line, From: c.id, Slice: m.Slice})
@@ -306,10 +305,10 @@ func (c *Ctrl) handleBcast(m *Msg) {
 			// buffer until the ShRep or EvictAck arrives. Deadlock-free:
 			// ACKwise awaits acks only from actual sharers.
 			c.s.trace("reorder", "core %d buffers %v (pendSh=%v evicting=%v)", c.id, m, pendSh, c.evicting[line])
-			c.st.ReorderBufferedBcast++
+			c.s.stats.ReorderBufferedBcast++
 			c.bcastBuf[line] = append(c.bcastBuf[line], m)
 		default:
-			c.st.L2TagProbes++
+			c.s.stats.L2TagProbes++
 			switch c.l2.peek(line) {
 			case Shared:
 				c.invalidateLocal(line)
@@ -330,7 +329,7 @@ func (c *Ctrl) handleBcast(m *Msg) {
 
 	// DirkB: every core acknowledges every broadcast; no buffering (the
 	// directory awaits all cores, so withholding acks would deadlock).
-	c.st.L2TagProbes++
+	c.s.stats.L2TagProbes++
 	if c.l2.peek(line) == Shared {
 		c.invalidateLocal(line)
 	} else if pendSh {
@@ -362,7 +361,7 @@ func (c *Ctrl) resolveGrantBuffered(line uint64, grantSeq uint16) {
 			continue
 		}
 		c.k.Schedule(1, func() {
-			c.st.L2TagProbes++
+			c.s.stats.L2TagProbes++
 			if c.l2.peek(line) == Shared {
 				c.invalidateLocal(line)
 			}

@@ -15,7 +15,6 @@ type DirSlice struct {
 	s     *System
 	slice int
 	core  int
-	st    *Stats // statistics block of the shard hosting this slice
 	seq   uint16 // per-slice broadcast sequence number (Section IV-C1)
 
 	entries map[uint64]*dirEntry
@@ -152,7 +151,7 @@ func (d *DirSlice) addSharer(e *dirEntry, c int) {
 
 // start begins one request transaction. The line must be idle.
 func (d *DirSlice) start(e *dirEntry, m *Msg) {
-	d.st.DirAccesses++
+	d.s.stats.DirAccesses++
 	d.s.trace("dir", "slice %d: start %v (state=%v sharers=%v global=%v count=%d owner=%d)",
 		d.slice, m, e.state, e.sharers, e.global, e.count, e.owner)
 	c := m.From
@@ -221,7 +220,7 @@ func (d *DirSlice) start(e *dirEntry, m *Msg) {
 			kind := d.s.Cfg.Coherence.Kind
 			// Sole-sharer upgrade fast path: no invalidations, no data.
 			if !e.global && len(e.sharers) == 1 && e.sharers[0] == c && m.HadShared {
-				d.st.UpgradeFastPath++
+				d.s.stats.UpgradeFastPath++
 				e.state = Modified
 				e.owner = c
 				e.sharers = e.sharers[:0]
@@ -234,7 +233,7 @@ func (d *DirSlice) start(e *dirEntry, m *Msg) {
 			if e.global {
 				// Broadcast invalidation.
 				d.seq++
-				d.st.InvBroadcasts++
+				d.s.stats.InvBroadcasts++
 				d.bcastInv(line)
 				if kind == config.ACKwise {
 					tr.needAcks = e.count
@@ -259,7 +258,7 @@ func (d *DirSlice) start(e *dirEntry, m *Msg) {
 						d.askMem(line)
 					}
 				} else {
-					d.st.InvUnicasts += uint64(len(targets))
+					d.s.stats.InvUnicasts += uint64(len(targets))
 					for i, t := range targets {
 						d.reply(MsgInv, t, line, tr.needData && i == 0)
 						if tr.needData && i == 0 {
@@ -293,7 +292,7 @@ func (d *DirSlice) start(e *dirEntry, m *Msg) {
 		}
 
 	case MsgEvictS:
-		d.st.EvictionsS++
+		d.s.stats.EvictionsS++
 		if e.state == Shared {
 			if e.global {
 				e.count--
@@ -312,7 +311,7 @@ func (d *DirSlice) start(e *dirEntry, m *Msg) {
 		d.reply(MsgEvictAck, c, line, false)
 
 	case MsgEvictM:
-		d.st.EvictionsM++
+		d.s.stats.EvictionsM++
 		if e.state == Modified && e.owner == c {
 			e.state = Invalid
 			e.owner = -1
@@ -351,7 +350,7 @@ func (d *DirSlice) feed(e *dirEntry, m *Msg) {
 	tr := e.tr
 	switch m.Type {
 	case MsgInvAck:
-		d.st.AcksCollected++
+		d.s.stats.AcksCollected++
 		tr.needAcks--
 		if tr.needData && !tr.dataOK && m.From == tr.dataFrom {
 			// Designated piggy-back sharer had already lost the line;
@@ -362,7 +361,7 @@ func (d *DirSlice) feed(e *dirEntry, m *Msg) {
 			}
 		}
 	case MsgInvAckData:
-		d.st.AcksCollected++
+		d.s.stats.AcksCollected++
 		tr.needAcks--
 		tr.dataOK = true
 	case MsgWBRep, MsgFlushRep:

@@ -381,7 +381,6 @@ func TestStringersCoverage(t *testing.T) {
 		t.Error("msg string empty")
 	}
 	var sys System
-	sys.stats = make([]Stats, 1)
 	sys.Stats().DirAccesses = 3
 	if sys.Stats().DirAccesses != 3 {
 		t.Error("Stats accessor")

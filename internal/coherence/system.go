@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/config"
 	"repro/internal/mem"
@@ -12,11 +11,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
-
-// vstripes is the lock-striping factor of the ValueStore. Pages hash to
-// stripes, so shards touching disjoint pages contend only on 1/vstripes
-// of the keyspace.
-const vstripes = 64
 
 // pageWords is the length of a ValueStore page: 512 words, 4 KB.
 const pageWords = 512
@@ -29,76 +23,32 @@ type page [pageWords]uint64
 // in 4 KB pages, so a run's arrays cost their own size plus one map entry
 // per page rather than one map entry per word; a read never creates a
 // page.
-//
-// Under a partitioned simulation the coherence protocol still serializes
-// conflicting accesses to a *word* (single-writer at the directory), but
-// different shards may concurrently touch different words, which would
-// race on map internals. The store therefore stripes its pages across
-// locked maps; the locks are elided entirely (a plain branch) while the
-// simulation runs on a single shard.
 type ValueStore struct {
-	shared  bool // take stripe locks (more than one shard may access)
-	stripes [vstripes]vstripe
-}
-
-type vstripe struct {
-	mu    sync.Mutex
 	pages map[uint64]*page // by word address / pageWords
 }
 
 // NewValueStore returns an empty store.
 func NewValueStore() *ValueStore {
-	v := &ValueStore{}
-	for i := range v.stripes {
-		v.stripes[i].pages = make(map[uint64]*page)
-	}
-	return v
+	return &ValueStore{pages: make(map[uint64]*page)}
 }
-
-// SetShared switches stripe locking on or off. Must not be called while a
-// simulation is running.
-func (v *ValueStore) SetShared(shared bool) { v.shared = shared }
 
 // Read returns the word at byte address addr (aligned down to 8 bytes).
 func (v *ValueStore) Read(addr uint64) uint64 {
 	w := addr >> 3
-	s := &v.stripes[w/pageWords%vstripes]
-	if !v.shared {
-		return s.read(w)
-	}
-	s.mu.Lock()
-	val := s.read(w)
-	s.mu.Unlock()
-	return val
-}
-
-// Write stores the word at byte address addr.
-func (v *ValueStore) Write(addr, val uint64) {
-	w := addr >> 3
-	s := &v.stripes[w/pageWords%vstripes]
-	if !v.shared {
-		s.write(w, val)
-		return
-	}
-	s.mu.Lock()
-	s.write(w, val)
-	s.mu.Unlock()
-}
-
-// read returns word w, 0 if its page was never written.
-func (s *vstripe) read(w uint64) uint64 {
-	if p := s.pages[w/pageWords]; p != nil {
+	if p := v.pages[w/pageWords]; p != nil {
 		return p[w%pageWords]
 	}
 	return 0
 }
 
-// write stores word w, allocating its page on first use.
-func (s *vstripe) write(w, val uint64) {
-	p := s.pages[w/pageWords]
+// Write stores the word at byte address addr, allocating its page on
+// first use.
+func (v *ValueStore) Write(addr, val uint64) {
+	w := addr >> 3
+	p := v.pages[w/pageWords]
 	if p == nil {
 		p = new(page)
-		s.pages[w/pageWords] = p
+		v.pages[w/pageWords] = p
 	}
 	p[w%pageWords] = val
 }
@@ -119,9 +69,7 @@ type System struct {
 	mems   []*mem.Controller
 	dirAt  []*DirSlice       // per core: the slice located there, or nil
 	memAt  []*mem.Controller // per core: the controller located there, or nil
-	d      *sim.Domain
-	stats  []Stats // one block per shard; Stats() merges
-	snap   Stats
+	stats  Stats
 	lineSz uint64
 }
 
@@ -156,43 +104,20 @@ func NewSystem(k *sim.Kernel, cfg *config.Config, net noc.Network) *System {
 }
 
 // Partition (re)binds the coherence layer onto a shard domain: each cache
-// controller, directory slice, and memory controller schedules on (and
-// counts into) the shard owning its host core, and the value store turns
-// on stripe locking when more than one shard may touch it. The network
-// must already be partitioned onto the same domain.
+// controller and memory controller schedules on the shard owning its host
+// core. The network must already be partitioned onto the same domain.
 func (s *System) Partition(d *sim.Domain) {
-	s.d = d
 	s.K = d.ShardK(0)
-	s.stats = make([]Stats, d.NumShards())
-	s.Vals.SetShared(d.NumShards() > 1)
 	for i, c := range s.ctrls {
 		c.k = d.K(i)
-		c.st = &s.stats[d.Shard(i)]
-	}
-	for _, dir := range s.dirs {
-		dir.st = &s.stats[d.Shard(dir.core)]
 	}
 	for _, mc := range s.mems {
 		mc.K = d.K(mc.Core)
 	}
 }
 
-// Stats returns the protocol counter block. With one shard the live block
-// is returned; with several, a merged snapshot — valid at window barriers
-// and after the run.
-func (s *System) Stats() *Stats {
-	if len(s.stats) == 1 {
-		return &s.stats[0]
-	}
-	s.snap = Stats{}
-	for i := range s.stats {
-		s.snap.MergeFrom(&s.stats[i])
-	}
-	return &s.snap
-}
-
-// statsAt returns the statistics block of the shard owning core c.
-func (s *System) statsAt(c int) *Stats { return &s.stats[s.d.Shard(c)] }
+// Stats returns the live protocol counter block.
+func (s *System) Stats() *Stats { return &s.stats }
 
 // LineOf returns the cache line index of a byte address.
 func (s *System) LineOf(addr uint64) uint64 { return addr / s.lineSz }
@@ -336,12 +261,12 @@ func (s *System) onDeliver(dst int, nm *noc.Message) {
 		mc := s.memAt[dst]
 		line, slice, from := m.Line, m.Slice, m.From
 		mc.Read(func() {
-			s.statsAt(dst).MemReads++
+			s.stats.MemReads++
 			s.send(mc.Core, from, &Msg{Type: MsgMemRsp, Line: line, From: mc.Core, Slice: slice})
 		})
 	case MsgMemWrite:
 		s.memAt[dst].Write()
-		s.statsAt(dst).MemWrites++
+		s.stats.MemWrites++
 	case MsgInvBcast:
 		s.ctrls[dst].handleBcast(m)
 	default:

@@ -183,9 +183,9 @@ type Stats struct {
 	AcksCollected          uint64
 }
 
-// MergeFrom folds o's counters into s. Every field is an additive event
-// count; reflection keeps the merge exhaustive as fields are added (the
-// per-shard statistics blocks of a partitioned run merge through this).
+// MergeFrom folds o's counters into s (summing several runs' blocks).
+// Every field is an additive event count; reflection keeps the merge
+// exhaustive as fields are added.
 func (s *Stats) MergeFrom(o *Stats) {
 	sv := reflect.ValueOf(s).Elem()
 	ov := reflect.ValueOf(o).Elem()

@@ -2,65 +2,26 @@ package coherence
 
 import (
 	"encoding/binary"
-	"sync"
 	"testing"
 )
 
 // pageCount is how many pages v holds.
-func (v *ValueStore) pageCount() int {
-	n := 0
-	for i := range v.stripes {
-		n += len(v.stripes[i].pages)
-	}
-	return n
-}
+func (v *ValueStore) pageCount() int { return len(v.pages) }
 
 // TestValueStoreAbsentRead: a word never written reads as 0 without
 // allocating or creating a page, in and beside a written page.
 func TestValueStoreAbsentRead(t *testing.T) {
 	v := NewValueStore()
-	for _, shared := range []bool{false, true} {
-		v.SetShared(shared)
-		if n := testing.AllocsPerRun(100, func() {
-			if v.Read(0x12345678) != 0 {
-				t.Fatal("absent word not zero")
-			}
-		}); n != 0 || v.pageCount() != 0 {
-			t.Errorf("shared=%v: absent read made %v allocations, %d pages", shared, n, v.pageCount())
+	if n := testing.AllocsPerRun(100, func() {
+		if v.Read(0x12345678) != 0 {
+			t.Fatal("absent word not zero")
 		}
+	}); n != 0 || v.pageCount() != 0 {
+		t.Errorf("absent read made %v allocations, %d pages", n, v.pageCount())
 	}
 	v.Write(pageWords*8-8, 3) // last word of page 0
 	if v.Read(pageWords*8) != 0 || v.Read(0) != 0 || v.pageCount() != 1 {
 		t.Errorf("neighbours of a page edge: %d, %d in %d pages", v.Read(pageWords*8), v.Read(0), v.pageCount())
-	}
-}
-
-// TestValueStoreSharedConcurrent: two goroutines write and read back
-// disjoint words of the same pages and stripes with locking on (run under
-// -race, the detector checks the stripe locks).
-func TestValueStoreSharedConcurrent(t *testing.T) {
-	v := NewValueStore()
-	v.SetShared(true)
-	const words = 4 * pageWords * vstripes
-	var wg sync.WaitGroup
-	for g := uint64(0); g < 2; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for w := g; w < words; w += 2 {
-				v.Write(w*8, w+1)
-			}
-			for w := g; w < words; w += 2 {
-				if got := v.Read(w * 8); got != w+1 {
-					t.Errorf("word %d = %d, want %d", w, got, w+1)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if n := v.pageCount(); n != words/pageWords {
-		t.Errorf("%d pages, want %d", n, words/pageWords)
 	}
 }
 

@@ -3,7 +3,6 @@ package metrics
 import (
 	"fmt"
 	"math/bits"
-	"sync/atomic"
 )
 
 // HistBuckets is the fixed bucket count of Histogram. Buckets are
@@ -23,12 +22,9 @@ type Histogram struct {
 	Counts [HistBuckets]uint64
 }
 
-// Observe records one value. Safe (and free) on a nil receiver. The
-// increment is atomic so one histogram can be fed from every shard of a
-// partitioned simulation concurrently; counts are exact because addition
-// commutes. Readers (collector epochs, report quantiles) run at window
-// barriers or after the run, where the engine's synchronization orders
-// all increments before the read.
+// Observe records one value. Safe (and free) on a nil receiver. Every
+// shard of a partitioned simulation feeds the same histogram; the counts
+// do not depend on the order of the increments.
 func (h *Histogram) Observe(v uint64) {
 	if h == nil {
 		return
@@ -37,7 +33,7 @@ func (h *Histogram) Observe(v uint64) {
 	if b >= HistBuckets {
 		b = HistBuckets - 1
 	}
-	atomic.AddUint64(&h.Counts[b], 1)
+	h.Counts[b]++
 }
 
 // Total returns the number of recorded observations.

@@ -51,7 +51,7 @@ func NewAtac(k *sim.Kernel, cfg *config.Config) *Atac {
 	a.setup(cfg, false, pairFIFO)
 	a.atHub = func(core int, m *Message) {
 		h := a.hubs[cfg.ClusterOf(core)]
-		h.st.HubFlits += uint64(m.flits)
+		h.f.stats.HubFlits += uint64(m.flits)
 		h.tx.push(m, int(m.flits), h.id)
 	}
 	a.pendingTX = make([]int, cfg.Clusters())
@@ -203,11 +203,11 @@ func (h *hub) transmit(r *transfer) (sim.Time, bool) {
 		per := sim.Time(lag + n)
 		busy = per * sim.Time(len(retxTo))
 		h.busyCycles += uint64(busy)
-		h.st.SelectEvents += uint64(len(retxTo))
-		h.st.ONetUniPkts += uint64(len(retxTo))
-		h.st.ONetUniFlits += uint64(len(retxTo) * n)
-		h.st.OpticalRetxPkts += uint64(len(retxTo))
-		h.st.OpticalRetxFlits += uint64(len(retxTo) * n)
+		h.f.stats.SelectEvents += uint64(len(retxTo))
+		h.f.stats.ONetUniPkts += uint64(len(retxTo))
+		h.f.stats.ONetUniFlits += uint64(len(retxTo) * n)
+		h.f.stats.OpticalRetxPkts += uint64(len(retxTo))
+		h.f.stats.OpticalRetxFlits += uint64(len(retxTo) * n)
 		for i, cl := range retxTo {
 			rx := h.a.hubs[cl]
 			arrive := sim.Time(i)*per + sim.Time(lag+1+oDelay)
@@ -223,9 +223,9 @@ func (h *hub) transmit(r *transfer) (sim.Time, bool) {
 		// transmission per hub, each with its own select notification;
 		// receiving hubs still fan the copy out to their whole cluster.
 		hubs := len(h.a.hubs)
-		h.st.SelectEvents += uint64(hubs)
-		h.st.ONetUniPkts += uint64(hubs)
-		h.st.ONetUniFlits += uint64(hubs * n)
+		h.f.stats.SelectEvents += uint64(hubs)
+		h.f.stats.ONetUniPkts += uint64(hubs)
+		h.f.stats.ONetUniFlits += uint64(hubs * n)
 		per := sim.Time(lag + n)
 		busy = per * sim.Time(hubs)
 		h.busyCycles += uint64(busy)
@@ -241,9 +241,9 @@ func (h *hub) transmit(r *transfer) (sim.Time, bool) {
 			rx.in.book(&h.port, h.k.Now()+arrive, m, n)
 		}
 	case m.Dst == BroadcastDst:
-		h.st.SelectEvents++
-		h.st.ONetBcastPkts++
-		h.st.ONetBcastFlits += uint64(n)
+		h.f.stats.SelectEvents++
+		h.f.stats.ONetBcastPkts++
+		h.f.stats.ONetBcastFlits += uint64(n)
 		busy = sim.Time(lag + n)
 		h.busyCycles += uint64(busy)
 		// Every other hub receives via the ONet loop; the sending
@@ -260,9 +260,9 @@ func (h *hub) transmit(r *transfer) (sim.Time, bool) {
 			rx.in.book(&h.port, h.k.Now()+arrive, m, n)
 		}
 	default:
-		h.st.SelectEvents++
-		h.st.ONetUniPkts++
-		h.st.ONetUniFlits += uint64(n)
+		h.f.stats.SelectEvents++
+		h.f.stats.ONetUniPkts++
+		h.f.stats.ONetUniFlits += uint64(n)
 		busy = sim.Time(lag + n)
 		h.busyCycles += uint64(busy)
 		rx := h.a.hubs[cfg.ClusterOf(m.Dst)]

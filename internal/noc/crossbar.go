@@ -98,7 +98,7 @@ type xhub struct {
 // network (the hub already holds the data).
 func (h *xhub) request(m *Message) {
 	n := int(m.flits)
-	h.st.HubFlits += uint64(n)
+	h.f.stats.HubFlits += uint64(n)
 	if m.Dst != BroadcastDst {
 		h.x.chans[h.x.Cfg.ClusterOf(m.Dst)].push(m, n, h.id)
 		return
@@ -131,7 +131,7 @@ type xchan struct {
 func (c *xchan) grant(r *transfer) sim.Time {
 	hubs := len(c.x.hubs)
 	travel := sim.Time((r.from - c.tokenAt + hubs) % hubs)
-	st := c.x.hubs[r.from].st
+	st := &c.x.stats
 	st.TokensGranted++
 	st.TokenWaitCycles += uint64(c.x.K.Now() + travel - r.at)
 	return travel
@@ -140,7 +140,7 @@ func (c *xchan) grant(r *transfer) sim.Time {
 // free parks the token at the writer releasing the channel.
 func (c *xchan) free(r *transfer) {
 	c.tokenAt = r.from
-	c.x.hubs[r.from].st.TokensReturned++
+	c.x.stats.TokensReturned++
 }
 
 // transmit is the channel's attempt: n data flits of r.m toward the home
@@ -149,11 +149,11 @@ func (c *xchan) free(r *transfer) {
 func (c *xchan) transmit(r *transfer) (sim.Time, bool) {
 	x := c.x
 	w := x.hubs[r.from] // the writer accounts, and evaluates the home hub's reception
-	w.st.XbarPkts++
-	w.st.XbarFlits += uint64(r.n)
+	x.stats.XbarPkts++
+	x.stats.XbarFlits += uint64(r.n)
 	if r.retx > 0 {
-		w.st.OpticalRetxPkts++
-		w.st.OpticalRetxFlits += uint64(r.n)
+		x.stats.OpticalRetxPkts++
+		x.stats.OpticalRetxFlits += uint64(r.n)
 	}
 	_, failed := w.reception(r.n, r.retx)
 	if !failed {
@@ -166,9 +166,9 @@ func (c *xchan) transmit(r *transfer) (sim.Time, bool) {
 // absolute time 'at'. The crossbar is never partitioned, so arrivals need
 // no canonical staging: same-cycle ones book in schedule order.
 func (x *Crossbar) scheduleRX(h *xhub, at sim.Time, m *Message, n int) {
-	x.outstanding[0]++
+	x.outstanding++
 	x.K.At(at, func() {
-		x.outstanding[0]--
+		x.outstanding--
 		h.receive(m, n)
 	})
 }

@@ -107,7 +107,7 @@ func (h *Hybrid) atGateway(core int, m *Message) {
 		return
 	}
 	g := h.gws[h.Cfg.GatewayOf(core)]
-	g.st.HubFlits += uint64(m.flits)
+	g.f.stats.HubFlits += uint64(m.flits)
 	g.tx.push(m, int(m.flits), g.id)
 }
 
@@ -130,12 +130,12 @@ func (g *gateway) transmit(r *transfer) (sim.Time, bool) {
 	n := r.n
 	lag := cfg.Network.SelectDataLag
 	oDelay := cfg.Network.ONetLinkDelay
-	g.st.SelectEvents++
-	g.st.ExpressPkts++
-	g.st.ExpressFlits += uint64(n)
+	g.f.stats.SelectEvents++
+	g.f.stats.ExpressPkts++
+	g.f.stats.ExpressFlits += uint64(n)
 	if r.retx > 0 {
-		g.st.OpticalRetxPkts++
-		g.st.OpticalRetxFlits += uint64(n)
+		g.f.stats.OpticalRetxPkts++
+		g.f.stats.OpticalRetxFlits += uint64(n)
 	}
 	errs, failed := g.reception(n, r.retx)
 	g.f.health[g.id].observe(&g.port, n, errs)
@@ -149,7 +149,7 @@ func (g *gateway) transmit(r *transfer) (sim.Time, bool) {
 // electrical leg to the destination core, or a direct delivery when the
 // destination is the gateway core itself.
 func (g *gateway) arrive(m *Message, n int) {
-	g.st.HubFlits += uint64(n)
+	g.f.stats.HubFlits += uint64(n)
 	if m.Dst == g.core {
 		g.f.deliverCore(g.core, m)
 		return

@@ -112,8 +112,8 @@ func (e *EMesh) Send(m *Message) {
 // order routing, credit flow control and a single virtual channel: the
 // flit transport under every fabric. With Multicast enabled it replicates
 // broadcasts along an XY tree; without, it serializes them into unicasts
-// at the source. It keeps flit counters only, in its owner's per-shard
-// statistics blocks; messages are admitted, counted and delivered by the
+// at the source. It keeps flit counters only, in its owner's statistics
+// block; messages are admitted, counted and delivered by the
 // owning fabric.
 type Mesh struct {
 	Dim       int
@@ -190,12 +190,12 @@ func newMesh(dim, flitBits, bufFlits, routerDelay, linkDelay int, multicast bool
 }
 
 // Partition (re)binds the mesh onto a shard domain mapping every tile to
-// its owning shard kernel: per-router kernels, worm-id counters, and the
-// owner's per-shard statistics blocks (stats, one per shard) the routers
-// count flits into. Must be called before the first Send. Cross-shard flit
-// handoff and credit return go through the domain's Post channel;
-// everything else a router touches is shard-local.
-func (m *Mesh) Partition(d *sim.Domain, stats []Stats) {
+// its owning shard kernel: per-router kernels and worm-id counters, with
+// the routers counting flits into the owner's statistics block st. Must
+// be called before the first Send. Cross-shard flit handoff and credit
+// return go through the domain's Post channel; everything else a router
+// touches is shard-local.
+func (m *Mesh) Partition(d *sim.Domain, st *Stats) {
 	if d.Tiles() != len(m.routers) {
 		panic(fmt.Sprintf("noc: domain maps %d tiles, mesh has %d routers", d.Tiles(), len(m.routers)))
 	}
@@ -204,7 +204,7 @@ func (m *Mesh) Partition(d *sim.Domain, stats []Stats) {
 	for _, r := range m.routers {
 		r.k = d.K(r.id)
 		r.sh = d.Shard(r.id)
-		r.st = &stats[r.sh]
+		r.st = st
 	}
 }
 
@@ -335,7 +335,7 @@ type creditRing struct {
 type router struct {
 	m      *Mesh
 	k      *sim.Kernel // owning shard's kernel
-	st     *Stats      // owning shard's statistics block (the owner's)
+	st     *Stats      // the owner's statistics block
 	sh     int         // owning shard
 	id     int
 	x, y   int

@@ -166,8 +166,7 @@ type Stats struct {
 	DegradedChannels        uint64 // optical channels currently degraded (gauge)
 }
 
-// MergeFrom folds o's counters into s — the per-shard statistics blocks
-// of a partitioned network merge through this on every Stats() read.
+// MergeFrom folds o's counters into s (summing several runs' blocks).
 // Every field is an additive event count except LatencyMax, which merges
 // by maximum. Reflection keeps the merge honest by construction: a new
 // counter field is additive without anyone remembering to extend a

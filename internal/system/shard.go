@@ -1,5 +1,6 @@
-// Sharded execution: partitioning a machine onto the parallel PDES engine
-// (internal/sim.Sharded). The mesh is cut into horizontal slabs of whole
+// Sharded execution: partitioning a machine onto the window-synchronized
+// engine (internal/sim.Sharded), which runs each window's shards one after
+// another on the calling goroutine. The mesh is cut into horizontal slabs of whole
 // cluster rows, so a cluster — its cores, its directory slice and memory
 // controller hosts, and its ONet hub — always lives on one shard, and the
 // only cross-shard interactions are ENet link/credit crossings at the slab
@@ -17,7 +18,7 @@ import (
 )
 
 // engine is the event-execution surface RunContext drives, satisfied by
-// both the serial *sim.Kernel and the parallel *sim.Sharded.
+// both the serial *sim.Kernel and the sharded *sim.Sharded.
 type engine interface {
 	Run(until sim.Time) int
 	Now() sim.Time
@@ -59,7 +60,7 @@ func shardMap(cfg *config.Config, eff int) []int {
 }
 
 // NewSharded builds a machine like New and, when shards > 1 and the
-// configuration permits, partitions it onto a parallel engine with that
+// configuration permits, partitions it onto a sharded engine with that
 // many shards (rounded down to the nearest feasible count — see
 // EffectiveShards). The result is bit-identical to a serial run: the
 // conservative synchronizer only admits event orderings the serial kernel

@@ -31,7 +31,7 @@ type System struct {
 
 	// Shards is the effective shard count of the execution engine: 1 for
 	// a serial machine (New), >1 when NewSharded partitioned it onto the
-	// parallel engine.
+	// sharded engine.
 	Shards int
 	sh     *sim.Sharded // non-nil when Shards > 1
 	eng    engine       // s.K (serial) or s.sh (sharded)
@@ -194,11 +194,6 @@ func (s *System) RunContext(ctx context.Context, spec workload.Spec, horizon sim
 	if spec.Init != nil {
 		spec.Init(s.Coh.Vals)
 	}
-	if s.sh != nil {
-		// Workers outlive Run only to keep their spin state warm; park
-		// them for good when this run is over (Run respawns if reused).
-		defer s.sh.Close()
-	}
 	for _, c := range s.Core {
 		defer c.Kill() // no coroutine outlives the run, however it ends (even a panic)
 		c.Start(spec.Program, nil)
@@ -253,8 +248,8 @@ func (s *System) RunContext(ctx context.Context, spec workload.Spec, horizon sim
 }
 
 // lastFinish returns the latest finish time among the cores that have
-// finished and how many have not. The engine must be stopped: under
-// sharding, cores finish inside concurrently running shard events.
+// finished and how many have not. Read it between engine Runs or from a
+// barrier hook: under sharding, a shard's cores finish inside its window.
 func (s *System) lastFinish() (last sim.Time, unfinished int) {
 	for _, c := range s.Core {
 		switch {

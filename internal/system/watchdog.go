@@ -36,11 +36,11 @@ type watchdog struct {
 //
 // On a serial engine the watchdog is one self-rescheduling kernel event.
 // On a sharded engine the progress check must not run inside a shard's
-// events (it reads every shard's counters), so it is split: a heartbeat
-// event on shard 0 keeps simulated time — and with it the window barriers
-// — advancing through idle phases, while the check itself runs as a
-// barrier hook, where all shard workers are parked and cross-shard reads
-// are ordered. A trip halts the engine, so neither the heartbeat nor the
+// events (it reads every shard's counters, and the shards run a window
+// one after another), so it is split: a heartbeat event on shard 0 keeps
+// simulated time — and with it the window barriers — advancing through
+// idle phases, while the check itself runs as a barrier hook, where every
+// shard has finished the window and all clocks agree. A trip halts the engine, so neither the heartbeat nor the
 // hook runs again.
 func startWatchdog(s *System, interval sim.Time, maxStalls int) {
 	w := &watchdog{s: s, interval: interval, maxStalls: maxStalls}
