@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check cover figures bench bench-trace bench-pair fuzz resume-smoke serve-smoke chaos-smoke cluster-smoke techsweep-smoke xtopo-smoke clean
+.PHONY: build test check cover figures results-256 bench bench-trace bench-pair fuzz resume-smoke serve-smoke chaos-smoke cluster-smoke techsweep-smoke xtopo-smoke clean
 
 # Per-target budget for `make fuzz` (go test -fuzztime syntax).
 FUZZTIME ?= 10s
@@ -12,9 +12,9 @@ test:
 	$(GO) test ./...
 
 # check is the full pre-merge gate: gofmt-clean sources, compile, vet, and
-# the test suite under the race detector (the sharded engine resumes
-# program coroutines from its shard workers — a race there would silently
-# break determinism).
+# the test suite under the race detector (the campaign engine's worker
+# pool, the serving daemon and the record log under its journal and
+# ledger run concurrently; a simulation itself is single-threaded).
 check:
 	@unformatted=$$(gofmt -l .); test -z "$$unformatted" || { echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; }
 	$(GO) build ./...
@@ -31,6 +31,14 @@ cover:
 
 figures:
 	$(GO) run ./cmd/figures -cores 64
+
+# Regenerate results_256.txt, the 256-core campaign EXPERIMENTS.md quotes
+# (252 runs, about 3 min cold on 2 cores), through the cached Runner.
+# REPRO_FULL=1 go test ./internal/experiments -run TestResults256 checks
+# the committed file against a cold render.
+results-256:
+	$(GO) run ./cmd/figures -cores 256 -seed 42 -q > results_256.txt.tmp
+	mv results_256.txt.tmp results_256.txt
 
 # The repo's benchmark (BENCHMARK.json, bench/README.md): six workloads,
 # end-to-end metrics. bench-trace is the traced set: per-layer metrics and
