@@ -3,63 +3,99 @@ package system
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/config"
 )
 
+// fuzzKinds are the network kinds FuzzConfigRuns picks from.
+var fuzzKinds = []config.NetworkKind{
+	config.EMeshPure, config.EMeshBCast, config.ATAC, config.ATACPlus, config.Corona, config.HybridMesh,
+}
+
+// fuzzConfig maps FuzzConfigRuns' typed inputs onto a machine of at most
+// 64 cores: a mesh dimension of 1..8, a cluster dimension of 1 up to the
+// mesh dimension, one directory slice and memory controller per cluster,
+// RThres half the mesh dimension, router and link delays of 0..15, the
+// four short latencies of -8..23 cycles, a memory latency of -8..247,
+// buffers and ways of 0..64, and sharers as given. Most of each range is
+// accepted; a cluster dimension that does not tile the mesh, a zero delay,
+// buffer or way count and a negative latency are not, so rejection is
+// fuzzed too.
+func fuzzConfig(kind, dim, clusterDim, routerDelay, linkDelay, selectLag, onetDelay, l1Hit, l2Hit, memLat,
+	sharers, bufFlits, l1Assoc, l2Assoc uint8) config.Config {
+	d := 1 + int(dim%8)
+	c := config.Default().WithNetwork(fuzzKinds[int(kind)%len(fuzzKinds)])
+	c.Cores, c.ClusterDim = d*d, 1+int(clusterDim)%d
+	c.Caches.DirSlices = c.Clusters()
+	c.Memory.Controllers = c.Caches.DirSlices
+	c.Network.RThres = d / 2
+	short := func(x uint8) int { return int(x%32) - 8 }
+	n := &c.Network
+	n.RouterDelay, n.LinkDelay = int(routerDelay%16), int(linkDelay%16)
+	n.SelectDataLag, n.ONetLinkDelay = short(selectLag), short(onetDelay)
+	c.Caches.L1HitCycles, c.Caches.L2HitCycles = short(l1Hit), short(l2Hit)
+	c.Memory.LatencyCycles = int(memLat) - 8
+	c.Coherence.Sharers = int(sharers)
+	n.BufFlits = int(bufFlits % 65)
+	c.Caches.L1Assoc, c.Caches.L2Assoc = int(l1Assoc%65), int(l2Assoc%65)
+	return c
+}
+
 // FuzzConfigRuns: a configuration Validate accepts builds, on the serial
 // kernel or on up to four shards, and runs 1k cycles of radix without a
 // panic, within 10 s of host time (a slower run is a livelock: simulated
-// time stopped moving). Whether the run finishes is not asked. Inputs
-// above 64 cores, or with buffers, receive networks, controllers or
-// associativities sized beyond what a short fuzz run affords, are skipped.
+// time stopped moving). Whether the run finishes is not asked. A
+// configuration Validate rejects, NewSharded rejects too.
 func FuzzConfigRuns(f *testing.F) {
-	tiny := func(kind config.NetworkKind, mut func(*config.Config)) []byte {
-		c := config.Tiny().WithNetwork(kind)
-		mut(&c)
-		data, err := c.ToJSON()
-		if err != nil {
-			f.Fatal(err)
+	// add seeds one machine: config.Tiny() (Small() for 64 cores) with the
+	// kind and mut applied, and the shard byte.
+	add := func(kind config.NetworkKind, cores int, shards uint8, mut func(*config.Config)) {
+		c := config.Tiny()
+		if cores == 64 {
+			c = config.Small()
 		}
-		return data
+		c = c.WithNetwork(kind)
+		mut(&c)
+		n := &c.Network
+		lat := func(v int) uint8 { return uint8(v + 8) } // fuzzConfig's latency offset
+		f.Add(uint8(slices.Index(fuzzKinds, kind)), uint8(c.MeshDim()-1), uint8(c.ClusterDim-1),
+			uint8(n.RouterDelay), uint8(n.LinkDelay), lat(n.SelectDataLag), lat(n.ONetLinkDelay),
+			lat(c.Caches.L1HitCycles), lat(c.Caches.L2HitCycles), lat(c.Memory.LatencyCycles),
+			uint8(c.Coherence.Sharers), uint8(n.BufFlits), uint8(c.Caches.L1Assoc), uint8(c.Caches.L2Assoc), shards)
 	}
+	none := func(*config.Config) {}
 	zero := func(c *config.Config) {
 		c.Network.SelectDataLag, c.Network.ONetLinkDelay = 0, 0
 		c.Caches.L1HitCycles, c.Caches.L2HitCycles, c.Memory.LatencyCycles = 0, 0, 0
 	}
-	for _, seed := range []struct {
-		data   []byte
-		shards uint8
-	}{
-		{tiny(config.ATACPlus, func(c *config.Config) {}), 1},
-		{tiny(config.ATACPlus, zero), 1},
-		{tiny(config.ATACPlus, zero), 2},
-		{tiny(config.HybridMesh, zero), 2},
-		{tiny(config.Corona, zero), 1},
-		{tiny(config.EMeshPure, zero), 2},
-		{tiny(config.ATACPlus, func(c *config.Config) { c.Network.SelectDataLag = -1 }), 1},
-		{tiny(config.ATACPlus, func(c *config.Config) { c.Network.ONetLinkDelay = -5 }), 1},
-		{tiny(config.ATACPlus, func(c *config.Config) { c.Caches.L1HitCycles = -1 }), 1},
-		{tiny(config.ATACPlus, func(c *config.Config) { c.Caches.L2HitCycles = -3 }), 1},
-		{tiny(config.ATACPlus, func(c *config.Config) { c.Memory.LatencyCycles = -1 }), 1},
-		{tiny(config.ATACPlus, func(c *config.Config) { c.Network.LinkDelay = 10 }), 2},
-		{tiny(config.HybridMesh, func(c *config.Config) { c.Network.LinkDelay = 10 }), 2},
-		{[]byte(`{"Cores": 64, "ClusterDim": 2, "Caches": {"DirSlices": 16}, "Memory": {"Controllers": 16}, "Network": {"Kind": "EMesh-BCast"}}`), 4},
-	} {
-		f.Add(seed.data, seed.shards)
-	}
-	f.Fuzz(func(t *testing.T, data []byte, shards uint8) {
-		cfg, err := config.FromJSON(data)
-		if err != nil {
+	add(config.ATACPlus, 16, 1, none)
+	add(config.ATACPlus, 16, 1, zero)
+	add(config.ATACPlus, 16, 2, zero)
+	add(config.HybridMesh, 16, 2, zero)
+	add(config.Corona, 16, 1, zero)
+	add(config.EMeshPure, 16, 2, zero)
+	add(config.ATACPlus, 16, 1, func(c *config.Config) { c.Network.SelectDataLag = -1 })
+	add(config.ATACPlus, 16, 1, func(c *config.Config) { c.Network.ONetLinkDelay = -5 })
+	add(config.ATACPlus, 16, 1, func(c *config.Config) { c.Caches.L1HitCycles = -1 })
+	add(config.ATACPlus, 16, 1, func(c *config.Config) { c.Caches.L2HitCycles = -3 })
+	add(config.ATACPlus, 16, 1, func(c *config.Config) { c.Memory.LatencyCycles = -1 })
+	add(config.ATACPlus, 16, 2, func(c *config.Config) { c.Network.LinkDelay = 10 })
+	add(config.HybridMesh, 16, 2, func(c *config.Config) { c.Network.LinkDelay = 10 })
+	add(config.EMeshBCast, 64, 4, none)
+	f.Fuzz(func(t *testing.T, kind, dim, clusterDim, routerDelay, linkDelay, selectLag, onetDelay, l1Hit, l2Hit, memLat,
+		sharers, bufFlits, l1Assoc, l2Assoc, shards uint8) {
+		cfg := fuzzConfig(kind, dim, clusterDim, routerDelay, linkDelay, selectLag, onetDelay, l1Hit, l2Hit,
+			memLat, sharers, bufFlits, l1Assoc, l2Assoc)
+		s, err := NewSharded(cfg, int(shards%4)+1)
+		if verr := cfg.Validate(); verr != nil {
+			if err == nil {
+				t.Fatalf("NewSharded accepted a config Validate rejects: %v", verr)
+			}
 			return
 		}
-		if cfg.Cores > 64 || cfg.Network.BufFlits > 64 || cfg.Network.StarNetsPerCl > 64 ||
-			cfg.Memory.Controllers > 64 || cfg.Caches.L1Assoc > 64 || cfg.Caches.L2Assoc > 64 {
-			t.Skip("too large for a short fuzz run")
-		}
-		s, err := NewSharded(cfg, int(shards%4)+1)
 		if err != nil {
 			t.Fatalf("NewSharded rejected a config Validate accepts: %v", err)
 		}
