@@ -14,12 +14,15 @@ test:
 # check is the full pre-merge gate: gofmt-clean sources, compile, vet, and
 # the test suite under the race detector (the campaign engine's worker
 # pool, the serving daemon and the record log under its journal and
-# ledger run concurrently; a simulation itself is single-threaded).
+# ledger run concurrently; a simulation itself is single-threaded). bench/
+# is its own module, so ./... does not reach it: check also vets and tests
+# the benchmark harness, which compiles it against the sim and system API.
 check:
 	@unformatted=$$(gofmt -l .); test -z "$$unformatted" || { echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; }
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test -race ./...
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Unit-test coverage of every package by the whole suite (-coverpkg): writes
 # the profile to COVER and lists each function no test reaches (0.0 %).

@@ -105,9 +105,6 @@ func main() {
 	}
 	if *watchdog > 0 {
 		cfg.Fault.WatchdogInterval = *watchdog
-		if cfg.Fault.WatchdogStalls == 0 {
-			cfg.Fault.WatchdogStalls = 3
-		}
 	}
 	if err := cfg.Validate(); err != nil {
 		log.Fatal(err)

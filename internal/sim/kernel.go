@@ -20,11 +20,11 @@
 // takes, so the wheel holds arrays for its live buckets only, not 4096
 // arrays each grown to the busiest cycle they ever held.
 //
-// A run that ends early says why through one latch: Halt records a stop
-// cause, the event budget latches ErrEventBudget and the cancellation poll
-// latches the error it returns, each at the event boundary where it
-// happens. Stopped reads the cause back; Run and Step execute nothing
-// while one is latched, and every queued event stays queued.
+// A run that ends early says why through one latch: the event budget
+// latches ErrEventBudget and the cancellation poll the error it returns,
+// each at the event boundary where it happens (a livelock spinning inside
+// one cycle never returns from Run). Stopped reads the cause back; Run and
+// Step execute nothing while one is latched, and queued events stay.
 package sim
 
 import (
@@ -146,11 +146,11 @@ type Kernel struct {
 	pollEvery uint64
 	pollLeft  uint64
 
-	stop error // latched stop cause (Halt, budget, poll); nil while running
+	stop error // latched stop cause (budget or poll); nil while running
 
-	// gated is set while a budget, a poll or a stop cause is in place,
-	// so Run's event loop tests one flag before calling spend (too large
-	// to inline) for every event.
+	// gated is set while a budget or a poll is in place, so Run's event
+	// loop tests one flag before calling spend (too large to inline) for
+	// every event.
 	gated bool
 }
 
@@ -189,20 +189,12 @@ func (k *Kernel) SetPoll(every uint64, fn func() error) {
 	k.regate()
 }
 
-// Halt latches cause as the kernel's stop cause: Run and Step stop at the
-// next event boundary, even from inside a running event, and execute
-// nothing until Halt(nil) clears it. The watchdog's trip path.
-func (k *Kernel) Halt(cause error) {
-	k.stop = cause
-	k.regate()
-}
-
-// Stopped returns the latched stop cause: the Halt cause,
-// ErrEventBudget, or the cancellation poll's error. Nil means a Run that
-// returned ran out of events or reached its time limit.
+// Stopped returns the latched stop cause: ErrEventBudget or the
+// cancellation poll's error. Nil means a Run that returned ran out of
+// events or reached its time limit.
 func (k *Kernel) Stopped() error { return k.stop }
 
-func (k *Kernel) regate() { k.gated = k.stop != nil || k.poll != nil || k.budgeted }
+func (k *Kernel) regate() { k.gated = k.poll != nil || k.budgeted }
 
 // spend gates one event's execution: a latched stop first, then the
 // cancellation poll (wall clock), then the event budget (simulated work).
@@ -392,15 +384,15 @@ func (k *Kernel) Step() bool {
 
 // Run executes events until the queue is empty or simulated time would
 // exceed until, and returns the number of events executed. On return the
-// clock stands at until unless later events remain within the wheel
-// horizon of the last executed cycle.
+// clock stands at until, drained queue or not, unless a stop cause is
+// latched.
 func (k *Kernel) Run(until Time) int {
 	n := 0
 	for {
 		// A latched stop, or a budget spent by the last event, stops the
 		// run before the clock moves again — including the idle jump to
-		// `until` when the queue is empty (a watchdog that halts from the
-		// last queued event must stop the clock at the trip cycle, not the
+		// `until` when the queue is empty (a budget spent by the last
+		// queued event must stop the clock at the trip cycle, not the
 		// horizon).
 		if k.stop != nil {
 			return n
@@ -420,8 +412,7 @@ func (k *Kernel) Run(until Time) int {
 		}
 		bucket := &k.wheel[k.now&wheelMask]
 		for k.idx < len(*bucket) {
-			// An event may arm a budget or a poll, or halt, so test per
-			// event.
+			// An event may arm a budget or a poll, so test per event.
 			if k.gated && !k.spend() {
 				return n
 			}

@@ -139,7 +139,7 @@ func TestEventBudgetStopsRun(t *testing.T) {
 	// Topping the budget up and clearing the latch resumes exactly where
 	// it stopped.
 	k.SetEventBudget(50)
-	k.Halt(nil)
+	k.stop = nil
 	if n := k.Run(Forever); n != 50 || ran != 150 {
 		t.Fatalf("resumed run executed %d events (total %d)", n, ran)
 	}

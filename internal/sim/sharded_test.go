@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -96,13 +97,13 @@ func TestWheelCountMatchesOccupancy(t *testing.T) {
 			}
 			return errors.New("cancelled")
 		})
-		k.Halt(nil)
+		k.stop = nil
 		k.Run(k.Now() + Time(1+rng.Intn(300)))
 		check(fmt.Sprintf("round %d (stopped=%v)", round, k.Stopped()))
 	}
 	k.SetPoll(1, nil)
 	k.SetEventBudget(1 << 20)
-	k.Halt(nil)
+	k.stop = nil
 	k.Run(k.Now() + 100000)
 	check("after drain")
 }
@@ -221,6 +222,36 @@ func TestShardedParityWithSerial(t *testing.T) {
 	}
 }
 
+// TestShardedChunkedRunKeepsBarriers: cutting a run into several Runs
+// (as an observer does between chunks) moves no window barrier. Shard 0
+// posts to shard 1 every cycle, and each post records the cycle of the
+// barrier that applies it; the record is the same whole or in chunks.
+func TestShardedChunkedRunKeepsBarriers(t *testing.T) {
+	barriers := func(chunks []Time) []Time {
+		s := NewSharded(2, 4)
+		k0, k1 := s.Shard(0), s.Shard(1)
+		var at []Time
+		var tick func()
+		tick = func() {
+			s.Post(0, 1, func() { at = append(at, k1.Now()) })
+			if k0.Now() < 40 {
+				k0.Schedule(1+k0.Now()%3, tick)
+			}
+		}
+		k0.At(1, tick)
+		for _, until := range chunks {
+			s.Run(until)
+		}
+		return at
+	}
+	want := barriers([]Time{Forever})
+	for _, chunks := range [][]Time{{2, Forever}, {3, 5, 6, 17, 18, 31, Forever}, {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, Forever}} {
+		if got := barriers(chunks); !slices.Equal(got, want) {
+			t.Fatalf("chunks %v: barriers %v, want %v", chunks, got, want)
+		}
+	}
+}
+
 func TestShardedIdleJump(t *testing.T) {
 	s := NewSharded(2, 1)
 	defer s.Close()
@@ -300,7 +331,9 @@ func TestShardedBudgetAndCancel(t *testing.T) {
 	}
 	// Top up, clear the latch and cancel via the poll instead.
 	s.SetEventBudget(1 << 30)
-	s.Halt(nil)
+	for _, k := range s.ks {
+		k.stop = nil
+	}
 	var polls atomic.Int64
 	errCancel := errors.New("cancelled")
 	s.SetPoll(10, func() error {
@@ -315,35 +348,6 @@ func TestShardedBudgetAndCancel(t *testing.T) {
 	}
 	if s.Pending() == 0 {
 		t.Fatal("cancellation dropped queued events")
-	}
-}
-
-func TestShardedHaltStopsAtBarrier(t *testing.T) {
-	errHalt := errors.New("halted")
-	s := NewSharded(2, 1)
-	defer s.Close()
-	for i := 0; i < 2; i++ {
-		k := s.Shard(i)
-		var tick func()
-		tick = func() { k.Schedule(1, tick) }
-		k.At(1, tick)
-	}
-	var at Time
-	s.AddBarrierHook(func(now Time) {
-		if now >= 50 {
-			at = now
-			s.Halt(errHalt)
-		}
-	})
-	s.Run(Forever)
-	if s.Stopped() != errHalt || at != 50 {
-		t.Fatalf("stopped=%v at=%d, want %v/50", s.Stopped(), at, errHalt)
-	}
-	if s.Now() != 50 {
-		t.Fatalf("clock = %d, want 50", s.Now())
-	}
-	if n := s.Run(Forever); n != 0 {
-		t.Fatalf("halted engine executed %d events", n)
 	}
 }
 

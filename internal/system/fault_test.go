@@ -140,3 +140,54 @@ func TestFaultsPreserveCorrectness(t *testing.T) {
 		}
 	}
 }
+
+// TestWatchdogStallsDefault: WatchdogStalls 0 means 3, so a deadlocked run
+// with only the interval set trips with the same report as stalls 3.
+func TestWatchdogStallsDefault(t *testing.T) {
+	cfg := config.Tiny()
+	cfg.Fault.WatchdogInterval = 1000
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = s.Run(blockedSpec(cfg), sim.Forever/2)
+	if !errors.Is(err, ErrStalled) {
+		t.Fatalf("err = %v, want a watchdog stall", err)
+	}
+	if want := pinnedStopErrors()["watchdog"][0]; err.Error() != want {
+		t.Fatalf("error text:\n got %q\nwant %q", err, want)
+	}
+}
+
+// TestWatchedRunEndsLikeUnwatched: the watchdog is a check between engine
+// runs, so a healthy watched run leaves the engine exactly as an unwatched
+// one does — clock at the horizon, nothing queued, nothing latched — on
+// the serial kernel and on 2 shards.
+func TestWatchedRunEndsLikeUnwatched(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		type end struct {
+			now     sim.Time
+			pending int
+			stopped error
+		}
+		run := func(interval int) end {
+			cfg := config.Tiny()
+			cfg.Fault.WatchdogInterval = interval
+			s, err := NewSharded(cfg, shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.Shards != shards {
+				t.Fatalf("machine runs on %d shards, want %d", s.Shards, shards)
+			}
+			if _, err := s.Run(radixSpec(cfg), 0); err != nil {
+				t.Fatal(err)
+			}
+			return end{s.eng.Now(), s.eng.Pending(), s.eng.Stopped()}
+		}
+		unwatched, watched := run(0), run(500)
+		if watched != unwatched || unwatched != (end{now: sim.Forever}) {
+			t.Errorf("shards=%d: watched run ended at %+v, unwatched at %+v", shards, watched, unwatched)
+		}
+	}
+}

@@ -25,7 +25,6 @@ type engine interface {
 	Pending() int
 	SetEventBudget(n uint64)
 	SetPoll(every uint64, fn func() error)
-	Halt(cause error)
 	Stopped() error
 }
 

@@ -5,13 +5,13 @@ import (
 	"testing"
 
 	"repro/internal/config"
-	"repro/internal/sim"
+	"repro/internal/metrics"
 )
 
 // TestShardedRunStartsNoGoroutines: a 2-shard run executes its windows on
-// the calling goroutine. At the barriers the goroutine count is the count
-// before Run plus one program coroutine per unfinished core. The least
-// excess over all barriers is checked, so a goroutine of another test
+// the calling goroutine. At every metrics epoch the goroutine count is the
+// count before Run plus one program coroutine per unfinished core. The
+// least excess over all epochs is checked, so a goroutine of another test
 // that exits, or a finalizer that runs, during the run cannot fail it; a
 // goroutine that lives through the run can.
 func TestShardedRunStartsNoGoroutines(t *testing.T) {
@@ -27,20 +27,22 @@ func TestShardedRunStartsNoGoroutines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	c := metrics.New(s.Clock(), 100)
+	s.AttachMetrics(c)
 	before := runtime.NumGoroutine()
-	barriers, extra := 0, 0
-	s.sh.AddBarrierHook(func(sim.Time) {
+	epochs, extra := 0, 0
+	c.Subscribe(func(int, metrics.Row) {
 		_, unfinished := s.lastFinish()
-		if n := runtime.NumGoroutine() - unfinished - before; barriers == 0 || n < extra {
+		if n := runtime.NumGoroutine() - unfinished - before; epochs == 0 || n < extra {
 			extra = n
 		}
-		barriers++
+		epochs++
 	})
 	if _, err := s.Run(spec, 0); err != nil {
 		t.Fatal(err)
 	}
-	if barriers == 0 {
-		t.Fatal("no window barrier ran")
+	if epochs == 0 {
+		t.Fatal("no metrics epoch closed")
 	}
 	if extra > 0 {
 		t.Fatalf("%d goroutines beyond the cores' program coroutines during the run", extra)

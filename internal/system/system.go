@@ -188,8 +188,7 @@ func (s *System) Run(spec workload.Spec, horizon sim.Time) (Result, error) {
 // livelocked simulation at the next event boundary, returning an error
 // wrapping ErrRunCancelled and the context's cause. The poll composes
 // with — and does not replace — the simulated health backstops (event
-// budget, watchdog). Whichever stops the run first is the engine's one
-// latched stop cause, and the error names it.
+// budget, watchdog). Whichever stops the run first, the error names it.
 func (s *System) RunContext(ctx context.Context, spec workload.Spec, horizon sim.Time) (Result, error) {
 	if spec.Init != nil {
 		spec.Init(s.Coh.Vals)
@@ -202,17 +201,14 @@ func (s *System) RunContext(ctx context.Context, spec workload.Spec, horizon sim
 		horizon = sim.Forever
 	}
 	// Simulation health backstops: the event budget bounds total executed
-	// events (livelock guard); the watchdog detects windows without
-	// retired instructions or delivered flits (deadlock guard) and halts
+	// events (livelock guard); runKernel's watchdog detects windows without
+	// retired instructions or delivered flits (deadlock guard) and ends
 	// the run with a per-core blocked-state report.
 	if s.Cfg.Fault.EventBudget > 0 {
 		s.eng.SetEventBudget(s.Cfg.Fault.EventBudget)
 	}
-	if s.Cfg.Fault.WatchdogInterval > 0 && s.Cfg.Fault.WatchdogStalls > 0 {
-		startWatchdog(s, sim.Time(s.Cfg.Fault.WatchdogInterval), s.Cfg.Fault.WatchdogStalls)
-	}
 	PollContext(ctx, s.eng)
-	s.runKernel(horizon)
+	stop := s.runKernel(horizon)
 
 	last, remaining := s.lastFinish()
 	res := s.Counters()
@@ -223,7 +219,7 @@ func (s *System) RunContext(ctx context.Context, spec workload.Spec, horizon sim
 		if last == 0 {
 			res.Cycles = s.eng.Now()
 		}
-		switch stop := s.eng.Stopped(); {
+		switch {
 		case errors.Is(stop, ErrRunCancelled):
 			return res, fmt.Errorf("system: %s: %w at cycle %d (%d instructions retired): %w",
 				spec.Name, stop, s.eng.Now(), res.Instructions, context.Cause(ctx))
@@ -248,8 +244,8 @@ func (s *System) RunContext(ctx context.Context, spec workload.Spec, horizon sim
 }
 
 // lastFinish returns the latest finish time among the cores that have
-// finished and how many have not. Read it between engine Runs or from a
-// barrier hook: under sharding, a shard's cores finish inside its window.
+// finished and how many have not. Read it between engine Runs: under
+// sharding, a shard's cores finish inside its window.
 func (s *System) lastFinish() (last sim.Time, unfinished int) {
 	for _, c := range s.Core {
 		switch {
@@ -262,47 +258,56 @@ func (s *System) lastFinish() (last sim.Time, unfinished int) {
 	return last, unfinished
 }
 
-// runKernel executes the event loop up to horizon. Without a collector
-// this is a single Kernel.Run — the exact pre-metrics path. With one, the
-// kernel runs in epoch-sized chunks and the collector samples between
-// them: event execution order is identical (Run(t1);Run(t2) processes the
-// same events in the same order as Run(t2)), so enabling metrics cannot
-// perturb the simulation, only observe it.
-func (s *System) runKernel(horizon sim.Time) {
-	c := s.metrics
-	if c == nil {
-		s.eng.Run(horizon)
-		return
-	}
+// runKernel executes the event loop up to horizon and returns the
+// engine's stop cause or the watchdog's stall report. With no metrics
+// collector and no watchdog this is one engine Run. With either, the
+// engine stops at each epoch boundary (while a core is unfinished) and
+// each watchdog check, and the observer reads the machine there: event
+// execution order is identical (Run(t1);Run(t2) processes the same events
+// in the same order as Run(t2)), so observing cannot perturb the run.
+func (s *System) runKernel(horizon sim.Time) error {
+	c, w := s.metrics, newWatchdog(s)
 	c.Start()
-	for {
-		until := c.NextBoundary()
-		if until > horizon {
-			until = horizon
+	var err error
+	for unfinished := len(s.Core); err == nil; {
+		until := horizon
+		if c != nil && unfinished > 0 {
+			until = min(until, c.NextBoundary())
+		}
+		if w != nil {
+			until = min(until, w.next)
 		}
 		s.eng.Run(until)
-		if s.eng.Pending() == 0 || s.eng.Stopped() != nil || s.eng.Now() >= horizon {
+		_, unfinished = s.lastFinish()
+		// A drained queue or the last core's finish ends an unwatched run;
+		// a watchdog keeps checking through the drain and an idle deadlock.
+		pending := s.eng.Pending() > 0
+		if err = s.eng.Stopped(); err != nil || s.eng.Now() >= horizon ||
+			!pending && unfinished == 0 || w == nil && (!pending || unfinished == 0) {
 			break
 		}
-		if _, unfinished := s.lastFinish(); unfinished == 0 {
-			break
+		if c != nil && unfinished > 0 && s.eng.Now() == c.NextBoundary() {
+			c.Tick()
 		}
-		c.Tick()
+		if w != nil && s.eng.Now() == w.next {
+			err = w.check()
+		}
 	}
 	// Close the final epoch at the run's end: the last core's finish
 	// (Result.Cycles) once every core has finished, else where the clock
 	// stopped. Events still queued at the finish drain first, so their
 	// counts land in the final epoch but their cycles do not. The clock then
 	// stands where Kernel.Run leaves it (at the horizon once the queue is
-	// empty), with or without a collector.
+	// empty), with or without observers.
 	end, unfinished := s.lastFinish()
 	if unfinished > 0 {
 		end = s.eng.Now()
 	}
-	if unfinished == 0 || s.eng.Pending() == 0 {
+	if err == nil && (unfinished == 0 || s.eng.Pending() == 0) {
 		s.eng.Run(horizon)
 	}
 	c.Finish(end)
+	return err
 }
 
 // WorkloadFor resolves the named benchmark for a configuration.

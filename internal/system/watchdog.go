@@ -10,66 +10,42 @@ import (
 	"repro/internal/sim"
 )
 
-// watchdog periodically samples global progress (retired instructions and
-// delivered network flits). After a configured number of consecutive
-// sample windows with no progress on either axis it trips: it halts the
-// engine with an ErrStalled cause carrying a per-core blocked-state
-// report, so Run returns immediately rather than at the horizon.
-//
-// The watchdog's own periodic event doubles as the heartbeat that keeps
-// simulated time advancing when every core is asleep on a spin-wait (an
-// idle deadlock drains the event queue — without the heartbeat the kernel
-// would stop the clock and the stall would go undetected until the
-// horizon).
+// watchdog samples global progress (retired instructions and delivered
+// network flits) at every multiple of its interval, between engine runs
+// (runKernel), on either engine: it adds no event, and Run(until) moves
+// the clock to until even on a drained queue, so an idle deadlock still
+// reaches the next check. After maxStalls consecutive windows with no
+// progress on either axis it trips with an ErrStalled error carrying a
+// per-core blocked-state report.
 type watchdog struct {
 	s         *System
 	interval  sim.Time
 	maxStalls int
+	next      sim.Time // cycle of the next check
 
 	lastInstr     uint64
 	lastDelivered uint64
 	stalls        int
 }
 
-// startWatchdog arms the watchdog; interval and maxStalls must be
-// positive (the caller gates on the config).
-//
-// On a serial engine the watchdog is one self-rescheduling kernel event.
-// On a sharded engine the progress check must not run inside a shard's
-// events (it reads every shard's counters, and the shards run a window
-// one after another), so it is split: a heartbeat event on shard 0 keeps
-// simulated time — and with it the window barriers — advancing through
-// idle phases, while the check itself runs as a barrier hook, where every
-// shard has finished the window and all clocks agree. A trip halts the engine, so neither the heartbeat nor the
-// hook runs again.
-func startWatchdog(s *System, interval sim.Time, maxStalls int) {
-	w := &watchdog{s: s, interval: interval, maxStalls: maxStalls}
-	if s.sh != nil {
-		var beat func()
-		beat = func() { s.K.Schedule(w.interval, beat) }
-		s.K.Schedule(w.interval, beat)
-		next := w.interval
-		s.sh.AddBarrierHook(func(now sim.Time) {
-			if now < next {
-				return
-			}
-			next = now + w.interval
-			w.check()
-		})
-		return
+// newWatchdog returns the watchdog the Fault section arms, or nil when
+// WatchdogInterval is 0. WatchdogStalls 0 means 3.
+func newWatchdog(s *System) *watchdog {
+	f := s.Cfg.Fault
+	if f.WatchdogInterval == 0 {
+		return nil
 	}
-	s.K.Schedule(interval, w.tick)
+	if f.WatchdogStalls == 0 {
+		f.WatchdogStalls = 3
+	}
+	iv := sim.Time(f.WatchdogInterval)
+	return &watchdog{s: s, interval: iv, maxStalls: f.WatchdogStalls, next: s.eng.Now() + iv}
 }
 
-func (w *watchdog) tick() {
-	if !w.check() {
-		w.s.K.Schedule(w.interval, w.tick)
-	}
-}
-
-// check samples global progress and trips after maxStalls stagnant
-// windows, halting the engine. Reports whether the watchdog tripped.
-func (w *watchdog) check() bool {
+// check samples global progress at the check cycle and returns the stall
+// error after maxStalls stagnant windows.
+func (w *watchdog) check() error {
+	w.next += w.interval
 	var instr uint64
 	for _, c := range w.s.Core {
 		instr += c.Instructions
@@ -82,13 +58,9 @@ func (w *watchdog) check() bool {
 	}
 	w.lastInstr, w.lastDelivered = instr, delivered
 	if w.stalls < w.maxStalls {
-		return false
+		return nil
 	}
-	// The serial kernel stops at the next event boundary, the sharded
-	// engine at the next window barrier; every queued event survives for
-	// post-mortem inspection.
-	w.s.eng.Halt(fmt.Errorf("%w: %s", ErrStalled, w.blockedReport()))
-	return true
+	return fmt.Errorf("%w: %s", ErrStalled, w.blockedReport())
 }
 
 // blockedReport names every unfinished core and its coherence-layer
