@@ -571,7 +571,7 @@ func TestProtocolMessageIsOneAllocation(t *testing.T) {
 	cfg := config.Tiny()
 	var k sim.Kernel
 	s := NewSystem(&k, &cfg, &dropNet{})
-	bcast := &Msg{Type: MsgInvBcast, Line: 0x40, From: s.DirCore(0), Slice: 0, Seq: 1}
+	bcast := &Msg{Type: MsgInvBcast, Line: 0x40, From: s.Cfg.DirCore(0), Slice: 0, Seq: 1}
 	if n := testing.AllocsPerRun(100, func() { s.ctrls[5].ack(bcast) }); n != 1 {
 		t.Errorf("Ctrl.ack: %v allocations per message, want 1", n)
 	}

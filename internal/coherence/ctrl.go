@@ -131,7 +131,7 @@ func (c *Ctrl) access(op AccessOp, addr, sval uint64, f func(uint64) uint64, don
 	if op != OpLoad {
 		t = MsgExReq
 	}
-	c.s.send(c.id, c.s.DirCore(slice), &Msg{
+	c.s.send(c.id, c.s.Cfg.DirCore(slice), &Msg{
 		Type: t, Line: line, From: c.id, Slice: slice,
 		HadShared: op != OpLoad && s2 == Shared,
 	})
@@ -173,10 +173,10 @@ func (c *Ctrl) l2fill(line uint64, st State) {
 		if c.s.Cfg.Coherence.Kind == config.ACKwise {
 			// ACKwise forbids silent evictions.
 			c.evicting[vline] = true
-			c.s.send(c.id, c.s.DirCore(slice), &Msg{Type: MsgEvictS, Line: vline, From: c.id, Slice: slice})
+			c.s.send(c.id, c.s.Cfg.DirCore(slice), &Msg{Type: MsgEvictS, Line: vline, From: c.id, Slice: slice})
 		}
 	case Modified:
-		c.s.send(c.id, c.s.DirCore(slice), &Msg{Type: MsgEvictM, Line: vline, From: c.id, Slice: slice})
+		c.s.send(c.id, c.s.Cfg.DirCore(slice), &Msg{Type: MsgEvictM, Line: vline, From: c.id, Slice: slice})
 	}
 }
 

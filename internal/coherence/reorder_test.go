@@ -272,7 +272,7 @@ func TestReorderEvictRaces(t *testing.T) {
 	ctrl.evicting[line] = true
 	slice := s.SliceOf(line)
 	k.Schedule(0, func() {
-		s.send(10, s.DirCore(slice), &Msg{Type: MsgEvictS, Line: line, From: 10, Slice: slice})
+		s.send(10, s.Cfg.DirCore(slice), &Msg{Type: MsgEvictS, Line: line, From: 10, Slice: slice})
 	})
 	k.RunAll()
 	evictS := p.take(t, isType(MsgEvictS))

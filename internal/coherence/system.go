@@ -88,13 +88,13 @@ func NewSystem(k *sim.Kernel, cfg *config.Config, net noc.Network) *System {
 	}
 	s.dirs = make([]*DirSlice, cfg.Caches.DirSlices)
 	for i := range s.dirs {
-		core := s.DirCore(i)
+		core := cfg.DirCore(i)
 		s.dirs[i] = newDirSlice(s, i, core)
 		s.dirAt[core] = s.dirs[i]
 	}
 	s.mems = make([]*mem.Controller, cfg.Memory.Controllers)
 	for i := range s.mems {
-		core := s.MemCore(i)
+		core := cfg.MemCore(i)
 		s.mems[i] = mem.NewController(k, core, cfg.Memory.LatencyCycles, cfg.Caches.LineBytes, cfg.Memory.GBPerSec)
 		s.memAt[core] = s.mems[i]
 	}
@@ -124,30 +124,6 @@ func (s *System) LineOf(addr uint64) uint64 { return addr / s.lineSz }
 
 // SliceOf returns the directory slice owning a line (static interleave).
 func (s *System) SliceOf(line uint64) int { return int(line % uint64(s.Cfg.Caches.DirSlices)) }
-
-// DirCore returns the core hosting directory slice i: the top-left core of
-// cluster i (mod cluster count), spreading slices across the die.
-func (s *System) DirCore(i int) int {
-	cfg := s.Cfg
-	dim := cfg.MeshDim()
-	cw := dim / cfg.ClusterDim
-	cl := i % cfg.Clusters()
-	cx, cy := cl%cw, cl/cw
-	return (cy * cfg.ClusterDim * dim) + cx*cfg.ClusterDim
-}
-
-// MemCore returns the core hosting memory controller i: the bottom-right
-// core of cluster i (mod cluster count).
-func (s *System) MemCore(i int) int {
-	cfg := s.Cfg
-	dim := cfg.MeshDim()
-	cw := dim / cfg.ClusterDim
-	cl := i % cfg.Clusters()
-	cx, cy := cl%cw, cl/cw
-	x := cx*cfg.ClusterDim + cfg.ClusterDim - 1
-	y := cy*cfg.ClusterDim + cfg.ClusterDim - 1
-	return y*dim + x
-}
 
 // MemCtrlFor returns the controller serving a line.
 func (s *System) MemCtrlFor(line uint64) *mem.Controller {

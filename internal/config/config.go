@@ -404,15 +404,43 @@ func (c *Config) ClusterOf(core int) int {
 	return (y/c.ClusterDim)*cw + x/c.ClusterDim
 }
 
-// HubCore returns the core co-located with cluster cl's hub (the cluster's
-// center-most core; the hub attaches to this core's ENet router).
-func (c *Config) HubCore(cl int) int {
+// ClusterGrid returns the edge length of the cluster grid: the clusters
+// in one row (and in one column) of the mesh.
+func (c *Config) ClusterGrid() int { return c.MeshDim() / c.ClusterDim }
+
+// ClusterCore returns the core at column dx, row dy of cluster cl, counted
+// from the cluster's top-left core. Clusters are numbered row by row.
+func (c *Config) ClusterCore(cl, dx, dy int) int {
 	dim := c.MeshDim()
 	cw := dim / c.ClusterDim
 	cx, cy := cl%cw, cl/cw
-	x := cx*c.ClusterDim + c.ClusterDim/2
-	y := cy*c.ClusterDim + c.ClusterDim/2
-	return y*dim + x
+	return (cy*c.ClusterDim+dy)*dim + cx*c.ClusterDim + dx
+}
+
+// ClusterCoreIDs lists cluster cl's cores row by row, the order an
+// optical broadcast fans out in.
+func (c *Config) ClusterCoreIDs(cl int) []int {
+	cores := make([]int, 0, c.ClusterCores())
+	for dy := 0; dy < c.ClusterDim; dy++ {
+		for dx := 0; dx < c.ClusterDim; dx++ {
+			cores = append(cores, c.ClusterCore(cl, dx, dy))
+		}
+	}
+	return cores
+}
+
+// HubCore returns the core co-located with cluster cl's hub (the cluster's
+// center-most core; the hub attaches to this core's ENet router).
+func (c *Config) HubCore(cl int) int { return c.ClusterCore(cl, c.ClusterDim/2, c.ClusterDim/2) }
+
+// DirCore returns the core hosting directory slice i: the top-left core of
+// cluster i (mod cluster count), spreading slices across the die.
+func (c *Config) DirCore(i int) int { return c.ClusterCore(i%c.Clusters(), 0, 0) }
+
+// MemCore returns the core hosting memory controller i: the bottom-right
+// core of cluster i (mod cluster count).
+func (c *Config) MemCore(i int) int {
+	return c.ClusterCore(i%c.Clusters(), c.ClusterDim-1, c.ClusterDim-1)
 }
 
 // CoreXY returns mesh coordinates of a core.
@@ -421,16 +449,12 @@ func (c *Config) CoreXY(core int) (x, y int) {
 	return core % dim, core / dim
 }
 
+// hybridRadius returns Hybrid.Radius, reading a radius below 1 as 1.
+func (c *Config) hybridRadius() int { return max(c.Hybrid.Radius, 1) }
+
 // hybridGrid returns the edge length of the HybridMesh gateway grid: the
-// cluster-grid edge divided by Hybrid.Radius (a zero radius reads as 1).
-func (c *Config) hybridGrid() int {
-	cw := c.MeshDim() / c.ClusterDim
-	r := c.Hybrid.Radius
-	if r <= 0 {
-		r = 1
-	}
-	return cw / r
-}
+// cluster-grid edge divided by the hybrid radius.
+func (c *Config) hybridGrid() int { return c.ClusterGrid() / c.hybridRadius() }
 
 // HybridGateways returns the number of photonic express gateways in a
 // HybridMesh configuration.
@@ -441,10 +465,7 @@ func (c *Config) HybridGateways() int {
 
 // GatewayOf returns the index of the express gateway serving core id.
 func (c *Config) GatewayOf(core int) int {
-	r := c.Hybrid.Radius
-	if r <= 0 {
-		r = 1
-	}
+	r := c.hybridRadius()
 	x, y := c.CoreXY(core)
 	gx := (x / c.ClusterDim) / r
 	gy := (y / c.ClusterDim) / r
@@ -454,12 +475,9 @@ func (c *Config) GatewayOf(core int) int {
 // GatewayCore returns the core a gateway's photonic transceiver attaches
 // to: the hub core of the center-most cluster in the gateway's block.
 func (c *Config) GatewayCore(g int) int {
-	r := c.Hybrid.Radius
-	if r <= 0 {
-		r = 1
-	}
+	r := c.hybridRadius()
 	grid := c.hybridGrid()
-	cw := c.MeshDim() / c.ClusterDim
+	cw := c.ClusterGrid()
 	gx, gy := g%grid, g/grid
 	cl := (gy*r+r/2)*cw + gx*r + r/2
 	return c.HubCore(cl)
@@ -537,7 +555,7 @@ func (c *Config) Validate() error {
 		if r < 1 {
 			return fmt.Errorf("config: Hybrid.Radius must be >= 1, got %d", r)
 		}
-		cw := dim / c.ClusterDim
+		cw := c.ClusterGrid()
 		if cw%r != 0 {
 			return fmt.Errorf("config: Hybrid.Radius %d does not tile the %dx%d cluster grid", r, cw, cw)
 		}
@@ -629,29 +647,28 @@ func Default() Config {
 	}
 }
 
-// Small returns a reduced 64-core configuration (16 clusters of 4 cores)
-// used by tests and the quickstart example. It exercises exactly the same
-// code paths as Default at a fraction of the cost.
-func Small() Config {
+// Sized returns Default resized to cores in clusters of clusterDim x
+// clusterDim cores: one directory slice and one memory controller per
+// cluster and, below the paper's 1024 cores, a distance-routing threshold
+// of half the mesh span (at least 2).
+func Sized(cores, clusterDim int) Config {
 	c := Default()
-	c.Cores = 64
-	c.ClusterDim = 2
-	c.Caches.DirSlices = 16
-	c.Memory.Controllers = 16
-	c.Network.RThres = 4
+	c.Cores, c.ClusterDim = cores, clusterDim
+	c.Caches.DirSlices = c.Clusters()
+	c.Memory.Controllers = c.Clusters()
+	if cores < 1024 {
+		c.Network.RThres = max(c.MeshDim()/2, 2)
+	}
 	return c
 }
 
+// Small returns a reduced 64-core configuration (16 clusters of 4 cores)
+// used by tests and the quickstart example. It exercises exactly the same
+// code paths as Default at a fraction of the cost.
+func Small() Config { return Sized(64, 2) }
+
 // Tiny returns a 16-core configuration (4 clusters of 4) for unit tests.
-func Tiny() Config {
-	c := Default()
-	c.Cores = 16
-	c.ClusterDim = 2
-	c.Caches.DirSlices = 4
-	c.Memory.Controllers = 4
-	c.Network.RThres = 2
-	return c
-}
+func Tiny() Config { return Sized(16, 2) }
 
 // DefaultFault returns a representative enabled fault profile: modest
 // optical and mesh BER with degradation armed, no drift episodes, the

@@ -35,7 +35,8 @@ type Options struct {
 	// Tech and Optics name the campaign's default device-technology
 	// scenario (internal/tech and internal/photonics registries); empty
 	// means the paper's baseline. Every Config the campaign derives
-	// carries them, so they are part of each run's identity.
+	// carries them, but they are not part of a run's identity: runConfig
+	// resets both, since a scenario only re-costs a simulation.
 	Tech   string
 	Optics string
 

@@ -76,10 +76,10 @@ type Geometry struct {
 }
 
 // BuildConfig resolves a Geometry into a validated config.Config with the
-// defaulting rules every front end shares: small machines shrink the
-// cluster dimension, directory slices and memory controllers track the
-// cluster count, and the distance-routing threshold scales with the mesh
-// span unless overridden.
+// defaulting rules every front end shares: machines below 64 cores get
+// clusters of 2x2 cores (so they keep at least 4 clusters), larger ones
+// the paper's 4x4, and config.Sized sizes the rest; the Geometry's fields
+// then override it.
 func BuildConfig(g Geometry) (config.Config, error) {
 	kind, err := ParseNetworkKind(g.Net)
 	if err != nil {
@@ -89,19 +89,18 @@ func BuildConfig(g Geometry) (config.Config, error) {
 	if cores == 0 {
 		cores = 64
 	}
-	cfg := config.Default().WithNetwork(kind)
-	cfg.Cores = cores
+	clusterDim := 4
+	if cores < 64 {
+		clusterDim = 2
+	}
+	cfg := config.Sized(cores, clusterDim).WithNetwork(kind)
 	cfg.Seed = g.Seed
-	// Scenario names are canonicalized here so every front end stores the
-	// same strings in the config — and therefore produces the same run
-	// keys and cache entries — regardless of how the user spelled them.
+	// Scenario names are canonicalized here so every front end stores and
+	// reports the same strings in the config, however the user spelled
+	// them. They are not part of the run's identity: runConfig resets
+	// both, so one simulation is re-costed under every scenario.
 	cfg.Tech = tech.Canonical(g.Tech)
 	cfg.Optics = photonics.Canonical(g.Optics)
-	if cores < 64 {
-		cfg.ClusterDim = 2 // keep >= 4 clusters at tiny scales
-	}
-	cfg.Caches.DirSlices = cfg.Clusters()
-	cfg.Memory.Controllers = cfg.Clusters()
 	if g.Sharers > 0 {
 		cfg.Coherence.Sharers = g.Sharers
 	}
@@ -120,15 +119,6 @@ func BuildConfig(g Geometry) (config.Config, error) {
 	}
 	if g.RThres > 0 {
 		cfg.Network.RThres = g.RThres
-	} else if cores < 1024 {
-		// Keep the distance threshold proportional to the mesh span.
-		cfg.Network.RThres = cfg.MeshDim() / 2
-		if cfg.Network.RThres < 2 {
-			cfg.Network.RThres = 2
-		}
 	}
-	if err := cfg.Validate(); err != nil {
-		return cfg, err
-	}
-	return cfg, nil
+	return cfg, cfg.Validate()
 }

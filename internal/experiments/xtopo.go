@@ -41,7 +41,7 @@ func (r *Runner) xtopoKinds() []config.NetworkKind {
 // cluster grid and leaves at least two gateways, so the figure exercises
 // a genuinely sparse photonic overlay rather than a gateway per cluster.
 func xtopoHybridRadius(cfg config.Config) int {
-	cw := cfg.MeshDim() / cfg.ClusterDim
+	cw := cfg.ClusterGrid()
 	for _, rad := range []int{2, 1} {
 		if cw%rad == 0 && (cw/rad)*(cw/rad) >= 2 {
 			return rad

@@ -536,7 +536,7 @@ type clusterPort struct {
 func newClusterPort(f *fabric, cluster int) clusterPort {
 	return clusterPort{
 		port:   port{f: f, id: cluster, core: f.Cfg.HubCore(cluster)},
-		cores:  clusterBaseCores(f.Cfg, cluster),
+		cores:  f.Cfg.ClusterCoreIDs(cluster),
 		rxFree: make([]sim.Time, f.Cfg.Network.StarNetsPerCl),
 	}
 }
@@ -587,18 +587,4 @@ func (p *clusterPort) receive(m *Message, n int) {
 			f.deliverCore(m.Dst, m)
 		}
 	})
-}
-
-// clusterBaseCores lists the core IDs in a cluster.
-func clusterBaseCores(cfg *config.Config, cluster int) []int {
-	dim := cfg.MeshDim()
-	cw := dim / cfg.ClusterDim
-	cx, cy := cluster%cw, cluster/cw
-	cores := make([]int, 0, cfg.ClusterCores())
-	for y := 0; y < cfg.ClusterDim; y++ {
-		for x := 0; x < cfg.ClusterDim; x++ {
-			cores = append(cores, (cy*cfg.ClusterDim+y)*dim+cx*cfg.ClusterDim+x)
-		}
-	}
-	return cores
 }

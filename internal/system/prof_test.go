@@ -8,10 +8,7 @@ import (
 
 func BenchmarkProfileEMeshPureRadix(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cfg := config.Default().WithNetwork(config.EMeshPure)
-		cfg.Cores = 256
-		cfg.Caches.DirSlices = 16
-		cfg.Memory.Controllers = 16
+		cfg := config.Sized(256, 4).WithNetwork(config.EMeshPure)
 		if _, err := RunBenchmark(cfg, "radix", 1, 0); err != nil {
 			b.Fatal(err)
 		}

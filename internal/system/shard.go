@@ -33,7 +33,7 @@ type engine interface {
 // count not exceeding want (shards are equal slabs of cluster rows).
 // Returns 1 when want <= 1 or no division is possible.
 func EffectiveShards(cfg *config.Config, want int) int {
-	rows := cfg.MeshDim() / cfg.ClusterDim
+	rows := cfg.ClusterGrid()
 	if want > rows {
 		want = rows
 	}
@@ -49,11 +49,11 @@ func EffectiveShards(cfg *config.Config, want int) int {
 // cluster rows. eff must divide the cluster-row count (EffectiveShards
 // guarantees it).
 func shardMap(cfg *config.Config, eff int) []int {
-	dim := cfg.MeshDim()
-	rowsPer := (dim / cfg.ClusterDim) / eff
+	cw := cfg.ClusterGrid()
+	rowsPer := cw / eff
 	of := make([]int, cfg.Cores)
 	for t := range of {
-		of[t] = ((t / dim) / cfg.ClusterDim) / rowsPer
+		of[t] = cfg.ClusterOf(t) / cw / rowsPer
 	}
 	return of
 }

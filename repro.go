@@ -56,8 +56,9 @@ const (
 func DefaultConfig() Config { return config.Default() }
 
 // SmallConfig returns a 64-core ATAC+ configuration for quick experiments:
-// config.Small(), 16 clusters of 4 cores. It is not the machine `-cores 64`
-// builds in the front ends, which is 4 clusters of 16 (BuildConfig).
+// config.Small(), which is config.Sized(64, 2), 16 clusters of 4 cores. It
+// is not the machine `-cores 64` builds in the front ends: BuildConfig
+// picks config.Sized(64, 4), 4 clusters of 16.
 func SmallConfig() Config { return config.Small() }
 
 // Benchmarks lists the eight evaluation applications.
