@@ -52,7 +52,7 @@ func NewAtac(k *sim.Kernel, cfg *config.Config) *Atac {
 	a.atHub = func(core int, m *Message) {
 		h := a.hubs[cfg.ClusterOf(core)]
 		h.f.stats.HubFlits += uint64(m.flits)
-		h.tx.push(m, int(m.flits), h.id)
+		h.tx.push(m, h.id)
 	}
 	a.pendingTX = make([]int, cfg.Clusters())
 	a.health = make([]channelHealth, cfg.Clusters())
@@ -97,7 +97,7 @@ func (a *Atac) BusyCycles() uint64 {
 // source-side bookkeeping — admit's, and the pendingTX token — is
 // shard-local.
 func (a *Atac) Send(m *Message) {
-	st, n := a.admit(m)
+	st := a.admit(m)
 	if m.Dst == BroadcastDst {
 		a.sendViaHub(m)
 		return
@@ -132,7 +132,7 @@ func (a *Atac) Send(m *Message) {
 	if useONet && a.health[srcCl].degraded {
 		useONet = false
 		st.ReroutedMsgs++
-		st.ReroutedFlits += uint64(n)
+		st.ReroutedFlits += uint64(m.flits)
 	}
 	if useONet {
 		a.sendViaHub(m)
@@ -189,7 +189,7 @@ func newHub(a *Atac, cluster int) *hub {
 // coherence sequence numbers assume) survives faults.
 func (h *hub) transmit(r *transfer) (sim.Time, bool) {
 	cfg := h.a.Cfg
-	m, n := r.m, r.n
+	m, n := r.m, int(r.m.flits)
 	lag := cfg.Network.SelectDataLag
 	oDelay := cfg.Network.ONetLinkDelay
 	// Filtered in place: a retransmission's slot i writes at most entry i.
@@ -215,7 +215,7 @@ func (h *hub) transmit(r *transfer) (sim.Time, bool) {
 				failed = append(failed, cl)
 				continue
 			}
-			rx.in.book(&h.port, h.k.Now()+arrive, m, n)
+			rx.in.book(&h.port, h.k.Now()+arrive, m)
 		}
 	case m.Dst == BroadcastDst && cfg.Network.BcastAsUnicast:
 		// Section V-D ablation: no native broadcast support on the
@@ -238,7 +238,7 @@ func (h *hub) transmit(r *transfer) (sim.Time, bool) {
 				failed = append(failed, rx.id)
 				continue
 			}
-			rx.in.book(&h.port, h.k.Now()+arrive, m, n)
+			rx.in.book(&h.port, h.k.Now()+arrive, m)
 		}
 	case m.Dst == BroadcastDst:
 		h.f.stats.SelectEvents++
@@ -257,7 +257,7 @@ func (h *hub) transmit(r *transfer) (sim.Time, bool) {
 				failed = append(failed, rx.id)
 				continue
 			}
-			rx.in.book(&h.port, h.k.Now()+arrive, m, n)
+			rx.in.book(&h.port, h.k.Now()+arrive, m)
 		}
 	default:
 		h.f.stats.SelectEvents++
@@ -269,7 +269,7 @@ func (h *hub) transmit(r *transfer) (sim.Time, bool) {
 		if h.corrupted(rx, n, r.retx) {
 			failed = append(failed, rx.id)
 		} else {
-			rx.in.book(&h.port, h.k.Now()+sim.Time(lag+1+oDelay), m, n)
+			rx.in.book(&h.port, h.k.Now()+sim.Time(lag+1+oDelay), m)
 		}
 	}
 

@@ -97,18 +97,17 @@ type xhub struct {
 // cluster's own broadcast copy bypasses the optics onto the local receive
 // network (the hub already holds the data).
 func (h *xhub) request(m *Message) {
-	n := int(m.flits)
-	h.f.stats.HubFlits += uint64(n)
+	h.f.stats.HubFlits += uint64(m.flits)
 	if m.Dst != BroadcastDst {
-		h.x.chans[h.x.Cfg.ClusterOf(m.Dst)].push(m, n, h.id)
+		h.x.chans[h.x.Cfg.ClusterOf(m.Dst)].push(m, h.id)
 		return
 	}
 	for cl := range h.x.chans {
 		if cl == h.id {
-			h.x.scheduleRX(h, h.x.K.Now()+1, m, n)
+			h.x.scheduleRX(h, h.x.K.Now()+1, m)
 			continue
 		}
-		h.x.chans[cl].push(m, n, h.id)
+		h.x.chans[cl].push(m, h.id)
 	}
 }
 
@@ -143,32 +142,33 @@ func (c *xchan) free(r *transfer) {
 	c.x.stats.TokensReturned++
 }
 
-// transmit is the channel's attempt: n data flits of r.m toward the home
-// hub, whose fixed-tuned drop rings are the only reader. A NACKed writer
-// keeps the token through its retries.
+// transmit is the channel's attempt: the data flits of r.m toward the
+// home hub, whose fixed-tuned drop rings are the only reader. A NACKed
+// writer keeps the token through its retries.
 func (c *xchan) transmit(r *transfer) (sim.Time, bool) {
 	x := c.x
 	w := x.hubs[r.from] // the writer accounts, and evaluates the home hub's reception
+	n := int(r.m.flits)
 	x.stats.XbarPkts++
-	x.stats.XbarFlits += uint64(r.n)
+	x.stats.XbarFlits += uint64(n)
 	if r.retx > 0 {
 		x.stats.OpticalRetxPkts++
-		x.stats.OpticalRetxFlits += uint64(r.n)
+		x.stats.OpticalRetxFlits += uint64(n)
 	}
-	_, failed := w.reception(r.n, r.retx)
+	_, failed := w.reception(n, r.retx)
 	if !failed {
-		x.scheduleRX(x.hubs[c.home], x.K.Now()+1+sim.Time(x.Cfg.Network.ONetLinkDelay), r.m, r.n)
+		x.scheduleRX(x.hubs[c.home], x.K.Now()+1+sim.Time(x.Cfg.Network.ONetLinkDelay), r.m)
 	}
-	return sim.Time(r.n), failed
+	return sim.Time(n), failed
 }
 
 // scheduleRX books an optical arrival on hub h's receive networks at
 // absolute time 'at'. The crossbar is never partitioned, so arrivals need
 // no canonical staging: same-cycle ones book in schedule order.
-func (x *Crossbar) scheduleRX(h *xhub, at sim.Time, m *Message, n int) {
+func (x *Crossbar) scheduleRX(h *xhub, at sim.Time, m *Message) {
 	x.outstanding++
 	x.K.At(at, func() {
 		x.outstanding--
-		h.receive(m, n)
+		h.receive(m)
 	})
 }

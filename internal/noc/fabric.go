@@ -153,20 +153,19 @@ func (f *fabric) Drained() bool {
 	return f.enet.Drained() && f.outstanding == 0
 }
 
-// admit is the head of every Send: it stamps the injection time, counts
-// the message and its flits and, with the reorder CAM armed, sequences a
+// admit is the head of every Send: it stamps the injection time, sets
+// the message's flit count (the one every later leg reads), counts the
+// message and its flits and, with the reorder CAM armed, sequences a
 // unicast within its pair. It runs on the shard owning m.Src (senders
-// inject from their own tile's events). Returns the statistics block and
-// the flit count, which m also carries from here on.
-func (f *fabric) admit(m *Message) (st *Stats, n int) {
-	st = &f.stats
+// inject from their own tile's events). Returns the statistics block.
+func (f *fabric) admit(m *Message) *Stats {
+	st := &f.stats
 	m.Inject = f.d.K(m.Src).Now()
-	n = FlitsFor(m.Bits, f.enet.FlitBits)
-	m.flits = int32(n)
-	st.InjectedFlits += uint64(n)
+	m.flits = int32(FlitsFor(m.Bits, f.enet.FlitBits))
+	st.InjectedFlits += uint64(m.flits)
 	if m.Dst == BroadcastDst {
 		st.BroadcastSent++
-		return st, n
+		return st
 	}
 	st.UnicastSent++
 	if f.pairFIFO {
@@ -174,7 +173,7 @@ func (f *fabric) admit(m *Message) (st *Stats, n int) {
 		m.pairSeq = f.pairNext[k] + 1 // 1-based; 0 means unsequenced
 		f.pairNext[k] = m.pairSeq
 	}
-	return st, n
+	return st
 }
 
 // sendSelf delivers a self-addressed unicast on the next cycle.
@@ -310,10 +309,10 @@ func (p *port) reception(n int, retx uint8) (errs int, nack bool) {
 	return errs, nack
 }
 
-// transfer is one message queued on a transmitter.
+// transfer is one message queued on a transmitter; its flit count is the
+// message's.
 type transfer struct {
 	m    *Message
-	n    int      // flits
 	from int      // writing endpoint (a Corona home channel has several)
 	at   sim.Time // request time, for Corona's token-wait accounting
 	retx uint8    // retransmissions spent (bounded by the injector's MaxRetries)
@@ -352,15 +351,15 @@ func (t *tx) init(p *port, attempt func(r *transfer) (sim.Time, bool)) {
 	t.q = make([]transfer, 1)
 }
 
-// push queues an n-flit transfer of m from endpoint 'from'. On an idle
-// channel it takes the channel within the current event.
-func (t *tx) push(m *Message, n, from int) {
+// push queues a transfer of m from endpoint 'from'. On an idle channel
+// it takes the channel within the current event.
+func (t *tx) push(m *Message, from int) {
 	if t.n == len(t.q) {
 		// Two copies of a full ring: the len(q) slots from head on hold
 		// the queue in order, so head stays where it is.
 		t.q = append(t.q, t.q...)
 	}
-	t.q[(t.head+t.n)&(len(t.q)-1)] = transfer{m: m, n: n, from: from, at: t.p.k.Now()}
+	t.q[(t.head+t.n)&(len(t.q)-1)] = transfer{m: m, from: from, at: t.p.k.Now()}
 	t.n++
 	if !t.busy {
 		t.busy = true
@@ -443,7 +442,6 @@ type rxJob struct {
 	at   sim.Time
 	from int
 	m    *Message
-	n    int
 }
 
 // inbox stages the optical arrivals of one partitionable receiving
@@ -465,12 +463,12 @@ type inbox struct {
 	staged []rxJob
 	// arrive is what the endpoint does with one landed arrival (a hub
 	// books its receive networks, a gateway starts the final mesh leg).
-	arrive  func(m *Message, n int)
+	arrive  func(m *Message)
 	drainFn func() // in.drain, bound once like arrive
 }
 
 // init binds the inbox to its endpoint (in place: drainFn refers to in).
-func (in *inbox) init(p *port, arrive func(m *Message, n int)) {
+func (in *inbox) init(p *port, arrive func(m *Message)) {
 	in.p, in.arrive, in.drainFn = p, arrive, in.drain
 }
 
@@ -479,18 +477,18 @@ func (in *inbox) init(p *port, arrive func(m *Message, n int)) {
 // cross-shard post, which is safe because 'at' (≥ OpticalHop ahead,
 // validated by bindOptical) lands beyond the engine's current
 // synchronization window.
-func (in *inbox) book(from *port, at sim.Time, m *Message, n int) {
+func (in *inbox) book(from *port, at sim.Time, m *Message) {
 	if in.p.sh == from.sh {
-		in.stage(at, m, n, from.id)
+		in.stage(at, m, from.id)
 		return
 	}
 	id := from.id
-	from.f.d.Post(from.sh, in.p.sh, func() { in.stage(at, m, n, id) })
+	from.f.d.Post(from.sh, in.p.sh, func() { in.stage(at, m, id) })
 }
 
 // stage runs on the receiving endpoint's shard; the first booking for a
 // landing cycle schedules that cycle's drain.
-func (in *inbox) stage(at sim.Time, m *Message, n int, from int) {
+func (in *inbox) stage(at sim.Time, m *Message, from int) {
 	p := in.p
 	p.f.outstanding++
 	q := append(in.staged, rxJob{})
@@ -498,7 +496,7 @@ func (in *inbox) stage(at sim.Time, m *Message, n int, from int) {
 	for ; i > 0 && (q[i-1].at > at || q[i-1].at == at && q[i-1].from > from); i-- {
 		q[i] = q[i-1]
 	}
-	q[i] = rxJob{at, from, m, n}
+	q[i] = rxJob{at, from, m}
 	in.staged = q
 	if (i == 0 || q[i-1].at != at) && (i == len(q)-1 || q[i+1].at != at) {
 		p.k.At(at, in.drainFn)
@@ -513,7 +511,7 @@ func (in *inbox) drain() {
 		j := in.staged[0]
 		in.staged = in.staged[:copy(in.staged, in.staged[1:])]
 		in.p.f.outstanding--
-		in.arrive(j.m, j.n)
+		in.arrive(j.m)
 	}
 }
 
@@ -542,9 +540,10 @@ func newClusterPort(f *fabric, cluster int) clusterPort {
 }
 
 // receive distributes an optical arrival over the receive network.
-func (p *clusterPort) receive(m *Message, n int) {
+func (p *clusterPort) receive(m *Message) {
 	f := p.f
 	cfg := f.Cfg
+	n := int(m.flits)
 	p.f.stats.HubFlits += uint64(n)
 
 	// Pick the earliest-free receive network (FIFO service).

@@ -71,7 +71,7 @@ func (h *Hybrid) Partition(d *sim.Domain) {
 
 // Send implements Network. Runs on the shard owning m.Src.
 func (h *Hybrid) Send(m *Message) {
-	st, n := h.admit(m)
+	st := h.admit(m)
 	if m.Dst == BroadcastDst {
 		h.enet.Send(m)
 		return
@@ -87,7 +87,7 @@ func (h *Hybrid) Send(m *Message) {
 	if express && h.health[srcGW].degraded {
 		express = false
 		st.ReroutedMsgs++
-		st.ReroutedFlits += uint64(n)
+		st.ReroutedFlits += uint64(m.flits)
 	}
 	if express {
 		h.sendViaHub(m, h.Cfg.GatewayCore(srcGW))
@@ -108,7 +108,7 @@ func (h *Hybrid) atGateway(core int, m *Message) {
 	}
 	g := h.gws[h.Cfg.GatewayOf(core)]
 	g.f.stats.HubFlits += uint64(m.flits)
-	g.tx.push(m, int(m.flits), g.id)
+	g.tx.push(m, g.id)
 }
 
 // gateway is one photonic express endpoint: a serializing SWMR optical
@@ -127,7 +127,7 @@ type gateway struct {
 // data flits on this gateway's wavelength set.
 func (g *gateway) transmit(r *transfer) (sim.Time, bool) {
 	cfg := g.h.Cfg
-	n := r.n
+	n := int(r.m.flits)
 	lag := cfg.Network.SelectDataLag
 	oDelay := cfg.Network.ONetLinkDelay
 	g.f.stats.SelectEvents++
@@ -140,7 +140,7 @@ func (g *gateway) transmit(r *transfer) (sim.Time, bool) {
 	errs, failed := g.reception(n, r.retx)
 	g.f.health[g.id].observe(&g.port, n, errs)
 	if !failed {
-		g.h.gws[cfg.GatewayOf(r.m.Dst)].in.book(&g.port, g.k.Now()+sim.Time(lag+1+oDelay), r.m, n)
+		g.h.gws[cfg.GatewayOf(r.m.Dst)].in.book(&g.port, g.k.Now()+sim.Time(lag+1+oDelay), r.m)
 	}
 	return sim.Time(lag + n), failed
 }
@@ -148,8 +148,8 @@ func (g *gateway) transmit(r *transfer) (sim.Time, bool) {
 // arrive hands a landed express arrival back to the mesh: the final
 // electrical leg to the destination core, or a direct delivery when the
 // destination is the gateway core itself.
-func (g *gateway) arrive(m *Message, n int) {
-	g.f.stats.HubFlits += uint64(n)
+func (g *gateway) arrive(m *Message) {
+	g.f.stats.HubFlits += uint64(m.flits)
 	if m.Dst == g.core {
 		g.f.deliverCore(g.core, m)
 		return

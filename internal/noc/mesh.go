@@ -27,22 +27,30 @@ func opposite(p int) int { return p ^ 1 }
 // Multicast worm phases for the EMesh-BCast XY replication tree: a
 // broadcast spawns row worms east/west from the source; every router a row
 // worm visits spawns column worms north/south, so each core is delivered
-// exactly once.
+// exactly once. A worm's destination, the mesh-edge core it runs to, sets
+// its direction.
 type mcPhase uint8
 
 const (
 	phaseNone mcPhase = iota
-	phaseRowE
-	phaseRowW
-	phaseColN
-	phaseColS
+	phaseRow
+	phaseCol
 )
 
-// flit is 40 bytes (TestFlitAndRouterSizes): every hop copies one into the
-// downstream ring, so its size is the hot path's memory traffic.
+// flit.mark bits. With one virtual channel a worm's flits are contiguous
+// in every input ring (TestWormsStayContiguous), so a flit carries no worm
+// id, index or length: only whether it opens or closes its worm (a
+// one-flit worm does both).
+const (
+	markHead uint8 = 1 << iota
+	markTail
+)
+
+// flit is 24 bytes (TestFlitAndRouterSizes): every hop copies one into the
+// downstream ring, so its size is the hot path's memory traffic. Its
+// worm's length is its message's one flit count (Message.flits).
 type flit struct {
-	msg  *Message
-	worm uint64 // unique per worm; wormhole locks are per-worm, not per-message
+	msg *Message
 
 	// vis is the first cycle the switch allocator may consider this flit
 	// (input-register staging): a flit landing off a link — or injected
@@ -60,8 +68,6 @@ type flit struct {
 	// then also says the backoff has expired.
 	vis sim.Time
 
-	idx int32 // flit index within the worm
-	n   int32 // total flits in the worm
 	// Column and row of the core the worm is routed to, computed once per
 	// worm: a unicast's destination (msg.Dst, or the hub of a sendVia
 	// leg), or the mesh-edge core a multicast row or column worm runs to.
@@ -70,10 +76,11 @@ type flit struct {
 	attempts uint8 // failed crossings of the current hop (fault injection); reset per hop
 	phase    mcPhase
 	out      uint8 // output port at the router whose input holds the flit (route, once per hop)
+	mark     uint8 // markHead, markTail
 }
 
-func (f *flit) head() bool { return f.idx == 0 }
-func (f *flit) tail() bool { return f.idx == f.n-1 }
+func (f *flit) head() bool { return f.mark&markHead != 0 }
+func (f *flit) tail() bool { return f.mark&markTail != 0 }
 
 // ready reports whether the switch allocator may consider the flit at now.
 func (f *flit) ready(now sim.Time) bool { return f.vis <= now }
@@ -127,7 +134,6 @@ type Mesh struct {
 	routers []*router
 	deliver DeliverFunc // the owning fabric's ejection handler
 	d       *sim.Domain
-	wormSeq []uint64
 	// inj, when set, corrupts link crossings per its mesh BER: the
 	// downstream router NACKs and the flit retries from the upstream
 	// buffer after exponential backoff (hop-by-hop, so flit and message
@@ -190,17 +196,15 @@ func newMesh(dim, flitBits, bufFlits, routerDelay, linkDelay int, multicast bool
 }
 
 // Partition (re)binds the mesh onto a shard domain mapping every tile to
-// its owning shard kernel: per-router kernels and worm-id counters, with
-// the routers counting flits into the owner's statistics block st. Must
-// be called before the first Send. Cross-shard flit handoff and credit
-// return go through the domain's Post channel; everything else a router
-// touches is shard-local.
+// its owning shard kernel, with the routers counting flits into the
+// owner's statistics block st. Must be called before the first Send.
+// Cross-shard flit handoff and credit return go through the domain's Post
+// channel; everything else a router touches is shard-local.
 func (m *Mesh) Partition(d *sim.Domain, st *Stats) {
 	if d.Tiles() != len(m.routers) {
 		panic(fmt.Sprintf("noc: domain maps %d tiles, mesh has %d routers", d.Tiles(), len(m.routers)))
 	}
 	m.d = d
-	m.wormSeq = make([]uint64, d.NumShards())
 	for _, r := range m.routers {
 		r.k = d.K(r.id)
 		r.sh = d.Shard(r.id)
@@ -214,14 +218,14 @@ func (m *Mesh) Partition(d *sim.Domain, st *Stats) {
 // or one serialized unicast per other core. It runs on the source tile's
 // shard kernel — senders (cores, directories, hubs) always inject from
 // their own tile's events, so everything Send touches is shard-local.
+// msg arrives admitted: its flit count is set.
 func (m *Mesh) Send(msg *Message) {
 	src := m.routers[msg.Src]
-	n := FlitsFor(msg.Bits, m.FlitBits)
 	if msg.Dst == BroadcastDst {
 		// Local copy to the source core.
 		src.k.Schedule(1, func() { m.deliver(msg.Src, msg) })
 		if m.Multicast {
-			src.spawnRowAndCols(msg, n)
+			src.spawnRowAndCols(msg)
 		} else {
 			// EMesh-Pure: one serialized unicast per other core. Each
 			// clone shares the payload but carries a concrete
@@ -232,7 +236,7 @@ func (m *Mesh) Send(msg *Message) {
 					c := *msg
 					c.Dst = d
 					c.origBcast = true
-					src.enqueueWorm(&c, phaseNone, d, n)
+					src.enqueueWorm(&c, phaseNone, d)
 				}
 			}
 		}
@@ -242,14 +246,14 @@ func (m *Mesh) Send(msg *Message) {
 		src.k.Schedule(1, func() { m.deliver(msg.Dst, msg) })
 		return
 	}
-	src.enqueueWorm(msg, phaseNone, msg.Dst, n)
+	src.enqueueWorm(msg, phaseNone, msg.Dst)
 }
 
 // sendVia carries msg from core 'from' to core 'via' as a unicast worm,
 // whatever msg's own endpoints are, and ejects it there: the electrical leg
 // of a composed fabric's route, taken without a wrapper message.
 func (m *Mesh) sendVia(msg *Message, from, via int) {
-	m.routers[from].enqueueWorm(msg, phaseNone, via, FlitsFor(msg.Bits, m.FlitBits))
+	m.routers[from].enqueueWorm(msg, phaseNone, via)
 }
 
 // RouterFlits returns the per-router forwarded-flit counts (row-major),
@@ -330,8 +334,10 @@ type creditRing struct {
 // once and schedules no per-flit closure.
 //
 // Counters, ring indices and port numbers are held at the width they need,
-// which keeps a router at 480 bytes (TestFlitAndRouterSizes); worm ids stay
-// 64-bit.
+// which keeps a router at 440 bytes (TestFlitAndRouterSizes). An output
+// lock is a bit and the input the worm streams from, whose front flit is
+// the lock holder's (worms are contiguous); no worm id or length is kept,
+// since the message holds the one flit count.
 type router struct {
 	m      *Mesh
 	k      *sim.Kernel // owning shard's kernel
@@ -364,9 +370,9 @@ type router struct {
 	// cross-tile visibility, so credit-return ordering inside a cycle
 	// cannot matter — serial and sharded engines agree bit for bit.
 	credQ     [4]creditRing
-	outLock   [numPorts]uint64 // worm holding each output; 0 = free
-	lockedIn  [numPorts]uint8  // input the locked worm streams from
-	rr        [numPorts]uint8  // round-robin arbitration pointer: the input tried first
+	locked    uint8           // bit o set <=> a worm holds output o, from its head to its tail
+	lockedIn  [numPorts]uint8 // input the locked worm streams from
+	rr        [numPorts]uint8 // round-robin arbitration pointer: the input tried first
 	scheduled bool
 }
 
@@ -390,57 +396,42 @@ func (r *router) qpop(p int) flit {
 }
 
 // spawnRowAndCols seeds the multicast tree at the source router.
-func (r *router) spawnRowAndCols(msg *Message, n int) {
-	if r.x < r.m.Dim-1 {
-		r.enqueueWorm(msg, phaseRowE, msg.Dst, n)
+func (r *router) spawnRowAndCols(msg *Message) {
+	row, edge := r.y*r.m.Dim, r.m.Dim-1
+	if r.x < edge {
+		r.enqueueWorm(msg, phaseRow, row+edge)
 	}
 	if r.x > 0 {
-		r.enqueueWorm(msg, phaseRowW, msg.Dst, n)
+		r.enqueueWorm(msg, phaseRow, row)
 	}
-	r.spawnCols(msg, n)
+	r.spawnCols(msg)
 }
 
-func (r *router) spawnCols(msg *Message, n int) {
+func (r *router) spawnCols(msg *Message) {
 	if r.y > 0 {
-		r.enqueueWorm(msg, phaseColN, msg.Dst, n)
+		r.enqueueWorm(msg, phaseCol, r.x)
 	}
-	if r.y < r.m.Dim-1 {
-		r.enqueueWorm(msg, phaseColS, msg.Dst, n)
+	if edge := r.m.Dim - 1; r.y < edge {
+		r.enqueueWorm(msg, phaseCol, edge*r.m.Dim+r.x)
 	}
 }
 
-// enqueueWorm constructs a worm's flits directly in the local injection
-// queue (no intermediate worm slice). Worm ids are drawn from the owning
-// shard's counter with a stride making them globally unique and nonzero
-// (shard s issues s+1, n+s+1, 2n+s+1, ...; the one-shard sequence is
-// exactly the old serial 1, 2, 3, ...). Ids are only compared for
-// equality, so the numbering scheme is unobservable. dst is read by
-// unicast worms (phaseNone) only.
-func (r *router) enqueueWorm(msg *Message, ph mcPhase, dst, n int) {
-	nsh := uint64(len(r.m.wormSeq))
-	id := r.m.wormSeq[r.sh]*nsh + uint64(r.sh) + 1
-	r.m.wormSeq[r.sh]++
-	f := flit{msg: msg, worm: id, phase: ph, n: int32(n)}
-	x, y, edge := r.x, r.y, r.m.Dim-1
-	switch ph {
-	case phaseNone:
-		x, y = dst%r.m.Dim, dst/r.m.Dim
-	case phaseRowE:
-		x = edge
-	case phaseRowW:
-		x = 0
-	case phaseColN:
-		y = 0
-	case phaseColS:
-		y = edge
-	}
-	f.dx, f.dy = int16(x), int16(y)
+// enqueueWorm constructs a worm toward core dst (a unicast's destination,
+// or the mesh-edge core a multicast row or column worm runs to) directly
+// in the local injection queue (no intermediate worm slice). The message
+// holds the one flit count; its flits hold only head and tail marks.
+func (r *router) enqueueWorm(msg *Message, ph mcPhase, dst int) {
+	f := flit{msg: msg, phase: ph, mark: markHead}
+	f.dx, f.dy = int16(dst%r.m.Dim), int16(dst/r.m.Dim)
 	f.out = r.route(f.dx, f.dy)
 	f.vis = r.k.Now() + 1 // input-register staging, same as link arrival
-	for ; f.idx < f.n; f.idx++ {
+	for i := int32(1); i < msg.flits; i++ {
 		r.qpush(portLocal, f)
+		f.mark = 0
 	}
-	r.landed += int32(n)
+	f.mark |= markTail
+	r.qpush(portLocal, f)
+	r.landed += msg.flits
 	r.wake()
 }
 
@@ -536,8 +527,9 @@ func (r *router) tick() {
 	for ; outs != 0; outs &= outs - 1 {
 		out := bits.TrailingZeros8(outs)
 		inp := -1
-		if w := r.outLock[out]; w != 0 {
-			if l := int(r.lockedIn[out]); cand[out]&(1<<l) != 0 && r.qfront(l).worm == w {
+		if r.locked&(1<<out) != 0 {
+			// Worms are contiguous: the locked input's front is the holder's.
+			if l := int(r.lockedIn[out]); cand[out]&(1<<l) != 0 {
 				inp = l
 			}
 		} else if e := cand[out] & heads; e != 0 {
@@ -581,11 +573,11 @@ func (r *router) tick() {
 		f.attempts = 0 // retry state is per hop
 		r.fwdFlits++
 		if f.head() {
-			r.outLock[out] = f.worm
+			r.locked |= 1 << out
 			r.lockedIn[out] = uint8(inp)
 		}
 		if f.tail() {
-			r.outLock[out] = 0
+			r.locked &^= 1 << out
 		}
 		// One input can feed two outputs in one cycle: the flit behind the
 		// one just popped may be a ready head for a later output, which
@@ -682,7 +674,7 @@ func (r *router) ejectFlit(f flit, arrived bool) {
 func (r *router) mcastTailSideEffects(f flit) {
 	// Deliver the local copy at this router.
 	r.m.deliver(r.id, f.msg)
-	if f.phase == phaseRowE || f.phase == phaseRowW {
-		r.spawnCols(f.msg, int(f.n))
+	if f.phase == phaseRow {
+		r.spawnCols(f.msg)
 	}
 }

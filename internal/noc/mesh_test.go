@@ -324,11 +324,11 @@ func TestRouterInputFeedsTwoOutputsPerCycle(t *testing.T) {
 // TestFlitAndRouterSizes guards the hot path's footprint: every hop copies
 // a flit into the downstream ring, and a tick reads one router's state.
 func TestFlitAndRouterSizes(t *testing.T) {
-	if got := unsafe.Sizeof(flit{}); got > 40 {
-		t.Errorf("flit is %d bytes, want <= 40", got)
+	if got := unsafe.Sizeof(flit{}); got > 24 {
+		t.Errorf("flit is %d bytes, want <= 24", got)
 	}
-	if got := unsafe.Sizeof(router{}); got > 480 {
-		t.Errorf("router is %d bytes, want <= 480", got)
+	if got := unsafe.Sizeof(router{}); got > 440 {
+		t.Errorf("router is %d bytes, want <= 440", got)
 	}
 }
 

@@ -45,8 +45,9 @@ type Message struct {
 	// origBcast marks per-destination clones of a serialized broadcast
 	// (EMesh-Pure) so receiver-side traffic statistics stay correct.
 	origBcast bool
-	// flits is the flit count admit computed from Bits, read again where
-	// an optical endpoint takes the message (it fits the bools' padding).
+	// flits is the message's one flit count, set by admit from Bits and
+	// read by every mesh worm, optical transfer and receiver that carries
+	// it (it fits the bools' padding).
 	flits int32
 }
 
