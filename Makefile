@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check cover figures results-256 bench bench-trace bench-pair fuzz resume-smoke serve-smoke chaos-smoke cluster-smoke techsweep-smoke xtopo-smoke clean
+.PHONY: build test check cover inline-check figures results-256 bench bench-trace bench-pair fuzz resume-smoke serve-smoke chaos-smoke cluster-smoke techsweep-smoke xtopo-smoke clean
 
 # Per-target budget for `make fuzz` (go test -fuzztime syntax).
 FUZZTIME ?= 10s
@@ -31,6 +31,12 @@ COVER ?= cover.out
 cover:
 	$(GO) test -coverpkg=./... -coverprofile=$(COVER) ./...
 	@$(GO) tool cover -func=$(COVER) | awk '$$NF == "0.0%"'
+
+# The mesh router's per-hop helpers (DESIGN.md, "Mesh router hot path")
+# must inline: fails, naming each, if the compiler's -m report does not say
+# "can inline" for all twelve listed in scripts/inline_check.sh.
+inline-check:
+	GO=$(GO) bash scripts/inline_check.sh
 
 figures:
 	$(GO) run ./cmd/figures -cores 64
