@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/config"
@@ -184,11 +185,12 @@ func opticalFaultProfile(seed int64) config.Fault {
 
 func TestFlitConservation(t *testing.T) {
 	clean := func(int64) config.Fault { return config.Fault{} }
-	optical := func(kind config.NetworkKind, fc func(int64) config.Fault) func(testing.TB, int64) (*sim.Kernel, Network) {
+	optical := func(kind config.NetworkKind, fc func(int64) config.Fault, mut ...func(*config.Config)) func(testing.TB, int64) (*sim.Kernel, Network) {
 		return func(t testing.TB, seed int64) (*sim.Kernel, Network) {
-			return opticalFixture(t, kind, fc(seed))
+			return opticalFixture(t, kind, fc(seed), mut...)
 		}
 	}
+	ablate := func(cfg *config.Config) { cfg.Network.BcastAsUnicast = true }
 	cases := []struct {
 		name  string
 		build func(t testing.TB, seed int64) (*sim.Kernel, Network)
@@ -217,6 +219,8 @@ func TestFlitConservation(t *testing.T) {
 		{"PlainATACFaulty", optical(config.ATAC, opticalFaultProfile)},
 		{"ATACPlus", optical(config.ATACPlus, clean)},
 		{"ATACFaulty", optical(config.ATACPlus, opticalFaultProfile)},
+		{"ATACBcastAsUnicast", optical(config.ATACPlus, clean, ablate)},
+		{"ATACBcastAsUnicastFaulty", optical(config.ATACPlus, opticalFaultProfile, ablate)},
 		{"Corona", optical(config.Corona, clean)},
 		{"CoronaFaulty", optical(config.Corona, opticalFaultProfile)},
 		{"Hybrid", optical(config.HybridMesh, clean)},
@@ -231,6 +235,7 @@ func TestFlitConservation(t *testing.T) {
 					h.inject(rand.New(rand.NewSource(seed)), 200, 0.25)
 					h.check(t)
 					checkMeshInvariants(t, net.(interface{ ENet() *Mesh }).ENet())
+					checkFabricInvariants(t, net, !strings.HasSuffix(tc.name, "Faulty"))
 				})
 			}
 		})
@@ -292,10 +297,28 @@ func checkMeshInvariants(t testing.TB, m *Mesh) {
 // drain), so the gateway flit count is exactly twice the express flit
 // count; retransmissions legitimately break that equality, so faulty
 // hybrids are held to the harness property alone.
+//
+// ATAC, the slot accounting, clean or faulty and with the Section V-D
+// ablation on or off: every optical slot (a native broadcast, or one
+// unicast-mode receiver slot) carries one select notification and keeps
+// its hub busy SelectDataLag cycles plus its data flits, so the hubs' busy
+// time behind Table V's link utilization has a closed form in the packet
+// and flit counters. Every express packet of the hybrid carries one select
+// notification.
 func checkFabricInvariants(t testing.TB, net Network, clean bool) {
 	t.Helper()
 	st := net.Stats()
-	switch net.(type) {
+	switch a := net.(type) {
+	case *Atac:
+		slots := st.ONetUniPkts + st.ONetBcastPkts
+		if st.SelectEvents != slots {
+			t.Fatalf("%d select events for %d optical slots", st.SelectEvents, slots)
+		}
+		lag := uint64(a.Cfg.Network.SelectDataLag)
+		if want := lag*slots + st.ONetUniFlits + st.ONetBcastFlits; a.BusyCycles() != want {
+			t.Fatalf("hubs busy %d cycles, want %d (lag %d x %d slots + %d uni + %d bcast flits)",
+				a.BusyCycles(), want, lag, slots, st.ONetUniFlits, st.ONetBcastFlits)
+		}
 	case *Crossbar:
 		if st.TokensGranted != st.TokensReturned {
 			t.Fatalf("token leak: %d granted, %d returned", st.TokensGranted, st.TokensReturned)
@@ -304,6 +327,9 @@ func checkFabricInvariants(t testing.TB, net Network, clean bool) {
 			t.Fatalf("%d crossbar packets moved without a token grant", st.XbarPkts)
 		}
 	case *Hybrid:
+		if st.SelectEvents != st.ExpressPkts {
+			t.Fatalf("%d select events for %d express packets", st.SelectEvents, st.ExpressPkts)
+		}
 		if clean && st.HubFlits != 2*st.ExpressFlits {
 			t.Fatalf("gateway boundary leak: %d gateway flits, want 2x%d express flits",
 				st.HubFlits, st.ExpressFlits)

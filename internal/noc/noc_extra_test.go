@@ -2,6 +2,7 @@ package noc
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -229,5 +230,52 @@ func TestFlitsForProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestStatsMergeFrom: MergeFrom, which sums several runs' blocks, adds
+// every counter and keeps the larger LatencyMax. Every field is filled
+// through reflection with its own value, so a counter the merge dropped or
+// crossed with another shows; and every field must stay a uint64, the one
+// kind the reflective merge handles.
+func TestStatsMergeFrom(t *testing.T) {
+	typ := reflect.TypeOf(Stats{})
+	for i := 0; i < typ.NumField(); i++ {
+		if k := typ.Field(i).Type.Kind(); k != reflect.Uint64 {
+			t.Fatalf("Stats.%s is a %v: MergeFrom merges uint64 fields only", typ.Field(i).Name, k)
+		}
+	}
+	fill := func(base uint64) Stats {
+		var s Stats
+		v := reflect.ValueOf(&s).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			v.Field(i).SetUint(base + 3*uint64(i) + 1)
+		}
+		return s
+	}
+	for _, tc := range []struct {
+		name string
+		a, b Stats
+	}{
+		{"IntoZero", Stats{}, fill(1000)},
+		{"ZeroIn", fill(1000), Stats{}},
+		{"LargerMaxIn", fill(1000), fill(5000)},
+		{"SmallerMaxIn", fill(5000), fill(1000)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got := tc.a
+			got.MergeFrom(&tc.b)
+			g, a, b := reflect.ValueOf(got), reflect.ValueOf(tc.a), reflect.ValueOf(tc.b)
+			for i := 0; i < g.NumField(); i++ {
+				name := typ.Field(i).Name
+				want := a.Field(i).Uint() + b.Field(i).Uint()
+				if name == "LatencyMax" {
+					want = max(a.Field(i).Uint(), b.Field(i).Uint())
+				}
+				if g.Field(i).Uint() != want {
+					t.Errorf("%s = %d, want %d", name, g.Field(i).Uint(), want)
+				}
+			}
+		})
 	}
 }
