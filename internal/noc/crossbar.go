@@ -36,7 +36,7 @@ import (
 type Crossbar struct {
 	fabric // ENet, statistics, delivery — on a one-shard domain, no reorder CAM
 
-	hubs  []*xhub
+	hubs  []*clusterPort
 	chans []*xchan
 }
 
@@ -51,16 +51,17 @@ func NewCrossbar(k *sim.Kernel, cfg *config.Config) *Crossbar {
 	}
 	x := &Crossbar{}
 	x.setup(cfg, false, false)
-	x.atHub = func(core int, m *Message) { x.hubs[cfg.ClusterOf(core)].request(m) }
+	x.atHub = func(core int, m *Message) { x.request(x.hubs[cfg.ClusterOf(core)], m) }
 	x.bind(sim.SerialDomain(k, cfg.MeshDim()*cfg.MeshDim()))
-	x.hubs = make([]*xhub, cfg.Clusters())
+	x.hubs = make([]*clusterPort, cfg.Clusters())
 	x.chans = make([]*xchan, cfg.Clusters())
 	for i := range x.hubs {
-		x.hubs[i] = &xhub{clusterPort: newClusterPort(&x.fabric, i), x: x}
-		x.hubs[i].bind()
+		h := newClusterPort(&x.fabric, i)
+		x.hubs[i] = &h
+		h.bind()
 		// The home channel's token starts parked at its home hub.
 		c := &xchan{x: x, home: i, tokenAt: i}
-		c.tx.init(&x.hubs[i].port, c.transmit)
+		c.tx.init(&h.port, c.transmit)
 		c.begin, c.release = c.grant, c.free
 		x.chans[i] = c
 	}
@@ -83,31 +84,26 @@ func (x *Crossbar) Send(m *Message) {
 	}
 }
 
-// xhub is one cluster's crossbar endpoint: modulator banks on every other
-// cluster's home channel (the hub can write several channels concurrently;
-// serialization happens per channel, at the token) plus the receive
-// networks draining its own home channel into the cluster's cores.
-type xhub struct {
-	clusterPort
-	x *Crossbar
-}
-
-// request splits a packet arriving at the source hub into home-channel
-// requests: one for a unicast, one per cluster for a broadcast. The source
-// cluster's own broadcast copy bypasses the optics onto the local receive
-// network (the hub already holds the data).
-func (h *xhub) request(m *Message) {
-	h.f.stats.HubFlits += uint64(m.flits)
+// request splits a packet arriving at source hub h into home-channel
+// requests: one for a unicast, one per cluster for a broadcast. A hub is a
+// bare clusterPort: modulator banks on every other cluster's home channel
+// (it can write several channels concurrently; serialization happens per
+// channel, at the token) plus the receive networks draining its own home
+// channel into the cluster's cores. The source cluster's own broadcast
+// copy bypasses the optics onto the local receive network (the hub already
+// holds the data).
+func (x *Crossbar) request(h *clusterPort, m *Message) {
+	x.stats.HubFlits += uint64(m.flits)
 	if m.Dst != BroadcastDst {
-		h.x.chans[h.x.Cfg.ClusterOf(m.Dst)].push(m, h.id)
+		x.chans[x.Cfg.ClusterOf(m.Dst)].push(m, h.id)
 		return
 	}
-	for cl := range h.x.chans {
+	for cl := range x.chans {
 		if cl == h.id {
-			h.x.scheduleRX(h, h.x.K.Now()+1, m)
+			x.scheduleRX(h, x.K.Now()+1, m)
 			continue
 		}
-		h.x.chans[cl].push(m, h.id)
+		x.chans[cl].push(m, h.id)
 	}
 }
 
@@ -151,11 +147,7 @@ func (c *xchan) transmit(r *transfer) (sim.Time, bool) {
 	n := int(r.m.flits)
 	x.stats.XbarPkts++
 	x.stats.XbarFlits += uint64(n)
-	if r.retx > 0 {
-		x.stats.OpticalRetxPkts++
-		x.stats.OpticalRetxFlits += uint64(n)
-	}
-	_, failed := w.reception(n, r.retx)
+	failed := w.reception(n, r.retx)
 	if !failed {
 		x.scheduleRX(x.hubs[c.home], x.K.Now()+1+sim.Time(x.Cfg.Network.ONetLinkDelay), r.m)
 	}
@@ -165,7 +157,7 @@ func (c *xchan) transmit(r *transfer) (sim.Time, bool) {
 // scheduleRX books an optical arrival on hub h's receive networks at
 // absolute time 'at'. The crossbar is never partitioned, so arrivals need
 // no canonical staging: same-cycle ones book in schedule order.
-func (x *Crossbar) scheduleRX(h *xhub, at sim.Time, m *Message) {
+func (x *Crossbar) scheduleRX(h *clusterPort, at sim.Time, m *Message) {
 	x.outstanding++
 	x.K.At(at, func() {
 		x.outstanding--
