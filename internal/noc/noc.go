@@ -171,7 +171,7 @@ type Stats struct {
 // Every field is an additive event count except LatencyMax, which merges
 // by maximum. Reflection keeps the merge honest by construction: a new
 // counter field is additive without anyone remembering to extend a
-// hand-written merge (guarded by a test that the struct stays all-uint64).
+// hand-written merge (TestStatsMergeFrom holds the struct to uint64 fields).
 func (s *Stats) MergeFrom(o *Stats) {
 	maxLat := s.LatencyMax
 	if o.LatencyMax > maxLat {
