@@ -567,20 +567,33 @@ func (d *dropNet) Stats() *noc.Stats        { return &d.stats }
 
 // TestProtocolMessageIsOneAllocation: a protocol message and its network
 // envelope are one object, from a cache controller and from a directory
-// slice alike.
+// slice alike, and with tracing off a directory transaction boxes none of
+// its trace arguments. The line is above 255 because Go boxes a smaller
+// integer without allocating, which would hide an unguarded trace call.
 func TestProtocolMessageIsOneAllocation(t *testing.T) {
 	cfg := config.Tiny()
 	var k sim.Kernel
 	s := NewSystem(&k, &cfg, &dropNet{})
-	bcast := &Msg{Type: MsgInvBcast, Line: 0x40, From: s.Cfg.DirCore(0), Slice: 0, Seq: 1}
+	const line = 0x4000
+	d := s.dirs[s.SliceOf(line)]
+	bcast := &Msg{Type: MsgInvBcast, Line: line, From: d.core, Slice: d.slice, Seq: 1}
 	if n := testing.AllocsPerRun(100, func() { s.ctrls[5].ack(bcast) }); n != 1 {
 		t.Errorf("Ctrl.ack: %v allocations per message, want 1", n)
 	}
-	if n := testing.AllocsPerRun(100, func() { s.dirs[0].reply(MsgShRep, 5, 0x40, false) }); n != 1 {
+	if n := testing.AllocsPerRun(100, func() { d.reply(MsgShRep, 5, line, false) }); n != 1 {
 		t.Errorf("DirSlice.reply: %v allocations per message, want 1", n)
 	}
-	if n := testing.AllocsPerRun(100, func() { s.dirs[0].bcastInv(0x40) }); n != 1 {
+	if n := testing.AllocsPerRun(100, func() { d.bcastInv(line) }); n != 1 {
 		t.Errorf("DirSlice.bcastInv: %v allocations per message, want 1", n)
+	}
+	// An EvictS on a listed line with no owner: only its EvictAck.
+	e := d.entry(line)
+	evict := &Msg{Type: MsgEvictS, Line: line, From: 5, Slice: d.slice}
+	if n := testing.AllocsPerRun(100, func() {
+		e.state, e.sharers = Shared, append(e.sharers[:0], 5, 6)
+		d.start(e, evict)
+	}); n != 1 {
+		t.Errorf("DirSlice.start(EvictS): %v allocations per request, want 1", n)
 	}
 }
 

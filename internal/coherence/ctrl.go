@@ -187,7 +187,9 @@ func (c *Ctrl) l2fill(line uint64, st State) {
 // ordering it behind a buffered broadcast would deadlock).
 func (c *Ctrl) handleUnicast(m *Msg) {
 	if m.Type != MsgEvictAck && !seqLE(m.Seq, c.lastSeq[m.Slice]) {
-		c.s.trace("reorder", "core %d gates %v behind seq %d", c.id, m, c.lastSeq[m.Slice])
+		if c.s.Tracer != nil {
+			c.s.trace("reorder", "core %d gates %v behind seq %d", c.id, m, c.lastSeq[m.Slice])
+		}
 		c.s.stats.ReorderBufferedUni++
 		if c.uniBuf == nil {
 			c.uniBuf = make([][]*Msg, len(c.lastSeq))
@@ -304,7 +306,9 @@ func (c *Ctrl) handleBcast(m *Msg) {
 			// Cannot yet tell whether we were counted as a sharer;
 			// buffer until the ShRep or EvictAck arrives. Deadlock-free:
 			// ACKwise awaits acks only from actual sharers.
-			c.s.trace("reorder", "core %d buffers %v (pendSh=%v evicting=%v)", c.id, m, pendSh, c.evicting[line])
+			if c.s.Tracer != nil {
+				c.s.trace("reorder", "core %d buffers %v (pendSh=%v evicting=%v)", c.id, m, pendSh, c.evicting[line])
+			}
 			c.s.stats.ReorderBufferedBcast++
 			c.bcastBuf[line] = append(c.bcastBuf[line], m)
 		default:
@@ -355,7 +359,6 @@ func (c *Ctrl) resolveGrantBuffered(line uint64, grantSeq uint16) {
 	}
 	delete(c.bcastBuf, line)
 	for _, b := range buf {
-		b := b
 		if seqLE(b.Seq, grantSeq) {
 			// Issued before our grant: not addressed to us.
 			continue
