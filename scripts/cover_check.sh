@@ -8,6 +8,11 @@
 # function reports 0.0 % and is not on the allowlist below, or if an
 # allowlisted function no longer does (it is tested or gone: drop its
 # entry). bench/ is its own module, so ./... leaves it out.
+#
+# A second pass holds the coherence protocol's files block by block: a
+# statement block that no package's run reaches (its counts summed over
+# the profile) fails unless its body is a lone panic or block_allow names
+# it, and a block_allow entry that names no such block fails too.
 set -euo pipefail
 
 # One entry a line: the file (module path dropped) and the function as
@@ -23,6 +28,14 @@ cmd/figures/main.go main       process entry point: os.Exit(run())
 cmd/sweep/main.go main         process entry point: os.Exit(run())
 internal/experiments/figures.go Xtopo   bench-only export (the campaign-64 workload); moves into bench with ROADMAP item 2
 internal/sim/sharded.go Close           bench-only export (the window probe defers it); goes with ROADMAP item 2
+'
+
+# The block pass's files, and its allowlist: one entry a line, the file,
+# the enclosing function (a method without its receiver) and the trimmed
+# source line the block starts on, then ` # ` and the reason the block may
+# never run.
+block_files='internal/coherence/directory.go internal/coherence/ctrl.go'
+block_allow='
 '
 
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
@@ -52,5 +65,55 @@ while read -r fn; do
     fail=1
   fi
 done <<<"$allowed"
-[ "$fail" = 0 ] && echo "cover-check: $(grep -c . <<<"$allowed") zero-coverage functions, all allowlisted"
+
+# Never-run blocks of block_files as "file line col endline endcol stmts".
+blocks=$(awk -v mod="$mod/" -v files=" $block_files " '
+  NR > 1 {
+    split($1, at, ":"); f = at[1]; sub("^" mod, "", f)
+    if (index(files, " " f " ")) { n[f ":" at[2]] += $NF; stmts[f ":" at[2]] = $2 }
+  }
+  END {
+    for (b in n) if (n[b] == 0) {
+      split(b, at, ":"); split(at[2], pos, "[.,]")
+      print at[1], pos[1], pos[2], pos[3], pos[4], stmts[b]
+    }
+  }' "$cover" | sort -k1,1 -k2,2n)
+block_keys=$(awk -F ' # ' 'NF { print $1 }' <<<"$block_allow")
+seen=
+while read -r f line col eline ecol stmts; do
+  [ -n "$f" ] || continue
+  # The enclosing function, the block's first source line and its text.
+  IFS=$'\t' read -r fn first body < <(LC_ALL=C awk -v sl="$line" -v sc="$col" -v el="$eline" -v ec="$ecol" '
+    NR <= sl && /^func / { fn = $0; sub(/^func (\([^)]*\) )?/, "", fn); sub(/[^A-Za-z0-9_].*/, "", fn) }
+    NR == sl { first = $0 }
+    NR >= sl && NR <= el {
+      t = $0
+      if (NR == el) t = substr(t, 1, ec - 1)
+      if (NR == sl) t = substr(t, sc)
+      body = body " " t
+    }
+    END {
+      gsub(/^[ \t]+|[ \t]+$/, "", first); gsub(/[ \t]+/, " ", body); sub(/^ /, "", body); sub(/^[{] */, "", body)
+      printf "%s\t%s\t%s\n", fn, first, body
+    }' "$f")
+  if [ "$stmts" = 1 ] && [[ $body == panic\(* ]]; then
+    continue
+  fi
+  key="$f $fn $first"
+  if grep -qxF -- "$key" <<<"$block_keys"; then
+    seen+="$key"$'\n'
+  else
+    echo "cover-check: $f:$line ($fn: $first) never runs (test it, delete it, or allowlist it in block_allow with a reason)" >&2
+    fail=1
+  fi
+done <<<"$blocks"
+while read -r key; do
+  [ -n "$key" ] || continue
+  if ! grep -qxF -- "$key" <<<"$seen"; then
+    echo "cover-check: block_allow entry '$key' names no never-run block: drop it" >&2
+    fail=1
+  fi
+done <<<"$block_keys"
+
+[ "$fail" = 0 ] && echo "cover-check: $(grep -c . <<<"$allowed") zero-coverage functions, all allowlisted; $(grep -c . <<<"$block_keys") never-run protocol blocks besides lone panics, all allowlisted"
 exit "$fail"
