@@ -18,7 +18,23 @@ type Ctrl struct {
 
 	l1, l2 *cacheArray
 
-	pend *pending
+	// pend is the outstanding coherence miss: &pendSlot while one is in
+	// flight, else nil. A core has at most one access outstanding, so one
+	// slot per controller holds every miss it will ever make.
+	pend     *pending
+	pendSlot pending
+
+	// The access's completion, run by completeFn (bound once) after the hit
+	// or fill latency: done is called with doneV. One slot suffices for the
+	// same reason as pendSlot.
+	done       func(uint64)
+	doneV      uint64
+	completeFn func()
+
+	// grp is the holder mask of the core's group and bit the core's bit in
+	// it (see holderGroup).
+	grp *holderGroup
+	bit uint64
 
 	// evicting holds Shared lines whose EvictS is awaiting EvictAck
 	// (ACKwise); broadcasts for these lines must still be acknowledged
@@ -59,7 +75,7 @@ type pending struct {
 
 func newCtrl(s *System, id int) *Ctrl {
 	cc := s.Cfg.Caches
-	return &Ctrl{
+	c := &Ctrl{
 		s:  s,
 		id: id,
 		l1: newCacheArray(cc.L1DKB*1024, cc.LineBytes, cc.L1Assoc),
@@ -72,6 +88,8 @@ func newCtrl(s *System, id int) *Ctrl {
 		evictedAt: make(map[uint64]uint16),
 		waiters:   make(map[uint64][]func()),
 	}
+	c.completeFn = c.complete
+	return c
 }
 
 func (c *Ctrl) fillLatency() sim.Time {
@@ -80,7 +98,7 @@ func (c *Ctrl) fillLatency() sim.Time {
 
 // access starts one memory operation (see System.Access).
 func (c *Ctrl) access(op AccessOp, addr, sval uint64, f func(uint64) uint64, done func(uint64)) {
-	if c.pend != nil {
+	if c.pend != nil || c.done != nil {
 		panic(fmt.Sprintf("coherence: core %d issued a second outstanding access", c.id))
 	}
 	line := c.s.LineOf(addr)
@@ -90,15 +108,13 @@ func (c *Ctrl) access(op AccessOp, addr, sval uint64, f func(uint64) uint64, don
 	if op == OpLoad {
 		st.L1DReads++
 		if c.l1.lookup(line) != Invalid {
-			v := c.s.Vals.Read(addr)
-			c.k.Schedule(l1h, func() { done(v) })
+			c.finish(l1h, done, c.s.Vals.Read(addr))
 			return
 		}
 	} else {
 		st.L1DWrites++
 		if c.l1.lookup(line) == Modified {
-			v := c.applyWrite(op, addr, sval, f)
-			c.k.Schedule(l1h, func() { done(v) })
+			c.finish(l1h, done, c.applyWrite(op, addr, sval, f))
 			return
 		}
 	}
@@ -111,21 +127,20 @@ func (c *Ctrl) access(op AccessOp, addr, sval uint64, f func(uint64) uint64, don
 
 	if op == OpLoad && s2 != Invalid {
 		c.l1fill(line, s2)
-		v := c.s.Vals.Read(addr)
-		c.k.Schedule(l2lat, func() { done(v) })
+		c.finish(l2lat, done, c.s.Vals.Read(addr))
 		return
 	}
 	if op != OpLoad && s2 == Modified {
 		c.l1fill(line, Modified)
-		v := c.applyWrite(op, addr, sval, f)
-		c.k.Schedule(l2lat, func() { done(v) })
+		c.finish(l2lat, done, c.applyWrite(op, addr, sval, f))
 		return
 	}
 
 	// Coherence miss: ShReq for loads, ExReq for stores/RMW (an upgrade
 	// if we hold the line Shared).
 	st.L2Misses++
-	c.pend = &pending{op: op, addr: addr, line: line, sval: sval, f: f, done: done, wantEx: op != OpLoad}
+	c.pendSlot = pending{op: op, addr: addr, line: line, sval: sval, f: f, done: done, wantEx: op != OpLoad}
+	c.pend = &c.pendSlot
 	slice := c.s.SliceOf(line)
 	t := MsgShReq
 	if op != OpLoad {
@@ -135,6 +150,20 @@ func (c *Ctrl) access(op AccessOp, addr, sval uint64, f func(uint64) uint64, don
 		Type: t, Line: line, From: c.id, Slice: slice,
 		HadShared: op != OpLoad && s2 == Shared,
 	})
+}
+
+// finish schedules the access's completion: done(v) after lat cycles.
+func (c *Ctrl) finish(lat sim.Time, done func(uint64), v uint64) {
+	c.done, c.doneV = done, v
+	c.k.Schedule(lat, c.completeFn)
+}
+
+// complete runs the access's completion. The slot is free again before done
+// runs, so done may issue the core's next access.
+func (c *Ctrl) complete() {
+	done := c.done
+	c.done = nil
+	done(c.doneV)
 }
 
 // applyWrite mutates the value store at rights-confirmation time and
@@ -162,6 +191,7 @@ func (c *Ctrl) l1fill(line uint64, st State) {
 func (c *Ctrl) l2fill(line uint64, st State) {
 	c.s.stats.L2Writes++
 	vline, vstate, ev := c.l2.insert(line, st)
+	c.grp.set(line, c.bit)
 	if !ev {
 		return
 	}
@@ -178,6 +208,7 @@ func (c *Ctrl) l2fill(line uint64, st State) {
 	case Modified:
 		c.s.send(c.id, c.s.Cfg.DirCore(slice), &Msg{Type: MsgEvictM, Line: vline, From: c.id, Slice: slice})
 	}
+	c.dropHolder(vline)
 }
 
 // handleUnicast receives a directory->core unicast, enforcing the
@@ -242,6 +273,7 @@ func (c *Ctrl) processUnicast(m *Msg) {
 	case MsgEvictAck:
 		delete(c.evicting, line)
 		c.evictedAt[line] = m.Seq
+		c.grp.set(line, c.bit)
 		c.resolveEvictBuffered(line, m.Seq)
 	default:
 		panic(fmt.Sprintf("coherence: core %d: unexpected unicast %v", c.id, m))
@@ -250,10 +282,10 @@ func (c *Ctrl) processUnicast(m *Msg) {
 
 // applyGrant completes the pending access.
 func (c *Ctrl) applyGrant(m *Msg) {
-	p := c.pend
-	if p == nil || p.line != m.Line {
+	if c.pend == nil || c.pend.line != m.Line {
 		panic(fmt.Sprintf("coherence: core %d: grant %v without matching pending access", c.id, m))
 	}
+	p := *c.pend
 	if (m.Type == MsgShRep) == p.wantEx {
 		panic(fmt.Sprintf("coherence: core %d: grant %v mismatches pending %v", c.id, m, p.op))
 	}
@@ -270,8 +302,7 @@ func (c *Ctrl) applyGrant(m *Msg) {
 	} else {
 		v = c.applyWrite(p.op, p.addr, p.sval, p.f)
 	}
-	done := p.done
-	c.k.Schedule(c.fillLatency(), func() { done(v) })
+	c.finish(c.fillLatency(), p.done, v)
 
 	// DirkB: a broadcast that overtook this grant already invalidated us
 	// at the directory; catch up by self-invalidating.
@@ -312,7 +343,13 @@ func (c *Ctrl) handleBcast(m *Msg) {
 			c.s.stats.ReorderBufferedBcast++
 			c.bcastBuf[line] = append(c.bcastBuf[line], m)
 		default:
+			// The probe is the modelled tag access, counted either way;
+			// a clear holder bit means the peek would find the line
+			// Invalid with no evictedAt record, which does nothing.
 			c.s.stats.L2TagProbes++
+			if !c.mayHold(line) {
+				break
+			}
 			switch c.l2.peek(line) {
 			case Shared:
 				c.invalidateLocal(line)
@@ -334,7 +371,7 @@ func (c *Ctrl) handleBcast(m *Msg) {
 	// DirkB: every core acknowledges every broadcast; no buffering (the
 	// directory awaits all cores, so withholding acks would deadlock).
 	c.s.stats.L2TagProbes++
-	if c.l2.peek(line) == Shared {
+	if c.mayHold(line) && c.l2.peek(line) == Shared {
 		c.invalidateLocal(line)
 	} else if pendSh {
 		// A grant sent before this broadcast may still arrive; mark it
@@ -420,6 +457,24 @@ func (c *Ctrl) invalidateLocal(line uint64) {
 	c.l2.invalidate(line)
 	c.l1.invalidate(line)
 	c.fireWaiters(line)
+	c.dropHolder(line)
+}
+
+// mayHold reads the core's holder bit for line: false means the core holds
+// no L2 copy of it and keeps no eviction record for it.
+func (c *Ctrl) mayHold(line uint64) bool { return c.grp.get(line)&c.bit != 0 }
+
+// dropHolder clears the core's holder bit for a line that has just left
+// its L2, unless an eviction entry (in flight, or acknowledged and
+// recorded) still makes a broadcast for the line the core's business.
+func (c *Ctrl) dropHolder(line uint64) {
+	if c.evicting[line] {
+		return
+	}
+	if _, ok := c.evictedAt[line]; ok {
+		return
+	}
+	c.grp.clear(line, c.bit)
 }
 
 // waitChange registers a wake-up for the next invalidation of addr's line.

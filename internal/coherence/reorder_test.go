@@ -269,9 +269,8 @@ func TestReorderEvictRaces(t *testing.T) {
 
 	// Core 10 becomes a sharer, then "evicts" the line.
 	load(t, k, s, p, 10, rAddr)
-	ctrl.l2.invalidate(line)
-	ctrl.l1.invalidate(line)
 	ctrl.evicting[line] = true
+	ctrl.invalidateLocal(line)
 	slice := s.SliceOf(line)
 	k.Schedule(0, func() {
 		s.send(10, s.Cfg.DirCore(slice), &Msg{Type: MsgEvictS, Line: line, From: 10, Slice: slice})
@@ -327,9 +326,8 @@ func TestReorderEvictBufferedDropped(t *testing.T) {
 	line := uint64(0x1000)
 
 	load(t, k, s, p, 10, rAddr)
-	ctrl.l2.invalidate(line)
-	ctrl.l1.invalidate(line)
 	ctrl.evicting[line] = true
+	ctrl.invalidateLocal(line)
 	k.Schedule(0, func() {
 		s.send(10, 0, &Msg{Type: MsgEvictS, Line: line, From: 10, Slice: 0})
 	})
@@ -379,9 +377,8 @@ func TestReorderEvictBufferedKeptForReRequest(t *testing.T) {
 
 			// Core 10 becomes a sharer, then evicts the line.
 			load(t, k, s, p, 10, rAddr)
-			ctrl.l2.invalidate(line)
-			ctrl.l1.invalidate(line)
 			ctrl.evicting[line] = true
+			ctrl.invalidateLocal(line)
 			k.Schedule(0, func() {
 				s.send(10, 0, &Msg{Type: MsgEvictS, Line: line, From: 10, Slice: 0})
 			})

@@ -67,8 +67,8 @@ type System struct {
 	ctrls  []*Ctrl
 	dirs   []*DirSlice
 	mems   []*mem.Controller
-	dirAt  []*DirSlice       // per core: the slice located there, or nil
-	memAt  []*mem.Controller // per core: the controller located there, or nil
+	dirAt  []*DirSlice // per core: the slice located there, or nil
+	memAt  []*memPort  // per core: the controller located there, or nil
 	stats  Stats
 	lineSz uint64
 }
@@ -79,12 +79,23 @@ func NewSystem(k *sim.Kernel, cfg *config.Config, net noc.Network) *System {
 	s := &System{
 		K: k, Cfg: cfg, Net: net, Vals: NewValueStore(),
 		dirAt:  make([]*DirSlice, cfg.Cores),
-		memAt:  make([]*mem.Controller, cfg.Cores),
+		memAt:  make([]*memPort, cfg.Cores),
 		lineSz: uint64(cfg.Caches.LineBytes),
 	}
 	s.ctrls = make([]*Ctrl, cfg.Cores)
 	for i := range s.ctrls {
 		s.ctrls[i] = newCtrl(s, i)
+	}
+	for cl := 0; cl < cfg.Clusters(); cl++ {
+		ids := cfg.ClusterCoreIDs(cl)
+		for len(ids) > 0 {
+			n := min(len(ids), 64)
+			g := newHolderGroup()
+			for i, core := range ids[:n] {
+				s.ctrls[core].grp, s.ctrls[core].bit = g, 1<<i
+			}
+			ids = ids[n:]
+		}
 	}
 	s.dirs = make([]*DirSlice, cfg.Caches.DirSlices)
 	for i := range s.dirs {
@@ -96,7 +107,7 @@ func NewSystem(k *sim.Kernel, cfg *config.Config, net noc.Network) *System {
 	for i := range s.mems {
 		core := cfg.MemCore(i)
 		s.mems[i] = mem.NewController(k, core, cfg.Memory.LatencyCycles, cfg.Caches.LineBytes, cfg.Memory.GBPerSec)
-		s.memAt[core] = s.mems[i]
+		s.memAt[core] = newMemPort(s, s.mems[i])
 	}
 	net.SetDeliver(s.onDeliver)
 	s.Partition(sim.SerialDomain(k, cfg.Cores))
@@ -234,12 +245,7 @@ func (s *System) onDeliver(dst int, nm *noc.Message) {
 	case MsgMemRsp:
 		s.dirAt[dst].handle(m)
 	case MsgMemRead:
-		mc := s.memAt[dst]
-		line, slice, from := m.Line, m.Slice, m.From
-		mc.Read(func() {
-			s.stats.MemReads++
-			s.send(mc.Core, from, &Msg{Type: MsgMemRsp, Line: line, From: mc.Core, Slice: slice})
-		})
+		s.memAt[dst].read(m)
 	case MsgMemWrite:
 		s.memAt[dst].Write()
 		s.stats.MemWrites++
@@ -250,6 +256,48 @@ func (s *System) onDeliver(dst int, nm *noc.Message) {
 		// ordering (Section IV-C1).
 		s.ctrls[dst].handleUnicast(m)
 	}
+}
+
+// memPort is one memory controller as the coherence layer drives it: the
+// line fetches it is serving, oldest first, in a ring, and the one
+// completion event they share (readFn, bound once). A controller finishes
+// its fetches in the order it took them — each starts after the one
+// before and pays the same latency — so every completion answers the
+// oldest fetch.
+type memPort struct {
+	*mem.Controller
+	s       *System
+	reads   []*Msg // ring of power-of-two length, reads[head] oldest
+	head, n int
+	readFn  func()
+}
+
+func newMemPort(s *System, mc *mem.Controller) *memPort {
+	p := &memPort{Controller: mc, s: s, reads: make([]*Msg, 1)}
+	p.readFn = p.readDone
+	return p
+}
+
+// read queues the fetch MsgMemRead m asks for.
+func (p *memPort) read(m *Msg) {
+	if p.n == len(p.reads) {
+		// Two copies of a full ring: the len(reads) slots from head on
+		// hold the queue in order, so head stays where it is.
+		p.reads = append(p.reads, p.reads...)
+	}
+	p.reads[(p.head+p.n)&(len(p.reads)-1)] = m
+	p.n++
+	p.Read(p.readFn)
+}
+
+// readDone answers the oldest fetch with the line.
+func (p *memPort) readDone() {
+	m := p.reads[p.head]
+	p.reads[p.head] = nil
+	p.head = (p.head + 1) & (len(p.reads) - 1)
+	p.n--
+	p.s.stats.MemReads++
+	p.s.send(p.Core, m.From, &Msg{Type: MsgMemRsp, Line: m.Line, From: p.Core, Slice: m.Slice})
 }
 
 // seqLE reports a <= b in wraparound (serial-number) arithmetic.

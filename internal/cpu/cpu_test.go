@@ -192,8 +192,8 @@ func computeOp(p *Proc) { p.Compute(1) }
 func l1HitLoad(p *Proc) { p.Load(0x100) }
 
 // The core's own per-op cost is zero objects: a Compute op allocates
-// nothing, and an L1-hit Load only the one completion closure that
-// coherence schedules.
+// nothing, and neither does an L1-hit Load, whose completion coherence
+// schedules through the controller's one bound completion event.
 func TestOpAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -201,7 +201,7 @@ func TestOpAllocBudget(t *testing.T) {
 		budget float64
 	}{
 		{"Compute", computeOp, 0},
-		{"L1HitLoad", l1HitLoad, 1},
+		{"L1HitLoad", l1HitLoad, 0},
 	} {
 		k := steadyState(t, tc.op)
 		if got := testing.AllocsPerRun(1000, func() { k.Step() }); got != tc.budget {
