@@ -42,7 +42,7 @@ cover-check:
 
 # The mesh router's per-hop helpers (DESIGN.md, "Mesh router hot path")
 # must inline: fails, naming each, if the compiler's -m report does not say
-# "can inline" for all twelve listed in scripts/inline_check.sh.
+# "can inline" for every one listed in scripts/inline_check.sh.
 inline-check:
 	GO=$(GO) bash scripts/inline_check.sh
 

@@ -324,11 +324,46 @@ func TestRouterInputFeedsTwoOutputsPerCycle(t *testing.T) {
 // TestFlitAndRouterSizes guards the hot path's footprint: every hop copies
 // a flit into the downstream ring, and a tick reads one router's state.
 func TestFlitAndRouterSizes(t *testing.T) {
-	if got := unsafe.Sizeof(flit{}); got > 24 {
-		t.Errorf("flit is %d bytes, want <= 24", got)
+	if got := unsafe.Sizeof(flit{}); got > 16 {
+		t.Errorf("flit is %d bytes, want <= 16", got)
 	}
 	if got := unsafe.Sizeof(router{}); got > 440 {
 		t.Errorf("router is %d bytes, want <= 440", got)
+	}
+}
+
+// TestFlitReadyAcrossWrap checks ready's serial-number comparison where
+// the clock's low 32 bits wrap: a flit visible from a cycle just past
+// 2^32 is not ready a cycle before it, and is from that cycle on, however
+// far the clock has run.
+func TestFlitReadyAcrossWrap(t *testing.T) {
+	for _, base := range []sim.Time{0, 1 << 32, 5 << 32} {
+		for _, vis := range []sim.Time{base + 1<<32 - 2, base + 1<<32 - 1, base + 1<<32, base + 1<<32 + 3} {
+			f := flit{vis: uint32(vis)}
+			for _, now := range []sim.Time{vis - 1<<30, vis - 2, vis - 1, vis, vis + 1, vis + 1<<30} {
+				if got, want := f.ready(now), now >= vis; got != want {
+					t.Errorf("flit visible from %#x: ready(%#x) = %v, want %v", vis, now, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestFlitBitsRoundTrip checks the packed port, marks and phase stay
+// apart: setting one leaves the others as they were.
+func TestFlitBitsRoundTrip(t *testing.T) {
+	for _, ph := range []mcPhase{phaseNone, phaseRow, phaseCol} {
+		for _, mark := range []uint8{0, markHead, markTail, markHead | markTail} {
+			for p := uint8(0); p < numPorts; p++ {
+				f := flit{bits: uint8(ph)<<phaseShift | mark}
+				f.setPort(numPorts - 1)
+				f.setPort(p)
+				if f.port() != int(p) || f.phase() != ph || f.head() != (mark&markHead != 0) || f.tail() != (mark&markTail != 0) {
+					t.Errorf("phase %d mark %#x port %d: read back port %d phase %d head %v tail %v",
+						ph, mark, p, f.port(), f.phase(), f.head(), f.tail())
+				}
+			}
+		}
 	}
 }
 

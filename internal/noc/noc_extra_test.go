@@ -186,7 +186,7 @@ func TestRouteProgressProperty(t *testing.T) {
 	f := func(srcRaw, dstRaw uint8) bool {
 		src, dst := int(srcRaw)%64, int(dstRaw)%64
 		r := m.enet.routers[src]
-		out := r.route(int16(dst%8), int16(dst/8))
+		out := r.route(uint8(dst%8), uint8(dst/8))
 		if src == dst || out == portLocal {
 			return src == dst && out == portLocal
 		}

@@ -18,7 +18,8 @@ var fuzzKinds = []config.NetworkKind{
 }
 
 // fuzzConfig maps FuzzConfigRuns' typed inputs onto a machine of at most
-// 64 cores: a mesh dimension of 1..8, a cluster dimension of 1 up to the
+// 64 cores: a mesh dimension of 1..8 (far inside config.MaxMeshDim, so the
+// width check never decides), a cluster dimension of 1 up to the
 // mesh dimension, one directory slice and memory controller per cluster,
 // RThres half the mesh dimension, router and link delays of 0..15, the
 // four short latencies of -8..23 cycles, a memory latency of -8..247,

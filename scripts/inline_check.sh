@@ -13,6 +13,7 @@ want=(
   '(*router).qpush' '(*router).qpop' '(*router).qfront'
   '(*router).foldCredits' '(*router).pushCredit' '(*router).wake' '(*router).route'
   '(*flitRing).push' '(*flitRing).pop' '(*flitRing).front'
+  '(*flit).ready' '(*flit).head' '(*flit).tail' '(*flit).port' '(*flit).setPort' '(*flit).phase'
   'sign' 'rrPick'
 )
 
