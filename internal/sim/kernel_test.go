@@ -498,6 +498,29 @@ func (k *Kernel) bucketArrays() (arrays, bytes int) {
 	return arrays, bytes
 }
 
+// TestSpareListBounded: a burst that makes twice maxSpare buckets live at
+// once drains into a spare list of maxSpare arrays, and a larger array
+// drained onto the full list takes the top's place, where the next
+// outgrown bucket finds it.
+func TestSpareListBounded(t *testing.T) {
+	var k Kernel
+	nop := func() {}
+	for c := Time(1); c <= 2*maxSpare; c++ {
+		k.At(c, nop)
+	}
+	k.RunAll()
+	if n := len(k.spare); n != maxSpare {
+		t.Fatalf("spare list holds %d arrays after the burst, want %d", n, maxSpare)
+	}
+	for i := 0; i < 100; i++ {
+		k.Schedule(1, nop)
+	}
+	k.RunAll()
+	if n, top := len(k.spare), cap(k.spare[len(k.spare)-1]); n != maxSpare || top < 100 {
+		t.Errorf("spare list holds %d arrays, top of %d slots; want %d, top of at least 100", n, top, maxSpare)
+	}
+}
+
 func TestFarAtAllocatesNothing(t *testing.T) {
 	// Once the heap's array and one bucket array exist, a far event costs
 	// no allocation: not at At, not at the fold into its bucket, and not
