@@ -5,6 +5,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/config"
@@ -21,7 +22,10 @@ var update = flag.Bool("update", false, "rewrite testdata/cost_golden.json")
 const costGolden = "testdata/cost_golden.json"
 
 // TestCostGolden pins how many kernel events a 64-core radix run executes
-// on each of the six network kinds, plus one fault-injected ATAC+ run
+// on each of the six network kinds, plus one fault-injected ATAC+ run and
+// four ATAC+ runs through the other protocol cases: barnes (whose
+// broadcasts race its shared requests, so ACKwise buffers some), radix and
+// barnes under DirKB, and barnes on 2 KB L1 and 8 KB L2 caches, which evict
 // (testdata/cost_golden.json). A change that only makes event handlers
 // cheaper — fewer allocations, fewer probes, a smaller flit — leaves every
 // count equal; one that adds, drops or merges a Schedule/At/Post moves one,
@@ -37,9 +41,20 @@ func TestCostGolden(t *testing.T) {
 		config.ATACPlus, config.Corona, config.HybridMesh} {
 		runs = append(runs, run{fmt.Sprintf("radix/64/%v", kind), config.Sized(64, 4).WithNetwork(kind)})
 	}
-	faulty := config.Sized(64, 4).WithNetwork(config.ATACPlus)
+	atac := config.Sized(64, 4).WithNetwork(config.ATACPlus)
+	faulty := atac
 	faulty.Fault = config.DefaultFault()
-	runs = append(runs, run{"radix/64/ATAC+/faults", faulty})
+	dirKB := atac
+	dirKB.Coherence.Kind = config.DirKB
+	small := atac
+	small.Caches.L1DKB, small.Caches.L2KB = 2, 8
+	runs = append(runs,
+		run{"radix/64/ATAC+/faults", faulty},
+		run{"barnes/64/ATAC+", atac},
+		run{"radix/64/ATAC+/DirKB", dirKB},
+		run{"barnes/64/ATAC+/DirKB", dirKB},
+		run{"barnes/64/ATAC+/L1-2KB/L2-8KB", small},
+	)
 
 	got := map[string]uint64{}
 	for _, r := range runs {
@@ -47,14 +62,18 @@ func TestCostGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		spec, err := WorkloadFor(r.cfg, "radix", 1)
+		spec, err := WorkloadFor(r.cfg, strings.Split(r.name, "/")[0], 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var events uint64
 		s.K.SetPoll(1, func() error { events++; return nil })
-		if _, err := s.Run(spec, 0); err != nil {
+		res, err := s.Run(spec, 0)
+		if err != nil {
 			t.Fatalf("%s: %v", r.name, err)
+		}
+		if r.name == "barnes/64/ATAC+" && res.Coh.ReorderBufferedBcast == 0 {
+			t.Errorf("%s buffered no broadcast: the row no longer covers the reorder buffer", r.name)
 		}
 		got[r.name] = events
 	}
