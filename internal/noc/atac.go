@@ -50,7 +50,7 @@ func NewAtac(k *sim.Kernel, cfg *config.Config) *Atac {
 	a := &Atac{}
 	a.setup(cfg, false, pairFIFO)
 	a.atHub = func(core int, m *Message) {
-		h := a.hubs[cfg.ClusterOf(core)]
+		h := a.hubs[a.clusterOf[core]]
 		h.f.stats.HubFlits += uint64(m.flits)
 		h.tx.push(m, h.id)
 	}
@@ -106,7 +106,7 @@ func (a *Atac) Send(m *Message) {
 		a.sendSelf(m)
 		return
 	}
-	srcCl, dstCl := a.Cfg.ClusterOf(m.Src), a.Cfg.ClusterOf(m.Dst)
+	srcCl, dstCl := a.clusterOf[m.Src], a.clusterOf[m.Dst]
 	useONet := false
 	if srcCl != dstCl {
 		switch a.Cfg.Network.Routing {
@@ -139,7 +139,7 @@ func (a *Atac) Send(m *Message) {
 // to the hub. The hub shares the source core's shard (clusters are never
 // split), so the pendingTX increment stays shard-local.
 func (a *Atac) sendViaHub(m *Message) {
-	cl := a.Cfg.ClusterOf(m.Src)
+	cl := a.clusterOf[m.Src]
 	a.pendingTX[cl]++
 	a.fabric.sendViaHub(m, a.Cfg.HubCore(cl))
 }
@@ -195,7 +195,7 @@ func (h *hub) transmit(r *transfer) (sim.Time, bool) {
 	switch {
 	case r.retx > 0:
 	case m.Dst != BroadcastDst:
-		cl := cfg.ClusterOf(m.Dst)
+		cl := h.a.clusterOf[m.Dst]
 		to = h.a.hubs[cl : cl+1]
 	default:
 		to = h.a.hubs

@@ -51,7 +51,7 @@ func NewCrossbar(k *sim.Kernel, cfg *config.Config) *Crossbar {
 	}
 	x := &Crossbar{}
 	x.setup(cfg, false, false)
-	x.atHub = func(core int, m *Message) { x.request(x.hubs[cfg.ClusterOf(core)], m) }
+	x.atHub = func(core int, m *Message) { x.request(x.hubs[x.clusterOf[core]], m) }
 	x.bind(sim.SerialDomain(k, cfg.MeshDim()*cfg.MeshDim()))
 	x.hubs = make([]*clusterPort, cfg.Clusters())
 	x.chans = make([]*xchan, cfg.Clusters())
@@ -71,13 +71,13 @@ func NewCrossbar(k *sim.Kernel, cfg *config.Config) *Crossbar {
 // Send implements Network.
 func (x *Crossbar) Send(m *Message) {
 	x.admit(m)
-	srcCl := x.Cfg.ClusterOf(m.Src)
+	srcCl := x.clusterOf[m.Src]
 	switch {
 	case m.Dst == BroadcastDst:
 		x.sendViaHub(m, x.Cfg.HubCore(srcCl))
 	case m.Dst == m.Src:
 		x.sendSelf(m)
-	case srcCl == x.Cfg.ClusterOf(m.Dst):
+	case srcCl == x.clusterOf[m.Dst]:
 		x.enet.Send(m)
 	default:
 		x.sendViaHub(m, x.Cfg.HubCore(srcCl))
@@ -95,7 +95,7 @@ func (x *Crossbar) Send(m *Message) {
 func (x *Crossbar) request(h *clusterPort, m *Message) {
 	x.stats.HubFlits += uint64(m.flits)
 	if m.Dst != BroadcastDst {
-		x.chans[x.Cfg.ClusterOf(m.Dst)].push(m, h.id)
+		x.chans[x.clusterOf[m.Dst]].push(m, h.id)
 		return
 	}
 	for cl := range x.chans {

@@ -30,6 +30,9 @@ type fabric struct {
 
 	enet    *Mesh
 	deliver DeliverFunc
+	// clusterOf[core] is Cfg.ClusterOf(core), built once by setup: the
+	// optical fabrics read a message's clusters on every send.
+	clusterOf []int
 	// atHub is what the fabric does with a message that has reached an
 	// optical endpoint's core on the hub leg (sendViaHub) — enqueue it for
 	// transmission, split it into channel requests — the one step of that
@@ -77,6 +80,10 @@ func (f *fabric) setup(cfg *config.Config, multicast, pairFIFO bool) {
 	f.Cfg, f.pairFIFO = cfg, pairFIFO
 	f.enet = newMesh(cfg.MeshDim(), n.FlitBits, n.BufFlits, n.RouterDelay, n.LinkDelay, multicast)
 	f.enet.deliver = f.enetDeliver
+	f.clusterOf = make([]int, cfg.Cores)
+	for core := range f.clusterOf {
+		f.clusterOf[core] = cfg.ClusterOf(core)
+	}
 }
 
 // bind (re)binds the base onto a shard domain, before the first Send:
