@@ -40,9 +40,10 @@ cover:
 cover-check:
 	GO=$(GO) COVER=$(COVER) bash scripts/cover_check.sh
 
-# The mesh router's per-hop helpers (DESIGN.md, "Mesh router hot path")
-# must inline: fails, naming each, if the compiler's -m report does not say
-# "can inline" for every one listed in scripts/inline_check.sh.
+# The mesh router's per-hop helpers (DESIGN.md, "Mesh router hot path") and
+# the coherence controller's hot helpers must inline: fails, naming each, if
+# the compiler's -m report does not say "can inline" for every one listed in
+# scripts/inline_check.sh.
 inline-check:
 	GO=$(GO) bash scripts/inline_check.sh
 
