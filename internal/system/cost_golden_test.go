@@ -9,6 +9,9 @@ import (
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/noc"
+	"repro/internal/sim"
+	"repro/internal/traffic"
 )
 
 // update rewrites testdata/cost_golden.json:
@@ -26,7 +29,12 @@ const costGolden = "testdata/cost_golden.json"
 // four ATAC+ runs through the other protocol cases: barnes (whose
 // broadcasts race its shared requests, so ACKwise buffers some), radix and
 // barnes under DirKB, and barnes on 2 KB L1 and 8 KB L2 caches, which evict
-// (testdata/cost_golden.json). A change that only makes event handlers
+// (testdata/cost_golden.json). Three more rows cover the mesh's broadcast
+// and self-send hand-offs: barnes on EMesh-Pure (serialized broadcasts) and
+// on the hybrid (the source core's copy of a mesh broadcast), and one
+// synthetic point driven through traffic.Drive as a netsweep runs it:
+// uniform traffic with 0.1 % broadcasts on a 256-core EMesh-BCast, whose
+// uniform destinations include the source core itself. A change that only makes event handlers
 // cheaper — fewer allocations, fewer probes, a smaller flit — leaves every
 // count equal; one that adds, drops or merges a Schedule/At/Post moves one,
 // even where every result counter stays put. The count comes from a poll
@@ -54,10 +62,17 @@ func TestCostGolden(t *testing.T) {
 		run{"radix/64/ATAC+/DirKB", dirKB},
 		run{"barnes/64/ATAC+/DirKB", dirKB},
 		run{"barnes/64/ATAC+/L1-2KB/L2-8KB", small},
+		run{"barnes/64/EMesh-Pure", config.Sized(64, 4).WithNetwork(config.EMeshPure)},
+		run{"barnes/64/Hybrid", config.Sized(64, 4).WithNetwork(config.HybridMesh)},
+		run{"synth:uniform/256/EMesh-BCast/load0.05/bcast0.001", config.Sized(256, 4).WithNetwork(config.EMeshBCast)},
 	)
 
 	got := map[string]uint64{}
 	for _, r := range runs {
+		if strings.HasPrefix(r.name, "synth:") {
+			got[r.name] = synthEvents(t, r.cfg)
+			continue
+		}
 		s, err := New(r.cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -104,4 +119,27 @@ func TestCostGolden(t *testing.T) {
 			t.Errorf("%s: %d events, want %d", name, g, w)
 		}
 	}
+}
+
+// synthEvents counts the kernel events of one synthetic point on cfg's
+// fabric: uniform traffic with 0.1 % broadcasts at load 0.05, 2000 warm-up
+// and 2000 measured cycles, seed 42.
+func synthEvents(t *testing.T, cfg config.Config) uint64 {
+	t.Helper()
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	var k sim.Kernel
+	net, err := noc.New(&k, &cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events uint64
+	k.SetPoll(1, func() error { events++; return nil })
+	p := traffic.Uniform{Cores: cfg.Cores, BcastFrac: 0.001}
+	res := traffic.Drive(&k, net, cfg.Cores, p, 0.05, cfg.Network.FlitBits, 2000, 2000, 20000, 42)
+	if res.Delivered == 0 || res.Delivered < res.Injected {
+		t.Fatalf("synthetic point delivered %d of %d messages", res.Delivered, res.Injected)
+	}
+	return events
 }
