@@ -102,10 +102,6 @@ func (a *Atac) Send(m *Message) {
 		a.sendViaHub(m)
 		return
 	}
-	if m.Dst == m.Src {
-		a.sendSelf(m)
-		return
-	}
 	srcCl, dstCl := a.clusterOf[m.Src], a.clusterOf[m.Dst]
 	useONet := false
 	if srcCl != dstCl {
@@ -131,7 +127,7 @@ func (a *Atac) Send(m *Message) {
 	if useONet && !a.rerouted(srcCl, m) {
 		a.sendViaHub(m)
 	} else {
-		a.enet.Send(m)
+		a.sendOnMesh(m)
 	}
 }
 

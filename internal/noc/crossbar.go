@@ -68,20 +68,16 @@ func NewCrossbar(k *sim.Kernel, cfg *config.Config) *Crossbar {
 	return x
 }
 
-// Send implements Network.
+// Send implements Network: a unicast within its cluster rides the ENet,
+// everything else the source cluster's hub.
 func (x *Crossbar) Send(m *Message) {
 	x.admit(m)
 	srcCl := x.clusterOf[m.Src]
-	switch {
-	case m.Dst == BroadcastDst:
-		x.sendViaHub(m, x.Cfg.HubCore(srcCl))
-	case m.Dst == m.Src:
-		x.sendSelf(m)
-	case srcCl == x.clusterOf[m.Dst]:
-		x.enet.Send(m)
-	default:
-		x.sendViaHub(m, x.Cfg.HubCore(srcCl))
+	if m.Dst != BroadcastDst && srcCl == x.clusterOf[m.Dst] {
+		x.sendOnMesh(m)
+		return
 	}
+	x.sendViaHub(m, x.Cfg.HubCore(srcCl))
 }
 
 // request splits a packet arriving at source hub h into home-channel
@@ -100,7 +96,7 @@ func (x *Crossbar) request(h *clusterPort, m *Message) {
 	}
 	for cl := range x.chans {
 		if cl == h.id {
-			x.scheduleRX(h, x.K.Now()+1, m)
+			x.landAt(x.K, x.K.Now()+1, h, m, true)
 			continue
 		}
 		x.chans[cl].push(m, h.id)
@@ -149,15 +145,7 @@ func (c *xchan) transmit(r *transfer) (sim.Time, bool) {
 	x.stats.XbarFlits += uint64(n)
 	failed := w.reception(n, r.retx)
 	if !failed {
-		x.scheduleRX(x.hubs[c.home], x.K.Now()+1+sim.Time(x.Cfg.Network.ONetLinkDelay), r.m)
+		x.landAt(x.K, x.K.Now()+1+sim.Time(x.Cfg.Network.ONetLinkDelay), x.hubs[c.home], r.m, true)
 	}
 	return sim.Time(n), failed
-}
-
-// scheduleRX books an optical arrival on hub h's receive networks at
-// absolute time 'at', as a pooled landing (no closure per transfer). The
-// crossbar is never partitioned, so arrivals need no canonical staging:
-// same-cycle ones book in schedule order.
-func (x *Crossbar) scheduleRX(h *clusterPort, at sim.Time, m *Message) {
-	x.K.At(at, x.landing(h, m, true).run)
 }

@@ -58,7 +58,7 @@ type fabric struct {
 	// jobs (test hook for Drained).
 	outstanding int
 
-	// landings is the free list of the cluster ports' receive-side events
+	// landings is the free list of the fabric's pooled hand-off events
 	// (landing). Shards run one after another on one goroutine, so one
 	// list serves every shard.
 	landings *landing
@@ -199,9 +199,26 @@ func (f *fabric) rerouted(ch int, m *Message) bool {
 	return true
 }
 
-// sendSelf delivers a self-addressed unicast on the next cycle.
-func (f *fabric) sendSelf(m *Message) {
-	f.d.K(m.Src).Schedule(1, func() { f.deliverCore(m.Dst, m) })
+// sendOnMesh is the one ENet send from m's source core. A self-addressed
+// unicast, and a broadcast's copy for its source core, land there on the
+// next cycle (landAtSource), booked before the broadcast's worms; the mesh
+// carries everything else.
+func (f *fabric) sendOnMesh(m *Message) {
+	switch m.Dst {
+	case m.Src:
+		f.landAtSource(m)
+		return
+	case BroadcastDst:
+		f.landAtSource(m)
+	}
+	f.enet.Send(m)
+}
+
+// landAtSource hands m over at its source core on the next cycle, where
+// enetDeliver ends it: in atHub on a hub leg, else in a core delivery.
+func (f *fabric) landAtSource(m *Message) {
+	k := f.d.K(m.Src)
+	f.landAt(k, k.Now()+1, nil, m, false)
 }
 
 // sendViaHub starts m's hub leg to the optical endpoint hosted at core hub:
@@ -210,7 +227,8 @@ func (f *fabric) sendSelf(m *Message) {
 // in atHub, on the shard owning hub.
 func (f *fabric) sendViaHub(m *Message, hub int) {
 	if m.Src == hub {
-		f.d.K(hub).Schedule(1, func() { f.atHub(hub, m) })
+		m.viaHub = true
+		f.landAtSource(m)
 		return
 	}
 	f.sendVia(m, m.Src, hub)
@@ -236,7 +254,8 @@ func (f *fabric) enetDeliver(dst int, m *Message) {
 }
 
 // deliverCore runs on the shard owning dst (every path that reaches it —
-// self-delivery, ENet ejection, receive-network fan-out — executes there).
+// a landing at the source core, ENet ejection, receive-network fan-out —
+// executes there).
 func (f *fabric) deliverCore(dst int, m *Message) {
 	if f.pairFIFO && m.pairSeq != 0 {
 		k := pairKey{m.Src, m.Dst}
@@ -575,45 +594,52 @@ func newClusterPort(f *fabric, cluster int) clusterPort {
 	}
 }
 
-// landing is one receive-side event of a cluster port: an optical arrival
-// reaching the hub (Corona's scheduleRX: rx set), or a receive-network
-// transfer reaching the cores (receive). A record comes off the fabric's
-// free list with its event, run, bound once, and goes back on it as the
-// event starts, so an arrival allocates nothing; the At call that
-// schedules it is the one a closure would have taken.
+// landing is one pooled hand-off event of the fabric: a message reaching
+// its source core on the next cycle (no port: a self-send, a broadcast's
+// source copy or a hub leg that starts at the hub's own core), an optical
+// arrival reaching a cluster hub (rx set: Corona's home channels), or a
+// receive-network transfer reaching the cluster's cores (receive). A
+// record comes off its fabric's free list with its event, run, bound
+// once, and goes back on it as the event starts, so a hand-off allocates
+// nothing; the At call that schedules it is the one a closure would have
+// taken.
 type landing struct {
-	p    *clusterPort
+	f    *fabric
+	p    *clusterPort // nil: a hand-off at the message's source core
 	m    *Message
 	rx   bool
 	run  func() // l.land, bound once
 	next *landing
 }
 
-// landing takes a record off the free list for m at port p and counts it
+// landAt books m's landing at port p (nil: at its source core) for
+// absolute time at on kernel k, with a record off the free list, counted
 // in flight until it lands.
-func (f *fabric) landing(p *clusterPort, m *Message, rx bool) *landing {
+func (f *fabric) landAt(k *sim.Kernel, at sim.Time, p *clusterPort, m *Message, rx bool) {
 	l := f.landings
 	if l == nil {
-		l = &landing{}
+		l = &landing{f: f}
 		l.run = l.land
 	} else {
 		f.landings = l.next
 	}
 	l.p, l.m, l.rx = p, m, rx
 	f.outstanding++
-	return l
+	k.At(at, l.run)
 }
 
 // land puts the record back on the free list and lands its message: at
-// the hub's receive networks (rx), or at every core of the cluster for a
-// broadcast and at its destination for a unicast.
+// its source core through enetDeliver (no port), at the hub's receive
+// networks (rx), or at every core of the cluster for a broadcast and at
+// its destination for a unicast.
 func (l *landing) land() {
-	p, m, rx := l.p, l.m, l.rx
-	f := p.f
+	f, p, m, rx := l.f, l.p, l.m, l.rx
 	l.p, l.m, l.next = nil, nil, f.landings
 	f.landings = l
 	f.outstanding--
 	switch {
+	case p == nil:
+		f.enetDeliver(m.Src, m)
 	case rx:
 		p.receive(m)
 	case m.Dst == BroadcastDst:
@@ -660,5 +686,5 @@ func (p *clusterPort) receive(m *Message) {
 		p.f.stats.StarUniFlits += uint64(n)
 	}
 
-	p.k.At(done, f.landing(p, m, false).run)
+	f.landAt(p.k, done, p, m, false)
 }

@@ -72,21 +72,15 @@ func (h *Hybrid) Partition(d *sim.Domain) {
 // Send implements Network. Runs on the shard owning m.Src.
 func (h *Hybrid) Send(m *Message) {
 	h.admit(m)
-	if m.Dst == BroadcastDst {
-		h.enet.Send(m)
-		return
+	if m.Dst != BroadcastDst {
+		srcGW, dstGW := h.Cfg.GatewayOf(m.Src), h.Cfg.GatewayOf(m.Dst)
+		express := srcGW != dstGW && h.Cfg.Distance(m.Src, m.Dst) >= h.Cfg.Network.RThres
+		if express && !h.rerouted(srcGW, m) {
+			h.sendViaHub(m, h.Cfg.GatewayCore(srcGW))
+			return
+		}
 	}
-	if m.Dst == m.Src {
-		h.sendSelf(m)
-		return
-	}
-	srcGW, dstGW := h.Cfg.GatewayOf(m.Src), h.Cfg.GatewayOf(m.Dst)
-	express := srcGW != dstGW && h.Cfg.Distance(m.Src, m.Dst) >= h.Cfg.Network.RThres
-	if express && !h.rerouted(srcGW, m) {
-		h.sendViaHub(m, h.Cfg.GatewayCore(srcGW))
-	} else {
-		h.enet.Send(m)
-	}
+	h.sendOnMesh(m)
 }
 
 // atGateway ends a sendVia mesh leg at core. A leg ending at the message's

@@ -79,8 +79,9 @@ type flit struct {
 	vis uint32
 
 	// Column and row of the core the worm is routed to, computed once per
-	// worm: a unicast's destination (msg.Dst, or the hub of a sendVia
-	// leg), or the mesh-edge core a multicast row or column worm runs to.
+	// worm: a unicast's destination (msg.Dst, the hub of a sendVia leg,
+	// or one core of an EMesh-Pure broadcast), or the mesh-edge core a
+	// multicast row or column worm runs to.
 	// A mesh is at most config.MaxMeshDim wide (newMesh, Validate).
 	dx, dy uint8
 
@@ -127,7 +128,7 @@ func (e *EMesh) Partition(d *sim.Domain) { e.bind(d) }
 // Send implements Network. It runs on the shard owning m.Src.
 func (e *EMesh) Send(m *Message) {
 	e.admit(m)
-	e.enet.Send(m)
+	e.sendOnMesh(m)
 }
 
 // Mesh is a dim x dim wormhole-routed electrical mesh with XY dimension-
@@ -228,41 +229,30 @@ func (m *Mesh) Partition(d *sim.Domain, st *Stats) {
 	}
 }
 
-// Send carries msg from msg.Src to its destination and hands it to the
-// owner's deliver there: a self-addressed message on the next cycle, a
-// unicast as one worm, a broadcast as a local copy plus the multicast tree
-// or one serialized unicast per other core. It runs on the source tile's
-// shard kernel — senders (cores, directories, hubs) always inject from
-// their own tile's events, so everything Send touches is shard-local.
-// msg arrives admitted: its flit count is set.
+// Send carries msg from msg.Src to every core it is addressed to but its
+// source, and hands it to the owner's deliver there: a unicast as one worm,
+// a broadcast as the multicast tree or one serialized unicast worm per
+// other core. The owner hands a self-addressed message and a broadcast's
+// copy for its source core over itself (fabric.sendOnMesh). It runs on the
+// source tile's shard kernel — senders (cores, directories, hubs) always
+// inject from their own tile's events, so everything Send touches is
+// shard-local. msg arrives admitted: its flit count is set.
 func (m *Mesh) Send(msg *Message) {
 	src := m.routers[msg.Src]
-	if msg.Dst == BroadcastDst {
-		// Local copy to the source core.
-		src.k.Schedule(1, func() { m.deliver(msg.Src, msg) })
-		if m.Multicast {
-			src.spawnRowAndCols(msg)
-		} else {
-			// EMesh-Pure: one serialized unicast per other core. Each
-			// clone shares the payload but carries a concrete
-			// destination so XY routing works; origBcast keeps the
-			// receiver-side traffic-mix statistics honest.
-			for d := 0; d < m.Dim*m.Dim; d++ {
-				if d != msg.Src {
-					c := *msg
-					c.Dst = d
-					c.origBcast = true
-					src.enqueueWorm(&c, phaseNone, d)
-				}
+	switch {
+	case msg.Dst != BroadcastDst:
+		src.enqueueWorm(msg, phaseNone, msg.Dst)
+	case m.Multicast:
+		src.spawnRowAndCols(msg)
+	default:
+		// EMesh-Pure: each worm carries the broadcast itself, since a worm
+		// routes on its flits' dx/dy, never on msg.Dst.
+		for d := range m.routers {
+			if d != msg.Src {
+				src.enqueueWorm(msg, phaseNone, d)
 			}
 		}
-		return
 	}
-	if msg.Dst == msg.Src {
-		src.k.Schedule(1, func() { m.deliver(msg.Dst, msg) })
-		return
-	}
-	src.enqueueWorm(msg, phaseNone, msg.Dst)
 }
 
 // sendVia carries msg from core 'from' to core 'via' as a unicast worm,
@@ -623,7 +613,8 @@ func (r *router) tick() {
 		// Multicast worms deliver a local copy and spawn column worms as
 		// their tail passes through each router they arrive at. Worms do
 		// not fire side effects at their origin router (inp == portLocal):
-		// the source's delivery and spawning happened at Send time.
+		// the source spawned its worms at Send time, and its owner hands
+		// the source core's copy over itself.
 		arrived := inp != portLocal
 		if out == portLocal {
 			r.ejectFlit(f, arrived)

@@ -42,6 +42,31 @@ func TestMeshUnicastDelivery(t *testing.T) {
 	}
 }
 
+// TestMeshDrainedSeesFlitOnLink: a flit that has left its router but not
+// yet landed downstream (a 4-cycle link) counts as traffic in the mesh.
+func TestMeshDrainedSeesFlitOnLink(t *testing.T) {
+	var k sim.Kernel
+	m := NewMesh(&k, 2, 64, 4, 1, 4, false)
+	c := newCollector(m)
+	m.Send(&Message{Src: 0, Dst: 1, Bits: 64})
+	src, dst := m.enet.routers[0], m.enet.routers[1]
+	for src.occ != 0 {
+		if !k.Step() {
+			t.Fatal("kernel ran dry before the flit left its source router")
+		}
+	}
+	if dst.occ == 0 || dst.landed != 0 {
+		t.Fatalf("flit not on the link: downstream occ %b, landed %d", dst.occ, dst.landed)
+	}
+	if m.ENet().Drained() || m.Drained() {
+		t.Fatal("Drained with a flit on a link")
+	}
+	k.RunAll()
+	if len(c.got[1]) != 1 || !m.Drained() {
+		t.Fatalf("%d deliveries at core 1, drained %v", len(c.got[1]), m.Drained())
+	}
+}
+
 func TestMeshZeroLoadLatency(t *testing.T) {
 	var k sim.Kernel
 	m := newTestMesh(&k, 8, false)

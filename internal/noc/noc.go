@@ -9,8 +9,10 @@
 // All networks implement the Network interface; the coherence layer and the
 // synthetic-traffic harness (Fig 3) use networks through it exclusively.
 // Every kind is built on one base (fabric.go) that admits, counts and
-// delivers messages; the mesh under it (Mesh) is a flit transport only, so
-// the two EMesh kinds are that base with no optical endpoint (EMesh).
+// delivers messages, and hands one over at its source core itself (a
+// self-send, a broadcast's source copy); the mesh under it (Mesh) is a flit
+// transport only, so the two EMesh kinds are that base with no optical
+// endpoint (EMesh).
 // Every model is flit-accurate: wormhole flow control with credit-based
 // back-pressure and a single virtual channel, per Table I. Endpoint
 // ejection always drains into unbounded protocol queues, which keeps the
@@ -29,7 +31,9 @@ import (
 const BroadcastDst = -1
 
 // Message is one network transaction. A broadcast (Dst == BroadcastDst) is
-// delivered once to every core, including the sender's.
+// delivered once to every core, including the sender's; every delivery
+// hands over the Message itself, so a broadcast's receivers share one and
+// none may change it.
 type Message struct {
 	Src, Dst int
 	Bits     int // total size incl. header; flit count derives from this
@@ -39,21 +43,18 @@ type Message struct {
 	// pairSeq is the per-(src,dst) sequence number an optical fabric's
 	// reorder CAM restores FIFO delivery from (0 = unsequenced).
 	pairSeq uint64
-	// viaHub marks a message on an optical fabric's internal ENet leg to
-	// an endpoint's core (fabric.sendVia); cleared when the leg ends.
+	// viaHub marks a message on an optical fabric's internal leg to an
+	// endpoint's core (fabric.sendVia, or sendViaHub's landing when the
+	// source core hosts the endpoint); cleared when the leg ends.
 	viaHub bool
-	// origBcast marks per-destination clones of a serialized broadcast
-	// (EMesh-Pure) so receiver-side traffic statistics stay correct.
-	origBcast bool
 	// flits is the message's one flit count, set by admit from Bits and
 	// read by every mesh worm, optical transfer and receiver that carries
-	// it (it fits the bools' padding).
+	// it (it fits the bool's padding).
 	flits int32
 }
 
-// IsBroadcast reports whether this delivery belongs to a logical broadcast,
-// including serialized per-destination clones on EMesh-Pure.
-func (m *Message) IsBroadcast() bool { return m.Dst == BroadcastDst || m.origBcast }
+// IsBroadcast reports whether m is addressed to every core.
+func (m *Message) IsBroadcast() bool { return m.Dst == BroadcastDst }
 
 // DeliverFunc receives a message at core dst. For broadcasts it is invoked
 // once per core.
