@@ -1,6 +1,7 @@
 package coherence
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -296,6 +297,20 @@ func TestACKwiseBroadcastAcksFromSharersOnly(t *testing.T) {
 // keep every core contending, hundreds make a 1 KB cache evict.
 func randomStress(t *testing.T, k *sim.Kernel, s *System, seed int64, nops, lines int) {
 	t.Helper()
+	if completed := stressRun(k, s, seed, nops, lines); completed != s.Cfg.Cores*nops {
+		t.Fatalf("completed %d of %d accesses", completed, s.Cfg.Cores*nops)
+	}
+	if !s.Quiesced() {
+		t.Fatal("not quiesced")
+	}
+	checkSingleWriter(t, s)
+}
+
+// stressRun is randomStress's workload without its checks: every core
+// issues nops random loads, stores and RMWs over the given number of
+// lines, each when its previous one completes, and the kernel runs dry.
+// It returns how many accesses completed.
+func stressRun(k *sim.Kernel, s *System, seed int64, nops, lines int) int {
 	rng := rand.New(rand.NewSource(seed))
 	completed := 0
 	for c := 0; c < s.Cfg.Cores; c++ {
@@ -321,13 +336,7 @@ func randomStress(t *testing.T, k *sim.Kernel, s *System, seed int64, nops, line
 		k.Schedule(sim.Time(rng.Intn(10)), func() { step(nops) })
 	}
 	k.RunAll()
-	if completed != s.Cfg.Cores*nops {
-		t.Fatalf("completed %d of %d accesses", completed, s.Cfg.Cores*nops)
-	}
-	if !s.Quiesced() {
-		t.Fatal("not quiesced")
-	}
-	checkSingleWriter(t, s)
+	return completed
 }
 
 // checkSingleWriter verifies the MSI invariant across all caches at
@@ -393,6 +402,75 @@ func TestRandomStressATACSmallCache(t *testing.T) {
 func TestRandomStressDirKBATAC(t *testing.T) {
 	k, s := atacFixture(t, func(c *config.Config) { c.Coherence.Kind = config.DirKB })
 	randomStress(t, k, s, 5, 40, 4)
+}
+
+// TestACKwiseStressStalls pins a known ACKwise deadlock as an expected-
+// failure list: 120 stress runs (EMesh-BCast and ATAC+, 32, 128 and 256
+// lines, seeds 1-20; one sharer pointer, 1 KB L1 and L2, 60 accesses per
+// core), of which exactly the listed ones stall. Every stall has one
+// shape: a core evicting line L holds a broadcast for L buffered until
+// its EvictAck, while its EvictS waits in L's directory queue behind the
+// busy transaction that broadcast belongs to, which waits for that core's
+// ack. A protocol change that mends the deadlock, or stalls another run,
+// fails here and updates the list with the evidence.
+func TestACKwiseStressStalls(t *testing.T) {
+	want := map[string][]int64{
+		"mesh/128":  {1, 7, 9, 13, 14, 17, 19},
+		"mesh/256":  {2, 6, 9, 11, 13, 18, 19, 20},
+		"ATAC+/128": {1, 8, 9, 11, 14},
+		"ATAC+/256": {1, 3, 5, 11, 12, 17},
+	}
+	got := map[string][]int64{}
+	for _, atac := range []bool{false, true} {
+		net, build := "mesh", fixture
+		if atac {
+			net, build = "ATAC+", atacFixture
+		}
+		for _, lines := range []int{32, 128, 256} {
+			name := fmt.Sprintf("%s/%d", net, lines)
+			for seed := int64(1); seed <= 20; seed++ {
+				k, s := build(t, func(c *config.Config) {
+					c.Coherence.Kind = config.ACKwise
+					c.Coherence.Sharers = 1
+					c.Caches.L1DKB = 1
+					c.Caches.L2KB = 1
+				})
+				if stressRun(k, s, seed, 60, lines) == s.Cfg.Cores*60 {
+					continue
+				}
+				got[name] = append(got[name], seed)
+				if !evictBcastDeadlock(s) {
+					t.Errorf("%s seed %d stalls without an evicting core's EvictS queued behind its buffered broadcast", name, seed)
+				}
+			}
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("stalled runs by fabric/lines: got %v, want %v", got, want)
+	}
+}
+
+// evictBcastDeadlock reports whether some core evicting a line holds a
+// buffered broadcast for it while its EvictS for that line waits in the
+// line's busy directory entry.
+func evictBcastDeadlock(s *System) bool {
+	for _, c := range s.ctrls {
+		for line, buf := range c.bcastBuf {
+			if !c.evicting[line] || len(buf) == 0 {
+				continue
+			}
+			e := s.dirs[buf[0].Slice].entries[line]
+			if e == nil || !e.busy {
+				continue
+			}
+			for _, q := range e.queue {
+				if q.Type == MsgEvictS && q.From == c.id {
+					return true
+				}
+			}
+		}
+	}
+	return false
 }
 
 func TestFetchAddAtomicityATAC(t *testing.T) {
