@@ -35,8 +35,9 @@ cover:
 # The coverage gate: the same run, failing (naming each) on a function at
 # 0.0 % that scripts/cover_check.sh does not allowlist with a reason, or on
 # an allowlisted one that is no longer at 0.0 %; and, block by block in the
-# coherence directory and cache controller, on a never-run block that is
-# not a lone panic or allowlisted by function and first line.
+# coherence directory and cache controller and the noc fabric base and
+# mesh, on a never-run block that is not a lone panic or allowlisted by
+# function and first line.
 cover-check:
 	GO=$(GO) COVER=$(COVER) bash scripts/cover_check.sh
 

@@ -9,10 +9,11 @@
 # allowlisted function no longer does (it is tested or gone: drop its
 # entry). bench/ is its own module, so ./... leaves it out.
 #
-# A second pass holds the coherence protocol's files block by block: a
-# statement block that no package's run reaches (its counts summed over
-# the profile) fails unless its body is a lone panic or block_allow names
-# it, and a block_allow entry that names no such block fails too.
+# A second pass holds the coherence protocol's files and the fabric base
+# and mesh of internal/noc block by block: a statement block that no
+# package's run reaches (its counts summed over the profile) fails unless
+# its body is a lone panic or block_allow names it, and a block_allow
+# entry that names no such block fails too.
 set -euo pipefail
 
 # One entry a line: the file (module path dropped) and the function as
@@ -34,7 +35,7 @@ internal/sim/sharded.go Close           bench-only export (the window probe defe
 # the enclosing function (a method without its receiver) and the trimmed
 # source line the block starts on, then ` # ` and the reason the block may
 # never run.
-block_files='internal/coherence/directory.go internal/coherence/ctrl.go'
+block_files='internal/coherence/directory.go internal/coherence/ctrl.go internal/noc/fabric.go internal/noc/mesh.go'
 block_allow='
 '
 
@@ -115,5 +116,5 @@ while read -r key; do
   fi
 done <<<"$block_keys"
 
-[ "$fail" = 0 ] && echo "cover-check: $(grep -c . <<<"$allowed") zero-coverage functions, all allowlisted; $(grep -c . <<<"$block_keys") never-run protocol blocks besides lone panics, all allowlisted"
+[ "$fail" = 0 ] && echo "cover-check: $(grep -c . <<<"$allowed") zero-coverage functions, all allowlisted; $(grep -c . <<<"$block_keys") never-run blocks of the block files besides lone panics, all allowlisted"
 exit "$fail"
